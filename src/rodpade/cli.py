@@ -125,7 +125,7 @@ def _build_table(args):
 
 
 def _verification_block(table, seqs, n, expected_deg, depth: int = 2) -> dict:
-    orth = all(verify_pade(cell, seqs, n, int(cell.P.degree)) for cell in table.cells)
+    orth = all(verify_pade(cell, seqs, n, expected_deg(cell.ell)) for cell in table.cells)
     degrees = all(cell.P.degree == expected_deg(cell.ell) for cell in table.cells)
     starts = []
     starts_ok = True

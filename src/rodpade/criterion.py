@@ -95,14 +95,35 @@ class Place:
         return "inf" if self.p is None else f"p{self.p}"
 
 
+#: the first 13 primes; as Miller-Rabin bases they decide primality of every
+#: n below _MR_LIMIT (Sorenson & Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for n >= 3.3e24."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -145,7 +166,11 @@ def abs_v(x: Fraction, place: Place) -> Fraction:
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale inputs)."""
+    """Prime factorization by trial division; for small inputs only.
+
+    Its one caller is ``height_profile``, which must name every prime of the
+    denominator; a denominator with two large prime factors makes it slow.
+    """
     n = abs(int(n))
     out: dict[int, int] = {}
     f = 2
@@ -186,16 +211,13 @@ def global_height(x: Fraction) -> float:
 
 
 def _global_H_vec(xs: Sequence[Fraction]) -> Fraction:
-    """prod_v max(1, |x_1|_v, ..): archimedean factor times denominator primes."""
+    """prod_v max(1, |x_1|_v, ..) = max(1, |x_i|) * lcm(denominators).
+
+    At a prime p the factor is p^(max_i v_p(den x_i)), so the finite places
+    together contribute exactly the lcm of the denominators.
+    """
     xs = [Fraction(x) for x in xs]
-    acc = max([Fraction(1)] + [abs(x) for x in xs])
-    primes: set[int] = set()
-    for x in xs:
-        primes.update(_factorize(x.denominator))
-    for p in sorted(primes):
-        e = max(max(0, -valuation(x, p)) for x in xs if x != 0)
-        acc *= Fraction(p) ** e
-    return acc
+    return max([Fraction(1)] + [abs(x) for x in xs]) * math.lcm(*(x.denominator for x in xs))
 
 
 def global_height_vec(xs: Sequence[Fraction]) -> float:

@@ -8,6 +8,7 @@ this identification, exactly.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,31 +233,47 @@ def verify_pade(cell: PadeCell, fs: Sequence[MomentSeq], n: int, M: int) -> bool
     return ok
 
 
+def _int_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Fraction-free with row pivoting: after step k every entry is a (k+1)-minor
+    of the row-permuted matrix, so each division by the previous pivot is
+    exact and ``//`` never rounds (Bareiss 1968).
+    """
+    rows = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        pivot_row = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row:
+            rows[0], rows[pivot_row] = rows[pivot_row], rows[0]
+            sign = -sign
+        pivot, top = rows[0][0], rows[0][1:]
+        rows = [
+            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+            for row in rows[1:]
+        ]
+        prev = pivot
+    return sign * rows[0][0] if rows else 1
+
+
 def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free elimination with row pivoting."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    size = len(m)
-    if any(len(row) != size for row in m):
+    """Exact determinant: rows scaled to integers, then integer Bareiss.
+
+    Row i is multiplied by the lcm s_i of its denominators; the integer
+    determinant is divided once by prod s_i.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
-    if size == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[size - 1][size - 1]
+    scale = 1
+    int_rows = []
+    for row in rows:
+        s = math.lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return Fraction(_int_det(int_rows), scale)
 
 
 def theta_det(fs: Sequence[MomentSeq], rstar: DiffOp, n: int) -> Fraction:
@@ -267,23 +284,44 @@ def theta_det(fs: Sequence[MomentSeq], rstar: DiffOp, n: int) -> Fraction:
     return det_bareiss(rows)
 
 
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def delta_det(table: Sequence[Sequence[Poly]]) -> Poly:
-    """Exact polynomial determinant, by evaluation at D+1 points and interpolation.
+    """Exact polynomial determinant, by integer evaluation at D+1 points.
 
     D is the column-degree bound sum_l max_i deg(table[i][l]), so the
-    interpolated polynomial is the determinant exactly.
+    determinant has degree <= D and is fixed by its values at 0..D.  Column
+    l is scaled by the lcm c_l of its coefficient denominators, the integer
+    entries are evaluated by Horner at x = 0..D, and each point costs one
+    integer Bareiss determinant.  If all D+1 values agree the determinant is
+    that constant (a polynomial of degree <= D taking one value at D+1 points
+    is constant); only otherwise are the values, divided by prod c_l,
+    interpolated.
     """
     size = len(table)
     if any(len(row) != size for row in table):
         raise ValueError("table must be square")
     bound = 0
+    scale = 1
+    int_cols = []
     for ell in range(size):
-        degs = [int(table[i][ell].degree) for i in range(size) if not table[i][ell].is_zero]
-        if degs:
-            bound += max(degs)
-    xs = [Fraction(x) for x in range(bound + 1)]
-    ys = [det_bareiss([[entry(x) for entry in row] for row in table]) for x in xs]
-    return interpolate(xs, ys)
+        col = [table[i][ell] for i in range(size)]
+        bound += max((int(p.degree) for p in col if not p.is_zero), default=0)
+        c = math.lcm(*(a.denominator for p in col for a in p.coeffs))
+        int_cols.append([[a.numerator * (c // a.denominator) for a in p.coeffs] for p in col])
+        scale *= c
+    ys = [
+        _int_det([[_horner(int_cols[ell][i], x) for ell in range(size)] for i in range(size)])
+        for x in range(bound + 1)
+    ]
+    if all(y == ys[0] for y in ys):
+        return Poly.constant(Fraction(ys[0], scale))
+    return interpolate(range(bound + 1), [Fraction(y, scale) for y in ys])
 
 
 def constant_determinant(table: Sequence[Sequence[Poly]]) -> Fraction:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,10 @@ from rodpade.criterion import (
     H_v_vec,
     Place,
     V_value,
+    _factorize,
+    _global_H_vec,
+    _is_prime,
+    _primes_upto,
     abs_v,
     bounds_audit,
     evaluate_criterion,
@@ -82,6 +88,62 @@ def test_height_profile_sums_to_global():
         prof = height_profile(x)
         assert abs(sum(prof.locals.values()) - prof.total) < 1e-12
         assert abs(prof.total - global_height(x)) < 1e-12
+
+
+def _factored_global_H_vec(xs):
+    """prod_v max(1, |x_1|_v, ..) place by place, over the factored denominators."""
+    acc = max([F(1)] + [abs(x) for x in xs])
+    primes = set()
+    for x in xs:
+        primes.update(_factorize(x.denominator))
+    for p in primes:
+        acc *= F(p) ** max(max(0, -valuation(x, p)) for x in xs if x != 0)
+    return acc
+
+
+def test_global_height_lcm_matches_factoring():
+    rng = random.Random(43)
+    for _ in range(200):
+        xs = [F(rng.randint(-60, 60), rng.randint(1, 360)) for _ in range(rng.randint(1, 4))]
+        assert _global_H_vec(xs) == _factored_global_H_vec(xs)
+
+
+def test_global_height_huge_denominator_is_fast(capsys):
+    from rodpade.cli import main
+
+    alpha = f"1/{10**119 + 7}"
+    start = time.perf_counter()
+    code = main(["criterion", "--m", "1", "--r", "1", "--alphas", alpha, "--beta", "10"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3  # the height of alpha makes V negative
+    v = json.loads(capsys.readouterr().out)["V"]
+    assert abs(v["terms"]["h_alpha_vec"] - math.log(10**119 + 7)) < 1e-9
+
+
+def test_is_prime_matches_sieve():
+    primes = set(_primes_upto(10**5))
+    assert all(_is_prime(n) == (n in primes) for n in range(-3, 10**5 + 1))
+
+
+def test_is_prime_large_inputs():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(10**18 + 3)
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((2**31 - 1) * (10**9 + 7))
+    with pytest.raises(ValueError):
+        _is_prime(3317044064679887385961981)
+
+
+def test_place_beyond_primality_bound_exits_2(capsys):
+    from rodpade.cli import main
+
+    place = f"p{10**25 + 13}"
+    argv = ["criterion", "--m", "1", "--r", "1", "--alphas", "1", "--beta", "30"]
+    code = main(argv + ["--place", place])
+    assert code == 2
+    assert "primality" in capsys.readouterr().err
 
 
 def test_lcm_values():

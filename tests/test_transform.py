@@ -8,10 +8,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from rodpade.exact import Poly
+from rodpade.exact import Poly, interpolate
 from rodpade.transform import (
     MomentSeq,
     PadeCell,
+    constant_determinant,
     delta_det,
     det_bareiss,
     divided_difference_Q,
@@ -122,6 +123,9 @@ def test_constant_determinant_error_signals():
     z = Poly((0, 1))
     with pytest.raises(NonConstantDeterminantError):
         constant_determinant([[z, Poly.one()], [Poly.one(), z]])  # det = z^2 - 1
+    with pytest.raises(NonConstantDeterminantError):
+        # det = z^2 - 2z takes the value 0 at both ends of the points 0, 1, 2
+        constant_determinant([[z, Poly.zero()], [Poly.zero(), z - 2]])
     with pytest.raises(ZeroDeterminantError):
         constant_determinant([[z, z], [Poly.one(), Poly.one()]])
 
@@ -159,6 +163,118 @@ def test_det_bareiss_against_cofactor():
 def test_det_bareiss_needs_pivoting():
     m = [[F(0), F(1)], [F(1), F(0)]]
     assert det_bareiss(m) == -1
+
+
+def _cofactor_det(m):
+    """Laplace expansion along the first row; works for Fractions and Polys."""
+    if not m:
+        return 1
+    total = 0
+    for j, a in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = a * _cofactor_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def test_det_bareiss_pivoting_against_cofactor():
+    # zero leading pivot, and a zero pivot that only appears mid-elimination
+    fixed = [
+        [[F(0), F(2), F(1, 3)], [F(5, 7), F(1), F(0)], [F(1), F(-4, 9), F(2)]],
+        [[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(3), F(5), F(6)]],
+    ]
+    rng = random.Random(29)
+
+    def sparse_entry():
+        return F(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 6))
+
+    sparse = [[[sparse_entry() for _ in range(4)] for _ in range(4)] for _ in range(40)]
+    for m in fixed + sparse:
+        assert det_bareiss(m) == _cofactor_det(m)
+
+
+def test_det_bareiss_empty_and_singular():
+    assert det_bareiss([]) == 1
+    assert det_bareiss([[F(3, 4)]]) == F(3, 4)
+    assert det_bareiss([[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]) == 0
+    assert det_bareiss([[F(0), F(1)], [F(0), F(5)]]) == 0
+    with pytest.raises(ValueError):
+        det_bareiss([[F(1), F(2)]])
+
+
+def test_delta_det_fractional_against_cofactor():
+    rng = random.Random(31)
+
+    def entry():
+        return Poly([F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(rng.randint(0, 3))])
+
+    for trial in range(12):
+        mat = [[entry() for _ in range(3)] for _ in range(3)]
+        if trial % 3 == 0:
+            zero_col = trial % 2
+            for row in mat:
+                row[zero_col] = Poly.zero()
+        assert delta_det(mat) == _cofactor_det(mat)
+
+
+def _seed_fraction_bareiss(matrix):
+    m = [list(row) for row in matrix]
+    size = len(m)
+    sign, prev = 1, F(1)
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, size):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return F(0)
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[size - 1][size - 1]
+
+
+def _seed_delta_route(table):
+    """Fraction evaluation, Fraction Bareiss, interpolation: the original route."""
+    size = len(table)
+    bound = sum(
+        max((int(table[i][ell].degree) for i in range(size) if not table[i][ell].is_zero), default=0)
+        for ell in range(size)
+    )
+    xs = [F(x) for x in range(bound + 1)]
+    ys = [_seed_fraction_bareiss([[entry(x) for entry in row] for row in table]) for x in xs]
+    det = interpolate(xs, ys)
+    assert det.degree == 0
+    return det.coeff(0)
+
+
+@pytest.mark.parametrize(
+    "m, r, alphas, n",
+    [
+        (1, 3, (1,), 1),
+        (2, 2, (1, 2), 1),
+        (3, 1, (1, F(-1, 2), 3), 4),
+        (2, None, None, 3),  # log-power rows
+    ],
+)
+def test_constant_determinant_matches_fraction_route(m, r, alphas, n):
+    from rodpade.logpow import LogPowConfig, logpow_table
+    from rodpade.mpl import MplConfig, pade_table
+
+    if r is None:
+        table = logpow_table(LogPowConfig(m=m, n=n)).matrix()
+    else:
+        table = pade_table(MplConfig(m=m, r=r, alphas=alphas), n).matrix()
+    assert constant_determinant(table) == _seed_delta_route(table)
+
+
+def test_verify_pade_degree_guard():
+    cell = legendre_cell()  # deg P = 1
+    assert verify_pade(cell, [fresh_li1()], n=1, M=1)
+    assert not verify_pade(cell, [fresh_li1()], n=1, M=0)
 
 
 def test_moment_seq_memoization_is_stable():
