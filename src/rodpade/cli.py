@@ -22,7 +22,9 @@ from .exact import format_rational, parse_rational
 from .transform import (
     NonConstantDeterminantError,
     ZeroDeterminantError,
+    constant_determinant,
     remainder_tail,
+    theta_det,
     verify_pade,
 )
 
@@ -112,19 +114,22 @@ def _payload_to_csv(writer, payload: dict, prefix: str = "") -> None:
 
 
 def _build_table(args):
-    """Returns (kind, config, table, seqs, expected_deg(l))."""
+    """Returns (kind, config, table, expected_deg(l)).
+
+    The table carries the R_n* and the row moment sequences it was built
+    from; the verification and determinant blocks reuse both.
+    """
     if args.appendix_logpow:
         config = logpow_mod.LogPowConfig(m=args.m, n=args.n)
         table = logpow_mod.logpow_table(config)
-        seqs = logpow_mod.moment_seqs(config.m)
-        return "logpow", config, table, seqs, lambda ell: config.m * config.n + ell
+        return "logpow", config, table, lambda ell: config.m * config.n + ell
     config = mpl_mod.MplConfig(m=args.m, r=args.r, alphas=_parse_alphas(args.alphas))
     table = mpl_mod.pade_table(config, args.n)
-    seqs = mpl_mod.moment_seqs(config)
-    return "mpl", config, table, seqs, lambda ell: config.M * args.n + ell
+    return "mpl", config, table, lambda ell: config.M * args.n + ell
 
 
-def _verification_block(table, seqs, n, expected_deg, depth: int = 2) -> dict:
+def _verification_block(table, n, expected_deg, depth: int = 2) -> dict:
+    seqs = table.seqs
     orth = all(verify_pade(cell, seqs, n, expected_deg(cell.ell)) for cell in table.cells)
     degrees = all(cell.P.degree == expected_deg(cell.ell) for cell in table.cells)
     starts = []
@@ -144,16 +149,9 @@ def _verification_block(table, seqs, n, expected_deg, depth: int = 2) -> dict:
     }
 
 
-def _determinant_block(kind, config, table, seqs, n) -> dict:
-    from .transform import constant_determinant, theta_det
-    from .weyl import adjoint
-
-    if kind == "logpow":
-        rstar = adjoint(logpow_mod.build_Rn_log(config.n, config.m))
-    else:
-        rstar = adjoint(mpl_mod.build_Rn(n, config))
+def _determinant_block(table, n) -> dict:
     delta = constant_determinant(table.matrix())
-    theta = theta_det(seqs, rstar, n)
+    theta = theta_det(table.seqs, table.rstar, n)
     lc = table.cells[-1].P.lc
     ok = abs(delta) == abs(lc * theta)
     return {
@@ -166,11 +164,9 @@ def _determinant_block(kind, config, table, seqs, n) -> dict:
 
 
 def _cmd_pade(args) -> int:
-    kind, config, table, seqs, expected_deg = _build_table(args)
-    verification = _verification_block(
-        table, seqs, args.n, expected_deg, depth=args.depth or 2
-    )
-    determinant = _determinant_block(kind, config, table, seqs, args.n)
+    kind, config, table, expected_deg = _build_table(args)
+    verification = _verification_block(table, args.n, expected_deg, depth=args.depth or 2)
+    determinant = _determinant_block(table, args.n)
     payload = {
         "command": "pade",
         "kind": kind,
@@ -192,9 +188,9 @@ def _cmd_pade(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    kind, config, table, seqs, _ = _build_table(args)
+    kind, config, table, _ = _build_table(args)
     try:
-        determinant = _determinant_block(kind, config, table, seqs, args.n)
+        determinant = _determinant_block(table, args.n)
     except (NonConstantDeterminantError, ZeroDeterminantError) as exc:
         _emit({"command": "det", "error": str(exc)}, args.format, args.out)
         return EXIT_VERIFY
@@ -312,15 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="check the proven norm/decay bounds")
     p_audit.add_argument("--lcm", type=int, default=None, help="lcm growth check mode")
-    p_audit.add_argument("--m", type=int, default=None)
-    p_audit.add_argument("--r", type=int, default=None)
-    p_audit.add_argument("--alphas", type=str, default=None)
-    p_audit.add_argument("--n", type=str, default=None, help="weight or range lo..hi")
+    _add_common(p_audit)
     p_audit.add_argument("--beta", type=str, default=None)
-    p_audit.add_argument("--place", type=str, default=None)
-    p_audit.add_argument("--config", type=str, default=None)
-    p_audit.add_argument("--format", choices=("json", "csv"), default="json")
-    p_audit.add_argument("--out", type=str, default=None)
+    p_audit.add_argument("--place", type=str, default=None, help="inf or p<prime>")
     p_audit.set_defaults(func=_cmd_audit)
 
     p_ids = sub.add_parser("logpow-identities", help="exact operator identities check")

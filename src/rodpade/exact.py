@@ -156,13 +156,24 @@ class Poly:
         return result
 
     def derivative(self, k: int = 1) -> "Poly":
-        """k-th derivative, exact."""
+        """k-th derivative, exact, in closed form.
+
+        The coefficient of z^i is c_{i+k} * (i+1)(i+2)...(i+k).  The product
+        is carried from i to i+1 as one running integer, so any k costs
+        O(deg) multiplications.  k = 0 returns the polynomial itself and
+        k > deg returns zero.
+        """
         if k < 0:
             raise ValueError("negative derivative order")
+        if k == 0:
+            return self
         cs = self.coeffs
-        for _ in range(k):
-            cs = tuple(Fraction(i) * c for i, c in enumerate(cs))[1:]
-        return Poly(cs)
+        fall = math.factorial(k)  # (i+1)...(i+k) at i = 0
+        out = []
+        for i in range(len(cs) - k):
+            out.append(cs[i + k] * fall)
+            fall = fall * (i + k + 1) // (i + 1)
+        return Poly(out)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z^k (k >= 0)."""

@@ -19,11 +19,11 @@ from .transform import (
     PadeCell,
     PadeTable,
     ZeroDeterminantError,
+    build_table,
     constant_determinant,
-    divided_difference_Q,
     theta_det,
 )
-from .weyl import DiffOp, adjoint, op_apply, op_compose
+from .weyl import DiffOp, adjoint, op_compose
 
 __all__ = [
     "LogPowConfig",
@@ -85,14 +85,19 @@ def logpow_moment(s: int, j: int) -> Fraction:
     return _log_power_coeffs(s, j + 1)[j]
 
 
-@lru_cache(maxsize=None)
 def _stirling_cycle(n: int, k: int) -> int:
-    """Unsigned Stirling numbers of the first kind (cycle numbers)."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return _stirling_cycle(n - 1, k - 1) + (n - 1) * _stirling_cycle(n - 1, k)
+    """Unsigned Stirling number of the first kind c(n, k) (cycle numbers).
+
+    Built row by row from c(i, t) = c(i-1, t-1) + (i-1) c(i-1, t), keeping
+    only the entries t <= k of one row: O(n k) time, O(k) memory and no
+    recursion, so any n is reachable.
+    """
+    row = [1] + [0] * k  # c(0, t) for t = 0..k
+    for i in range(1, n + 1):
+        for t in range(k, 0, -1):
+            row[t] = row[t - 1] + (i - 1) * row[t]
+        row[0] = 0
+    return row[k]
 
 
 def logpow_moment_stirling(s: int, j: int) -> Fraction:
@@ -166,26 +171,13 @@ def logpow_pade(config: LogPowConfig, ell: int) -> PadeCell:
     """Column ell of the appendix table: deg P = m*n + ell."""
     if not 0 <= ell <= config.m:
         raise ValueError(f"column index must be in 0..{config.m}")
-    rstar = adjoint(build_Rn_log(config.n, config.m))
-    p = op_apply(rstar, Poly.monomial(ell))
-    qs = {f.label: divided_difference_Q(f, p) for f in moment_seqs(config.m)}
-    return PadeCell(n=config.n, ell=ell, P=p, Qs=qs)
+    return logpow_table(config).cells[ell]
 
 
 def logpow_table(config: LogPowConfig) -> PadeTable:
-    seqs = moment_seqs(config.m)
+    """Columns l = 0..m from the adjoint of R_n, rows log^1..log^m."""
     rstar = adjoint(build_Rn_log(config.n, config.m))
-    cells = []
-    for ell in range(config.m + 1):
-        p = op_apply(rstar, Poly.monomial(ell))
-        qs = {f.label: divided_difference_Q(f, p) for f in seqs}
-        cells.append(PadeCell(n=config.n, ell=ell, P=p, Qs=qs))
-    return PadeTable(
-        n=config.n,
-        M=config.m,
-        row_labels=tuple(f.label for f in seqs),
-        cells=tuple(cells),
-    )
+    return build_table(rstar, moment_seqs(config.m), config.n, config.m)
 
 
 def logpow_delta(config: LogPowConfig, table: PadeTable | None = None) -> Fraction:

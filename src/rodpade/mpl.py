@@ -23,14 +23,13 @@ from .exact import Poly, format_rational
 from .transform import (
     MomentSeq,
     NonConstantDeterminantError,
-    PadeCell,
     PadeTable,
     ZeroDeterminantError,
+    build_table,
     constant_determinant,
-    divided_difference_Q,
     theta_det,
 )
-from .weyl import DiffOp, adjoint, op_apply, op_compose
+from .weyl import DiffOp, adjoint, op_compose
 
 __all__ = [
     "MplConfig",
@@ -251,19 +250,7 @@ def pade_table(config: MplConfig, n: int) -> PadeTable:
     """Columns l = 0..M from the adjoint of R_n, rows from the moment family."""
     if n < 1:
         raise ValueError("n must be positive")
-    rstar = adjoint(build_Rn(n, config))
-    seqs = moment_seqs(config)
-    cells = []
-    for ell in range(config.M + 1):
-        p = op_apply(rstar, Poly.monomial(ell))
-        qs = {f.label: divided_difference_Q(f, p) for f in seqs}
-        cells.append(PadeCell(n=n, ell=ell, P=p, Qs=qs))
-    return PadeTable(
-        n=n,
-        M=config.M,
-        row_labels=tuple(f.label for f in seqs),
-        cells=tuple(cells),
-    )
+    return build_table(adjoint(build_Rn(n, config)), moment_seqs(config), n, config.M)
 
 
 def delta_constant(config: MplConfig, n: int, table: PadeTable | None = None) -> Fraction:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -22,6 +22,7 @@ __all__ = [
     "PadeCell",
     "PadeTable",
     "Remainder",
+    "build_table",
     "RouteDisagreementError",
     "NonConstantDeterminantError",
     "ZeroDeterminantError",
@@ -179,12 +180,20 @@ class PadeCell:
 
 @dataclass(frozen=True)
 class PadeTable:
-    """All columns l = 0..M of a weight-n table, rows in a fixed order."""
+    """All columns l = 0..M of a weight-n table, rows in a fixed order.
+
+    ``rstar`` and ``seqs`` are the operator R_n* and the row moment sequences
+    the table was built from, kept so that later blocks of a run reuse them
+    (and their warm moment caches) instead of rebuilding them.  They take no
+    part in equality, repr or JSON.
+    """
 
     n: int
     M: int
     row_labels: tuple[str, ...]
     cells: tuple[PadeCell, ...]
+    rstar: DiffOp = field(compare=False, repr=False)
+    seqs: tuple[MomentSeq, ...] = field(compare=False, repr=False)
 
     def matrix(self) -> list[list[Poly]]:
         """(d+1) x (d+1) arrangement: P row first, then one row per label."""
@@ -204,6 +213,24 @@ class PadeTable:
                 for label in self.row_labels
             ],
         }
+
+
+def build_table(rstar: DiffOp, seqs: Sequence[MomentSeq], n: int, M: int) -> PadeTable:
+    """Columns l = 0..M with P_l = R_n* . t^l and the Q-polynomial of every row."""
+    seqs = tuple(seqs)
+    cells = []
+    for ell in range(M + 1):
+        p = op_apply(rstar, Poly.monomial(ell))
+        qs = {f.label: divided_difference_Q(f, p) for f in seqs}
+        cells.append(PadeCell(n=n, ell=ell, P=p, Qs=qs))
+    return PadeTable(
+        n=n,
+        M=M,
+        row_labels=tuple(f.label for f in seqs),
+        cells=tuple(cells),
+        rstar=rstar,
+        seqs=seqs,
+    )
 
 
 def verify_pade(cell: PadeCell, fs: Sequence[MomentSeq], n: int, M: int) -> bool:

@@ -221,19 +221,31 @@ def op_apply_laurent(l: DiffOp, f: LaurentTail, min_depth: int = 0) -> tuple[Pol
 def adjoint(l: DiffOp) -> DiffOp:
     """Formal adjoint: sum_j b_j(z) D^j |-> sum_j (-1)^j D^j b_j(t), normal-ordered.
 
+    With b_j = sum_k c_k z^k, the term (-1)^j D^j o b_j expands to
+    (-1)^j sum_i C(j,i) b_j^(i) D^(j-i), so it adds
+    (-1)^j C(j,i) (k+i)!/k! c_{k+i} to the coefficient of z^k D^(j-i).
+    Those contributions are accumulated into one dense coefficient list per
+    derivative order, with (k+i)!/k! carried as a running integer over k,
+    and each coefficient polynomial is built once at the end.
+
     An involutive anti-homomorphism: (L1 L2)* = L2* L1* and L** = L.
     """
-    acc = DiffOp.zero()
+    out: list[list] = [[] for _ in l.terms]
     for j, b in enumerate(l.terms):
-        if b.is_zero:
-            continue
-        # (-1)^j D^j o b(t) = (-1)^j sum_i C(j,i) b^(i)(t) D^(j-i)
+        cs = b.coeffs
         sign = -1 if j % 2 else 1
-        terms = [Poly.zero()] * (j + 1)
-        for i in range(j + 1):
-            terms[j - i] = b.derivative(i) * (sign * math.comb(j, i))
-        acc = acc + DiffOp(terms)
-    return acc
+        for i in range(min(j, len(cs) - 1) + 1):
+            row = out[j - i]
+            width = len(cs) - i
+            if len(row) < width:
+                row.extend([0] * (width - len(row)))
+            fall = sign * math.comb(j, i) * math.factorial(i)  # scaled (k+i)!/k! at k = 0
+            for k in range(width):
+                c = cs[k + i]
+                if c:
+                    row[k] += c * fall
+                fall = fall * (k + i + 1) // (k + 1)
+    return DiffOp(Poly(row) for row in out)
 
 
 def ord_weight(l: DiffOp) -> int:

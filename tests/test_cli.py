@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from rodpade import cli
+from rodpade import logpow as logpow_mod
+from rodpade import mpl as mpl_mod
 from rodpade.cli import main
+from rodpade.weyl import DiffOp, adjoint
 
 CLI = [sys.executable, "-m", "rodpade"]
 
@@ -182,3 +188,73 @@ def test_byte_identical_reruns(argv):
     second = run_cli(*argv)
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
+
+
+def _record_calls(monkeypatch, fns, modules=None):
+    """Replace bindings of each of ``fns`` by a wrapper that records (args, result).
+
+    All calls go to one list.  By default every loaded rodpade module that
+    binds one of the functions is patched.
+    """
+    calls = []
+    if modules is None:
+        modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "rodpade"]
+    for fn in fns:
+
+        def recording(*args, fn=fn, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        for module in modules:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pade", "--m", "1", "--r", "2", "--alphas", "1/2", "--n", "1"),
+        ("det", "--m", "2", "--r", "1", "--alphas", "1,-2", "--n", "2"),
+        ("pade", "--appendix-logpow", "--m", "2", "--n", "2"),
+        ("det", "--appendix-logpow", "--m", "3", "--n", "1"),
+    ],
+)
+def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
+    adjoints = _record_calls(monkeypatch, [adjoint])
+    families = _record_calls(monkeypatch, [mpl_mod.moment_seqs, logpow_mod.moment_seqs])
+    tables = _record_calls(monkeypatch, [mpl_mod.pade_table, logpow_mod.logpow_table])
+    verifies = _record_calls(monkeypatch, [cli.verify_pade], [cli])
+    remainders = _record_calls(monkeypatch, [cli.remainder_tail], [cli])
+    thetas = _record_calls(monkeypatch, [cli.theta_det], [cli])
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(adjoints) == len(families) == len(tables) == len(thetas) == 1
+    table = tables[0][1]
+    assert table.rstar is adjoints[0][1] is thetas[0][0][1]
+    assert len(table.seqs) == len(families[0][1])
+    assert all(f is g for f, g in zip(table.seqs, families[0][1]))
+    # every moment sequence the verification and determinant blocks read
+    used = [f for args, _ in verifies for f in args[1]]
+    used += [args[0] for args, _ in remainders]
+    used += list(thetas[0][0][0])
+    assert all(any(f is g for g in table.seqs) for f in used)
+    if argv[0] == "pade":
+        assert verifies and remainders
+
+
+def test_pade_table_extra_fields_leave_equality_and_json_alone():
+    table = mpl_mod.pade_table(mpl_mod.MplConfig(m=1, r=2, alphas=(1,)), 1)
+    bare = dataclasses.replace(table, rstar=DiffOp.zero(), seqs=())
+    assert bare == table
+    assert bare.to_json() == table.to_json()
+    assert repr(bare) == repr(table)
+    assert "rstar" not in json.dumps(table.to_json()) and "seqs" not in repr(table)
+
+
+def test_audit_help_lists_every_flag(capsys):
+    assert main(["audit", "--help"]) == 0
+    flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert flags == {"--help", "--lcm", "--m", "--r", "--alphas", "--n", "--beta", "--place",
+                     "--config", "--format", "--out"}

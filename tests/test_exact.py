@@ -53,6 +53,35 @@ def test_poly_derivative_power_rule():
     assert (Poly.monomial(2) * Poly((-1, 1))).derivative() == Poly((0, -2, 3))
 
 
+def _seed_derivative(p, k):
+    """Reference route: differentiate k times, one power rule at a time."""
+    cs = p.coeffs
+    for _ in range(k):
+        cs = tuple(F(i) * c for i, c in enumerate(cs))[1:]
+    return Poly(cs)
+
+
+def test_poly_derivative_closed_form_against_repetition():
+    rng = random.Random(31)
+    polys = [Poly.zero(), Poly.one(), Poly((0, 0, 0, F(-7, 3)))]
+    for _ in range(60):
+        deg = rng.randint(0, 14)
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(deg + 1)]
+        coeffs[-1] = coeffs[-1] or F(1, 5)
+        polys.append(Poly(coeffs))
+    for p in polys:
+        deg = 0 if p.is_zero else int(p.degree)
+        for k in range(deg + 3):
+            repeated = p
+            for _ in range(k):
+                repeated = repeated.derivative(1)
+            assert p.derivative(k) == repeated == _seed_derivative(p, k)
+        assert p.derivative(0) == p
+        assert p.derivative(deg + 1) == Poly.zero()
+        with pytest.raises(ValueError):
+            p.derivative(-1)
+
+
 def test_poly_degree_additivity_randomized():
     rng = random.Random(7)
     for _ in range(200):

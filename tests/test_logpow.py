@@ -41,6 +41,27 @@ def test_moment_two_routes_agree():
             assert logpow_moment(s, j) == logpow_moment_stirling(s, j)
 
 
+def test_stirling_oracle_is_iterative():
+    # c(j+1, 1) = j! and c(j+1, 2) = j! H_j, so the moments are -1/(j+1) and
+    # 2 H_j/(j+1); the recursive route overflowed the stack near j = 1000
+    j = 1500
+    harmonic = sum(F(1, k) for k in range(1, j + 1))
+    assert logpow_moment_stirling(1, j) == F(-1, j + 1)
+    assert logpow_moment_stirling(2, j) == 2 * harmonic / (j + 1)
+
+
+def test_stirling_oracle_against_convolution_to_depth_200():
+    # logpow_moment(s, j) is entry j of the convolution to depth j+1; the
+    # depth-200 convolution holds every moment j < 200 at once
+    from rodpade.logpow import _log_power_coeffs
+
+    for s in range(1, 4):
+        coeffs = _log_power_coeffs(s, 200)
+        assert coeffs[199] == logpow_moment(s, 199)
+        for j in range(200):
+            assert logpow_moment_stirling(s, j) == coeffs[j]
+
+
 def test_build_operators():
     z2z1 = Poly.monomial(2) * Poly((-1, 1)) ** 2
     assert build_En(2).to_json() == [{"order": 2, "coeff": z2z1.to_strings()}]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -125,6 +126,56 @@ def test_randomized_algebra_laws():
         assert ord_weight(op_compose(l1, l2)) == ord_weight(l1) + ord_weight(l2)
         p = random_poly(rng, 4)
         assert op_apply(op_compose(l1, l2), p) == op_apply(l1, op_apply(l2, p))
+
+
+def _seed_adjoint(l):
+    """Reference route: one whole operator per term, derivatives by repetition."""
+
+    def derivative(b, i):
+        cs = b.coeffs
+        for _ in range(i):
+            cs = tuple(F(k) * c for k, c in enumerate(cs))[1:]
+        return Poly(cs)
+
+    acc = DiffOp.zero()
+    for j, b in enumerate(l.terms):
+        if b.is_zero:
+            continue
+        sign = -1 if j % 2 else 1
+        terms = [Poly.zero()] * (j + 1)
+        for i in range(j + 1):
+            terms[j - i] = derivative(b, i) * (sign * math.comb(j, i))
+        acc = acc + DiffOp(terms)
+    return acc
+
+
+def test_adjoint_against_seed_route_random():
+    rng = random.Random(1213)
+    for _ in range(60):
+        order = rng.randint(0, 12)
+        terms = []
+        for _ in range(order + 1):
+            if rng.random() < 0.3:
+                terms.append(Poly.zero())  # zero interior terms
+            else:
+                deg = rng.randint(0, 9)
+                terms.append(Poly(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(deg + 1)))
+        op = DiffOp(terms)
+        assert adjoint(op) == _seed_adjoint(op)
+    assert adjoint(DiffOp.zero()) == DiffOp.zero()
+
+
+@pytest.mark.parametrize("which", ["mpl11_n40", "mpl12_n6", "logpow_m2_n11"])
+def test_adjoint_against_seed_route_on_rodrigues_operators(which):
+    from rodpade.logpow import build_Rn_log
+    from rodpade.mpl import MplConfig, build_Rn
+
+    rn = {
+        "mpl11_n40": lambda: build_Rn(40, MplConfig(m=1, r=1, alphas=(F(-3, 2),))),
+        "mpl12_n6": lambda: build_Rn(6, MplConfig(m=1, r=2, alphas=(F(5, 3),))),
+        "logpow_m2_n11": lambda: build_Rn_log(11, 2),
+    }[which]()
+    assert adjoint(rn) == _seed_adjoint(rn)
 
 
 def test_degree_law_under_leading_nonvanishing():
