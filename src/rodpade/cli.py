@@ -243,10 +243,11 @@ def _cmd_audit(args) -> int:
     if beta is not None and crit.abs_v(beta, place) <= crit.H_v_vec(config.alphas, place):
         raise crit.BadBetaError("|beta|_v must exceed the local height of the alphas")
     ns = _parse_n_range(args.n)
-    reports = [crit.bounds_audit(config, n, place, beta=beta) for n in ns]
+    tables = {n: mpl_mod.pade_table(config, n) for n in ns}
+    reports = [crit.bounds_audit(config, n, place, beta=beta, table=tables[n]) for n in ns]
     decay = None
     if beta is not None and len(ns) >= 2:
-        decay = crit.remainder_decay(config, beta, place, ns)
+        decay = crit.remainder_decay(config, beta, place, ns, tables=tables)
     all_hold = all(rep.all_hold for rep in reports) and (decay is None or decay.ok)
     payload = {
         "command": "audit",
@@ -346,8 +347,17 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse reports usage errors by exiting
         return int(exc.code or 0)
-    except (ValueError, crit.DegenerateAlphasError, crit.BadBetaError, ZeroDivisionError) as exc:
+    except (
+        ValueError,
+        OSError,
+        crit.DegenerateAlphasError,
+        crit.BadBetaError,
+        ZeroDivisionError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:  # a size taken from the input exceeds a machine index
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exact import Poly, format_rational, log_fraction, log_int as _log_int
 from .transform import MomentSeq, PadeTable, phi
@@ -562,7 +562,7 @@ def bounds_audit(
     """
     if table is None:
         table = mpl_mod.pade_table(config, n)
-    seqs = mpl_mod.moment_seqs(config)
+    seqs = table.seqs
     eps = place.epsilon
     m, r, M = config.m, config.r, config.M
     h_alpha_factors = [H_v(a, place) for a in config.alphas]
@@ -640,13 +640,12 @@ def bounds_audit(
         for ell in (0, M):
             cell = table.cells[ell]
             degp = int(cell.P.degree)
-            shifted = cell.P.shift(n)
-            measured = abs_v(phi(f, shifted), place)
+            measured = abs_v(phi(f, cell.P, n), place)
             bound = (
                 Fraction(degp + n + 1) ** ((r + 1) * eps)
                 * _d_factor(place, r, degp + n + 1)
                 * H_alpha_vec ** (degp + n + 1)
-                * poly_norm_v(shifted, place)
+                * poly_norm_v(cell.P, place)
             )
             rows.append(AuditRow(f"moment_of_tP[{f.label},l={ell}]", measured, bound))
 
@@ -727,7 +726,7 @@ def _remainder_log_abs(
     k = n
     power = Fraction(beta) ** (n + 1)
     while True:
-        partial += phi(f, p.shift(k)) / power
+        partial += phi(f, p, k) / power
         power *= beta
         k += 1
         steps = k + degp + 1
@@ -759,12 +758,15 @@ def remainder_decay(
     beta: Fraction,
     v0: Place,
     n_range: Sequence[int],
+    tables: Mapping[int, PadeTable] | None = None,
 ) -> DecayReport:
     """Per-n decay of the largest remainder at beta, against the proven slope.
 
     The fitted slope must not exceed
     -h_v(beta) + (M/m) sum_i h_v(alpha_i) + (M+1) h_v(alpha)
     + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus slack 0.1.
+    ``tables``, when given, maps every weight in ``n_range`` to its built
+    table; otherwise each table is built here.
     """
     beta = Fraction(beta)
     H_alpha = H_v_vec(config.alphas, v0)
@@ -777,7 +779,7 @@ def remainder_decay(
     seqs = mpl_mod.moment_seqs(config)
     logs = []
     for n in ns:
-        table = mpl_mod.pade_table(config, n)
+        table = tables[n] if tables is not None else mpl_mod.pade_table(config, n)
         best = -math.inf
         for f in seqs:
             for cell in table.cells:

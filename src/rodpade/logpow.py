@@ -1,8 +1,8 @@
 """Pade-type tables for powers of the logarithm log^s(1 - 1/z), s = 1..m.
 
-The rows are the coefficients of exact truncated powers of the base series
-log(1 - 1/z) = -sum_{k>=1} z^-k / k; the columns come from the adjoint of
-R_n = (1/(n!)^m) (z^n (z-1)^n D^n)^m.
+The rows are the tail coefficients of log^s(1 - 1/z), extended by the
+first-order recurrence that E_1 = z(z-1) D gives them; the columns come from
+the adjoint of R_n = (1/(n!)^m) (z^n (z-1)^n D^n)^m.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import Poly
 from .transform import (
@@ -59,30 +58,18 @@ class LogPowConfig:
         return {"m": self.m, "n": self.n}
 
 
-@lru_cache(maxsize=None)
-def _log_power_coeffs(s: int, depth: int) -> tuple[Fraction, ...]:
-    """Coefficients of z^-1..z^-depth of (log(1 - 1/z))^s, by exact convolution."""
-    base = [Fraction(0)] + [Fraction(-1, k) for k in range(1, depth + 1)]
-    power = [Fraction(0)] * (depth + 1)
-    power[0] = Fraction(1)
-    for _ in range(s):
-        nxt = [Fraction(0)] * (depth + 1)
-        for i, c in enumerate(power):
-            if c == 0:
-                continue
-            for k in range(1, depth + 1 - i):
-                nxt[i + k] += c * base[k]
-        power = nxt
-    return tuple(power[1:])
-
-
 def logpow_moment(s: int, j: int) -> Fraction:
-    """Moment j of log^s(1 - 1/z): the coefficient of z^-(j+1)."""
+    """Moment j of log^s(1 - 1/z): the coefficient of z^-(j+1).
+
+    Runs mu_t(i) = (i mu_t(i-1) - t mu_{t-1}(i-1)) / (i+1) for the powers
+    t = 1..s up to index j (see ``moment_seqs``): O(s j) operations, nothing
+    kept after the call.
+    """
     if s < 1:
         raise ValueError("s must be positive")
     if j < s - 1:
         return Fraction(0)
-    return _log_power_coeffs(s, j + 1)[j]
+    return moment_seqs(s)[-1][j]
 
 
 def _stirling_cycle(n: int, k: int) -> int:
@@ -107,11 +94,34 @@ def logpow_moment_stirling(s: int, j: int) -> Fraction:
 
 
 def moment_seq(s: int) -> MomentSeq:
-    return MomentSeq(lambda j, _prefix, s=s: logpow_moment(s, j), label=f"log^{s}")
+    """Row log^s alone; it carries the rows log^1..log^(s-1) it is built from."""
+    return moment_seqs(s)[-1]
 
 
 def moment_seqs(m: int) -> list[MomentSeq]:
-    return [moment_seq(s) for s in range(1, m + 1)]
+    """Rows log^1..log^m, each extended by its first-order recurrence.
+
+    The log powers satisfy z(z-1) D log^s(1 - 1/z) = s log^(s-1)(1 - 1/z),
+    the relation of E_1 = z(z-1) D.  The coefficients of z^-j give
+
+        mu_s(j) = (j mu_s(j-1) - s mu_{s-1}(j-1)) / (j+1),
+
+    with mu_0 = 0 (log^0 = 1 has no tail), mu_1(0) = -1 and mu_s(0) = 0 for
+    s >= 2.  Moment j of row s reads moment j-1 of rows s and s-1, so the m
+    rows advance together at O(m) operations per moment index.
+    """
+    seqs: list[MomentSeq] = []
+    for s in range(1, m + 1):
+        lower = seqs[-1] if seqs else None
+
+        def fn(j, prefix, s=s, lower=lower):
+            if j == 0:
+                return Fraction(-1 if s == 1 else 0)
+            below = lower[j - 1] if lower is not None else 0
+            return (j * prefix[j - 1] - s * below) / (j + 1)
+
+        seqs.append(MomentSeq(fn, label=f"log^{s}"))
+    return seqs
 
 
 def build_En(n: int) -> DiffOp:

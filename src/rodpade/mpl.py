@@ -144,14 +144,18 @@ class _MplMomentTable:
     """Moments by the telescoped nested sum, computed level by level.
 
     level t (0-based) holds A_t(v) for v >= 1, where A_0(v) = alpha_{a_1}^v / v^{s_1}
-    and A_t(v) = (sum_{u<v} A_{t-1}(u) * alpha_{a_{t+1}}^(v-u)) / v^{s_{t+1}};
-    the moment of index j is A_{k-1}(j+1).
+    and A_t(v) = S_t(v) / v^{s_{t+1}} with S_t(v) = sum_{u<v} A_{t-1}(u) * alpha_{a_{t+1}}^(v-u);
+    the moment of index j is A_{k-1}(j+1).  Each level carries its running
+    sum, S_t(1) = 0 and S_t(v+1) = alpha_{a_{t+1}} * (S_t(v) + A_{t-1}(v)), and
+    level 0 its running power alpha^v, so every new term costs O(1).
     """
 
     def __init__(self, idx: MplIndex, config: MplConfig):
         self.idx = idx
         self.config = config
         self.levels: list[list[Fraction]] = [[] for _ in range(idx.depth)]
+        # S_t(v) for the next v of each level (alpha^v on level 0)
+        self.running: list[Fraction] = [config.alpha(idx.a[0])] + [Fraction(0)] * (idx.depth - 1)
 
     def _extend(self, vmax: int) -> None:
         for t in range(self.idx.depth):
@@ -159,14 +163,9 @@ class _MplMomentTable:
             s_t = self.idx.s[t]
             level = self.levels[t]
             for v in range(len(level) + 1, vmax + 1):
-                if t == 0:
-                    val = alpha**v / Fraction(v) ** s_t
-                else:
-                    below = self.levels[t - 1]
-                    val = sum(
-                        (below[u - 1] * alpha ** (v - u) for u in range(1, v)), Fraction(0)
-                    ) / Fraction(v) ** s_t
-                level.append(val)
+                level.append(self.running[t] / v**s_t)
+                below = self.levels[t - 1][v - 1] if t else 0
+                self.running[t] = alpha * (self.running[t] + below)
 
     def moment(self, j: int) -> Fraction:
         if j < self.idx.depth - 1:

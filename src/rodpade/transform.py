@@ -105,9 +105,13 @@ class MomentSeq:
         return f"MomentSeq({self.label!r})"
 
 
-def phi(f: MomentSeq, p: Poly) -> Fraction:
-    """The functional applied to a polynomial: sum_k p_k * f_k."""
-    return sum((c * f[k] for k, c in enumerate(p.coeffs) if c != 0), Fraction(0))
+def phi(f: MomentSeq, p: Poly, shift: int = 0) -> Fraction:
+    """The functional applied to t^shift * P: sum_k p_k * f_{k+shift}.
+
+    The offset reads the moments further along instead of building the
+    shifted polynomial, so phi(t^k P) costs O(deg P) for any k.
+    """
+    return sum((c * f[k + shift] for k, c in enumerate(p.coeffs) if c != 0), Fraction(0))
 
 
 def divided_difference_Q(f: MomentSeq, p: Poly) -> Poly:
@@ -146,18 +150,20 @@ def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
 
     When phi(t^k P) = 0 for 0 <= k <= n-1 the tail starts at z^-(n+1) and
     carries ``depth`` exact coefficients phi(t^(n+j) P).  A violated
-    precondition downgrades to the true start and is flagged.
+    precondition downgrades to the true start and is flagged.  Each
+    coefficient is phi(f, P, shift=k), O(deg P) moment products read at
+    offset k; no shifted polynomial is built.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     start_k = n
     orthogonal = True
     for k in range(n):
-        if phi(f, p.shift(k)) != 0:
+        if phi(f, p, k) != 0:
             start_k = k
             orthogonal = False
             break
-    coeffs = [phi(f, p.shift(start_k + j)) for j in range(depth)]
+    coeffs = [phi(f, p, start_k + j) for j in range(depth)]
     return Remainder(LaurentTail(start_k + 1, coeffs), expected_start=n + 1, orthogonal=orthogonal)
 
 
@@ -248,7 +254,7 @@ def verify_pade(cell: PadeCell, fs: Sequence[MomentSeq], n: int, M: int) -> bool
     depth = int(cell.P.degree) + n + 2
     for f in fs:
         q = cell.Qs[f.label]
-        kernel_ok = all(phi(f, cell.P.shift(k)) == 0 for k in range(n))
+        kernel_ok = all(phi(f, cell.P, k) == 0 for k in range(n))
         part, tail = laurent_mul_poly(f.tail(depth), cell.P)
         series_ok = all(tail.coeff(k) == 0 for k in range(1, n + 1))
         if kernel_ok != series_ok:
@@ -306,8 +312,8 @@ def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 def theta_det(fs: Sequence[MomentSeq], rstar: DiffOp, n: int) -> Fraction:
     """Determinant of the d x d moment matrix phi_{f_j}(t^n * (R* . t^l))."""
     d = len(fs)
-    shifted = [op_apply(rstar, Poly.monomial(ell)).shift(n) for ell in range(d)]
-    rows = [[phi(f, p) for p in shifted] for f in fs]
+    columns = [op_apply(rstar, Poly.monomial(ell)) for ell in range(d)]
+    rows = [[phi(f, p, n) for p in columns] for f in fs]
     return det_bareiss(rows)
 
 

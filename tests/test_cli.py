@@ -165,6 +165,23 @@ def test_config_document_flags_win(tmp_path, capsys):
     assert data["determinant"]["delta"] == "1/3"
 
 
+def test_missing_config_document_exits_2():
+    proc = run_cli("pade", "--m", "1", "--n", "1", "--config", "/nonexistent/run.json")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "/nonexistent/run.json" in lines[0]
+
+
+def test_weight_past_machine_index_exits_2():
+    proc = run_cli("det", "--m", "1", "--alphas", "1", "--n", "99999999999999999999")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input too large")
+
+
 def test_verification_failure_exits_1(capsys, monkeypatch):
     import rodpade.logpow
 

@@ -50,16 +50,44 @@ def test_stirling_oracle_is_iterative():
     assert logpow_moment_stirling(2, j) == 2 * harmonic / (j + 1)
 
 
-def test_stirling_oracle_against_convolution_to_depth_200():
-    # logpow_moment(s, j) is entry j of the convolution to depth j+1; the
-    # depth-200 convolution holds every moment j < 200 at once
-    from rodpade.logpow import _log_power_coeffs
+def _log_power_coeffs(s: int, depth: int) -> tuple[F, ...]:
+    """Coefficients of z^-1..z^-depth of (log(1 - 1/z))^s, by exact convolution."""
+    base = [F(0)] + [F(-1, k) for k in range(1, depth + 1)]
+    power = [F(0)] * (depth + 1)
+    power[0] = F(1)
+    for _ in range(s):
+        nxt = [F(0)] * (depth + 1)
+        for i, c in enumerate(power):
+            if c == 0:
+                continue
+            for k in range(1, depth + 1 - i):
+                nxt[i + k] += c * base[k]
+        power = nxt
+    return tuple(power[1:])
 
+
+def test_stirling_oracle_against_convolution_to_depth_200():
+    # the depth-200 convolution of the base series holds every moment j < 200
+    # at once: a third route, sharing no code with the recurrence or Stirling
     for s in range(1, 4):
         coeffs = _log_power_coeffs(s, 200)
         assert coeffs[199] == logpow_moment(s, 199)
         for j in range(200):
             assert logpow_moment_stirling(s, j) == coeffs[j]
+
+
+def test_recurrence_rows_against_stirling_to_300():
+    seqs = moment_seqs(4)
+    for s in range(1, 5):
+        for j in range(300):
+            expected = logpow_moment_stirling(s, j)
+            assert seqs[s - 1][j] == expected, (s, j)
+            if j % 23 == 0 or j == 299:
+                assert logpow_moment(s, j) == expected, (s, j)
+
+
+def test_recurrence_reaches_depth_1500():
+    assert logpow_moment(3, 1500) == logpow_moment_stirling(3, 1500)
 
 
 def test_build_operators():
@@ -91,8 +119,8 @@ def test_log_rows_satisfy_composite_recurrence():
     for m in (1, 2, 3):
         lm = build_Lm(m)
         assert ord_weight(lm) == m
-        for s in range(1, m + 1):
-            assert check_membership(lm, moment_seq(s), 40)
+        for f in moment_seqs(m):
+            assert check_membership(lm, f, 200), (m, f.label)
 
 
 def test_basic_relation_decomposition():

@@ -109,6 +109,18 @@ def test_two_route_moments_agree():
                 assert mpl_moment(idx, j, config) == mpl_moment_oracle(idx, j, config)
 
 
+@pytest.mark.parametrize(
+    "alphas",
+    [(F(1), F(3)), (F(-2), F(1)), (F(2, 3), F(-5, 7))],
+    ids=["integer", "negative", "fractional"],
+)
+def test_running_sum_rows_match_oracle_to_depth_3(alphas):
+    config = MplConfig(m=2, r=3, alphas=alphas)
+    for idx, seq in zip(index_set(2, 3), moment_seqs(config)):
+        for j in range(26):
+            assert seq[j] == mpl_moment_oracle(idx, j, config), (seq.label, j)
+
+
 def test_row_labels():
     assert moment_seq(CFG11, MplIndex(s=(1,), a=(1,))).label == "Li_1(1/z)"
     assert (

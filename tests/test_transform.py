@@ -37,6 +37,18 @@ def test_phi_examples():
     assert phi(LI1, Poly((0, 1, -2))) == F(-1, 6)
 
 
+def test_phi_offset_matches_shifted_polynomial():
+    rng = random.Random(4)
+    seq = MomentSeq(lambda k, _p: F((-1) ** k * (k + 2), 3 * k + 1), "probe")
+    polys = [Poly.zero()] + [
+        Poly(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 12)))
+        for _ in range(40)
+    ]
+    for p in polys:
+        for k in (0, 1, 2, 7, 30):
+            assert phi(seq, p, k) == phi(seq, p.shift(k))
+
+
 def test_divided_difference_examples():
     assert divided_difference_Q(LI1, Poly((1, -2))) == Poly.constant(-2)
     assert divided_difference_Q(LI1, Poly((0, 2, -3))) == Poly((F(1, 2), -3))
