@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 from .exact import Poly, format_rational, log_fraction, log_int as _log_int
 from .transform import MomentSeq, PadeTable, phi
-from .weyl import DiffOp, op_apply, op_compose
 from . import mpl as mpl_mod
 
 __all__ = [
@@ -43,11 +42,11 @@ __all__ = [
 ]
 
 
-class BadBetaError(Exception):
+class BadBetaError(ValueError):
     """|beta|_v does not exceed the local height of the alphas."""
 
 
-class DegenerateAlphasError(Exception):
+class DegenerateAlphasError(ValueError):
     """The alphas are not pairwise distinct and nonzero."""
 
 
@@ -538,14 +537,6 @@ def _d_factor(place: Place, r: int, N: int) -> Fraction:
     return Fraction(place.p) ** (r * _val_dn(place.p, N))
 
 
-def _cal_LN(N: int, config: "mpl_mod.MplConfig") -> DiffOp:
-    """(1/N!) D^N z^N prod_i (z - alpha_i)^N, the building block of the columns."""
-    b = Poly.monomial(N)
-    for a in config.alphas:
-        b = b * Poly((-a, 1)) ** N
-    return op_compose(DiffOp.d(N), DiffOp.mul_by(b)) * Fraction(1, math.factorial(N))
-
-
 def bounds_audit(
     config: "mpl_mod.MplConfig",
     n: int,
@@ -594,8 +585,9 @@ def bounds_audit(
                 Fraction(math.comb(N + deg_shifted, N)) ** eps * poly_norm_v(shifted, place)
             )
             rows.append(AuditRow(f"derivative_norm[l={ell},N={N}]", measured_der, bound_der))
-            # one operator application
-            nxt = op_apply(_cal_LN(N, config), current)
+            # one operator application: (1/N!) D^N z^N prod_i (z - alpha_i)^N
+            # applied to current is the derived polynomial above
+            nxt = derived
             measured_step = poly_norm_v(nxt, place)
             bound_step = (
                 Fraction(m * N + deg_in + 1) ** ((m + 1) * eps)

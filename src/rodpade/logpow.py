@@ -22,7 +22,7 @@ from .transform import (
     constant_determinant,
     theta_det,
 )
-from .weyl import DiffOp, adjoint, op_compose
+from .weyl import DiffOp, adjoint, op_apply, op_compose
 
 __all__ = [
     "LogPowConfig",
@@ -199,4 +199,5 @@ def logpow_delta(config: LogPowConfig, table: PadeTable | None = None) -> Fracti
 
 def logpow_theta(config: LogPowConfig) -> Fraction:
     rstar = adjoint(build_Rn_log(config.n, config.m))
-    return theta_det(moment_seqs(config.m), rstar, config.n)
+    columns = [op_apply(rstar, Poly.monomial(ell)) for ell in range(config.m)]
+    return theta_det(moment_seqs(config.m), columns, config.n)

@@ -29,7 +29,7 @@ from .transform import (
     constant_determinant,
     theta_det,
 )
-from .weyl import DiffOp, adjoint, op_compose
+from .weyl import DiffOp, adjoint, op_apply, op_compose
 
 __all__ = [
     "MplConfig",
@@ -262,4 +262,5 @@ def delta_constant(config: MplConfig, n: int, table: PadeTable | None = None) ->
 def theta_constant(config: MplConfig, n: int) -> Fraction:
     """The M x M moment-matrix determinant."""
     rstar = adjoint(build_Rn(n, config))
-    return theta_det(moment_seqs(config), rstar, n)
+    columns = [op_apply(rstar, Poly.monomial(ell)) for ell in range(config.M)]
+    return theta_det(moment_seqs(config), columns, n)

@@ -73,8 +73,16 @@ class MomentSeq:
                     self._cache.append(Fraction(self._fn(len(self._cache), self._cache)))
         return self._cache[k]
 
+    def window(self, start: int, stop: int) -> list[Fraction]:
+        """Moments start..stop-1 as one list, extending the cache once."""
+        if start < 0:
+            raise IndexError("moment index must be >= 0")
+        if stop > start:
+            self[stop - 1]
+        return self._cache[start:stop]
+
     def prefix(self, n: int) -> list[Fraction]:
-        return [self[k] for k in range(n)]
+        return self.window(0, n)
 
     def tail(self, depth: int) -> LaurentTail:
         """The underlying series truncated to ``depth`` exact coefficients."""
@@ -105,26 +113,58 @@ class MomentSeq:
         return f"MomentSeq({self.label!r})"
 
 
+def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """xs as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _phi_run(f: MomentSeq, p: Poly, start: int, count: int) -> list[Fraction]:
+    """phi(t^k P) for k = start..start+count-1, as integer dot products.
+
+    P and the moment window f_start..f_(start+count+deg P-1) are each brought
+    over one common denominator once (d and L).  Each value is then
+    sum_i p_i num(f_(k+i)) (L // den(f_(k+i))) summed in Python ints and one
+    Fraction(total, L * d): one gcd per value instead of one per term (von
+    zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5-6).
+    """
+    if p.is_zero or count == 0:
+        return [Fraction(0)] * count
+    nums, den = _over_common_denominator(p.coeffs)
+    width = len(nums)
+    ws, lcm = _over_common_denominator(f.window(start, start + count + width - 1))
+    scale = lcm * den
+    return [
+        Fraction(sum(a * w for a, w in zip(nums, ws[j : j + width])), scale) for j in range(count)
+    ]
+
+
 def phi(f: MomentSeq, p: Poly, shift: int = 0) -> Fraction:
     """The functional applied to t^shift * P: sum_k p_k * f_{k+shift}.
 
     The offset reads the moments further along instead of building the
-    shifted polynomial, so phi(t^k P) costs O(deg P) for any k.
+    shifted polynomial, so phi(t^k P) costs O(deg P) for any k.  The sum is
+    one integer dot product over a common denominator.
     """
-    return sum((c * f[k + shift] for k, c in enumerate(p.coeffs) if c != 0), Fraction(0))
+    return _phi_run(f, p, shift, 1)[0]
 
 
 def divided_difference_Q(f: MomentSeq, p: Poly) -> Poly:
     """Q(z) = phi_f((P(z) - P(t)) / (z - t)), via the explicit double sum.
 
     Q(z) = sum_{u=0}^{deg P - 1} ( sum_{k=u+1}^{deg P} p_k f_{k-1-u} ) z^u,
-    so deg Q <= deg P - 1.
+    so deg Q <= deg P - 1.  P and the moments f_0..f_{deg P - 1} are each
+    brought over one common denominator once; every coefficient of Q is then
+    an integer dot product and one Fraction.
     """
     if p.is_zero or p.degree == 0:
         return Poly.zero()
     deg = int(p.degree)
+    nums, den = _over_common_denominator(p.coeffs)
+    ws, lcm = _over_common_denominator(f.prefix(deg))
+    scale = lcm * den
     return Poly(
-        sum((p.coeff(k) * f[k - 1 - u] for k in range(u + 1, deg + 1)), Fraction(0))
+        Fraction(sum(a * w for a, w in zip(nums[u + 1 :], ws)), scale)
         for u in range(deg)
     )
 
@@ -151,19 +191,17 @@ def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
     When phi(t^k P) = 0 for 0 <= k <= n-1 the tail starts at z^-(n+1) and
     carries ``depth`` exact coefficients phi(t^(n+j) P).  A violated
     precondition downgrades to the true start and is flagged.  Each
-    coefficient is phi(f, P, shift=k), O(deg P) moment products read at
-    offset k; no shifted polynomial is built.
+    coefficient is phi(f, P, shift=k); P and the moment window are brought
+    over one common denominator once, each coefficient is then one integer
+    dot product of length deg P + 1, and no shifted polynomial is built.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    start_k = n
-    orthogonal = True
-    for k in range(n):
-        if phi(f, p, k) != 0:
-            start_k = k
-            orthogonal = False
-            break
-    coeffs = [phi(f, p, start_k + j) for j in range(depth)]
+    heads = _phi_run(f, p, 0, n)
+    first_nonzero = next((k for k, v in enumerate(heads) if v != 0), None)
+    orthogonal = first_nonzero is None
+    start_k = n if orthogonal else first_nonzero
+    coeffs = _phi_run(f, p, start_k, depth)
     return Remainder(LaurentTail(start_k + 1, coeffs), expected_start=n + 1, orthogonal=orthogonal)
 
 
@@ -189,9 +227,9 @@ class PadeTable:
     """All columns l = 0..M of a weight-n table, rows in a fixed order.
 
     ``rstar`` and ``seqs`` are the operator R_n* and the row moment sequences
-    the table was built from, kept so that later blocks of a run reuse them
-    (and their warm moment caches) instead of rebuilding them.  They take no
-    part in equality, repr or JSON.
+    the table was built from, kept so that later blocks of a run reuse the
+    sequences (and their warm moment caches) and the columns instead of
+    rebuilding them.  They take no part in equality, repr or JSON.
     """
 
     n: int
@@ -254,7 +292,7 @@ def verify_pade(cell: PadeCell, fs: Sequence[MomentSeq], n: int, M: int) -> bool
     depth = int(cell.P.degree) + n + 2
     for f in fs:
         q = cell.Qs[f.label]
-        kernel_ok = all(phi(f, cell.P, k) == 0 for k in range(n))
+        kernel_ok = all(v == 0 for v in _phi_run(f, cell.P, 0, n))
         part, tail = laurent_mul_poly(f.tail(depth), cell.P)
         series_ok = all(tail.coeff(k) == 0 for k in range(1, n + 1))
         if kernel_ok != series_ok:
@@ -303,16 +341,18 @@ def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     int_rows = []
     for row in rows:
-        s = math.lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (s // x.denominator) for x in row])
+        ints, s = _over_common_denominator(row)
+        int_rows.append(ints)
         scale *= s
     return Fraction(_int_det(int_rows), scale)
 
 
-def theta_det(fs: Sequence[MomentSeq], rstar: DiffOp, n: int) -> Fraction:
-    """Determinant of the d x d moment matrix phi_{f_j}(t^n * (R* . t^l))."""
-    d = len(fs)
-    columns = [op_apply(rstar, Poly.monomial(ell)) for ell in range(d)]
+def theta_det(fs: Sequence[MomentSeq], columns: Sequence[Poly], n: int) -> Fraction:
+    """Determinant of the d x d moment matrix phi_{f_j}(t^n * P_l).
+
+    ``columns`` are P_l = R* . t^l for l = 0..d-1, the first d column
+    polynomials of the table.
+    """
     rows = [[phi(f, p, n) for p in columns] for f in fs]
     return det_bareiss(rows)
 

@@ -249,7 +249,11 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     capsys.readouterr()
     assert len(adjoints) == len(families) == len(tables) == len(thetas) == 1
     table = tables[0][1]
-    assert table.rstar is adjoints[0][1] is thetas[0][0][1]
+    assert table.rstar is adjoints[0][1]
+    # theta reads the table's own column polynomials, not R_n* applied again
+    columns = thetas[0][0][1]
+    assert len(columns) == len(table.seqs)
+    assert all(p is cell.P for p, cell in zip(columns, table.cells))
     assert len(table.seqs) == len(families[0][1])
     assert all(f is g for f, g in zip(table.seqs, families[0][1]))
     # every moment sequence the verification and determinant blocks read
@@ -275,3 +279,51 @@ def test_audit_help_lists_every_flag(capsys):
     flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
     assert flags == {"--help", "--lcm", "--m", "--r", "--alphas", "--n", "--beta", "--place",
                      "--config", "--format", "--out"}
+
+
+_LOADED_MODULES = (
+    "import sys\n"
+    "from rodpade.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(k for k in sys.modules if k.startswith('rodpade')), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, family, other",
+    [
+        (("pade", "--m", "1", "--r", "2", "--alphas", "1/2", "--n", "1"), "mpl", "logpow"),
+        (("det", "--m", "2", "--r", "1", "--alphas", "1,-2", "--n", "1"), "mpl", "logpow"),
+        (("pade", "--appendix-logpow", "--m", "2", "--n", "1"), "logpow", "mpl"),
+        (("det", "--appendix-logpow", "--m", "2", "--n", "1"), "logpow", "mpl"),
+    ],
+)
+def test_pade_and_det_load_only_their_row_family(argv, family, other):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True
+    )
+    code, *loaded = proc.stderr.split()
+    assert code == "0"
+    assert f"rodpade.{family}" in loaded
+    assert f"rodpade.{other}" not in loaded
+    assert "rodpade.criterion" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("criterion", "--m", "2", "--alphas", "1,1", "--beta", "100"),
+            "error: alphas must be pairwise distinct and nonzero",
+        ),
+        (
+            ("audit", "--m", "1", "--alphas", "5", "--n", "1..2", "--beta", "2"),
+            "error: |beta|_v must exceed the local height of the alphas",
+        ),
+    ],
+)
+def test_criterion_errors_exit_2_with_one_error_line(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [message]

@@ -213,10 +213,16 @@ def test_products_are_deduplicated():
 def test_column_polynomial_matches_derivative_chain():
     # adjoint route and the iterated (1/N!) D^N z^N prod(z-a)^N route agree up
     # to the sign (-1)^(n*M/m) accumulated over the chain
-    from rodpade.criterion import _cal_LN
     from rodpade.exact import Poly
     from rodpade.mpl import pade_table
-    from rodpade.weyl import op_apply
+    from rodpade.weyl import DiffOp, op_apply, op_compose
+
+    def cal_LN(N, config):
+        """(1/N!) D^N z^N prod_i (z - alpha_i)^N as one composed operator."""
+        b = Poly.monomial(N)
+        for a in config.alphas:
+            b = b * Poly((-a, 1)) ** N
+        return op_compose(DiffOp.d(N), DiffOp.mul_by(b)) * F(1, math.factorial(N))
 
     for m, r, n in ((1, 1, 2), (1, 2, 1), (2, 1, 2), (1, 2, 2)):
         config = MplConfig(m=m, r=r, alphas=(F(1),) if m == 1 else (F(1), F(2)))
@@ -225,7 +231,7 @@ def test_column_polynomial_matches_derivative_chain():
         for ell in (0, config.M):
             cur = Poly.monomial(ell)
             for j in range(r - 1, -1, -1):
-                cur = op_apply(_cal_LN((m + 1) ** j * n, config), cur)
+                cur = op_apply(cal_LN((m + 1) ** j * n, config), cur)
             assert table.cells[ell].P == cur * sign, (m, r, n, ell)
 
 

@@ -21,7 +21,7 @@ from rodpade.transform import (
     theta_det,
     verify_pade,
 )
-from rodpade.weyl import DiffOp, adjoint
+from rodpade.weyl import DiffOp, adjoint, op_apply
 
 LI1 = MomentSeq(lambda k, _p: F(1, k + 1), "Li_1(1/z)")
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
@@ -47,6 +47,84 @@ def test_phi_offset_matches_shifted_polynomial():
     for p in polys:
         for k in (0, 1, 2, 7, 30):
             assert phi(seq, p, k) == phi(seq, p.shift(k))
+
+
+def fraction_phi(f, p, k=0):
+    """The Fraction route: one Fraction product and sum per term."""
+    return sum((c * f[i + k] for i, c in enumerate(p.coeffs) if c != 0), F(0))
+
+
+def fraction_q(f, p):
+    """The Fraction route of Q(z) = sum_u (sum_{k>u} p_k f_{k-1-u}) z^u."""
+    if p.is_zero or p.degree == 0:
+        return Poly.zero()
+    deg = int(p.degree)
+    return Poly(
+        sum((p.coeff(k) * f[k - 1 - u] for k in range(u + 1, deg + 1)), F(0))
+        for u in range(deg)
+    )
+
+
+def fraction_remainder(f, p, n, depth):
+    """(start, coefficients, orthogonal) of the tail, by the Fraction route."""
+    start_k = next((k for k in range(n) if fraction_phi(f, p, k) != 0), n)
+    return start_k + 1, tuple(fraction_phi(f, p, start_k + j) for j in range(depth)), start_k == n
+
+
+def kernel_polys(rng):
+    """Zero, constants, and random P with negative, fractional and 40-digit coefficients."""
+    polys = [Poly.zero(), Poly.constant(F(-7, 3)), Poly.constant(F(1, 10**39 + 7))]
+    for i in range(44):
+        if i % 4 == 0:  # 40-digit denominators
+            coeff = lambda: F(rng.randint(-10**6, 10**6), rng.randint(10**39, 10**40))
+        elif i % 4 == 1:  # sparse, with zero interior terms
+            coeff = lambda: F(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 9))
+        else:
+            coeff = lambda: F(rng.randint(-99, 99), rng.randint(1, 60))
+        polys.append(Poly(coeff() for _ in range(rng.randint(1, 13))))
+    return polys
+
+
+def kernel_rows():
+    """Fresh mpl, log-power, shifted and stored-value moment rows."""
+    from rodpade import logpow, mpl
+
+    rng = random.Random(8)
+    mpl_rows = mpl.moment_seqs(mpl.MplConfig(m=2, r=2, alphas=(F(3, 2), F(-5, 7))))
+    log_rows = logpow.moment_seqs(3)
+    stored = MomentSeq.from_values(
+        [F(rng.randint(-10**12, 10**12), rng.randint(1, 10**40)) for _ in range(60)], "stored"
+    )
+    return mpl_rows[:3] + log_rows + [mpl_rows[4].shift(5), log_rows[1].shift(2), stored]
+
+
+def test_phi_and_q_match_the_fraction_route():
+    rows = kernel_rows()
+    polys = kernel_polys(random.Random(6))
+    for f in rows:
+        for p in polys:
+            assert divided_difference_Q(f, p) == fraction_q(f, p), (f.label, p)
+            for k in (0, 1, 7, 30):
+                assert phi(f, p, k) == fraction_phi(f, p, k), (f.label, p, k)
+
+
+def test_remainder_tail_matches_the_fraction_route():
+    rows = kernel_rows()
+    for p in kernel_polys(random.Random(10))[:20]:
+        for f in rows:
+            rem = remainder_tail(f, p, n=3, depth=5)
+            assert (rem.tail.start, rem.tail.coeffs, rem.orthogonal) == fraction_remainder(f, p, 3, 5)
+
+
+def test_deep_remainder_tail_matches_the_fraction_route():
+    from rodpade.mpl import MplConfig, pade_table
+
+    table = pade_table(MplConfig(m=1, r=2, alphas=(F(4),)), 1)
+    for f in table.seqs:
+        for cell in table.cells:
+            rem = remainder_tail(f, cell.P, n=1, depth=190)
+            route = fraction_remainder(f, cell.P, 1, 190)
+            assert (rem.tail.start, rem.tail.coeffs, rem.orthogonal) == route == (2, route[1], True)
 
 
 def test_divided_difference_examples():
@@ -101,16 +179,21 @@ def test_verify_pade_wrong_q_false():
     assert not verify_pade(cell, [fresh_li1()], n=1, M=1)
 
 
+def columns_of(rstar, d):
+    """P_l = R* . t^l for l < d, the first d column polynomials of a table."""
+    return [op_apply(rstar, Poly.monomial(ell)) for ell in range(d)]
+
+
 def test_theta_det_legendre():
-    assert theta_det([fresh_li1()], adjoint(E1), 1) == F(-1, 6)
+    assert theta_det([fresh_li1()], columns_of(adjoint(E1), 1), 1) == F(-1, 6)
 
 
 def test_theta_det_repeated_row_is_zero():
-    assert theta_det([fresh_li1(), fresh_li1()], adjoint(E1), 1) == 0
+    assert theta_det([fresh_li1(), fresh_li1()], columns_of(adjoint(E1), 2), 1) == 0
 
 
 def test_theta_det_weight_zero_identity():
-    assert theta_det([fresh_li1()], DiffOp.identity(), 0) == F(1)
+    assert theta_det([fresh_li1()], columns_of(DiffOp.identity(), 1), 0) == F(1)
 
 
 def test_delta_det_legendre():
@@ -121,7 +204,7 @@ def test_delta_det_legendre():
     det = delta_det(matrix)
     assert det == Poly.constant(F(1, 2))
     # |Delta / Theta| equals |lc| of the last column polynomial
-    theta = theta_det([fresh_li1()], adjoint(E1), 1)
+    theta = theta_det([fresh_li1()], columns_of(adjoint(E1), 1), 1)
     assert abs(F(1, 2) / theta) == abs(Poly((0, 2, -3)).lc)
 
 
