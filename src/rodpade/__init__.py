@@ -6,10 +6,23 @@ functionals and determinants (:mod:`rodpade.transform`), recurrence
 extraction (:mod:`rodpade.holonomic`), the two applications
 (:mod:`rodpade.mpl`, :mod:`rodpade.logpow`), and the arithmetic layer of
 heights, audits and the independence criterion (:mod:`rodpade.criterion`).
+
+The operator names below are loaded from :mod:`rodpade.weyl` on first
+access, so importing the package (or the command line, which builds its
+tables without operators) does not load the operator algebra.
 """
 
 from .exact import INF, NEG_INF, LaurentTail, Poly, laurent_mul_poly, ord_inf
-from .weyl import DiffOp, adjoint, op_apply, op_apply_laurent, op_compose, ord_weight, property_P
+
+_WEYL_NAMES = (
+    "DiffOp",
+    "adjoint",
+    "op_apply",
+    "op_apply_laurent",
+    "op_compose",
+    "ord_weight",
+    "property_P",
+)
 
 __all__ = [
     "INF",
@@ -18,11 +31,13 @@ __all__ = [
     "Poly",
     "laurent_mul_poly",
     "ord_inf",
-    "DiffOp",
-    "adjoint",
-    "op_apply",
-    "op_apply_laurent",
-    "op_compose",
-    "ord_weight",
-    "property_P",
+    *_WEYL_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name in _WEYL_NAMES:
+        from . import weyl
+
+        return getattr(weyl, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

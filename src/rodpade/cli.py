@@ -367,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:  # a size taken from the input exceeds a machine index
         print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:  # e.g. the sieve of `audit --lcm` for a huge bound
+        print("error: input too large", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

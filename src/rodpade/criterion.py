@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import Poly, format_rational, log_fraction, log_int as _log_int
-from .transform import MomentSeq, PadeTable, phi
+from .exact import Poly, format_rational, int_convolve, log_fraction, log_int as _log_int
+from .transform import MomentSeq, PadeTable, _phi_run, phi, rodrigues_lift
 from . import mpl as mpl_mod
 
 __all__ = [
@@ -560,13 +560,12 @@ def bounds_audit(
     H_alpha_vec = H_v_vec(config.alphas, place)
     rows: list[AuditRow] = []
 
-    stage_sizes = [(m + 1) ** j * n for j in range(r - 1, -1, -1)]
+    stages = mpl_mod.rodrigues_stages(config, n)
     for ell in (0, M):
         current = Poly.monomial(ell)
-        for N in stage_sizes:
-            prod_poly = Poly.one()
-            for a in config.alphas:
-                prod_poly = prod_poly * Poly((-a, 1)) ** N
+        cur_nums, cur_den = [0] * ell + [1], 1
+        for N, (b_nums, b_den) in stages:
+            prod_poly = Poly.from_ints(b_nums, b_den)
             deg_in = int(current.degree)
             # product norm bound
             measured_prod = poly_norm_v(prod_poly, place)
@@ -577,9 +576,11 @@ def bounds_audit(
             )
             rows.append(AuditRow(f"prod_norm[l={ell},N={N}]", measured_prod, bound_prod))
             # derivative-of-shift norm bound, applied to current * prod
-            shifted = current * prod_poly
+            shift_nums, shift_den = int_convolve(cur_nums, b_nums), cur_den * b_den
+            shifted = Poly.from_ints(shift_nums, shift_den)
             deg_shifted = int(shifted.degree)
-            derived = (Poly.monomial(N) * shifted).derivative(N) / math.factorial(N)
+            cur_nums, cur_den = rodrigues_lift(shift_nums, shift_den, N)
+            derived = Poly.from_ints(cur_nums, cur_den)
             measured_der = poly_norm_v(derived, place)
             bound_der = (
                 Fraction(math.comb(N + deg_shifted, N)) ** eps * poly_norm_v(shifted, place)
@@ -587,8 +588,7 @@ def bounds_audit(
             rows.append(AuditRow(f"derivative_norm[l={ell},N={N}]", measured_der, bound_der))
             # one operator application: (1/N!) D^N z^N prod_i (z - alpha_i)^N
             # applied to current is the derived polynomial above
-            nxt = derived
-            measured_step = poly_norm_v(nxt, place)
+            measured_step = measured_der
             bound_step = (
                 Fraction(m * N + deg_in + 1) ** ((m + 1) * eps)
                 * (Fraction(2) ** (m * N) * math.comb((m + 1) * N + deg_in, N)) ** eps
@@ -596,12 +596,12 @@ def bounds_audit(
                 * poly_norm_v(current, place)
             )
             rows.append(AuditRow(f"operator_step_norm[l={ell},N={N}]", measured_step, bound_step))
-            current = nxt
+            current = derived
         # chained bound on the finished column polynomial
         cell = table.cells[ell]
         chain = Fraction(1)
         deg_run = ell
-        for N in stage_sizes:
+        for N, _ in stages:
             chain *= (
                 Fraction(m * N + deg_run + 1) ** ((m + 1) * eps)
                 * (Fraction(2) ** (m * N) * math.comb((m + 1) * N + deg_run, N)) ** eps
@@ -707,6 +707,13 @@ def _remainder_log_abs(
     most 1e-3 of the partial sum.  Finite: stop once every future term is
     p-adically smaller than the partial sum, which then IS the value (strong
     triangle).
+
+    After the term of index k - 1 the majorant is
+    (s+1)^e H^(s+1) ||P||_v / |beta|_v^(k+1) with s = k + deg P + 1 (e = r at
+    a prime, r + 1 at infinity), and the ratio of consecutive majorants is
+    ``ratio`` = (H / |beta|_v) ((s+2)/(s+1))^e, so each majorant is the
+    previous one times the previous ratio: the same rationals as computed
+    from scratch, at the cost of one product.
     """
     degp = int(p.degree)
     normp = poly_norm_v(p, place)
@@ -714,35 +721,39 @@ def _remainder_log_abs(
     if abs_beta <= H_alpha:
         raise BadBetaError(f"|beta|_{place} = {abs_beta} <= H_v(alpha) = {H_alpha}")
     q = H_alpha / abs_beta
+    e = r if place.is_finite else r + 1
+    steps = n + degp + 2
+    majorant = Fraction(steps + 1) ** e * H_alpha ** (steps + 1) * normp / abs_beta ** (n + 2)
     partial = Fraction(0)
-    k = n
     power = Fraction(beta) ** (n + 1)
-    while True:
-        partial += phi(f, p, k) / power
+    for k, term in enumerate(_phi_terms(f, p, n), start=n + 1):
+        partial += term / power
         power *= beta
-        k += 1
-        steps = k + degp + 1
-        if place.is_finite:
-            majorant = (
-                Fraction(steps + 1) ** r * H_alpha ** (steps + 1) * normp / abs_beta ** (k + 1)
-            )
-            ratio = q * (Fraction(steps + 2) / Fraction(steps + 1)) ** r
-            if partial != 0 and ratio < 1 and majorant < abs_v(partial, place):
-                return log_fraction(abs_v(partial, place))
-        else:
-            majorant = (
-                Fraction(steps + 1) ** (r + 1)
-                * H_alpha ** (steps + 1)
-                * normp
-                / abs_beta ** (k + 1)
-            )
-            ratio = q * (Fraction(steps + 2) / Fraction(steps + 1)) ** (r + 1)
-            if partial != 0 and ratio < 1:
-                tail_bound = majorant / (1 - ratio)
-                if tail_bound * 1000 <= abs(partial):
-                    return log_fraction(abs(partial))
+        ratio = q * (Fraction(steps + 2) / Fraction(steps + 1)) ** e
+        if partial != 0 and ratio < 1:
+            if place.is_finite:
+                if majorant < abs_v(partial, place):
+                    return log_fraction(abs_v(partial, place))
+            elif majorant / (1 - ratio) * 1000 <= abs(partial):
+                return log_fraction(abs(partial))
         if k - n > 200000:
             raise RuntimeError("remainder summation did not certify")
+        majorant *= ratio
+        steps += 1
+
+
+def _phi_terms(f: MomentSeq, p: Poly, start: int):
+    """phi(t^k P) for k = start, start + 1, ..., read in runs of doubling length.
+
+    Each run brings P and its moment window over one denominator once; the
+    doubling bounds the moments read past the last term used by the number
+    of terms used (and by 1024).
+    """
+    count = 8
+    while True:
+        yield from _phi_run(f, p, start, count)
+        start += count
+        count = min(2 * count, 1024)
 
 
 def remainder_decay(
@@ -758,7 +769,9 @@ def remainder_decay(
     -h_v(beta) + (M/m) sum_i h_v(alpha_i) + (M+1) h_v(alpha)
     + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus slack 0.1.
     ``tables``, when given, maps every weight in ``n_range`` to its built
-    table; otherwise each table is built here.
+    table, and each weight's rows are that table's own moment sequences
+    (warm from its build); otherwise each table is built here and all
+    weights share one moment family.
     """
     beta = Fraction(beta)
     H_alpha = H_v_vec(config.alphas, v0)
@@ -768,12 +781,12 @@ def remainder_decay(
     if len(ns) < 2:
         raise ValueError("need at least two weights to fit a slope")
     m, r, M = config.m, config.r, config.M
-    seqs = mpl_mod.moment_seqs(config)
+    family = mpl_mod.moment_seqs(config) if tables is None else None
     logs = []
     for n in ns:
         table = tables[n] if tables is not None else mpl_mod.pade_table(config, n)
         best = -math.inf
-        for f in seqs:
+        for f in family or table.seqs:
             for cell in table.cells:
                 val = _remainder_log_abs(f, cell.P, n, beta, v0, r, H_alpha)
                 best = max(best, val)

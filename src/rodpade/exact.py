@@ -82,6 +82,11 @@ class Poly:
         return cls((0,) * k + (c,))
 
     @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int) -> "Poly":
+        """The polynomial sum_i (nums[i] / den) z^i."""
+        return cls(Fraction(c, den) for c in nums)
+
+    @classmethod
     def zero(cls) -> "Poly":
         return cls(())
 
@@ -167,13 +172,7 @@ class Poly:
             raise ValueError("negative derivative order")
         if k == 0:
             return self
-        cs = self.coeffs
-        fall = math.factorial(k)  # (i+1)...(i+k) at i = 0
-        out = []
-        for i in range(len(cs) - k):
-            out.append(cs[i + k] * fall)
-            fall = fall * (i + k + 1) // (i + 1)
-        return Poly(out)
+        return Poly(falling_derivative(self.coeffs, k, math.factorial(k)))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z^k (k >= 0)."""
@@ -220,6 +219,33 @@ class Poly:
     def to_strings(self) -> list[str]:
         """Ascending coefficients as rational strings (JSON form)."""
         return [format_rational(c) for c in self.coeffs]
+
+
+def falling_derivative(cs: Sequence, k: int, fall: int) -> list:
+    """The coefficients c_(i+k) * fall_i of a k-th derivative, i = 0..len(cs)-k-1.
+
+    fall_0 = ``fall`` and fall_(i+1) = fall_i (i+k+1)/(i+1), carried as one
+    running integer.  With fall = k! this is D^k, fall_i = (i+1)...(i+k); with
+    fall = 1 it is (1/k!) D^k, fall_i = C(i+k, k).  Either way every division
+    is exact, so any k costs O(len(cs)) multiplications.
+    """
+    out = []
+    for i in range(len(cs) - k):
+        out.append(cs[i + k] * fall)
+        fall = fall * (i + k + 1) // (i + 1)
+    return out
+
+
+def int_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials (ascending)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + width] = [o + x * y for o, y in zip(out[i : i + width], b)]
+    return out
 
 
 def _as_poly(x) -> Poly:

@@ -1,8 +1,11 @@
 """Pade-type tables for powers of the logarithm log^s(1 - 1/z), s = 1..m.
 
 The rows are the tail coefficients of log^s(1 - 1/z), extended by the
-first-order recurrence that E_1 = z(z-1) D gives them; the columns come from
-the adjoint of R_n = (1/(n!)^m) (z^n (z-1)^n D^n)^m.
+first-order recurrence that E_1 = z(z-1) D gives them.  The columns are
+P_l = R_n* . t^l for R_n = (1/(n!)^m) (z^n (z-1)^n D^n)^m, computed by the
+Rodrigues chain: (-1)^n (1/n!) D^n (z^n (z-1)^n . ) applied m times to t^l,
+in integer arithmetic (``transform.rodrigues_columns``).  The operator
+algebra (``rodpade.weyl``) is imported only by the operator builders.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exact import Poly
 from .transform import (
@@ -20,9 +24,13 @@ from .transform import (
     ZeroDeterminantError,
     build_table,
     constant_determinant,
+    rodrigues_columns,
+    rodrigues_factor,
     theta_det,
 )
-from .weyl import DiffOp, adjoint, op_apply, op_compose
+
+if TYPE_CHECKING:
+    from .weyl import DiffOp
 
 __all__ = [
     "LogPowConfig",
@@ -35,6 +43,7 @@ __all__ = [
     "build_En",
     "build_Lm",
     "build_Rn_log",
+    "rodrigues_stages",
     "verify_En_identities",
     "logpow_pade",
     "logpow_table",
@@ -126,6 +135,8 @@ def moment_seqs(m: int) -> list[MomentSeq]:
 
 def build_En(n: int) -> DiffOp:
     """E_n = z^n (z-1)^n D^n."""
+    from .weyl import DiffOp
+
     if n < 1:
         raise ValueError("n must be positive")
     return DiffOp.of_term(Poly.monomial(n) * Poly((-1, 1)) ** n, n)
@@ -133,6 +144,8 @@ def build_En(n: int) -> DiffOp:
 
 def build_Lm(m: int) -> DiffOp:
     """(z(z-1) D)^m, the operator whose tails are spanned by the log powers."""
+    from .weyl import DiffOp, op_compose
+
     acc = DiffOp.identity()
     e1 = build_En(1)
     for _ in range(m):
@@ -142,6 +155,8 @@ def build_Lm(m: int) -> DiffOp:
 
 def build_Rn_log(n: int, m: int) -> DiffOp:
     """(1/(n!)^m) E_n^m."""
+    from .weyl import DiffOp, op_compose
+
     if m < 1:
         raise ValueError("m must be positive")
     en = build_En(n)
@@ -157,6 +172,8 @@ def verify_En_identities(n_max: int) -> bool:
     (i)  E_n = (E_1 - (n-1)(2z-1)) ... (E_1 - (2z-1)) E_1
     (ii) E_{n+1} z = z (E_1 - (n-1)z - 1) E_n
     """
+    from .weyl import DiffOp, op_compose
+
     if n_max < 1:
         raise ValueError("n_max must be positive")
     e1 = build_En(1)
@@ -184,10 +201,15 @@ def logpow_pade(config: LogPowConfig, ell: int) -> PadeCell:
     return logpow_table(config).cells[ell]
 
 
+def rodrigues_stages(config: LogPowConfig) -> list[tuple[int, tuple[list[int], int]]]:
+    """m stages (n, (z-1)^n): the factors of R_n* in the order they act."""
+    return [(config.n, rodrigues_factor(config.n, (1,)))] * config.m
+
+
 def logpow_table(config: LogPowConfig) -> PadeTable:
-    """Columns l = 0..m from the adjoint of R_n, rows log^1..log^m."""
-    rstar = adjoint(build_Rn_log(config.n, config.m))
-    return build_table(rstar, moment_seqs(config.m), config.n, config.m)
+    """Columns l = 0..m by the Rodrigues chain, rows log^1..log^m."""
+    columns = rodrigues_columns(rodrigues_stages(config), config.m + 1)
+    return build_table(columns, moment_seqs(config.m), config.n)
 
 
 def logpow_delta(config: LogPowConfig, table: PadeTable | None = None) -> Fraction:
@@ -198,6 +220,5 @@ def logpow_delta(config: LogPowConfig, table: PadeTable | None = None) -> Fracti
 
 
 def logpow_theta(config: LogPowConfig) -> Fraction:
-    rstar = adjoint(build_Rn_log(config.n, config.m))
-    columns = [op_apply(rstar, Poly.monomial(ell)) for ell in range(config.m)]
+    columns = rodrigues_columns(rodrigues_stages(config), config.m)
     return theta_det(moment_seqs(config.m), columns, config.n)

@@ -5,10 +5,17 @@ row family consists of the series
 
     f_{s,a}(z) = Li_s(a_1/a_2, ..., a_{k-1}/a_k, a_k/z),
 
-one per index (s, a) with |s| <= r, giving M = (m+1)^r - 1 rows.  Columns
-come from the adjoint of the composed Rodrigues operator
+one per index (s, a) with |s| <= r, giving M = (m+1)^r - 1 rows.  The columns
+are P_l = R_n* . t^l for the composed Rodrigues operator
 R_n = L_{(m+1)^(r-1) n} ... L_{(m+1) n} L_n with
-L_N = (1/N!) z^N prod_i (z - alpha_i)^N D^N.
+L_N = (1/N!) z^N prod_i (z - alpha_i)^N D^N.  They are computed by the
+Rodrigues chain: the adjoint factors
+(-1)^N (1/N!) D^N z^N prod_i (z - alpha_i)^N are applied to t^l one after
+another, largest N first, in integer arithmetic
+(``transform.rodrigues_columns``).  R_n itself is built only by
+``build_Rn``, which stays as library API and as the tests' oracle.  The
+operator algebra (``rodpade.weyl``) is imported only by the operator
+builders, so building a table never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exact import Poly, format_rational
 from .transform import (
@@ -27,9 +34,13 @@ from .transform import (
     ZeroDeterminantError,
     build_table,
     constant_determinant,
+    rodrigues_columns,
+    rodrigues_factor,
     theta_det,
 )
-from .weyl import DiffOp, adjoint, op_apply, op_compose
+
+if TYPE_CHECKING:
+    from .weyl import DiffOp
 
 __all__ = [
     "MplConfig",
@@ -44,6 +55,7 @@ __all__ = [
     "build_LN",
     "build_L",
     "build_Rn",
+    "rodrigues_stages",
     "pade_table",
     "delta_constant",
     "theta_constant",
@@ -210,6 +222,8 @@ def moment_seqs(config: MplConfig) -> list[MomentSeq]:
 
 def build_LN(N: int, config: MplConfig) -> DiffOp:
     """(1/N!) z^N prod_i (z - alpha_i)^N D^N."""
+    from .weyl import DiffOp
+
     if N < 1:
         raise ValueError("N must be positive")
     b = Poly.monomial(N)
@@ -220,6 +234,8 @@ def build_LN(N: int, config: MplConfig) -> DiffOp:
 
 def _compose_chain(factors: Sequence[DiffOp]) -> DiffOp:
     """Compose so that factors[0] acts first."""
+    from .weyl import op_compose
+
     acc = factors[0]
     for op in factors[1:]:
         acc = op_compose(op, acc)
@@ -245,11 +261,21 @@ def membership_depth(config: MplConfig, n: int) -> int:
     return max(40, 2 * config.M * n + config.M + 5)
 
 
-def pade_table(config: MplConfig, n: int) -> PadeTable:
-    """Columns l = 0..M from the adjoint of R_n, rows from the moment family."""
+def rodrigues_stages(config: MplConfig, n: int) -> list[tuple[int, tuple[list[int], int]]]:
+    """(N, prod_i (z - alpha_i)^N) for N = (m+1)^(r-1) n, ..., (m+1) n, n.
+
+    This is the order in which the adjoint factors of R_n act on t^l.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    return build_table(adjoint(build_Rn(n, config)), moment_seqs(config), n, config.M)
+    sizes = [(config.m + 1) ** j * n for j in range(config.r - 1, -1, -1)]
+    return [(N, rodrigues_factor(N, config.alphas)) for N in sizes]
+
+
+def pade_table(config: MplConfig, n: int) -> PadeTable:
+    """Columns l = 0..M by the Rodrigues chain, rows from the moment family."""
+    columns = rodrigues_columns(rodrigues_stages(config, n), config.M + 1)
+    return build_table(columns, moment_seqs(config), n)
 
 
 def delta_constant(config: MplConfig, n: int, table: PadeTable | None = None) -> Fraction:
@@ -261,6 +287,5 @@ def delta_constant(config: MplConfig, n: int, table: PadeTable | None = None) ->
 
 def theta_constant(config: MplConfig, n: int) -> Fraction:
     """The M x M moment-matrix determinant."""
-    rstar = adjoint(build_Rn(n, config))
-    columns = [op_apply(rstar, Poly.monomial(ell)) for ell in range(config.M)]
+    columns = rodrigues_columns(rodrigues_stages(config, n), config.M)
     return theta_det(moment_seqs(config), columns, n)

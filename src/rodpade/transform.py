@@ -14,8 +14,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import LaurentTail, Poly, format_rational, interpolate, laurent_mul_poly
-from .weyl import DiffOp, op_apply
+from .exact import (
+    LaurentTail,
+    Poly,
+    falling_derivative,
+    format_rational,
+    int_convolve,
+    interpolate,
+    laurent_mul_poly,
+)
 
 __all__ = [
     "MomentSeq",
@@ -23,6 +30,9 @@ __all__ = [
     "PadeTable",
     "Remainder",
     "build_table",
+    "rodrigues_factor",
+    "rodrigues_lift",
+    "rodrigues_columns",
     "RouteDisagreementError",
     "NonConstantDeterminantError",
     "ZeroDeterminantError",
@@ -226,17 +236,15 @@ class PadeCell:
 class PadeTable:
     """All columns l = 0..M of a weight-n table, rows in a fixed order.
 
-    ``rstar`` and ``seqs`` are the operator R_n* and the row moment sequences
-    the table was built from, kept so that later blocks of a run reuse the
-    sequences (and their warm moment caches) and the columns instead of
-    rebuilding them.  They take no part in equality, repr or JSON.
+    ``seqs`` are the row moment sequences the table was built from, kept so
+    that later blocks of a run reuse them (and their warm moment caches)
+    instead of rebuilding them.  They take no part in equality, repr or JSON.
     """
 
     n: int
     M: int
     row_labels: tuple[str, ...]
     cells: tuple[PadeCell, ...]
-    rstar: DiffOp = field(compare=False, repr=False)
     seqs: tuple[MomentSeq, ...] = field(compare=False, repr=False)
 
     def matrix(self) -> list[list[Poly]]:
@@ -259,22 +267,87 @@ class PadeTable:
         }
 
 
-def build_table(rstar: DiffOp, seqs: Sequence[MomentSeq], n: int, M: int) -> PadeTable:
-    """Columns l = 0..M with P_l = R_n* . t^l and the Q-polynomial of every row."""
+def build_table(columns: Sequence[Poly], seqs: Sequence[MomentSeq], n: int) -> PadeTable:
+    """The weight-n table with P_l = columns[l] and the Q-polynomial of every row."""
     seqs = tuple(seqs)
-    cells = []
-    for ell in range(M + 1):
-        p = op_apply(rstar, Poly.monomial(ell))
-        qs = {f.label: divided_difference_Q(f, p) for f in seqs}
-        cells.append(PadeCell(n=n, ell=ell, P=p, Qs=qs))
+    cells = tuple(
+        PadeCell(n=n, ell=ell, P=p, Qs={f.label: divided_difference_Q(f, p) for f in seqs})
+        for ell, p in enumerate(columns)
+    )
     return PadeTable(
         n=n,
-        M=M,
+        M=len(cells) - 1,
         row_labels=tuple(f.label for f in seqs),
-        cells=tuple(cells),
-        rstar=rstar,
+        cells=cells,
         seqs=seqs,
     )
+
+
+def rodrigues_factor(N: int, alphas: Sequence[Fraction]) -> tuple[list[int], int]:
+    """prod_i (z - alpha_i)^N as integer numerators (ascending) over one denominator.
+
+    With alpha = p/q in lowest terms, (z - alpha)^N = (q z - p)^N / q^N, and
+    (q z - p)^N has the integer coefficients C(N, k) q^k (-p)^(N-k), so no
+    polynomial power is formed.  Each q z - p is primitive, hence so is the
+    product (Gauss's lemma), and the denominator prod_i q_i^N is already
+    reduced against the numerators.
+    """
+    nums, den = [1], 1
+    for a in alphas:
+        p, q = a.numerator, a.denominator
+        # allocated before any loop, so an N past memory or index range fails at once
+        factor = [0] * (N + 1)
+        power = 1
+        for k in range(N, -1, -1):
+            factor[k] = power  # (-p)^(N-k)
+            power *= -p
+        binom, q_k = 1, 1
+        for k in range(N + 1):
+            factor[k] *= binom * q_k
+            binom = binom * (N - k) // (k + 1)
+            q_k *= q
+        nums = int_convolve(nums, factor)
+        den *= q**N
+    return nums, den
+
+
+def rodrigues_lift(nums: Sequence[int], den: int, N: int) -> tuple[list[int], int]:
+    """(1/N!) D^N (z^N x) for x = nums/den, reduced by one gcd.
+
+    The coefficient of z^i is x_i C(i+N, N): one pass of the running
+    binomial of ``falling_derivative``, so the degree is unchanged.
+    """
+    out = falling_derivative([0] * N + list(nums), N, 1)
+    g = math.gcd(den, *out)
+    return [c // g for c in out], den // g
+
+
+def rodrigues_columns(
+    stages: Sequence[tuple[int, tuple[list[int], int]]], count: int
+) -> list[Poly]:
+    """Columns P_l, l < count, by the Rodrigues chain in integer arithmetic.
+
+    ``stages`` lists (N, b_N) with b_N = prod_i (z - alpha_i)^N as
+    ``rodrigues_factor`` gives it, in the order the factors act.  The
+    adjoint of L_N = (1/N!) z^N b_N D^N is (-1)^N (1/N!) D^N o z^N b_N, and
+    the adjoint of a composition is the reversed composition of adjoints, so
+    P_l = R* . t^l is
+
+        (-1)^(sum N) (1/N!) D^N z^N b_N ... (1/N'!) D^N' z^N' b_N' t^l,
+
+    with the first stage (N', b_N') innermost, and the composed operator is
+    never formed.  A column is held as integer numerators over one
+    denominator; each stage is one integer product, one ``rodrigues_lift``
+    and one gcd, and Fractions are formed only for the finished polynomial.
+    """
+    sign = -1 if sum(N for N, _ in stages) % 2 else 1
+    columns = []
+    for ell in range(count):
+        nums, den = [0] * ell + [sign], 1
+        for N, (b_nums, b_den) in stages:
+            nums, den = rodrigues_lift(int_convolve(nums, b_nums), den * b_den, N)
+        columns.append(Poly.from_ints(nums, den))
+    return columns
 
 
 def verify_pade(cell: PadeCell, fs: Sequence[MomentSeq], n: int, M: int) -> bool:
@@ -350,8 +423,8 @@ def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 def theta_det(fs: Sequence[MomentSeq], columns: Sequence[Poly], n: int) -> Fraction:
     """Determinant of the d x d moment matrix phi_{f_j}(t^n * P_l).
 
-    ``columns`` are P_l = R* . t^l for l = 0..d-1, the first d column
-    polynomials of the table.
+    ``columns`` are P_l for l = 0..d-1, the first d column polynomials of
+    the table.
     """
     rows = [[phi(f, p, n) for p in columns] for f in fs]
     return det_bareiss(rows)

@@ -13,8 +13,9 @@ import pytest
 from rodpade import cli
 from rodpade import logpow as logpow_mod
 from rodpade import mpl as mpl_mod
+from rodpade import transform
 from rodpade.cli import main
-from rodpade.weyl import DiffOp, adjoint
+from rodpade.weyl import adjoint
 
 CLI = [sys.executable, "-m", "rodpade"]
 
@@ -242,14 +243,17 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     adjoints = _record_calls(monkeypatch, [adjoint])
     families = _record_calls(monkeypatch, [mpl_mod.moment_seqs, logpow_mod.moment_seqs])
     tables = _record_calls(monkeypatch, [mpl_mod.pade_table, logpow_mod.logpow_table])
+    builds = _record_calls(monkeypatch, [transform.build_table])
     verifies = _record_calls(monkeypatch, [cli.verify_pade], [cli])
     remainders = _record_calls(monkeypatch, [cli.remainder_tail], [cli])
     thetas = _record_calls(monkeypatch, [cli.theta_det], [cli])
     assert main(list(argv)) == 0
     capsys.readouterr()
-    assert len(adjoints) == len(families) == len(tables) == len(thetas) == 1
+    # the columns come from the Rodrigues chain: R_n* is never formed
+    assert adjoints == []
+    assert len(families) == len(tables) == len(builds) == len(thetas) == 1
     table = tables[0][1]
-    assert table.rstar is adjoints[0][1]
+    assert table is builds[0][1]
     # theta reads the table's own column polynomials, not R_n* applied again
     columns = thetas[0][0][1]
     assert len(columns) == len(table.seqs)
@@ -267,7 +271,7 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
 
 def test_pade_table_extra_fields_leave_equality_and_json_alone():
     table = mpl_mod.pade_table(mpl_mod.MplConfig(m=1, r=2, alphas=(1,)), 1)
-    bare = dataclasses.replace(table, rstar=DiffOp.zero(), seqs=())
+    bare = dataclasses.replace(table, seqs=())
     assert bare == table
     assert bare.to_json() == table.to_json()
     assert repr(bare) == repr(table)
@@ -327,3 +331,48 @@ def test_criterion_errors_exit_2_with_one_error_line(argv, message):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode().splitlines() == [message]
+
+
+def test_audit_lcm_out_of_memory_exits_2(capsys, monkeypatch):
+    import rodpade.criterion
+
+    def no_memory(_n):
+        raise MemoryError
+
+    monkeypatch.setattr(rodpade.criterion, "_primes_upto", no_memory)
+    assert main(["audit", "--lcm", "99999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: input too large"]
+
+
+_IMPORT_ONLY = (
+    "import sys\n"
+    "import rodpade.cli\n"
+    "loaded = 'rodpade.weyl' in sys.modules\n"
+    "from rodpade import DiffOp\n"
+    "print(loaded, DiffOp.__module__)\n"
+)
+
+
+def test_cli_import_leaves_the_operator_algebra_unloaded():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "rodpade.weyl"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pade", "--m", "2", "--r", "2", "--alphas", "1/2,-3", "--n", "1"),
+        ("det", "--appendix-logpow", "--m", "3", "--n", "2"),
+    ],
+)
+def test_table_runs_never_load_the_operator_algebra(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True
+    )
+    code, *loaded = proc.stderr.split()
+    assert code == "0"
+    assert "rodpade.transform" in loaded
+    assert "rodpade.weyl" not in loaded

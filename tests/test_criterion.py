@@ -303,3 +303,74 @@ def test_remainder_decay_bad_beta():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     with pytest.raises(BadBetaError):
         remainder_decay(config, F(1), INF_PLACE, range(2, 5))
+
+
+def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
+    """The summation with every majorant recomputed and one phi per term."""
+    from rodpade.criterion import poly_norm_v
+    from rodpade.exact import log_fraction
+    from rodpade.transform import phi
+
+    degp = int(p.degree)
+    normp = poly_norm_v(p, place)
+    abs_beta = abs_v(beta, place)
+    q = H_alpha / abs_beta
+    e = r if place.is_finite else r + 1
+    partial, k, power = F(0), n, F(beta) ** (n + 1)
+    while True:
+        partial += phi(f, p, k) / power
+        power *= beta
+        k += 1
+        steps = k + degp + 1
+        majorant = F(steps + 1) ** e * H_alpha ** (steps + 1) * normp / abs_beta ** (k + 1)
+        ratio = q * (F(steps + 2) / F(steps + 1)) ** e
+        if partial != 0 and ratio < 1:
+            if place.is_finite and majorant < abs_v(partial, place):
+                return log_fraction(abs_v(partial, place)), k
+            if not place.is_finite and majorant / (1 - ratio) * 1000 <= abs(partial):
+                return log_fraction(abs(partial)), k
+
+
+@pytest.mark.parametrize(
+    "m, r, alphas, beta, place, longest",
+    [
+        (1, 1, (F(1),), F(30), INF_PLACE, 7),
+        (1, 1, (F(1),), F(-7, 3), INF_PLACE, 30),
+        (2, 1, (F(3, 2), F(-5, 3)), F(40), INF_PLACE, 9),
+        (1, 2, (F(4),), F(9), INF_PLACE, 70),
+        (2, 1, (F(4), F(-3)), F(11, 4), Place.finite(2), 10),
+        (1, 1, (F(1),), F(1, 32), Place.finite(2), 1),
+        (1, 2, (F(2),), F(1, 9), Place.finite(3), 4),
+    ],
+)
+def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, place, longest):
+    from rodpade.criterion import _remainder_log_abs
+    from rodpade.mpl import pade_table
+
+    config = MplConfig(m=m, r=r, alphas=alphas)
+    H_alpha = H_v_vec(config.alphas, place)
+    stops = set()
+    for n in (1, 2, 3):
+        table = pade_table(config, n)
+        for f in table.seqs:
+            for cell in table.cells:
+                want, stop = _remainder_log_abs_from_scratch(f, cell.P, n, beta, place, r, H_alpha)
+                assert _remainder_log_abs(f, cell.P, n, beta, place, r, H_alpha) == want
+                stops.add(stop - n)
+    # the longest summation (in terms) is fixed too; some cross several runs
+    assert max(stops) == longest
+
+
+def test_remainder_decay_reads_the_tables_moment_rows(monkeypatch):
+    import rodpade.mpl
+
+    config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
+    built = remainder_decay(config, F(40), INF_PLACE, range(1, 4))
+    tables = {n: rodpade.mpl.pade_table(config, n) for n in range(1, 4)}
+
+    def no_family(_config):
+        raise AssertionError("moment family rebuilt although tables were given")
+
+    monkeypatch.setattr(rodpade.mpl, "moment_seqs", no_family)
+    given = remainder_decay(config, F(40), INF_PLACE, range(1, 4), tables=tables)
+    assert given == built
