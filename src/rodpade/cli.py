@@ -56,6 +56,9 @@ def _apply_config_file(args) -> None:
     if getattr(args, "config", None) is None:
         return
     doc = load_run_config(args.config)
+    # `type(...) is int` also turns away booleans: `"m": true` is no m = 1
+    if not isinstance(doc, dict) or any(type(doc.get(k, 0)) is not int for k in ("m", "r")):
+        raise ValueError(f"config document {args.config} must be a table with integer m and r")
     for key in ("m", "r", "beta", "place", "n"):
         if key in doc and getattr(args, key, None) is None:
             setattr(args, key, str(doc[key]) if key in ("n", "beta", "place") else doc[key])
@@ -116,7 +119,7 @@ def _payload_to_csv(writer, payload: dict, prefix: str = "") -> None:
 
 
 def _build_table(args):
-    """Returns (kind, config, table, expected_deg(l)).
+    """Returns (kind, config, table).
 
     The table carries the row moment sequences it was built from and its
     column polynomials; the verification and determinant blocks reuse both.
@@ -126,19 +129,17 @@ def _build_table(args):
         from . import logpow as logpow_mod
 
         config = logpow_mod.LogPowConfig(m=args.m, n=args.n)
-        table = logpow_mod.logpow_table(config)
-        return "logpow", config, table, lambda ell: config.m * config.n + ell
+        return "logpow", config, logpow_mod.logpow_table(config)
     from . import mpl as mpl_mod
 
     config = mpl_mod.MplConfig(m=args.m, r=args.r, alphas=_parse_alphas(args.alphas))
-    table = mpl_mod.pade_table(config, args.n)
-    return "mpl", config, table, lambda ell: config.M * args.n + ell
+    return "mpl", config, mpl_mod.pade_table(config, args.n)
 
 
-def _verification_block(table, n, expected_deg, depth: int = 2) -> dict:
-    seqs = table.seqs
-    orth = all(verify_pade(cell, seqs, n, expected_deg(cell.ell)) for cell in table.cells)
-    degrees = all(cell.P.degree == expected_deg(cell.ell) for cell in table.cells)
+def _verification_block(table, n, depth: int = 2) -> dict:
+    seqs = table.seqs  # column l has degree M n + l; M is m for log-power rows
+    orth = all(verify_pade(cell, seqs, n, table.M * n + cell.ell) for cell in table.cells)
+    degrees = all(cell.P.degree == table.M * n + cell.ell for cell in table.cells)
     starts = []
     starts_ok = True
     for f in seqs:
@@ -171,8 +172,8 @@ def _determinant_block(table, n) -> dict:
 
 
 def _cmd_pade(args) -> int:
-    kind, config, table, expected_deg = _build_table(args)
-    verification = _verification_block(table, args.n, expected_deg, depth=args.depth or 2)
+    kind, config, table = _build_table(args)
+    verification = _verification_block(table, args.n, depth=args.depth or 2)
     determinant = _determinant_block(table, args.n)
     payload = {
         "command": "pade",
@@ -195,7 +196,7 @@ def _cmd_pade(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    kind, config, table, _ = _build_table(args)
+    kind, config, table = _build_table(args)
     try:
         determinant = _determinant_block(table, args.n)
     except (NonConstantDeterminantError, ZeroDeterminantError) as exc:
@@ -255,11 +256,11 @@ def _cmd_audit(args) -> int:
     if beta is not None and crit.abs_v(beta, place) <= crit.H_v_vec(config.alphas, place):
         raise crit.BadBetaError("|beta|_v must exceed the local height of the alphas")
     ns = _parse_n_range(args.n)
-    tables = {n: mpl_mod.pade_table(config, n) for n in ns}
-    reports = [crit.bounds_audit(config, n, place, beta=beta, table=tables[n]) for n in ns]
+    tables = mpl_mod.pade_tables(config, ns)
+    reports = [crit.bounds_audit(config, tables[n], place, beta=beta) for n in ns]
     decay = None
     if beta is not None and len(ns) >= 2:
-        decay = crit.remainder_decay(config, beta, place, ns, tables=tables)
+        decay = crit.remainder_decay(config, beta, place, tables)
     all_hold = all(rep.all_hold for rep in reports) and (decay is None or decay.ok)
     payload = {
         "command": "audit",

@@ -539,21 +539,18 @@ def _d_factor(place: Place, r: int, N: int) -> Fraction:
 
 def bounds_audit(
     config: "mpl_mod.MplConfig",
-    n: int,
+    table: PadeTable,
     place: Place,
     beta: Fraction | None = None,
-    table: PadeTable | None = None,
 ) -> AuditReport:
     """Measure every proven norm inequality on a built table: all must hold.
 
     Covers the derivative/product/moment norm bounds, the full chained bound
     on the column polynomials, the Q bound per cell, and (when beta is given)
     the evaluation bound log|P(beta)|_v <= eps log(deg+1) + log||P||_v +
-    deg * h_v(beta).
+    deg * h_v(beta).  The weight is ``table.n`` and the rows are ``table.seqs``.
     """
-    if table is None:
-        table = mpl_mod.pade_table(config, n)
-    seqs = table.seqs
+    n, seqs = table.n, table.seqs
     eps = place.epsilon
     m, r, M = config.m, config.r, config.M
     h_alpha_factors = [H_v(a, place) for a in config.alphas]
@@ -760,33 +757,29 @@ def remainder_decay(
     config: "mpl_mod.MplConfig",
     beta: Fraction,
     v0: Place,
-    n_range: Sequence[int],
-    tables: Mapping[int, PadeTable] | None = None,
+    tables: Mapping[int, PadeTable],
 ) -> DecayReport:
     """Per-n decay of the largest remainder at beta, against the proven slope.
 
-    The fitted slope must not exceed
+    ``tables`` maps each weight n to its built table (``mpl.pade_tables``),
+    and each weight's rows are that table's own moment sequences, warm from
+    its build.  The fitted slope must not exceed
     -h_v(beta) + (M/m) sum_i h_v(alpha_i) + (M+1) h_v(alpha)
     + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus slack 0.1.
-    ``tables``, when given, maps every weight in ``n_range`` to its built
-    table, and each weight's rows are that table's own moment sequences
-    (warm from its build); otherwise each table is built here and all
-    weights share one moment family.
     """
     beta = Fraction(beta)
     H_alpha = H_v_vec(config.alphas, v0)
     if abs_v(beta, v0) <= H_alpha:
         raise BadBetaError("|beta|_v must exceed the local height of the alphas")
-    ns = sorted(set(int(n) for n in n_range))
+    ns = sorted(tables)
     if len(ns) < 2:
         raise ValueError("need at least two weights to fit a slope")
     m, r, M = config.m, config.r, config.M
-    family = mpl_mod.moment_seqs(config) if tables is None else None
     logs = []
     for n in ns:
-        table = tables[n] if tables is not None else mpl_mod.pade_table(config, n)
+        table = tables[n]
         best = -math.inf
-        for f in family or table.seqs:
+        for f in table.seqs:
             for cell in table.cells:
                 val = _remainder_log_abs(f, cell.P, n, beta, v0, r, H_alpha)
                 best = max(best, val)

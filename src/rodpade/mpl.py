@@ -57,6 +57,7 @@ __all__ = [
     "build_Rn",
     "rodrigues_stages",
     "pade_table",
+    "pade_tables",
     "delta_constant",
     "theta_constant",
     "membership_depth",
@@ -152,43 +153,9 @@ def index_set(m: int, r: int) -> list[MplIndex]:
     return out
 
 
-class _MplMomentTable:
-    """Moments by the telescoped nested sum, computed level by level.
-
-    level t (0-based) holds A_t(v) for v >= 1, where A_0(v) = alpha_{a_1}^v / v^{s_1}
-    and A_t(v) = S_t(v) / v^{s_{t+1}} with S_t(v) = sum_{u<v} A_{t-1}(u) * alpha_{a_{t+1}}^(v-u);
-    the moment of index j is A_{k-1}(j+1).  Each level carries its running
-    sum, S_t(1) = 0 and S_t(v+1) = alpha_{a_{t+1}} * (S_t(v) + A_{t-1}(v)), and
-    level 0 its running power alpha^v, so every new term costs O(1).
-    """
-
-    def __init__(self, idx: MplIndex, config: MplConfig):
-        self.idx = idx
-        self.config = config
-        self.levels: list[list[Fraction]] = [[] for _ in range(idx.depth)]
-        # S_t(v) for the next v of each level (alpha^v on level 0)
-        self.running: list[Fraction] = [config.alpha(idx.a[0])] + [Fraction(0)] * (idx.depth - 1)
-
-    def _extend(self, vmax: int) -> None:
-        for t in range(self.idx.depth):
-            alpha = self.config.alpha(self.idx.a[t])
-            s_t = self.idx.s[t]
-            level = self.levels[t]
-            for v in range(len(level) + 1, vmax + 1):
-                level.append(self.running[t] / v**s_t)
-                below = self.levels[t - 1][v - 1] if t else 0
-                self.running[t] = alpha * (self.running[t] + below)
-
-    def moment(self, j: int) -> Fraction:
-        if j < self.idx.depth - 1:
-            return Fraction(0)
-        self._extend(j + 1)
-        return self.levels[-1][j]
-
-
 def mpl_moment(idx: MplIndex, j: int, config: MplConfig) -> Fraction:
     """Moment j of f_{s,a}: zero for j < depth-1, otherwise the nested sum."""
-    return _MplMomentTable(idx, config).moment(j)
+    return moment_seq(config, idx)[j]
 
 
 def mpl_moment_oracle(idx: MplIndex, j: int, config: MplConfig) -> Fraction:
@@ -211,13 +178,40 @@ def mpl_moment_oracle(idx: MplIndex, j: int, config: MplConfig) -> Fraction:
     return total
 
 
+def _row(config: MplConfig, idx: MplIndex, parent: MomentSeq | None) -> MomentSeq:
+    """Row (s, a) on its parent, the row with (s_k, a_k) dropped (None at depth 1).
+
+    Moment j is S(j+1) / (j+1)^{s_k} for the inner nested sum S, with S(1) =
+    alpha_{a_k} at depth 1, else 0, and S(v+1) = alpha_{a_k} (S(v) + parent[v-1]).
+    S lives in the generator, which ``MomentSeq`` calls once per index, in order.
+    """
+    alpha, s_k = config.alpha(idx.a[-1]), idx.s[-1]
+    running = alpha if parent is None else Fraction(0)  # S(j+1) for the next j
+
+    def fn(j, _prefix):
+        nonlocal running
+        value = running / (j + 1) ** s_k
+        running = alpha * (running + (parent[j] if parent is not None else 0))
+        return value
+
+    return MomentSeq(fn, label=idx.label(config))
+
+
 def moment_seq(config: MplConfig, idx: MplIndex) -> MomentSeq:
-    table = _MplMomentTable(idx, config)
-    return MomentSeq(lambda j, _prefix: table.moment(j), label=idx.label(config))
+    """Row idx alone; it carries the prefix rows it is built on."""
+    row = None
+    for k in range(1, idx.depth + 1):
+        row = _row(config, MplIndex(s=idx.s[:k], a=idx.a[:k]), row)
+    return row
 
 
 def moment_seqs(config: MplConfig) -> list[MomentSeq]:
-    return [moment_seq(config, idx) for idx in index_set(config.m, config.r)]
+    """Every row on its parent row: ``index_set`` is sorted by depth."""
+    rows: dict[MplIndex, MomentSeq] = {}
+    for idx in index_set(config.m, config.r):
+        parent = rows[MplIndex(s=idx.s[:-1], a=idx.a[:-1])] if idx.depth > 1 else None
+        rows[idx] = _row(config, idx, parent)
+    return list(rows.values())
 
 
 def build_LN(N: int, config: MplConfig) -> DiffOp:
@@ -272,10 +266,21 @@ def rodrigues_stages(config: MplConfig, n: int) -> list[tuple[int, tuple[list[in
     return [(N, rodrigues_factor(N, config.alphas)) for N in sizes]
 
 
+def pade_tables(config: MplConfig, ns: Sequence[int]) -> dict[int, PadeTable]:
+    """Columns l = 0..M by the Rodrigues chain, rows from one family for all of ``ns``.
+
+    Moment caches only grow and never change a value, so sharing changes none.
+    """
+    seqs = moment_seqs(config)
+    return {
+        n: build_table(rodrigues_columns(rodrigues_stages(config, n), config.M + 1), seqs, n)
+        for n in ns
+    }
+
+
 def pade_table(config: MplConfig, n: int) -> PadeTable:
-    """Columns l = 0..M by the Rodrigues chain, rows from the moment family."""
-    columns = rodrigues_columns(rodrigues_stages(config, n), config.M + 1)
-    return build_table(columns, moment_seqs(config), n)
+    """The weight-n table: ``pade_tables`` for one weight."""
+    return pade_tables(config, (n,))[n]
 
 
 def delta_constant(config: MplConfig, n: int, table: PadeTable | None = None) -> Fraction:

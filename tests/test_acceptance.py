@@ -40,6 +40,7 @@ from rodpade.mpl import (
     mpl_moment,
     mpl_moment_oracle,
     pade_table,
+    pade_tables,
     theta_constant,
 )
 from rodpade.transform import phi, remainder_tail
@@ -223,9 +224,10 @@ def test_criterion_08_bound_audits_and_decay():
         for n in range(1, n_max + 1):
             table = grid_table(m, r, n)
             for place in places:
-                report = bounds_audit(config, n, place, beta=F(30), table=table)
+                report = bounds_audit(config, table, place, beta=F(30))
                 ok = ok and report.all_hold
-    decay = remainder_decay(grid_config(1, 1), F(30), Place.archimedean(), range(2, 13))
+    config = grid_config(1, 1)
+    decay = remainder_decay(config, F(30), Place.archimedean(), pade_tables(config, range(2, 13)))
     ok = ok and decay.slope <= -1.01
     elapsed = time.perf_counter() - t0
     _report(8, ok and elapsed < 180.0, f"slope {decay.slope:.2f} <= -1.01, {elapsed:.1f}s < 180s")

@@ -175,6 +175,27 @@ def test_missing_config_document_exits_2():
     assert "/nonexistent/run.json" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["pade", "audit"])
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("run.json", "5"),
+        ("run.json", '["m"]'),
+        ("run.json", '{"m": "x"}'),
+        ("run.toml", 'm = "2"\n'),
+        ("run.json", '{"m": true}'),
+    ],
+)
+def test_malformed_config_document_exits_2(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_weight_past_machine_index_exits_2():
     proc = run_cli("det", "--m", "1", "--alphas", "1", "--n", "99999999999999999999")
     assert proc.returncode == 2
@@ -267,6 +288,22 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     assert all(any(f is g for g in table.seqs) for f in used)
     if argv[0] == "pade":
         assert verifies and remainders
+
+
+def test_audit_builds_one_moment_family_for_every_weight(capsys, monkeypatch):
+    families = _record_calls(monkeypatch, [mpl_mod.moment_seqs])
+    builds = _record_calls(monkeypatch, [transform.build_table])
+    argv = ["audit", "--m", "2", "--r", "1", "--alphas=4,-3", "--n", "1..4",
+            "--beta", "11/4", "--place", "p2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(families) == 1
+    family = families[0][1]
+    tables = [table for _, table in builds]
+    assert [table.n for table in tables] == [1, 2, 3, 4]
+    for table in tables:
+        assert len(table.seqs) == len(family)
+        assert all(f is g for f, g in zip(table.seqs, family))
 
 
 def test_pade_table_extra_fields_leave_equality_and_json_alone():

@@ -31,7 +31,7 @@ from rodpade.criterion import (
     remainder_decay,
     valuation,
 )
-from rodpade.mpl import MplConfig
+from rodpade.mpl import MplConfig, pade_table, pade_tables
 
 INF_PLACE = Place.archimedean()
 
@@ -248,15 +248,16 @@ def test_audit_derivative_norm_fixture():
 def test_bounds_audit_all_hold_on_small_grid():
     for m, r in ((1, 1), (1, 2), (2, 1)):
         config = MplConfig(m=m, r=r, alphas=(F(1),) if m == 1 else (F(1), F(2)))
+        table = pade_table(config, 1)
         for place in (INF_PLACE, Place.finite(2), Place.finite(3)):
-            report = bounds_audit(config, 1, place, beta=F(30))
+            report = bounds_audit(config, table, place, beta=F(30))
             assert report.all_hold, [row.name for row in report.rows if not row.holds]
             assert all(row.slack >= 0 for row in report.rows if row.measured > 0)
 
 
 def test_audit_json_shape():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
-    report = bounds_audit(config, 1, Place.finite(2))
+    report = bounds_audit(config, pade_table(config, 1), Place.finite(2))
     data = report.to_json()
     assert data["place"] == "p2"
     assert data["all_hold"] is True
@@ -278,7 +279,7 @@ def test_moment_denominators_cleared_by_lcm_power():
 
 def test_remainder_decay_legendre():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
-    report = remainder_decay(config, F(30), INF_PLACE, range(2, 13))
+    report = remainder_decay(config, F(30), INF_PLACE, pade_tables(config, range(2, 13)))
     assert report.ok
     assert report.slope <= -1.01
     assert abs(report.bound_coefficient - (-math.log(30) + 1 + 2 * math.log(2))) < 1e-12
@@ -286,23 +287,24 @@ def test_remainder_decay_legendre():
 
 def test_remainder_decay_sign_blind():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
-    report = remainder_decay(config, F(-30), INF_PLACE, range(2, 6))
+    report = remainder_decay(config, F(-30), INF_PLACE, pade_tables(config, range(2, 6)))
     assert report.ok
 
 
 def test_remainder_decay_p_adic_runs():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     # |32|_2 = 1/32 < 1 = H_2(alpha): rejected; |1/32|_2 = 32 > 1: accepted
+    tables = pade_tables(config, range(2, 6))
     with pytest.raises(BadBetaError):
-        remainder_decay(config, F(32), Place.finite(2), range(2, 5))
-    report = remainder_decay(config, F(1, 32), Place.finite(2), range(2, 6))
+        remainder_decay(config, F(32), Place.finite(2), tables)
+    report = remainder_decay(config, F(1, 32), Place.finite(2), tables)
     assert len(report.log_remainder) == 4
 
 
 def test_remainder_decay_bad_beta():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     with pytest.raises(BadBetaError):
-        remainder_decay(config, F(1), INF_PLACE, range(2, 5))
+        remainder_decay(config, F(1), INF_PLACE, pade_tables(config, range(2, 5)))
 
 
 def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
@@ -345,7 +347,6 @@ def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
 )
 def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, place, longest):
     from rodpade.criterion import _remainder_log_abs
-    from rodpade.mpl import pade_table
 
     config = MplConfig(m=m, r=r, alphas=alphas)
     H_alpha = H_v_vec(config.alphas, place)
@@ -365,12 +366,12 @@ def test_remainder_decay_reads_the_tables_moment_rows(monkeypatch):
     import rodpade.mpl
 
     config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
-    built = remainder_decay(config, F(40), INF_PLACE, range(1, 4))
-    tables = {n: rodpade.mpl.pade_table(config, n) for n in range(1, 4)}
+    apart = {n: pade_table(config, n) for n in range(1, 4)}
+    shared = pade_tables(config, range(1, 4))
 
     def no_family(_config):
         raise AssertionError("moment family rebuilt although tables were given")
 
     monkeypatch.setattr(rodpade.mpl, "moment_seqs", no_family)
-    given = remainder_decay(config, F(40), INF_PLACE, range(1, 4), tables=tables)
-    assert given == built
+    given = remainder_decay(config, F(40), INF_PLACE, shared)
+    assert given == remainder_decay(config, F(40), INF_PLACE, apart)

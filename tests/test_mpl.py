@@ -121,6 +121,17 @@ def test_running_sum_rows_match_oracle_to_depth_3(alphas):
             assert seq[j] == mpl_moment_oracle(idx, j, config), (seq.label, j)
 
 
+def test_rows_read_their_familys_parent_row():
+    rows = dict(zip(index_set(2, 2), moment_seqs(CFG22)))
+    child = rows[MplIndex(s=(1, 1), a=(2, 1))]
+    parent = rows[MplIndex(s=(1,), a=(2,))]
+    child[9]
+    # moment j of a depth-2 row extends its depth-1 parent to j+1 values, and
+    # computes nothing beside the two rows
+    assert len(parent._cache) == 10
+    assert all(not f._cache for f in rows.values() if f is not child and f is not parent)
+
+
 def test_row_labels():
     assert moment_seq(CFG11, MplIndex(s=(1,), a=(1,))).label == "Li_1(1/z)"
     assert (
