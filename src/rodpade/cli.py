@@ -22,9 +22,8 @@ from .exact import format_rational, parse_rational
 from .transform import (
     NonConstantDeterminantError,
     ZeroDeterminantError,
-    constant_determinant,
     remainder_tail,
-    theta_det,
+    table_determinants,
     verify_pade,
 )
 
@@ -136,7 +135,7 @@ def _build_table(args):
     return "mpl", config, mpl_mod.pade_table(config, args.n)
 
 
-def _verification_block(table, n, depth: int = 2) -> dict:
+def _verification_block(table, n) -> dict:
     seqs = table.seqs  # column l has degree M n + l; M is m for log-power rows
     orth = all(verify_pade(cell, seqs, n, table.M * n + cell.ell) for cell in table.cells)
     degrees = all(cell.P.degree == table.M * n + cell.ell for cell in table.cells)
@@ -145,7 +144,8 @@ def _verification_block(table, n, depth: int = 2) -> dict:
     for f in seqs:
         row = []
         for cell in table.cells:
-            rem = remainder_tail(f, cell.P, n, depth=max(2, depth))
+            # the start and the orthogonality flag come from the first n heads alone
+            rem = remainder_tail(f, cell.P, n, depth=1)
             row.append(rem.tail.start)
             starts_ok = starts_ok and rem.orthogonal and rem.tail.start == n + 1
         starts.append({"label": f.label, "starts": row})
@@ -157,9 +157,8 @@ def _verification_block(table, n, depth: int = 2) -> dict:
     }
 
 
-def _determinant_block(table, n) -> dict:
-    delta = constant_determinant(table.matrix())
-    theta = theta_det(table.seqs, [cell.P for cell in table.cells[: len(table.seqs)]], n)
+def _determinant_block(table) -> dict:
+    delta, theta = table_determinants(table)
     lc = table.cells[-1].P.lc
     ok = abs(delta) == abs(lc * theta)
     return {
@@ -173,8 +172,8 @@ def _determinant_block(table, n) -> dict:
 
 def _cmd_pade(args) -> int:
     kind, config, table = _build_table(args)
-    verification = _verification_block(table, args.n, depth=args.depth or 2)
-    determinant = _determinant_block(table, args.n)
+    verification = _verification_block(table, args.n)
+    determinant = _determinant_block(table)
     payload = {
         "command": "pade",
         "kind": kind,
@@ -198,7 +197,7 @@ def _cmd_pade(args) -> int:
 def _cmd_det(args) -> int:
     kind, config, table = _build_table(args)
     try:
-        determinant = _determinant_block(table, args.n)
+        determinant = _determinant_block(table)
     except (NonConstantDeterminantError, ZeroDeterminantError) as exc:
         _emit({"command": "det", "error": str(exc)}, args.format, args.out)
         return EXIT_VERIFY
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pade = sub.add_parser("pade", help="build and verify a weight-n table")
     _add_common(p_pade)
     p_pade.add_argument("--appendix-logpow", action="store_true", help="log-power rows instead")
-    p_pade.add_argument("--depth", type=int, default=None, help="moment depth override")
+    p_pade.add_argument("--depth", type=int, help="no longer changes output or work")
     p_pade.set_defaults(func=_cmd_pade)
 
     p_det = sub.add_parser("det", help="determinant constants of a table")

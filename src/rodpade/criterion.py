@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import Poly, format_rational, int_convolve, log_fraction, log_int as _log_int
-from .transform import MomentSeq, PadeTable, _phi_run, phi, rodrigues_lift
+from .exact import Poly, format_rational, log_fraction, log_int as _log_int
+from .transform import MomentSeq, PadeTable, _phi_run, phi, rodrigues_chain
 from . import mpl as mpl_mod
 
 __all__ = [
@@ -185,8 +185,7 @@ def _factorize(n: int) -> dict[int, int]:
 
 def local_height(x: Fraction, place: Place) -> float:
     """h_v(x) = log max(1, |x|_v); the intermediate max is exact."""
-    big = max(Fraction(1), abs_v(x, place))
-    return log_fraction(big)
+    return log_fraction(H_v(x, place))
 
 
 def local_height_vec(xs: Sequence[Fraction], place: Place) -> float:
@@ -281,11 +280,6 @@ def lcm_upto(n: int) -> int:
 
 def log_lcm_upto(n: int) -> float:
     return _log_int(lcm_upto(n))
-
-
-def _val_dn(p: int, n: int) -> int:
-    """p-adic valuation of lcm(1..n)."""
-    return _ilog(p, n)
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +528,7 @@ def _d_factor(place: Place, r: int, N: int) -> Fraction:
     """|lcm(1..N)^r|_v^(eps_v - 1): 1 at infinity, p^(r*v_p(d_N)) at p."""
     if not place.is_finite or N < 1:
         return Fraction(1)
-    return Fraction(place.p) ** (r * _val_dn(place.p, N))
+    return Fraction(place.p) ** (r * _ilog(place.p, N))
 
 
 def bounds_audit(
@@ -548,7 +542,8 @@ def bounds_audit(
     Covers the derivative/product/moment norm bounds, the full chained bound
     on the column polynomials, the Q bound per cell, and (when beta is given)
     the evaluation bound log|P(beta)|_v <= eps log(deg+1) + log||P||_v +
-    deg * h_v(beta).  The weight is ``table.n`` and the rows are ``table.seqs``.
+    deg * h_v(beta).  The weight is ``table.n`` and the rows are ``table.seqs``;
+    the stages of columns 0 and M are those of ``transform.rodrigues_chain``.
     """
     n, seqs = table.n, table.seqs
     eps = place.epsilon
@@ -558,66 +553,54 @@ def bounds_audit(
     rows: list[AuditRow] = []
 
     stages = mpl_mod.rodrigues_stages(config, n)
+    # per stage: ||prod_i (z - alpha_i)^N||_v, its bound, and prod_i H_v(alpha_i)^N
+    stage_norms = []
+    for N, b in stages:
+        h_pow = math.prod(h**N for h in h_alpha_factors)
+        bound_prod = Fraction(N + 1) ** (m * eps) * Fraction(2) ** (m * N * eps) * h_pow
+        stage_norms.append((poly_norm_v(Poly.from_ints(*b), place), bound_prod, h_pow))
+    column_norms = [poly_norm_v(cell.P, place) for cell in table.cells]
     for ell in (0, M):
-        current = Poly.monomial(ell)
-        cur_nums, cur_den = [0] * ell + [1], 1
-        for N, (b_nums, b_den) in stages:
-            prod_poly = Poly.from_ints(b_nums, b_den)
-            deg_in = int(current.degree)
-            # product norm bound
-            measured_prod = poly_norm_v(prod_poly, place)
-            bound_prod = (
-                Fraction(N + 1) ** (m * eps)
-                * Fraction(2) ** (m * N * eps)
-                * math.prod(h**N for h in h_alpha_factors)
-            )
+        # the chained column bound is the product of the step factors: the
+        # input degree of each step is ell plus m N of every earlier stage
+        deg_in, norm_in, chain = ell, Fraction(1), Fraction(1)
+        for (N, shift, lifted), (measured_prod, bound_prod, h_pow) in zip(
+            rodrigues_chain(stages, ell), stage_norms
+        ):
             rows.append(AuditRow(f"prod_norm[l={ell},N={N}]", measured_prod, bound_prod))
-            # derivative-of-shift norm bound, applied to current * prod
-            shift_nums, shift_den = int_convolve(cur_nums, b_nums), cur_den * b_den
-            shifted = Poly.from_ints(shift_nums, shift_den)
-            deg_shifted = int(shifted.degree)
-            cur_nums, cur_den = rodrigues_lift(shift_nums, shift_den, N)
-            derived = Poly.from_ints(cur_nums, cur_den)
-            measured_der = poly_norm_v(derived, place)
+            # derivative-of-shift norm bound, applied to the previous stage times prod
+            shifted = Poly.from_ints(*shift)
+            measured = poly_norm_v(Poly.from_ints(*lifted), place)
             bound_der = (
-                Fraction(math.comb(N + deg_shifted, N)) ** eps * poly_norm_v(shifted, place)
+                Fraction(math.comb(N + int(shifted.degree), N)) ** eps
+                * poly_norm_v(shifted, place)
             )
-            rows.append(AuditRow(f"derivative_norm[l={ell},N={N}]", measured_der, bound_der))
+            rows.append(AuditRow(f"derivative_norm[l={ell},N={N}]", measured, bound_der))
             # one operator application: (1/N!) D^N z^N prod_i (z - alpha_i)^N
-            # applied to current is the derived polynomial above
-            measured_step = measured_der
-            bound_step = (
+            # applied to the previous stage is the lifted polynomial above
+            step = (
                 Fraction(m * N + deg_in + 1) ** ((m + 1) * eps)
                 * (Fraction(2) ** (m * N) * math.comb((m + 1) * N + deg_in, N)) ** eps
-                * math.prod(h**N for h in h_alpha_factors)
-                * poly_norm_v(current, place)
+                * h_pow
             )
-            rows.append(AuditRow(f"operator_step_norm[l={ell},N={N}]", measured_step, bound_step))
-            current = derived
-        # chained bound on the finished column polynomial
+            rows.append(AuditRow(f"operator_step_norm[l={ell},N={N}]", measured, step * norm_in))
+            chain *= step
+            deg_in += m * N
+            norm_in = measured
         cell = table.cells[ell]
-        chain = Fraction(1)
-        deg_run = ell
-        for N, _ in stages:
-            chain *= (
-                Fraction(m * N + deg_run + 1) ** ((m + 1) * eps)
-                * (Fraction(2) ** (m * N) * math.comb((m + 1) * N + deg_run, N)) ** eps
-                * math.prod(h**N for h in h_alpha_factors)
-            )
-            deg_run += m * N
-        rows.append(AuditRow(f"column_norm[l={ell}]", poly_norm_v(cell.P, place), chain))
+        rows.append(AuditRow(f"column_norm[l={ell}]", column_norms[ell], chain))
         if beta is not None:
             degp = int(cell.P.degree)
             measured_eval = abs_v(cell.P(beta), place)
             bound_eval = (
                 Fraction(degp + 1) ** eps
-                * poly_norm_v(cell.P, place)
+                * column_norms[ell]
                 * H_v(beta, place) ** degp
             )
             rows.append(AuditRow(f"column_eval[l={ell}]", measured_eval, bound_eval))
 
     # moment bounds per row, on monomials and on the first remainder coefficient
-    for f, idx in zip(seqs, mpl_mod.index_set(m, r)):
+    for f in seqs:
         for j in (0, 1, n, n + 3):
             measured = abs_v(f[j], place)
             bound = (
@@ -634,14 +617,13 @@ def bounds_audit(
                 Fraction(degp + n + 1) ** ((r + 1) * eps)
                 * _d_factor(place, r, degp + n + 1)
                 * H_alpha_vec ** (degp + n + 1)
-                * poly_norm_v(cell.P, place)
+                * column_norms[ell]
             )
             rows.append(AuditRow(f"moment_of_tP[{f.label},l={ell}]", measured, bound))
 
     # Q-polynomial bounds per cell
-    for cell in table.cells:
+    for cell, normp in zip(table.cells, column_norms):
         degp = int(cell.P.degree)
-        normp = poly_norm_v(cell.P, place)
         bound_q = (
             Fraction(degp + 1) ** ((r + 1) * eps)
             * _d_factor(place, r, degp + 1)
@@ -649,13 +631,14 @@ def bounds_audit(
             * normp
         )
         for label, q in cell.Qs.items():
-            rows.append(AuditRow(f"q_norm[{label},l={cell.ell}]", poly_norm_v(q, place), bound_q))
+            normq = poly_norm_v(q, place)
+            rows.append(AuditRow(f"q_norm[{label},l={cell.ell}]", normq, bound_q))
             if beta is not None:
                 degq = int(q.degree) if not q.is_zero else 0
                 measured_eval = abs_v(q(beta), place)
                 bound_eval = (
                     Fraction(degq + 1) ** eps
-                    * poly_norm_v(q, place)
+                    * normq
                     * H_v(beta, place) ** degq
                 )
                 rows.append(

@@ -4,7 +4,8 @@ The rows are the tail coefficients of log^s(1 - 1/z), extended by the
 first-order recurrence that E_1 = z(z-1) D gives them.  The columns are
 P_l = R_n* . t^l for R_n = (1/(n!)^m) (z^n (z-1)^n D^n)^m, computed by the
 Rodrigues chain: (-1)^n (1/n!) D^n (z^n (z-1)^n . ) applied m times to t^l,
-in integer arithmetic (``transform.rodrigues_columns``).  The operator
+in integer arithmetic (``transform.rodrigues_chain``).  Delta and theta are
+read off the built table (``transform.table_determinants``).  The operator
 algebra (``rodpade.weyl``) is imported only by the operator builders.
 """
 
@@ -18,15 +19,10 @@ from typing import TYPE_CHECKING
 from .exact import Poly
 from .transform import (
     MomentSeq,
-    NonConstantDeterminantError,
-    PadeCell,
     PadeTable,
-    ZeroDeterminantError,
     build_table,
-    constant_determinant,
     rodrigues_columns,
     rodrigues_factor,
-    theta_det,
 )
 
 if TYPE_CHECKING:
@@ -34,8 +30,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LogPowConfig",
-    "NonConstantDeterminantError",
-    "ZeroDeterminantError",
     "logpow_moment",
     "logpow_moment_stirling",
     "moment_seq",
@@ -45,10 +39,7 @@ __all__ = [
     "build_Rn_log",
     "rodrigues_stages",
     "verify_En_identities",
-    "logpow_pade",
     "logpow_table",
-    "logpow_delta",
-    "logpow_theta",
 ]
 
 
@@ -194,13 +185,6 @@ def verify_En_identities(n_max: int) -> bool:
     return True
 
 
-def logpow_pade(config: LogPowConfig, ell: int) -> PadeCell:
-    """Column ell of the appendix table: deg P = m*n + ell."""
-    if not 0 <= ell <= config.m:
-        raise ValueError(f"column index must be in 0..{config.m}")
-    return logpow_table(config).cells[ell]
-
-
 def rodrigues_stages(config: LogPowConfig) -> list[tuple[int, tuple[list[int], int]]]:
     """m stages (n, (z-1)^n): the factors of R_n* in the order they act."""
     return [(config.n, rodrigues_factor(config.n, (1,)))] * config.m
@@ -210,15 +194,3 @@ def logpow_table(config: LogPowConfig) -> PadeTable:
     """Columns l = 0..m by the Rodrigues chain, rows log^1..log^m."""
     columns = rodrigues_columns(rodrigues_stages(config), config.m + 1)
     return build_table(columns, moment_seqs(config.m), config.n)
-
-
-def logpow_delta(config: LogPowConfig, table: PadeTable | None = None) -> Fraction:
-    """The (m+1) x (m+1) determinant, asserted to be a nonzero constant."""
-    if table is None:
-        table = logpow_table(config)
-    return constant_determinant(table.matrix())
-
-
-def logpow_theta(config: LogPowConfig) -> Fraction:
-    columns = rodrigues_columns(rodrigues_stages(config), config.m)
-    return theta_det(moment_seqs(config.m), columns, config.n)

@@ -12,7 +12,8 @@ L_N = (1/N!) z^N prod_i (z - alpha_i)^N D^N.  They are computed by the
 Rodrigues chain: the adjoint factors
 (-1)^N (1/N!) D^N z^N prod_i (z - alpha_i)^N are applied to t^l one after
 another, largest N first, in integer arithmetic
-(``transform.rodrigues_columns``).  R_n itself is built only by
+(``transform.rodrigues_chain``).  Delta and theta are read off a built
+table (``transform.table_determinants``).  R_n itself is built only by
 ``build_Rn``, which stays as library API and as the tests' oracle.  The
 operator algebra (``rodpade.weyl``) is imported only by the operator
 builders, so building a table never loads it.
@@ -29,14 +30,10 @@ from typing import TYPE_CHECKING, Sequence
 from .exact import Poly, format_rational
 from .transform import (
     MomentSeq,
-    NonConstantDeterminantError,
     PadeTable,
-    ZeroDeterminantError,
     build_table,
-    constant_determinant,
     rodrigues_columns,
     rodrigues_factor,
-    theta_det,
 )
 
 if TYPE_CHECKING:
@@ -45,8 +42,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MplConfig",
     "MplIndex",
-    "NonConstantDeterminantError",
-    "ZeroDeterminantError",
     "index_set",
     "mpl_moment",
     "mpl_moment_oracle",
@@ -58,8 +53,6 @@ __all__ = [
     "rodrigues_stages",
     "pade_table",
     "pade_tables",
-    "delta_constant",
-    "theta_constant",
     "membership_depth",
 ]
 
@@ -281,16 +274,3 @@ def pade_tables(config: MplConfig, ns: Sequence[int]) -> dict[int, PadeTable]:
 def pade_table(config: MplConfig, n: int) -> PadeTable:
     """The weight-n table: ``pade_tables`` for one weight."""
     return pade_tables(config, (n,))[n]
-
-
-def delta_constant(config: MplConfig, n: int, table: PadeTable | None = None) -> Fraction:
-    """The (M+1) x (M+1) determinant, asserted to be a nonzero constant."""
-    if table is None:
-        table = pade_table(config, n)
-    return constant_determinant(table.matrix())
-
-
-def theta_constant(config: MplConfig, n: int) -> Fraction:
-    """The M x M moment-matrix determinant."""
-    columns = rodrigues_columns(rodrigues_stages(config, n), config.M)
-    return theta_det(moment_seqs(config), columns, n)

@@ -3,7 +3,8 @@
 A Laurent tail f = sum_k f_k / z^(k+1) is identified with the linear
 functional t^k |-> f_k on Q[t].  Everything downstream (orthogonality,
 Q-polynomials, remainder tails, the two determinants) is computed through
-this identification, exactly.
+this identification, exactly.  The columns come from one Rodrigues chain
+(``rodrigues_chain``); Delta and theta are read off the built table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exact import (
     LaurentTail,
@@ -32,6 +33,7 @@ __all__ = [
     "build_table",
     "rodrigues_factor",
     "rodrigues_lift",
+    "rodrigues_chain",
     "rodrigues_columns",
     "RouteDisagreementError",
     "NonConstantDeterminantError",
@@ -44,6 +46,7 @@ __all__ = [
     "delta_det",
     "det_bareiss",
     "constant_determinant",
+    "table_determinants",
 ]
 
 
@@ -322,10 +325,10 @@ def rodrigues_lift(nums: Sequence[int], den: int, N: int) -> tuple[list[int], in
     return [c // g for c in out], den // g
 
 
-def rodrigues_columns(
-    stages: Sequence[tuple[int, tuple[list[int], int]]], count: int
-) -> list[Poly]:
-    """Columns P_l, l < count, by the Rodrigues chain in integer arithmetic.
+def rodrigues_chain(
+    stages: Sequence[tuple[int, tuple[list[int], int]]], ell: int
+) -> Iterator[tuple[int, tuple[list[int], int], tuple[list[int], int]]]:
+    """The Rodrigues chain on t^l: one (N, b_N x, lifted x) per stage, in order.
 
     ``stages`` lists (N, b_N) with b_N = prod_i (z - alpha_i)^N as
     ``rodrigues_factor`` gives it, in the order the factors act.  The
@@ -336,17 +339,27 @@ def rodrigues_columns(
         (-1)^(sum N) (1/N!) D^N z^N b_N ... (1/N'!) D^N' z^N' b_N' t^l,
 
     with the first stage (N', b_N') innermost, and the composed operator is
-    never formed.  A column is held as integer numerators over one
-    denominator; each stage is one integer product, one ``rodrigues_lift``
-    and one gcd, and Fractions are formed only for the finished polynomial.
+    never formed.  The chain starts from x = (-1)^(sum N) t^l; each stage
+    yields the product b_N x and the lift (1/N!) D^N (z^N b_N x) that becomes
+    the next x, both as integer numerators over one denominator: one integer
+    product, one ``rodrigues_lift`` and one gcd per stage.
     """
     sign = -1 if sum(N for N, _ in stages) % 2 else 1
+    nums, den = [0] * ell + [sign], 1
+    for N, (b_nums, b_den) in stages:
+        shifted = int_convolve(nums, b_nums), den * b_den
+        nums, den = rodrigues_lift(*shifted, N)
+        yield N, shifted, (nums, den)
+
+
+def rodrigues_columns(
+    stages: Sequence[tuple[int, tuple[list[int], int]]], count: int
+) -> list[Poly]:
+    """Columns P_l, l < count: the last lifted pair of each chain, as a ``Poly``."""
     columns = []
     for ell in range(count):
-        nums, den = [0] * ell + [sign], 1
-        for N, (b_nums, b_den) in stages:
-            nums, den = rodrigues_lift(int_convolve(nums, b_nums), den * b_den, N)
-        columns.append(Poly.from_ints(nums, den))
+        *_, (_, _, lifted) = rodrigues_chain(stages, ell)
+        columns.append(Poly.from_ints(*lifted))
     return columns
 
 
@@ -482,3 +495,11 @@ def constant_determinant(table: Sequence[Sequence[Poly]]) -> Fraction:
     if det.degree != 0:
         raise NonConstantDeterminantError(f"determinant has degree {det.degree}: {det}")
     return det.coeff(0)
+
+
+def table_determinants(table: PadeTable) -> tuple[Fraction, Fraction]:
+    """(Delta, theta) of a built table: ``constant_determinant`` of its matrix,
+    and ``theta_det`` of its d rows on its first d columns at its weight."""
+    delta = constant_determinant(table.matrix())
+    columns = [cell.P for cell in table.cells[: len(table.seqs)]]
+    return delta, theta_det(table.seqs, columns, table.n)

@@ -26,14 +26,13 @@ from rodpade.holonomic import solve_V1
 from rodpade.logpow import (
     LogPowConfig,
     build_Rn_log,
-    logpow_delta,
+    logpow_table,
     moment_seq as log_moment_seq,
     verify_En_identities,
 )
 from rodpade.mpl import (
     MplConfig,
     build_L,
-    delta_constant,
     index_set,
     moment_seq,
     moment_seqs,
@@ -41,9 +40,8 @@ from rodpade.mpl import (
     mpl_moment_oracle,
     pade_table,
     pade_tables,
-    theta_constant,
 )
-from rodpade.transform import phi, remainder_tail
+from rodpade.transform import phi, remainder_tail, table_determinants
 from rodpade.weyl import (
     DiffOp,
     adjoint,
@@ -89,8 +87,9 @@ def test_criterion_01_legendre_fixture():
     ok = ok and table.cells[1].Qs["Li_1(1/z)"] == Poly((F(1, 2), -3))
     rem = remainder_tail(li1, table.cells[0].P, 1, 2)
     ok = ok and rem.tail.start == 2 and rem.tail.coeff(2) == F(-1, 6)
-    ok = ok and delta_constant(grid_config(1, 1), 1, table) == F(1, 2)
-    ok = ok and theta_constant(grid_config(1, 1), 1) == F(-1, 6)
+    delta, theta = table_determinants(table)
+    ok = ok and delta == F(1, 2)
+    ok = ok and theta == F(-1, 6)
     elapsed = time.perf_counter() - t0
     _report(1, ok and elapsed < 1.0, f"{elapsed:.2f}s < 1s")
 
@@ -115,11 +114,9 @@ def test_criterion_02_orthogonality_and_degree_grid():
 def test_criterion_03_determinant_constancy_grid():
     ok = True
     for (m, r), n_max in GRID.items():
-        config = grid_config(m, r)
         for n in range(1, n_max + 1):
             table = grid_table(m, r, n)
-            delta = delta_constant(config, n, table)  # raises if zero/nonconstant
-            theta = theta_constant(config, n)
+            delta, theta = table_determinants(table)  # raises if zero/nonconstant
             ok = ok and delta != 0
             ok = ok and abs(delta) == abs(table.cells[-1].P.lc * theta)
     _report(3, ok)
@@ -197,9 +194,13 @@ def test_criterion_06_appendix_suite():
                 for k in range(n):
                     _, tail = op_apply_laurent(rn, f.shift(k).tail(depth))
                     ok = ok and tail.depth >= 40 and tail.is_zero_to_depth()
-    ok = ok and logpow_delta(LogPowConfig(1, 1)) == F(-1, 2)
-    ok = ok and logpow_delta(LogPowConfig(1, 2)) != 0
-    ok = ok and logpow_delta(LogPowConfig(2, 1)) != 0
+    deltas = {
+        mn: table_determinants(logpow_table(LogPowConfig(*mn)))[0]
+        for mn in ((1, 1), (1, 2), (2, 1))
+    }
+    ok = ok and deltas[1, 1] == F(-1, 2)
+    ok = ok and deltas[1, 2] != 0
+    ok = ok and deltas[2, 1] != 0
     _report(6, ok)
 
 

@@ -267,7 +267,7 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     builds = _record_calls(monkeypatch, [transform.build_table])
     verifies = _record_calls(monkeypatch, [cli.verify_pade], [cli])
     remainders = _record_calls(monkeypatch, [cli.remainder_tail], [cli])
-    thetas = _record_calls(monkeypatch, [cli.theta_det], [cli])
+    thetas = _record_calls(monkeypatch, [transform.theta_det], [transform])
     assert main(list(argv)) == 0
     capsys.readouterr()
     # the columns come from the Rodrigues chain: R_n* is never formed
@@ -304,6 +304,19 @@ def test_audit_builds_one_moment_family_for_every_weight(capsys, monkeypatch):
     for table in tables:
         assert len(table.seqs) == len(family)
         assert all(f is g for f, g in zip(table.seqs, family))
+
+
+def test_pade_depth_changes_neither_output_nor_moment_work(capsys, monkeypatch):
+    argv = ["pade", "--m", "1", "--r", "2", "--alphas=-3", "--n", "1"]
+    builds = _record_calls(monkeypatch, [transform.build_table])
+    outs = []
+    for extra in ([], ["--depth", "500"]):
+        assert main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # moments reached by each row of the run's own table
+    plain, deep = ([len(f._cache) for f in table.seqs] for _, table in builds)
+    assert all(d <= p for p, d in zip(plain, deep))
 
 
 def test_pade_table_extra_fields_leave_equality_and_json_alone():

@@ -255,6 +255,117 @@ def test_bounds_audit_all_hold_on_small_grid():
             assert all(row.slack >= 0 for row in report.rows if row.measured > 0)
 
 
+def _audit_rows_stage_by_stage(config, table, place, beta):
+    """(name, measured, bound) of every audit row, by the original route.
+
+    Each column stage is formed as a ``Poly`` and every norm is taken where it
+    is used: one product norm per stage per column, the input norm of every
+    operator step taken again, and the chained column bound in a loop of its own.
+    """
+    from rodpade.criterion import H_v, _d_factor, poly_norm_v
+    from rodpade.exact import Poly, int_convolve
+    from rodpade.mpl import rodrigues_stages
+    from rodpade.transform import phi, rodrigues_lift
+
+    n, eps = table.n, place.epsilon
+    m, r, M = config.m, config.r, config.M
+    hs = [H_v(a, place) for a in config.alphas]
+    H_alpha_vec = H_v_vec(config.alphas, place)
+    rows = []
+    stages = rodrigues_stages(config, n)
+    for ell in (0, M):
+        current = Poly.monomial(ell)
+        cur_nums, cur_den = [0] * ell + [1], 1
+        for N, (b_nums, b_den) in stages:
+            deg_in = int(current.degree)
+            h_pow = math.prod(h**N for h in hs)
+            bound_prod = F(N + 1) ** (m * eps) * F(2) ** (m * N * eps) * h_pow
+            measured_prod = poly_norm_v(Poly.from_ints(b_nums, b_den), place)
+            rows.append((f"prod_norm[l={ell},N={N}]", measured_prod, bound_prod))
+            shift_nums, shift_den = int_convolve(cur_nums, b_nums), cur_den * b_den
+            shifted = Poly.from_ints(shift_nums, shift_den)
+            cur_nums, cur_den = rodrigues_lift(shift_nums, shift_den, N)
+            derived = Poly.from_ints(cur_nums, cur_den)
+            measured = poly_norm_v(derived, place)
+            bound_der = (
+                F(math.comb(N + int(shifted.degree), N)) ** eps * poly_norm_v(shifted, place)
+            )
+            rows.append((f"derivative_norm[l={ell},N={N}]", measured, bound_der))
+            bound_step = (
+                F(m * N + deg_in + 1) ** ((m + 1) * eps)
+                * (F(2) ** (m * N) * math.comb((m + 1) * N + deg_in, N)) ** eps
+                * math.prod(h**N for h in hs)
+                * poly_norm_v(current, place)
+            )
+            rows.append((f"operator_step_norm[l={ell},N={N}]", measured, bound_step))
+            current = derived
+        cell = table.cells[ell]
+        chain, deg_run = F(1), ell
+        for N, _ in stages:
+            chain *= (
+                F(m * N + deg_run + 1) ** ((m + 1) * eps)
+                * (F(2) ** (m * N) * math.comb((m + 1) * N + deg_run, N)) ** eps
+                * math.prod(h**N for h in hs)
+            )
+            deg_run += m * N
+        rows.append((f"column_norm[l={ell}]", poly_norm_v(cell.P, place), chain))
+        if beta is not None:
+            degp = int(cell.P.degree)
+            bound_eval = F(degp + 1) ** eps * poly_norm_v(cell.P, place) * H_v(beta, place) ** degp
+            rows.append((f"column_eval[l={ell}]", abs_v(cell.P(beta), place), bound_eval))
+    for f in table.seqs:
+        for j in (0, 1, n, n + 3):
+            k = j + 1
+            bound = F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
+            rows.append((f"moment[{f.label},j={j}]", abs_v(f[j], place), bound))
+        for ell in (0, M):
+            cell = table.cells[ell]
+            k = int(cell.P.degree) + n + 1
+            bound = (
+                F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
+                * poly_norm_v(cell.P, place)
+            )
+            measured = abs_v(phi(f, cell.P, n), place)
+            rows.append((f"moment_of_tP[{f.label},l={ell}]", measured, bound))
+    for cell in table.cells:
+        k = int(cell.P.degree) + 1
+        bound_q = (
+            F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
+            * poly_norm_v(cell.P, place)
+        )
+        for label, q in cell.Qs.items():
+            rows.append((f"q_norm[{label},l={cell.ell}]", poly_norm_v(q, place), bound_q))
+            if beta is not None:
+                degq = int(q.degree) if not q.is_zero else 0
+                bound_eval = F(degq + 1) ** eps * poly_norm_v(q, place) * H_v(beta, place) ** degq
+                rows.append((f"q_eval[{label},l={cell.ell}]", abs_v(q(beta), place), bound_eval))
+    return rows
+
+
+AUDIT_ORACLE_CASES = [
+    ((1, 1, (F(3, 2),)), (1, 2, 3)),
+    ((2, 1, (F(3, 2), F(-5, 3))), (1, 2)),
+    ((1, 2, (F(-3),)), (1,)),
+    ((2, 2, (F(3, 2), F(-5, 3))), (1,)),
+]
+# beta beyond the alphas' local height at each place: |40| > 5/3, |1/8|_2 = 8 > 2, |1/27|_3 = 27 > 3
+AUDIT_ORACLE_PLACES = [(INF_PLACE, F(40)), (Place.finite(2), F(1, 8)), (Place.finite(3), F(1, 27))]
+
+
+@pytest.mark.parametrize(
+    "config_args, ns", AUDIT_ORACLE_CASES, ids=[f"m{c[0]}r{c[1]}" for c, _ in AUDIT_ORACLE_CASES]
+)
+def test_bounds_audit_rows_match_the_stage_by_stage_route(config_args, ns):
+    m, r, alphas = config_args
+    config = MplConfig(m=m, r=r, alphas=alphas)
+    for n, table in pade_tables(config, ns).items():
+        for place, beta in AUDIT_ORACLE_PLACES:
+            for b in (None, beta):
+                report = bounds_audit(config, table, place, beta=b)
+                got = [(row.name, row.measured, row.bound) for row in report.rows]
+                assert got == _audit_rows_stage_by_stage(config, table, place, b), (n, place, b)
+
+
 def test_audit_json_shape():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     report = bounds_audit(config, pade_table(config, 1), Place.finite(2))

@@ -4,27 +4,22 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-import pytest
-
 from rodpade.exact import Poly
 from rodpade.logpow import (
     LogPowConfig,
     build_En,
     build_Lm,
     build_Rn_log,
-    logpow_delta,
     logpow_moment,
     logpow_moment_stirling,
-    logpow_pade,
     logpow_table,
-    logpow_theta,
     moment_seq,
     moment_seqs,
     verify_En_identities,
 )
 from rodpade.holonomic import check_membership
-from rodpade.mpl import MplConfig, delta_constant
-from rodpade.transform import verify_pade
+from rodpade.mpl import MplConfig, pade_table
+from rodpade.transform import table_determinants, verify_pade
 from rodpade.weyl import DiffOp, op_apply_laurent, op_compose, ord_weight, property_P
 
 
@@ -165,7 +160,7 @@ def test_rodrigues_membership_log_rows():
 
 
 def test_legendre_cell_with_negated_moments():
-    cell = logpow_pade(LogPowConfig(m=1, n=1), 0)
+    cell = logpow_table(LogPowConfig(m=1, n=1)).cells[0]
     assert cell.P == Poly((1, -2))
     assert cell.Qs["log^1"] == Poly.constant(2)
 
@@ -181,11 +176,14 @@ def test_table_cells_verify():
 
 
 def test_determinants():
-    assert logpow_delta(LogPowConfig(1, 1)) == F(-1, 2)
-    assert logpow_delta(LogPowConfig(2, 1)) == F(-1, 6)  # frozen regression value
+    def delta(table):
+        return table_determinants(table)[0]
+
+    assert delta(logpow_table(LogPowConfig(1, 1))) == F(-1, 2)
+    assert delta(logpow_table(LogPowConfig(2, 1))) == F(-1, 6)  # frozen regression value
     # m=1 rows are the negated classical rows, so the determinant flips sign
-    assert logpow_delta(LogPowConfig(1, 2)) == -delta_constant(
-        MplConfig(m=1, r=1, alphas=(F(1),)), 2
+    assert delta(logpow_table(LogPowConfig(1, 2))) == -delta(
+        pade_table(MplConfig(m=1, r=1, alphas=(F(1),)), 2)
     )
 
 
@@ -193,11 +191,5 @@ def test_delta_theta_absolute_identity():
     for m, n in ((1, 1), (1, 2), (2, 1)):
         config = LogPowConfig(m=m, n=n)
         table = logpow_table(config)
-        delta = logpow_delta(config, table)
-        theta = logpow_theta(config)
+        delta, theta = table_determinants(table)
         assert abs(delta) == abs(table.cells[-1].P.lc * theta)
-
-
-def test_column_index_validation():
-    with pytest.raises(ValueError):
-        logpow_pade(LogPowConfig(2, 1), 3)

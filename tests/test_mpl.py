@@ -14,7 +14,6 @@ from rodpade.mpl import (
     build_L,
     build_LN,
     build_Rn,
-    delta_constant,
     index_set,
     membership_depth,
     moment_seq,
@@ -22,9 +21,8 @@ from rodpade.mpl import (
     mpl_moment,
     mpl_moment_oracle,
     pade_table,
-    theta_constant,
 )
-from rodpade.transform import remainder_tail, verify_pade
+from rodpade.transform import remainder_tail, table_determinants, verify_pade
 from rodpade.weyl import DiffOp, op_apply_laurent, ord_weight, property_P
 
 CFG11 = MplConfig(m=1, r=1, alphas=(F(1),))
@@ -236,17 +234,15 @@ def test_tables_verify_on_small_grid():
 
 
 def test_delta_constants():
-    assert delta_constant(CFG11, 1) == F(1, 2)
-    assert delta_constant(CFG11, 2) == F(1, 3)  # frozen regression value
-    assert delta_constant(CFG21, 1) != 0
-    assert theta_constant(CFG11, 1) == F(-1, 6)
+    assert table_determinants(pade_table(CFG11, 1)) == (F(1, 2), F(-1, 6))
+    assert table_determinants(pade_table(CFG11, 2))[0] == F(1, 3)  # frozen regression value
+    assert table_determinants(pade_table(CFG21, 1))[0] != 0
 
 
 def test_delta_theta_absolute_identity():
     for config, n in ((CFG11, 1), (CFG11, 2), (CFG11, 3), (CFG12, 1), (CFG21, 1)):
         table = pade_table(config, n)
-        delta = delta_constant(config, n, table)
-        theta = theta_constant(config, n)
+        delta, theta = table_determinants(table)
         assert abs(delta) == abs(table.cells[-1].P.lc * theta)
 
 
