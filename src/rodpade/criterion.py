@@ -287,6 +287,8 @@ def log_lcm_upto(n: int) -> float:
 
 
 def _check_alphas(alphas: Sequence[Fraction], m: int) -> tuple[Fraction, ...]:
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
     alphas = tuple(Fraction(a) for a in alphas)
     if len(alphas) != m:
         raise DegenerateAlphasError(f"expected {m} alphas, got {len(alphas)}")
@@ -675,6 +677,7 @@ class DecayReport:
 def _remainder_log_abs(
     f: MomentSeq,
     p: Poly,
+    normp: Fraction,
     n: int,
     beta: Fraction,
     place: Place,
@@ -693,10 +696,10 @@ def _remainder_log_abs(
     a prime, r + 1 at infinity), and the ratio of consecutive majorants is
     ``ratio`` = (H / |beta|_v) ((s+2)/(s+1))^e, so each majorant is the
     previous one times the previous ratio: the same rationals as computed
-    from scratch, at the cost of one product.
+    from scratch, at the cost of one product.  ``normp`` is ||P||_v, which
+    the caller takes once per column.
     """
     degp = int(p.degree)
-    normp = poly_norm_v(p, place)
     abs_beta = abs_v(beta, place)
     if abs_beta <= H_alpha:
         raise BadBetaError(f"|beta|_{place} = {abs_beta} <= H_v(alpha) = {H_alpha}")
@@ -762,9 +765,10 @@ def remainder_decay(
     for n in ns:
         table = tables[n]
         best = -math.inf
+        norms = [poly_norm_v(cell.P, v0) for cell in table.cells]
         for f in table.seqs:
-            for cell in table.cells:
-                val = _remainder_log_abs(f, cell.P, n, beta, v0, r, H_alpha)
+            for cell, normp in zip(table.cells, norms):
+                val = _remainder_log_abs(f, cell.P, normp, n, beta, v0, r, H_alpha)
                 best = max(best, val)
         logs.append(best)
     mean_n = sum(ns) / len(ns)

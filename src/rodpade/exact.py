@@ -237,15 +237,45 @@ def falling_derivative(cs: Sequence, k: int, fall: int) -> list:
 
 
 def int_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two integer polynomials (ascending)."""
+    """Coefficients of the product of two integer polynomials (ascending).
+
+    Kronecker substitution: every product coefficient has absolute value at
+    most max|a| max|b| min(len a, len b), so with a slot of w bytes above that
+    bound plus a sign bit, a(2^8w) b(2^8w) carries each coefficient in its own
+    slot.  Each side is packed as (nonnegative part) - (negative part) through
+    bytes, one big-int multiplication forms the product, and the slots are
+    read back as signed digits: a slot >= 2^(8w-1) is negative and borrows 1
+    from the next (von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4).
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    width = len(b)
-    for i, x in enumerate(a):
-        if x:
-            out[i : i + width] = [o + x * y for o, y in zip(out[i : i + width], b)]
+    count = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * count
+    width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    product = _kronecker_pack(a, width) * _kronecker_pack(b, width)
+    raw = product.to_bytes(count * width, "little", signed=True)
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    out, borrow = [], 0
+    for i in range(0, count * width, width):
+        digit = int.from_bytes(raw[i : i + width], "little") + borrow
+        borrow = digit >= half
+        out.append(digit - full if borrow else digit)
     return out
+
+
+def _kronecker_pack(cs: Sequence[int], width: int) -> int:
+    """sum_i cs[i] 2^(8 width i), for |cs[i]| < 2^(8 width - 1)."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in cs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in cs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """xs as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _as_poly(x) -> Poly:
@@ -410,6 +440,13 @@ def laurent_mul_poly(f: LaurentTail, p: Poly) -> tuple[Poly, LaurentTail]:
     The tail is truncated to the provably correct depth: the product of a
     depth-d window by a degree-D polynomial is proved only up to index
     start + d - 1 - D.
+
+    The coefficient of z^e is sum_i p_i f_(i-e).  P is brought over one
+    denominator d and the stored window over one denominator L; the window
+    reversed, w_j = f_(last - j) with last = start + depth - 1, turns every
+    such sum into one coefficient of the integer product P w, the one at
+    index last + e.  So both parts come from a single ``int_convolve`` and
+    one Fraction(c, d L) per coefficient read.
     """
     if p.is_zero:
         return Poly.zero(), LaurentTail.zero()
@@ -418,23 +455,17 @@ def laurent_mul_poly(f: LaurentTail, p: Poly) -> tuple[Poly, LaurentTail]:
     top_needed = deg  # largest tail index the polynomial part touches
     if not f.exact and top_needed > f.start + f.depth - 1 and top_needed >= f.start:
         raise InsufficientDepthError("tail too shallow for the polynomial part of the product")
-    poly_part = Poly(
-        sum((p.coeff(i) * f.coeff(i - u) for i in range(u + 1, deg + 1)), Fraction(0))
-        for u in range(deg)
-    )
+    last = f.start + f.depth - 1
+    p_nums, p_den = over_common_denominator(p.coeffs)
+    w_nums, w_den = over_common_denominator(f.coeffs)
+    product, scale = int_convolve(p_nums, w_nums[::-1]), p_den * w_den
+
+    def at(e: int) -> Fraction:
+        i = last + e
+        return Fraction(product[i], scale) if 0 <= i < len(product) else Fraction(0)
+
+    poly_part = Poly(at(u) for u in range(deg))
     new_start = max(1, f.start - deg)
-    if f.exact:
-        end = f.start + f.depth - 1  # the product's support cannot reach deeper
-        coeffs = [
-            sum((p.coeff(i) * f.coeff(k + i) for i in range(deg + 1)), Fraction(0))
-            for k in range(new_start, end + 1)
-        ]
-        return poly_part, LaurentTail(new_start, coeffs, exact=True)
-    end = f.start + f.depth - 1 - deg
-    if end < new_start:
-        return poly_part, LaurentTail(new_start, ())
-    coeffs = [
-        sum((p.coeff(i) * f.coeff(k + i) for i in range(deg + 1)), Fraction(0))
-        for k in range(new_start, end + 1)
-    ]
-    return poly_part, LaurentTail(new_start, coeffs)
+    # an exact tail's product cannot reach deeper than its last stored index
+    end = last if f.exact else last - deg
+    return poly_part, LaurentTail(new_start, (at(-k) for k in range(new_start, end + 1)), f.exact)

@@ -23,6 +23,7 @@ from .exact import (
     int_convolve,
     interpolate,
     laurent_mul_poly,
+    over_common_denominator,
 )
 
 __all__ = [
@@ -126,12 +127,6 @@ class MomentSeq:
         return f"MomentSeq({self.label!r})"
 
 
-def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """xs as integer numerators over the lcm of their denominators."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
-
-
 def _phi_run(f: MomentSeq, p: Poly, start: int, count: int) -> list[Fraction]:
     """phi(t^k P) for k = start..start+count-1, as integer dot products.
 
@@ -143,9 +138,9 @@ def _phi_run(f: MomentSeq, p: Poly, start: int, count: int) -> list[Fraction]:
     """
     if p.is_zero or count == 0:
         return [Fraction(0)] * count
-    nums, den = _over_common_denominator(p.coeffs)
+    nums, den = over_common_denominator(p.coeffs)
     width = len(nums)
-    ws, lcm = _over_common_denominator(f.window(start, start + count + width - 1))
+    ws, lcm = over_common_denominator(f.window(start, start + count + width - 1))
     scale = lcm * den
     return [
         Fraction(sum(a * w for a, w in zip(nums, ws[j : j + width])), scale) for j in range(count)
@@ -173,8 +168,8 @@ def divided_difference_Q(f: MomentSeq, p: Poly) -> Poly:
     if p.is_zero or p.degree == 0:
         return Poly.zero()
     deg = int(p.degree)
-    nums, den = _over_common_denominator(p.coeffs)
-    ws, lcm = _over_common_denominator(f.prefix(deg))
+    nums, den = over_common_denominator(p.coeffs)
+    ws, lcm = over_common_denominator(f.prefix(deg))
     scale = lcm * den
     return Poly(
         Fraction(sum(a * w for a, w in zip(nums[u + 1 :], ws)), scale)
@@ -427,7 +422,7 @@ def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     int_rows = []
     for row in rows:
-        ints, s = _over_common_denominator(row)
+        ints, s = over_common_denominator(row)
         int_rows.append(ints)
         scale *= s
     return Fraction(_int_det(int_rows), scale)
@@ -497,9 +492,44 @@ def constant_determinant(table: Sequence[Sequence[Poly]]) -> Fraction:
     return det.coeff(0)
 
 
+def _degree_lemma_holds(table: PadeTable) -> bool:
+    """True when the table's Delta is provably the constant Delta(0).
+
+    The row operation row_j <- f_j row_P - row_j turns entry (j, l) into
+    R_(j,l) = P_l f_j - Q_(j,l), the tail of P_l f_j, whose coefficient of
+    z^-(k+1) is phi_j(t^k P_l).  When phi_j(t^k P_l) = 0 for k < n the tail
+    has order >= n + 1 at infinity, so expanding along the P row, every
+    Leibniz term of Delta has degree <= deg P_l - M (n + 1) <= l - M <= 0 as
+    soon as deg P_l <= M n + l.  Delta is a polynomial, hence a constant.
+    Checked here: M rows (a square matrix), the degree bound, and the n
+    orthogonality values of every (row, column), on the kernel route.  The Q
+    of each cell are taken to be the polynomial parts phi_j((P_l(z) - P_l(t))
+    / (z - t)), as ``build_table`` makes them.
+    """
+    if len(table.seqs) != table.M:
+        return False
+    for ell, cell in enumerate(table.cells):
+        if cell.P.degree > table.M * table.n + ell:
+            return False
+        if any(v != 0 for f in table.seqs for v in _phi_run(f, cell.P, 0, table.n)):
+            return False
+    return True
+
+
 def table_determinants(table: PadeTable) -> tuple[Fraction, Fraction]:
-    """(Delta, theta) of a built table: ``constant_determinant`` of its matrix,
-    and ``theta_det`` of its d rows on its first d columns at its weight."""
-    delta = constant_determinant(table.matrix())
+    """(Delta, theta) of a built table.
+
+    Delta is Delta(0), one integer Bareiss determinant of the constant
+    coefficients, when ``_degree_lemma_holds``; otherwise it is
+    ``constant_determinant`` of the matrix, decided from D + 1 evaluations.
+    theta is ``theta_det`` of the d rows on the first d columns at the
+    table's weight.
+    """
+    if _degree_lemma_holds(table):
+        delta = det_bareiss([[p.coeff(0) for p in row] for row in table.matrix()])
+        if delta == 0:
+            raise ZeroDeterminantError("determinant is zero")
+    else:
+        delta = constant_determinant(table.matrix())
     columns = [cell.P for cell in table.cells[: len(table.seqs)]]
     return delta, theta_det(table.seqs, columns, table.n)

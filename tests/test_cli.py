@@ -374,6 +374,10 @@ def test_pade_and_det_load_only_their_row_family(argv, family, other):
             ("audit", "--m", "1", "--alphas", "5", "--n", "1..2", "--beta", "2"),
             "error: |beta|_v must exceed the local height of the alphas",
         ),
+        (
+            ("criterion", "--m", "0", "--r", "1", "--alphas=", "--beta", "40", "--place", "p2"),
+            "error: m must be positive, got 0",
+        ),
     ],
 )
 def test_criterion_errors_exit_2_with_one_error_line(argv, message):

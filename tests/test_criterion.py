@@ -457,7 +457,7 @@ def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
     ],
 )
 def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, place, longest):
-    from rodpade.criterion import _remainder_log_abs
+    from rodpade.criterion import _remainder_log_abs, poly_norm_v
 
     config = MplConfig(m=m, r=r, alphas=alphas)
     H_alpha = H_v_vec(config.alphas, place)
@@ -467,7 +467,8 @@ def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, 
         for f in table.seqs:
             for cell in table.cells:
                 want, stop = _remainder_log_abs_from_scratch(f, cell.P, n, beta, place, r, H_alpha)
-                assert _remainder_log_abs(f, cell.P, n, beta, place, r, H_alpha) == want
+                normp = poly_norm_v(cell.P, place)
+                assert _remainder_log_abs(f, cell.P, normp, n, beta, place, r, H_alpha) == want
                 stops.add(stop - n)
     # the longest summation (in terms) is fixed too; some cross several runs
     assert max(stops) == longest
@@ -486,3 +487,35 @@ def test_remainder_decay_reads_the_tables_moment_rows(monkeypatch):
     monkeypatch.setattr(rodpade.mpl, "moment_seqs", no_family)
     given = remainder_decay(config, F(40), INF_PLACE, shared)
     assert given == remainder_decay(config, F(40), INF_PLACE, apart)
+
+
+@pytest.mark.parametrize("place", [INF_PLACE, Place.finite(2)], ids=["inf", "p2"])
+def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
+    import rodpade.criterion
+    from rodpade.criterion import _remainder_log_abs, poly_norm_v
+
+    config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
+    tables = pade_tables(config, range(1, 9))
+    beta = F(40) if place == INF_PLACE else F(1, 64)
+    # the per-(row, column) route, each norm taken where it is used
+    H_alpha = H_v_vec(config.alphas, place)
+    want = [
+        max(
+            _remainder_log_abs(f, cell.P, poly_norm_v(cell.P, place), n, beta, place, 1, H_alpha)
+            for f in tables[n].seqs
+            for cell in tables[n].cells
+        )
+        for n in range(1, 9)
+    ]
+    seen = []
+
+    def counting(p, v):
+        seen.append(p)
+        return poly_norm_v(p, v)
+
+    monkeypatch.setattr(rodpade.criterion, "poly_norm_v", counting)
+    report = remainder_decay(config, beta, place, tables)
+    assert report.log_remainder == want
+    columns = [cell.P for n in range(1, 9) for cell in tables[n].cells]
+    assert len(seen) == len(columns) == 24
+    assert seen == columns

@@ -16,6 +16,7 @@ from rodpade.exact import (
     Poly,
     format_rational,
     interpolate,
+    int_convolve,
     laurent_mul_poly,
     ord_inf,
     parse_rational,
@@ -194,3 +195,108 @@ def test_interpolate_recovers_polynomial():
     xs = list(range(6))
     ys = [p(F(x)) for x in xs]
     assert interpolate(xs, ys) == p
+
+
+# --------------------------------------------------------------------------
+# the integer product kernel and the series route, against their old code.
+# The property tests import hypothesis inside, so without it only they skip.
+
+
+def _schoolbook_convolve(a, b):
+    """The integer product as one loop per coefficient of a (the old kernel)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_laurent_mul_poly(f, p):
+    """P(z) f(z) with one Fraction product per term (the old series route)."""
+    if p.is_zero:
+        return Poly.zero(), LaurentTail.zero()
+    deg = int(p.degree)
+    if not f.exact and deg > f.start + f.depth - 1 and deg >= f.start:
+        raise InsufficientDepthError("tail too shallow for the polynomial part of the product")
+    poly_part = Poly(
+        sum((p.coeff(i) * f.coeff(i - u) for i in range(u + 1, deg + 1)), F(0))
+        for u in range(deg)
+    )
+    new_start = max(1, f.start - deg)
+    end = f.start + f.depth - 1 if f.exact else f.start + f.depth - 1 - deg
+    coeffs = [
+        sum((p.coeff(i) * f.coeff(k + i) for i in range(deg + 1)), F(0))
+        for k in range(new_start, end + 1)
+    ]
+    return poly_part, LaurentTail(new_start, coeffs, exact=f.exact)
+
+
+def _derandomized(hypothesis):
+    return hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def test_int_convolve_matches_schoolbook():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # empty, single, zero-padded at either end, mixed signs, up to ~2^4000
+    int_polys = st.sampled_from([1, 8, 64, 500, 4000]).flatmap(
+        lambda bits: st.tuples(
+            st.integers(0, 3),
+            st.lists(st.integers(-(2**bits), 2**bits), max_size=12),
+            st.integers(0, 3),
+        ).map(lambda t: [0] * t[0] + t[1] + [0] * t[2])
+    )
+
+    @_derandomized(hypothesis)
+    @hypothesis.given(int_polys, int_polys)
+    def check(a, b):
+        assert int_convolve(a, b) == _schoolbook_convolve(a, b)
+
+    check()
+
+
+def test_int_convolve_edge_cases():
+    assert int_convolve([], [1, 2]) == [] == int_convolve([3], [])
+    assert int_convolve([0, 0], [0, 0, 0]) == [0, 0, 0, 0]
+    assert int_convolve([-1], [1]) == [-1]
+    assert int_convolve([-1, 1], [1, 1]) == [-1, 0, 1]
+    big = 2**4000 - 1
+    assert int_convolve([big, -big], [-big, big]) == [-big * big, 2 * big * big, -big * big]
+
+
+def test_laurent_mul_poly_matches_the_fraction_route():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    rationals = st.fractions(max_denominator=40).filter(lambda x: abs(x) < 10**6)
+    tails = st.builds(LaurentTail, st.integers(1, 4), st.lists(rationals, max_size=14), st.booleans())
+    polys = st.lists(rationals, min_size=1, max_size=7).map(Poly)
+
+    @_derandomized(hypothesis)
+    @hypothesis.given(tails, polys)
+    def check(f, p):
+        try:
+            want = _fraction_laurent_mul_poly(f, p)
+        except InsufficientDepthError:
+            with pytest.raises(InsufficientDepthError):
+                laurent_mul_poly(f, p)
+            return
+        assert laurent_mul_poly(f, p) == want
+
+    check()
+
+
+def test_laurent_mul_poly_depth_errors_unchanged():
+    shallow = LaurentTail(1, (F(-1, 3),))
+    for p in (Poly.monomial(2), Poly((F(-1, 2), 0, 0, 3))):
+        for route in (laurent_mul_poly, _fraction_laurent_mul_poly):
+            with pytest.raises(InsufficientDepthError):
+                route(shallow, p)
+    # a tail starting past deg P needs no stored coefficient for the polynomial part
+    deep_start = LaurentTail(4, ())
+    assert laurent_mul_poly(deep_start, Poly.monomial(2)) == _fraction_laurent_mul_poly(
+        deep_start, Poly.monomial(2)
+    )

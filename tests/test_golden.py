@@ -45,6 +45,14 @@ GOLDEN = [
      "4be58f4f5146700f7372fc58af1f37d67c97f944fc5928c8a293d650a45b74fe"),
     (("pade", "--appendix-logpow", "--m", "1", "--n", "5", "--format", "csv"), 0,
      "d6d6e36ab381b9d76b3686b3e75612c178c2dd775afb6494744050702b93bb2d"),
+    # wide tables, recorded while Delta still came from D+1 evaluations and the
+    # series route still multiplied Fractions term by term
+    (("pade", "--m", "2", "--r", "3", "--alphas", "1,2", "--n", "1"), 0,
+     "5c548785265f8f380323dde699d1547c5baf0ffaeaf5d2a76613bcf0509a454e"),
+    (("pade", "--m", "1", "--r", "4", "--alphas", "1", "--n", "1"), 0,
+     "028eb2f3400e036f79fdeadf3e9aeb00bb2579cdd21353d2c96be05575918937"),
+    (("pade", "--appendix-logpow", "--m", "6", "--n", "10"), 0,
+     "3cb8cfb893b34c1eb52ba330e0f0859045f1c04c9abb7648f9a03f6e533c46da"),
 ]
 
 

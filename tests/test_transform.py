@@ -411,3 +411,113 @@ def test_moment_seq_shift_matches_definition():
 def test_pade_table_json_shape():
     cell = legendre_cell()
     assert cell.to_json() == {"l": 0, "P": ["1", "-2"], "Q": {"Li_1(1/z)": ["-2"]}}
+
+
+# --------------------------------------------------------------------------
+# Delta by the degree lemma, against the D+1-point route
+
+_ALPHA_KINDS = {"int": (1, 2), "negative": (-3, 2), "fraction": (F(3, 2), F(-5, 3))}
+_LEMMA_GRID = [
+    (m, r, kind, n)
+    for m, r, top in [(1, 1, 6), (2, 1, 3), (1, 2, 3), (2, 2, 2), (1, 3, 1)]
+    for kind in _ALPHA_KINDS
+    for n in range(1, top + 1)
+] + [(m, None, "logpow", n) for m in range(1, 4) for n in range(1, 6)]
+
+
+def _grid_table(m, r, kind, n):
+    from rodpade.logpow import LogPowConfig, logpow_table
+    from rodpade.mpl import MplConfig, pade_table
+
+    if r is None:
+        return logpow_table(LogPowConfig(m=m, n=n))
+    return pade_table(MplConfig(m=m, r=r, alphas=_ALPHA_KINDS[kind][:m]), n)
+
+
+@pytest.mark.parametrize("m, r, kind, n", _LEMMA_GRID)
+def test_degree_lemma_delta_equals_the_evaluation_route(m, r, kind, n):
+    from rodpade.transform import _degree_lemma_holds, table_determinants
+
+    table = _grid_table(m, r, kind, n)
+    assert _degree_lemma_holds(table)
+    delta, _theta = table_determinants(table)
+    assert delta == constant_determinant(table.matrix())
+
+
+def _record_fallbacks(monkeypatch):
+    """Calls of the D+1-point route from ``table_determinants``, recorded."""
+    import rodpade.transform
+
+    calls = []
+    monkeypatch.setattr(
+        rodpade.transform,
+        "constant_determinant",
+        lambda mat: calls.append(mat) or constant_determinant(mat),
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "m, alphas, n, index, perturb, message",
+    [
+        (1, (F(3, 2),), 2, -1, lambda p: p + Poly.one(), "297/32 - 9*z"),
+        (2, (F(-3), F(2)), 1, 0, lambda p: p * F(1, 7) + Poly.monomial(1), "-1125/7 + 765/2*z"),
+    ],
+)
+def test_perturbed_column_falls_back_to_the_evaluation_route(
+    monkeypatch, m, alphas, n, index, perturb, message
+):
+    from rodpade.mpl import MplConfig, pade_table
+    from rodpade.transform import NonConstantDeterminantError, build_table, table_determinants
+
+    table = pade_table(MplConfig(m=m, r=1, alphas=alphas), n)
+    columns = [cell.P for cell in table.cells]
+    columns[index] = perturb(columns[index])
+    fallbacks = _record_fallbacks(monkeypatch)
+    with pytest.raises(NonConstantDeterminantError) as exc:
+        table_determinants(build_table(columns, table.seqs, n))
+    # the message the D+1-point route has always given for this matrix
+    assert str(exc.value) == f"determinant has degree 1: {message}"
+    assert len(fallbacks) == 1
+
+
+def test_columns_past_the_degree_bound_take_the_evaluation_route(monkeypatch):
+    from rodpade.mpl import MplConfig, pade_table
+    from rodpade.transform import _degree_lemma_holds, build_table, table_determinants
+
+    # weight-2 columns are orthogonal up to k < 1 too, but deg P_l = 2M + l > M + l
+    table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 2)
+    relabelled = build_table([cell.P for cell in table.cells], table.seqs, 1)
+    assert not _degree_lemma_holds(relabelled)
+    fallbacks = _record_fallbacks(monkeypatch)
+    delta, _theta = table_determinants(relabelled)
+    assert len(fallbacks) == 1
+    assert delta == constant_determinant(table.matrix())
+
+
+def test_table_with_a_missing_row_takes_the_evaluation_route():
+    from rodpade.mpl import MplConfig, pade_table
+    from rodpade.transform import build_table, table_determinants
+
+    table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 1)
+    short = build_table([cell.P for cell in table.cells], table.seqs[:-1], 1)
+    with pytest.raises(ValueError, match="table must be square"):
+        table_determinants(short)
+
+
+def test_det_job_takes_one_integer_determinant_for_delta(monkeypatch, capsys):
+    import rodpade.transform
+    from rodpade.cli import main
+
+    sizes = []
+    real = rodpade.transform._int_det
+
+    def counting(matrix):
+        sizes.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(rodpade.transform, "_int_det", counting)
+    assert main(["det", "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
+    capsys.readouterr()
+    # M = 8: one (M+1)-square determinant for Delta(0), one M-square for theta
+    assert sizes == [9, 8]
