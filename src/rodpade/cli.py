@@ -22,6 +22,7 @@ from .exact import format_rational, parse_rational
 from .transform import (
     NonConstantDeterminantError,
     ZeroDeterminantError,
+    orthogonality_heads,
     remainder_tail,
     table_determinants,
     verify_pade,
@@ -135,17 +136,20 @@ def _build_table(args):
     return "mpl", config, mpl_mod.pade_table(config, args.n)
 
 
-def _verification_block(table, n) -> dict:
+def _verification_block(table, n, heads) -> dict:
+    """``heads`` are the table's ``orthogonality_heads``, shared with the determinant block."""
     seqs = table.seqs  # column l has degree M n + l; M is m for log-power rows
-    orth = all(verify_pade(cell, seqs, n, table.M * n + cell.ell) for cell in table.cells)
+    orth = all(
+        verify_pade(cell, seqs, n, table.M * n + cell.ell, heads[cell.ell]) for cell in table.cells
+    )
     degrees = all(cell.P.degree == table.M * n + cell.ell for cell in table.cells)
     starts = []
     starts_ok = True
-    for f in seqs:
+    for j, f in enumerate(seqs):
         row = []
         for cell in table.cells:
             # the start and the orthogonality flag come from the first n heads alone
-            rem = remainder_tail(f, cell.P, n, depth=1)
+            rem = remainder_tail(f, cell.P, n, depth=1, heads=heads[cell.ell][j])
             row.append(rem.tail.start)
             starts_ok = starts_ok and rem.orthogonal and rem.tail.start == n + 1
         starts.append({"label": f.label, "starts": row})
@@ -157,8 +161,8 @@ def _verification_block(table, n) -> dict:
     }
 
 
-def _determinant_block(table) -> dict:
-    delta, theta = table_determinants(table)
+def _determinant_block(table, heads=None) -> dict:
+    delta, theta = table_determinants(table, heads)
     lc = table.cells[-1].P.lc
     ok = abs(delta) == abs(lc * theta)
     return {
@@ -172,8 +176,9 @@ def _determinant_block(table) -> dict:
 
 def _cmd_pade(args) -> int:
     kind, config, table = _build_table(args)
-    verification = _verification_block(table, args.n)
-    determinant = _determinant_block(table)
+    heads = orthogonality_heads(table)
+    verification = _verification_block(table, args.n, heads)
+    determinant = _determinant_block(table, heads)
     payload = {
         "command": "pade",
         "kind": kind,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import Poly, format_rational, log_fraction, log_int as _log_int
-from .transform import MomentSeq, PadeTable, _phi_run, phi, rodrigues_chain
+from .exact import Poly, format_rational, log_fraction, log_int as _log_int, over_common_denominator
+from .transform import MomentSeq, PadeTable, _phi_totals, rodrigues_chain
 from . import mpl as mpl_mod
 
 __all__ = [
@@ -137,31 +137,60 @@ def _primes_upto(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def _int_valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n.
+
+    At p = 2 it is the index of the lowest set bit.  Otherwise the powers
+    p, p^2, p^4, ... that divide n are found by repeated squaring, and the
+    exponent is read off their binary expansion from the largest down, so a
+    valuation v costs O(log v) divisions instead of v.
+    """
+    if n == 0:
+        raise ValueError("valuation of zero")
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    if n % p:
+        return 0
+    powers = [p]
+    while n % (powers[-1] * powers[-1]) == 0:
+        powers.append(powers[-1] * powers[-1])
+    v = 0
+    for i in range(len(powers) - 1, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
+    return v
+
+
 def valuation(x: Fraction, p: int) -> int:
     """p-adic valuation; raises on x = 0."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+
+
+def _int_norm_v(nums: Sequence[int], den: int, place: Place) -> Fraction:
+    """max_i |nums[i] / den|_v for integers nums and den > 0, 0 when every num is 0.
+
+    At infinity it is max|num| / den.  At p the largest value belongs to the
+    smallest valuation, min_i v_p(num_i) = v_p(gcd nums), so it is
+    p^(v_p(den) - v_p(gcd nums)): one gcd and two valuations, whatever the
+    number of coefficients.
+    """
+    if not place.is_finite:
+        return Fraction(max(map(abs, nums), default=0), den)
+    g = math.gcd(*nums)
+    if g == 0:
+        return Fraction(0)
+    v = _int_valuation(den, place.p) - _int_valuation(g, place.p)
+    return Fraction(place.p**v) if v >= 0 else Fraction(1, place.p**-v)
 
 
 def abs_v(x: Fraction, place: Place) -> Fraction:
     """Normalized absolute value, exact: |p|_p = 1/p, usual value at infinity."""
     x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    if place.is_finite:
-        v = valuation(x, place.p)
-        return Fraction(1, place.p**v) if v >= 0 else Fraction(place.p ** (-v))
-    return abs(x)
+    return _int_norm_v((x.numerator,), x.denominator, place)
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -286,9 +315,11 @@ def log_lcm_upto(n: int) -> float:
 # the quantity V and the criterion report
 
 
-def _check_alphas(alphas: Sequence[Fraction], m: int) -> tuple[Fraction, ...]:
+def _check_alphas(alphas: Sequence[Fraction], m: int, r: int) -> tuple[Fraction, ...]:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
+    if r < 1:
+        raise ValueError(f"r must be positive, got {r}")
     alphas = tuple(Fraction(a) for a in alphas)
     if len(alphas) != m:
         raise DegenerateAlphasError(f"expected {m} alphas, got {len(alphas)}")
@@ -325,7 +356,7 @@ def V_value(
     with M = (m+1)^r - 1.  |V| below 1e-9 is reported as indeterminate, since
     a strict inequality is being decided.
     """
-    alphas = _check_alphas(alphas, m)
+    alphas = _check_alphas(alphas, m, r)
     beta = Fraction(beta)
     M = (m + 1) ** r - 1
     h_v0_beta = local_height(beta, v0)
@@ -413,7 +444,7 @@ def evaluate_criterion(
     lists the M evaluated series declared, together with 1, linearly
     independent over Q; product labels are added on request.
     """
-    alphas = _check_alphas(alphas, m)
+    alphas = _check_alphas(alphas, m, r)
     beta = Fraction(beta)
     v = V_value(alphas, beta, m, r, v0)
     exceeds = abs_v(beta, v0) > H_v_vec(alphas, v0)
@@ -458,9 +489,23 @@ def evaluate_criterion(
 
 def poly_norm_v(p: Poly, place: Place) -> Fraction:
     """Maximum v-adic absolute value of the coefficients."""
-    if p.is_zero:
-        return Fraction(0)
-    return max(abs_v(c, place) for c in p.coeffs)
+    return _int_norm_v(*over_common_denominator(p.coeffs), place)
+
+
+def _horner_at(nums: Sequence[int], den: int, x: Fraction) -> tuple[int, int]:
+    """P(x) for P = nums / den as (numerator, denominator), by one integer Horner pass.
+
+    With x = b / c and D = deg P, P(x) = sum_i a_i b^i c^(D-i) / (den c^D):
+    each step is acc <- acc b + a_i c^(D-i), and no Fraction is formed.
+    """
+    if not nums:
+        return 0, den
+    b, c = x.numerator, x.denominator
+    acc, c_pow = nums[-1], 1
+    for a in reversed(nums[:-1]):
+        c_pow *= c
+        acc = acc * b + a * c_pow
+    return acc, den * c_pow
 
 
 def _round15(x: float | None) -> float | None:
@@ -496,11 +541,12 @@ class AuditRow:
         return self.bound_log - self.measured_log
 
     def to_json(self) -> dict:
+        measured, bound = self.measured_log, self.bound_log
         return {
             "name": self.name,
-            "measured": _round15(self.measured_log),
-            "bound": _round15(self.bound_log),
-            "slack": _round15(self.slack),
+            "measured": _round15(measured),
+            "bound": _round15(bound),
+            "slack": _round15(bound - measured),
             "holds": self.holds,
         }
 
@@ -546,12 +592,17 @@ def bounds_audit(
     the evaluation bound log|P(beta)|_v <= eps log(deg+1) + log||P||_v +
     deg * h_v(beta).  The weight is ``table.n`` and the rows are ``table.seqs``;
     the stages of columns 0 and M are those of ``transform.rodrigues_chain``.
+    Every measured value is read from integer numerators over one
+    denominator: the chain's own pairs, each column and each Q brought over
+    its lcm once, their values at beta by ``_horner_at`` and their norms by
+    ``_int_norm_v``.
     """
     n, seqs = table.n, table.seqs
     eps = place.epsilon
     m, r, M = config.m, config.r, config.M
     h_alpha_factors = [H_v(a, place) for a in config.alphas]
     H_alpha_vec = H_v_vec(config.alphas, place)
+    H_beta = H_v(beta, place) if beta is not None else None
     rows: list[AuditRow] = []
 
     stages = mpl_mod.rodrigues_stages(config, n)
@@ -560,8 +611,10 @@ def bounds_audit(
     for N, b in stages:
         h_pow = math.prod(h**N for h in h_alpha_factors)
         bound_prod = Fraction(N + 1) ** (m * eps) * Fraction(2) ** (m * N * eps) * h_pow
-        stage_norms.append((poly_norm_v(Poly.from_ints(*b), place), bound_prod, h_pow))
-    column_norms = [poly_norm_v(cell.P, place) for cell in table.cells]
+        stage_norms.append((_int_norm_v(*b, place), bound_prod, h_pow))
+    # every column once over one denominator: its norm, value at beta and moments read the pair
+    columns = [over_common_denominator(cell.P.coeffs) for cell in table.cells]
+    column_norms = [_int_norm_v(*pair, place) for pair in columns]
     for ell in (0, M):
         # the chained column bound is the product of the step factors: the
         # input degree of each step is ell plus m N of every earlier stage
@@ -570,12 +623,11 @@ def bounds_audit(
             rodrigues_chain(stages, ell), stage_norms
         ):
             rows.append(AuditRow(f"prod_norm[l={ell},N={N}]", measured_prod, bound_prod))
-            # derivative-of-shift norm bound, applied to the previous stage times prod
-            shifted = Poly.from_ints(*shift)
-            measured = poly_norm_v(Poly.from_ints(*lifted), place)
+            # derivative-of-shift norm bound, applied to the previous stage times prod;
+            # the chain's leading coefficients are nonzero, so deg = len - 1
+            measured = _int_norm_v(*lifted, place)
             bound_der = (
-                Fraction(math.comb(N + int(shifted.degree), N)) ** eps
-                * poly_norm_v(shifted, place)
+                Fraction(math.comb(N + len(shift[0]) - 1, N)) ** eps * _int_norm_v(*shift, place)
             )
             rows.append(AuditRow(f"derivative_norm[l={ell},N={N}]", measured, bound_der))
             # one operator application: (1/N!) D^N z^N prod_i (z - alpha_i)^N
@@ -589,16 +641,12 @@ def bounds_audit(
             chain *= step
             deg_in += m * N
             norm_in = measured
-        cell = table.cells[ell]
         rows.append(AuditRow(f"column_norm[l={ell}]", column_norms[ell], chain))
         if beta is not None:
-            degp = int(cell.P.degree)
-            measured_eval = abs_v(cell.P(beta), place)
-            bound_eval = (
-                Fraction(degp + 1) ** eps
-                * column_norms[ell]
-                * H_v(beta, place) ** degp
-            )
+            degp = len(columns[ell][0]) - 1
+            value, den = _horner_at(*columns[ell], beta)
+            measured_eval = _int_norm_v((value,), den, place)
+            bound_eval = Fraction(degp + 1) ** eps * column_norms[ell] * H_beta**degp
             rows.append(AuditRow(f"column_eval[l={ell}]", measured_eval, bound_eval))
 
     # moment bounds per row, on monomials and on the first remainder coefficient
@@ -612,9 +660,10 @@ def bounds_audit(
             )
             rows.append(AuditRow(f"moment[{f.label},j={j}]", measured, bound))
         for ell in (0, M):
-            cell = table.cells[ell]
-            degp = int(cell.P.degree)
-            measured = abs_v(phi(f, cell.P, n), place)
+            nums, den = columns[ell]
+            degp = len(nums) - 1
+            totals, lcm = _phi_totals(f, nums, n, 1)  # phi(t^n P) = totals[0] / (lcm den)
+            measured = _int_norm_v(totals, lcm * den, place)
             bound = (
                 Fraction(degp + n + 1) ** ((r + 1) * eps)
                 * _d_factor(place, r, degp + n + 1)
@@ -624,8 +673,8 @@ def bounds_audit(
             rows.append(AuditRow(f"moment_of_tP[{f.label},l={ell}]", measured, bound))
 
     # Q-polynomial bounds per cell
-    for cell, normp in zip(table.cells, column_norms):
-        degp = int(cell.P.degree)
+    for cell, (nums, _), normp in zip(table.cells, columns, column_norms):
+        degp = len(nums) - 1
         bound_q = (
             Fraction(degp + 1) ** ((r + 1) * eps)
             * _d_factor(place, r, degp + 1)
@@ -633,19 +682,15 @@ def bounds_audit(
             * normp
         )
         for label, q in cell.Qs.items():
-            normq = poly_norm_v(q, place)
+            q_pair = over_common_denominator(q.coeffs)
+            normq = _int_norm_v(*q_pair, place)
             rows.append(AuditRow(f"q_norm[{label},l={cell.ell}]", normq, bound_q))
             if beta is not None:
-                degq = int(q.degree) if not q.is_zero else 0
-                measured_eval = abs_v(q(beta), place)
-                bound_eval = (
-                    Fraction(degq + 1) ** eps
-                    * normq
-                    * H_v(beta, place) ** degq
-                )
-                rows.append(
-                    AuditRow(f"q_eval[{label},l={cell.ell}]", measured_eval, bound_eval)
-                )
+                degq = max(len(q_pair[0]) - 1, 0)
+                value, den = _horner_at(*q_pair, beta)
+                measured_eval = _int_norm_v((value,), den, place)
+                bound_eval = Fraction(degq + 1) ** eps * normq * H_beta**degq
+                rows.append(AuditRow(f"q_eval[{label},l={cell.ell}]", measured_eval, bound_eval))
 
     return AuditReport(config=config, n=n, place=place, rows=rows)
 
@@ -674,6 +719,89 @@ class DecayReport:
         }
 
 
+def _remainder_sum(
+    f: MomentSeq,
+    p: Poly,
+    normp: Fraction,
+    n: int,
+    beta: Fraction,
+    place: Place,
+    r: int,
+    H_alpha: Fraction,
+) -> tuple[Fraction, int]:
+    """Certified partial sum of sum_{k>=n} phi(t^k P) beta^-(k+1), and its last index.
+
+    Archimedean: stop once the geometric majorant of the unsummed mass is at
+    most 1e-3 of the partial sum.  Finite: stop once every future term is
+    p-adically smaller than the partial sum, which then IS the value (strong
+    triangle).
+
+    After the term of index K the majorant is (s+1)^e H^(s+1) ||P||_v /
+    |beta|_v^(K+2) with s = K + deg P + 2 (e = r at a prime, r + 1 at
+    infinity), and the ratio of consecutive majorants is
+    (H / |beta|_v) ((s+2)/(s+1))^e.  ``normp`` is ||P||_v, which the caller
+    takes once per column.
+
+    The sum runs on integers.  With P = nums / d, beta = b / c and
+    phi(t^k P) = t_k / (L d) from ``_phi_totals``, the partial sum through K
+    is A / (L d b^(K+1)) with A = sum_k t_k c^(k+1) b^(K-k), so each term is
+    one multiply-add A <- A b + t_K c^(K+1); a run with a new L first brings
+    A and its totals over the lcm.  The majorant is (s+1)^e X / Y with X and
+    Y each multiplied by one integer per term, and both stopping tests are
+    compared by cross-multiplication.  A Fraction is formed only for the
+    value returned, which equals the term-by-term Fraction sum exactly.
+    """
+    nums, den = over_common_denominator(p.coeffs)
+    degp = int(p.degree)
+    abs_beta = abs_v(beta, place)
+    if abs_beta <= H_alpha:
+        raise BadBetaError(f"|beta|_{place} = {abs_beta} <= H_v(alpha) = {H_alpha}")
+    e = r if place.is_finite else r + 1
+    b, c = beta.numerator, beta.denominator
+    # the ratio is q ((s+2)/(s+1))^e with q = H / |beta|_v = q_num / q_den
+    q_num = H_alpha.numerator * abs_beta.denominator
+    q_den = H_alpha.denominator * abs_beta.numerator
+    s = n + degp + 2
+    x = H_alpha.numerator ** (s + 1) * normp.numerator * abs_beta.denominator ** (n + 2)
+    y = H_alpha.denominator ** (s + 1) * normp.denominator * abs_beta.numerator ** (n + 2)
+    if place.is_finite:
+        p_v = place.p
+        v_b, v_den = _int_valuation(b, p_v), _int_valuation(den, p_v)
+    acc, lcm, unit, k = 0, 1, 1, n
+    c_pow, b_pow = c ** (n + 1), b ** (n + 1)  # c^(k+1), b^(k+1)
+    for totals, run_lcm in _phi_total_runs(f, nums, n):
+        if run_lcm != lcm:
+            common = math.lcm(lcm, run_lcm)
+            acc *= common // lcm
+            lcm, unit = common, common // run_lcm
+            if place.is_finite:
+                v_den = _int_valuation(lcm * den, p_v)
+        for total in totals:
+            acc = acc * b + total * unit * c_pow
+            shrink = (s + 1) ** e
+            ratio_num, ratio_den = q_num * (s + 2) ** e, q_den * shrink
+            if acc and ratio_num < ratio_den:
+                majorant = shrink * x  # over y
+                if place.is_finite:
+                    # |partial|_p = p^E with E = v_p(L d b^(k+1)) - v_p(A)
+                    E = v_den + (k + 1) * v_b - _int_valuation(acc, p_v)
+                    certified = majorant < y * p_v**E if E >= 0 else majorant * p_v**-E < y
+                else:
+                    # 1000 majorant / (1 - ratio) <= |partial| = |A| / (L d |b|^(k+1))
+                    lhs = 1000 * majorant * ratio_den * lcm * den * abs(b_pow)
+                    certified = lhs <= abs(acc) * y * (ratio_den - ratio_num)
+                if certified:
+                    return Fraction(acc, lcm * den * b_pow), k
+            if k - n >= 200000:
+                raise RuntimeError("remainder summation did not certify")
+            x *= q_num
+            y *= q_den
+            s += 1
+            k += 1
+            c_pow *= c
+            b_pow *= b
+
+
 def _remainder_log_abs(
     f: MomentSeq,
     p: Poly,
@@ -684,57 +812,21 @@ def _remainder_log_abs(
     r: int,
     H_alpha: Fraction,
 ) -> float:
-    """Certified log |sum_{k>=n} phi(t^k P) beta^-(k+1)|_v, by exact partial sums.
-
-    Archimedean: stop once the geometric majorant of the unsummed mass is at
-    most 1e-3 of the partial sum.  Finite: stop once every future term is
-    p-adically smaller than the partial sum, which then IS the value (strong
-    triangle).
-
-    After the term of index k - 1 the majorant is
-    (s+1)^e H^(s+1) ||P||_v / |beta|_v^(k+1) with s = k + deg P + 1 (e = r at
-    a prime, r + 1 at infinity), and the ratio of consecutive majorants is
-    ``ratio`` = (H / |beta|_v) ((s+2)/(s+1))^e, so each majorant is the
-    previous one times the previous ratio: the same rationals as computed
-    from scratch, at the cost of one product.  ``normp`` is ||P||_v, which
-    the caller takes once per column.
-    """
-    degp = int(p.degree)
-    abs_beta = abs_v(beta, place)
-    if abs_beta <= H_alpha:
-        raise BadBetaError(f"|beta|_{place} = {abs_beta} <= H_v(alpha) = {H_alpha}")
-    q = H_alpha / abs_beta
-    e = r if place.is_finite else r + 1
-    steps = n + degp + 2
-    majorant = Fraction(steps + 1) ** e * H_alpha ** (steps + 1) * normp / abs_beta ** (n + 2)
-    partial = Fraction(0)
-    power = Fraction(beta) ** (n + 1)
-    for k, term in enumerate(_phi_terms(f, p, n), start=n + 1):
-        partial += term / power
-        power *= beta
-        ratio = q * (Fraction(steps + 2) / Fraction(steps + 1)) ** e
-        if partial != 0 and ratio < 1:
-            if place.is_finite:
-                if majorant < abs_v(partial, place):
-                    return log_fraction(abs_v(partial, place))
-            elif majorant / (1 - ratio) * 1000 <= abs(partial):
-                return log_fraction(abs(partial))
-        if k - n > 200000:
-            raise RuntimeError("remainder summation did not certify")
-        majorant *= ratio
-        steps += 1
+    """Certified log |sum_{k>=n} phi(t^k P) beta^-(k+1)|_v: the log of ``_remainder_sum``."""
+    partial, _ = _remainder_sum(f, p, normp, n, beta, place, r, H_alpha)
+    return log_fraction(abs_v(partial, place))
 
 
-def _phi_terms(f: MomentSeq, p: Poly, start: int):
-    """phi(t^k P) for k = start, start + 1, ..., read in runs of doubling length.
+def _phi_total_runs(f: MomentSeq, nums: Sequence[int], start: int):
+    """``_phi_totals`` for k = start, start + 1, ..., in runs of doubling length.
 
-    Each run brings P and its moment window over one denominator once; the
+    Each run brings its moment window over one denominator once; the
     doubling bounds the moments read past the last term used by the number
     of terms used (and by 1024).
     """
     count = 8
     while True:
-        yield from _phi_run(f, p, start, count)
+        yield _phi_totals(f, nums, start, count)
         start += count
         count = min(2 * count, 1024)
 

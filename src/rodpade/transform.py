@@ -43,6 +43,7 @@ __all__ = [
     "divided_difference_Q",
     "remainder_tail",
     "verify_pade",
+    "orthogonality_heads",
     "theta_det",
     "delta_det",
     "det_bareiss",
@@ -127,24 +128,32 @@ class MomentSeq:
         return f"MomentSeq({self.label!r})"
 
 
+def _phi_totals(f: MomentSeq, nums: Sequence[int], start: int, count: int) -> tuple[list[int], int]:
+    """phi(t^k P) L d for k = start..start+count-1, with P = nums / d, and L.
+
+    The moment window f_start..f_(start+count+deg P-1) is brought over one
+    common denominator L once; each total is then the integer dot product
+    sum_i p_i num(f_(k+i)) (L // den(f_(k+i))).
+    """
+    width = len(nums)
+    ws, lcm = over_common_denominator(f.window(start, start + count + width - 1))
+    return [sum(a * w for a, w in zip(nums, ws[j : j + width])) for j in range(count)], lcm
+
+
 def _phi_run(f: MomentSeq, p: Poly, start: int, count: int) -> list[Fraction]:
     """phi(t^k P) for k = start..start+count-1, as integer dot products.
 
-    P and the moment window f_start..f_(start+count+deg P-1) are each brought
-    over one common denominator once (d and L).  Each value is then
-    sum_i p_i num(f_(k+i)) (L // den(f_(k+i))) summed in Python ints and one
-    Fraction(total, L * d): one gcd per value instead of one per term (von
-    zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5-6).
+    P and the moment window are each brought over one common denominator
+    once (d and L, ``_phi_totals``), and each value is one Fraction(total,
+    L d): one gcd per value instead of one per term (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, ch. 5-6).
     """
     if p.is_zero or count == 0:
         return [Fraction(0)] * count
     nums, den = over_common_denominator(p.coeffs)
-    width = len(nums)
-    ws, lcm = over_common_denominator(f.window(start, start + count + width - 1))
+    totals, lcm = _phi_totals(f, nums, start, count)
     scale = lcm * den
-    return [
-        Fraction(sum(a * w for a, w in zip(nums, ws[j : j + width])), scale) for j in range(count)
-    ]
+    return [Fraction(total, scale) for total in totals]
 
 
 def phi(f: MomentSeq, p: Poly, shift: int = 0) -> Fraction:
@@ -193,7 +202,9 @@ class Remainder:
         }
 
 
-def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
+def remainder_tail(
+    f: MomentSeq, p: Poly, n: int, depth: int, heads: Sequence[Fraction] | None = None
+) -> Remainder:
     """Tail of P(z)f(z) - Q(z): coefficient of z^-(k+1) is phi(t^k P).
 
     When phi(t^k P) = 0 for 0 <= k <= n-1 the tail starts at z^-(n+1) and
@@ -202,10 +213,13 @@ def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
     coefficient is phi(f, P, shift=k); P and the moment window are brought
     over one common denominator once, each coefficient is then one integer
     dot product of length deg P + 1, and no shifted polynomial is built.
+    ``heads`` are phi(t^k P) for k < n when the caller already has them
+    (``orthogonality_heads``).
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    heads = _phi_run(f, p, 0, n)
+    if heads is None:
+        heads = _phi_run(f, p, 0, n)
     first_nonzero = next((k for k, v in enumerate(heads) if v != 0), None)
     orthogonal = first_nonzero is None
     start_k = n if orthogonal else first_nonzero
@@ -358,22 +372,42 @@ def rodrigues_columns(
     return columns
 
 
-def verify_pade(cell: PadeCell, fs: Sequence[MomentSeq], n: int, M: int) -> bool:
+def orthogonality_heads(table: PadeTable) -> list[list[list[Fraction]]]:
+    """phi_j(t^k P_l) for k < n: per column l, one list of n values per row j.
+
+    The kernel route of ``verify_pade``, the starts of ``remainder_tail`` and
+    the degree lemma of ``table_determinants`` all read these values, so a
+    run that needs more than one of them computes them once.
+    """
+    return [[_phi_run(f, cell.P, 0, table.n) for f in table.seqs] for cell in table.cells]
+
+
+def verify_pade(
+    cell: PadeCell,
+    fs: Sequence[MomentSeq],
+    n: int,
+    M: int,
+    heads: Sequence[Sequence[Fraction]] | None = None,
+) -> bool:
     """Check the cell against every row, by two independent routes.
 
     Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1.  Series route: multiply
     the truncated row series by P and inspect the first n tail coefficients
     of P*f - Q (plus the reconstruction of Q as the polynomial part).  The
     two routes computing the same coefficients through different code paths
-    must agree exactly; a mismatch raises RouteDisagreementError.
+    must agree exactly; a mismatch raises RouteDisagreementError.  ``heads``
+    are the kernel values, one list per row of ``fs``, when the caller
+    already has them (``orthogonality_heads``); the series route is always
+    computed here.
     """
     if cell.P.is_zero or cell.P.degree > M:
         return False
     ok = True
     depth = int(cell.P.degree) + n + 2
-    for f in fs:
+    for j, f in enumerate(fs):
         q = cell.Qs[f.label]
-        kernel_ok = all(v == 0 for v in _phi_run(f, cell.P, 0, n))
+        values = heads[j] if heads is not None else _phi_run(f, cell.P, 0, n)
+        kernel_ok = all(v == 0 for v in values)
         part, tail = laurent_mul_poly(f.tail(depth), cell.P)
         series_ok = all(tail.coeff(k) == 0 for k in range(1, n + 1))
         if kernel_ok != series_ok:
@@ -492,7 +526,9 @@ def constant_determinant(table: Sequence[Sequence[Poly]]) -> Fraction:
     return det.coeff(0)
 
 
-def _degree_lemma_holds(table: PadeTable) -> bool:
+def _degree_lemma_holds(
+    table: PadeTable, heads: Sequence[Sequence[Sequence[Fraction]]] | None = None
+) -> bool:
     """True when the table's Delta is provably the constant Delta(0).
 
     The row operation row_j <- f_j row_P - row_j turns entry (j, l) into
@@ -504,28 +540,31 @@ def _degree_lemma_holds(table: PadeTable) -> bool:
     Checked here: M rows (a square matrix), the degree bound, and the n
     orthogonality values of every (row, column), on the kernel route.  The Q
     of each cell are taken to be the polynomial parts phi_j((P_l(z) - P_l(t))
-    / (z - t)), as ``build_table`` makes them.
+    / (z - t)), as ``build_table`` makes them.  ``heads`` are the table's
+    ``orthogonality_heads`` when the caller already has them.
     """
     if len(table.seqs) != table.M:
         return False
-    for ell, cell in enumerate(table.cells):
-        if cell.P.degree > table.M * table.n + ell:
-            return False
-        if any(v != 0 for f in table.seqs for v in _phi_run(f, cell.P, 0, table.n)):
-            return False
-    return True
+    if any(cell.P.degree > table.M * table.n + ell for ell, cell in enumerate(table.cells)):
+        return False
+    if heads is None:
+        heads = orthogonality_heads(table)
+    return all(v == 0 for column in heads for values in column for v in values)
 
 
-def table_determinants(table: PadeTable) -> tuple[Fraction, Fraction]:
+def table_determinants(
+    table: PadeTable, heads: Sequence[Sequence[Sequence[Fraction]]] | None = None
+) -> tuple[Fraction, Fraction]:
     """(Delta, theta) of a built table.
 
     Delta is Delta(0), one integer Bareiss determinant of the constant
     coefficients, when ``_degree_lemma_holds``; otherwise it is
     ``constant_determinant`` of the matrix, decided from D + 1 evaluations.
     theta is ``theta_det`` of the d rows on the first d columns at the
-    table's weight.
+    table's weight.  ``heads`` are the table's ``orthogonality_heads`` when
+    the caller already has them.
     """
-    if _degree_lemma_holds(table):
+    if _degree_lemma_holds(table, heads):
         delta = det_bareiss([[p.coeff(0) for p in row] for row in table.matrix()])
         if delta == 0:
             raise ZeroDeterminantError("determinant is zero")

@@ -319,6 +319,26 @@ def test_pade_depth_changes_neither_output_nor_moment_work(capsys, monkeypatch):
     assert all(d <= p for p, d in zip(plain, deep))
 
 
+def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
+    # phi_j(t^k P_l), k < n, is read by verify_pade's kernel route, by the
+    # remainder starts and by the degree lemma of the determinant block
+    calls = []
+    run = transform._phi_run
+
+    def counting(f, p, start, count):
+        calls.append((start, count))
+        return run(f, p, start, count)
+
+    monkeypatch.setattr(transform, "_phi_run", counting)
+    assert main(["pade", "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    # 8 rows x 9 columns, one run of the n = 2 heads each; the remainder
+    # starts (depth 1) and theta (8 x 8) read one value each at k = n
+    assert calls.count((0, 2)) == 72
+    assert calls.count((2, 1)) == 72 + 64
+    assert len(calls) == 208
+
+
 def test_pade_table_extra_fields_leave_equality_and_json_alone():
     table = mpl_mod.pade_table(mpl_mod.MplConfig(m=1, r=2, alphas=(1,)), 1)
     bare = dataclasses.replace(table, seqs=())
@@ -377,6 +397,14 @@ def test_pade_and_det_load_only_their_row_family(argv, family, other):
         (
             ("criterion", "--m", "0", "--r", "1", "--alphas=", "--beta", "40", "--place", "p2"),
             "error: m must be positive, got 0",
+        ),
+        (
+            ("criterion", "--m", "1", "--r", "0", "--alphas=2", "--beta", "40", "--place", "p2"),
+            "error: r must be positive, got 0",
+        ),
+        (
+            ("criterion", "--m", "1", "--r", "0", "--alphas=2", "--beta", "40", "--place", "inf"),
+            "error: r must be positive, got 0",
         ),
     ],
 )

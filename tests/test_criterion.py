@@ -519,3 +519,198 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     columns = [cell.P for n in range(1, 9) for cell in tables[n].cells]
     assert len(seen) == len(columns) == 24
     assert seen == columns
+
+
+def _remainder_sum_fraction_loop(f, p, normp, n, beta, place, r, H_alpha):
+    """The Fraction loop the integer route replaced, returning (partial, last index).
+
+    One Fraction addition, power and comparison per term, the majorant
+    carried by its ratio, and the values read in runs of doubling length.
+    Absolute values are taken by repeated division (``_naive_abs_v``).
+    """
+    from rodpade.transform import _phi_run
+
+    def terms(start):
+        count = 8
+        while True:
+            yield from _phi_run(f, p, start, count)
+            start += count
+            count = min(2 * count, 1024)
+
+    degp = int(p.degree)
+    abs_beta = _naive_abs_v(beta, place)
+    q = H_alpha / abs_beta
+    e = r if place.is_finite else r + 1
+    steps = n + degp + 2
+    majorant = F(steps + 1) ** e * H_alpha ** (steps + 1) * normp / abs_beta ** (n + 2)
+    partial = F(0)
+    power = F(beta) ** (n + 1)
+    for k, term in enumerate(terms(n), start=n + 1):
+        partial += term / power
+        power *= beta
+        ratio = q * (F(steps + 2) / F(steps + 1)) ** e
+        if partial != 0 and ratio < 1:
+            if place.is_finite:
+                if majorant < _naive_abs_v(partial, place):
+                    return partial, k - 1
+            elif majorant / (1 - ratio) * 1000 <= abs(partial):
+                return partial, k - 1
+        majorant *= ratio
+        steps += 1
+
+
+REMAINDER_GRID_CONFIGS = [(1, 1, (F(1),)), (2, 1, (F(3, 2), F(-5, 3))), (1, 2, (F(-3, 2),))]
+# +-integer and fractional beta at infinity; unit / p^k with large k at each prime
+REMAINDER_GRID_PLACES = [
+    (INF_PLACE, F(30)),
+    (INF_PLACE, F(-30)),
+    (INF_PLACE, F(9, 2)),
+    (Place.finite(2), F(3, 2**24)),
+    (Place.finite(3), F(-2, 3**17)),
+    (Place.finite(5), F(7, 5**12)),
+    (Place.finite(7), F(4, 7**10)),
+]
+
+
+@pytest.mark.parametrize(
+    "place, beta", REMAINDER_GRID_PLACES, ids=[f"{v}-{b}" for v, b in REMAINDER_GRID_PLACES]
+)
+@pytest.mark.parametrize(
+    "m, r, alphas", REMAINDER_GRID_CONFIGS, ids=[f"m{m}r{r}" for m, r, _ in REMAINDER_GRID_CONFIGS]
+)
+def test_integer_remainder_sum_certifies_the_fraction_loops_sum(m, r, alphas, place, beta):
+    from rodpade.criterion import _remainder_log_abs, _remainder_sum, poly_norm_v
+    from rodpade.exact import log_fraction
+
+    config = MplConfig(m=m, r=r, alphas=alphas)
+    H_alpha = H_v_vec(config.alphas, place)
+    for n, table in pade_tables(config, range(1, 7)).items():
+        for cell in table.cells:
+            normp = poly_norm_v(cell.P, place)
+            for f in table.seqs:
+                args = (f, cell.P, normp, n, beta, place, r, H_alpha)
+                partial, last = _remainder_sum(*args)
+                want = _remainder_sum_fraction_loop(*args)
+                assert (partial, last) == want, (n, f.label, cell.ell)
+                assert _remainder_log_abs(*args) == log_fraction(abs_v(partial, place))
+
+
+# The property tests import hypothesis inside, so without it only they skip.
+_PROPERTY_PRIMES = (2, 3, 5, 7, 11, 101)
+
+
+def _derandomized(hypothesis):
+    return hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def _naive_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _naive_abs_v(x, place):
+    """|x|_v by repeated division, sharing no code with ``abs_v``."""
+    if x == 0:
+        return F(0)
+    if not place.is_finite:
+        return abs(x)
+    v = _naive_valuation(x.numerator, place.p) - _naive_valuation(x.denominator, place.p)
+    return F(place.p) ** -v
+
+
+def test_integer_valuation_matches_repeated_division():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from rodpade.criterion import _int_valuation
+
+    @_derandomized(hypothesis)
+    @hypothesis.given(
+        st.sampled_from(_PROPERTY_PRIMES),
+        st.integers(-(2**200), 2**200).filter(bool),
+        st.integers(0, 300),
+    )
+    def check(p, unit, k):
+        n = unit * p**k
+        assert _int_valuation(n, p) == _naive_valuation(n, p)
+        assert valuation(F(n, p ** (k // 2 + 1)), p) == _naive_valuation(n, p) - (k // 2 + 1)
+
+    check()
+
+
+def test_integer_norm_matches_the_largest_coefficient_value():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from rodpade.criterion import _int_norm_v, poly_norm_v
+    from rodpade.exact import Poly
+
+    places = st.sampled_from([INF_PLACE] + [Place.finite(p) for p in _PROPERTY_PRIMES])
+    # coefficients carrying high powers of the primes, and zeros
+    coeffs = st.builds(
+        lambda u, p, k: u * p**k,
+        st.integers(-(2**64), 2**64),
+        st.sampled_from(_PROPERTY_PRIMES),
+        st.integers(0, 40),
+    )
+
+    @_derandomized(hypothesis)
+    @hypothesis.given(st.lists(coeffs, max_size=12), st.integers(1, 10**30), places)
+    def check(nums, den, place):
+        want = max((_naive_abs_v(F(a, den), place) for a in nums), default=F(0))
+        assert _int_norm_v(nums, den, place) == want
+        assert poly_norm_v(Poly.from_ints(nums, den), place) == want
+        for a in nums:
+            assert abs_v(F(a, den), place) == _naive_abs_v(F(a, den), place)
+
+    check()
+
+
+def test_integer_horner_matches_the_fraction_horner():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from rodpade.criterion import _horner_at
+    from rodpade.exact import Poly
+
+    rationals = st.fractions(max_denominator=10**12).filter(lambda x: abs(x.numerator) < 10**40)
+
+    @_derandomized(hypothesis)
+    @hypothesis.given(
+        st.lists(st.integers(-(2**80), 2**80), max_size=14), st.integers(1, 10**20), rationals
+    )
+    def check(nums, den, x):
+        value, scale = _horner_at(nums, den, x)
+        assert F(value, scale) == Poly.from_ints(nums, den)(x)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "moment, p, n, beta, place, H_alpha",
+    [
+        # later windows over denominator 2 after a first one over 3: the
+        # partial sum is brought over their lcm between runs
+        (lambda k: F(1, 3) if k < 9 else F(1, 2), (1,), 1, F(3, 2), INF_PLACE, F(1)),
+        # the first majorant equals |partial|_2 exactly, 1/2 and then 4: the
+        # strict test must not stop there
+        (lambda k: F(1, 2), (1,), 1, F(1, 2), Place.finite(2), F(1)),
+        (lambda k: F(1, 1024), (1,), 1, F(1, 16), Place.finite(2), F(8)),
+        # H below 1 lets beta = 2 carry the prime in its numerator, which
+        # then enters |partial|_2 through the denominator b^(k+1)
+        (lambda k: F(4), (1,), 1, F(2), Place.finite(2), F(1, 3)),
+        # integer moments: the first run's L is 1, and d = 4 alone carries the prime
+        (lambda k: F(k % 3), (F(1, 4), 1), 1, F(1, 2), Place.finite(2), F(1)),
+    ],
+    ids=["inf-lcm-between-runs", "p2-majorant-equal-below-1", "p2-majorant-equal-above-1",
+         "p2-beta-numerator", "p2-integer-moments"],
+)
+def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_alpha):
+    from rodpade.criterion import _remainder_sum, poly_norm_v
+    from rodpade.exact import Poly
+    from rodpade.transform import MomentSeq
+
+    f = MomentSeq(lambda k, _prefix: moment(k), "synthetic")
+    P = Poly(p)
+    args = (f, P, poly_norm_v(P, place), n, beta, place, 1, H_alpha)
+    assert _remainder_sum(*args) == _remainder_sum_fraction_loop(*args)

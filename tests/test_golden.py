@@ -5,16 +5,21 @@ from the program before the table columns moved from the composed operator
 R_n* to the Rodrigues derivative chain, so a change to any printed digit,
 key order or line of these jobs fails here.  Only exact payloads are listed:
 `audit` and `criterion` print floats whose last digit may differ with the
-platform's `log`.
+platform's `log`.  For `audit`, the exact rationals behind those floats are
+pinned instead (``AUDIT_GOLDEN``).
 """
 
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction as F
 
 import pytest
 
 from rodpade.cli import main
+from rodpade.criterion import H_v_vec, Place, _remainder_sum, bounds_audit, poly_norm_v
+from rodpade.exact import format_rational
+from rodpade.mpl import MplConfig, pade_tables
 
 GOLDEN = [
     (("pade", "--m", "1", "--r", "1", "--alphas", "1", "--n", "4"), 0,
@@ -61,3 +66,54 @@ def test_stdout_bytes_unchanged(capsys, argv, code, digest):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# (m, r, alphas, weights, place, beta, digest of every report's rows, digest
+# of the decay's certified partial sums).  Recorded from the program while the
+# norms, values at beta and remainder sums were still Fraction arithmetic.
+AUDIT_GOLDEN = [
+    (2, 1, (F(3, 2), F(-5, 3)), range(1, 9), Place.archimedean(), F(40),
+     "20b4443f544806a497739d603050ea9109d25c3aa2addd6f2d8e9f357cc2ca86",
+     "a264630c615716d48003a6c3e7777fa3a6cb496bb81c13eb2e1313514071939c"),
+    (2, 1, (F(3, 2), F(-5, 3)), range(1, 9), Place.finite(2), F(1, 64),
+     "2871f6739547e5a6fe44f18f19553d4806e993580822d82bb545223b3c0146d4",
+     "fd88f9e4fced89e98687ca67fdeaf7196592d9e6f59bebed0c0e56f2969f5ea1"),
+    (1, 2, (F(2),), range(1, 5), Place.finite(3), F(1, 9),
+     "f658b733ee1c42e8fc9365dee8fa11149daf6ce258ef175cd2a8a84f99e770c4",
+     "018e5d8162ff032b1ac2985e978b0adeb644368989bb79ffc35f0d41fb9babac"),
+    (1, 1, (F(-7, 3),), range(1, 6), Place.archimedean(), None,
+     "897d8ca753465aa911d298f865c7584c0fd1579b924b8c70afa5c07b3997b2df", None),
+    (2, 1, (F(4), F(-3)), range(1, 4), Place.finite(3), None,
+     "549038d836b7f0d95ff41b9e6f40cef08e8aadada6a10ad5fececb4a638a1a60", None),
+]
+
+
+def _sha(lines):
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "m, r, alphas, ns, place, beta, rows_digest, sums_digest",
+    AUDIT_GOLDEN,
+    ids=[f"m{g[0]}r{g[1]}-{g[4]}-beta={g[5]}" for g in AUDIT_GOLDEN],
+)
+def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, sums_digest):
+    config = MplConfig(m=m, r=r, alphas=alphas)
+    tables = pade_tables(config, ns)
+    rows = [
+        f"{n} {row.name} {format_rational(row.measured)} {format_rational(row.bound)}"
+        for n in ns
+        for row in bounds_audit(config, tables[n], place, beta=beta).rows
+    ]
+    assert _sha(rows) == rows_digest
+    if beta is None:
+        return
+    H_alpha = H_v_vec(config.alphas, place)
+    sums = []
+    for n in ns:
+        for cell in tables[n].cells:
+            normp = poly_norm_v(cell.P, place)
+            for f in tables[n].seqs:
+                partial, last = _remainder_sum(f, cell.P, normp, n, beta, place, r, H_alpha)
+                sums.append(f"{n} {f.label} {cell.ell} {format_rational(partial)} {last}")
+    assert _sha(sums) == sums_digest
