@@ -20,10 +20,9 @@ from fractions import Fraction
 
 from .exact import format_rational, parse_rational
 from .transform import (
-    NonConstantDeterminantError,
+    DegreeLemmaError,
     ZeroDeterminantError,
     orthogonality_heads,
-    remainder_tail,
     table_determinants,
     verify_pade,
 )
@@ -147,11 +146,11 @@ def _verification_block(table, n, heads) -> dict:
     starts_ok = True
     for j, f in enumerate(seqs):
         row = []
-        for cell in table.cells:
-            # the start and the orthogonality flag come from the first n heads alone
-            rem = remainder_tail(f, cell.P, n, depth=1, heads=heads[cell.ell][j])
-            row.append(rem.tail.start)
-            starts_ok = starts_ok and rem.orthogonal and rem.tail.start == n + 1
+        for column in heads:
+            # the tail of P_l f_j - Q starts at z^-(k+1) for its first nonzero phi_j(t^k P_l)
+            first = next((k for k, v in enumerate(column[j][:n]) if v != 0), n)
+            row.append(first + 1)
+            starts_ok = starts_ok and first == n
         starts.append({"label": f.label, "starts": row})
     return {
         "orthogonality_ok": orth,
@@ -178,7 +177,11 @@ def _cmd_pade(args) -> int:
     kind, config, table = _build_table(args)
     heads = orthogonality_heads(table)
     verification = _verification_block(table, args.n, heads)
-    determinant = _determinant_block(table, heads)
+    try:
+        determinant = _determinant_block(table, heads)
+    except (DegreeLemmaError, ZeroDeterminantError) as exc:
+        _emit({"command": "pade", "error": str(exc)}, args.format, args.out)
+        return EXIT_VERIFY
     payload = {
         "command": "pade",
         "kind": kind,
@@ -203,7 +206,7 @@ def _cmd_det(args) -> int:
     kind, config, table = _build_table(args)
     try:
         determinant = _determinant_block(table)
-    except (NonConstantDeterminantError, ZeroDeterminantError) as exc:
+    except (DegreeLemmaError, ZeroDeterminantError) as exc:
         _emit({"command": "det", "error": str(exc)}, args.format, args.out)
         return EXIT_VERIFY
     payload = {

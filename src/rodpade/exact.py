@@ -290,25 +290,6 @@ def _as_poly(x) -> Poly:
 Z = Poly((0, 1))
 
 
-def interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Poly:
-    """Exact polynomial through the given points (Newton divided differences)."""
-    if len(xs) != len(ys):
-        raise ValueError("point count mismatch")
-    xs = [Fraction(x) for x in xs]
-    coeffs = [Fraction(y) for y in ys]
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    # expand the Newton form sum_j coeffs[j] * prod_{i<j} (z - xs[i])
-    result = Poly.zero()
-    basis = Poly.one()
-    for j in range(n):
-        result = result + basis * coeffs[j]
-        basis = basis * Poly((-xs[j], 1))
-    return result
-
-
 @dataclass(frozen=True)
 class OrdAtLeast:
     """Lower bound on ord_inf when the truncation shows no nonzero coefficient."""

@@ -13,7 +13,9 @@ Rodrigues chain: the adjoint factors
 (-1)^N (1/N!) D^N z^N prod_i (z - alpha_i)^N are applied to t^l one after
 another, largest N first, in integer arithmetic
 (``transform.rodrigues_chain``).  Delta and theta are read off a built
-table (``transform.table_determinants``).  R_n itself is built only by
+table (``transform.table_determinants``): Delta as Delta(0) by the degree
+lemma, theta from the same run of functional values phi_j(t^k P_l), k <= n,
+that verification reads.  R_n itself is built only by
 ``build_Rn``, which stays as library API and as the tests' oracle.  The
 operator algebra (``rodpade.weyl``) is imported only by the operator
 builders, so building a table never loads it.

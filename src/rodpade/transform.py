@@ -4,7 +4,9 @@ A Laurent tail f = sum_k f_k / z^(k+1) is identified with the linear
 functional t^k |-> f_k on Q[t].  Everything downstream (orthogonality,
 Q-polynomials, remainder tails, the two determinants) is computed through
 this identification, exactly.  The columns come from one Rodrigues chain
-(``rodrigues_chain``); Delta and theta are read off the built table.
+(``rodrigues_chain``).  The values phi_j(t^k P_l), k <= n, are one run per
+(row, column) (``orthogonality_heads``); verification, Delta by the degree
+lemma and theta all read that run (``table_determinants``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .exact import (
     falling_derivative,
     format_rational,
     int_convolve,
-    interpolate,
     laurent_mul_poly,
     over_common_denominator,
 )
@@ -37,17 +38,14 @@ __all__ = [
     "rodrigues_chain",
     "rodrigues_columns",
     "RouteDisagreementError",
-    "NonConstantDeterminantError",
+    "DegreeLemmaError",
     "ZeroDeterminantError",
     "phi",
     "divided_difference_Q",
     "remainder_tail",
     "verify_pade",
     "orthogonality_heads",
-    "theta_det",
-    "delta_det",
     "det_bareiss",
-    "constant_determinant",
     "table_determinants",
 ]
 
@@ -56,8 +54,8 @@ class RouteDisagreementError(Exception):
     """The kernel route and the multiplied-out series route disagreed."""
 
 
-class NonConstantDeterminantError(Exception):
-    """A determinant that must be constant came out with positive degree."""
+class DegreeLemmaError(Exception):
+    """A table failed the checks that make its Delta the constant Delta(0)."""
 
 
 class ZeroDeterminantError(Exception):
@@ -202,9 +200,7 @@ class Remainder:
         }
 
 
-def remainder_tail(
-    f: MomentSeq, p: Poly, n: int, depth: int, heads: Sequence[Fraction] | None = None
-) -> Remainder:
+def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
     """Tail of P(z)f(z) - Q(z): coefficient of z^-(k+1) is phi(t^k P).
 
     When phi(t^k P) = 0 for 0 <= k <= n-1 the tail starts at z^-(n+1) and
@@ -213,13 +209,10 @@ def remainder_tail(
     coefficient is phi(f, P, shift=k); P and the moment window are brought
     over one common denominator once, each coefficient is then one integer
     dot product of length deg P + 1, and no shifted polynomial is built.
-    ``heads`` are phi(t^k P) for k < n when the caller already has them
-    (``orthogonality_heads``).
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    if heads is None:
-        heads = _phi_run(f, p, 0, n)
+    heads = _phi_run(f, p, 0, n)
     first_nonzero = next((k for k, v in enumerate(heads) if v != 0), None)
     orthogonal = first_nonzero is None
     start_k = n if orthogonal else first_nonzero
@@ -373,13 +366,14 @@ def rodrigues_columns(
 
 
 def orthogonality_heads(table: PadeTable) -> list[list[list[Fraction]]]:
-    """phi_j(t^k P_l) for k < n: per column l, one list of n values per row j.
+    """phi_j(t^k P_l) for k <= n: per column l, one list of n + 1 values per row j.
 
-    The kernel route of ``verify_pade``, the starts of ``remainder_tail`` and
-    the degree lemma of ``table_determinants`` all read these values, so a
-    run that needs more than one of them computes them once.
+    The values k < n are the kernel route of ``verify_pade``, the remainder
+    starts of ``pade`` and the degree lemma of ``table_determinants``; the
+    values k = n of the first d columns are theta's moment matrix.  Each
+    (row, column) is one run, so a run computes every value once.
     """
-    return [[_phi_run(f, cell.P, 0, table.n) for f in table.seqs] for cell in table.cells]
+    return [[_phi_run(f, cell.P, 0, table.n + 1) for f in table.seqs] for cell in table.cells]
 
 
 def verify_pade(
@@ -396,9 +390,9 @@ def verify_pade(
     of P*f - Q (plus the reconstruction of Q as the polynomial part).  The
     two routes computing the same coefficients through different code paths
     must agree exactly; a mismatch raises RouteDisagreementError.  ``heads``
-    are the kernel values, one list per row of ``fs``, when the caller
-    already has them (``orthogonality_heads``); the series route is always
-    computed here.
+    are the kernel values, one list per row of ``fs`` starting at k = 0, when
+    the caller already has them (``orthogonality_heads``); only k < n is
+    read.  The series route is always computed here.
     """
     if cell.P.is_zero or cell.P.degree > M:
         return False
@@ -406,7 +400,7 @@ def verify_pade(
     depth = int(cell.P.degree) + n + 2
     for j, f in enumerate(fs):
         q = cell.Qs[f.label]
-        values = heads[j] if heads is not None else _phi_run(f, cell.P, 0, n)
+        values = heads[j][:n] if heads is not None else _phi_run(f, cell.P, 0, n)
         kernel_ok = all(v == 0 for v in values)
         part, tail = laurent_mul_poly(f.tail(depth), cell.P)
         series_ok = all(tail.coeff(k) == 0 for k in range(1, n + 1))
@@ -462,73 +456,7 @@ def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(_int_det(int_rows), scale)
 
 
-def theta_det(fs: Sequence[MomentSeq], columns: Sequence[Poly], n: int) -> Fraction:
-    """Determinant of the d x d moment matrix phi_{f_j}(t^n * P_l).
-
-    ``columns`` are P_l for l = 0..d-1, the first d column polynomials of
-    the table.
-    """
-    rows = [[phi(f, p, n) for p in columns] for f in fs]
-    return det_bareiss(rows)
-
-
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def delta_det(table: Sequence[Sequence[Poly]]) -> Poly:
-    """Exact polynomial determinant, by integer evaluation at D+1 points.
-
-    D is the column-degree bound sum_l max_i deg(table[i][l]), so the
-    determinant has degree <= D and is fixed by its values at 0..D.  Column
-    l is scaled by the lcm c_l of its coefficient denominators, the integer
-    entries are evaluated by Horner at x = 0..D, and each point costs one
-    integer Bareiss determinant.  If all D+1 values agree the determinant is
-    that constant (a polynomial of degree <= D taking one value at D+1 points
-    is constant); only otherwise are the values, divided by prod c_l,
-    interpolated.
-    """
-    size = len(table)
-    if any(len(row) != size for row in table):
-        raise ValueError("table must be square")
-    bound = 0
-    scale = 1
-    int_cols = []
-    for ell in range(size):
-        col = [table[i][ell] for i in range(size)]
-        bound += max((int(p.degree) for p in col if not p.is_zero), default=0)
-        c = math.lcm(*(a.denominator for p in col for a in p.coeffs))
-        int_cols.append([[a.numerator * (c // a.denominator) for a in p.coeffs] for p in col])
-        scale *= c
-    ys = [
-        _int_det([[_horner(int_cols[ell][i], x) for ell in range(size)] for i in range(size)])
-        for x in range(bound + 1)
-    ]
-    if all(y == ys[0] for y in ys):
-        return Poly.constant(Fraction(ys[0], scale))
-    return interpolate(range(bound + 1), [Fraction(y, scale) for y in ys])
-
-
-def constant_determinant(table: Sequence[Sequence[Poly]]) -> Fraction:
-    """delta_det checked to be a nonzero constant; returns the constant.
-
-    Raises NonConstantDeterminantError / ZeroDeterminantError; both signal an
-    implementation bug in the caller's construction, never a math failure.
-    """
-    det = delta_det(table)
-    if det.is_zero:
-        raise ZeroDeterminantError("determinant is zero")
-    if det.degree != 0:
-        raise NonConstantDeterminantError(f"determinant has degree {det.degree}: {det}")
-    return det.coeff(0)
-
-
-def _degree_lemma_holds(
-    table: PadeTable, heads: Sequence[Sequence[Sequence[Fraction]]] | None = None
-) -> bool:
+def _degree_lemma_holds(table: PadeTable, heads: Sequence[Sequence[Sequence[Fraction]]]) -> bool:
     """True when the table's Delta is provably the constant Delta(0).
 
     The row operation row_j <- f_j row_P - row_j turns entry (j, l) into
@@ -538,18 +466,16 @@ def _degree_lemma_holds(
     Leibniz term of Delta has degree <= deg P_l - M (n + 1) <= l - M <= 0 as
     soon as deg P_l <= M n + l.  Delta is a polynomial, hence a constant.
     Checked here: M rows (a square matrix), the degree bound, and the n
-    orthogonality values of every (row, column), on the kernel route.  The Q
-    of each cell are taken to be the polynomial parts phi_j((P_l(z) - P_l(t))
-    / (z - t)), as ``build_table`` makes them.  ``heads`` are the table's
-    ``orthogonality_heads`` when the caller already has them.
+    orthogonality values of every (row, column), read from ``heads``, the
+    table's ``orthogonality_heads``.  The Q of each cell are taken to be the
+    polynomial parts phi_j((P_l(z) - P_l(t)) / (z - t)), as ``build_table``
+    makes them.
     """
     if len(table.seqs) != table.M:
         return False
     if any(cell.P.degree > table.M * table.n + ell for ell, cell in enumerate(table.cells)):
         return False
-    if heads is None:
-        heads = orthogonality_heads(table)
-    return all(v == 0 for column in heads for values in column for v in values)
+    return all(v == 0 for column in heads for values in column for v in values[: table.n])
 
 
 def table_determinants(
@@ -558,17 +484,21 @@ def table_determinants(
     """(Delta, theta) of a built table.
 
     Delta is Delta(0), one integer Bareiss determinant of the constant
-    coefficients, when ``_degree_lemma_holds``; otherwise it is
-    ``constant_determinant`` of the matrix, decided from D + 1 evaluations.
-    theta is ``theta_det`` of the d rows on the first d columns at the
-    table's weight.  ``heads`` are the table's ``orthogonality_heads`` when
-    the caller already has them.
+    coefficients; a table that fails ``_degree_lemma_holds`` raises
+    DegreeLemmaError, and Delta(0) = 0 raises ZeroDeterminantError.  Either
+    signals a broken construction, never a math failure.  theta is the
+    determinant of the d x d moment matrix phi_j(t^n P_l), l < d, read off
+    ``heads``, the table's ``orthogonality_heads`` (computed here when the
+    caller has none).
     """
-    if _degree_lemma_holds(table, heads):
-        delta = det_bareiss([[p.coeff(0) for p in row] for row in table.matrix()])
-        if delta == 0:
-            raise ZeroDeterminantError("determinant is zero")
-    else:
-        delta = constant_determinant(table.matrix())
-    columns = [cell.P for cell in table.cells[: len(table.seqs)]]
-    return delta, theta_det(table.seqs, columns, table.n)
+    if heads is None:
+        heads = orthogonality_heads(table)
+    if not _degree_lemma_holds(table, heads):
+        raise DegreeLemmaError(
+            f"weight-{table.n} table fails the degree lemma: Delta is not certified constant"
+        )
+    delta = det_bareiss([[p.coeff(0) for p in row] for row in table.matrix()])
+    if delta == 0:
+        raise ZeroDeterminantError("determinant is zero")
+    d, n = len(table.seqs), table.n
+    return delta, det_bareiss([[heads[ell][j][n] for ell in range(d)] for j in range(d)])

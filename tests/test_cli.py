@@ -15,6 +15,7 @@ from rodpade import logpow as logpow_mod
 from rodpade import mpl as mpl_mod
 from rodpade import transform
 from rodpade.cli import main
+from rodpade.exact import Poly
 from rodpade.weyl import adjoint
 
 CLI = [sys.executable, "-m", "rodpade"]
@@ -266,28 +267,23 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     tables = _record_calls(monkeypatch, [mpl_mod.pade_table, logpow_mod.logpow_table])
     builds = _record_calls(monkeypatch, [transform.build_table])
     verifies = _record_calls(monkeypatch, [cli.verify_pade], [cli])
-    remainders = _record_calls(monkeypatch, [cli.remainder_tail], [cli])
-    thetas = _record_calls(monkeypatch, [transform.theta_det], [transform])
+    heads = _record_calls(monkeypatch, [transform.orthogonality_heads])
     assert main(list(argv)) == 0
     capsys.readouterr()
     # the columns come from the Rodrigues chain: R_n* is never formed
     assert adjoints == []
-    assert len(families) == len(tables) == len(builds) == len(thetas) == 1
+    assert len(families) == len(tables) == len(builds) == len(heads) == 1
     table = tables[0][1]
     assert table is builds[0][1]
-    # theta reads the table's own column polynomials, not R_n* applied again
-    columns = thetas[0][0][1]
-    assert len(columns) == len(table.seqs)
-    assert all(p is cell.P for p, cell in zip(columns, table.cells))
+    # verification, Delta and theta read one run of values off the run's own table
+    assert heads[0][0] == (table,)
     assert len(table.seqs) == len(families[0][1])
     assert all(f is g for f, g in zip(table.seqs, families[0][1]))
-    # every moment sequence the verification and determinant blocks read
+    # every moment sequence the verification block reads
     used = [f for args, _ in verifies for f in args[1]]
-    used += [args[0] for args, _ in remainders]
-    used += list(thetas[0][0][0])
     assert all(any(f is g for g in table.seqs) for f in used)
     if argv[0] == "pade":
-        assert verifies and remainders
+        assert verifies
 
 
 def test_audit_builds_one_moment_family_for_every_weight(capsys, monkeypatch):
@@ -321,7 +317,7 @@ def test_pade_depth_changes_neither_output_nor_moment_work(capsys, monkeypatch):
 
 def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
     # phi_j(t^k P_l), k < n, is read by verify_pade's kernel route, by the
-    # remainder starts and by the degree lemma of the determinant block
+    # remainder starts and by the degree lemma; k = n by theta
     calls = []
     run = transform._phi_run
 
@@ -330,13 +326,53 @@ def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
         return run(f, p, start, count)
 
     monkeypatch.setattr(transform, "_phi_run", counting)
-    assert main(["pade", "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
-    # 8 rows x 9 columns, one run of the n = 2 heads each; the remainder
-    # starts (depth 1) and theta (8 x 8) read one value each at k = n
-    assert calls.count((0, 2)) == 72
-    assert calls.count((2, 1)) == 72 + 64
-    assert len(calls) == 208
+    for command in ("pade", "det"):
+        calls.clear()
+        assert main([command, "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["determinant"]["abs_identity_ok"] is True
+        # 8 rows x 9 columns, one run of k = 0..n each
+        assert calls == [(0, 3)] * 72
+
+
+def _perturbed_last_column(monkeypatch):
+    """Make mpl tables carry P_M + 1 as their last column."""
+    real = mpl_mod.pade_table
+
+    def perturbed(config, n):
+        table = real(config, n)
+        columns = [cell.P for cell in table.cells]
+        columns[-1] = columns[-1] + Poly.one()
+        return transform.build_table(columns, table.seqs, n)
+
+    monkeypatch.setattr(mpl_mod, "pade_table", perturbed)
+
+
+@pytest.mark.parametrize("command", ["pade", "det"])
+@pytest.mark.parametrize(
+    "argv, breakage, message",
+    [
+        (
+            ["--m", "1", "--alphas", "1", "--n", "1"],
+            lambda mp: mp.setattr(transform, "_int_det", lambda matrix: 0),
+            "determinant is zero",
+        ),
+        (
+            ["--m", "1", "--alphas=3/2", "--n", "2"],
+            _perturbed_last_column,
+            "weight-2 table fails the degree lemma: Delta is not certified constant",
+        ),
+    ],
+    ids=["zero-delta", "lemma-failure"],
+)
+def test_determinant_errors_exit_1_with_one_error_payload(
+    capsys, monkeypatch, command, argv, breakage, message
+):
+    breakage(monkeypatch)
+    assert main([command, *argv]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"command": command, "error": message}
+    assert err == ""
 
 
 def test_pade_table_extra_fields_leave_equality_and_json_alone():

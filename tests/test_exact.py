@@ -15,7 +15,6 @@ from rodpade.exact import (
     OrdAtLeast,
     Poly,
     format_rational,
-    interpolate,
     int_convolve,
     laurent_mul_poly,
     ord_inf,
@@ -188,13 +187,6 @@ def test_tail_add_and_derivative():
     d = a.derivative()
     assert d.start == 2
     assert d.window(2, 4) == [F(-1), F(-4), F(-9)]
-
-
-def test_interpolate_recovers_polynomial():
-    p = Poly((F(1, 3), -2, 0, 5))
-    xs = list(range(6))
-    ys = [p(F(x)) for x in xs]
-    assert interpolate(xs, ys) == p
 
 
 # --------------------------------------------------------------------------

@@ -1,24 +1,30 @@
-"""Moment functionals, Q-polynomials, remainder tails, determinants."""
+"""Moment functionals, Q-polynomials, remainder tails, determinants.
+
+The D+1-point route to Delta (``delta_det``, ``constant_determinant``) and
+the one-value-at-a-time ``theta_det`` live here, as the oracles of
+``table_determinants``; the program reads Delta and theta off one run of
+functional values per (row, column).
+"""
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from fractions import Fraction as F
 
 import pytest
 
-from rodpade.exact import Poly, interpolate
+from rodpade.exact import Poly
 from rodpade.transform import (
     MomentSeq,
     PadeCell,
-    constant_determinant,
-    delta_det,
+    ZeroDeterminantError,
+    _int_det,
     det_bareiss,
     divided_difference_Q,
     phi,
     remainder_tail,
-    theta_det,
     verify_pade,
 )
 from rodpade.weyl import DiffOp, adjoint, op_apply
@@ -179,6 +185,94 @@ def test_verify_pade_wrong_q_false():
     assert not verify_pade(cell, [fresh_li1()], n=1, M=1)
 
 
+# --------------------------------------------------------------------------
+# Oracles: the D+1-point route to Delta and theta one value at a time
+
+
+class NonConstantDeterminantError(Exception):
+    """A determinant that must be constant came out with positive degree."""
+
+
+def interpolate(xs, ys):
+    """Exact polynomial through the given points (Newton divided differences)."""
+    if len(xs) != len(ys):
+        raise ValueError("point count mismatch")
+    xs = [F(x) for x in xs]
+    coeffs = [F(y) for y in ys]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    # expand the Newton form sum_j coeffs[j] * prod_{i<j} (z - xs[i])
+    result = Poly.zero()
+    basis = Poly.one()
+    for j in range(n):
+        result = result + basis * coeffs[j]
+        basis = basis * Poly((-xs[j], 1))
+    return result
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def delta_det(table):
+    """Exact polynomial determinant, by integer evaluation at D+1 points.
+
+    D is the column-degree bound sum_l max_i deg(table[i][l]), so the
+    determinant has degree <= D and is fixed by its values at 0..D.  Column
+    l is scaled by the lcm c_l of its coefficient denominators, the integer
+    entries are evaluated by Horner at x = 0..D, and each point costs one
+    integer Bareiss determinant.  If all D+1 values agree the determinant is
+    that constant; only otherwise are the values, divided by prod c_l,
+    interpolated.
+    """
+    size = len(table)
+    if any(len(row) != size for row in table):
+        raise ValueError("table must be square")
+    bound = 0
+    scale = 1
+    int_cols = []
+    for ell in range(size):
+        col = [table[i][ell] for i in range(size)]
+        bound += max((int(p.degree) for p in col if not p.is_zero), default=0)
+        c = math.lcm(*(a.denominator for p in col for a in p.coeffs))
+        int_cols.append([[a.numerator * (c // a.denominator) for a in p.coeffs] for p in col])
+        scale *= c
+    ys = [
+        _int_det([[_horner(int_cols[ell][i], x) for ell in range(size)] for i in range(size)])
+        for x in range(bound + 1)
+    ]
+    if all(y == ys[0] for y in ys):
+        return Poly.constant(F(ys[0], scale))
+    return interpolate(range(bound + 1), [F(y, scale) for y in ys])
+
+
+def constant_determinant(table):
+    """delta_det checked to be a nonzero constant; returns the constant."""
+    det = delta_det(table)
+    if det.is_zero:
+        raise ZeroDeterminantError("determinant is zero")
+    if det.degree != 0:
+        raise NonConstantDeterminantError(f"determinant has degree {det.degree}: {det}")
+    return det.coeff(0)
+
+
+def theta_det(fs, columns, n):
+    """Determinant of the d x d moment matrix phi_{f_j}(t^n * P_l), one phi per entry."""
+    return det_bareiss([[phi(f, p, n) for p in columns] for f in fs])
+
+
+def test_interpolate_recovers_polynomial():
+    p = Poly((F(1, 3), -2, 0, 5))
+    xs = list(range(6))
+    ys = [p(F(x)) for x in xs]
+    assert interpolate(xs, ys) == p
+
+
 def columns_of(rstar, d):
     """P_l = R* . t^l for l < d, the first d column polynomials of a table."""
     return [op_apply(rstar, Poly.monomial(ell)) for ell in range(d)]
@@ -209,12 +303,6 @@ def test_delta_det_legendre():
 
 
 def test_constant_determinant_error_signals():
-    from rodpade.transform import (
-        NonConstantDeterminantError,
-        ZeroDeterminantError,
-        constant_determinant,
-    )
-
     z = Poly((0, 1))
     with pytest.raises(NonConstantDeterminantError):
         constant_determinant([[z, Poly.one()], [Poly.one(), z]])  # det = z^2 - 1
@@ -436,25 +524,14 @@ def _grid_table(m, r, kind, n):
 
 @pytest.mark.parametrize("m, r, kind, n", _LEMMA_GRID)
 def test_degree_lemma_delta_equals_the_evaluation_route(m, r, kind, n):
-    from rodpade.transform import _degree_lemma_holds, table_determinants
+    from rodpade.transform import _degree_lemma_holds, orthogonality_heads, table_determinants
 
     table = _grid_table(m, r, kind, n)
-    assert _degree_lemma_holds(table)
-    delta, _theta = table_determinants(table)
+    assert _degree_lemma_holds(table, orthogonality_heads(table))
+    delta, theta = table_determinants(table)
     assert delta == constant_determinant(table.matrix())
-
-
-def _record_fallbacks(monkeypatch):
-    """Calls of the D+1-point route from ``table_determinants``, recorded."""
-    import rodpade.transform
-
-    calls = []
-    monkeypatch.setattr(
-        rodpade.transform,
-        "constant_determinant",
-        lambda mat: calls.append(mat) or constant_determinant(mat),
-    )
-    return calls
+    columns = [cell.P for cell in table.cells[: len(table.seqs)]]
+    assert theta == theta_det(table.seqs, columns, n)
 
 
 @pytest.mark.parametrize(
@@ -463,46 +540,54 @@ def _record_fallbacks(monkeypatch):
         (1, (F(3, 2),), 2, -1, lambda p: p + Poly.one(), "297/32 - 9*z"),
         (2, (F(-3), F(2)), 1, 0, lambda p: p * F(1, 7) + Poly.monomial(1), "-1125/7 + 765/2*z"),
     ],
+    ids=["last-plus-one", "first-scaled-plus-z"],
 )
-def test_perturbed_column_falls_back_to_the_evaluation_route(
-    monkeypatch, m, alphas, n, index, perturb, message
-):
+def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, message):
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.transform import NonConstantDeterminantError, build_table, table_determinants
+    from rodpade.transform import DegreeLemmaError, build_table, table_determinants
 
     table = pade_table(MplConfig(m=m, r=1, alphas=alphas), n)
     columns = [cell.P for cell in table.cells]
     columns[index] = perturb(columns[index])
-    fallbacks = _record_fallbacks(monkeypatch)
+    broken = build_table(columns, table.seqs, n)
+    with pytest.raises(DegreeLemmaError, match="fails the degree lemma"):
+        table_determinants(broken)
+    # the oracle still finds the determinant of the broken matrix non-constant
     with pytest.raises(NonConstantDeterminantError) as exc:
-        table_determinants(build_table(columns, table.seqs, n))
-    # the message the D+1-point route has always given for this matrix
+        constant_determinant(broken.matrix())
     assert str(exc.value) == f"determinant has degree 1: {message}"
-    assert len(fallbacks) == 1
 
 
-def test_columns_past_the_degree_bound_take_the_evaluation_route(monkeypatch):
+def test_columns_past_the_degree_bound_fail_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.transform import _degree_lemma_holds, build_table, table_determinants
+    from rodpade.transform import (
+        DegreeLemmaError,
+        _degree_lemma_holds,
+        build_table,
+        orthogonality_heads,
+        table_determinants,
+    )
 
     # weight-2 columns are orthogonal up to k < 1 too, but deg P_l = 2M + l > M + l
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 2)
     relabelled = build_table([cell.P for cell in table.cells], table.seqs, 1)
-    assert not _degree_lemma_holds(relabelled)
-    fallbacks = _record_fallbacks(monkeypatch)
-    delta, _theta = table_determinants(relabelled)
-    assert len(fallbacks) == 1
-    assert delta == constant_determinant(table.matrix())
+    assert not _degree_lemma_holds(relabelled, orthogonality_heads(relabelled))
+    with pytest.raises(DegreeLemmaError):
+        table_determinants(relabelled)
+    # the matrix is the weight-2 one, whose Delta the oracle still reads as a constant
+    assert constant_determinant(relabelled.matrix()) == table_determinants(table)[0]
 
 
-def test_table_with_a_missing_row_takes_the_evaluation_route():
+def test_table_with_a_missing_row_fails_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.transform import build_table, table_determinants
+    from rodpade.transform import DegreeLemmaError, build_table, table_determinants
 
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 1)
     short = build_table([cell.P for cell in table.cells], table.seqs[:-1], 1)
-    with pytest.raises(ValueError, match="table must be square"):
+    with pytest.raises(DegreeLemmaError, match="fails the degree lemma"):
         table_determinants(short)
+    with pytest.raises(ValueError, match="table must be square"):
+        constant_determinant(short.matrix())
 
 
 def test_det_job_takes_one_integer_determinant_for_delta(monkeypatch, capsys):
