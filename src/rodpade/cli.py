@@ -22,7 +22,6 @@ from .exact import format_rational, parse_rational
 from .transform import (
     DegreeLemmaError,
     ZeroDeterminantError,
-    orthogonality_heads,
     table_determinants,
     verify_pade,
 )
@@ -120,8 +119,9 @@ def _payload_to_csv(writer, payload: dict, prefix: str = "") -> None:
 def _build_table(args):
     """Returns (kind, config, table).
 
-    The table carries the row moment sequences it was built from and its
-    column polynomials; the verification and determinant blocks reuse both.
+    The table carries the row moment sequences it was built from and, per
+    cell, the run phi_j(t^k P_l), k <= n; the verification and determinant
+    blocks read both.
     Only the module of the chosen row family is imported.
     """
     if args.appendix_logpow:
@@ -135,23 +135,21 @@ def _build_table(args):
     return "mpl", config, mpl_mod.pade_table(config, args.n)
 
 
-def _verification_block(table, n, heads) -> dict:
-    """``heads`` are the table's ``orthogonality_heads``, shared with the determinant block."""
-    seqs = table.seqs  # column l has degree M n + l; M is m for log-power rows
-    orth = all(
-        verify_pade(cell, seqs, n, table.M * n + cell.ell, heads[cell.ell]) for cell in table.cells
-    )
+def _verification_block(table) -> dict:
+    """Checks of every cell; the kernel route and remainder starts read ``cell.heads``."""
+    n = table.n  # column l has degree M n + l; M is m for log-power rows
+    orth = all(verify_pade(cell, table.seqs, table.M * n + cell.ell) for cell in table.cells)
     degrees = all(cell.P.degree == table.M * n + cell.ell for cell in table.cells)
     starts = []
     starts_ok = True
-    for j, f in enumerate(seqs):
+    for label in table.row_labels:
         row = []
-        for column in heads:
+        for cell in table.cells:
             # the tail of P_l f_j - Q starts at z^-(k+1) for its first nonzero phi_j(t^k P_l)
-            first = next((k for k, v in enumerate(column[j][:n]) if v != 0), n)
+            first = next((k for k, v in enumerate(cell.heads[label][:n]) if v != 0), n)
             row.append(first + 1)
             starts_ok = starts_ok and first == n
-        starts.append({"label": f.label, "starts": row})
+        starts.append({"label": label, "starts": row})
     return {
         "orthogonality_ok": orth,
         "degrees_ok": degrees,
@@ -160,8 +158,8 @@ def _verification_block(table, n, heads) -> dict:
     }
 
 
-def _determinant_block(table, heads=None) -> dict:
-    delta, theta = table_determinants(table, heads)
+def _determinant_block(table) -> dict:
+    delta, theta = table_determinants(table)
     lc = table.cells[-1].P.lc
     ok = abs(delta) == abs(lc * theta)
     return {
@@ -175,10 +173,9 @@ def _determinant_block(table, heads=None) -> dict:
 
 def _cmd_pade(args) -> int:
     kind, config, table = _build_table(args)
-    heads = orthogonality_heads(table)
-    verification = _verification_block(table, args.n, heads)
+    verification = _verification_block(table)
     try:
-        determinant = _determinant_block(table, heads)
+        determinant = _determinant_block(table)
     except (DegreeLemmaError, ZeroDeterminantError) as exc:
         _emit({"command": "pade", "error": str(exc)}, args.format, args.out)
         return EXIT_VERIFY

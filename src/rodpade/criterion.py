@@ -595,7 +595,7 @@ def bounds_audit(
     Every measured value is read from integer numerators over one
     denominator: the chain's own pairs, each column and each Q brought over
     its lcm once, their values at beta by ``_horner_at`` and their norms by
-    ``_int_norm_v``.
+    ``_int_norm_v``.  phi(t^n P_l) is the k = n entry of the cell's run.
     """
     n, seqs = table.n, table.seqs
     eps = place.epsilon
@@ -660,10 +660,8 @@ def bounds_audit(
             )
             rows.append(AuditRow(f"moment[{f.label},j={j}]", measured, bound))
         for ell in (0, M):
-            nums, den = columns[ell]
-            degp = len(nums) - 1
-            totals, lcm = _phi_totals(f, nums, n, 1)  # phi(t^n P) = totals[0] / (lcm den)
-            measured = _int_norm_v(totals, lcm * den, place)
+            degp = len(columns[ell][0]) - 1
+            measured = abs_v(table.cells[ell].heads[f.label][n], place)  # phi(t^n P_l)
             bound = (
                 Fraction(degp + n + 1) ** ((r + 1) * eps)
                 * _d_factor(place, r, degp + n + 1)

@@ -14,6 +14,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+__all__ = [
+    "NEG_INF",
+    "INF",
+    "Scalar",
+    "InsufficientDepthError",
+    "format_rational",
+    "log_int",
+    "log_fraction",
+    "parse_rational",
+    "Poly",
+    "falling_derivative",
+    "int_convolve",
+    "over_common_denominator",
+    "Z",
+    "OrdAtLeast",
+    "LaurentTail",
+    "ord_inf",
+    "laurent_mul_poly",
+]
+
 #: degree of the zero polynomial (keeps deg(P*Q) = deg P + deg Q testable)
 NEG_INF = float("-inf")
 

@@ -12,10 +12,11 @@ L_N = (1/N!) z^N prod_i (z - alpha_i)^N D^N.  They are computed by the
 Rodrigues chain: the adjoint factors
 (-1)^N (1/N!) D^N z^N prod_i (z - alpha_i)^N are applied to t^l one after
 another, largest N first, in integer arithmetic
-(``transform.rodrigues_chain``).  Delta and theta are read off a built
-table (``transform.table_determinants``): Delta as Delta(0) by the degree
-lemma, theta from the same run of functional values phi_j(t^k P_l), k <= n,
-that verification reads.  R_n itself is built only by
+(``transform.rodrigues_chain``).  Each cell of a built table carries its
+run of functional values phi_j(t^k P_l), k <= n (``transform.build_table``);
+verification, the bound audit and the determinants
+(``transform.table_determinants``: Delta as Delta(0) by the degree lemma,
+theta from the k = n values) all read it.  R_n itself is built only by
 ``build_Rn``, which stays as library API and as the tests' oracle.  The
 operator algebra (``rodpade.weyl``) is imported only by the operator
 builders, so building a table never loads it.
@@ -134,15 +135,19 @@ class MplIndex:
 
 
 def index_set(m: int, r: int) -> list[MplIndex]:
-    """All indices, ordered by depth, then s, then a; cardinality (m+1)^r - 1."""
+    """All indices, ordered by depth, then s, then a; cardinality (m+1)^r - 1.
+
+    A depth-k composition s with |s| <= r is its partial sums
+    0 < c_1 < ... < c_k <= r, and two compositions first differ where their
+    partial sums first differ, in the same direction, so the k-subsets of
+    1..r in lexicographic order give the compositions in lexicographic order.
+    """
     if m < 1 or r < 1:
         raise ValueError("m and r must be positive")
     out = []
     for k in range(1, r + 1):
-        compositions = sorted(
-            s for s in itertools.product(range(1, r + 1), repeat=k) if sum(s) <= r
-        )
-        for s in compositions:
+        for cuts in itertools.combinations(range(1, r + 1), k):
+            s = tuple(c - b for b, c in zip((0,) + cuts, cuts))
             for a in itertools.product(range(1, m + 1), repeat=k):
                 out.append(MplIndex(s=s, a=a))
     return out

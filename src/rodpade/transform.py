@@ -4,9 +4,10 @@ A Laurent tail f = sum_k f_k / z^(k+1) is identified with the linear
 functional t^k |-> f_k on Q[t].  Everything downstream (orthogonality,
 Q-polynomials, remainder tails, the two determinants) is computed through
 this identification, exactly.  The columns come from one Rodrigues chain
-(``rodrigues_chain``).  The values phi_j(t^k P_l), k <= n, are one run per
-(row, column) (``orthogonality_heads``); verification, Delta by the degree
-lemma and theta all read that run (``table_determinants``).
+(``rodrigues_chain``).  ``build_table`` gives each cell its Q-polynomials
+and its values phi_j(t^k P_l), k <= n, one run per row (``PadeCell.heads``);
+verification, Delta by the degree lemma and theta all read the cells
+(``verify_pade``, ``table_determinants``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .exact import (
     LaurentTail,
     Poly,
     falling_derivative,
-    format_rational,
     int_convolve,
     laurent_mul_poly,
     over_common_denominator,
@@ -44,7 +44,6 @@ __all__ = [
     "divided_difference_Q",
     "remainder_tail",
     "verify_pade",
-    "orthogonality_heads",
     "det_bareiss",
     "table_determinants",
 ]
@@ -164,24 +163,29 @@ def phi(f: MomentSeq, p: Poly, shift: int = 0) -> Fraction:
     return _phi_run(f, p, shift, 1)[0]
 
 
-def divided_difference_Q(f: MomentSeq, p: Poly) -> Poly:
-    """Q(z) = phi_f((P(z) - P(t)) / (z - t)), via the explicit double sum.
+def _q_of_ints(f: MomentSeq, nums: Sequence[int], den: int) -> Poly:
+    """``divided_difference_Q`` of P = nums / den, P already over one denominator.
 
-    Q(z) = sum_{u=0}^{deg P - 1} ( sum_{k=u+1}^{deg P} p_k f_{k-1-u} ) z^u,
-    so deg Q <= deg P - 1.  P and the moments f_0..f_{deg P - 1} are each
-    brought over one common denominator once; every coefficient of Q is then
-    an integer dot product and one Fraction.
+    The moments f_0..f_(deg P - 1) are brought over their lcm L once; every
+    coefficient of Q is then an integer dot product and one Fraction(total, L d).
     """
-    if p.is_zero or p.degree == 0:
-        return Poly.zero()
-    deg = int(p.degree)
-    nums, den = over_common_denominator(p.coeffs)
-    ws, lcm = over_common_denominator(f.prefix(deg))
+    deg = len(nums) - 1
+    ws, lcm = over_common_denominator(f.prefix(max(deg, 0)))
     scale = lcm * den
     return Poly(
         Fraction(sum(a * w for a, w in zip(nums[u + 1 :], ws)), scale)
         for u in range(deg)
     )
+
+
+def divided_difference_Q(f: MomentSeq, p: Poly) -> Poly:
+    """Q(z) = phi_f((P(z) - P(t)) / (z - t)), via the explicit double sum.
+
+    Q(z) = sum_{u=0}^{deg P - 1} ( sum_{k=u+1}^{deg P} p_k f_{k-1-u} ) z^u,
+    so deg Q <= deg P - 1.  P and the moments f_0..f_{deg P - 1} are each
+    brought over one common denominator once (``_q_of_ints``).
+    """
+    return _q_of_ints(f, *over_common_denominator(p.coeffs))
 
 
 @dataclass(frozen=True)
@@ -191,13 +195,6 @@ class Remainder:
     tail: LaurentTail
     expected_start: int
     orthogonal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "start": self.tail.start,
-            "coeffs": [format_rational(c) for c in self.tail.coeffs],
-            "orthogonal": self.orthogonal,
-        }
 
 
 def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
@@ -222,12 +219,18 @@ def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
 
 @dataclass(frozen=True)
 class PadeCell:
-    """One column of a weight-n table: P and the Q-polynomial of every row."""
+    """One column of a weight-n table: P, and the Q-polynomial of every row.
+
+    ``heads`` holds, per row label, the run phi_j(t^k P) for k = 0..n: the
+    coefficients of z^-(k+1) in the remainder P f_j - Q_j.  Every check of
+    the table reads them.  They take no part in equality, repr or JSON.
+    """
 
     n: int
     ell: int
     P: Poly
     Qs: dict[str, Poly]
+    heads: dict[str, tuple[Fraction, ...]] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -273,17 +276,28 @@ class PadeTable:
 
 
 def build_table(columns: Sequence[Poly], seqs: Sequence[MomentSeq], n: int) -> PadeTable:
-    """The weight-n table with P_l = columns[l] and the Q-polynomial of every row."""
+    """The weight-n table with P_l = columns[l]: per row, Q and phi(t^k P_l), k <= n.
+
+    Each column is brought over one denominator d once for every row.  Q
+    keeps its own window f_0..f_(deg P - 1), whose lcm is smaller than that
+    of the run's window f_0..f_(deg P + n); the run is one ``_phi_totals``
+    per (row, column), each value one Fraction(total, L d).
+    """
     seqs = tuple(seqs)
-    cells = tuple(
-        PadeCell(n=n, ell=ell, P=p, Qs={f.label: divided_difference_Q(f, p) for f in seqs})
-        for ell, p in enumerate(columns)
-    )
+    cells = []
+    for ell, p in enumerate(columns):
+        nums, den = over_common_denominator(p.coeffs)
+        qs, heads = {}, {}
+        for f in seqs:
+            qs[f.label] = _q_of_ints(f, nums, den)
+            totals, lcm = _phi_totals(f, nums, 0, n + 1)
+            heads[f.label] = tuple(Fraction(total, lcm * den) for total in totals)
+        cells.append(PadeCell(n=n, ell=ell, P=p, Qs=qs, heads=heads))
     return PadeTable(
         n=n,
         M=len(cells) - 1,
         row_labels=tuple(f.label for f in seqs),
-        cells=cells,
+        cells=tuple(cells),
         seqs=seqs,
     )
 
@@ -365,50 +379,30 @@ def rodrigues_columns(
     return columns
 
 
-def orthogonality_heads(table: PadeTable) -> list[list[list[Fraction]]]:
-    """phi_j(t^k P_l) for k <= n: per column l, one list of n + 1 values per row j.
-
-    The values k < n are the kernel route of ``verify_pade``, the remainder
-    starts of ``pade`` and the degree lemma of ``table_determinants``; the
-    values k = n of the first d columns are theta's moment matrix.  Each
-    (row, column) is one run, so a run computes every value once.
-    """
-    return [[_phi_run(f, cell.P, 0, table.n + 1) for f in table.seqs] for cell in table.cells]
-
-
-def verify_pade(
-    cell: PadeCell,
-    fs: Sequence[MomentSeq],
-    n: int,
-    M: int,
-    heads: Sequence[Sequence[Fraction]] | None = None,
-) -> bool:
+def verify_pade(cell: PadeCell, fs: Sequence[MomentSeq], M: int) -> bool:
     """Check the cell against every row, by two independent routes.
 
-    Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1.  Series route: multiply
-    the truncated row series by P and inspect the first n tail coefficients
-    of P*f - Q (plus the reconstruction of Q as the polynomial part).  The
-    two routes computing the same coefficients through different code paths
-    must agree exactly; a mismatch raises RouteDisagreementError.  ``heads``
-    are the kernel values, one list per row of ``fs`` starting at k = 0, when
-    the caller already has them (``orthogonality_heads``); only k < n is
-    read.  The series route is always computed here.
+    Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1, read off ``cell.heads``.
+    Series route: multiply the truncated row series by P and inspect the
+    first n tail coefficients of P*f - Q (plus the reconstruction of Q as the
+    polynomial part).  The two routes computing the same coefficients through
+    different code paths must agree exactly; a mismatch raises
+    RouteDisagreementError.  The series route is always computed here.
     """
     if cell.P.is_zero or cell.P.degree > M:
         return False
     ok = True
+    n = cell.n
     depth = int(cell.P.degree) + n + 2
-    for j, f in enumerate(fs):
-        q = cell.Qs[f.label]
-        values = heads[j][:n] if heads is not None else _phi_run(f, cell.P, 0, n)
-        kernel_ok = all(v == 0 for v in values)
+    for f in fs:
+        kernel_ok = all(v == 0 for v in cell.heads[f.label][:n])
         part, tail = laurent_mul_poly(f.tail(depth), cell.P)
         series_ok = all(tail.coeff(k) == 0 for k in range(1, n + 1))
         if kernel_ok != series_ok:
             raise RouteDisagreementError(
                 f"row {f.label}: kernel test says {kernel_ok}, series test says {series_ok}"
             )
-        if not kernel_ok or part != q:
+        if not kernel_ok or part != cell.Qs[f.label]:
             ok = False
     return ok
 
@@ -456,7 +450,7 @@ def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(_int_det(int_rows), scale)
 
 
-def _degree_lemma_holds(table: PadeTable, heads: Sequence[Sequence[Sequence[Fraction]]]) -> bool:
+def _degree_lemma_holds(table: PadeTable) -> bool:
     """True when the table's Delta is provably the constant Delta(0).
 
     The row operation row_j <- f_j row_P - row_j turns entry (j, l) into
@@ -466,39 +460,34 @@ def _degree_lemma_holds(table: PadeTable, heads: Sequence[Sequence[Sequence[Frac
     Leibniz term of Delta has degree <= deg P_l - M (n + 1) <= l - M <= 0 as
     soon as deg P_l <= M n + l.  Delta is a polynomial, hence a constant.
     Checked here: M rows (a square matrix), the degree bound, and the n
-    orthogonality values of every (row, column), read from ``heads``, the
-    table's ``orthogonality_heads``.  The Q of each cell are taken to be the
-    polynomial parts phi_j((P_l(z) - P_l(t)) / (z - t)), as ``build_table``
-    makes them.
+    orthogonality values of every (row, column), read from the cells' runs.
+    The Q of each cell are taken to be the polynomial parts
+    phi_j((P_l(z) - P_l(t)) / (z - t)), as ``build_table`` makes them.
     """
     if len(table.seqs) != table.M:
         return False
     if any(cell.P.degree > table.M * table.n + ell for ell, cell in enumerate(table.cells)):
         return False
-    return all(v == 0 for column in heads for values in column for v in values[: table.n])
+    runs = (run for cell in table.cells for run in cell.heads.values())
+    return all(v == 0 for run in runs for v in run[: table.n])
 
 
-def table_determinants(
-    table: PadeTable, heads: Sequence[Sequence[Sequence[Fraction]]] | None = None
-) -> tuple[Fraction, Fraction]:
+def table_determinants(table: PadeTable) -> tuple[Fraction, Fraction]:
     """(Delta, theta) of a built table.
 
     Delta is Delta(0), one integer Bareiss determinant of the constant
     coefficients; a table that fails ``_degree_lemma_holds`` raises
     DegreeLemmaError, and Delta(0) = 0 raises ZeroDeterminantError.  Either
     signals a broken construction, never a math failure.  theta is the
-    determinant of the d x d moment matrix phi_j(t^n P_l), l < d, read off
-    ``heads``, the table's ``orthogonality_heads`` (computed here when the
-    caller has none).
+    determinant of the d x d moment matrix phi_j(t^n P_l), l < d: the k = n
+    entries of the first d cells' runs.
     """
-    if heads is None:
-        heads = orthogonality_heads(table)
-    if not _degree_lemma_holds(table, heads):
+    if not _degree_lemma_holds(table):
         raise DegreeLemmaError(
             f"weight-{table.n} table fails the degree lemma: Delta is not certified constant"
         )
     delta = det_bareiss([[p.coeff(0) for p in row] for row in table.matrix()])
     if delta == 0:
         raise ZeroDeterminantError("determinant is zero")
-    d, n = len(table.seqs), table.n
-    return delta, det_bareiss([[heads[ell][j][n] for ell in range(d)] for j in range(d)])
+    cells, n = table.cells[: len(table.seqs)], table.n
+    return delta, det_bareiss([[c.heads[label][n] for c in cells] for label in table.row_labels])

@@ -125,18 +125,6 @@ class DiffOp:
             return self * other
         return op_compose(_as_op(other), self)
 
-    def compose(self, other: "DiffOp") -> "DiffOp":
-        return op_compose(self, other)
-
-    def apply(self, p: Poly) -> Poly:
-        return op_apply(self, p)
-
-    def apply_tail(self, f: LaurentTail, min_depth: int = 0) -> tuple[Poly, LaurentTail]:
-        return op_apply_laurent(self, f, min_depth=min_depth)
-
-    def adjoint(self) -> "DiffOp":
-        return adjoint(self)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffOp) and self.terms == other.terms
 

@@ -267,16 +267,18 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     tables = _record_calls(monkeypatch, [mpl_mod.pade_table, logpow_mod.logpow_table])
     builds = _record_calls(monkeypatch, [transform.build_table])
     verifies = _record_calls(monkeypatch, [cli.verify_pade], [cli])
-    heads = _record_calls(monkeypatch, [transform.orthogonality_heads])
     assert main(list(argv)) == 0
     capsys.readouterr()
     # the columns come from the Rodrigues chain: R_n* is never formed
     assert adjoints == []
-    assert len(families) == len(tables) == len(builds) == len(heads) == 1
+    assert len(families) == len(tables) == len(builds) == 1
     table = tables[0][1]
     assert table is builds[0][1]
-    # verification, Delta and theta read one run of values off the run's own table
-    assert heads[0][0] == (table,)
+    # verification, Delta and theta read the one run of values each cell carries
+    for cell in table.cells:
+        assert list(cell.heads) == list(table.row_labels)
+        assert all(len(run) == table.n + 1 for run in cell.heads.values())
+    assert all(any(args[0] is cell for cell in table.cells) for args, _ in verifies)
     assert len(table.seqs) == len(families[0][1])
     assert all(f is g for f, g in zip(table.seqs, families[0][1]))
     # every moment sequence the verification block reads
@@ -316,16 +318,22 @@ def test_pade_depth_changes_neither_output_nor_moment_work(capsys, monkeypatch):
 
 
 def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
-    # phi_j(t^k P_l), k < n, is read by verify_pade's kernel route, by the
-    # remainder starts and by the degree lemma; k = n by theta
-    calls = []
-    run = transform._phi_run
+    # phi_j(t^k P_l), k <= n, is one run per (row, column), taken when the
+    # table is built; verify_pade's kernel route, the remainder starts, the
+    # degree lemma (k < n) and theta (k = n) read it off the cells
+    calls, runs = [], []
+    totals, run = transform._phi_totals, transform._phi_run
 
-    def counting(f, p, start, count):
+    def counting(f, nums, start, count):
         calls.append((start, count))
-        return run(f, p, start, count)
+        return totals(f, nums, start, count)
 
-    monkeypatch.setattr(transform, "_phi_run", counting)
+    def recording(*args):
+        runs.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(transform, "_phi_totals", counting)
+    monkeypatch.setattr(transform, "_phi_run", recording)
     for command in ("pade", "det"):
         calls.clear()
         assert main([command, "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
@@ -333,6 +341,35 @@ def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
         assert out["determinant"]["abs_identity_ok"] is True
         # 8 rows x 9 columns, one run of k = 0..n each
         assert calls == [(0, 3)] * 72
+    assert runs == []
+
+
+def test_bounds_audit_reads_phi_of_tnp_off_the_table(capsys, monkeypatch):
+    from rodpade import criterion
+
+    inside, calls = [False], []
+    totals, audit = transform._phi_totals, criterion.bounds_audit
+
+    def counting(*args):
+        calls.append(inside[0])
+        return totals(*args)
+
+    def auditing(*args, **kwargs):
+        inside[0] = True
+        try:
+            return audit(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(transform, "_phi_totals", counting)
+    monkeypatch.setattr(criterion, "_phi_totals", counting)
+    monkeypatch.setattr(criterion, "bounds_audit", auditing)
+    argv = ["audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40"]
+    assert main(argv) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == 8
+    # the tables' runs and the remainder decay take values; the audit takes none
+    assert calls and not any(calls)
 
 
 def _perturbed_last_column(monkeypatch):

@@ -172,7 +172,7 @@ def test_table_cells_verify():
         seqs = moment_seqs(m)
         for cell in table.cells:
             assert cell.P.degree == m * n + cell.ell
-            assert verify_pade(cell, seqs, n, int(cell.P.degree))
+            assert verify_pade(cell, seqs, int(cell.P.degree))
 
 
 def test_determinants():

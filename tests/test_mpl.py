@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -78,6 +80,29 @@ def test_index_set_cardinality_and_order():
     assert len(index_set(2, 2)) == 8
     for m, r in ((1, 3), (2, 2), (3, 2), (2, 3)):
         assert len(index_set(m, r)) == (m + 1) ** r - 1
+
+
+def _index_set_by_enumeration(m, r):
+    """The enumeration ``index_set`` replaced: all r^k tuples s, kept when |s| <= r."""
+    out = []
+    for k in range(1, r + 1):
+        for s in sorted(s for s in itertools.product(range(1, r + 1), repeat=k) if sum(s) <= r):
+            out.extend(MplIndex(s=s, a=a) for a in itertools.product(range(1, m + 1), repeat=k))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_index_set_matches_the_enumeration(m):
+    for r in range(1, 7):
+        assert index_set(m, r) == _index_set_by_enumeration(m, r)
+
+
+def test_index_set_time_follows_its_output():
+    # the enumeration visited more than 12^12 tuples here; the compositions are 2^12 - 1
+    start = time.perf_counter()
+    indices = index_set(1, 12)
+    assert time.perf_counter() - start < 1.0
+    assert len(indices) == 4095
 
 
 def test_moment_closed_forms():
@@ -230,7 +255,7 @@ def test_tables_verify_on_small_grid():
         table = pade_table(config, n)
         seqs = moment_seqs(config)
         for cell in table.cells:
-            assert verify_pade(cell, seqs, n, int(cell.P.degree))
+            assert verify_pade(cell, seqs, int(cell.P.degree))
 
 
 def test_delta_constants():

@@ -8,6 +8,7 @@ functional values per (row, column).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import threading
@@ -21,6 +22,7 @@ from rodpade.transform import (
     PadeCell,
     ZeroDeterminantError,
     _int_det,
+    build_table,
     det_bareiss,
     divided_difference_Q,
     phi,
@@ -162,27 +164,31 @@ def test_remainder_tail_of_zero_series():
 
 
 def legendre_cell() -> PadeCell:
-    return PadeCell(n=1, ell=0, P=Poly((1, -2)), Qs={"Li_1(1/z)": Poly.constant(-2)})
+    return build_table([Poly((1, -2))], [LI1], 1).cells[0]
 
 
 def test_verify_pade_legendre_true():
-    assert verify_pade(legendre_cell(), [fresh_li1()], n=1, M=1)
+    cell = legendre_cell()
+    assert cell.Qs == {"Li_1(1/z)": Poly.constant(-2)}
+    assert verify_pade(cell, [fresh_li1()], M=1)
 
 
 def test_verify_pade_nonorthogonal_false():
-    cell = PadeCell(n=1, ell=0, P=Poly.one(), Qs={"Li_1(1/z)": Poly.zero()})
-    assert not verify_pade(cell, [fresh_li1()], n=1, M=1)
+    cell = build_table([Poly.one()], [LI1], 1).cells[0]
+    assert cell.Qs == {"Li_1(1/z)": Poly.zero()}
+    assert not verify_pade(cell, [fresh_li1()], M=1)
 
 
 def test_verify_pade_weight_zero_kernel_is_empty():
     p = Poly((2, 5, 1))
-    cell = PadeCell(n=0, ell=0, P=p, Qs={"Li_1(1/z)": divided_difference_Q(LI1, p)})
-    assert verify_pade(cell, [fresh_li1()], n=0, M=2)
+    cell = build_table([p], [LI1], 0).cells[0]
+    assert cell.Qs == {"Li_1(1/z)": divided_difference_Q(LI1, p)}
+    assert verify_pade(cell, [fresh_li1()], M=2)
 
 
 def test_verify_pade_wrong_q_false():
-    cell = PadeCell(n=1, ell=0, P=Poly((1, -2)), Qs={"Li_1(1/z)": Poly.constant(7)})
-    assert not verify_pade(cell, [fresh_li1()], n=1, M=1)
+    cell = dataclasses.replace(legendre_cell(), Qs={"Li_1(1/z)": Poly.constant(7)})
+    assert not verify_pade(cell, [fresh_li1()], M=1)
 
 
 # --------------------------------------------------------------------------
@@ -456,8 +462,8 @@ def test_constant_determinant_matches_fraction_route(m, r, alphas, n):
 
 def test_verify_pade_degree_guard():
     cell = legendre_cell()  # deg P = 1
-    assert verify_pade(cell, [fresh_li1()], n=1, M=1)
-    assert not verify_pade(cell, [fresh_li1()], n=1, M=0)
+    assert verify_pade(cell, [fresh_li1()], M=1)
+    assert not verify_pade(cell, [fresh_li1()], M=0)
 
 
 def test_moment_seq_memoization_is_stable():
@@ -524,10 +530,14 @@ def _grid_table(m, r, kind, n):
 
 @pytest.mark.parametrize("m, r, kind, n", _LEMMA_GRID)
 def test_degree_lemma_delta_equals_the_evaluation_route(m, r, kind, n):
-    from rodpade.transform import _degree_lemma_holds, orthogonality_heads, table_determinants
+    from rodpade.transform import _degree_lemma_holds, table_determinants
 
     table = _grid_table(m, r, kind, n)
-    assert _degree_lemma_holds(table, orthogonality_heads(table))
+    # every cell carries phi_j(t^k P_l), k <= n, as the Fraction sum gives it
+    for cell in table.cells:
+        for f in table.seqs:
+            assert cell.heads[f.label] == tuple(fraction_phi(f, cell.P, k) for k in range(n + 1))
+    assert _degree_lemma_holds(table)
     delta, theta = table_determinants(table)
     assert delta == constant_determinant(table.matrix())
     columns = [cell.P for cell in table.cells[: len(table.seqs)]]
@@ -564,14 +574,13 @@ def test_columns_past_the_degree_bound_fail_the_degree_lemma():
         DegreeLemmaError,
         _degree_lemma_holds,
         build_table,
-        orthogonality_heads,
         table_determinants,
     )
 
     # weight-2 columns are orthogonal up to k < 1 too, but deg P_l = 2M + l > M + l
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 2)
     relabelled = build_table([cell.P for cell in table.cells], table.seqs, 1)
-    assert not _degree_lemma_holds(relabelled, orthogonality_heads(relabelled))
+    assert not _degree_lemma_holds(relabelled)
     with pytest.raises(DegreeLemmaError):
         table_determinants(relabelled)
     # the matrix is the weight-2 one, whose Delta the oracle still reads as a constant
