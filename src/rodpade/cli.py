@@ -7,7 +7,9 @@ configuration, 3 criterion hypotheses not satisfied.
 
 A subcommand loads only the modules it uses: ``criterion``, ``mpl``,
 ``logpow`` and ``csv`` are imported inside the commands that need them, so
-``pade`` on log-power rows never loads ``mpl`` or ``criterion``.
+``pade`` on log-power rows never loads ``mpl`` or ``criterion``.  No
+subcommand loads ``dataclasses``: the package's values derive from
+``exact.Record``.
 """
 
 from __future__ import annotations

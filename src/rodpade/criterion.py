@@ -9,11 +9,10 @@ exact rationals and use floats only for reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import Poly, format_rational, log_fraction, log_int as _log_int, over_common_denominator
+from .exact import Poly, Record, format_rational, log_fraction, log_int as _log_int, over_common_denominator
 from .transform import MomentSeq, PadeTable, _phi_totals, rodrigues_chain
 from . import mpl as mpl_mod
 
@@ -54,13 +53,13 @@ class DegenerateAlphasError(ValueError):
 # places and exact absolute values
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """A place of Q: the archimedean one (p = None) or a prime p."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
+    def __init__(self, p: int | None = None):
+        super().__init__(p)
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -251,13 +250,13 @@ def global_height_vec(xs: Sequence[Fraction]) -> float:
     return log_fraction(_global_H_vec(xs))
 
 
-@dataclass(frozen=True)
-class HeightProfile:
+class HeightProfile(Record):
     """Local heights of one rational across every place that contributes."""
 
-    value: Fraction
-    locals: dict[str, float]
-    total: float
+    __slots__ = ("value", "locals", "total")
+
+    def __init__(self, value: Fraction, locals: dict[str, float], total: float):
+        super().__init__(value, locals, total)
 
     def to_json(self) -> dict:
         return {
@@ -328,12 +327,13 @@ def _check_alphas(alphas: Sequence[Fraction], m: int, r: int) -> tuple[Fraction,
     return alphas
 
 
-@dataclass(frozen=True)
-class VResult:
-    value: float
-    error_bound: float
-    indeterminate: bool
-    terms: dict[str, float] = field(default_factory=dict)
+class VResult(Record):
+    __slots__ = ("value", "error_bound", "indeterminate", "terms")
+
+    def __init__(
+        self, value: float, error_bound: float, indeterminate: bool, terms: dict[str, float] | None = None
+    ):
+        super().__init__(value, error_bound, indeterminate, {} if terms is None else terms)
 
     def to_json(self) -> dict:
         return {
@@ -393,18 +393,25 @@ def V_value(
     )
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    m: int
-    r: int
-    alphas: tuple[Fraction, ...]
-    beta: Fraction
-    place: Place
-    V: VResult
-    beta_exceeds_height: bool
-    V_positive: str  # "pass" | "fail" | "indeterminate"
-    conclusion: list[str]
-    products: list[str]
+class CriterionReport(Record):
+    __slots__ = (
+        "m", "r", "alphas", "beta", "place", "V", "beta_exceeds_height", "V_positive", "conclusion", "products"
+    )
+
+    def __init__(
+        self,
+        m: int,
+        r: int,
+        alphas: tuple[Fraction, ...],
+        beta: Fraction,
+        place: Place,
+        V: VResult,
+        beta_exceeds_height: bool,
+        V_positive: str,  # "pass" | "fail" | "indeterminate"
+        conclusion: list[str],
+        products: list[str],
+    ):
+        super().__init__(m, r, alphas, beta, place, V, beta_exceeds_height, V_positive, conclusion, products)
 
     @property
     def passed(self) -> bool:
@@ -516,13 +523,13 @@ def _round15(x: float | None) -> float | None:
     return float(f"{x:.15g}")
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(Record):
     """One proven inequality, compared exactly on the norm scale."""
 
-    name: str
-    measured: Fraction
-    bound: Fraction
+    __slots__ = ("name", "measured", "bound")
+
+    def __init__(self, name: str, measured: Fraction, bound: Fraction):
+        super().__init__(name, measured, bound)
 
     @property
     def holds(self) -> bool:
@@ -551,12 +558,11 @@ class AuditRow:
         }
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    config: "mpl_mod.MplConfig"
-    n: int
-    place: Place
-    rows: list[AuditRow]
+class AuditReport(Record):
+    __slots__ = ("config", "n", "place", "rows")
+
+    def __init__(self, config: "mpl_mod.MplConfig", n: int, place: Place, rows: list[AuditRow]):
+        super().__init__(config, n, place, rows)
 
     @property
     def all_hold(self) -> bool:
@@ -697,14 +703,19 @@ def bounds_audit(
 # remainder decay
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    ns: list[int]
-    log_remainder: list[float]
-    slope: float
-    bound_coefficient: float
-    slack: float
-    ok: bool
+class DecayReport(Record):
+    __slots__ = ("ns", "log_remainder", "slope", "bound_coefficient", "slack", "ok")
+
+    def __init__(
+        self,
+        ns: list[int],
+        log_remainder: list[float],
+        slope: float,
+        bound_coefficient: float,
+        slack: float,
+        ok: bool,
+    ):
+        super().__init__(ns, log_remainder, slope, bound_coefficient, slack, ok)
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,6 @@ what was actually proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -19,6 +18,7 @@ __all__ = [
     "INF",
     "Scalar",
     "InsufficientDepthError",
+    "Record",
     "format_rational",
     "log_int",
     "log_fraction",
@@ -45,6 +45,49 @@ Scalar = Union[int, Fraction]
 
 class InsufficientDepthError(Exception):
     """An operation would need Laurent coefficients beyond the proved depth."""
+
+
+class Record:
+    """Base of the package's immutable values, with their fields in ``__slots__``.
+
+    A subclass lists its fields in ``__slots__``, and its ``__init__`` hands
+    one value per field, in that order, to ``Record.__init__``.  Equality
+    (between instances of one class only), hash and the repr
+    ``Name(f=..., g=...)`` follow the fields, leaving out those named in
+    ``_hidden``.  Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name not in self._hidden)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since slots cannot be set
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def format_rational(x: Fraction) -> str:
@@ -74,7 +117,11 @@ def log_fraction(q: Fraction) -> float:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """The rational written as an integer, decimal or "p/q"; ValueError otherwise."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 class Poly:
@@ -310,11 +357,13 @@ def _as_poly(x) -> Poly:
 Z = Poly((0, 1))
 
 
-@dataclass(frozen=True)
-class OrdAtLeast:
+class OrdAtLeast(Record):
     """Lower bound on ord_inf when the truncation shows no nonzero coefficient."""
 
-    bound: int
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int):
+        super().__init__(bound)
 
     def __ge__(self, other: int) -> bool:
         return self.bound >= other

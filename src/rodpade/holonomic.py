@@ -12,11 +12,10 @@ rule "drop every term whose target index k+delta would be negative".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Poly
+from .exact import Poly, Record
 from .transform import MomentSeq
 from .weyl import DiffOp, ZeroOperatorError, ord_weight, property_P, rising_factorial_poly
 
@@ -33,8 +32,7 @@ class PropertyPFailureError(Exception):
     """The leading recurrence coefficient vanishes at some nonnegative integer."""
 
 
-@dataclass(frozen=True)
-class RecurrenceSystem:
+class RecurrenceSystem(Record):
     """The recurrence sum_delta c_delta(k) x_{k+delta} = 0 (k >= 0).
 
     ``shifts[delta]`` is the coefficient polynomial c_delta in the variable k;
@@ -43,8 +41,10 @@ class RecurrenceSystem:
     source operator; c_d is the leading coefficient.
     """
 
-    d: int
-    shifts: dict[int, Poly]
+    __slots__ = ("d", "shifts")
+
+    def __init__(self, d: int, shifts: dict[int, Poly]):
+        super().__init__(d, shifts)
 
     @property
     def lead(self) -> Poly:

@@ -12,11 +12,10 @@ algebra (``rodpade.weyl``) is imported only by the operator builders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact import Poly
+from .exact import Poly, Record
 from .transform import (
     MomentSeq,
     PadeTable,
@@ -43,14 +42,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LogPowConfig:
+class LogPowConfig(Record):
     """Highest log power m and weight n."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
+    def __init__(self, m: int, n: int):
+        super().__init__(m, n)
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
 

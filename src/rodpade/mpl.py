@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .exact import Poly, format_rational
+from .exact import Poly, Record, format_rational
 from .transform import (
     MomentSeq,
     PadeTable,
@@ -60,16 +59,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MplConfig:
+class MplConfig(Record):
     """Parameters (m, r, alphas) with alphas pairwise distinct and nonzero."""
 
-    m: int
-    r: int
-    alphas: tuple[Fraction, ...]
+    __slots__ = ("m", "r", "alphas")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
+    def __init__(self, m: int, r: int, alphas: Sequence[Fraction]):
+        super().__init__(m, r, tuple(Fraction(a) for a in alphas))
         if self.m < 1 or self.r < 1:
             raise ValueError("m and r must be positive")
         if len(self.alphas) != self.m:
@@ -95,18 +91,32 @@ class MplConfig:
         }
 
 
-@dataclass(frozen=True, order=True)
-class MplIndex:
-    """A composition s with |s| <= r and a tuple of 1-based alpha indices."""
+class MplIndex(Record):
+    """A composition s with |s| <= r and a tuple of 1-based alpha indices.
 
-    s: tuple[int, ...]
-    a: tuple[int, ...]
+    Indices are ordered by (s, a).
+    """
 
-    def __post_init__(self):
+    __slots__ = ("s", "a")
+
+    def __init__(self, s: tuple[int, ...], a: tuple[int, ...]):
+        super().__init__(s, a)
         if len(self.s) != len(self.a) or not self.s:
             raise ValueError("s and a must be nonempty of equal length")
         if any(si < 1 for si in self.s) or any(ai < 1 for ai in self.a):
             raise ValueError("entries must be positive")
+
+    def __lt__(self, other):
+        return self._key() < other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self._key() <= other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self._key() > other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self._key() >= other._key() if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def depth(self) -> int:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .exact import (
     LaurentTail,
     Poly,
+    Record,
     falling_derivative,
     int_convolve,
     laurent_mul_poly,
@@ -188,13 +188,13 @@ def divided_difference_Q(f: MomentSeq, p: Poly) -> Poly:
     return _q_of_ints(f, *over_common_denominator(p.coeffs))
 
 
-@dataclass(frozen=True)
-class Remainder:
+class Remainder(Record):
     """Remainder tail of a cell, with the orthogonality precondition recorded."""
 
-    tail: LaurentTail
-    expected_start: int
-    orthogonal: bool
+    __slots__ = ("tail", "expected_start", "orthogonal")
+
+    def __init__(self, tail: LaurentTail, expected_start: int, orthogonal: bool):
+        super().__init__(tail, expected_start, orthogonal)
 
 
 def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
@@ -217,8 +217,7 @@ def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
     return Remainder(LaurentTail(start_k + 1, coeffs), expected_start=n + 1, orthogonal=orthogonal)
 
 
-@dataclass(frozen=True)
-class PadeCell:
+class PadeCell(Record):
     """One column of a weight-n table: P, and the Q-polynomial of every row.
 
     ``heads`` holds, per row label, the run phi_j(t^k P) for k = 0..n: the
@@ -226,11 +225,13 @@ class PadeCell:
     the table reads them.  They take no part in equality, repr or JSON.
     """
 
-    n: int
-    ell: int
-    P: Poly
-    Qs: dict[str, Poly]
-    heads: dict[str, tuple[Fraction, ...]] = field(compare=False, repr=False)
+    __slots__ = ("n", "ell", "P", "Qs", "heads")
+    _hidden = ("heads",)
+
+    def __init__(
+        self, n: int, ell: int, P: Poly, Qs: dict[str, Poly], heads: dict[str, tuple[Fraction, ...]]
+    ):
+        super().__init__(n, ell, P, Qs, heads)
 
     def to_json(self) -> dict:
         return {
@@ -240,8 +241,7 @@ class PadeCell:
         }
 
 
-@dataclass(frozen=True)
-class PadeTable:
+class PadeTable(Record):
     """All columns l = 0..M of a weight-n table, rows in a fixed order.
 
     ``seqs`` are the row moment sequences the table was built from, kept so
@@ -249,11 +249,18 @@ class PadeTable:
     instead of rebuilding them.  They take no part in equality, repr or JSON.
     """
 
-    n: int
-    M: int
-    row_labels: tuple[str, ...]
-    cells: tuple[PadeCell, ...]
-    seqs: tuple[MomentSeq, ...] = field(compare=False, repr=False)
+    __slots__ = ("n", "M", "row_labels", "cells", "seqs")
+    _hidden = ("seqs",)
+
+    def __init__(
+        self,
+        n: int,
+        M: int,
+        row_labels: tuple[str, ...],
+        cells: tuple[PadeCell, ...],
+        seqs: tuple[MomentSeq, ...],
+    ):
+        super().__init__(n, M, row_labels, cells, seqs)
 
     def matrix(self) -> list[list[Poly]]:
         """(d+1) x (d+1) arrangement: P row first, then one row per label."""

@@ -9,7 +9,6 @@ through :meth:`DiffOp.alternating_coeff`, never as a second representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -18,6 +17,7 @@ from .exact import (
     InsufficientDepthError,
     LaurentTail,
     Poly,
+    Record,
     Scalar,
     laurent_mul_poly,
     log_fraction,
@@ -251,8 +251,7 @@ def rising_factorial_poly(offset: Scalar, length: int) -> Poly:
     return acc
 
 
-@dataclass(frozen=True)
-class PropertyP:
+class PropertyP(Record):
     """Result of the leading-symbol nonvanishing test.
 
     ``symbol`` is S(k) = sum over the top-weight terms of
@@ -265,10 +264,10 @@ class PropertyP:
     factors for single-top-term operators.
     """
 
-    holds: bool
-    symbol: Poly
-    lead: Poly
-    first_root: int | None
+    __slots__ = ("holds", "symbol", "lead", "first_root")
+
+    def __init__(self, holds: bool, symbol: Poly, lead: Poly, first_root: int | None):
+        super().__init__(holds, symbol, lead, first_root)
 
     def __bool__(self) -> bool:
         return self.holds

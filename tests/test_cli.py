@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import subprocess
@@ -414,7 +413,7 @@ def test_determinant_errors_exit_1_with_one_error_payload(
 
 def test_pade_table_extra_fields_leave_equality_and_json_alone():
     table = mpl_mod.pade_table(mpl_mod.MplConfig(m=1, r=2, alphas=(1,)), 1)
-    bare = dataclasses.replace(table, seqs=())
+    bare = transform.PadeTable(table.n, table.M, table.row_labels, table.cells, seqs=())
     assert bare == table
     assert bare.to_json() == table.to_json()
     assert repr(bare) == repr(table)
@@ -430,9 +429,10 @@ def test_audit_help_lists_every_flag(capsys):
 
 _LOADED_MODULES = (
     "import sys\n"
+    "before = set(sys.modules)\n"
     "from rodpade.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(code, *sorted(k for k in sys.modules if k.startswith('rodpade')), file=sys.stderr)\n"
+    "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
 )
 
 
@@ -457,6 +457,42 @@ def test_pade_and_det_load_only_their_row_family(argv, family, other):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("pade", "--m", "1", "--r", "2", "--alphas", "1/2", "--n", "1"),
+        ("pade", "--appendix-logpow", "--m", "2", "--n", "1"),
+        ("det", "--m", "2", "--r", "1", "--alphas", "1,-2", "--n", "1"),
+        ("audit", "--m", "1", "--alphas", "1", "--n", "1..3", "--beta", "30"),
+        ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "inf"),
+        ("logpow-identities", "--n", "2"),
+    ],
+)
+def test_no_subcommand_loads_dataclasses(argv):
+    # module presence, not time: a run that imports dataclasses pays for inspect, ast and dis
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True
+    )
+    code, *loaded = proc.stderr.split()
+    assert code == "0"
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_no_source_file_imports_dataclasses():
+    import ast
+    from pathlib import Path
+
+    imported = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert len({name for name, _ in imported}) >= 9
+    assert [pair for pair in imported if pair[1] == "dataclasses"] == []
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (
@@ -478,6 +514,18 @@ def test_pade_and_det_load_only_their_row_family(argv, family, other):
         (
             ("criterion", "--m", "1", "--r", "0", "--alphas=2", "--beta", "40", "--place", "inf"),
             "error: r must be positive, got 0",
+        ),
+        (
+            ("pade", "--m", "2", "--alphas=1,2/0", "--n", "1"),
+            "error: zero denominator in '2/0'",
+        ),
+        (
+            ("criterion", "--m", "1", "--alphas", "1", "--beta", "1/0"),
+            "error: zero denominator in '1/0'",
+        ),
+        (
+            ("audit", "--m", "1", "--alphas", "1", "--n", "1..2", "--beta", "1/0"),
+            "error: zero denominator in '1/0'",
         ),
     ],
 )

@@ -32,6 +32,11 @@ def test_rationals_are_canonical():
     assert parse_rational("-7/21") == F(-1, 3)
 
 
+def test_parse_rational_names_a_zero_denominator():
+    with pytest.raises(ValueError, match=r"^zero denominator in '3/00'$"):
+        parse_rational(" 3/00 ")
+
+
 def test_poly_mul_difference_of_squares():
     assert Poly((-1, 1)) * Poly((1, 1)) == Poly((-1, 0, 1))
 

@@ -1,0 +1,238 @@
+"""The package's value classes against frozen-dataclass twins.
+
+Every value class derives from ``exact.Record``.  Each test builds, from the
+class's own fields, the ``@dataclass(frozen=True)`` the class would be
+declared as, and compares the two on sample instances: equality, hash,
+repr, ordering, immutability and the constructor's signature.  Copying
+and pickling rebuild a value through its constructor.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import inspect
+import itertools
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from rodpade import criterion, exact, holonomic, logpow, mpl, transform, weyl
+from rodpade.exact import LaurentTail, OrdAtLeast, Poly, Record
+
+
+def _samples():
+    """Per class: instances, with the first two equal but built separately."""
+    config = mpl.MplConfig(1, 2, (1,))
+    tables = [mpl.pade_table(config, 1), mpl.pade_table(config, 1), mpl.pade_table(config, 2)]
+    idx = mpl.index_set(2, 2)
+    row = criterion.AuditRow("norm[0]", F(1, 2), F(3))
+    return {
+        OrdAtLeast: [OrdAtLeast(3), OrdAtLeast(3), OrdAtLeast(4)],
+        transform.Remainder: [
+            transform.Remainder(LaurentTail(2, (1, 2)), 2, True),
+            transform.Remainder(LaurentTail(2, (1, 2)), expected_start=2, orthogonal=True),
+            transform.Remainder(LaurentTail(1, (1,)), 2, False),
+        ],
+        transform.PadeCell: [tables[0].cells[1], tables[1].cells[1], tables[0].cells[0]],
+        transform.PadeTable: tables,
+        mpl.MplConfig: [config, mpl.MplConfig(m=1, r=2, alphas=[F(1)]), mpl.MplConfig(2, 1, (1, -2))],
+        mpl.MplIndex: [idx[3], mpl.MplIndex(idx[3].s, idx[3].a), *idx],
+        criterion.Place: [criterion.Place(), criterion.Place(None), criterion.Place(2), criterion.Place(p=3)],
+        criterion.HeightProfile: [
+            criterion.height_profile(F(3, 4)),
+            criterion.height_profile(F(6, 8)),
+            criterion.height_profile(F(5, 2)),
+        ],
+        criterion.VResult: [
+            criterion.V_value((F(1),), F(30), 1, 1, criterion.Place()),
+            criterion.V_value((F(1),), F(30), 1, 1, criterion.Place()),
+            criterion.VResult(0.5, 1e-15, False),
+        ],
+        criterion.CriterionReport: [
+            criterion.evaluate_criterion((F(1),), F(30), 1, 1, criterion.Place()),
+            criterion.evaluate_criterion((F(1),), F(30), 1, 1, criterion.Place()),
+            criterion.evaluate_criterion((F(1),), F(40), 1, 1, criterion.Place(2)),
+        ],
+        criterion.AuditRow: [
+            row, criterion.AuditRow("norm[0]", F(2, 4), F(3)), criterion.AuditRow("q", F(1), F(1))
+        ],
+        criterion.AuditReport: [
+            criterion.AuditReport(config, 1, criterion.Place(), [row]),
+            criterion.AuditReport(mpl.MplConfig(1, 2, (1,)), 1, criterion.Place(), [row]),
+            criterion.AuditReport(config, 2, criterion.Place(), []),
+        ],
+        criterion.DecayReport: [
+            criterion.DecayReport([1, 2], [-1.0, -2.5], -1.5, -1.3, 0.1, False),
+            criterion.DecayReport([1, 2], [-1.0, -2.5], -1.5, -1.3, 0.1, False),
+            criterion.DecayReport([1, 2, 3], [-1.0, -2.5, -4.0], -1.5, -1.3, 0.1, True),
+        ],
+        logpow.LogPowConfig: [
+            logpow.LogPowConfig(2, 3), logpow.LogPowConfig(m=2, n=3), logpow.LogPowConfig(3, 2)
+        ],
+        weyl.PropertyP: [
+            weyl.PropertyP(True, Poly((1, 1)), Poly((1,)), None),
+            weyl.PropertyP(True, Poly((1, 1)), Poly((1,)), None),
+            weyl.PropertyP(False, Poly((0, 1)), Poly((0, 1)), 0),
+        ],
+        holonomic.RecurrenceSystem: [
+            holonomic.RecurrenceSystem(1, {0: Poly((1,)), 1: Poly((0, 1))}),
+            holonomic.RecurrenceSystem(1, {0: Poly((1,)), 1: Poly((0, 1))}),
+            holonomic.RecurrenceSystem(0, {0: Poly((2,))}),
+        ],
+    }
+
+
+SAMPLES = _samples()
+
+#: fields a value keeps but leaves out of equality, hash and repr
+HIDDEN = {transform.PadeCell: {"heads"}, transform.PadeTable: {"seqs"}}
+
+#: constructor defaults: a value, or a factory that makes a fresh one per instance
+DEFAULTS = {criterion.Place: {"p": None}, criterion.VResult: {"terms": dict}}
+
+
+def _twin(cls):
+    """The frozen dataclass with cls's fields, hidden ones marked as such."""
+    specs = []
+    for name in cls.__slots__:
+        kwargs = {}
+        if name in HIDDEN.get(cls, ()):
+            kwargs.update(compare=False, repr=False)
+        default = DEFAULTS.get(cls, {}).get(name, dataclasses.MISSING)
+        if callable(default):
+            kwargs["default_factory"] = default
+        elif default is not dataclasses.MISSING:
+            kwargs["default"] = default
+        specs.append((name, object, dataclasses.field(**kwargs)))
+    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=True, order=cls is mpl.MplIndex)
+    twin.__qualname__ = cls.__qualname__
+    return twin
+
+
+def _as_twin(twin, value):
+    return twin(*(getattr(value, name) for name in value.__slots__))
+
+
+def _hash(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+def test_every_value_class_is_a_record():
+    value_classes = {
+        obj
+        for module in (criterion, exact, holonomic, logpow, mpl, transform, weyl)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
+    }
+    assert value_classes == set(SAMPLES)
+    assert len(SAMPLES) == 16
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_record_matches_its_dataclass_twin(cls):
+    twin = _twin(cls)
+    values = SAMPLES[cls]
+    twins = [_as_twin(twin, v) for v in values]
+    assert values[0] == values[1] and values[0] is not values[1]
+    assert values[0] != values[-1]
+    for (a, ta), (b, tb) in itertools.product(zip(values, twins), repeat=2):
+        assert (a == b) is (ta == tb)
+        assert (a != b) is (ta != tb)
+    for value, tw in zip(values, twins):
+        assert repr(value) == repr(tw)
+        assert _hash(value) == _hash(tw)
+        assert value != tw and value != object()
+        if cls is not mpl.MplIndex:
+            with pytest.raises(TypeError):
+                value < value  # noqa: B015
+    # the constructor keeps the dataclass's positional order, keywords and defaults
+    ours = inspect.signature(cls).parameters
+    theirs = inspect.signature(twin).parameters
+    assert [(p.name, p.kind) for p in ours.values()] == [(p.name, p.kind) for p in theirs.values()]
+    for name, default in DEFAULTS.get(cls, {}).items():
+        if callable(default):
+            first, second = (cls(*(getattr(values[0], f) for f in cls.__slots__ if f != name)) for _ in range(2))
+            assert getattr(first, name) == default() and getattr(first, name) is not getattr(second, name)
+        else:
+            assert ours[name].default == default
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_record_refuses_assignment_and_deletion(cls):
+    value = SAMPLES[cls][0]
+    for name in (*cls.__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_record_copies_and_pickles(cls):
+    for value in SAMPLES[cls]:
+        assert copy.copy(value) == value
+        fields = tuple(getattr(value, name) for name in cls.__slots__)
+        try:
+            pickle.dumps(fields)
+        except (AttributeError, TypeError, pickle.PicklingError):
+            continue  # e.g. a table's moment sequences hold closures and a lock
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("cls", [transform.PadeCell, transform.PadeTable], ids=lambda c: c.__name__)
+def test_hidden_fields_change_neither_equality_nor_repr(cls):
+    value = SAMPLES[cls][0]
+    (hidden,) = HIDDEN[cls]
+    assert getattr(value, hidden)
+    fields = {name: getattr(value, name) for name in cls.__slots__}
+    bare = cls(**fields | {hidden: type(fields[hidden])()})
+    assert bare == value and repr(bare) == repr(value)
+    assert f"{hidden}=" not in repr(value)
+    assert repr(_as_twin(_twin(cls), bare)) == repr(value)
+
+
+def test_mpl_index_orders_like_its_twin():
+    twin = _twin(mpl.MplIndex)
+    indices = mpl.index_set(2, 3)
+    shuffled = indices[::-1][1::2] + indices[::-1][::2]
+    assert [_as_twin(twin, i) for i in sorted(shuffled)] == sorted(_as_twin(twin, i) for i in shuffled)
+    for a, b in itertools.product(indices[:12], repeat=2):
+        ta, tb = _as_twin(twin, a), _as_twin(twin, b)
+        assert (a < b, a <= b, a > b, a >= b) == (ta < tb, ta <= tb, ta > tb, ta >= tb)
+    with pytest.raises(TypeError):
+        indices[0] < _as_twin(twin, indices[1])  # noqa: B015
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: mpl.MplConfig(0, 1, ()), "m and r must be positive"),
+        (lambda: mpl.MplConfig(1, 0, (1,)), "m and r must be positive"),
+        (lambda: mpl.MplConfig(2, 1, (1,)), "expected 2 alphas, got 1"),
+        (lambda: mpl.MplConfig(2, 1, (1, 0)), "alphas must be nonzero"),
+        (lambda: mpl.MplConfig(2, 1, (F(1, 2), F(2, 4))), "alphas must be pairwise distinct"),
+        (lambda: mpl.MplIndex((), ()), "s and a must be nonempty of equal length"),
+        (lambda: mpl.MplIndex((1, 1), (1,)), "s and a must be nonempty of equal length"),
+        (lambda: mpl.MplIndex((0,), (1,)), "entries must be positive"),
+        (lambda: mpl.MplIndex((1,), (0,)), "entries must be positive"),
+        (lambda: criterion.Place(4), "4 is not prime"),
+        (lambda: criterion.Place.parse("p1"), "1 is not prime"),
+        (lambda: logpow.LogPowConfig(0, 1), "m and n must be positive"),
+        (lambda: logpow.LogPowConfig(1, 0), "m and n must be positive"),
+    ],
+)
+def test_record_validation_raises_value_error(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_mpl_config_normalizes_alphas_to_a_tuple_of_fractions():
+    config = mpl.MplConfig(2, 1, [1, "-3/2"])
+    assert config.alphas == (F(1), F(-3, 2)) and all(type(a) is F for a in config.alphas)
+    assert config == mpl.MplConfig(2, 1, (F(1), F(-3, 2)))

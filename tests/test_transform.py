@@ -8,7 +8,6 @@ functional values per (row, column).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import threading
@@ -187,7 +186,8 @@ def test_verify_pade_weight_zero_kernel_is_empty():
 
 
 def test_verify_pade_wrong_q_false():
-    cell = dataclasses.replace(legendre_cell(), Qs={"Li_1(1/z)": Poly.constant(7)})
+    good = legendre_cell()
+    cell = PadeCell(good.n, good.ell, good.P, {"Li_1(1/z)": Poly.constant(7)}, good.heads)
     assert not verify_pade(cell, [fresh_li1()], M=1)
 
 
