@@ -1,11 +1,12 @@
 """Exact Rodrigues-style Pade-type approximants over Q.
 
 Subpackages by layer: exact rational/polynomial/Laurent arithmetic
-(:mod:`rodpade.exact`), the operator algebra (:mod:`rodpade.weyl`), moment
-functionals and determinants (:mod:`rodpade.transform`), recurrence
-extraction (:mod:`rodpade.holonomic`), the two applications
-(:mod:`rodpade.mpl`, :mod:`rodpade.logpow`), and the arithmetic layer of
-heights, audits and the independence criterion (:mod:`rodpade.criterion`).
+(:mod:`rodpade.exact`), the operator algebra with the paper's Rodrigues
+operators (:mod:`rodpade.weyl`), moment functionals, the integer Rodrigues
+chain and determinants (:mod:`rodpade.transform`), recurrence extraction
+(:mod:`rodpade.holonomic`), the two applications (:mod:`rodpade.mpl`,
+:mod:`rodpade.logpow`), and the arithmetic layer of heights, audits and the
+independence criterion (:mod:`rodpade.criterion`).
 
 The operator names below are loaded from :mod:`rodpade.weyl` on first
 access, so importing the package (or the command line, which builds its
@@ -22,6 +23,7 @@ _WEYL_NAMES = (
     "op_compose",
     "ord_weight",
     "property_P",
+    "rodrigues_operator",
 )
 
 __all__ = [

@@ -282,9 +282,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_logpow_identities(args) -> int:
-    from . import logpow as logpow_mod
+    from . import weyl
 
-    ok = logpow_mod.verify_En_identities(args.n)
+    ok = weyl.verify_En_identities(args.n)
     payload = {"command": "logpow-identities", "n_max": args.n, "ok": ok}
     _emit(payload, args.format, args.out)
     return EXIT_OK if ok else EXIT_VERIFY

@@ -5,17 +5,18 @@ first-order recurrence that E_1 = z(z-1) D gives them.  The columns are
 P_l = R_n* . t^l for R_n = (1/(n!)^m) (z^n (z-1)^n D^n)^m, computed by the
 Rodrigues chain: (-1)^n (1/n!) D^n (z^n (z-1)^n . ) applied m times to t^l,
 in integer arithmetic (``transform.rodrigues_chain``).  Delta and theta are
-read off the built table (``transform.table_determinants``).  The operator
-algebra (``rodpade.weyl``) is imported only by the operator builders.
+read off the built table (``transform.table_determinants``).  As an
+operator, R_n is ``weyl.rodrigues_operator`` on the sizes of
+``rodrigues_stages``, and E_n and its identities live in ``weyl`` too; this
+module never builds an operator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .exact import Poly, Record
+from .exact import Record
 from .transform import (
     MomentSeq,
     PadeTable,
@@ -24,20 +25,11 @@ from .transform import (
     rodrigues_factor,
 )
 
-if TYPE_CHECKING:
-    from .weyl import DiffOp
-
 __all__ = [
     "LogPowConfig",
-    "logpow_moment",
     "logpow_moment_stirling",
-    "moment_seq",
     "moment_seqs",
-    "build_En",
-    "build_Lm",
-    "build_Rn_log",
     "rodrigues_stages",
-    "verify_En_identities",
     "logpow_table",
 ]
 
@@ -54,20 +46,6 @@ class LogPowConfig(Record):
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n}
-
-
-def logpow_moment(s: int, j: int) -> Fraction:
-    """Moment j of log^s(1 - 1/z): the coefficient of z^-(j+1).
-
-    Runs mu_t(i) = (i mu_t(i-1) - t mu_{t-1}(i-1)) / (i+1) for the powers
-    t = 1..s up to index j (see ``moment_seqs``): O(s j) operations, nothing
-    kept after the call.
-    """
-    if s < 1:
-        raise ValueError("s must be positive")
-    if j < s - 1:
-        return Fraction(0)
-    return moment_seqs(s)[-1][j]
 
 
 def _stirling_cycle(n: int, k: int) -> int:
@@ -89,11 +67,6 @@ def logpow_moment_stirling(s: int, j: int) -> Fraction:
     """Independent closed form: (-1)^s s! c(j+1, s) / (j+1)!."""
     sign = -1 if s % 2 else 1
     return Fraction(sign * math.factorial(s) * _stirling_cycle(j + 1, s), math.factorial(j + 1))
-
-
-def moment_seq(s: int) -> MomentSeq:
-    """Row log^s alone; it carries the rows log^1..log^(s-1) it is built from."""
-    return moment_seqs(s)[-1]
 
 
 def moment_seqs(m: int) -> list[MomentSeq]:
@@ -120,67 +93,6 @@ def moment_seqs(m: int) -> list[MomentSeq]:
 
         seqs.append(MomentSeq(fn, label=f"log^{s}"))
     return seqs
-
-
-def build_En(n: int) -> DiffOp:
-    """E_n = z^n (z-1)^n D^n."""
-    from .weyl import DiffOp
-
-    if n < 1:
-        raise ValueError("n must be positive")
-    return DiffOp.of_term(Poly.monomial(n) * Poly((-1, 1)) ** n, n)
-
-
-def build_Lm(m: int) -> DiffOp:
-    """(z(z-1) D)^m, the operator whose tails are spanned by the log powers."""
-    from .weyl import DiffOp, op_compose
-
-    acc = DiffOp.identity()
-    e1 = build_En(1)
-    for _ in range(m):
-        acc = op_compose(e1, acc)
-    return acc
-
-
-def build_Rn_log(n: int, m: int) -> DiffOp:
-    """(1/(n!)^m) E_n^m."""
-    from .weyl import DiffOp, op_compose
-
-    if m < 1:
-        raise ValueError("m must be positive")
-    en = build_En(n)
-    acc = DiffOp.identity()
-    for _ in range(m):
-        acc = op_compose(en, acc)
-    return acc * Fraction(1, math.factorial(n) ** m)
-
-
-def verify_En_identities(n_max: int) -> bool:
-    """Exact operator identities for the iterated factors, n = 1..n_max.
-
-    (i)  E_n = (E_1 - (n-1)(2z-1)) ... (E_1 - (2z-1)) E_1
-    (ii) E_{n+1} z = z (E_1 - (n-1)z - 1) E_n
-    """
-    from .weyl import DiffOp, op_compose
-
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    e1 = build_En(1)
-    two_z_minus_1 = Poly((-1, 2))
-    z = Poly((0, 1))
-    for n in range(1, n_max + 1):
-        product = e1
-        for i in range(1, n):
-            product = op_compose(e1 - two_z_minus_1 * i, product)
-        if product != build_En(n):
-            return False
-        lhs = op_compose(build_En(n + 1), DiffOp.mul_by(z))
-        rhs = op_compose(
-            DiffOp.mul_by(z), op_compose(e1 - (z * (n - 1) + Poly.one()), build_En(n))
-        )
-        if lhs != rhs:
-            return False
-    return True
 
 
 def rodrigues_stages(config: LogPowConfig) -> list[tuple[int, tuple[list[int], int]]]:

@@ -16,20 +16,19 @@ another, largest N first, in integer arithmetic
 run of functional values phi_j(t^k P_l), k <= n (``transform.build_table``);
 verification, the bound audit and the determinants
 (``transform.table_determinants``: Delta as Delta(0) by the degree lemma,
-theta from the k = n values) all read it.  R_n itself is built only by
-``build_Rn``, which stays as library API and as the tests' oracle.  The
-operator algebra (``rodpade.weyl``) is imported only by the operator
-builders, so building a table never loads it.
+theta from the k = n values) all read it.  R_n itself, as an operator,
+is ``weyl.rodrigues_operator`` on the sizes of ``rodrigues_stages``; this
+module never builds it, so building a table never loads the operator
+algebra.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .exact import Poly, Record, format_rational
+from .exact import Record, format_rational
 from .transform import (
     MomentSeq,
     PadeTable,
@@ -38,24 +37,15 @@ from .transform import (
     rodrigues_factor,
 )
 
-if TYPE_CHECKING:
-    from .weyl import DiffOp
-
 __all__ = [
     "MplConfig",
     "MplIndex",
     "index_set",
-    "mpl_moment",
     "mpl_moment_oracle",
-    "moment_seq",
     "moment_seqs",
-    "build_LN",
-    "build_L",
-    "build_Rn",
     "rodrigues_stages",
     "pade_table",
     "pade_tables",
-    "membership_depth",
 ]
 
 
@@ -163,11 +153,6 @@ def index_set(m: int, r: int) -> list[MplIndex]:
     return out
 
 
-def mpl_moment(idx: MplIndex, j: int, config: MplConfig) -> Fraction:
-    """Moment j of f_{s,a}: zero for j < depth-1, otherwise the nested sum."""
-    return moment_seq(config, idx)[j]
-
-
 def mpl_moment_oracle(idx: MplIndex, j: int, config: MplConfig) -> Fraction:
     """Brute-force route: expand the defining multiple sum term by term.
 
@@ -207,14 +192,6 @@ def _row(config: MplConfig, idx: MplIndex, parent: MomentSeq | None) -> MomentSe
     return MomentSeq(fn, label=idx.label(config))
 
 
-def moment_seq(config: MplConfig, idx: MplIndex) -> MomentSeq:
-    """Row idx alone; it carries the prefix rows it is built on."""
-    row = None
-    for k in range(1, idx.depth + 1):
-        row = _row(config, MplIndex(s=idx.s[:k], a=idx.a[:k]), row)
-    return row
-
-
 def moment_seqs(config: MplConfig) -> list[MomentSeq]:
     """Every row on its parent row: ``index_set`` is sorted by depth."""
     rows: dict[MplIndex, MomentSeq] = {}
@@ -222,47 +199,6 @@ def moment_seqs(config: MplConfig) -> list[MomentSeq]:
         parent = rows[MplIndex(s=idx.s[:-1], a=idx.a[:-1])] if idx.depth > 1 else None
         rows[idx] = _row(config, idx, parent)
     return list(rows.values())
-
-
-def build_LN(N: int, config: MplConfig) -> DiffOp:
-    """(1/N!) z^N prod_i (z - alpha_i)^N D^N."""
-    from .weyl import DiffOp
-
-    if N < 1:
-        raise ValueError("N must be positive")
-    b = Poly.monomial(N)
-    for a in config.alphas:
-        b = b * Poly((-a, 1)) ** N
-    return DiffOp.of_term(b / math.factorial(N), N)
-
-
-def _compose_chain(factors: Sequence[DiffOp]) -> DiffOp:
-    """Compose so that factors[0] acts first."""
-    from .weyl import op_compose
-
-    acc = factors[0]
-    for op in factors[1:]:
-        acc = op_compose(op, acc)
-    return acc
-
-
-def build_L(config: MplConfig) -> DiffOp:
-    """The composite operator annihilating every row up to polynomials."""
-    return _compose_chain([build_LN((config.m + 1) ** j, config) for j in range(config.r)])
-
-
-def build_Rn(n: int, config: MplConfig) -> DiffOp:
-    """R_n = L_{(m+1)^(r-1) n} ... L_{(m+1) n} L_n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _compose_chain(
-        [build_LN((config.m + 1) ** j * n, config) for j in range(config.r)]
-    )
-
-
-def membership_depth(config: MplConfig, n: int) -> int:
-    """Default truncation depth for membership and remainder inspection."""
-    return max(40, 2 * config.M * n + config.M + 5)
 
 
 def rodrigues_stages(config: MplConfig, n: int) -> list[tuple[int, tuple[list[int], int]]]:

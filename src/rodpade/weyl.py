@@ -4,13 +4,20 @@ An operator is kept in the canonical normal form sum_j b_j(z) * D^j with every
 coefficient written to the LEFT of the derivative powers.  The alternating
 convention sum_j (-1)^j a_j(z) * D^j used by the adjoint calculus is exposed
 through :meth:`DiffOp.alternating_coeff`, never as a second representation.
+
+The paper's Rodrigues operators L_N = (1/N!) z^N prod_i (z - alpha_i)^N D^N
+and their compositions are built here, by :func:`rodrigues_operator` alone:
+the polylogarithm R_n composes one L_N per depth level, the log-power R_n
+is L_n with the single alpha = 1, taken m times.  The tables never build
+them; they run the integer Rodrigues chain of ``transform``, and the
+operators are its independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .exact import (
     NEG_INF,
@@ -36,6 +43,9 @@ __all__ = [
     "property_P",
     "PropertyP",
     "rising_factorial_poly",
+    "rodrigues_operator",
+    "build_En",
+    "verify_En_identities",
 ]
 
 
@@ -173,6 +183,60 @@ def op_compose(l1: DiffOp, l2: DiffOp) -> DiffOp:
                 term = b * c.derivative(i) * math.comb(j, i)
                 out[j - i + k] = out[j - i + k] + term
     return DiffOp(out)
+
+
+def rodrigues_operator(sizes: Sequence[int], alphas: Sequence[Scalar]) -> DiffOp:
+    """L_{sizes[0]} o ... o L_{sizes[-1]}, L_N = (1/N!) z^N prod_i (z - alpha_i)^N D^N.
+
+    ``sizes`` is in the order of ``mpl.rodrigues_stages`` and
+    ``logpow.rodrigues_stages``, the order in which the adjoint factors act,
+    so ``adjoint(rodrigues_operator(sizes, alphas)) . t^l`` is column l of
+    the Rodrigues chain.
+    """
+    if not sizes or min(sizes) < 1:
+        raise ValueError("sizes must be nonempty and positive")
+    acc = DiffOp.identity()
+    for N in sizes:
+        b = Poly.monomial(N)
+        for a in alphas:
+            b = b * Poly((-a, 1)) ** N
+        acc = op_compose(acc, DiffOp.of_term(b / math.factorial(N), N))
+    return acc
+
+
+def build_En(n: int) -> DiffOp:
+    """E_n = z^n (z-1)^n D^n, so that L_n with alpha = 1 is E_n / n!."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return DiffOp.of_term(Poly.monomial(n) * Poly((-1, 1)) ** n, n)
+
+
+def verify_En_identities(n_max: int) -> bool:
+    """Exact operator identities for the iterated factors, n = 1..n_max.
+
+    (i)  E_n = (E_1 - (n-1)(2z-1)) ... (E_1 - (2z-1)) E_1
+    (ii) E_{n+1} z = z (E_1 - (n-1)z - 1) E_n
+
+    The product in (i) is carried from n - 1 to n, and each E_n is built
+    once, so the work is one pass over n.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    e1 = build_En(1)
+    two_z_minus_1 = Poly((-1, 2))
+    z = DiffOp.mul_by(Poly((0, 1)))
+    product = en = e1
+    for n in range(1, n_max + 1):
+        if n > 1:
+            product = op_compose(e1 - two_z_minus_1 * (n - 1), product)
+        if product != en:
+            return False
+        en_next = build_En(n + 1)
+        shifted = op_compose(e1 - Poly((1, n - 1)), en)
+        if op_compose(en_next, z) != op_compose(z, shifted):
+            return False
+        en = en_next
+    return True
 
 
 def op_apply(l: DiffOp, p: Poly) -> Poly:

@@ -23,23 +23,17 @@ from rodpade.criterion import (
 )
 from rodpade.exact import Poly
 from rodpade.holonomic import solve_V1
-from rodpade.logpow import (
-    LogPowConfig,
-    build_Rn_log,
-    logpow_table,
-    moment_seq as log_moment_seq,
-    verify_En_identities,
-)
+from rodpade.logpow import LogPowConfig, logpow_table
+from rodpade.logpow import moment_seqs as log_moment_seqs
+from rodpade.logpow import rodrigues_stages as log_rodrigues_stages
 from rodpade.mpl import (
     MplConfig,
-    build_L,
     index_set,
-    moment_seq,
     moment_seqs,
-    mpl_moment,
     mpl_moment_oracle,
     pade_table,
     pade_tables,
+    rodrigues_stages,
 )
 from rodpade.transform import phi, remainder_tail, table_determinants
 from rodpade.weyl import (
@@ -49,6 +43,8 @@ from rodpade.weyl import (
     op_apply_laurent,
     op_compose,
     ord_weight,
+    rodrigues_operator,
+    verify_En_identities,
 )
 
 # (m, r) -> highest weight exercised; alphas are (1) for m=1 and (1,2) for m=2
@@ -126,12 +122,12 @@ def test_criterion_04_two_route_moments_and_solver():
     ok = True
     for m, r in GRID:
         config = grid_config(m, r)
-        for idx in index_set(m, r):
+        for idx, f in zip(index_set(m, r), grid_seqs(m, r)):
             for j in range(41):
-                ok = ok and mpl_moment(idx, j, config) == mpl_moment_oracle(idx, j, config)
+                ok = ok and f[j] == mpl_moment_oracle(idx, j, config)
     for m, r in GRID:
         config = grid_config(m, r)
-        op = build_L(config)
+        op = rodrigues_operator([N for N, _ in rodrigues_stages(config, 1)], config.alphas)
         d = ord_weight(op)
         for f in grid_seqs(m, r):
             rebuilt = solve_V1(op, f.prefix(d), 50)
@@ -145,8 +141,7 @@ def test_criterion_05_randomized_adjoint_algebra():
         grid_seqs(1, 2)[0],
         grid_seqs(1, 2)[1],
         grid_seqs(1, 2)[2],
-        log_moment_seq(1),
-        log_moment_seq(2),
+        *log_moment_seqs(2),
     ]
 
     def random_op(nonzero=True):
@@ -187,10 +182,10 @@ def test_criterion_06_appendix_suite():
     ok = verify_En_identities(4)
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            rn = build_Rn_log(n, m)
+            stages = log_rodrigues_stages(LogPowConfig(m=m, n=n))
+            rn = rodrigues_operator([N for N, _ in stages], (1,))
             depth = 40 + ord_weight(rn) + len(rn.terms)
-            for s in range(1, m + 1):
-                f = log_moment_seq(s)
+            for f in log_moment_seqs(m):
                 for k in range(n):
                     _, tail = op_apply_laurent(rn, f.shift(k).tail(depth))
                     ok = ok and tail.depth >= 40 and tail.is_zero_to_depth()

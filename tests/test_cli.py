@@ -205,9 +205,9 @@ def test_weight_past_machine_index_exits_2():
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):
-    import rodpade.logpow
+    import rodpade.weyl
 
-    monkeypatch.setattr(rodpade.logpow, "verify_En_identities", lambda n: False)
+    monkeypatch.setattr(rodpade.weyl, "verify_En_identities", lambda n: False)
     code, data = run_json(capsys, ["logpow-identities", "--n", "2"])
     assert code == 1
     assert data["ok"] is False
@@ -492,6 +492,60 @@ def test_no_source_file_imports_dataclasses():
     assert [pair for pair in imported if pair[1] == "dataclasses"] == []
 
 
+def _imports_by_function(node, owner=None):
+    """(innermost enclosing function or None, import node) for every import under node."""
+    import ast
+
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports_by_function(child, child.name)
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield owner, child
+        yield from _imports_by_function(child, owner)
+
+
+def _imports_weyl(node) -> bool:
+    import ast
+
+    if isinstance(node, ast.Import):
+        return any(alias.name == "rodpade.weyl" for alias in node.names)
+    module = node.module or ""
+    if module.split(".")[-1] == "weyl":
+        return True
+    return module in ("", "rodpade") and any(alias.name == "weyl" for alias in node.names)
+
+
+def test_only_the_operator_entry_points_import_weyl():
+    # table jobs must never load the operator algebra; this pins who may
+    import ast
+    from pathlib import Path
+
+    importers = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        importers |= {
+            (path.name, owner) for owner, node in _imports_by_function(tree) if _imports_weyl(node)
+        }
+    assert importers == {
+        ("holonomic.py", None),
+        ("__init__.py", "__getattr__"),
+        ("cli.py", "_cmd_logpow_identities"),
+    }
+
+
+def test_benchmark_checks_import():
+    # the benchmark's correctness check imports program names; a rename must fail here
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "checks.py"
+    spec = importlib.util.spec_from_file_location("benchmark_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.check) and callable(module.max_coeff_bits)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -569,6 +623,8 @@ def test_cli_import_leaves_the_operator_algebra_unloaded():
     [
         ("pade", "--m", "2", "--r", "2", "--alphas", "1/2,-3", "--n", "1"),
         ("det", "--appendix-logpow", "--m", "3", "--n", "2"),
+        ("audit", "--m", "1", "--alphas", "1", "--n", "1..3", "--beta", "30"),
+        ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "inf"),
     ],
 )
 def test_table_runs_never_load_the_operator_algebra(argv):

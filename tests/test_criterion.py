@@ -378,14 +378,14 @@ def test_audit_json_shape():
 def test_moment_denominators_cleared_by_lcm_power():
     # for integer alphas, lcm(1..j+1)^r clears every moment denominator; this
     # is the exact content of the p-adic moment bound at every finite place
-    from rodpade.mpl import index_set, mpl_moment
+    from rodpade.mpl import moment_seqs
 
     for m, r, alphas in ((1, 2, (F(1),)), (2, 2, (F(1), F(2)))):
         config = MplConfig(m=m, r=r, alphas=alphas)
-        for idx in index_set(m, r):
+        for seq in moment_seqs(config):
             for j in range(26):
-                cleared = mpl_moment(idx, j, config) * lcm_upto(j + 1) ** r
-                assert cleared.denominator == 1, (m, r, idx, j)
+                cleared = seq[j] * lcm_upto(j + 1) ** r
+                assert cleared.denominator == 1, (m, r, seq.label, j)
 
 
 def test_remainder_decay_legendre():

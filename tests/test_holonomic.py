@@ -14,7 +14,7 @@ from rodpade.holonomic import (
     recurrence_coeffs,
     solve_V1,
 )
-from rodpade.mpl import MplConfig, build_L, moment_seqs
+from rodpade.mpl import MplConfig, moment_seqs, rodrigues_stages
 from rodpade.transform import MomentSeq
 from rodpade.weyl import (
     DiffOp,
@@ -23,6 +23,7 @@ from rodpade.weyl import (
     ord_weight,
     property_P,
     rising_factorial_poly,
+    rodrigues_operator,
 )
 
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
@@ -129,10 +130,15 @@ def test_membership_examples():
     assert check_membership(E1, MomentSeq.zero(), 50)
 
 
+def composite_L(config):
+    """R_1 = L_{(m+1)^(r-1)} ... L_1, whose recurrence every row satisfies."""
+    return rodrigues_operator([N for N, _ in rodrigues_stages(config, 1)], config.alphas)
+
+
 def test_solution_space_has_full_dimension():
     # d unit seeds give sequences of rank d on their first 2d entries
     config = MplConfig(m=1, r=2, alphas=(F(1),))
-    op = build_L(config)
+    op = composite_L(config)
     d = ord_weight(op)
     assert d == config.M == 3
     seeds = [[F(1 if i == j else 0) for j in range(d)] for i in range(d)]
@@ -143,7 +149,7 @@ def test_solution_space_has_full_dimension():
 
 def test_named_rows_solve_their_recurrence():
     config = MplConfig(m=1, r=2, alphas=(F(1),))
-    op = build_L(config)
+    op = composite_L(config)
     d = ord_weight(op)
     for f in moment_seqs(config):
         assert check_membership(op, f, 60)

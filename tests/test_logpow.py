@@ -7,33 +7,46 @@ from fractions import Fraction as F
 from rodpade.exact import Poly
 from rodpade.logpow import (
     LogPowConfig,
-    build_En,
-    build_Lm,
-    build_Rn_log,
-    logpow_moment,
     logpow_moment_stirling,
     logpow_table,
-    moment_seq,
     moment_seqs,
-    verify_En_identities,
+    rodrigues_stages,
 )
 from rodpade.holonomic import check_membership
 from rodpade.mpl import MplConfig, pade_table
 from rodpade.transform import table_determinants, verify_pade
-from rodpade.weyl import DiffOp, op_apply_laurent, op_compose, ord_weight, property_P
+from rodpade.weyl import (
+    DiffOp,
+    build_En,
+    op_apply_laurent,
+    op_compose,
+    ord_weight,
+    property_P,
+    rodrigues_operator,
+    verify_En_identities,
+)
+
+E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
+
+
+def log_Rn(n, m):
+    """R_n = (1/(n!)^m) E_n^m as an operator: L_n with alpha = 1 over the m stages."""
+    stages = rodrigues_stages(LogPowConfig(m=m, n=n))
+    return rodrigues_operator([N for N, _ in stages], (1,))
 
 
 def test_moment_basic_values():
+    log1, log2 = moment_seqs(2)
     for j in range(12):
-        assert logpow_moment(1, j) == F(-1, j + 1)
-    assert logpow_moment(2, 0) == 0
-    assert logpow_moment(2, 2) == 1
+        assert log1[j] == F(-1, j + 1)
+    assert log2[0] == 0
+    assert log2[2] == 1
 
 
 def test_moment_two_routes_agree():
-    for s in range(1, 5):
+    for s, seq in enumerate(moment_seqs(4), start=1):
         for j in range(41):
-            assert logpow_moment(s, j) == logpow_moment_stirling(s, j)
+            assert seq[j] == logpow_moment_stirling(s, j)
 
 
 def test_stirling_oracle_is_iterative():
@@ -64,9 +77,9 @@ def _log_power_coeffs(s: int, depth: int) -> tuple[F, ...]:
 def test_stirling_oracle_against_convolution_to_depth_200():
     # the depth-200 convolution of the base series holds every moment j < 200
     # at once: a third route, sharing no code with the recurrence or Stirling
-    for s in range(1, 4):
+    for s, seq in enumerate(moment_seqs(3), start=1):
         coeffs = _log_power_coeffs(s, 200)
-        assert coeffs[199] == logpow_moment(s, 199)
+        assert coeffs[199] == seq[199]
         for j in range(200):
             assert logpow_moment_stirling(s, j) == coeffs[j]
 
@@ -77,21 +90,23 @@ def test_recurrence_rows_against_stirling_to_300():
         for j in range(300):
             expected = logpow_moment_stirling(s, j)
             assert seqs[s - 1][j] == expected, (s, j)
-            if j % 23 == 0 or j == 299:
-                assert logpow_moment(s, j) == expected, (s, j)
 
 
 def test_recurrence_reaches_depth_1500():
-    assert logpow_moment(3, 1500) == logpow_moment_stirling(3, 1500)
+    assert moment_seqs(3)[-1][1500] == logpow_moment_stirling(3, 1500)
 
 
 def test_build_operators():
     z2z1 = Poly.monomial(2) * Poly((-1, 1)) ** 2
     assert build_En(2).to_json() == [{"order": 2, "coeff": z2z1.to_strings()}]
-    assert build_Rn_log(1, 1) == build_En(1)
+    # L_n with alpha = 1 is E_n / n!, and R_n is it taken m times
+    assert log_Rn(1, 1) == build_En(1) == E1
+    assert log_Rn(2, 1) == build_En(2) * F(1, 2)
+    assert log_Rn(1, 2) == op_compose(E1, E1)
+    assert log_Rn(2, 3) == op_compose(log_Rn(2, 1), op_compose(log_Rn(2, 1), log_Rn(2, 1)))
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            rn = build_Rn_log(n, m)
+            rn = log_Rn(n, m)
             assert ord_weight(rn) == m * n
             assert property_P(rn).holds
 
@@ -110,9 +125,18 @@ def test_En_identities():
     assert lhs == expected
 
 
+def test_En_identities_fail_on_a_wrong_factor(monkeypatch):
+    from rodpade import weyl
+
+    real = weyl.build_En
+    monkeypatch.setattr(weyl, "build_En", lambda n: real(n) * 2 if n == 3 else real(n))
+    assert verify_En_identities(1)
+    assert not verify_En_identities(2)  # (ii) at n = 2 reads E_3
+
+
 def test_log_rows_satisfy_composite_recurrence():
     for m in (1, 2, 3):
-        lm = build_Lm(m)
+        lm = log_Rn(1, m)
         assert ord_weight(lm) == m
         for f in moment_seqs(m):
             assert check_membership(lm, f, 200), (m, f.label)
@@ -123,14 +147,15 @@ def test_basic_relation_decomposition():
     # polynomial coefficients of degree <= n-1
     from test_mpl import solve_exact
 
+    family = moment_seqs(3)
     for n in (1, 2, 3, 4):
         en = build_En(n)
         for s in (1, 2, 3):
-            f = moment_seq(s)
+            f = family[s - 1]
             depth = 70
             _, tail = op_apply_laurent(en, f.shift(n - 1).tail(depth))
             usable = min(tail.depth, 40)
-            lower = [moment_seq(j) for j in range(1, s)]
+            lower = family[: s - 1]
             if not lower:
                 assert all(tail.coeff(t + 1) == 0 for t in range(usable))
                 continue
@@ -148,11 +173,10 @@ def test_basic_relation_decomposition():
 def test_rodrigues_membership_log_rows():
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            rn = build_Rn_log(n, m)
+            rn = log_Rn(n, m)
             spread = ord_weight(rn)
             depth = 40 + spread + len(rn.terms)
-            for s in range(1, m + 1):
-                f = moment_seq(s)
+            for s, f in enumerate(moment_seqs(m), start=1):
                 for k in range(n):
                     _, tail = op_apply_laurent(rn, f.shift(k).tail(depth))
                     assert tail.depth >= 40

@@ -13,24 +13,36 @@ from rodpade.holonomic import check_membership
 from rodpade.mpl import (
     MplConfig,
     MplIndex,
-    build_L,
-    build_LN,
-    build_Rn,
     index_set,
-    membership_depth,
-    moment_seq,
     moment_seqs,
-    mpl_moment,
     mpl_moment_oracle,
     pade_table,
+    rodrigues_stages,
 )
 from rodpade.transform import remainder_tail, table_determinants, verify_pade
-from rodpade.weyl import DiffOp, op_apply_laurent, ord_weight, property_P
+from rodpade.weyl import (
+    DiffOp,
+    op_apply_laurent,
+    op_compose,
+    ord_weight,
+    property_P,
+    rodrigues_operator,
+)
 
 CFG11 = MplConfig(m=1, r=1, alphas=(F(1),))
 CFG12 = MplConfig(m=1, r=2, alphas=(F(1),))
 CFG21 = MplConfig(m=2, r=1, alphas=(F(1), F(2)))
 CFG22 = MplConfig(m=2, r=2, alphas=(F(1), F(2)))
+
+
+def rows_by_index(config):
+    """The family's rows keyed by their index."""
+    return dict(zip(index_set(config.m, config.r), moment_seqs(config)))
+
+
+def mpl_Rn(n, config):
+    """R_n as an operator: the composed L_N over the family's stage sizes."""
+    return rodrigues_operator([N for N, _ in rodrigues_stages(config, n)], config.alphas)
 
 
 def solve_exact(rows, rhs):
@@ -106,30 +118,30 @@ def test_index_set_time_follows_its_output():
 
 
 def test_moment_closed_forms():
-    li1 = MplIndex(s=(1,), a=(1,))
-    li2 = MplIndex(s=(2,), a=(1,))
+    li1 = rows_by_index(CFG11)[MplIndex(s=(1,), a=(1,))]
+    li2 = rows_by_index(CFG12)[MplIndex(s=(2,), a=(1,))]
     for j in range(10):
-        assert mpl_moment(li1, j, CFG11) == F(1, j + 1)
-        assert mpl_moment(li2, j, CFG12) == F(1, (j + 1) ** 2)
-    li11 = MplIndex(s=(1, 1), a=(1, 2))
-    assert mpl_moment(li11, 1, CFG22) == 1
+        assert li1[j] == F(1, j + 1)
+        assert li2[j] == F(1, (j + 1) ** 2)
+    assert rows_by_index(CFG22)[MplIndex(s=(1, 1), a=(1, 2))][1] == 1
 
 
 def test_moment_vanishing_split_is_depth_minus_one():
     # moments vanish exactly below j = depth-1; the chain n_t = t already
     # contributes at j = depth-1
     li11 = MplIndex(s=(1, 1), a=(1, 1))
-    assert mpl_moment(li11, 0, CFG12) == 0
-    assert mpl_moment(li11, 1, CFG12) != 0
+    row = rows_by_index(CFG12)[li11]
+    assert row[0] == 0
+    assert row[1] != 0
     assert mpl_moment_oracle(li11, 0, CFG12) == 0
     assert mpl_moment_oracle(li11, 1, CFG12) != 0
 
 
 def test_two_route_moments_agree():
     for config in (CFG12, CFG21, CFG22):
-        for idx in index_set(config.m, config.r):
+        for idx, seq in rows_by_index(config).items():
             for j in range(16):
-                assert mpl_moment(idx, j, config) == mpl_moment_oracle(idx, j, config)
+                assert seq[j] == mpl_moment_oracle(idx, j, config)
 
 
 @pytest.mark.parametrize(
@@ -156,36 +168,49 @@ def test_rows_read_their_familys_parent_row():
 
 
 def test_row_labels():
-    assert moment_seq(CFG11, MplIndex(s=(1,), a=(1,))).label == "Li_1(1/z)"
-    assert (
-        moment_seq(CFG22, MplIndex(s=(1, 1), a=(1, 2))).label == "Li_1,1(1/2,2/z)"
-    )
+    assert moment_seqs(CFG11)[0].label == "Li_1(1/z)"
+    assert rows_by_index(CFG22)[MplIndex(s=(1, 1), a=(1, 2))].label == "Li_1,1(1/2,2/z)"
 
 
-def test_build_LN_examples():
-    assert build_LN(1, CFG11) == DiffOp.of_term(Poly((0, -1, 1)), 1)
-    assert build_LN(2, CFG11) == DiffOp.of_term(Poly((0, 0, 1, -2, 1)) / 2, 2)
+# L_1 and L_2 for alpha = 1, and L_1 for alphas 1, 2, written out by hand
+L1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
+L2 = DiffOp.of_term(Poly((0, 0, 1, -2, 1)) / 2, 2)
+L1_12 = DiffOp.of_term(Poly((0, 2, -3, 1)), 1)
+
+
+def test_rodrigues_operator_single_factors():
+    assert rodrigues_operator([1], CFG11.alphas) == L1
+    assert rodrigues_operator([2], CFG11.alphas) == L2
+    assert rodrigues_operator([1], CFG22.alphas) == L1_12
     for m, config in ((1, CFG12), (2, CFG22)):
         for N in (1, 2, 3):
-            op = build_LN(N, config)
+            op = rodrigues_operator([N], config.alphas)
             assert ord_weight(op) == m * N
             assert property_P(op).holds
 
 
-def test_build_Rn_structure():
-    assert build_Rn(1, CFG11) == build_LN(1, CFG11)
-    from rodpade.weyl import op_compose
-
-    assert build_Rn(1, CFG12) == op_compose(build_LN(2, CFG12), build_LN(1, CFG12))
+def test_rodrigues_operator_composes_in_stage_order():
+    assert mpl_Rn(1, CFG11) == L1
+    # sizes [2, 1]: L_2 o L_1, so the adjoint applies L_2* first
+    assert mpl_Rn(1, CFG12) == op_compose(L2, L1)
+    assert rodrigues_operator([1, 2], CFG12.alphas) == op_compose(L1, L2)
+    assert op_compose(L1, L2) != op_compose(L2, L1)
+    assert mpl_Rn(1, CFG22) == op_compose(rodrigues_operator([3], CFG22.alphas), L1_12)
     for config, n in ((CFG12, 2), (CFG21, 2), (CFG22, 1)):
-        op = build_Rn(n, config)
+        op = mpl_Rn(n, config)
         assert ord_weight(op) == config.M * n
         assert property_P(op).holds
 
 
+@pytest.mark.parametrize("sizes", [[], [0], [2, -1]])
+def test_rodrigues_operator_rejects_empty_or_nonpositive_sizes(sizes):
+    with pytest.raises(ValueError):
+        rodrigues_operator(sizes, CFG11.alphas)
+
+
 def test_composite_L_annihilates_every_row():
     for config in (CFG12, CFG21, CFG22):
-        op = build_L(config)
+        op = mpl_Rn(1, config)
         assert ord_weight(op) == config.M
         for f in moment_seqs(config):
             assert check_membership(op, f, 40)
@@ -195,7 +220,7 @@ def test_rodrigues_membership_zero_tails():
     # R_n sends z^k * (every row) into polynomials, watched to depth >= 30
     for config, n_max in ((CFG11, 3), (CFG12, 2), (CFG21, 2), (CFG22, 1)):
         for n in range(1, n_max + 1):
-            rn = build_Rn(n, config)
+            rn = mpl_Rn(n, config)
             spread = max(int(b.degree) - j for j, b in enumerate(rn.terms) if not b.is_zero)
             depth = 30 + spread + len(rn.terms)
             for f in moment_seqs(config):
@@ -209,14 +234,14 @@ def test_cascade_lands_in_lower_depth_span():
     # L_n . z^k f lands in K[z] + sum over the one-level-down rows with
     # polynomial coefficients of degree < (m+1)n; solved exactly
     for config in (CFG12, CFG22):
-        sub_rows = [moment_seq(config, MplIndex(s=(1,), a=(i,))) for i in range(1, config.m + 1)]
+        family = rows_by_index(config)
+        sub_rows = [family[MplIndex(s=(1,), a=(i,))] for i in range(1, config.m + 1)]
         for n in (1, 2, 3):
-            ln = build_LN(n, config)
+            ln = rodrigues_operator([n], config.alphas)
             width = (config.m + 1) * n
             unknown_count = len(sub_rows) * width
             depth = unknown_count + 25
-            for idx in index_set(config.m, config.r):
-                f = moment_seq(config, idx)
+            for idx, f in family.items():
                 for k in range(n):
                     _, tail = op_apply_laurent(ln, f.shift(k).tail(depth + 3 * n + 2))
                     usable = min(tail.depth, depth)
@@ -269,11 +294,6 @@ def test_delta_theta_absolute_identity():
         table = pade_table(config, n)
         delta, theta = table_determinants(table)
         assert abs(delta) == abs(table.cells[-1].P.lc * theta)
-
-
-def test_membership_depth_default():
-    assert membership_depth(CFG11, 1) == 40
-    assert membership_depth(CFG22, 2) == max(40, 2 * 8 * 2 + 8 + 5)
 
 
 def test_value_labels_for_criterion():

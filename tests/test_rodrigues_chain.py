@@ -3,8 +3,9 @@
 The tables take P_l from ``transform.rodrigues_columns``: the adjoint factors
 (-1)^N (1/N!) D^N z^N prod_i (z - alpha_i)^N applied to t^l one after
 another in integer arithmetic.  The oracle is the operator route it
-replaced: compose R_n in ``Fraction`` polynomials, take its adjoint and
-apply that to t^l.  The two share no column code.
+replaced: compose R_n in ``Fraction`` polynomials
+(``weyl.rodrigues_operator`` on the stage sizes), take its adjoint and apply
+that to t^l.  The two share no column code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from rodpade import logpow as logpow_mod
 from rodpade import mpl as mpl_mod
 from rodpade.exact import Poly, int_convolve
 from rodpade.transform import rodrigues_columns, rodrigues_factor, rodrigues_lift
-from rodpade.weyl import adjoint, op_apply
+from rodpade.weyl import adjoint, op_apply, rodrigues_operator
 
 ALPHAS = {
     1: [(F(1),), (F(-3),), (F(-5, 2),)],
@@ -28,7 +29,7 @@ ALPHAS = {
 }
 GRID = [(1, 1, n) for n in range(1, 9)]
 GRID += [(1, 2, n) for n in range(1, 4)] + [(2, 1, n) for n in range(1, 4)]
-GRID += [(2, 2, 1), (1, 3, 1), (3, 1, 2)]
+GRID += [(2, 2, n) for n in range(1, 4)] + [(1, 3, 1), (3, 1, 2)]
 MPL_CASES = [(m, r, alphas, n) for m, r, n in GRID for alphas in ALPHAS[m]]
 MPL_IDS = [f"m{m}r{r}n{n}-a{ALPHAS[m].index(a)}" for m, r, a, n in MPL_CASES]
 
@@ -46,10 +47,10 @@ def _chain_by_stage(stages, ell):
 @pytest.mark.parametrize("m, r, alphas, n", MPL_CASES, ids=MPL_IDS)
 def test_mpl_columns_match_the_adjoint_route(m, r, alphas, n):
     config = mpl_mod.MplConfig(m=m, r=r, alphas=alphas)
-    rstar = adjoint(mpl_mod.build_Rn(n, config))
-    expected = [op_apply(rstar, Poly.monomial(ell)) for ell in range(config.M + 1)]
     stages = mpl_mod.rodrigues_stages(config, n)
     assert [N for N, _ in stages] == [(m + 1) ** j * n for j in range(r - 1, -1, -1)]
+    rstar = adjoint(rodrigues_operator([N for N, _ in stages], alphas))
+    expected = [op_apply(rstar, Poly.monomial(ell)) for ell in range(config.M + 1)]
     assert rodrigues_columns(stages, config.M + 1) == expected
     assert [_chain_by_stage(stages, ell) for ell in range(config.M + 1)] == expected
     assert [cell.P for cell in mpl_mod.pade_table(config, n).cells] == expected
@@ -59,9 +60,10 @@ def test_mpl_columns_match_the_adjoint_route(m, r, alphas, n):
 def test_logpow_columns_match_the_adjoint_route(m):
     for n in range(1, 7):
         config = logpow_mod.LogPowConfig(m=m, n=n)
-        rstar = adjoint(logpow_mod.build_Rn_log(n, m))
-        expected = [op_apply(rstar, Poly.monomial(ell)) for ell in range(m + 1)]
         stages = logpow_mod.rodrigues_stages(config)
+        assert [N for N, _ in stages] == [n] * m
+        rstar = adjoint(rodrigues_operator([N for N, _ in stages], (1,)))
+        expected = [op_apply(rstar, Poly.monomial(ell)) for ell in range(m + 1)]
         assert rodrigues_columns(stages, m + 1) == expected, (m, n)
         assert [_chain_by_stage(stages, ell) for ell in range(m + 1)] == expected, (m, n)
         assert [cell.P for cell in logpow_mod.logpow_table(config).cells] == expected, (m, n)

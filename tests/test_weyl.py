@@ -21,6 +21,7 @@ from rodpade.weyl import (
     ord_weight,
     property_P,
     rising_factorial_poly,
+    rodrigues_operator,
 )
 
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)  # z(z-1) D
@@ -167,14 +168,12 @@ def test_adjoint_against_seed_route_random():
 
 @pytest.mark.parametrize("which", ["mpl11_n40", "mpl12_n6", "logpow_m2_n11"])
 def test_adjoint_against_seed_route_on_rodrigues_operators(which):
-    from rodpade.logpow import build_Rn_log
-    from rodpade.mpl import MplConfig, build_Rn
-
-    rn = {
-        "mpl11_n40": lambda: build_Rn(40, MplConfig(m=1, r=1, alphas=(F(-3, 2),))),
-        "mpl12_n6": lambda: build_Rn(6, MplConfig(m=1, r=2, alphas=(F(5, 3),))),
-        "logpow_m2_n11": lambda: build_Rn_log(11, 2),
-    }[which]()
+    sizes, alphas = {
+        "mpl11_n40": ([40], (F(-3, 2),)),
+        "mpl12_n6": ([12, 6], (F(5, 3),)),
+        "logpow_m2_n11": ([11, 11], (1,)),
+    }[which]
+    rn = rodrigues_operator(sizes, alphas)
     assert adjoint(rn) == _seed_adjoint(rn)
 
 
