@@ -121,9 +121,9 @@ def _payload_to_csv(writer, payload: dict, prefix: str = "") -> None:
 def _build_table(args):
     """Returns (kind, config, table).
 
-    The table carries the row moment sequences it was built from and, per
-    cell, the run phi_j(t^k P_l), k <= n; the verification and determinant
-    blocks read both.
+    The table carries each row's moment window as integers over one lcm
+    and, per cell, the run phi_j(t^k P_l), k <= n, over the same scale; the
+    verification and determinant blocks read both.
     Only the module of the chosen row family is imported.
     """
     if args.appendix_logpow:
@@ -140,15 +140,15 @@ def _build_table(args):
 def _verification_block(table) -> dict:
     """Checks of every cell; the kernel route and remainder starts read ``cell.heads``."""
     n = table.n  # column l has degree M n + l; M is m for log-power rows
-    orth = all(verify_pade(cell, table.seqs, table.M * n + cell.ell) for cell in table.cells)
-    degrees = all(cell.P.degree == table.M * n + cell.ell for cell in table.cells)
+    orth = all(verify_pade(cell, table.windows, table.M * n + cell.ell) for cell in table.cells)
+    degrees = all(cell.degree == table.M * n + cell.ell for cell in table.cells)
     starts = []
     starts_ok = True
     for label in table.row_labels:
         row = []
         for cell in table.cells:
             # the tail of P_l f_j - Q starts at z^-(k+1) for its first nonzero phi_j(t^k P_l)
-            first = next((k for k, v in enumerate(cell.heads[label][:n]) if v != 0), n)
+            first = next((k for k, v in enumerate(cell.heads[label][0][:n]) if v), n)
             row.append(first + 1)
             starts_ok = starts_ok and first == n
         starts.append({"label": label, "starts": row})
@@ -162,7 +162,8 @@ def _verification_block(table) -> dict:
 
 def _determinant_block(table) -> dict:
     delta, theta = table_determinants(table)
-    lc = table.cells[-1].P.lc
+    nums, den = table.cells[-1].column
+    lc = Fraction(nums[-1], den)
     ok = abs(delta) == abs(lc * theta)
     return {
         "delta": format_rational(delta),

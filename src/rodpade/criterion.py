@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
-from .exact import Poly, Record, format_rational, log_fraction, log_int as _log_int, over_common_denominator
+from .exact import (
+    Poly,
+    Record,
+    as_fraction,
+    format_rational,
+    log_fraction,
+    log_int as _log_int,
+    over_common_denominator,
+)
 from .transform import MomentSeq, PadeTable, _phi_totals, rodrigues_chain
 from . import mpl as mpl_mod
 
@@ -163,7 +172,7 @@ def _int_valuation(n: int, p: int) -> int:
 
 def valuation(x: Fraction, p: int) -> int:
     """p-adic valuation; raises on x = 0."""
-    x = Fraction(x)
+    x = as_fraction(x)
     if x == 0:
         raise ValueError("valuation of zero")
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
@@ -188,7 +197,7 @@ def _int_norm_v(nums: Sequence[int], den: int, place: Place) -> Fraction:
 
 def abs_v(x: Fraction, place: Place) -> Fraction:
     """Normalized absolute value, exact: |p|_p = 1/p, usual value at infinity."""
-    x = Fraction(x)
+    x = as_fraction(x)
     return _int_norm_v((x.numerator,), x.denominator, place)
 
 
@@ -230,7 +239,7 @@ def H_v_vec(xs: Sequence[Fraction], place: Place) -> Fraction:
 
 def global_height(x: Fraction) -> float:
     """h(x) = log max(|num|, |den|) for x in lowest terms."""
-    x = Fraction(x)
+    x = as_fraction(x)
     if x == 0:
         return 0.0
     return _log_int(max(abs(x.numerator), x.denominator))
@@ -242,7 +251,7 @@ def _global_H_vec(xs: Sequence[Fraction]) -> Fraction:
     At a prime p the factor is p^(max_i v_p(den x_i)), so the finite places
     together contribute exactly the lcm of the denominators.
     """
-    xs = [Fraction(x) for x in xs]
+    xs = [as_fraction(x) for x in xs]
     return max([Fraction(1)] + [abs(x) for x in xs]) * math.lcm(*(x.denominator for x in xs))
 
 
@@ -268,7 +277,7 @@ class HeightProfile(Record):
 
 def height_profile(x: Fraction) -> HeightProfile:
     """All nonzero local heights; their sum equals log max(|num|, |den|)."""
-    x = Fraction(x)
+    x = as_fraction(x)
     locs: dict[str, float] = {}
     h_inf = local_height(x, Place.archimedean())
     if h_inf != 0.0:
@@ -319,7 +328,7 @@ def _check_alphas(alphas: Sequence[Fraction], m: int, r: int) -> tuple[Fraction,
         raise ValueError(f"m must be positive, got {m}")
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    alphas = tuple(Fraction(a) for a in alphas)
+    alphas = tuple(as_fraction(a) for a in alphas)
     if len(alphas) != m:
         raise DegenerateAlphasError(f"expected {m} alphas, got {len(alphas)}")
     if any(a == 0 for a in alphas) or len(set(alphas)) != len(alphas):
@@ -357,7 +366,7 @@ def V_value(
     a strict inequality is being decided.
     """
     alphas = _check_alphas(alphas, m, r)
-    beta = Fraction(beta)
+    beta = as_fraction(beta)
     M = (m + 1) ** r - 1
     h_v0_beta = local_height(beta, v0)
     h_v0_alpha = local_height_vec(alphas, v0)
@@ -452,7 +461,7 @@ def evaluate_criterion(
     independent over Q; product labels are added on request.
     """
     alphas = _check_alphas(alphas, m, r)
-    beta = Fraction(beta)
+    beta = as_fraction(beta)
     v = V_value(alphas, beta, m, r, v0)
     exceeds = abs_v(beta, v0) > H_v_vec(alphas, v0)
     if v.indeterminate:
@@ -533,15 +542,17 @@ class AuditRow(Record):
 
     @property
     def holds(self) -> bool:
-        return self.measured <= self.bound
+        """measured <= bound, by integer cross-multiplication (denominators are positive)."""
+        a, b = self.measured, self.bound
+        return a.numerator * b.denominator <= b.numerator * a.denominator
 
     @property
     def measured_log(self) -> float:
-        return log_fraction(self.measured) if self.measured > 0 else -math.inf
+        return log_fraction(self.measured) if self.measured.numerator else -math.inf
 
     @property
     def bound_log(self) -> float:
-        return log_fraction(self.bound) if self.bound > 0 else -math.inf
+        return log_fraction(self.bound) if self.bound.numerator else -math.inf
 
     @property
     def slack(self) -> float:
@@ -599,8 +610,8 @@ def bounds_audit(
     deg * h_v(beta).  The weight is ``table.n`` and the rows are ``table.seqs``;
     the stages of columns 0 and M are those of ``transform.rodrigues_chain``.
     Every measured value is read from integer numerators over one
-    denominator: the chain's own pairs, each column and each Q brought over
-    its lcm once, their values at beta by ``_horner_at`` and their norms by
+    denominator: the chain's own pairs and the table's column and Q pairs,
+    their values at beta by ``_horner_at`` and their norms by
     ``_int_norm_v``.  phi(t^n P_l) is the k = n entry of the cell's run.
     """
     n, seqs = table.n, table.seqs
@@ -618,8 +629,8 @@ def bounds_audit(
         h_pow = math.prod(h**N for h in h_alpha_factors)
         bound_prod = Fraction(N + 1) ** (m * eps) * Fraction(2) ** (m * N * eps) * h_pow
         stage_norms.append((_int_norm_v(*b, place), bound_prod, h_pow))
-    # every column once over one denominator: its norm, value at beta and moments read the pair
-    columns = [over_common_denominator(cell.P.coeffs) for cell in table.cells]
+    # the table's column pairs: their norms, values at beta and moment bounds read them
+    columns = [cell.column for cell in table.cells]
     column_norms = [_int_norm_v(*pair, place) for pair in columns]
     for ell in (0, M):
         # the chained column bound is the product of the step factors: the
@@ -667,7 +678,8 @@ def bounds_audit(
             rows.append(AuditRow(f"moment[{f.label},j={j}]", measured, bound))
         for ell in (0, M):
             degp = len(columns[ell][0]) - 1
-            measured = abs_v(table.cells[ell].heads[f.label][n], place)  # phi(t^n P_l)
+            run, scale = table.cells[ell].heads[f.label]
+            measured = _int_norm_v((run[n],), scale, place)  # |phi(t^n P_l)|_v
             bound = (
                 Fraction(degp + n + 1) ** ((r + 1) * eps)
                 * _d_factor(place, r, degp + n + 1)
@@ -685,8 +697,7 @@ def bounds_audit(
             * H_alpha_vec ** (degp + 1)
             * normp
         )
-        for label, q in cell.Qs.items():
-            q_pair = over_common_denominator(q.coeffs)
+        for label, q_pair in cell.q_pairs.items():
             normq = _int_norm_v(*q_pair, place)
             rows.append(AuditRow(f"q_norm[{label},l={cell.ell}]", normq, bound_q))
             if beta is not None:
@@ -730,7 +741,8 @@ class DecayReport(Record):
 
 def _remainder_sum(
     f: MomentSeq,
-    p: Poly,
+    column: tuple[Sequence[int], int],
+    first: tuple[Sequence[int], int],
     normp: Fraction,
     n: int,
     beta: Fraction,
@@ -751,17 +763,20 @@ def _remainder_sum(
     (H / |beta|_v) ((s+2)/(s+1))^e.  ``normp`` is ||P||_v, which the caller
     takes once per column.
 
-    The sum runs on integers.  With P = nums / d, beta = b / c and
-    phi(t^k P) = t_k / (L d) from ``_phi_totals``, the partial sum through K
-    is A / (L d b^(K+1)) with A = sum_k t_k c^(k+1) b^(K-k), so each term is
+    The sum runs on integers.  P is the pair ``column`` = (nums, d), and
+    ``first`` is the term k = n alone in the form ``_phi_totals`` gives,
+    ([t_n], L): a table cell's run value over its row's window.  With
+    beta = b / c and phi(t^k P) = t_k / (L d), from ``first`` and then from
+    ``_phi_totals`` runs from k = n + 1 on, the partial sum through K is
+    A / (L d b^(K+1)) with A = sum_k t_k c^(k+1) b^(K-k), so each term is
     one multiply-add A <- A b + t_K c^(K+1); a run with a new L first brings
     A and its totals over the lcm.  The majorant is (s+1)^e X / Y with X and
     Y each multiplied by one integer per term, and both stopping tests are
     compared by cross-multiplication.  A Fraction is formed only for the
     value returned, which equals the term-by-term Fraction sum exactly.
     """
-    nums, den = over_common_denominator(p.coeffs)
-    degp = int(p.degree)
+    nums, den = column
+    degp = len(nums) - 1
     abs_beta = abs_v(beta, place)
     if abs_beta <= H_alpha:
         raise BadBetaError(f"|beta|_{place} = {abs_beta} <= H_v(alpha) = {H_alpha}")
@@ -778,7 +793,7 @@ def _remainder_sum(
         v_b, v_den = _int_valuation(b, p_v), _int_valuation(den, p_v)
     acc, lcm, unit, k = 0, 1, 1, n
     c_pow, b_pow = c ** (n + 1), b ** (n + 1)  # c^(k+1), b^(k+1)
-    for totals, run_lcm in _phi_total_runs(f, nums, n):
+    for totals, run_lcm in chain([first], _phi_total_runs(f, nums, n + 1)):
         if run_lcm != lcm:
             common = math.lcm(lcm, run_lcm)
             acc *= common // lcm
@@ -813,7 +828,8 @@ def _remainder_sum(
 
 def _remainder_log_abs(
     f: MomentSeq,
-    p: Poly,
+    column: tuple[Sequence[int], int],
+    first: tuple[Sequence[int], int],
     normp: Fraction,
     n: int,
     beta: Fraction,
@@ -822,7 +838,7 @@ def _remainder_log_abs(
     H_alpha: Fraction,
 ) -> float:
     """Certified log |sum_{k>=n} phi(t^k P) beta^-(k+1)|_v: the log of ``_remainder_sum``."""
-    partial, _ = _remainder_sum(f, p, normp, n, beta, place, r, H_alpha)
+    partial, _ = _remainder_sum(f, column, first, normp, n, beta, place, r, H_alpha)
     return log_fraction(abs_v(partial, place))
 
 
@@ -850,11 +866,13 @@ def remainder_decay(
 
     ``tables`` maps each weight n to its built table (``mpl.pade_tables``),
     and each weight's rows are that table's own moment sequences, warm from
-    its build.  The fitted slope must not exceed
+    its build.  Each sum starts from the cell's run value phi(t^n P_l) over
+    its row's window and reads the column's pair, as the table holds them.
+    The fitted slope must not exceed
     -h_v(beta) + (M/m) sum_i h_v(alpha_i) + (M+1) h_v(alpha)
     + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus slack 0.1.
     """
-    beta = Fraction(beta)
+    beta = as_fraction(beta)
     H_alpha = H_v_vec(config.alphas, v0)
     if abs_v(beta, v0) <= H_alpha:
         raise BadBetaError("|beta|_v must exceed the local height of the alphas")
@@ -866,10 +884,12 @@ def remainder_decay(
     for n in ns:
         table = tables[n]
         best = -math.inf
-        norms = [poly_norm_v(cell.P, v0) for cell in table.cells]
+        norms = [_int_norm_v(*cell.column, v0) for cell in table.cells]
         for f in table.seqs:
+            lcm = table.windows[f.label][1]
             for cell, normp in zip(table.cells, norms):
-                val = _remainder_log_abs(f, cell.P, normp, n, beta, v0, r, H_alpha)
+                first = ([cell.heads[f.label][0][n]], lcm)
+                val = _remainder_log_abs(f, cell.column, first, normp, n, beta, v0, r, H_alpha)
                 best = max(best, val)
         logs.append(best)
     mean_n = sum(ns) / len(ns)

@@ -19,6 +19,7 @@ __all__ = [
     "Scalar",
     "InsufficientDepthError",
     "Record",
+    "as_fraction",
     "format_rational",
     "log_int",
     "log_fraction",
@@ -90,9 +91,14 @@ class Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+def as_fraction(x: Scalar) -> Fraction:
+    """x itself when it is a Fraction (a copy would only rerun the constructor), else Fraction(x)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def format_rational(x: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    x = as_fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -110,8 +116,8 @@ def log_int(n: int) -> float:
 
 def log_fraction(q: Fraction) -> float:
     """log of a positive rational, via exact integer parts."""
-    q = Fraction(q)
-    if q <= 0:
+    q = as_fraction(q)
+    if q.numerator <= 0:
         raise ValueError("log of nonpositive rational")
     return log_int(q.numerator) - log_int(q.denominator)
 
@@ -135,7 +141,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -214,7 +220,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "Poly":
-        return Poly(c / Fraction(scalar) for c in self.coeffs)
+        scalar = as_fraction(scalar)
+        return Poly(c / scalar for c in self.coeffs)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -248,9 +255,9 @@ class Poly:
         return Poly((Fraction(0),) * k + self.coeffs)
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
+        acc, x = Fraction(0), as_fraction(x)
         for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
+            acc = acc * x + c
         return acc
 
     def __eq__(self, other) -> bool:
@@ -384,7 +391,7 @@ class LaurentTail:
         if start < 1:
             raise ValueError("tail must start at z^-1 or deeper")
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in coeffs))
         object.__setattr__(self, "exact", bool(exact))
 
     @classmethod
@@ -425,7 +432,8 @@ class LaurentTail:
         return LaurentTail(self.start, (-c for c in self.coeffs), self.exact)
 
     def scale(self, c: Scalar) -> "LaurentTail":
-        return LaurentTail(self.start, (Fraction(c) * a for a in self.coeffs), self.exact)
+        c = as_fraction(c)
+        return LaurentTail(self.start, (c * a for a in self.coeffs), self.exact)
 
     def derivative(self, j: int = 1) -> "LaurentTail":
         """j-th derivative; start shifts down by j, depth is preserved."""

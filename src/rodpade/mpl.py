@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Record, format_rational
+from .exact import Record, as_fraction, format_rational
 from .transform import (
     MomentSeq,
     PadeTable,
@@ -55,7 +55,7 @@ class MplConfig(Record):
     __slots__ = ("m", "r", "alphas")
 
     def __init__(self, m: int, r: int, alphas: Sequence[Fraction]):
-        super().__init__(m, r, tuple(Fraction(a) for a in alphas))
+        super().__init__(m, r, tuple(as_fraction(a) for a in alphas))
         if self.m < 1 or self.r < 1:
             raise ValueError("m and r must be positive")
         if len(self.alphas) != self.m:
@@ -130,7 +130,7 @@ class MplIndex(Record):
     def value_label(self, config: MplConfig, beta: Fraction) -> str:
         """Label with z evaluated at beta (exact ratios)."""
         args = self.args(config)[:-1]
-        args.append(format_rational(config.alpha(self.a[-1]) / Fraction(beta)))
+        args.append(format_rational(config.alpha(self.a[-1]) / as_fraction(beta)))
         return "Li_" + ",".join(map(str, self.s)) + "(" + ",".join(args) + ")"
 
 

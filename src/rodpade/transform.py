@@ -4,10 +4,11 @@ A Laurent tail f = sum_k f_k / z^(k+1) is identified with the linear
 functional t^k |-> f_k on Q[t].  Everything downstream (orthogonality,
 Q-polynomials, remainder tails, the two determinants) is computed through
 this identification, exactly.  The columns come from one Rodrigues chain
-(``rodrigues_chain``).  ``build_table`` gives each cell its Q-polynomials
-and its values phi_j(t^k P_l), k <= n, one run per row (``PadeCell.heads``);
-verification, Delta by the degree lemma and theta all read the cells
-(``verify_pade``, ``table_determinants``).
+(``rodrigues_chain``) as integer numerators over one denominator.
+``build_table`` brings each row's moment window over one lcm once; every Q
+and every value phi_j(t^k P_l), k <= n (``PadeCell.heads``) is then an
+integer over that lcm times a column's denominator, and verification,
+Delta and theta read the integers (``verify_pade``, ``table_determinants``).
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exact import (
+    InsufficientDepthError,
     LaurentTail,
     Poly,
     Record,
+    as_fraction,
     falling_derivative,
     int_convolve,
-    laurent_mul_poly,
     over_common_denominator,
 )
 
@@ -82,7 +85,7 @@ class MomentSeq:
         if k >= len(self._cache):
             with self._lock:
                 while len(self._cache) <= k:
-                    self._cache.append(Fraction(self._fn(len(self._cache), self._cache)))
+                    self._cache.append(as_fraction(self._fn(len(self._cache), self._cache)))
         return self._cache[k]
 
     def window(self, start: int, stop: int) -> list[Fraction]:
@@ -112,7 +115,7 @@ class MomentSeq:
 
     @classmethod
     def from_values(cls, values: Sequence[Fraction], label: str) -> "MomentSeq":
-        vals = [Fraction(v) for v in values]
+        vals = [as_fraction(v) for v in values]
 
         def fn(k, _prefix):
             if k < len(vals):
@@ -125,6 +128,20 @@ class MomentSeq:
         return f"MomentSeq({self.label!r})"
 
 
+def _dots(nums: Sequence[int], ws: Sequence[int], count: int) -> list[int]:
+    """sum_i nums[i] ws[k + i] for k < count: the run phi(t^k P) on the window's integers."""
+    width = len(nums)
+    return [sum(a * w for a, w in zip(nums, ws[k : k + width])) for k in range(count)]
+
+
+def _q_nums(nums: Sequence[int], ws: Sequence[int]) -> list[int]:
+    """sum_(k > u) nums[k] ws[k-1-u] for u < deg P: Q's numerators, trailing zeros dropped."""
+    q = [sum(a * w for a, w in zip(nums[u + 1 :], ws)) for u in range(len(nums) - 1)]
+    while q and not q[-1]:
+        q.pop()
+    return q
+
+
 def _phi_totals(f: MomentSeq, nums: Sequence[int], start: int, count: int) -> tuple[list[int], int]:
     """phi(t^k P) L d for k = start..start+count-1, with P = nums / d, and L.
 
@@ -132,9 +149,8 @@ def _phi_totals(f: MomentSeq, nums: Sequence[int], start: int, count: int) -> tu
     common denominator L once; each total is then the integer dot product
     sum_i p_i num(f_(k+i)) (L // den(f_(k+i))).
     """
-    width = len(nums)
-    ws, lcm = over_common_denominator(f.window(start, start + count + width - 1))
-    return [sum(a * w for a, w in zip(nums, ws[j : j + width])) for j in range(count)], lcm
+    ws, lcm = over_common_denominator(f.window(start, start + count + len(nums) - 1))
+    return _dots(nums, ws, count), lcm
 
 
 def _phi_run(f: MomentSeq, p: Poly, start: int, count: int) -> list[Fraction]:
@@ -163,29 +179,17 @@ def phi(f: MomentSeq, p: Poly, shift: int = 0) -> Fraction:
     return _phi_run(f, p, shift, 1)[0]
 
 
-def _q_of_ints(f: MomentSeq, nums: Sequence[int], den: int) -> Poly:
-    """``divided_difference_Q`` of P = nums / den, P already over one denominator.
-
-    The moments f_0..f_(deg P - 1) are brought over their lcm L once; every
-    coefficient of Q is then an integer dot product and one Fraction(total, L d).
-    """
-    deg = len(nums) - 1
-    ws, lcm = over_common_denominator(f.prefix(max(deg, 0)))
-    scale = lcm * den
-    return Poly(
-        Fraction(sum(a * w for a, w in zip(nums[u + 1 :], ws)), scale)
-        for u in range(deg)
-    )
-
-
 def divided_difference_Q(f: MomentSeq, p: Poly) -> Poly:
     """Q(z) = phi_f((P(z) - P(t)) / (z - t)), via the explicit double sum.
 
     Q(z) = sum_{u=0}^{deg P - 1} ( sum_{k=u+1}^{deg P} p_k f_{k-1-u} ) z^u,
     so deg Q <= deg P - 1.  P and the moments f_0..f_{deg P - 1} are each
-    brought over one common denominator once (``_q_of_ints``).
+    brought over one common denominator once (d and L); every coefficient
+    is then one integer dot product (``_q_nums``) and one Fraction(total, L d).
     """
-    return _q_of_ints(f, *over_common_denominator(p.coeffs))
+    nums, den = over_common_denominator(p.coeffs)
+    ws, lcm = over_common_denominator(f.prefix(max(len(nums) - 1, 0)))
+    return Poly.from_ints(_q_nums(nums, ws), lcm * den)
 
 
 class Remainder(Record):
@@ -218,20 +222,33 @@ def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
 
 
 class PadeCell(Record):
-    """One column of a weight-n table: P, and the Q-polynomial of every row.
+    """One column of a weight-n table on integers: P and, per row, Q and a run.
 
-    ``heads`` holds, per row label, the run phi_j(t^k P) for k = 0..n: the
-    coefficients of z^-(k+1) in the remainder P f_j - Q_j.  Every check of
-    the table reads them.  They take no part in equality, repr or JSON.
+    ``column`` is P as the chain's (numerators, d).  Per row label,
+    ``q_pairs`` holds Q (trailing zeros dropped) and ``heads`` the run
+    phi_j(t^k P), k = 0..n, the coefficients of z^-(k+1) in P f_j - Q_j, as
+    numerators over L d, L the lcm of the row's window.  ``heads`` takes no
+    part in equality or repr; ``P``, ``Qs`` and the JSON are rationals.
     """
 
-    __slots__ = ("n", "ell", "P", "Qs", "heads")
+    __slots__ = ("n", "ell", "column", "q_pairs", "heads")
     _hidden = ("heads",)
 
-    def __init__(
-        self, n: int, ell: int, P: Poly, Qs: dict[str, Poly], heads: dict[str, tuple[Fraction, ...]]
-    ):
-        super().__init__(n, ell, P, Qs, heads)
+    def __init__(self, n: int, ell: int, column: tuple, q_pairs: dict, heads: dict):
+        super().__init__(n, ell, column, q_pairs, heads)
+
+    @property
+    def degree(self) -> int:
+        """deg P, -1 for the zero column."""
+        return len(self.column[0]) - 1
+
+    @property
+    def P(self) -> Poly:
+        return Poly.from_ints(*self.column)
+
+    @property
+    def Qs(self) -> dict[str, Poly]:
+        return {label: Poly.from_ints(*pair) for label, pair in self.q_pairs.items()}
 
     def to_json(self) -> dict:
         return {
@@ -246,67 +263,61 @@ class PadeTable(Record):
 
     ``seqs`` are the row moment sequences the table was built from, kept so
     that later blocks of a run reuse them (and their warm moment caches)
-    instead of rebuilding them.  They take no part in equality, repr or JSON.
+    instead of rebuilding them.  ``windows`` maps each row label to its
+    moments f_0..f_(n + deg P_M) as (numerators, L), the scale of the
+    row's integers in every cell.  Neither takes part in equality, repr or
+    JSON.
     """
 
-    __slots__ = ("n", "M", "row_labels", "cells", "seqs")
-    _hidden = ("seqs",)
+    __slots__ = ("n", "M", "row_labels", "cells", "seqs", "windows")
+    _hidden = ("seqs", "windows")
 
     def __init__(
-        self,
-        n: int,
-        M: int,
-        row_labels: tuple[str, ...],
-        cells: tuple[PadeCell, ...],
-        seqs: tuple[MomentSeq, ...],
+        self, n: int, M: int, row_labels: tuple[str, ...], cells: tuple, seqs: tuple, windows: dict
     ):
-        super().__init__(n, M, row_labels, cells, seqs)
-
-    def matrix(self) -> list[list[Poly]]:
-        """(d+1) x (d+1) arrangement: P row first, then one row per label."""
-        rows = [[cell.P for cell in self.cells]]
-        for label in self.row_labels:
-            rows.append([cell.Qs[label] for cell in self.cells])
-        return rows
+        super().__init__(n, M, row_labels, cells, seqs, windows)
 
     def to_json(self) -> dict:
+        qs = [cell.Qs for cell in self.cells]
         return {
             "n": self.n,
             "M": self.M,
             "columns": [cell.ell for cell in self.cells],
             "P": [cell.P.to_strings() for cell in self.cells],
             "rows": [
-                {"label": label, "Q": [cell.Qs[label].to_strings() for cell in self.cells]}
+                {"label": label, "Q": [q[label].to_strings() for q in qs]}
                 for label in self.row_labels
             ],
         }
 
 
-def build_table(columns: Sequence[Poly], seqs: Sequence[MomentSeq], n: int) -> PadeTable:
-    """The weight-n table with P_l = columns[l]: per row, Q and phi(t^k P_l), k <= n.
+def build_table(
+    columns: Sequence[tuple[Sequence[int], int]], seqs: Sequence[MomentSeq], n: int
+) -> PadeTable:
+    """The weight-n table with P_l = nums_l / d_l: per row, Q and phi(t^k P_l), k <= n.
 
-    Each column is brought over one denominator d once for every row.  Q
-    keeps its own window f_0..f_(deg P - 1), whose lcm is smaller than that
-    of the run's window f_0..f_(deg P + n); the run is one ``_phi_totals``
-    per (row, column), each value one Fraction(total, L d).
+    Each column is a pair (nums, d) with a nonzero last numerator, as
+    ``rodrigues_columns`` yields it.  Each row's window f_0..f_(n + deg P_M),
+    the moments the runs read, which covers Q and the series route of
+    ``verify_pade`` too, is brought over its lcm L once per table; every Q
+    coefficient and every value of a run is then one integer dot product,
+    over L d.
     """
     seqs = tuple(seqs)
+    columns = [(tuple(nums), den) for nums, den in columns]
+    width = max((len(nums) for nums, _ in columns), default=0) + n
+    windows = {}
+    for f in seqs:
+        ws, lcm = over_common_denominator(f.prefix(width))
+        windows[f.label] = (tuple(ws), lcm)
     cells = []
-    for ell, p in enumerate(columns):
-        nums, den = over_common_denominator(p.coeffs)
-        qs, heads = {}, {}
-        for f in seqs:
-            qs[f.label] = _q_of_ints(f, nums, den)
-            totals, lcm = _phi_totals(f, nums, 0, n + 1)
-            heads[f.label] = tuple(Fraction(total, lcm * den) for total in totals)
-        cells.append(PadeCell(n=n, ell=ell, P=p, Qs=qs, heads=heads))
-    return PadeTable(
-        n=n,
-        M=len(cells) - 1,
-        row_labels=tuple(f.label for f in seqs),
-        cells=tuple(cells),
-        seqs=seqs,
-    )
+    for ell, (nums, den) in enumerate(columns):
+        q_pairs, heads = {}, {}
+        for label, (ws, lcm) in windows.items():
+            q_pairs[label] = (tuple(_q_nums(nums, ws)), lcm * den)
+            heads[label] = (tuple(_dots(nums, ws, n + 1)), lcm * den)
+        cells.append(PadeCell(n, ell, (nums, den), q_pairs, heads))
+    return PadeTable(n, len(cells) - 1, tuple(f.label for f in seqs), tuple(cells), seqs, windows)
 
 
 def rodrigues_factor(N: int, alphas: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -377,39 +388,56 @@ def rodrigues_chain(
 
 def rodrigues_columns(
     stages: Sequence[tuple[int, tuple[list[int], int]]], count: int
-) -> list[Poly]:
-    """Columns P_l, l < count: the last lifted pair of each chain, as a ``Poly``."""
+) -> list[tuple[list[int], int]]:
+    """Columns P_l, l < count: the last lifted pair (nums, d) of each chain."""
     columns = []
     for ell in range(count):
         *_, (_, _, lifted) = rodrigues_chain(stages, ell)
-        columns.append(Poly.from_ints(*lifted))
+        columns.append(lifted)
     return columns
 
 
-def verify_pade(cell: PadeCell, fs: Sequence[MomentSeq], M: int) -> bool:
+def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """P f over L d: (coefficients of z^-1..z^-n, of z^0..z^(deg P - 1)), P = nums / d.
+
+    With the window ``ws`` (over L) cut to f_0..f_(deg P + n - 1) and
+    reversed, the coefficient of z^e is entry deg P + n + e of one product.
+    """
+    depth = len(nums) - 1 + n
+    if len(ws) < depth:
+        raise InsufficientDepthError(f"the series route needs {depth} moments, the window has {len(ws)}")
+    product = int_convolve(nums, ws[depth - 1 :: -1])
+    return product[depth - n : depth][::-1], product[depth : depth + len(nums) - 1]
+
+
+def verify_pade(cell: PadeCell, windows: Mapping[str, tuple[Sequence[int], int]], M: int) -> bool:
     """Check the cell against every row, by two independent routes.
 
     Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1, read off ``cell.heads``.
-    Series route: multiply the truncated row series by P and inspect the
-    first n tail coefficients of P*f - Q (plus the reconstruction of Q as the
-    polynomial part).  The two routes computing the same coefficients through
-    different code paths must agree exactly; a mismatch raises
-    RouteDisagreementError.  The series route is always computed here.
+    Series route: ``windows`` maps each row label to its moments as
+    (numerators, L), as ``PadeTable.windows`` holds them, and one
+    ``int_convolve`` gives P f over L d (``_series_coefficients``): the
+    first n tail coefficients of P f - Q must vanish, and the polynomial
+    part must be Q, compared by integer cross-multiplication.  The two
+    routes computing the same coefficients through different code paths
+    must agree exactly; a mismatch raises RouteDisagreementError.
     """
-    if cell.P.is_zero or cell.P.degree > M:
+    nums, den = cell.column
+    if not nums or len(nums) - 1 > M:
         return False
     ok = True
-    n = cell.n
-    depth = int(cell.P.degree) + n + 2
-    for f in fs:
-        kernel_ok = all(v == 0 for v in cell.heads[f.label][:n])
-        part, tail = laurent_mul_poly(f.tail(depth), cell.P)
-        series_ok = all(tail.coeff(k) == 0 for k in range(1, n + 1))
+    for label, (run, _) in cell.heads.items():
+        kernel_ok = not any(run[: cell.n])
+        ws, lcm = windows[label]
+        tail, part = _series_coefficients(nums, ws, cell.n)
+        series_ok = not any(tail)
         if kernel_ok != series_ok:
             raise RouteDisagreementError(
-                f"row {f.label}: kernel test says {kernel_ok}, series test says {series_ok}"
+                f"row {label}: kernel test says {kernel_ok}, series test says {series_ok}"
             )
-        if not kernel_ok or part != cell.Qs[f.label]:
+        q, q_den = cell.q_pairs[label]
+        scale = lcm * den
+        if not kernel_ok or any(a * q_den != b * scale for a, b in zip_longest(part, q, fillvalue=0)):
             ok = False
     return ok
 
@@ -445,7 +473,7 @@ def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     Row i is multiplied by the lcm s_i of its denominators; the integer
     determinant is divided once by prod s_i.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [[as_fraction(x) for x in row] for row in matrix]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
     scale = 1
@@ -473,28 +501,34 @@ def _degree_lemma_holds(table: PadeTable) -> bool:
     """
     if len(table.seqs) != table.M:
         return False
-    if any(cell.P.degree > table.M * table.n + ell for ell, cell in enumerate(table.cells)):
+    if any(cell.degree > table.M * table.n + cell.ell for cell in table.cells):
         return False
-    runs = (run for cell in table.cells for run in cell.heads.values())
-    return all(v == 0 for run in runs for v in run[: table.n])
+    return not any(any(run[: table.n]) for cell in table.cells for run, _ in cell.heads.values())
 
 
 def table_determinants(table: PadeTable) -> tuple[Fraction, Fraction]:
-    """(Delta, theta) of a built table.
+    """(Delta, theta) of a built table, one integer Bareiss determinant each.
 
-    Delta is Delta(0), one integer Bareiss determinant of the constant
-    coefficients; a table that fails ``_degree_lemma_holds`` raises
-    DegreeLemmaError, and Delta(0) = 0 raises ZeroDeterminantError.  Either
-    signals a broken construction, never a math failure.  theta is the
-    determinant of the d x d moment matrix phi_j(t^n P_l), l < d: the k = n
-    entries of the first d cells' runs.
+    Delta is Delta(0), the determinant of the constant coefficients; a table
+    that fails ``_degree_lemma_holds`` raises DegreeLemmaError, and
+    Delta(0) = 0 raises ZeroDeterminantError.  Either signals a broken
+    construction, never a math failure.  theta is the determinant of the
+    d x d moment matrix phi_j(t^n P_l), l < d: the k = n entries of the
+    first d cells' runs.  Row j is over L_j and column l over d_l (the P row
+    over 1), so each is an integer determinant over prod L_j prod d_l.
     """
     if not _degree_lemma_holds(table):
         raise DegreeLemmaError(
             f"weight-{table.n} table fails the degree lemma: Delta is not certified constant"
         )
-    delta = det_bareiss([[p.coeff(0) for p in row] for row in table.matrix()])
+    labels, cells = table.row_labels, table.cells
+    # the lemma's M = d rows: theta's columns are the first d, and Delta adds d_M
+    scale = math.prod(table.windows[label][1] for label in labels)
+    scale *= math.prod(cell.column[1] for cell in cells[:-1])
+    constants = [[(cell.column[0] or (0,))[0] for cell in cells]]
+    constants += [[(cell.q_pairs[label][0] or (0,))[0] for cell in cells] for label in labels]
+    delta = _int_det(constants)
     if delta == 0:
         raise ZeroDeterminantError("determinant is zero")
-    cells, n = table.cells[: len(table.seqs)], table.n
-    return delta, det_bareiss([[c.heads[label][n] for c in cells] for label in table.row_labels])
+    theta = _int_det([[cell.heads[label][0][table.n] for cell in cells[:-1]] for label in labels])
+    return Fraction(delta, scale * cells[-1].column[1]), Fraction(theta, scale)

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from rodpade import logpow as logpow_mod
 from rodpade import mpl as mpl_mod
 from rodpade import transform
 from rodpade.cli import main
-from rodpade.exact import Poly
+from rodpade.exact import Poly, over_common_denominator
 from rodpade.weyl import adjoint
 
 CLI = [sys.executable, "-m", "rodpade"]
@@ -276,13 +277,13 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     # verification, Delta and theta read the one run of values each cell carries
     for cell in table.cells:
         assert list(cell.heads) == list(table.row_labels)
-        assert all(len(run) == table.n + 1 for run in cell.heads.values())
+        assert all(len(run) == table.n + 1 for run, _ in cell.heads.values())
     assert all(any(args[0] is cell for cell in table.cells) for args, _ in verifies)
     assert len(table.seqs) == len(families[0][1])
     assert all(f is g for f, g in zip(table.seqs, families[0][1]))
-    # every moment sequence the verification block reads
-    used = [f for args, _ in verifies for f in args[1]]
-    assert all(any(f is g for g in table.seqs) for f in used)
+    # the series route reads the windows of the run's own table
+    assert list(table.windows) == list(table.row_labels)
+    assert all(args[1] is table.windows for args, _ in verifies)
     if argv[0] == "pade":
         assert verifies
 
@@ -316,59 +317,111 @@ def test_pade_depth_changes_neither_output_nor_moment_work(capsys, monkeypatch):
     assert all(d <= p for p, d in zip(plain, deep))
 
 
-def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
-    # phi_j(t^k P_l), k <= n, is one run per (row, column), taken when the
-    # table is built; verify_pade's kernel route, the remainder starts, the
-    # degree lemma (k < n) and theta (k = n) read it off the cells
-    calls, runs = [], []
-    totals, run = transform._phi_totals, transform._phi_run
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pade", "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"),
+        ("pade", "--m", "1", "--r", "1", "--alphas=-7/3", "--n", "3", "--format", "csv"),
+        ("pade", "--appendix-logpow", "--m", "2", "--n", "3"),
+        ("det", "--m", "2", "--r", "1", "--alphas=-2,1/3", "--n", "3"),
+        ("det", "--appendix-logpow", "--m", "2", "--n", "4"),
+        ("audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..4", "--beta", "40"),
+        ("audit", "--m", "1", "--r", "1", "--alphas=-6/5", "--n", "1..6", "--beta", "2/125", "--place", "p5"),
+        ("criterion", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--beta", "4000000", "--products"),
+        ("criterion", "--m", "1", "--r", "1", "--alphas=1/2", "--beta", "1/4096", "--place", "p2"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_no_fraction_is_copied_into_a_fraction(capsys, monkeypatch, argv):
+    # values travel as integer pairs or as the Fractions they already are:
+    # no constructor or helper on a command's path re-wraps a Fraction
+    copies = []
+    new = Fraction.__new__
 
-    def counting(f, nums, start, count):
-        calls.append((start, count))
-        return totals(f, nums, start, count)
+    def counting(cls, numerator=0, denominator=None, **kwargs):
+        if isinstance(numerator, Fraction) or isinstance(denominator, Fraction):
+            copies.append((numerator, denominator))
+        return new(cls, numerator, denominator, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert copies == []
+    # the counter sees a copy when there is one
+    assert Fraction(Fraction(1, 3)) == Fraction(1, 3) and copies == [(Fraction(1, 3), None)]
+
+
+def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
+    # one lcm per row per table: each row's window f_0..f_(n + deg P_M + 1)
+    # is brought over one denominator when the table is built, and every run
+    # phi_j(t^k P_l), k <= n, and every Q is read off it; verify_pade's two
+    # routes, the remainder starts, the degree lemma (k < n) and theta (k = n)
+    # read the cells and the windows, and take no value of their own
+    windows, runs = [], []
+    common, totals, run = transform.over_common_denominator, transform._phi_totals, transform._phi_run
+
+    def counting(xs):
+        windows.append(len(xs))
+        return common(xs)
 
     def recording(*args):
         runs.append(args)
-        return run(*args)
+        return totals(*args)
 
-    monkeypatch.setattr(transform, "_phi_totals", counting)
+    monkeypatch.setattr(transform, "over_common_denominator", counting)
+    monkeypatch.setattr(transform, "_phi_totals", recording)
     monkeypatch.setattr(transform, "_phi_run", recording)
     for command in ("pade", "det"):
-        calls.clear()
+        windows.clear()
         assert main([command, "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["determinant"]["abs_identity_ok"] is True
-        # 8 rows x 9 columns, one run of k = 0..n each
-        assert calls == [(0, 3)] * 72
+        # 8 rows, each window f_0..f_(n + deg P_M), n + deg P_M = 2 + (8 * 2 + 8)
+        assert windows == [27] * 8
     assert runs == []
 
 
 def test_bounds_audit_reads_phi_of_tnp_off_the_table(capsys, monkeypatch):
     from rodpade import criterion
 
-    inside, calls = [False], []
-    totals, audit = transform._phi_totals, criterion.bounds_audit
+    inside, calls, windows = [None], [], []
+    totals, common = transform._phi_totals, transform.over_common_denominator
+    audit, build = criterion.bounds_audit, transform.build_table
 
     def counting(*args):
         calls.append(inside[0])
         return totals(*args)
 
-    def auditing(*args, **kwargs):
-        inside[0] = True
-        try:
-            return audit(*args, **kwargs)
-        finally:
-            inside[0] = False
+    def bringing(xs):
+        windows.append(inside[0])
+        return common(xs)
+
+    def within(name, fn):
+        def wrapped(*args, **kwargs):
+            inside[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = None
+
+        return wrapped
 
     monkeypatch.setattr(transform, "_phi_totals", counting)
     monkeypatch.setattr(criterion, "_phi_totals", counting)
-    monkeypatch.setattr(criterion, "bounds_audit", auditing)
+    monkeypatch.setattr(transform, "over_common_denominator", bringing)
+    monkeypatch.setattr(criterion, "over_common_denominator", bringing)
+    monkeypatch.setattr(criterion, "bounds_audit", within("audit", audit))
+    monkeypatch.setattr(mpl_mod, "build_table", within("build", build))
     argv = ["audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40"]
     assert main(argv) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert len(reports) == 8
-    # the tables' runs and the remainder decay take values; the audit takes none
-    assert calls and not any(calls)
+    # one lcm per row per table: 8 tables of 2 rows; the audit brings nothing
+    # over a denominator and takes no value, and the tables take no run of
+    # their own: only the remainder decay, past k = n, reads moment windows
+    assert windows.count("build") == 8 * 2
+    assert "audit" not in windows and "audit" not in calls and "build" not in calls
+    assert calls and set(windows) == {"build", None} and set(calls) == {None}
 
 
 def _perturbed_last_column(monkeypatch):
@@ -379,7 +432,7 @@ def _perturbed_last_column(monkeypatch):
         table = real(config, n)
         columns = [cell.P for cell in table.cells]
         columns[-1] = columns[-1] + Poly.one()
-        return transform.build_table(columns, table.seqs, n)
+        return transform.build_table([over_common_denominator(p.coeffs) for p in columns], table.seqs, n)
 
     monkeypatch.setattr(mpl_mod, "pade_table", perturbed)
 
@@ -413,7 +466,7 @@ def test_determinant_errors_exit_1_with_one_error_payload(
 
 def test_pade_table_extra_fields_leave_equality_and_json_alone():
     table = mpl_mod.pade_table(mpl_mod.MplConfig(m=1, r=2, alphas=(1,)), 1)
-    bare = transform.PadeTable(table.n, table.M, table.row_labels, table.cells, seqs=())
+    bare = transform.PadeTable(table.n, table.M, table.row_labels, table.cells, seqs=(), windows={})
     assert bare == table
     assert bare.to_json() == table.to_json()
     assert repr(bare) == repr(table)

@@ -418,6 +418,11 @@ def test_remainder_decay_bad_beta():
         remainder_decay(config, F(1), INF_PLACE, pade_tables(config, range(2, 5)))
 
 
+def _first_term(table, cell, f):
+    """phi(t^n P_l) as ``_remainder_sum`` takes it: the cell's run value over its row's window."""
+    return [cell.heads[f.label][0][table.n]], table.windows[f.label][1]
+
+
 def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
     """The summation with every majorant recomputed and one phi per term."""
     from rodpade.criterion import poly_norm_v
@@ -468,7 +473,8 @@ def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, 
             for cell in table.cells:
                 want, stop = _remainder_log_abs_from_scratch(f, cell.P, n, beta, place, r, H_alpha)
                 normp = poly_norm_v(cell.P, place)
-                assert _remainder_log_abs(f, cell.P, normp, n, beta, place, r, H_alpha) == want
+                first = _first_term(table, cell, f)
+                assert _remainder_log_abs(f, cell.column, first, normp, n, beta, place, r, H_alpha) == want
                 stops.add(stop - n)
     # the longest summation (in terms) is fixed too; some cross several runs
     assert max(stops) == longest
@@ -492,7 +498,7 @@ def test_remainder_decay_reads_the_tables_moment_rows(monkeypatch):
 @pytest.mark.parametrize("place", [INF_PLACE, Place.finite(2)], ids=["inf", "p2"])
 def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     import rodpade.criterion
-    from rodpade.criterion import _remainder_log_abs, poly_norm_v
+    from rodpade.criterion import _int_norm_v, _remainder_log_abs, poly_norm_v
 
     config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
     tables = pade_tables(config, range(1, 9))
@@ -501,7 +507,10 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     H_alpha = H_v_vec(config.alphas, place)
     want = [
         max(
-            _remainder_log_abs(f, cell.P, poly_norm_v(cell.P, place), n, beta, place, 1, H_alpha)
+            _remainder_log_abs(
+                f, cell.column, _first_term(tables[n], cell, f), poly_norm_v(cell.P, place),
+                n, beta, place, 1, H_alpha,
+            )
             for f in tables[n].seqs
             for cell in tables[n].cells
         )
@@ -509,16 +518,17 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     ]
     seen = []
 
-    def counting(p, v):
-        seen.append(p)
-        return poly_norm_v(p, v)
+    def counting(nums, den, v):
+        seen.append((nums, den))
+        return _int_norm_v(nums, den, v)
 
-    monkeypatch.setattr(rodpade.criterion, "poly_norm_v", counting)
+    monkeypatch.setattr(rodpade.criterion, "_int_norm_v", counting)
     report = remainder_decay(config, beta, place, tables)
     assert report.log_remainder == want
-    columns = [cell.P for n in range(1, 9) for cell in tables[n].cells]
-    assert len(seen) == len(columns) == 24
-    assert seen == columns
+    # the norms of the table's own column pairs, one per column
+    columns = [cell.column for n in range(1, 9) for cell in tables[n].cells]
+    assert len(columns) == 24
+    assert [pair for pair in seen if any(pair[0] is nums for nums, _ in columns)] == columns
 
 
 def _remainder_sum_fraction_loop(f, p, normp, n, beta, place, r, H_alpha):
@@ -588,9 +598,9 @@ def test_integer_remainder_sum_certifies_the_fraction_loops_sum(m, r, alphas, pl
         for cell in table.cells:
             normp = poly_norm_v(cell.P, place)
             for f in table.seqs:
-                args = (f, cell.P, normp, n, beta, place, r, H_alpha)
+                args = (f, cell.column, _first_term(table, cell, f), normp, n, beta, place, r, H_alpha)
                 partial, last = _remainder_sum(*args)
-                want = _remainder_sum_fraction_loop(*args)
+                want = _remainder_sum_fraction_loop(f, cell.P, normp, n, beta, place, r, H_alpha)
                 assert (partial, last) == want, (n, f.label, cell.ell)
                 assert _remainder_log_abs(*args) == log_fraction(abs_v(partial, place))
 
@@ -707,10 +717,13 @@ def test_integer_horner_matches_the_fraction_horner():
 )
 def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_alpha):
     from rodpade.criterion import _remainder_sum, poly_norm_v
-    from rodpade.exact import Poly
-    from rodpade.transform import MomentSeq
+    from rodpade.exact import Poly, over_common_denominator
+    from rodpade.transform import MomentSeq, _phi_totals
 
     f = MomentSeq(lambda k, _prefix: moment(k), "synthetic")
     P = Poly(p)
-    args = (f, P, poly_norm_v(P, place), n, beta, place, 1, H_alpha)
-    assert _remainder_sum(*args) == _remainder_sum_fraction_loop(*args)
+    column = over_common_denominator(P.coeffs)
+    # the term k = n over its own window, as a table cell would carry it
+    first = _phi_totals(f, column[0], n, 1)
+    tail = (poly_norm_v(P, place), n, beta, place, 1, H_alpha)
+    assert _remainder_sum(f, column, first, *tail) == _remainder_sum_fraction_loop(f, P, *tail)

@@ -58,6 +58,24 @@ GOLDEN = [
      "028eb2f3400e036f79fdeadf3e9aeb00bb2579cdd21353d2c96be05575918937"),
     (("pade", "--appendix-logpow", "--m", "6", "--n", "10"), 0,
      "3cb8cfb893b34c1eb52ba330e0f0859045f1c04c9abb7648f9a03f6e533c46da"),
+    # benchmark slot shapes, recorded while every table value was still a
+    # Fraction (columns, Q, the runs phi_j(t^k P_l) and the series route)
+    (("pade", "--m", "3", "--r", "1", "--alphas=-5/6,7/5,4/3", "--n", "4"), 0,
+     "f7aad1d8c3102c3e3dbc783c3b84a761f82555e841493e526ef216a64026c7e4"),
+    (("det", "--m", "3", "--r", "1", "--alphas=6,1,-5", "--n", "4"), 0,
+     "237aa60882ef1ea42c96a38ffcab4d838ba9a0bda66aaca42700568142a2fe85"),
+    (("det", "--m", "1", "--r", "3", "--alphas=-5/2", "--n", "1"), 0,
+     "4a067df3ccaec95f7776e52c751692117c358ef67b27ff2b9f281d707c8af05a"),
+    (("pade", "--m", "2", "--r", "2", "--alphas=2,3", "--n", "1"), 0,
+     "a65eb24020194c30c55e6b18bb834082385946ff99830a155fdc02f3565a8220"),
+    (("pade", "--m", "1", "--r", "1", "--alphas=-1/7", "--n", "40"), 0,
+     "6025caddd454ad0901f03d94273dbf001d507782ed38c6701fa859685e050cdc"),
+    (("pade", "--m", "1", "--r", "2", "--alphas=1/3", "--n", "6"), 0,
+     "02875d075e6996cb96a0d83ab80e1b877309807eac06f315163385bbe51a8db4"),
+    (("pade", "--appendix-logpow", "--m", "1", "--n", "40"), 0,
+     "a2414d169d05d908b98fc391e3861f00d1e7430758740545d971c6f2d9224f74"),
+    (("pade", "--appendix-logpow", "--m", "2", "--n", "11"), 0,
+     "2cea893a325df50cb6026f517925f68ccb346c85eca123a52ad9604df5ffb83a"),
 ]
 
 
@@ -114,6 +132,7 @@ def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, s
         for cell in tables[n].cells:
             normp = poly_norm_v(cell.P, place)
             for f in tables[n].seqs:
-                partial, last = _remainder_sum(f, cell.P, normp, n, beta, place, r, H_alpha)
+                first = ([cell.heads[f.label][0][n]], tables[n].windows[f.label][1])
+                partial, last = _remainder_sum(f, cell.column, first, normp, n, beta, place, r, H_alpha)
                 sums.append(f"{n} {f.label} {cell.ell} {format_rational(partial)} {last}")
     assert _sha(sums) == sums_digest

@@ -87,7 +87,7 @@ def _samples():
 SAMPLES = _samples()
 
 #: fields a value keeps but leaves out of equality, hash and repr
-HIDDEN = {transform.PadeCell: {"heads"}, transform.PadeTable: {"seqs"}}
+HIDDEN = {transform.PadeCell: {"heads"}, transform.PadeTable: {"seqs", "windows"}}
 
 #: constructor defaults: a value, or a factory that makes a fresh one per instance
 DEFAULTS = {criterion.Place: {"p": None}, criterion.VResult: {"terms": dict}}
@@ -188,13 +188,13 @@ def test_record_copies_and_pickles(cls):
 @pytest.mark.parametrize("cls", [transform.PadeCell, transform.PadeTable], ids=lambda c: c.__name__)
 def test_hidden_fields_change_neither_equality_nor_repr(cls):
     value = SAMPLES[cls][0]
-    (hidden,) = HIDDEN[cls]
-    assert getattr(value, hidden)
     fields = {name: getattr(value, name) for name in cls.__slots__}
-    bare = cls(**fields | {hidden: type(fields[hidden])()})
-    assert bare == value and repr(bare) == repr(value)
-    assert f"{hidden}=" not in repr(value)
-    assert repr(_as_twin(_twin(cls), bare)) == repr(value)
+    for hidden in HIDDEN[cls]:
+        assert getattr(value, hidden)
+        bare = cls(**fields | {hidden: type(fields[hidden])()})
+        assert bare == value and repr(bare) == repr(value)
+        assert f"{hidden}=" not in repr(value)
+        assert repr(_as_twin(_twin(cls), bare)) == repr(value)
 
 
 def test_mpl_index_orders_like_its_twin():

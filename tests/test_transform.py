@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from rodpade.exact import Poly
+from rodpade.exact import Poly, over_common_denominator
 from rodpade.transform import (
     MomentSeq,
     PadeCell,
@@ -36,6 +36,17 @@ E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
 
 def fresh_li1():
     return MomentSeq(lambda k, _p: F(1, k + 1), "Li_1(1/z)")
+
+
+def pairs(polys):
+    """Each polynomial as the (numerators, denominator) pair ``build_table`` takes."""
+    return [over_common_denominator(p.coeffs) for p in polys]
+
+
+def fresh_windows(cell):
+    """The window ``verify_pade`` reads, from a fresh Li_1 row instead of the table's."""
+    depth = cell.degree + cell.n + 2
+    return {"Li_1(1/z)": over_common_denominator(fresh_li1().prefix(depth))}
 
 
 def test_phi_examples():
@@ -70,6 +81,12 @@ def fraction_q(f, p):
         sum((p.coeff(k) * f[k - 1 - u] for k in range(u + 1, deg + 1)), F(0))
         for u in range(deg)
     )
+
+
+def polynomial_matrix(table):
+    """The (d+1) x (d+1) table as Fraction polynomials: the P row, then one Q row per label."""
+    qs = [cell.Qs for cell in table.cells]
+    return [[cell.P for cell in table.cells]] + [[q[label] for q in qs] for label in table.row_labels]
 
 
 def fraction_remainder(f, p, n, depth):
@@ -163,32 +180,32 @@ def test_remainder_tail_of_zero_series():
 
 
 def legendre_cell() -> PadeCell:
-    return build_table([Poly((1, -2))], [LI1], 1).cells[0]
+    return build_table(pairs([Poly((1, -2))]), [LI1], 1).cells[0]
 
 
 def test_verify_pade_legendre_true():
     cell = legendre_cell()
     assert cell.Qs == {"Li_1(1/z)": Poly.constant(-2)}
-    assert verify_pade(cell, [fresh_li1()], M=1)
+    assert verify_pade(cell, fresh_windows(cell), M=1)
 
 
 def test_verify_pade_nonorthogonal_false():
-    cell = build_table([Poly.one()], [LI1], 1).cells[0]
+    cell = build_table(pairs([Poly.one()]), [LI1], 1).cells[0]
     assert cell.Qs == {"Li_1(1/z)": Poly.zero()}
-    assert not verify_pade(cell, [fresh_li1()], M=1)
+    assert not verify_pade(cell, fresh_windows(cell), M=1)
 
 
 def test_verify_pade_weight_zero_kernel_is_empty():
     p = Poly((2, 5, 1))
-    cell = build_table([p], [LI1], 0).cells[0]
+    cell = build_table(pairs([p]), [LI1], 0).cells[0]
     assert cell.Qs == {"Li_1(1/z)": divided_difference_Q(LI1, p)}
-    assert verify_pade(cell, [fresh_li1()], M=2)
+    assert verify_pade(cell, fresh_windows(cell), M=2)
 
 
 def test_verify_pade_wrong_q_false():
     good = legendre_cell()
-    cell = PadeCell(good.n, good.ell, good.P, {"Li_1(1/z)": Poly.constant(7)}, good.heads)
-    assert not verify_pade(cell, [fresh_li1()], M=1)
+    cell = PadeCell(good.n, good.ell, good.column, {"Li_1(1/z)": ((7,), 1)}, good.heads)
+    assert not verify_pade(cell, fresh_windows(cell), M=1)
 
 
 # --------------------------------------------------------------------------
@@ -454,16 +471,16 @@ def test_constant_determinant_matches_fraction_route(m, r, alphas, n):
     from rodpade.mpl import MplConfig, pade_table
 
     if r is None:
-        table = logpow_table(LogPowConfig(m=m, n=n)).matrix()
+        table = polynomial_matrix(logpow_table(LogPowConfig(m=m, n=n)))
     else:
-        table = pade_table(MplConfig(m=m, r=r, alphas=alphas), n).matrix()
+        table = polynomial_matrix(pade_table(MplConfig(m=m, r=r, alphas=alphas), n))
     assert constant_determinant(table) == _seed_delta_route(table)
 
 
 def test_verify_pade_degree_guard():
     cell = legendre_cell()  # deg P = 1
-    assert verify_pade(cell, [fresh_li1()], M=1)
-    assert not verify_pade(cell, [fresh_li1()], M=0)
+    assert verify_pade(cell, fresh_windows(cell), M=1)
+    assert not verify_pade(cell, fresh_windows(cell), M=0)
 
 
 def test_moment_seq_memoization_is_stable():
@@ -536,12 +553,59 @@ def test_degree_lemma_delta_equals_the_evaluation_route(m, r, kind, n):
     # every cell carries phi_j(t^k P_l), k <= n, as the Fraction sum gives it
     for cell in table.cells:
         for f in table.seqs:
-            assert cell.heads[f.label] == tuple(fraction_phi(f, cell.P, k) for k in range(n + 1))
+            run, scale = cell.heads[f.label]
+            assert [F(t, scale) for t in run] == [fraction_phi(f, cell.P, k) for k in range(n + 1)]
     assert _degree_lemma_holds(table)
     delta, theta = table_determinants(table)
-    assert delta == constant_determinant(table.matrix())
+    assert delta == constant_determinant(polynomial_matrix(table))
     columns = [cell.P for cell in table.cells[: len(table.seqs)]]
     assert theta == theta_det(table.seqs, columns, n)
+
+
+# the high-weight benchmark shapes, beside the lemma grid
+_HIGH_WEIGHT = [
+    (1, 1, "fraction", 40), (1, 1, "negative", 36), (1, 2, "int", 6), (1, 2, "fraction", 6),
+    (2, None, "logpow", 11), (1, None, "logpow", 40),
+]
+
+
+@pytest.mark.parametrize("m, r, kind, n", _LEMMA_GRID + _HIGH_WEIGHT)
+def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
+    from rodpade.exact import laurent_mul_poly
+    from rodpade.transform import RouteDisagreementError, _series_coefficients, table_determinants
+
+    table = _grid_table(m, r, kind, n)
+    first = table.row_labels[0]
+    for cell in table.cells:
+        nums, d = cell.column
+        for f in table.seqs:
+            # the integer series route against the Fraction product of the truncated series
+            part, tail = laurent_mul_poly(f.tail(cell.degree + n + 5), cell.P)
+            ws, lcm = table.windows[f.label]
+            int_tail, int_part = _series_coefficients(nums, ws, n)
+            assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 1)]
+            assert Poly.from_ints(int_part, lcm * d) == part == cell.Qs[f.label]
+            # three coefficients past the n that vanish, on a longer window of its own
+            ws, lcm = over_common_denominator(f.prefix(cell.degree + n + 3))
+            int_tail, _ = _series_coefficients(nums, ws, n + 3)
+            assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 4)]
+        assert verify_pade(cell, table.windows, cell.degree)
+        # a corrupted run: the kernel route now disagrees with the series route
+        run, scale = cell.heads[first]
+        corrupted = cell.heads | {first: ((run[0] + 1,) + run[1:], scale)}
+        bad = PadeCell(n, cell.ell, cell.column, cell.q_pairs, corrupted)
+        with pytest.raises(RouteDisagreementError, match="kernel test says False, series test says True"):
+            verify_pade(bad, table.windows, cell.degree)
+        # a wrong Q: one more coefficient than the polynomial part has
+        q, q_den = cell.q_pairs[first]
+        wrong = cell.q_pairs | {first: (q + (1,), q_den)}
+        bad = PadeCell(n, cell.ell, cell.column, wrong, cell.heads)
+        assert not verify_pade(bad, table.windows, cell.degree)
+    # Delta(0) and theta, each divided once by prod L_j prod d_l, against the Fraction matrices
+    delta, theta = table_determinants(table)
+    assert delta == det_bareiss([[p.coeff(0) for p in row] for row in polynomial_matrix(table)])
+    columns = [cell.P for cell in table.cells[: len(table.seqs)]]
+    assert theta == det_bareiss([[fraction_phi(f, p, n) for p in columns] for f in table.seqs])
 
 
 @pytest.mark.parametrize(
@@ -559,12 +623,12 @@ def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, m
     table = pade_table(MplConfig(m=m, r=1, alphas=alphas), n)
     columns = [cell.P for cell in table.cells]
     columns[index] = perturb(columns[index])
-    broken = build_table(columns, table.seqs, n)
+    broken = build_table(pairs(columns), table.seqs, n)
     with pytest.raises(DegreeLemmaError, match="fails the degree lemma"):
         table_determinants(broken)
     # the oracle still finds the determinant of the broken matrix non-constant
     with pytest.raises(NonConstantDeterminantError) as exc:
-        constant_determinant(broken.matrix())
+        constant_determinant(polynomial_matrix(broken))
     assert str(exc.value) == f"determinant has degree 1: {message}"
 
 
@@ -579,12 +643,12 @@ def test_columns_past_the_degree_bound_fail_the_degree_lemma():
 
     # weight-2 columns are orthogonal up to k < 1 too, but deg P_l = 2M + l > M + l
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 2)
-    relabelled = build_table([cell.P for cell in table.cells], table.seqs, 1)
+    relabelled = build_table([cell.column for cell in table.cells], table.seqs, 1)
     assert not _degree_lemma_holds(relabelled)
     with pytest.raises(DegreeLemmaError):
         table_determinants(relabelled)
     # the matrix is the weight-2 one, whose Delta the oracle still reads as a constant
-    assert constant_determinant(relabelled.matrix()) == table_determinants(table)[0]
+    assert constant_determinant(polynomial_matrix(relabelled)) == table_determinants(table)[0]
 
 
 def test_table_with_a_missing_row_fails_the_degree_lemma():
@@ -592,11 +656,11 @@ def test_table_with_a_missing_row_fails_the_degree_lemma():
     from rodpade.transform import DegreeLemmaError, build_table, table_determinants
 
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 1)
-    short = build_table([cell.P for cell in table.cells], table.seqs[:-1], 1)
+    short = build_table([cell.column for cell in table.cells], table.seqs[:-1], 1)
     with pytest.raises(DegreeLemmaError, match="fails the degree lemma"):
         table_determinants(short)
     with pytest.raises(ValueError, match="table must be square"):
-        constant_determinant(short.matrix())
+        constant_determinant(polynomial_matrix(short))
 
 
 def test_det_job_takes_one_integer_determinant_for_delta(monkeypatch, capsys):
