@@ -1,21 +1,26 @@
 """Exact Rodrigues-style Pade-type approximants over Q.
 
-Subpackages by layer: exact rational/polynomial/Laurent arithmetic
-(:mod:`rodpade.exact`), the operator algebra with the paper's Rodrigues
-operators (:mod:`rodpade.weyl`), moment functionals, the integer Rodrigues
-chain and determinants (:mod:`rodpade.transform`), recurrence extraction
-(:mod:`rodpade.holonomic`), the two applications (:mod:`rodpade.mpl`,
-:mod:`rodpade.logpow`), and the arithmetic layer of heights, audits and the
-independence criterion (:mod:`rodpade.criterion`).
+Subpackages by layer: exact integer and rational helpers
+(:mod:`rodpade.exact`), the polynomial, Laurent-tail and operator algebra
+with the paper's Rodrigues operators (:mod:`rodpade.weyl`), moment
+functionals, the integer Rodrigues chain and determinants
+(:mod:`rodpade.transform`), recurrence extraction (:mod:`rodpade.holonomic`),
+the two applications (:mod:`rodpade.mpl`, :mod:`rodpade.logpow`), and the
+arithmetic layer of heights, audits and the independence criterion
+(:mod:`rodpade.criterion`).
 
-The operator names below are loaded from :mod:`rodpade.weyl` on first
-access, so importing the package (or the command line, which builds its
-tables without operators) does not load the operator algebra.
+The names below are loaded from :mod:`rodpade.weyl` on first access, so
+importing the package (or the command line, which builds its tables on
+integer pairs) does not load the algebra.
 """
 
-from .exact import INF, NEG_INF, LaurentTail, Poly, laurent_mul_poly, ord_inf
-
 _WEYL_NAMES = (
+    "INF",
+    "NEG_INF",
+    "LaurentTail",
+    "Poly",
+    "laurent_mul_poly",
+    "ord_inf",
     "DiffOp",
     "adjoint",
     "op_apply",
@@ -26,15 +31,7 @@ _WEYL_NAMES = (
     "rodrigues_operator",
 )
 
-__all__ = [
-    "INF",
-    "NEG_INF",
-    "LaurentTail",
-    "Poly",
-    "laurent_mul_poly",
-    "ord_inf",
-    *_WEYL_NAMES,
-]
+__all__ = list(_WEYL_NAMES)
 
 
 def __getattr__(name):

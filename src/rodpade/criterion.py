@@ -14,13 +14,11 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .exact import (
-    Poly,
     Record,
     as_fraction,
     format_rational,
     log_fraction,
     log_int as _log_int,
-    over_common_denominator,
 )
 from .transform import MomentSeq, PadeTable, _phi_totals, rodrigues_chain
 from . import mpl as mpl_mod
@@ -503,11 +501,6 @@ def evaluate_criterion(
 # bound audits
 
 
-def poly_norm_v(p: Poly, place: Place) -> Fraction:
-    """Maximum v-adic absolute value of the coefficients."""
-    return _int_norm_v(*over_common_denominator(p.coeffs), place)
-
-
 def _horner_at(nums: Sequence[int], den: int, x: Fraction) -> tuple[int, int]:
     """P(x) for P = nums / den as (numerator, denominator), by one integer Horner pass.
 
@@ -826,22 +819,6 @@ def _remainder_sum(
             b_pow *= b
 
 
-def _remainder_log_abs(
-    f: MomentSeq,
-    column: tuple[Sequence[int], int],
-    first: tuple[Sequence[int], int],
-    normp: Fraction,
-    n: int,
-    beta: Fraction,
-    place: Place,
-    r: int,
-    H_alpha: Fraction,
-) -> float:
-    """Certified log |sum_{k>=n} phi(t^k P) beta^-(k+1)|_v: the log of ``_remainder_sum``."""
-    partial, _ = _remainder_sum(f, column, first, normp, n, beta, place, r, H_alpha)
-    return log_fraction(abs_v(partial, place))
-
-
 def _phi_total_runs(f: MomentSeq, nums: Sequence[int], start: int):
     """``_phi_totals`` for k = start, start + 1, ..., in runs of doubling length.
 
@@ -889,8 +866,8 @@ def remainder_decay(
             lcm = table.windows[f.label][1]
             for cell, normp in zip(table.cells, norms):
                 first = ([cell.heads[f.label][0][n]], lcm)
-                val = _remainder_log_abs(f, cell.column, first, normp, n, beta, v0, r, H_alpha)
-                best = max(best, val)
+                partial, _ = _remainder_sum(f, cell.column, first, normp, n, beta, v0, r, H_alpha)
+                best = max(best, log_fraction(abs_v(partial, v0)))
         logs.append(best)
     mean_n = sum(ns) / len(ns)
     mean_y = sum(logs) / len(logs)

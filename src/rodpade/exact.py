@@ -1,45 +1,35 @@
-"""Exact univariate polynomials and truncated Laurent tails at infinity.
+"""Exact integer and rational helpers shared by every layer.
 
-All coefficients are ``fractions.Fraction``: canonical lowest terms, positive
-denominator, arbitrary precision.  A :class:`LaurentTail` stores a truncation
-of an element of (1/z)*Q[[1/z]] together with the number of coefficients that
-are guaranteed correct, so no operation can ever report a coefficient beyond
-what was actually proved.
+Rationals are ``fractions.Fraction`` (canonical lowest terms, positive
+denominator) or integer numerators over one common denominator, the form the
+tables compute in.  Here are the value-record base, parsing and printing of
+rationals, big-integer-safe logarithms, and the integer convolution and
+derivative kernels.  The polynomial and Laurent-tail algebra over Q lives in
+:mod:`rodpade.weyl`, beside the operators that are its one program user.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
-    "NEG_INF",
-    "INF",
     "Scalar",
     "InsufficientDepthError",
     "Record",
     "as_fraction",
     "format_rational",
+    "format_pair",
     "log_int",
     "log_fraction",
     "parse_rational",
-    "Poly",
     "falling_derivative",
     "int_convolve",
     "over_common_denominator",
-    "Z",
-    "OrdAtLeast",
-    "LaurentTail",
-    "ord_inf",
-    "laurent_mul_poly",
 ]
-
-#: degree of the zero polynomial (keeps deg(P*Q) = deg P + deg Q testable)
-NEG_INF = float("-inf")
-
-#: order at infinity of the zero Laurent series
-INF = math.inf
 
 Scalar = Union[int, Fraction]
 
@@ -104,6 +94,15 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_pair(nums: Sequence[int], den: int) -> list[str]:
+    """Each nums[i] / den (den > 0) as ``format_rational`` writes it, by one gcd and division each."""
+    out = []
+    for c in nums:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
+
+
 def log_int(n: int) -> float:
     """log of a positive integer, safe for huge values."""
     if n <= 0:
@@ -122,177 +121,29 @@ def log_fraction(q: Fraction) -> float:
     return log_int(q.numerator) - log_int(q.denominator)
 
 
+#: a decimal exponent at the end of a literal, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+
 def parse_rational(text: str) -> Fraction:
-    """The rational written as an integer, decimal or "p/q"; ValueError otherwise."""
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+    """The rational written as an integer, decimal or "p/q"; ValueError otherwise.
 
-
-class Poly:
-    """Dense univariate polynomial over Q.
-
-    ``coeffs[i]`` is the coefficient of z^i; trailing zeros are stripped so
-    the representation is canonical and the zero polynomial is the empty
-    tuple.
+    A decimal exponent e is refused when 10^|e| has more digits than the
+    interpreter's int-string limit, before ``Fraction`` forms that power: it
+    alone can take minutes, and its digits could not be printed.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, k: int, c: Scalar = 1) -> "Poly":
-        return cls((0,) * k + (c,))
-
-    @classmethod
-    def from_ints(cls, nums: Iterable[int], den: int) -> "Poly":
-        """The polynomial sum_i (nums[i] / den) z^i."""
-        return cls(Fraction(c, den) for c in nums)
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        """Degree, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) + other.coeff(i) for i in range(n))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) - self
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
-        other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> "Poly":
-        scalar = as_fraction(scalar)
-        return Poly(c / scalar for c in self.coeffs)
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result, base = Poly.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def derivative(self, k: int = 1) -> "Poly":
-        """k-th derivative, exact, in closed form.
-
-        The coefficient of z^i is c_{i+k} * (i+1)(i+2)...(i+k).  The product
-        is carried from i to i+1 as one running integer, so any k costs
-        O(deg) multiplications.  k = 0 returns the polynomial itself and
-        k > deg returns zero.
-        """
-        if k < 0:
-            raise ValueError("negative derivative order")
-        if k == 0:
-            return self
-        return Poly(falling_derivative(self.coeffs, k, math.factorial(k)))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by z^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        return Poly((Fraction(0),) * k + self.coeffs)
-
-    def __call__(self, x: Scalar) -> Fraction:
-        acc, x = Fraction(0), as_fraction(x)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _as_poly(other)
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(format_rational(c))
-            else:
-                mono = "z" if i == 1 else f"z^{i}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{format_rational(c)}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def to_strings(self) -> list[str]:
-        """Ascending coefficients as rational strings (JSON form)."""
-        return [format_rational(c) for c in self.coeffs]
+    text = text.strip()
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if abs(int(exponent[1])) >= limit:
+            raise ValueError(
+                f"exponent {exponent[1]} gives a power of ten past the limit of {limit} digits"
+            )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def falling_derivative(cs: Sequence, k: int, fall: int) -> list:
@@ -350,180 +201,3 @@ def over_common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """xs as integer numerators over the lcm of their denominators."""
     den = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly((x,))
-    raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
-
-
-#: the polynomial z
-Z = Poly((0, 1))
-
-
-class OrdAtLeast(Record):
-    """Lower bound on ord_inf when the truncation shows no nonzero coefficient."""
-
-    __slots__ = ("bound",)
-
-    def __init__(self, bound: int):
-        super().__init__(bound)
-
-    def __ge__(self, other: int) -> bool:
-        return self.bound >= other
-
-
-class LaurentTail:
-    """Truncation of an element of (1/z)*Q[[1/z]].
-
-    ``coeffs[i]`` is the coefficient of z^-(start+i).  Coefficients below
-    ``start`` are exactly zero; coefficients beyond the stored window are
-    unknown unless ``exact`` is set, in which case they are exactly zero and
-    the tail is a full Laurent polynomial in 1/z.
-    """
-
-    __slots__ = ("start", "coeffs", "exact")
-
-    def __init__(self, start: int, coeffs: Iterable[Scalar] = (), exact: bool = False):
-        if start < 1:
-            raise ValueError("tail must start at z^-1 or deeper")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in coeffs))
-        object.__setattr__(self, "exact", bool(exact))
-
-    @classmethod
-    def zero(cls) -> "LaurentTail":
-        return cls(1, (), exact=True)
-
-    @property
-    def depth(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def known_end(self) -> float:
-        """Largest index k for which the coefficient of z^-k is known."""
-        return INF if self.exact else self.start + self.depth - 1
-
-    def coeff(self, k: int) -> Fraction:
-        """Coefficient of z^-k; raises beyond the proved window."""
-        if k < self.start:
-            return Fraction(0)
-        i = k - self.start
-        if i < self.depth:
-            return self.coeffs[i]
-        if self.exact:
-            return Fraction(0)
-        raise InsufficientDepthError(f"coefficient of z^-{k} beyond proved depth")
-
-    def moment(self, k: int) -> Fraction:
-        """Moment k, i.e. the coefficient of z^-(k+1)."""
-        return self.coeff(k + 1)
-
-    def window(self, lo: int, hi: int) -> list[Fraction]:
-        return [self.coeff(k) for k in range(lo, hi + 1)]
-
-    def is_zero_to_depth(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __neg__(self) -> "LaurentTail":
-        return LaurentTail(self.start, (-c for c in self.coeffs), self.exact)
-
-    def scale(self, c: Scalar) -> "LaurentTail":
-        c = as_fraction(c)
-        return LaurentTail(self.start, (c * a for a in self.coeffs), self.exact)
-
-    def derivative(self, j: int = 1) -> "LaurentTail":
-        """j-th derivative; start shifts down by j, depth is preserved."""
-        if j < 0:
-            raise ValueError("negative derivative order")
-        coeffs = list(self.coeffs)
-        start = self.start
-        for _ in range(j):
-            coeffs = [Fraction(-(start + i)) * c for i, c in enumerate(coeffs)]
-            start += 1
-        return LaurentTail(start, coeffs, self.exact)
-
-    def add(self, other: "LaurentTail") -> "LaurentTail":
-        """Sum truncated to the jointly proved window."""
-        start = min(self.start, other.start)
-        end = min(self.known_end, other.known_end)
-        exact = self.exact and other.exact
-        if end == INF:
-            end = max(self.start + self.depth - 1, other.start + other.depth - 1)
-            if end < start:
-                return LaurentTail.zero()
-        if end < start:
-            return LaurentTail(start, (), exact)
-        coeffs = [self.coeff(k) + other.coeff(k) for k in range(start, int(end) + 1)]
-        return LaurentTail(start, coeffs, exact)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentTail)
-            and self.start == other.start
-            and self.coeffs == other.coeffs
-            and self.exact == other.exact
-        )
-
-    def __repr__(self):
-        tag = ", exact" if self.exact else ""
-        return f"LaurentTail(start={self.start}, coeffs={[str(c) for c in self.coeffs]}{tag})"
-
-    def to_json(self) -> dict:
-        return {"start": self.start, "coeffs": [format_rational(c) for c in self.coeffs]}
-
-
-def ord_inf(f: LaurentTail, assume_exact: bool = False):
-    """Order at infinity of a tail.
-
-    Returns the exact order as an int when a nonzero stored coefficient
-    exists, INF when every coefficient vanishes and the tail is exact (or the
-    caller asserts exactness), and otherwise the flagged lower bound
-    ``OrdAtLeast(start + depth)``.
-    """
-    for i, c in enumerate(f.coeffs):
-        if c != 0:
-            return f.start + i
-    if f.exact or assume_exact:
-        return INF
-    return OrdAtLeast(f.start + f.depth)
-
-
-def laurent_mul_poly(f: LaurentTail, p: Poly) -> tuple[Poly, LaurentTail]:
-    """Exact product P(z)*f(z) split into (polynomial part, tail).
-
-    The tail is truncated to the provably correct depth: the product of a
-    depth-d window by a degree-D polynomial is proved only up to index
-    start + d - 1 - D.
-
-    The coefficient of z^e is sum_i p_i f_(i-e).  P is brought over one
-    denominator d and the stored window over one denominator L; the window
-    reversed, w_j = f_(last - j) with last = start + depth - 1, turns every
-    such sum into one coefficient of the integer product P w, the one at
-    index last + e.  So both parts come from a single ``int_convolve`` and
-    one Fraction(c, d L) per coefficient read.
-    """
-    if p.is_zero:
-        return Poly.zero(), LaurentTail.zero()
-    deg = int(p.degree)
-    # polynomial part: coefficient of z^u is sum_i p_i * f_{i-u}
-    top_needed = deg  # largest tail index the polynomial part touches
-    if not f.exact and top_needed > f.start + f.depth - 1 and top_needed >= f.start:
-        raise InsufficientDepthError("tail too shallow for the polynomial part of the product")
-    last = f.start + f.depth - 1
-    p_nums, p_den = over_common_denominator(p.coeffs)
-    w_nums, w_den = over_common_denominator(f.coeffs)
-    product, scale = int_convolve(p_nums, w_nums[::-1]), p_den * w_den
-
-    def at(e: int) -> Fraction:
-        i = last + e
-        return Fraction(product[i], scale) if 0 <= i < len(product) else Fraction(0)
-
-    poly_part = Poly(at(u) for u in range(deg))
-    new_start = max(1, f.start - deg)
-    # an exact tail's product cannot reach deeper than its last stored index
-    end = last if f.exact else last - deg
-    return poly_part, LaurentTail(new_start, (at(-k) for k in range(new_start, end + 1)), f.exact)

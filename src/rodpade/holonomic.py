@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Poly, Record
+from .exact import Record
 from .transform import MomentSeq
-from .weyl import DiffOp, ZeroOperatorError, ord_weight, property_P, rising_factorial_poly
+from .weyl import DiffOp, Poly, ZeroOperatorError, ord_weight, property_P, rising_factorial_poly
 
 __all__ = [
     "RecurrenceSystem",

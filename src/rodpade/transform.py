@@ -3,7 +3,8 @@
 A Laurent tail f = sum_k f_k / z^(k+1) is identified with the linear
 functional t^k |-> f_k on Q[t].  Everything downstream (orthogonality,
 Q-polynomials, remainder tails, the two determinants) is computed through
-this identification, exactly.  The columns come from one Rodrigues chain
+this identification, exactly, on integers over common denominators: no
+polynomial object is formed.  The columns come from one Rodrigues chain
 (``rodrigues_chain``) as integer numerators over one denominator.
 ``build_table`` brings each row's moment window over one lcm once; every Q
 and every value phi_j(t^k P_l), k <= n (``PadeCell.heads``) is then an
@@ -21,11 +22,10 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .exact import (
     InsufficientDepthError,
-    LaurentTail,
-    Poly,
     Record,
     as_fraction,
     falling_derivative,
+    format_pair,
     int_convolve,
     over_common_denominator,
 )
@@ -34,7 +34,6 @@ __all__ = [
     "MomentSeq",
     "PadeCell",
     "PadeTable",
-    "Remainder",
     "build_table",
     "rodrigues_factor",
     "rodrigues_lift",
@@ -43,9 +42,6 @@ __all__ = [
     "RouteDisagreementError",
     "DegreeLemmaError",
     "ZeroDeterminantError",
-    "phi",
-    "divided_difference_Q",
-    "remainder_tail",
     "verify_pade",
     "det_bareiss",
     "table_determinants",
@@ -99,31 +95,6 @@ class MomentSeq:
     def prefix(self, n: int) -> list[Fraction]:
         return self.window(0, n)
 
-    def tail(self, depth: int) -> LaurentTail:
-        """The underlying series truncated to ``depth`` exact coefficients."""
-        return LaurentTail(1, self.prefix(depth))
-
-    def shift(self, k: int) -> "MomentSeq":
-        """Moments of pi(z^k * f): index j |-> f_{j+k}."""
-        if k == 0:
-            return self
-        return MomentSeq(lambda j, _prefix, s=self, k=k: s[j + k], label=f"z^{k}*{self.label}")
-
-    @classmethod
-    def zero(cls, label: str = "0") -> "MomentSeq":
-        return cls(lambda _k, _p: Fraction(0), label)
-
-    @classmethod
-    def from_values(cls, values: Sequence[Fraction], label: str) -> "MomentSeq":
-        vals = [as_fraction(v) for v in values]
-
-        def fn(k, _prefix):
-            if k < len(vals):
-                return vals[k]
-            raise IndexError(f"moment sequence '{label}' only has {len(vals)} stored values")
-
-        return cls(fn, label)
-
     def __repr__(self):
         return f"MomentSeq({self.label!r})"
 
@@ -153,74 +124,6 @@ def _phi_totals(f: MomentSeq, nums: Sequence[int], start: int, count: int) -> tu
     return _dots(nums, ws, count), lcm
 
 
-def _phi_run(f: MomentSeq, p: Poly, start: int, count: int) -> list[Fraction]:
-    """phi(t^k P) for k = start..start+count-1, as integer dot products.
-
-    P and the moment window are each brought over one common denominator
-    once (d and L, ``_phi_totals``), and each value is one Fraction(total,
-    L d): one gcd per value instead of one per term (von zur Gathen &
-    Gerhard, *Modern Computer Algebra*, ch. 5-6).
-    """
-    if p.is_zero or count == 0:
-        return [Fraction(0)] * count
-    nums, den = over_common_denominator(p.coeffs)
-    totals, lcm = _phi_totals(f, nums, start, count)
-    scale = lcm * den
-    return [Fraction(total, scale) for total in totals]
-
-
-def phi(f: MomentSeq, p: Poly, shift: int = 0) -> Fraction:
-    """The functional applied to t^shift * P: sum_k p_k * f_{k+shift}.
-
-    The offset reads the moments further along instead of building the
-    shifted polynomial, so phi(t^k P) costs O(deg P) for any k.  The sum is
-    one integer dot product over a common denominator.
-    """
-    return _phi_run(f, p, shift, 1)[0]
-
-
-def divided_difference_Q(f: MomentSeq, p: Poly) -> Poly:
-    """Q(z) = phi_f((P(z) - P(t)) / (z - t)), via the explicit double sum.
-
-    Q(z) = sum_{u=0}^{deg P - 1} ( sum_{k=u+1}^{deg P} p_k f_{k-1-u} ) z^u,
-    so deg Q <= deg P - 1.  P and the moments f_0..f_{deg P - 1} are each
-    brought over one common denominator once (d and L); every coefficient
-    is then one integer dot product (``_q_nums``) and one Fraction(total, L d).
-    """
-    nums, den = over_common_denominator(p.coeffs)
-    ws, lcm = over_common_denominator(f.prefix(max(len(nums) - 1, 0)))
-    return Poly.from_ints(_q_nums(nums, ws), lcm * den)
-
-
-class Remainder(Record):
-    """Remainder tail of a cell, with the orthogonality precondition recorded."""
-
-    __slots__ = ("tail", "expected_start", "orthogonal")
-
-    def __init__(self, tail: LaurentTail, expected_start: int, orthogonal: bool):
-        super().__init__(tail, expected_start, orthogonal)
-
-
-def remainder_tail(f: MomentSeq, p: Poly, n: int, depth: int) -> Remainder:
-    """Tail of P(z)f(z) - Q(z): coefficient of z^-(k+1) is phi(t^k P).
-
-    When phi(t^k P) = 0 for 0 <= k <= n-1 the tail starts at z^-(n+1) and
-    carries ``depth`` exact coefficients phi(t^(n+j) P).  A violated
-    precondition downgrades to the true start and is flagged.  Each
-    coefficient is phi(f, P, shift=k); P and the moment window are brought
-    over one common denominator once, each coefficient is then one integer
-    dot product of length deg P + 1, and no shifted polynomial is built.
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    heads = _phi_run(f, p, 0, n)
-    first_nonzero = next((k for k, v in enumerate(heads) if v != 0), None)
-    orthogonal = first_nonzero is None
-    start_k = n if orthogonal else first_nonzero
-    coeffs = _phi_run(f, p, start_k, depth)
-    return Remainder(LaurentTail(start_k + 1, coeffs), expected_start=n + 1, orthogonal=orthogonal)
-
-
 class PadeCell(Record):
     """One column of a weight-n table on integers: P and, per row, Q and a run.
 
@@ -228,7 +131,7 @@ class PadeCell(Record):
     ``q_pairs`` holds Q (trailing zeros dropped) and ``heads`` the run
     phi_j(t^k P), k = 0..n, the coefficients of z^-(k+1) in P f_j - Q_j, as
     numerators over L d, L the lcm of the row's window.  ``heads`` takes no
-    part in equality or repr; ``P``, ``Qs`` and the JSON are rationals.
+    part in equality or repr; the JSON writes P and Q as reduced rationals.
     """
 
     __slots__ = ("n", "ell", "column", "q_pairs", "heads")
@@ -242,19 +145,11 @@ class PadeCell(Record):
         """deg P, -1 for the zero column."""
         return len(self.column[0]) - 1
 
-    @property
-    def P(self) -> Poly:
-        return Poly.from_ints(*self.column)
-
-    @property
-    def Qs(self) -> dict[str, Poly]:
-        return {label: Poly.from_ints(*pair) for label, pair in self.q_pairs.items()}
-
     def to_json(self) -> dict:
         return {
             "l": self.ell,
-            "P": self.P.to_strings(),
-            "Q": {label: q.to_strings() for label, q in self.Qs.items()},
+            "P": format_pair(*self.column),
+            "Q": {label: format_pair(*pair) for label, pair in self.q_pairs.items()},
         }
 
 
@@ -278,14 +173,13 @@ class PadeTable(Record):
         super().__init__(n, M, row_labels, cells, seqs, windows)
 
     def to_json(self) -> dict:
-        qs = [cell.Qs for cell in self.cells]
         return {
             "n": self.n,
             "M": self.M,
             "columns": [cell.ell for cell in self.cells],
-            "P": [cell.P.to_strings() for cell in self.cells],
+            "P": [format_pair(*cell.column) for cell in self.cells],
             "rows": [
-                {"label": label, "Q": [q[label].to_strings() for q in qs]}
+                {"label": label, "Q": [format_pair(*cell.q_pairs[label]) for cell in self.cells]}
                 for label in self.row_labels
             ],
         }

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from rodpade import logpow as logpow_mod
 from rodpade import mpl as mpl_mod
 from rodpade import transform
 from rodpade.cli import main
-from rodpade.exact import Poly, over_common_denominator
 from rodpade.weyl import adjoint
 
 CLI = [sys.executable, "-m", "rodpade"]
@@ -197,6 +197,26 @@ def test_malformed_config_document_exits_2(tmp_path, capsys, command, name, text
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e-99999999"),
+        ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e999999"),
+        ("audit", "--m", "1", "--alphas", "1e-99999", "--n", "1..2", "--beta", "30"),
+    ],
+)
+def test_huge_decimal_exponent_exits_2_at_once(argv):
+    # Fraction("1e-99999999") alone forms 10^99999999; the parser refuses it first
+    start = time.perf_counter()
+    proc = run_cli(*argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: exponent ") and "past the limit" in lines[0]
+    assert elapsed < 1.0
+
+
 def test_weight_past_machine_index_exits_2():
     proc = run_cli("det", "--m", "1", "--alphas", "1", "--n", "99999999999999999999")
     assert proc.returncode == 2
@@ -358,7 +378,7 @@ def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
     # routes, the remainder starts, the degree lemma (k < n) and theta (k = n)
     # read the cells and the windows, and take no value of their own
     windows, runs = [], []
-    common, totals, run = transform.over_common_denominator, transform._phi_totals, transform._phi_run
+    common, totals = transform.over_common_denominator, transform._phi_totals
 
     def counting(xs):
         windows.append(len(xs))
@@ -370,7 +390,6 @@ def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
 
     monkeypatch.setattr(transform, "over_common_denominator", counting)
     monkeypatch.setattr(transform, "_phi_totals", recording)
-    monkeypatch.setattr(transform, "_phi_run", recording)
     for command in ("pade", "det"):
         windows.clear()
         assert main([command, "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
@@ -409,7 +428,6 @@ def test_bounds_audit_reads_phi_of_tnp_off_the_table(capsys, monkeypatch):
     monkeypatch.setattr(transform, "_phi_totals", counting)
     monkeypatch.setattr(criterion, "_phi_totals", counting)
     monkeypatch.setattr(transform, "over_common_denominator", bringing)
-    monkeypatch.setattr(criterion, "over_common_denominator", bringing)
     monkeypatch.setattr(criterion, "bounds_audit", within("audit", audit))
     monkeypatch.setattr(mpl_mod, "build_table", within("build", build))
     argv = ["audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40"]
@@ -430,9 +448,10 @@ def _perturbed_last_column(monkeypatch):
 
     def perturbed(config, n):
         table = real(config, n)
-        columns = [cell.P for cell in table.cells]
-        columns[-1] = columns[-1] + Poly.one()
-        return transform.build_table([over_common_denominator(p.coeffs) for p in columns], table.seqs, n)
+        columns = [cell.column for cell in table.cells]
+        nums, den = columns[-1]
+        columns[-1] = ((nums[0] + den,) + nums[1:], den)
+        return transform.build_table(columns, table.seqs, n)
 
     monkeypatch.setattr(mpl_mod, "pade_table", perturbed)
 
@@ -659,16 +678,18 @@ def test_audit_lcm_out_of_memory_exits_2(capsys, monkeypatch):
 _IMPORT_ONLY = (
     "import sys\n"
     "import rodpade.cli\n"
+    "import rodpade.exact\n"
     "loaded = 'rodpade.weyl' in sys.modules\n"
-    "from rodpade import DiffOp\n"
-    "print(loaded, DiffOp.__module__)\n"
+    "from rodpade import DiffOp, LaurentTail, Poly, ord_inf\n"
+    "print(loaded, hasattr(rodpade.exact, 'Poly'), DiffOp.__module__, Poly.__module__,\n"
+    "      LaurentTail.__module__, ord_inf.__module__)\n"
 )
 
 
 def test_cli_import_leaves_the_operator_algebra_unloaded():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "rodpade.weyl"]
+    assert proc.stdout.split() == ["False", "False"] + ["rodpade.weyl"] * 4
 
 
 @pytest.mark.parametrize(

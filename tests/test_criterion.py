@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -9,6 +10,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from oracles import fraction_phi, poly, q_polys
 
 from rodpade.criterion import (
     BadBetaError,
@@ -34,6 +36,11 @@ from rodpade.criterion import (
 from rodpade.mpl import MplConfig, pade_table, pade_tables
 
 INF_PLACE = Place.archimedean()
+
+
+def norm_v(p, place):
+    """max_i |p_i|_v over a polynomial's coefficients, one ``abs_v`` each; 0 for zero."""
+    return max((abs_v(c, place) for c in p.coeffs), default=F(0))
 
 
 def test_place_parsing_and_validation():
@@ -213,9 +220,8 @@ def test_products_are_deduplicated():
 def test_column_polynomial_matches_derivative_chain():
     # adjoint route and the iterated (1/N!) D^N z^N prod(z-a)^N route agree up
     # to the sign (-1)^(n*M/m) accumulated over the chain
-    from rodpade.exact import Poly
     from rodpade.mpl import pade_table
-    from rodpade.weyl import DiffOp, op_apply, op_compose
+    from rodpade.weyl import DiffOp, Poly, op_apply, op_compose
 
     def cal_LN(N, config):
         """(1/N!) D^N z^N prod_i (z - alpha_i)^N as one composed operator."""
@@ -232,12 +238,12 @@ def test_column_polynomial_matches_derivative_chain():
             cur = Poly.monomial(ell)
             for j in range(r - 1, -1, -1):
                 cur = op_apply(cal_LN((m + 1) ** j * n, config), cur)
-            assert table.cells[ell].P == cur * sign, (m, r, n, ell)
+            assert poly(table.cells[ell].column) == cur * sign, (m, r, n, ell)
 
 
 def test_audit_derivative_norm_fixture():
     # (1/2) D^2 z^2 (1+z) has coefficients {1, 3}: the binomial bound C(3,2) = 3 is tight
-    from rodpade.exact import Poly
+    from rodpade.weyl import Poly
 
     p = Poly((1, 1))
     lifted = (Poly.monomial(2) * p).derivative(2) / 2
@@ -262,10 +268,11 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
     is used: one product norm per stage per column, the input norm of every
     operator step taken again, and the chained column bound in a loop of its own.
     """
-    from rodpade.criterion import H_v, _d_factor, poly_norm_v
-    from rodpade.exact import Poly, int_convolve
+    from rodpade.criterion import H_v, _d_factor
+    from rodpade.exact import int_convolve
     from rodpade.mpl import rodrigues_stages
-    from rodpade.transform import phi, rodrigues_lift
+    from rodpade.transform import rodrigues_lift
+    from rodpade.weyl import Poly
 
     n, eps = table.n, place.epsilon
     m, r, M = config.m, config.r, config.M
@@ -280,26 +287,24 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
             deg_in = int(current.degree)
             h_pow = math.prod(h**N for h in hs)
             bound_prod = F(N + 1) ** (m * eps) * F(2) ** (m * N * eps) * h_pow
-            measured_prod = poly_norm_v(Poly.from_ints(b_nums, b_den), place)
+            measured_prod = norm_v(Poly.from_ints(b_nums, b_den), place)
             rows.append((f"prod_norm[l={ell},N={N}]", measured_prod, bound_prod))
             shift_nums, shift_den = int_convolve(cur_nums, b_nums), cur_den * b_den
             shifted = Poly.from_ints(shift_nums, shift_den)
             cur_nums, cur_den = rodrigues_lift(shift_nums, shift_den, N)
             derived = Poly.from_ints(cur_nums, cur_den)
-            measured = poly_norm_v(derived, place)
-            bound_der = (
-                F(math.comb(N + int(shifted.degree), N)) ** eps * poly_norm_v(shifted, place)
-            )
+            measured = norm_v(derived, place)
+            bound_der = F(math.comb(N + int(shifted.degree), N)) ** eps * norm_v(shifted, place)
             rows.append((f"derivative_norm[l={ell},N={N}]", measured, bound_der))
             bound_step = (
                 F(m * N + deg_in + 1) ** ((m + 1) * eps)
                 * (F(2) ** (m * N) * math.comb((m + 1) * N + deg_in, N)) ** eps
                 * math.prod(h**N for h in hs)
-                * poly_norm_v(current, place)
+                * norm_v(current, place)
             )
             rows.append((f"operator_step_norm[l={ell},N={N}]", measured, bound_step))
             current = derived
-        cell = table.cells[ell]
+        P = poly(table.cells[ell].column)
         chain, deg_run = F(1), ell
         for N, _ in stages:
             chain *= (
@@ -308,36 +313,37 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
                 * math.prod(h**N for h in hs)
             )
             deg_run += m * N
-        rows.append((f"column_norm[l={ell}]", poly_norm_v(cell.P, place), chain))
+        rows.append((f"column_norm[l={ell}]", norm_v(P, place), chain))
         if beta is not None:
-            degp = int(cell.P.degree)
-            bound_eval = F(degp + 1) ** eps * poly_norm_v(cell.P, place) * H_v(beta, place) ** degp
-            rows.append((f"column_eval[l={ell}]", abs_v(cell.P(beta), place), bound_eval))
+            degp = int(P.degree)
+            bound_eval = F(degp + 1) ** eps * norm_v(P, place) * H_v(beta, place) ** degp
+            rows.append((f"column_eval[l={ell}]", abs_v(P(beta), place), bound_eval))
     for f in table.seqs:
         for j in (0, 1, n, n + 3):
             k = j + 1
             bound = F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
             rows.append((f"moment[{f.label},j={j}]", abs_v(f[j], place), bound))
         for ell in (0, M):
-            cell = table.cells[ell]
-            k = int(cell.P.degree) + n + 1
+            P = poly(table.cells[ell].column)
+            k = int(P.degree) + n + 1
             bound = (
                 F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
-                * poly_norm_v(cell.P, place)
+                * norm_v(P, place)
             )
-            measured = abs_v(phi(f, cell.P, n), place)
+            measured = abs_v(fraction_phi(f, P, n), place)
             rows.append((f"moment_of_tP[{f.label},l={ell}]", measured, bound))
     for cell in table.cells:
-        k = int(cell.P.degree) + 1
+        P = poly(cell.column)
+        k = int(P.degree) + 1
         bound_q = (
             F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
-            * poly_norm_v(cell.P, place)
+            * norm_v(P, place)
         )
-        for label, q in cell.Qs.items():
-            rows.append((f"q_norm[{label},l={cell.ell}]", poly_norm_v(q, place), bound_q))
+        for label, q in q_polys(cell).items():
+            rows.append((f"q_norm[{label},l={cell.ell}]", norm_v(q, place), bound_q))
             if beta is not None:
                 degq = int(q.degree) if not q.is_zero else 0
-                bound_eval = F(degq + 1) ** eps * poly_norm_v(q, place) * H_v(beta, place) ** degq
+                bound_eval = F(degq + 1) ** eps * norm_v(q, place) * H_v(beta, place) ** degq
                 rows.append((f"q_eval[{label},l={cell.ell}]", abs_v(q(beta), place), bound_eval))
     return rows
 
@@ -425,18 +431,16 @@ def _first_term(table, cell, f):
 
 def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
     """The summation with every majorant recomputed and one phi per term."""
-    from rodpade.criterion import poly_norm_v
     from rodpade.exact import log_fraction
-    from rodpade.transform import phi
 
     degp = int(p.degree)
-    normp = poly_norm_v(p, place)
+    normp = norm_v(p, place)
     abs_beta = abs_v(beta, place)
     q = H_alpha / abs_beta
     e = r if place.is_finite else r + 1
     partial, k, power = F(0), n, F(beta) ** (n + 1)
     while True:
-        partial += phi(f, p, k) / power
+        partial += fraction_phi(f, p, k) / power
         power *= beta
         k += 1
         steps = k + degp + 1
@@ -462,7 +466,8 @@ def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
     ],
 )
 def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, place, longest):
-    from rodpade.criterion import _remainder_log_abs, poly_norm_v
+    from rodpade.criterion import _remainder_sum
+    from rodpade.exact import log_fraction
 
     config = MplConfig(m=m, r=r, alphas=alphas)
     H_alpha = H_v_vec(config.alphas, place)
@@ -471,10 +476,11 @@ def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, 
         table = pade_table(config, n)
         for f in table.seqs:
             for cell in table.cells:
-                want, stop = _remainder_log_abs_from_scratch(f, cell.P, n, beta, place, r, H_alpha)
-                normp = poly_norm_v(cell.P, place)
-                first = _first_term(table, cell, f)
-                assert _remainder_log_abs(f, cell.column, first, normp, n, beta, place, r, H_alpha) == want
+                P = poly(cell.column)
+                want, stop = _remainder_log_abs_from_scratch(f, P, n, beta, place, r, H_alpha)
+                args = (f, cell.column, _first_term(table, cell, f), norm_v(P, place))
+                partial, _ = _remainder_sum(*args, n, beta, place, r, H_alpha)
+                assert log_fraction(abs_v(partial, place)) == want
                 stops.add(stop - n)
     # the longest summation (in terms) is fixed too; some cross several runs
     assert max(stops) == longest
@@ -498,22 +504,22 @@ def test_remainder_decay_reads_the_tables_moment_rows(monkeypatch):
 @pytest.mark.parametrize("place", [INF_PLACE, Place.finite(2)], ids=["inf", "p2"])
 def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     import rodpade.criterion
-    from rodpade.criterion import _int_norm_v, _remainder_log_abs, poly_norm_v
+    from rodpade.criterion import _int_norm_v, _remainder_sum
+    from rodpade.exact import log_fraction
 
     config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
     tables = pade_tables(config, range(1, 9))
     beta = F(40) if place == INF_PLACE else F(1, 64)
     # the per-(row, column) route, each norm taken where it is used
     H_alpha = H_v_vec(config.alphas, place)
+    def log_remainder(n, f, cell):
+        first = _first_term(tables[n], cell, f)
+        normp = norm_v(poly(cell.column), place)
+        partial, _ = _remainder_sum(f, cell.column, first, normp, n, beta, place, 1, H_alpha)
+        return log_fraction(abs_v(partial, place))
+
     want = [
-        max(
-            _remainder_log_abs(
-                f, cell.column, _first_term(tables[n], cell, f), poly_norm_v(cell.P, place),
-                n, beta, place, 1, H_alpha,
-            )
-            for f in tables[n].seqs
-            for cell in tables[n].cells
-        )
+        max(log_remainder(n, f, cell) for f in tables[n].seqs for cell in tables[n].cells)
         for n in range(1, 9)
     ]
     seen = []
@@ -535,17 +541,11 @@ def _remainder_sum_fraction_loop(f, p, normp, n, beta, place, r, H_alpha):
     """The Fraction loop the integer route replaced, returning (partial, last index).
 
     One Fraction addition, power and comparison per term, the majorant
-    carried by its ratio, and the values read in runs of doubling length.
-    Absolute values are taken by repeated division (``_naive_abs_v``).
+    carried by its ratio, and each value phi(t^k P) by the Fraction route
+    (``fraction_phi``).  Absolute values are taken by repeated division
+    (``_naive_abs_v``).
     """
-    from rodpade.transform import _phi_run
-
-    def terms(start):
-        count = 8
-        while True:
-            yield from _phi_run(f, p, start, count)
-            start += count
-            count = min(2 * count, 1024)
+    terms = (fraction_phi(f, p, k) for k in itertools.count(n))
 
     degp = int(p.degree)
     abs_beta = _naive_abs_v(beta, place)
@@ -555,7 +555,7 @@ def _remainder_sum_fraction_loop(f, p, normp, n, beta, place, r, H_alpha):
     majorant = F(steps + 1) ** e * H_alpha ** (steps + 1) * normp / abs_beta ** (n + 2)
     partial = F(0)
     power = F(beta) ** (n + 1)
-    for k, term in enumerate(terms(n), start=n + 1):
+    for k, term in enumerate(terms, start=n + 1):
         partial += term / power
         power *= beta
         ratio = q * (F(steps + 2) / F(steps + 1)) ** e
@@ -589,20 +589,19 @@ REMAINDER_GRID_PLACES = [
     "m, r, alphas", REMAINDER_GRID_CONFIGS, ids=[f"m{m}r{r}" for m, r, _ in REMAINDER_GRID_CONFIGS]
 )
 def test_integer_remainder_sum_certifies_the_fraction_loops_sum(m, r, alphas, place, beta):
-    from rodpade.criterion import _remainder_log_abs, _remainder_sum, poly_norm_v
-    from rodpade.exact import log_fraction
+    from rodpade.criterion import _remainder_sum
 
     config = MplConfig(m=m, r=r, alphas=alphas)
     H_alpha = H_v_vec(config.alphas, place)
     for n, table in pade_tables(config, range(1, 7)).items():
         for cell in table.cells:
-            normp = poly_norm_v(cell.P, place)
+            P = poly(cell.column)
+            normp = norm_v(P, place)
             for f in table.seqs:
                 args = (f, cell.column, _first_term(table, cell, f), normp, n, beta, place, r, H_alpha)
                 partial, last = _remainder_sum(*args)
-                want = _remainder_sum_fraction_loop(f, cell.P, normp, n, beta, place, r, H_alpha)
+                want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, r, H_alpha)
                 assert (partial, last) == want, (n, f.label, cell.ell)
-                assert _remainder_log_abs(*args) == log_fraction(abs_v(partial, place))
 
 
 # The property tests import hypothesis inside, so without it only they skip.
@@ -653,8 +652,7 @@ def test_integer_valuation_matches_repeated_division():
 def test_integer_norm_matches_the_largest_coefficient_value():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from rodpade.criterion import _int_norm_v, poly_norm_v
-    from rodpade.exact import Poly
+    from rodpade.criterion import _int_norm_v
 
     places = st.sampled_from([INF_PLACE] + [Place.finite(p) for p in _PROPERTY_PRIMES])
     # coefficients carrying high powers of the primes, and zeros
@@ -670,7 +668,6 @@ def test_integer_norm_matches_the_largest_coefficient_value():
     def check(nums, den, place):
         want = max((_naive_abs_v(F(a, den), place) for a in nums), default=F(0))
         assert _int_norm_v(nums, den, place) == want
-        assert poly_norm_v(Poly.from_ints(nums, den), place) == want
         for a in nums:
             assert abs_v(F(a, den), place) == _naive_abs_v(F(a, den), place)
 
@@ -681,7 +678,6 @@ def test_integer_horner_matches_the_fraction_horner():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from rodpade.criterion import _horner_at
-    from rodpade.exact import Poly
 
     rationals = st.fractions(max_denominator=10**12).filter(lambda x: abs(x.numerator) < 10**40)
 
@@ -691,7 +687,7 @@ def test_integer_horner_matches_the_fraction_horner():
     )
     def check(nums, den, x):
         value, scale = _horner_at(nums, den, x)
-        assert F(value, scale) == Poly.from_ints(nums, den)(x)
+        assert F(value, scale) == poly((nums, den))(x)
 
     check()
 
@@ -716,14 +712,15 @@ def test_integer_horner_matches_the_fraction_horner():
          "p2-beta-numerator", "p2-integer-moments"],
 )
 def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_alpha):
-    from rodpade.criterion import _remainder_sum, poly_norm_v
-    from rodpade.exact import Poly, over_common_denominator
+    from rodpade.criterion import _remainder_sum
+    from rodpade.exact import over_common_denominator
     from rodpade.transform import MomentSeq, _phi_totals
+    from rodpade.weyl import Poly
 
     f = MomentSeq(lambda k, _prefix: moment(k), "synthetic")
     P = Poly(p)
     column = over_common_denominator(P.coeffs)
     # the term k = n over its own window, as a table cell would carry it
     first = _phi_totals(f, column[0], n, 1)
-    tail = (poly_norm_v(P, place), n, beta, place, 1, H_alpha)
+    tail = (norm_v(P, place), n, beta, place, 1, H_alpha)
     assert _remainder_sum(f, column, first, *tail) == _remainder_sum_fraction_loop(f, P, *tail)

@@ -1,25 +1,21 @@
-"""Exact polynomial / Laurent-tail layer."""
+"""Exact rationals and integer kernels, and the polynomial / Laurent-tail algebra of ``weyl``."""
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from rodpade.exact import (
-    INF,
-    NEG_INF,
     InsufficientDepthError,
-    LaurentTail,
-    OrdAtLeast,
-    Poly,
+    format_pair,
     format_rational,
     int_convolve,
-    laurent_mul_poly,
-    ord_inf,
     parse_rational,
 )
+from rodpade.weyl import INF, NEG_INF, LaurentTail, OrdAtLeast, Poly, laurent_mul_poly, ord_inf
 
 
 def test_rationals_are_canonical():
@@ -35,6 +31,47 @@ def test_rationals_are_canonical():
 def test_parse_rational_names_a_zero_denominator():
     with pytest.raises(ValueError, match=r"^zero denominator in '3/00'$"):
         parse_rational(" 3/00 ")
+
+
+def test_parse_rational_refuses_a_power_of_ten_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # 10^(limit - 1) has exactly ``limit`` digits and still prints
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f" -3E-{limit - 1} ") == F(-3, 10 ** (limit - 1))
+    assert parse_rational("2.5e-3") == F(1, 400)
+    for text in (f"1e{limit}", f"1e-{limit}", "1e-99999999", "2.5E+999999", "7e1_000_000"):
+        with pytest.raises(ValueError, match=f"past the limit of {limit} digits$"):
+            parse_rational(text)
+
+
+def test_format_pair_matches_format_rational():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = 10**200
+    factors = st.sampled_from([1, 2, 6, 30, 2**64, 10**100])
+    # numerators and denominators sharing factors, so that most pairs reduce
+    nums = st.lists(
+        st.one_of(
+            st.just(0),
+            st.integers(-50, 50),
+            st.integers(-big, big),
+            st.builds(lambda u, g: u * g, st.integers(-big, big), factors),
+        ),
+        max_size=12,
+    )
+    dens = st.one_of(
+        st.just(1),
+        st.integers(1, 60),
+        st.integers(1, big),
+        st.builds(lambda u, g: u * g, st.integers(1, 10**100), factors),
+    )
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(nums, dens)
+    def check(nums, den):
+        assert format_pair(nums, den) == [format_rational(F(c, den)) for c in nums]
+
+    check()
 
 
 def test_poly_mul_difference_of_squares():

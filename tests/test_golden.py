@@ -15,9 +15,10 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from oracles import poly
 
 from rodpade.cli import main
-from rodpade.criterion import H_v_vec, Place, _remainder_sum, bounds_audit, poly_norm_v
+from rodpade.criterion import H_v_vec, Place, _remainder_sum, abs_v, bounds_audit
 from rodpade.exact import format_rational
 from rodpade.mpl import MplConfig, pade_tables
 
@@ -130,7 +131,7 @@ def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, s
     sums = []
     for n in ns:
         for cell in tables[n].cells:
-            normp = poly_norm_v(cell.P, place)
+            normp = max(abs_v(c, place) for c in poly(cell.column).coeffs)
             for f in tables[n].seqs:
                 first = ([cell.heads[f.label][0][n]], tables[n].windows[f.label][1])
                 partial, last = _remainder_sum(f, cell.column, first, normp, n, beta, place, r, H_alpha)

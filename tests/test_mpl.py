@@ -7,8 +7,9 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from oracles import fraction_remainder, poly, q_polys, series, shifted
 
-from rodpade.exact import Poly, over_common_denominator
+from rodpade.exact import over_common_denominator
 from rodpade.holonomic import check_membership
 from rodpade.mpl import (
     MplConfig,
@@ -19,9 +20,10 @@ from rodpade.mpl import (
     pade_table,
     rodrigues_stages,
 )
-from rodpade.transform import remainder_tail, table_determinants, verify_pade
+from rodpade.transform import table_determinants, verify_pade
 from rodpade.weyl import (
     DiffOp,
+    Poly,
     op_apply_laurent,
     op_compose,
     ord_weight,
@@ -225,7 +227,7 @@ def test_rodrigues_membership_zero_tails():
             depth = 30 + spread + len(rn.terms)
             for f in moment_seqs(config):
                 for k in range(n):
-                    _, tail = op_apply_laurent(rn, f.shift(k).tail(depth))
+                    _, tail = op_apply_laurent(rn, series(shifted(f, k), depth))
                     assert tail.depth >= 30
                     assert tail.is_zero_to_depth(), (config, n, f.label, k)
 
@@ -243,7 +245,7 @@ def test_cascade_lands_in_lower_depth_span():
             depth = unknown_count + 25
             for idx, f in family.items():
                 for k in range(n):
-                    _, tail = op_apply_laurent(ln, f.shift(k).tail(depth + 3 * n + 2))
+                    _, tail = op_apply_laurent(ln, series(shifted(f, k), depth + 3 * n + 2))
                     usable = min(tail.depth, depth)
                     rows = []
                     rhs = []
@@ -261,18 +263,20 @@ def test_cascade_lands_in_lower_depth_span():
 def test_degree_law_of_columns():
     table = pade_table(CFG12, 2)
     for cell in table.cells:
-        assert cell.P.degree == CFG12.M * 2 + cell.ell
-    assert table.cells[3].P.degree == 9  # M*n + l = 3*2 + 3
+        assert cell.degree == CFG12.M * 2 + cell.ell
+    assert table.cells[3].degree == 9  # M*n + l = 3*2 + 3
 
 
 def test_legendre_table_cells():
     table = pade_table(CFG11, 1)
-    assert table.cells[0].P == Poly((1, -2))
-    assert table.cells[0].Qs["Li_1(1/z)"] == Poly.constant(-2)
-    assert table.cells[1].P == Poly((0, 2, -3))
-    assert table.cells[1].Qs["Li_1(1/z)"] == Poly((F(1, 2), -3))
-    rem = remainder_tail(moment_seqs(CFG11)[0], table.cells[0].P, 1, 2)
-    assert rem.tail.start == 2 and rem.tail.coeffs == (F(-1, 6), F(-1, 6))
+    assert poly(table.cells[0].column) == Poly((1, -2))
+    assert q_polys(table.cells[0])["Li_1(1/z)"] == Poly.constant(-2)
+    assert poly(table.cells[1].column) == Poly((0, 2, -3))
+    assert q_polys(table.cells[1])["Li_1(1/z)"] == Poly((F(1, 2), -3))
+    rem = fraction_remainder(moment_seqs(CFG11)[0], poly(table.cells[0].column), 1, 2)
+    assert rem == (2, (F(-1, 6), F(-1, 6)), True)
+    run, scale = table.cells[0].heads["Li_1(1/z)"]
+    assert [F(t, scale) for t in run] == [0, F(-1, 6)]
 
 
 def test_tables_verify_on_small_grid():
@@ -282,7 +286,7 @@ def test_tables_verify_on_small_grid():
         for cell in table.cells:
             # the series route on a fresh family's windows, not the table's
             windows = {f.label: over_common_denominator(f.prefix(cell.degree + n + 2)) for f in seqs}
-            assert verify_pade(cell, windows, int(cell.P.degree))
+            assert verify_pade(cell, windows, cell.degree)
 
 
 def test_delta_constants():
@@ -295,7 +299,7 @@ def test_delta_theta_absolute_identity():
     for config, n in ((CFG11, 1), (CFG11, 2), (CFG11, 3), (CFG12, 1), (CFG21, 1)):
         table = pade_table(config, n)
         delta, theta = table_determinants(table)
-        assert abs(delta) == abs(table.cells[-1].P.lc * theta)
+        assert abs(delta) == abs(poly(table.cells[-1].column).lc * theta)
 
 
 def test_value_labels_for_criterion():

@@ -19,7 +19,8 @@ from fractions import Fraction as F
 import pytest
 
 from rodpade import criterion, exact, holonomic, logpow, mpl, transform, weyl
-from rodpade.exact import LaurentTail, OrdAtLeast, Poly, Record
+from rodpade.exact import Record
+from rodpade.weyl import OrdAtLeast, Poly
 
 
 def _samples():
@@ -30,11 +31,6 @@ def _samples():
     row = criterion.AuditRow("norm[0]", F(1, 2), F(3))
     return {
         OrdAtLeast: [OrdAtLeast(3), OrdAtLeast(3), OrdAtLeast(4)],
-        transform.Remainder: [
-            transform.Remainder(LaurentTail(2, (1, 2)), 2, True),
-            transform.Remainder(LaurentTail(2, (1, 2)), expected_start=2, orthogonal=True),
-            transform.Remainder(LaurentTail(1, (1,)), 2, False),
-        ],
         transform.PadeCell: [tables[0].cells[1], tables[1].cells[1], tables[0].cells[0]],
         transform.PadeTable: tables,
         mpl.MplConfig: [config, mpl.MplConfig(m=1, r=2, alphas=[F(1)]), mpl.MplConfig(2, 1, (1, -2))],
@@ -130,7 +126,7 @@ def test_every_value_class_is_a_record():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert value_classes == set(SAMPLES)
-    assert len(SAMPLES) == 16
+    assert len(SAMPLES) == 15
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)

@@ -3,7 +3,8 @@
 The D+1-point route to Delta (``delta_det``, ``constant_determinant``) and
 the one-value-at-a-time ``theta_det`` live here, as the oracles of
 ``table_determinants``; the program reads Delta and theta off one run of
-functional values per (row, column).
+functional values per (row, column).  The Fraction routes of phi and Q
+(``oracles``) check the integer kernels through ``build_table``.
 """
 
 from __future__ import annotations
@@ -14,21 +15,30 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from oracles import (
+    column_polys,
+    fraction_phi,
+    fraction_q,
+    fraction_remainder,
+    poly,
+    q_polys,
+    shifted,
+    stored,
+    zero_row,
+)
 
-from rodpade.exact import Poly, over_common_denominator
+from rodpade.exact import over_common_denominator
 from rodpade.transform import (
     MomentSeq,
     PadeCell,
     ZeroDeterminantError,
     _int_det,
+    _phi_totals,
     build_table,
     det_bareiss,
-    divided_difference_Q,
-    phi,
-    remainder_tail,
     verify_pade,
 )
-from rodpade.weyl import DiffOp, adjoint, op_apply
+from rodpade.weyl import DiffOp, Poly, adjoint, op_apply
 
 LI1 = MomentSeq(lambda k, _p: F(1, k + 1), "Li_1(1/z)")
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
@@ -49,50 +59,38 @@ def fresh_windows(cell):
     return {"Li_1(1/z)": over_common_denominator(fresh_li1().prefix(depth))}
 
 
+def run_values(cell, label):
+    """The cell's run phi(t^k P), k <= n, on one row, as Fractions."""
+    run, scale = cell.heads[label]
+    return [F(t, scale) for t in run]
+
+
 def test_phi_examples():
-    assert phi(LI1, Poly((1, -2))) == 0
-    assert phi(LI1, Poly.zero()) == 0
-    assert phi(LI1, Poly((0, 1, -2))) == F(-1, 6)
+    table = build_table(pairs([Poly((1, -2)), Poly((0, 1, -2))]), [LI1], 0)
+    assert [run_values(cell, LI1.label) for cell in table.cells] == [[0], [F(-1, 6)]]
 
 
 def test_phi_offset_matches_shifted_polynomial():
+    # the run's entry k is phi(t^k P): the entry 0 of the column t^k P
     rng = random.Random(4)
     seq = MomentSeq(lambda k, _p: F((-1) ** k * (k + 2), 3 * k + 1), "probe")
-    polys = [Poly.zero()] + [
+    polys = [
         Poly(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 12)))
         for _ in range(40)
     ]
-    for p in polys:
-        for k in (0, 1, 2, 7, 30):
-            assert phi(seq, p, k) == phi(seq, p.shift(k))
-
-
-def fraction_phi(f, p, k=0):
-    """The Fraction route: one Fraction product and sum per term."""
-    return sum((c * f[i + k] for i, c in enumerate(p.coeffs) if c != 0), F(0))
-
-
-def fraction_q(f, p):
-    """The Fraction route of Q(z) = sum_u (sum_{k>u} p_k f_{k-1-u}) z^u."""
-    if p.is_zero or p.degree == 0:
-        return Poly.zero()
-    deg = int(p.degree)
-    return Poly(
-        sum((p.coeff(k) * f[k - 1 - u] for k in range(u + 1, deg + 1)), F(0))
-        for u in range(deg)
-    )
+    polys = [p for p in polys if not p.is_zero]
+    runs = build_table(pairs(polys), [seq], 30).cells
+    for k in (0, 1, 2, 7, 30):
+        offsets = build_table(pairs(p.shift(k) for p in polys), [seq], 0).cells
+        assert [run_values(cell, "probe")[k] for cell in runs] == [
+            run_values(cell, "probe")[0] for cell in offsets
+        ]
 
 
 def polynomial_matrix(table):
     """The (d+1) x (d+1) table as Fraction polynomials: the P row, then one Q row per label."""
-    qs = [cell.Qs for cell in table.cells]
-    return [[cell.P for cell in table.cells]] + [[q[label] for q in qs] for label in table.row_labels]
-
-
-def fraction_remainder(f, p, n, depth):
-    """(start, coefficients, orthogonal) of the tail, by the Fraction route."""
-    start_k = next((k for k in range(n) if fraction_phi(f, p, k) != 0), n)
-    return start_k + 1, tuple(fraction_phi(f, p, start_k + j) for j in range(depth)), start_k == n
+    qs = [q_polys(cell) for cell in table.cells]
+    return [column_polys(table)] + [[q[label] for q in qs] for label in table.row_labels]
 
 
 def kernel_polys(rng):
@@ -116,28 +114,38 @@ def kernel_rows():
     rng = random.Random(8)
     mpl_rows = mpl.moment_seqs(mpl.MplConfig(m=2, r=2, alphas=(F(3, 2), F(-5, 7))))
     log_rows = logpow.moment_seqs(3)
-    stored = MomentSeq.from_values(
-        [F(rng.randint(-10**12, 10**12), rng.randint(1, 10**40)) for _ in range(60)], "stored"
-    )
-    return mpl_rows[:3] + log_rows + [mpl_rows[4].shift(5), log_rows[1].shift(2), stored]
+    values = [F(rng.randint(-10**12, 10**12), rng.randint(1, 10**40)) for _ in range(60)]
+    extra = [shifted(mpl_rows[4], 5), shifted(log_rows[1], 2), stored(values, "stored")]
+    return mpl_rows[:3] + log_rows + extra
 
 
 def test_phi_and_q_match_the_fraction_route():
     rows = kernel_rows()
     polys = kernel_polys(random.Random(6))
-    for f in rows:
-        for p in polys:
-            assert divided_difference_Q(f, p) == fraction_q(f, p), (f.label, p)
-            for k in (0, 1, 7, 30):
-                assert phi(f, p, k) == fraction_phi(f, p, k), (f.label, p, k)
+    n = 30
+    table = build_table(pairs(polys), rows, n)
+    for p, cell in zip(polys, table.cells):
+        for f in rows:
+            assert poly(cell.q_pairs[f.label]) == fraction_q(f, p), (f.label, p)
+            want = [fraction_phi(f, p, k) for k in range(n + 1)]
+            assert run_values(cell, f.label) == want, (f.label, p)
 
 
 def test_remainder_tail_matches_the_fraction_route():
-    rows = kernel_rows()
-    for p in kernel_polys(random.Random(10))[:20]:
+    # the tail starts where the table's run first fails to vanish, and the
+    # terms from there on are the integer totals the remainder sums read
+    rows, n = kernel_rows(), 3
+    polys = [p for p in kernel_polys(random.Random(10))[:20] if not p.is_zero]
+    table = build_table(pairs(polys), rows, n - 1)
+    for p, cell in zip(polys, table.cells):
+        nums, den = cell.column
         for f in rows:
-            rem = remainder_tail(f, p, n=3, depth=5)
-            assert (rem.tail.start, rem.tail.coeffs, rem.orthogonal) == fraction_remainder(f, p, 3, 5)
+            start, coeffs, orthogonal = fraction_remainder(f, p, n, 5)
+            run = run_values(cell, f.label)  # phi(t^k P), k < n
+            assert orthogonal == (not any(run))
+            assert start == next((k + 1 for k, v in enumerate(run) if v), n + 1)
+            totals, lcm = _phi_totals(f, nums, start - 1, 5)
+            assert tuple(F(t, lcm * den) for t in totals) == coeffs
 
 
 def test_deep_remainder_tail_matches_the_fraction_route():
@@ -146,37 +154,38 @@ def test_deep_remainder_tail_matches_the_fraction_route():
     table = pade_table(MplConfig(m=1, r=2, alphas=(F(4),)), 1)
     for f in table.seqs:
         for cell in table.cells:
-            rem = remainder_tail(f, cell.P, n=1, depth=190)
-            route = fraction_remainder(f, cell.P, 1, 190)
-            assert (rem.tail.start, rem.tail.coeffs, rem.orthogonal) == route == (2, route[1], True)
+            nums, den = cell.column
+            route = fraction_remainder(f, poly(cell.column), 1, 190)
+            totals, lcm = _phi_totals(f, nums, 1, 190)
+            assert route == (2, tuple(F(t, lcm * den) for t in totals), True)
+            assert run_values(cell, f.label) == [0, route[1][0]]
 
 
 def test_divided_difference_examples():
-    assert divided_difference_Q(LI1, Poly((1, -2))) == Poly.constant(-2)
-    assert divided_difference_Q(LI1, Poly((0, 2, -3))) == Poly((F(1, 2), -3))
-    assert divided_difference_Q(LI1, Poly.constant(9)) == Poly.zero()
+    table = build_table(pairs([Poly((1, -2)), Poly((0, 2, -3)), Poly.constant(9)]), [LI1], 1)
+    assert [q_polys(cell)[LI1.label] for cell in table.cells] == [
+        Poly.constant(-2), Poly((F(1, 2), -3)), Poly.zero()
+    ]
 
 
 def test_remainder_tail_legendre_cell():
-    rem = remainder_tail(LI1, Poly((1, -2)), n=1, depth=2)
-    assert rem.orthogonal
-    assert rem.tail.start == 2
-    assert rem.tail.coeffs == (F(-1, 6), F(-1, 6))
+    cell = build_table(pairs([Poly((1, -2))]), [LI1], 2).cells[0]
+    assert run_values(cell, LI1.label) == [0, F(-1, 6), F(-1, 6)]
 
 
 def test_remainder_tail_precondition_downgrade():
-    rem = remainder_tail(LI1, Poly.one(), n=1, depth=1)
-    assert not rem.orthogonal
-    assert rem.tail.start == 1
-    assert rem.tail.coeffs == (F(1),)
-    assert rem.expected_start == 2
+    # phi(1) != 0: the tail of 1 * f - Q starts at z^-1, not at z^-(n+1)
+    cell = build_table(pairs([Poly.one()]), [LI1], 1).cells[0]
+    run = run_values(cell, LI1.label)
+    assert run == [1, F(1, 2)]
+    assert fraction_remainder(LI1, Poly.one(), 1, 2) == (1, tuple(run), False)
 
 
 def test_remainder_tail_of_zero_series():
-    rem = remainder_tail(MomentSeq.zero(), Poly((3, 1, 4)), n=2, depth=4)
-    assert rem.orthogonal
-    assert rem.tail.start == 3
-    assert rem.tail.is_zero_to_depth()
+    row = zero_row()
+    cell = build_table(pairs([Poly((3, 1, 4))]), [row], 2).cells[0]
+    assert cell.heads == {"0": ((0, 0, 0), 1)} and cell.q_pairs == {"0": ((), 1)}
+    assert verify_pade(cell, {"0": over_common_denominator(row.prefix(8))}, M=2)
 
 
 def legendre_cell() -> PadeCell:
@@ -185,20 +194,20 @@ def legendre_cell() -> PadeCell:
 
 def test_verify_pade_legendre_true():
     cell = legendre_cell()
-    assert cell.Qs == {"Li_1(1/z)": Poly.constant(-2)}
+    assert q_polys(cell) == {"Li_1(1/z)": Poly.constant(-2)}
     assert verify_pade(cell, fresh_windows(cell), M=1)
 
 
 def test_verify_pade_nonorthogonal_false():
     cell = build_table(pairs([Poly.one()]), [LI1], 1).cells[0]
-    assert cell.Qs == {"Li_1(1/z)": Poly.zero()}
+    assert q_polys(cell) == {"Li_1(1/z)": Poly.zero()}
     assert not verify_pade(cell, fresh_windows(cell), M=1)
 
 
 def test_verify_pade_weight_zero_kernel_is_empty():
     p = Poly((2, 5, 1))
     cell = build_table(pairs([p]), [LI1], 0).cells[0]
-    assert cell.Qs == {"Li_1(1/z)": divided_difference_Q(LI1, p)}
+    assert q_polys(cell) == {"Li_1(1/z)": fraction_q(LI1, p)}
     assert verify_pade(cell, fresh_windows(cell), M=2)
 
 
@@ -286,7 +295,7 @@ def constant_determinant(table):
 
 def theta_det(fs, columns, n):
     """Determinant of the d x d moment matrix phi_{f_j}(t^n * P_l), one phi per entry."""
-    return det_bareiss([[phi(f, p, n) for p in columns] for f in fs])
+    return det_bareiss([[fraction_phi(f, p, n) for p in columns] for f in fs])
 
 
 def test_interpolate_recovers_polynomial():
@@ -514,9 +523,10 @@ def test_moment_seq_concurrent_extension_yields_identical_values():
 
 
 def test_moment_seq_shift_matches_definition():
-    shifted = LI1.shift(3)
-    assert [shifted[k] for k in range(5)] == [F(1, k + 4) for k in range(5)]
-    assert shifted.label == "z^3*Li_1(1/z)"
+    row = shifted(LI1, 3)
+    assert [row[k] for k in range(5)] == [F(1, k + 4) for k in range(5)]
+    assert row.label == "z^3*Li_1(1/z)"
+    assert shifted(LI1, 0) is LI1
 
 
 def test_pade_table_json_shape():
@@ -551,14 +561,13 @@ def test_degree_lemma_delta_equals_the_evaluation_route(m, r, kind, n):
 
     table = _grid_table(m, r, kind, n)
     # every cell carries phi_j(t^k P_l), k <= n, as the Fraction sum gives it
-    for cell in table.cells:
+    for cell, p in zip(table.cells, column_polys(table)):
         for f in table.seqs:
-            run, scale = cell.heads[f.label]
-            assert [F(t, scale) for t in run] == [fraction_phi(f, cell.P, k) for k in range(n + 1)]
+            assert run_values(cell, f.label) == [fraction_phi(f, p, k) for k in range(n + 1)]
     assert _degree_lemma_holds(table)
     delta, theta = table_determinants(table)
     assert delta == constant_determinant(polynomial_matrix(table))
-    columns = [cell.P for cell in table.cells[: len(table.seqs)]]
+    columns = column_polys(table)[: len(table.seqs)]
     assert theta == theta_det(table.seqs, columns, n)
 
 
@@ -571,8 +580,10 @@ _HIGH_WEIGHT = [
 
 @pytest.mark.parametrize("m, r, kind, n", _LEMMA_GRID + _HIGH_WEIGHT)
 def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
-    from rodpade.exact import laurent_mul_poly
+    from oracles import series
+
     from rodpade.transform import RouteDisagreementError, _series_coefficients, table_determinants
+    from rodpade.weyl import laurent_mul_poly
 
     table = _grid_table(m, r, kind, n)
     first = table.row_labels[0]
@@ -580,11 +591,11 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
         nums, d = cell.column
         for f in table.seqs:
             # the integer series route against the Fraction product of the truncated series
-            part, tail = laurent_mul_poly(f.tail(cell.degree + n + 5), cell.P)
+            part, tail = laurent_mul_poly(series(f, cell.degree + n + 5), poly(cell.column))
             ws, lcm = table.windows[f.label]
             int_tail, int_part = _series_coefficients(nums, ws, n)
             assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 1)]
-            assert Poly.from_ints(int_part, lcm * d) == part == cell.Qs[f.label]
+            assert poly((int_part, lcm * d)) == part == poly(cell.q_pairs[f.label])
             # three coefficients past the n that vanish, on a longer window of its own
             ws, lcm = over_common_denominator(f.prefix(cell.degree + n + 3))
             int_tail, _ = _series_coefficients(nums, ws, n + 3)
@@ -604,7 +615,7 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
     # Delta(0) and theta, each divided once by prod L_j prod d_l, against the Fraction matrices
     delta, theta = table_determinants(table)
     assert delta == det_bareiss([[p.coeff(0) for p in row] for row in polynomial_matrix(table)])
-    columns = [cell.P for cell in table.cells[: len(table.seqs)]]
+    columns = column_polys(table)[: len(table.seqs)]
     assert theta == det_bareiss([[fraction_phi(f, p, n) for p in columns] for f in table.seqs])
 
 
@@ -621,7 +632,7 @@ def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, m
     from rodpade.transform import DegreeLemmaError, build_table, table_determinants
 
     table = pade_table(MplConfig(m=m, r=1, alphas=alphas), n)
-    columns = [cell.P for cell in table.cells]
+    columns = column_polys(table)
     columns[index] = perturb(columns[index])
     broken = build_table(pairs(columns), table.seqs, n)
     with pytest.raises(DegreeLemmaError, match="fails the degree lemma"):
