@@ -121,8 +121,8 @@ def _payload_to_csv(writer, payload: dict, prefix: str = "") -> None:
 def _build_table(args):
     """Returns (kind, config, table).
 
-    The table carries each row's moment window as integers over one lcm
-    and, per cell, the run phi_j(t^k P_l), k <= n, over the same scale; the
+    The table carries its rows, each with its integer moment window, and,
+    per cell, the run phi_j(t^k P_l), k <= n, over the window's scale; the
     verification and determinant blocks read both.
     Only the module of the chosen row family is imported.
     """
@@ -140,7 +140,7 @@ def _build_table(args):
 def _verification_block(table) -> dict:
     """Checks of every cell; the kernel route and remainder starts read ``cell.heads``."""
     n = table.n  # column l has degree M n + l; M is m for log-power rows
-    orth = all(verify_pade(cell, table.windows, table.M * n + cell.ell) for cell in table.cells)
+    orth = all(verify_pade(cell, table.seqs, table.M * n + cell.ell) for cell in table.cells)
     degrees = all(cell.degree == table.M * n + cell.ell for cell in table.cells)
     starts = []
     starts_ok = True

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from typing import Mapping, Sequence
 
 from .exact import (
@@ -20,7 +19,7 @@ from .exact import (
     log_fraction,
     log_int as _log_int,
 )
-from .transform import MomentSeq, PadeTable, _phi_totals, rodrigues_chain
+from .transform import MomentSeq, PadeCell, PadeTable, rodrigues_chain
 from . import mpl as mpl_mod
 
 __all__ = [
@@ -351,6 +350,11 @@ class VResult(Record):
         }
 
 
+def _bound_constant(m: int, r: int, M: int) -> float:
+    """M log2 + r(r+1)/2 log(m+1) + r, the constant shared by V and the decay slope."""
+    return M * math.log(2) + r * (r + 1) / 2 * math.log(m + 1) + r
+
+
 def V_value(
     alphas: Sequence[Fraction], beta: Fraction, m: int, r: int, v0: Place
 ) -> VResult:
@@ -371,7 +375,7 @@ def V_value(
     h_beta = global_height(beta)
     h_alpha_each = [global_height(a) for a in alphas]
     h_alpha_vec = global_height_vec(alphas)
-    constant = M * math.log(2) + r * (r + 1) / 2 * math.log(m + 1) + r + r * M
+    constant = _bound_constant(m, r, M) + r * M
     value = (
         (M + 1) * h_v0_beta
         - h_v0_alpha
@@ -734,10 +738,8 @@ class DecayReport(Record):
 
 def _remainder_sum(
     f: MomentSeq,
-    column: tuple[Sequence[int], int],
-    first: tuple[Sequence[int], int],
+    cell: PadeCell,
     normp: Fraction,
-    n: int,
     beta: Fraction,
     place: Place,
     r: int,
@@ -745,10 +747,11 @@ def _remainder_sum(
 ) -> tuple[Fraction, int]:
     """Certified partial sum of sum_{k>=n} phi(t^k P) beta^-(k+1), and its last index.
 
-    Archimedean: stop once the geometric majorant of the unsummed mass is at
-    most 1e-3 of the partial sum.  Finite: stop once every future term is
-    p-adically smaller than the partial sum, which then IS the value (strong
-    triangle).
+    P is the column of ``cell``, n its weight, and f the row the cell was
+    built from.  Archimedean: stop once the geometric majorant of the
+    unsummed mass is at most 1e-3 of the partial sum.  Finite: stop once
+    every future term is p-adically smaller than the partial sum, which then
+    IS the value (strong triangle).
 
     After the term of index K the majorant is (s+1)^e H^(s+1) ||P||_v /
     |beta|_v^(K+2) with s = K + deg P + 2 (e = r at a prime, r + 1 at
@@ -756,20 +759,20 @@ def _remainder_sum(
     (H / |beta|_v) ((s+2)/(s+1))^e.  ``normp`` is ||P||_v, which the caller
     takes once per column.
 
-    The sum runs on integers.  P is the pair ``column`` = (nums, d), and
-    ``first`` is the term k = n alone in the form ``_phi_totals`` gives,
-    ([t_n], L): a table cell's run value over its row's window.  With
-    beta = b / c and phi(t^k P) = t_k / (L d), from ``first`` and then from
-    ``_phi_totals`` runs from k = n + 1 on, the partial sum through K is
-    A / (L d b^(K+1)) with A = sum_k t_k c^(k+1) b^(K-k), so each term is
-    one multiply-add A <- A b + t_K c^(K+1); a run with a new L first brings
-    A and its totals over the lcm.  The majorant is (s+1)^e X / Y with X and
-    Y each multiplied by one integer per term, and both stopping tests are
-    compared by cross-multiplication.  A Fraction is formed only for the
-    value returned, which equals the term-by-term Fraction sum exactly.
+    The sum runs on integers.  With P = nums / d, beta = b / c and
+    phi(t^k P) = t_k / (L d), the partial sum through K is A / (L d b^(K+1))
+    with A = sum_k t_k c^(k+1) b^(K-k): one multiply-add A <- A b + t_K c^(K+1)
+    per term.  t_n is the cell's run value, over the table's L; each later
+    t_k is one dot product on the row's integer window (``MomentSeq.ints``),
+    read in steps of doubling length (8 to 1024 terms), and A is brought
+    over the window's L, which the table's divides, whenever it grows.  The
+    majorant is (s+1)^e X / Y with X and Y each multiplied by one integer per
+    term, and both stopping tests are compared by cross-multiplication.  A
+    Fraction is formed only for the value returned, which equals the
+    term-by-term Fraction sum exactly.
     """
-    nums, den = column
-    degp = len(nums) - 1
+    nums, den = cell.column
+    n, width = cell.n, len(nums)
     abs_beta = abs_v(beta, place)
     if abs_beta <= H_alpha:
         raise BadBetaError(f"|beta|_{place} = {abs_beta} <= H_v(alpha) = {H_alpha}")
@@ -778,59 +781,44 @@ def _remainder_sum(
     # the ratio is q ((s+2)/(s+1))^e with q = H / |beta|_v = q_num / q_den
     q_num = H_alpha.numerator * abs_beta.denominator
     q_den = H_alpha.denominator * abs_beta.numerator
-    s = n + degp + 2
+    s = n + width + 1
     x = H_alpha.numerator ** (s + 1) * normp.numerator * abs_beta.denominator ** (n + 2)
     y = H_alpha.denominator ** (s + 1) * normp.denominator * abs_beta.numerator ** (n + 2)
+    run, scale = cell.heads[f.label]
+    k, c_pow, b_pow = n, c ** (n + 1), b ** (n + 1)  # c^(k+1), b^(k+1)
+    acc, lcm, ws, step = run[n] * c_pow, scale // den, (), 8
     if place.is_finite:
         p_v = place.p
-        v_b, v_den = _int_valuation(b, p_v), _int_valuation(den, p_v)
-    acc, lcm, unit, k = 0, 1, 1, n
-    c_pow, b_pow = c ** (n + 1), b ** (n + 1)  # c^(k+1), b^(k+1)
-    for totals, run_lcm in chain([first], _phi_total_runs(f, nums, n + 1)):
-        if run_lcm != lcm:
-            common = math.lcm(lcm, run_lcm)
-            acc *= common // lcm
-            lcm, unit = common, common // run_lcm
+        v_b, v_den = _int_valuation(b, p_v), _int_valuation(scale, p_v)
+    while True:
+        shrink = (s + 1) ** e
+        ratio_num, ratio_den = q_num * (s + 2) ** e, q_den * shrink
+        if acc and ratio_num < ratio_den:
+            majorant = shrink * x  # over y
+            if place.is_finite:
+                # |partial|_p = p^E with E = v_p(L d b^(k+1)) - v_p(A)
+                E = v_den + (k + 1) * v_b - _int_valuation(acc, p_v)
+                certified = majorant < y * p_v**E if E >= 0 else majorant * p_v**-E < y
+            else:
+                # 1000 majorant / (1 - ratio) <= |partial| = |A| / (L d |b|^(k+1))
+                lhs = 1000 * majorant * ratio_den * lcm * den * abs(b_pow)
+                certified = lhs <= abs(acc) * y * (ratio_den - ratio_num)
+            if certified:
+                return Fraction(acc, lcm * den * b_pow), k
+        if k - n >= 200000:
+            raise RuntimeError("remainder summation did not certify")
+        x *= q_num
+        y *= q_den
+        s += 1
+        k += 1
+        c_pow *= c
+        b_pow *= b
+        if k + width > len(ws):
+            ws, grown = f.ints(k + step - 1 + width)
+            acc, lcm, step = acc * (grown // lcm), grown, min(2 * step, 1024)
             if place.is_finite:
                 v_den = _int_valuation(lcm * den, p_v)
-        for total in totals:
-            acc = acc * b + total * unit * c_pow
-            shrink = (s + 1) ** e
-            ratio_num, ratio_den = q_num * (s + 2) ** e, q_den * shrink
-            if acc and ratio_num < ratio_den:
-                majorant = shrink * x  # over y
-                if place.is_finite:
-                    # |partial|_p = p^E with E = v_p(L d b^(k+1)) - v_p(A)
-                    E = v_den + (k + 1) * v_b - _int_valuation(acc, p_v)
-                    certified = majorant < y * p_v**E if E >= 0 else majorant * p_v**-E < y
-                else:
-                    # 1000 majorant / (1 - ratio) <= |partial| = |A| / (L d |b|^(k+1))
-                    lhs = 1000 * majorant * ratio_den * lcm * den * abs(b_pow)
-                    certified = lhs <= abs(acc) * y * (ratio_den - ratio_num)
-                if certified:
-                    return Fraction(acc, lcm * den * b_pow), k
-            if k - n >= 200000:
-                raise RuntimeError("remainder summation did not certify")
-            x *= q_num
-            y *= q_den
-            s += 1
-            k += 1
-            c_pow *= c
-            b_pow *= b
-
-
-def _phi_total_runs(f: MomentSeq, nums: Sequence[int], start: int):
-    """``_phi_totals`` for k = start, start + 1, ..., in runs of doubling length.
-
-    Each run brings its moment window over one denominator once; the
-    doubling bounds the moments read past the last term used by the number
-    of terms used (and by 1024).
-    """
-    count = 8
-    while True:
-        yield _phi_totals(f, nums, start, count)
-        start += count
-        count = min(2 * count, 1024)
+        acc = acc * b + sum(a * w for a, w in zip(nums, ws[k : k + width])) * c_pow
 
 
 def remainder_decay(
@@ -843,9 +831,9 @@ def remainder_decay(
 
     ``tables`` maps each weight n to its built table (``mpl.pade_tables``),
     and each weight's rows are that table's own moment sequences, warm from
-    its build.  Each sum starts from the cell's run value phi(t^n P_l) over
-    its row's window and reads the column's pair, as the table holds them.
-    The fitted slope must not exceed
+    its build.  Each sum starts from the cell's run value phi(t^n P_l) and
+    reads on from its row's integer window (``_remainder_sum``).  The fitted
+    slope must not exceed
     -h_v(beta) + (M/m) sum_i h_v(alpha_i) + (M+1) h_v(alpha)
     + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus slack 0.1.
     """
@@ -863,10 +851,8 @@ def remainder_decay(
         best = -math.inf
         norms = [_int_norm_v(*cell.column, v0) for cell in table.cells]
         for f in table.seqs:
-            lcm = table.windows[f.label][1]
             for cell, normp in zip(table.cells, norms):
-                first = ([cell.heads[f.label][0][n]], lcm)
-                partial, _ = _remainder_sum(f, cell.column, first, normp, n, beta, v0, r, H_alpha)
+                partial, _ = _remainder_sum(f, cell, normp, beta, v0, r, H_alpha)
                 best = max(best, log_fraction(abs_v(partial, v0)))
         logs.append(best)
     mean_n = sum(ns) / len(ns)
@@ -878,7 +864,7 @@ def remainder_decay(
         -local_height(beta, v0)
         + (M / m) * sum(local_height(a, v0) for a in config.alphas)
         + (M + 1) * local_height_vec(config.alphas, v0)
-        + v0.epsilon * (M * math.log(2) + r * (r + 1) / 2 * math.log(m + 1) + r)
+        + v0.epsilon * _bound_constant(m, r, M)
     )
     return DecayReport(
         ns=ns,

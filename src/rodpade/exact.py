@@ -121,25 +121,28 @@ def log_fraction(q: Fraction) -> float:
     return log_int(q.numerator) - log_int(q.denominator)
 
 
-#: a decimal exponent at the end of a literal, as ``Fraction`` reads it
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+#: the integer digits and the decimal exponent at the end of a literal, as ``Fraction`` reads them
+_EXPONENT = re.compile(r"([0-9_]*)(?:\.[0-9_]*)?[eE]([-+]?[0-9_]+)$")
 
 
 def parse_rational(text: str) -> Fraction:
     """The rational written as an integer, decimal or "p/q"; ValueError otherwise.
 
-    A decimal exponent e is refused when 10^|e| has more digits than the
-    interpreter's int-string limit, before ``Fraction`` forms that power: it
-    alone can take minutes, and its digits could not be printed.
+    A decimal exponent e is refused when 10^|e|, or the value's integer part
+    (its mantissa's integer digits followed by e zeros), has more digits than
+    the interpreter's int-string limit, before ``Fraction`` forms that power:
+    it alone can take minutes, and its digits could not be printed.
     """
     text = text.strip()
     exponent = _EXPONENT.search(text)
     if exponent:
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        if abs(int(exponent[1])) >= limit:
-            raise ValueError(
-                f"exponent {exponent[1]} gives a power of ten past the limit of {limit} digits"
-            )
+        e = int(exponent[2])
+        if abs(e) >= limit:
+            raise ValueError(f"exponent {exponent[2]} gives a power of ten past the limit of {limit} digits")
+        digits = len(exponent[1].replace("_", "").lstrip("0")) + e
+        if digits > limit:
+            raise ValueError(f"{text!r} has {digits} integer digits, past the limit of {limit}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

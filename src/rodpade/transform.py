@@ -5,9 +5,9 @@ functional t^k |-> f_k on Q[t].  Everything downstream (orthogonality,
 Q-polynomials, remainder tails, the two determinants) is computed through
 this identification, exactly, on integers over common denominators: no
 polynomial object is formed.  The columns come from one Rodrigues chain
-(``rodrigues_chain``) as integer numerators over one denominator.
-``build_table`` brings each row's moment window over one lcm once; every Q
-and every value phi_j(t^k P_l), k <= n (``PadeCell.heads``) is then an
+(``rodrigues_chain``) as integer numerators over one denominator.  Each row
+keeps one integer window, its moments over their lcm (``MomentSeq.ints``);
+every Q and every value phi_j(t^k P_l), k <= n (``PadeCell.heads``) is an
 integer over that lcm times a column's denominator, and verification,
 Delta and theta read the integers (``verify_pade``, ``table_determinants``).
 """
@@ -18,7 +18,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exact import (
     InsufficientDepthError,
@@ -67,13 +67,17 @@ class MomentSeq:
     moments 0..k-1, and is always invoked in increasing order of k, so
     recurrence-driven sequences can be expressed directly.  Extension is
     locked; an already-returned value never changes.
+
+    ``ints`` keeps the row's one integer window: its first moments as
+    numerators over L, the lcm of their denominators, grown on demand.
     """
 
     def __init__(self, fn: Callable[[int, Sequence[Fraction]], Fraction], label: str):
         self._fn = fn
         self.label = label
         self._cache: list[Fraction] = []
-        self._lock = threading.Lock()
+        self._ints: tuple[tuple[int, ...], int] = ((), 1)
+        self._lock = threading.RLock()  # ints extends the moments under it
 
     def __getitem__(self, k: int) -> Fraction:
         if k < 0:
@@ -84,16 +88,30 @@ class MomentSeq:
                     self._cache.append(as_fraction(self._fn(len(self._cache), self._cache)))
         return self._cache[k]
 
-    def window(self, start: int, stop: int) -> list[Fraction]:
-        """Moments start..stop-1 as one list, extending the cache once."""
-        if start < 0:
-            raise IndexError("moment index must be >= 0")
-        if stop > start:
-            self[stop - 1]
-        return self._cache[start:stop]
-
     def prefix(self, n: int) -> list[Fraction]:
-        return self.window(0, n)
+        """Moments 0..n-1 as one list, extending the cache once."""
+        if n > 0:
+            self[n - 1]
+        return self._cache[:n]
+
+    def ints(self, stop: int) -> tuple[tuple[int, ...], int]:
+        """(nums, L): f_k = nums[k] / L for k < len(nums), L the lcm of their denominators.
+
+        The window holds at least ``stop`` moments.  Growing it converts only
+        the new moments; when L grows, the kept numerators are multiplied by
+        the quotient once, into a new tuple, so a window handed out earlier
+        keeps reading integers over the L it came with.
+        """
+        with self._lock:
+            nums, lcm = self._ints
+            if len(nums) < stop:
+                self[stop - 1]
+                new = self._cache[len(nums) : stop]
+                grown = math.lcm(lcm, *(x.denominator for x in new))
+                if grown != lcm:
+                    nums = tuple(c * (grown // lcm) for c in nums)
+                self._ints = nums + tuple(x.numerator * (grown // x.denominator) for x in new), grown
+            return self._ints
 
     def __repr__(self):
         return f"MomentSeq({self.label!r})"
@@ -113,24 +131,14 @@ def _q_nums(nums: Sequence[int], ws: Sequence[int]) -> list[int]:
     return q
 
 
-def _phi_totals(f: MomentSeq, nums: Sequence[int], start: int, count: int) -> tuple[list[int], int]:
-    """phi(t^k P) L d for k = start..start+count-1, with P = nums / d, and L.
-
-    The moment window f_start..f_(start+count+deg P-1) is brought over one
-    common denominator L once; each total is then the integer dot product
-    sum_i p_i num(f_(k+i)) (L // den(f_(k+i))).
-    """
-    ws, lcm = over_common_denominator(f.window(start, start + count + len(nums) - 1))
-    return _dots(nums, ws, count), lcm
-
-
 class PadeCell(Record):
     """One column of a weight-n table on integers: P and, per row, Q and a run.
 
     ``column`` is P as the chain's (numerators, d).  Per row label,
     ``q_pairs`` holds Q (trailing zeros dropped) and ``heads`` the run
     phi_j(t^k P), k = 0..n, the coefficients of z^-(k+1) in P f_j - Q_j, as
-    numerators over L d, L the lcm of the row's window.  ``heads`` takes no
+    numerators over L d, L the lcm of the row's window (``MomentSeq.ints``)
+    when the table was built.  ``heads`` takes no
     part in equality or repr; the JSON writes P and Q as reduced rationals.
     """
 
@@ -157,20 +165,16 @@ class PadeTable(Record):
     """All columns l = 0..M of a weight-n table, rows in a fixed order.
 
     ``seqs`` are the row moment sequences the table was built from, kept so
-    that later blocks of a run reuse them (and their warm moment caches)
-    instead of rebuilding them.  ``windows`` maps each row label to its
-    moments f_0..f_(n + deg P_M) as (numerators, L), the scale of the
-    row's integers in every cell.  Neither takes part in equality, repr or
-    JSON.
+    that later blocks of a run reuse them (and their warm moment caches and
+    integer windows) instead of rebuilding them.  It takes no part in
+    equality, repr or JSON.
     """
 
-    __slots__ = ("n", "M", "row_labels", "cells", "seqs", "windows")
-    _hidden = ("seqs", "windows")
+    __slots__ = ("n", "M", "row_labels", "cells", "seqs")
+    _hidden = ("seqs",)
 
-    def __init__(
-        self, n: int, M: int, row_labels: tuple[str, ...], cells: tuple, seqs: tuple, windows: dict
-    ):
-        super().__init__(n, M, row_labels, cells, seqs, windows)
+    def __init__(self, n: int, M: int, row_labels: tuple[str, ...], cells: tuple, seqs: tuple):
+        super().__init__(n, M, row_labels, cells, seqs)
 
     def to_json(self) -> dict:
         return {
@@ -191,27 +195,23 @@ def build_table(
     """The weight-n table with P_l = nums_l / d_l: per row, Q and phi(t^k P_l), k <= n.
 
     Each column is a pair (nums, d) with a nonzero last numerator, as
-    ``rodrigues_columns`` yields it.  Each row's window f_0..f_(n + deg P_M),
-    the moments the runs read, which covers Q and the series route of
-    ``verify_pade`` too, is brought over its lcm L once per table; every Q
-    coefficient and every value of a run is then one integer dot product,
-    over L d.
+    ``rodrigues_columns`` yields it.  Each row's integer window
+    (``MomentSeq.ints``) is read once, grown to at least f_0..f_(n + deg P_M),
+    the moments the runs read; every Q coefficient and every value of a run
+    is then one integer dot product, over L d.
     """
     seqs = tuple(seqs)
     columns = [(tuple(nums), den) for nums, den in columns]
     width = max((len(nums) for nums, _ in columns), default=0) + n
-    windows = {}
-    for f in seqs:
-        ws, lcm = over_common_denominator(f.prefix(width))
-        windows[f.label] = (tuple(ws), lcm)
+    windows = [(f.label, *f.ints(width)) for f in seqs]
     cells = []
     for ell, (nums, den) in enumerate(columns):
         q_pairs, heads = {}, {}
-        for label, (ws, lcm) in windows.items():
+        for label, ws, lcm in windows:
             q_pairs[label] = (tuple(_q_nums(nums, ws)), lcm * den)
             heads[label] = (tuple(_dots(nums, ws, n + 1)), lcm * den)
         cells.append(PadeCell(n, ell, (nums, den), q_pairs, heads))
-    return PadeTable(n, len(cells) - 1, tuple(f.label for f in seqs), tuple(cells), seqs, windows)
+    return PadeTable(n, len(cells) - 1, tuple(f.label for f in seqs), tuple(cells), seqs)
 
 
 def rodrigues_factor(N: int, alphas: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -304,25 +304,26 @@ def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tupl
     return product[depth - n : depth][::-1], product[depth : depth + len(nums) - 1]
 
 
-def verify_pade(cell: PadeCell, windows: Mapping[str, tuple[Sequence[int], int]], M: int) -> bool:
-    """Check the cell against every row, by two independent routes.
+def verify_pade(cell: PadeCell, seqs: Sequence[MomentSeq], M: int) -> bool:
+    """Check the cell against each row of ``seqs``, by two independent routes.
 
     Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1, read off ``cell.heads``.
-    Series route: ``windows`` maps each row label to its moments as
-    (numerators, L), as ``PadeTable.windows`` holds them, and one
-    ``int_convolve`` gives P f over L d (``_series_coefficients``): the
-    first n tail coefficients of P f - Q must vanish, and the polynomial
-    part must be Q, compared by integer cross-multiplication.  The two
-    routes computing the same coefficients through different code paths
-    must agree exactly; a mismatch raises RouteDisagreementError.
+    Series route: one ``int_convolve`` of P with the row's integer window
+    (``MomentSeq.ints``, over its L) gives P f over L d
+    (``_series_coefficients``): the first n tail coefficients of P f - Q
+    must vanish, and the polynomial part must be Q, compared by integer
+    cross-multiplication.  The two routes computing the same coefficients
+    through different code paths must agree exactly; a mismatch raises
+    RouteDisagreementError.
     """
     nums, den = cell.column
     if not nums or len(nums) - 1 > M:
         return False
     ok = True
-    for label, (run, _) in cell.heads.items():
-        kernel_ok = not any(run[: cell.n])
-        ws, lcm = windows[label]
+    for f in seqs:
+        label = f.label
+        kernel_ok = not any(cell.heads[label][0][: cell.n])
+        ws, lcm = f.ints(len(nums) - 1 + cell.n)
         tail, part = _series_coefficients(nums, ws, cell.n)
         series_ok = not any(tail)
         if kernel_ok != series_ok:
@@ -409,7 +410,8 @@ def table_determinants(table: PadeTable) -> tuple[Fraction, Fraction]:
     construction, never a math failure.  theta is the determinant of the
     d x d moment matrix phi_j(t^n P_l), l < d: the k = n entries of the
     first d cells' runs.  Row j is over L_j and column l over d_l (the P row
-    over 1), so each is an integer determinant over prod L_j prod d_l.
+    over 1), so each is an integer determinant over prod L_j prod d_l; L_j
+    is read off the first cell's run scale L_j d_0.
     """
     if not _degree_lemma_holds(table):
         raise DegreeLemmaError(
@@ -417,7 +419,8 @@ def table_determinants(table: PadeTable) -> tuple[Fraction, Fraction]:
         )
     labels, cells = table.row_labels, table.cells
     # the lemma's M = d rows: theta's columns are the first d, and Delta adds d_M
-    scale = math.prod(table.windows[label][1] for label in labels)
+    first = cells[0]
+    scale = math.prod(first.heads[label][1] // first.column[1] for label in labels)
     scale *= math.prod(cell.column[1] for cell in cells[:-1])
     constants = [[(cell.column[0] or (0,))[0] for cell in cells]]
     constants += [[(cell.q_pairs[label][0] or (0,))[0] for cell in cells] for label in labels]

@@ -217,6 +217,18 @@ def test_huge_decimal_exponent_exits_2_at_once(argv):
     assert elapsed < 1.0
 
 
+def test_beta_with_too_many_integer_digits_exits_2_at_once():
+    # 123e4299 has 4302 digits: refused when parsed, not when printed
+    start = time.perf_counter()
+    proc = run_cli("criterion", "--m", "1", "--alphas", "1", "--beta", "123e4299")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert lines == ["error: '123e4299' has 4302 integer digits, past the limit of 4300"]
+    assert elapsed < 1.0
+
+
 def test_weight_past_machine_index_exits_2():
     proc = run_cli("det", "--m", "1", "--alphas", "1", "--n", "99999999999999999999")
     assert proc.returncode == 2
@@ -301,9 +313,8 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     assert all(any(args[0] is cell for cell in table.cells) for args, _ in verifies)
     assert len(table.seqs) == len(families[0][1])
     assert all(f is g for f, g in zip(table.seqs, families[0][1]))
-    # the series route reads the windows of the run's own table
-    assert list(table.windows) == list(table.row_labels)
-    assert all(args[1] is table.windows for args, _ in verifies)
+    # the series route reads the integer windows of the run's own rows
+    assert all(args[1] is table.seqs for args, _ in verifies)
     if argv[0] == "pade":
         assert verifies
 
@@ -371,49 +382,48 @@ def test_no_fraction_is_copied_into_a_fraction(capsys, monkeypatch, argv):
     assert Fraction(Fraction(1, 3)) == Fraction(1, 3) and copies == [(Fraction(1, 3), None)]
 
 
+def _counting_window_growth(monkeypatch, inside=(None,)):
+    """Record, per ``MomentSeq.ints`` call, where it ran and whether the window grew."""
+    reads, grown = [], []
+    ints = transform.MomentSeq.ints
+
+    def counting(self, stop):
+        before = len(self._ints[0])
+        window = ints(self, stop)
+        reads.append(inside[0])
+        if len(window[0]) != before:
+            grown.append((inside[0], len(window[0])))
+        return window
+
+    monkeypatch.setattr(transform.MomentSeq, "ints", counting)
+    return reads, grown
+
+
 def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
-    # one lcm per row per table: each row's window f_0..f_(n + deg P_M + 1)
-    # is brought over one denominator when the table is built, and every run
-    # phi_j(t^k P_l), k <= n, and every Q is read off it; verify_pade's two
-    # routes, the remainder starts, the degree lemma (k < n) and theta (k = n)
-    # read the cells and the windows, and take no value of their own
-    windows, runs = [], []
-    common, totals = transform.over_common_denominator, transform._phi_totals
-
-    def counting(xs):
-        windows.append(len(xs))
-        return common(xs)
-
-    def recording(*args):
-        runs.append(args)
-        return totals(*args)
-
-    monkeypatch.setattr(transform, "over_common_denominator", counting)
-    monkeypatch.setattr(transform, "_phi_totals", recording)
+    # one lcm per row per table: each row's integer window f_0..f_(n + deg P_M)
+    # grows once, when the table is built, and every run phi_j(t^k P_l),
+    # k <= n, and every Q is read off it; verify_pade's two routes, the
+    # remainder starts, the degree lemma (k < n) and theta (k = n) read the
+    # cells and the same windows, and take no value of their own
+    _, grown = _counting_window_growth(monkeypatch)
+    common = []
+    monkeypatch.setattr(transform, "over_common_denominator", common.append)
     for command in ("pade", "det"):
-        windows.clear()
+        grown.clear()
         assert main([command, "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["determinant"]["abs_identity_ok"] is True
         # 8 rows, each window f_0..f_(n + deg P_M), n + deg P_M = 2 + (8 * 2 + 8)
-        assert windows == [27] * 8
-    assert runs == []
+        assert grown == [(None, 27)] * 8
+    assert common == []
 
 
 def test_bounds_audit_reads_phi_of_tnp_off_the_table(capsys, monkeypatch):
     from rodpade import criterion
 
-    inside, calls, windows = [None], [], []
-    totals, common = transform._phi_totals, transform.over_common_denominator
+    inside = [None]
+    reads, grown = _counting_window_growth(monkeypatch, inside)
     audit, build = criterion.bounds_audit, transform.build_table
-
-    def counting(*args):
-        calls.append(inside[0])
-        return totals(*args)
-
-    def bringing(xs):
-        windows.append(inside[0])
-        return common(xs)
 
     def within(name, fn):
         def wrapped(*args, **kwargs):
@@ -425,21 +435,18 @@ def test_bounds_audit_reads_phi_of_tnp_off_the_table(capsys, monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(transform, "_phi_totals", counting)
-    monkeypatch.setattr(criterion, "_phi_totals", counting)
-    monkeypatch.setattr(transform, "over_common_denominator", bringing)
     monkeypatch.setattr(criterion, "bounds_audit", within("audit", audit))
     monkeypatch.setattr(mpl_mod, "build_table", within("build", build))
     argv = ["audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40"]
     assert main(argv) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert len(reports) == 8
-    # one lcm per row per table: 8 tables of 2 rows; the audit brings nothing
-    # over a denominator and takes no value, and the tables take no run of
-    # their own: only the remainder decay, past k = n, reads moment windows
-    assert windows.count("build") == 8 * 2
-    assert "audit" not in windows and "audit" not in calls and "build" not in calls
-    assert calls and set(windows) == {"build", None} and set(calls) == {None}
+    # one window per row, grown by each of the 8 tables of 2 rows; the audit
+    # reads no window and takes no value, and the tables take no run of
+    # their own: only the remainder decay, past k = n, grows the windows further
+    assert [where for where, _ in grown].count("build") == 8 * 2
+    assert "audit" not in reads
+    assert set(reads) == {"build", None} and {where for where, _ in grown} == {"build", None}
 
 
 def _perturbed_last_column(monkeypatch):
@@ -485,7 +492,7 @@ def test_determinant_errors_exit_1_with_one_error_payload(
 
 def test_pade_table_extra_fields_leave_equality_and_json_alone():
     table = mpl_mod.pade_table(mpl_mod.MplConfig(m=1, r=2, alphas=(1,)), 1)
-    bare = transform.PadeTable(table.n, table.M, table.row_labels, table.cells, seqs=(), windows={})
+    bare = transform.PadeTable(table.n, table.M, table.row_labels, table.cells, seqs=())
     assert bare == table
     assert bare.to_json() == table.to_json()
     assert repr(bare) == repr(table)

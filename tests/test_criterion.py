@@ -424,11 +424,6 @@ def test_remainder_decay_bad_beta():
         remainder_decay(config, F(1), INF_PLACE, pade_tables(config, range(2, 5)))
 
 
-def _first_term(table, cell, f):
-    """phi(t^n P_l) as ``_remainder_sum`` takes it: the cell's run value over its row's window."""
-    return [cell.heads[f.label][0][table.n]], table.windows[f.label][1]
-
-
 def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
     """The summation with every majorant recomputed and one phi per term."""
     from rodpade.exact import log_fraction
@@ -478,8 +473,7 @@ def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, 
             for cell in table.cells:
                 P = poly(cell.column)
                 want, stop = _remainder_log_abs_from_scratch(f, P, n, beta, place, r, H_alpha)
-                args = (f, cell.column, _first_term(table, cell, f), norm_v(P, place))
-                partial, _ = _remainder_sum(*args, n, beta, place, r, H_alpha)
+                partial, _ = _remainder_sum(f, cell, norm_v(P, place), beta, place, r, H_alpha)
                 assert log_fraction(abs_v(partial, place)) == want
                 stops.add(stop - n)
     # the longest summation (in terms) is fixed too; some cross several runs
@@ -513,9 +507,8 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     # the per-(row, column) route, each norm taken where it is used
     H_alpha = H_v_vec(config.alphas, place)
     def log_remainder(n, f, cell):
-        first = _first_term(tables[n], cell, f)
         normp = norm_v(poly(cell.column), place)
-        partial, _ = _remainder_sum(f, cell.column, first, normp, n, beta, place, 1, H_alpha)
+        partial, _ = _remainder_sum(f, cell, normp, beta, place, 1, H_alpha)
         return log_fraction(abs_v(partial, place))
 
     want = [
@@ -598,8 +591,7 @@ def test_integer_remainder_sum_certifies_the_fraction_loops_sum(m, r, alphas, pl
             P = poly(cell.column)
             normp = norm_v(P, place)
             for f in table.seqs:
-                args = (f, cell.column, _first_term(table, cell, f), normp, n, beta, place, r, H_alpha)
-                partial, last = _remainder_sum(*args)
+                partial, last = _remainder_sum(f, cell, normp, beta, place, r, H_alpha)
                 want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, r, H_alpha)
                 assert (partial, last) == want, (n, f.label, cell.ell)
 
@@ -695,9 +687,12 @@ def test_integer_horner_matches_the_fraction_horner():
 @pytest.mark.parametrize(
     "moment, p, n, beta, place, H_alpha",
     [
-        # later windows over denominator 2 after a first one over 3: the
-        # partial sum is brought over their lcm between runs
+        # the table's window is over 3, the sum's first one over 6: the
+        # cell's run value is lifted onto the grown L
         (lambda k: F(1, 3) if k < 9 else F(1, 2), (1,), 1, F(3, 2), INF_PLACE, F(1)),
+        # the second growth step takes L from 3 to 6: the partial sum is
+        # brought over the new L within the sum
+        (lambda k: F(1, 3) if k < 20 else F(1, 2), (1,), 1, F(3, 2), INF_PLACE, F(1)),
         # the first majorant equals |partial|_2 exactly, 1/2 and then 4: the
         # strict test must not stop there
         (lambda k: F(1, 2), (1,), 1, F(1, 2), Place.finite(2), F(1)),
@@ -708,19 +703,73 @@ def test_integer_horner_matches_the_fraction_horner():
         # integer moments: the first run's L is 1, and d = 4 alone carries the prime
         (lambda k: F(k % 3), (F(1, 4), 1), 1, F(1, 2), Place.finite(2), F(1)),
     ],
-    ids=["inf-lcm-between-runs", "p2-majorant-equal-below-1", "p2-majorant-equal-above-1",
+    ids=["inf-lcm-between-runs", "inf-lcm-grows-within-the-sum", "p2-majorant-equal-below-1", "p2-majorant-equal-above-1",
          "p2-beta-numerator", "p2-integer-moments"],
 )
 def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_alpha):
     from rodpade.criterion import _remainder_sum
     from rodpade.exact import over_common_denominator
-    from rodpade.transform import MomentSeq, _phi_totals
+    from rodpade.transform import MomentSeq, build_table
     from rodpade.weyl import Poly
 
     f = MomentSeq(lambda k, _prefix: moment(k), "synthetic")
     P = Poly(p)
-    column = over_common_denominator(P.coeffs)
-    # the term k = n over its own window, as a table cell would carry it
-    first = _phi_totals(f, column[0], n, 1)
-    tail = (norm_v(P, place), n, beta, place, 1, H_alpha)
-    assert _remainder_sum(f, column, first, *tail) == _remainder_sum_fraction_loop(f, P, *tail)
+    # the term k = n as a one-cell table carries it
+    cell = build_table([over_common_denominator(P.coeffs)], [f], n).cells[0]
+    normp = norm_v(P, place)
+    want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, 1, H_alpha)
+    assert _remainder_sum(f, cell, normp, beta, place, 1, H_alpha) == want
+
+
+def test_tables_and_decay_on_an_extended_family_match_a_fresh_one():
+    # a family whose integer windows already reach far past a table's needs
+    # (a larger L, more moments) gives the same printed table, determinants
+    # and decay as a fresh family: every reader scales by the L it is handed
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from rodpade.mpl import moment_seqs, rodrigues_stages
+    from rodpade.transform import build_table, rodrigues_columns, table_determinants
+
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+    shapes = st.sampled_from([(1, 1), (2, 1), (1, 2)])
+
+    @hypothesis.settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        shapes.flatmap(
+            lambda mr: st.tuples(
+                st.just(mr), st.lists(small, min_size=mr[0], max_size=mr[0], unique=True)
+            )
+        ),
+        st.integers(2, 3),
+        st.integers(1, 150),
+        st.sampled_from([INF_PLACE, Place.finite(2), Place.finite(3)]),
+        st.integers(0, 3),
+    )
+    def check(shape_alphas, top, extra, place, lift):
+        (m, r), alphas = shape_alphas
+        config = MplConfig(m=m, r=r, alphas=tuple(alphas))
+        ns = range(1, top + 1)
+        H_alpha = H_v_vec(config.alphas, place)
+        if place.is_finite:
+            k = 1 + lift
+            while F(place.p) ** k <= H_alpha:
+                k += 1
+            beta = F(1, place.p**k)
+        else:
+            beta = math.floor(H_alpha) + 1 + F(lift, 3)
+        fresh = pade_tables(config, ns)
+        seqs = moment_seqs(config)
+        for f in seqs:
+            f.ints(config.M * (top + 1) + top + extra)
+        extended = {
+            n: build_table(rodrigues_columns(rodrigues_stages(config, n), config.M + 1), seqs, n)
+            for n in ns
+        }
+        for n in ns:
+            assert json.dumps(extended[n].to_json()) == json.dumps(fresh[n].to_json())
+            assert table_determinants(extended[n]) == table_determinants(fresh[n])
+        assert remainder_decay(config, beta, place, extended) == remainder_decay(
+            config, beta, place, fresh
+        )
+
+    check()

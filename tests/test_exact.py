@@ -44,6 +44,17 @@ def test_parse_rational_refuses_a_power_of_ten_past_the_digit_limit():
             parse_rational(text)
 
 
+def test_parse_rational_counts_the_mantissa_digits_with_the_exponent():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # the integer part of each has exactly ``limit`` digits and still prints
+    assert parse_rational(f"12e{limit - 2}") == 12 * 10 ** (limit - 2)
+    assert parse_rational(f"1.5e{limit - 1}") == 15 * 10 ** (limit - 2)
+    assert parse_rational(f"0.001e{limit - 1}") == 10 ** (limit - 4)
+    for text in (f"123e{limit - 1}", f"-1_2e{limit - 1}", f"999.9e{limit - 2}", f"0010e{limit - 1}"):
+        with pytest.raises(ValueError, match=f"integer digits, past the limit of {limit}$"):
+            parse_rational(text)
+
+
 def test_format_pair_matches_format_rational():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

@@ -104,6 +104,15 @@ AUDIT_GOLDEN = [
      "897d8ca753465aa911d298f865c7584c0fd1579b924b8c70afa5c07b3997b2df", None),
     (2, 1, (F(4), F(-3)), range(1, 4), Place.finite(3), None,
      "549038d836b7f0d95ff41b9e6f40cef08e8aadada6a10ad5fececb4a638a1a60", None),
+    # long sums, recorded while each run of the decay brought its own moment
+    # window over a denominator: at beta = 2 the sums run up to 85 terms past
+    # n, across three runs; the second is the p-adic decay that exits 1
+    (1, 1, (F(5, 7),), range(1, 13), Place.archimedean(), F(2),
+     "9463ba15e975cc7b9fd955995729a8d94c160c3a64a48b6dafdeeeedcc7f050c",
+     "695bd8003a9b487bf001889f8ebd3441109186e9fa4b0e40e3189657ee45fdbd"),
+    (2, 1, (F(4), F(-3)), range(1, 7), Place.finite(2), F(11, 4),
+     "4ffed21ee87965241905f58c1f2c3690b30103daaf7642f52b4be154454af469",
+     "595e4675b1c1fd865b7dc847f94a1f8e0251da11e5e4aeddf95fb7adea7d4379"),
 ]
 
 
@@ -133,7 +142,6 @@ def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, s
         for cell in tables[n].cells:
             normp = max(abs_v(c, place) for c in poly(cell.column).coeffs)
             for f in tables[n].seqs:
-                first = ([cell.heads[f.label][0][n]], tables[n].windows[f.label][1])
-                partial, last = _remainder_sum(f, cell.column, first, normp, n, beta, place, r, H_alpha)
+                partial, last = _remainder_sum(f, cell, normp, beta, place, r, H_alpha)
                 sums.append(f"{n} {f.label} {cell.ell} {format_rational(partial)} {last}")
     assert _sha(sums) == sums_digest

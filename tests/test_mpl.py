@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import pytest
 from oracles import fraction_remainder, poly, q_polys, series, shifted
 
-from rodpade.exact import over_common_denominator
 from rodpade.holonomic import check_membership
 from rodpade.mpl import (
     MplConfig,
@@ -285,8 +284,7 @@ def test_tables_verify_on_small_grid():
         seqs = moment_seqs(config)
         for cell in table.cells:
             # the series route on a fresh family's windows, not the table's
-            windows = {f.label: over_common_denominator(f.prefix(cell.degree + n + 2)) for f in seqs}
-            assert verify_pade(cell, windows, cell.degree)
+            assert verify_pade(cell, seqs, cell.degree)
 
 
 def test_delta_constants():

@@ -83,7 +83,7 @@ def _samples():
 SAMPLES = _samples()
 
 #: fields a value keeps but leaves out of equality, hash and repr
-HIDDEN = {transform.PadeCell: {"heads"}, transform.PadeTable: {"seqs", "windows"}}
+HIDDEN = {transform.PadeCell: {"heads"}, transform.PadeTable: {"seqs"}}
 
 #: constructor defaults: a value, or a factory that makes a fresh one per instance
 DEFAULTS = {criterion.Place: {"p": None}, criterion.VResult: {"terms": dict}}

@@ -32,8 +32,8 @@ from rodpade.transform import (
     MomentSeq,
     PadeCell,
     ZeroDeterminantError,
+    _dots,
     _int_det,
-    _phi_totals,
     build_table,
     det_bareiss,
     verify_pade,
@@ -53,10 +53,9 @@ def pairs(polys):
     return [over_common_denominator(p.coeffs) for p in polys]
 
 
-def fresh_windows(cell):
-    """The window ``verify_pade`` reads, from a fresh Li_1 row instead of the table's."""
-    depth = cell.degree + cell.n + 2
-    return {"Li_1(1/z)": over_common_denominator(fresh_li1().prefix(depth))}
+def fresh_rows(cell):
+    """The rows ``verify_pade`` reads: a fresh Li_1 row instead of the table's."""
+    return [fresh_li1()]
 
 
 def run_values(cell, label):
@@ -133,7 +132,8 @@ def test_phi_and_q_match_the_fraction_route():
 
 def test_remainder_tail_matches_the_fraction_route():
     # the tail starts where the table's run first fails to vanish, and the
-    # terms from there on are the integer totals the remainder sums read
+    # terms from there on are the dot products the remainder sums take on
+    # the row's integer window
     rows, n = kernel_rows(), 3
     polys = [p for p in kernel_polys(random.Random(10))[:20] if not p.is_zero]
     table = build_table(pairs(polys), rows, n - 1)
@@ -144,7 +144,8 @@ def test_remainder_tail_matches_the_fraction_route():
             run = run_values(cell, f.label)  # phi(t^k P), k < n
             assert orthogonal == (not any(run))
             assert start == next((k + 1 for k, v in enumerate(run) if v), n + 1)
-            totals, lcm = _phi_totals(f, nums, start - 1, 5)
+            ws, lcm = f.ints(start + 4 + len(nums) - 1)
+            totals = _dots(nums, ws[start - 1 :], 5)
             assert tuple(F(t, lcm * den) for t in totals) == coeffs
 
 
@@ -156,7 +157,8 @@ def test_deep_remainder_tail_matches_the_fraction_route():
         for cell in table.cells:
             nums, den = cell.column
             route = fraction_remainder(f, poly(cell.column), 1, 190)
-            totals, lcm = _phi_totals(f, nums, 1, 190)
+            ws, lcm = f.ints(191 + len(nums) - 1)
+            totals = _dots(nums, ws[1:], 190)
             assert route == (2, tuple(F(t, lcm * den) for t in totals), True)
             assert run_values(cell, f.label) == [0, route[1][0]]
 
@@ -185,7 +187,7 @@ def test_remainder_tail_of_zero_series():
     row = zero_row()
     cell = build_table(pairs([Poly((3, 1, 4))]), [row], 2).cells[0]
     assert cell.heads == {"0": ((0, 0, 0), 1)} and cell.q_pairs == {"0": ((), 1)}
-    assert verify_pade(cell, {"0": over_common_denominator(row.prefix(8))}, M=2)
+    assert verify_pade(cell, [zero_row()], M=2)
 
 
 def legendre_cell() -> PadeCell:
@@ -195,26 +197,26 @@ def legendre_cell() -> PadeCell:
 def test_verify_pade_legendre_true():
     cell = legendre_cell()
     assert q_polys(cell) == {"Li_1(1/z)": Poly.constant(-2)}
-    assert verify_pade(cell, fresh_windows(cell), M=1)
+    assert verify_pade(cell, fresh_rows(cell), M=1)
 
 
 def test_verify_pade_nonorthogonal_false():
     cell = build_table(pairs([Poly.one()]), [LI1], 1).cells[0]
     assert q_polys(cell) == {"Li_1(1/z)": Poly.zero()}
-    assert not verify_pade(cell, fresh_windows(cell), M=1)
+    assert not verify_pade(cell, fresh_rows(cell), M=1)
 
 
 def test_verify_pade_weight_zero_kernel_is_empty():
     p = Poly((2, 5, 1))
     cell = build_table(pairs([p]), [LI1], 0).cells[0]
     assert q_polys(cell) == {"Li_1(1/z)": fraction_q(LI1, p)}
-    assert verify_pade(cell, fresh_windows(cell), M=2)
+    assert verify_pade(cell, fresh_rows(cell), M=2)
 
 
 def test_verify_pade_wrong_q_false():
     good = legendre_cell()
     cell = PadeCell(good.n, good.ell, good.column, {"Li_1(1/z)": ((7,), 1)}, good.heads)
-    assert not verify_pade(cell, fresh_windows(cell), M=1)
+    assert not verify_pade(cell, fresh_rows(cell), M=1)
 
 
 # --------------------------------------------------------------------------
@@ -488,8 +490,8 @@ def test_constant_determinant_matches_fraction_route(m, r, alphas, n):
 
 def test_verify_pade_degree_guard():
     cell = legendre_cell()  # deg P = 1
-    assert verify_pade(cell, fresh_windows(cell), M=1)
-    assert not verify_pade(cell, fresh_windows(cell), M=0)
+    assert verify_pade(cell, fresh_rows(cell), M=1)
+    assert not verify_pade(cell, fresh_rows(cell), M=0)
 
 
 def test_moment_seq_memoization_is_stable():
@@ -508,10 +510,12 @@ def test_moment_seq_memoization_is_stable():
 
 def test_moment_seq_concurrent_extension_yields_identical_values():
     seq = MomentSeq(lambda k, _p: F(1, k + 1), "li1")
-    results = {}
+    results, windows = {}, {}
 
     def worker(tag, upto):
         results[tag] = seq.prefix(upto)
+        # integer windows of mixed lengths, each kept as it was handed out
+        windows[tag] = [seq.ints(stop) for stop in (upto // (tag + 2), 3 + 7 * tag, upto)]
 
     threads = [threading.Thread(target=worker, args=(i, 200)) for i in range(8)]
     for t in threads:
@@ -520,6 +524,22 @@ def test_moment_seq_concurrent_extension_yields_identical_values():
         t.join()
     expected = [F(1, k + 1) for k in range(200)]
     assert all(results[i] == expected for i in range(8))
+    for tag, pairs_seen in windows.items():
+        for stop, (nums, lcm) in zip((200 // (tag + 2), 3 + 7 * tag, 200), pairs_seen):
+            assert len(nums) >= stop
+            assert over_common_denominator(seq.prefix(len(nums))) == (list(nums), lcm)
+
+
+def test_moment_seq_ints_grows_without_rescaling_earlier_windows():
+    # the lcm grows at every index; a window handed out earlier keeps its
+    # integers and its L, and the grown one equals a fresh conversion
+    seq = MomentSeq(lambda k, _p: F(1, k + 1), "li1")
+    early = seq.ints(3)
+    assert early == ((6, 3, 2), 6)
+    late = seq.ints(5)
+    assert early == ((6, 3, 2), 6)
+    assert late == ((60, 30, 20, 15, 12), 60)
+    assert seq.ints(2) is late
 
 
 def test_moment_seq_shift_matches_definition():
@@ -592,7 +612,7 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
         for f in table.seqs:
             # the integer series route against the Fraction product of the truncated series
             part, tail = laurent_mul_poly(series(f, cell.degree + n + 5), poly(cell.column))
-            ws, lcm = table.windows[f.label]
+            ws, lcm = f.ints(cell.degree + n)
             int_tail, int_part = _series_coefficients(nums, ws, n)
             assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 1)]
             assert poly((int_part, lcm * d)) == part == poly(cell.q_pairs[f.label])
@@ -600,18 +620,18 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
             ws, lcm = over_common_denominator(f.prefix(cell.degree + n + 3))
             int_tail, _ = _series_coefficients(nums, ws, n + 3)
             assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 4)]
-        assert verify_pade(cell, table.windows, cell.degree)
+        assert verify_pade(cell, table.seqs, cell.degree)
         # a corrupted run: the kernel route now disagrees with the series route
         run, scale = cell.heads[first]
         corrupted = cell.heads | {first: ((run[0] + 1,) + run[1:], scale)}
         bad = PadeCell(n, cell.ell, cell.column, cell.q_pairs, corrupted)
         with pytest.raises(RouteDisagreementError, match="kernel test says False, series test says True"):
-            verify_pade(bad, table.windows, cell.degree)
+            verify_pade(bad, table.seqs, cell.degree)
         # a wrong Q: one more coefficient than the polynomial part has
         q, q_den = cell.q_pairs[first]
         wrong = cell.q_pairs | {first: (q + (1,), q_den)}
         bad = PadeCell(n, cell.ell, cell.column, wrong, cell.heads)
-        assert not verify_pade(bad, table.windows, cell.degree)
+        assert not verify_pade(bad, table.seqs, cell.degree)
     # Delta(0) and theta, each divided once by prod L_j prod d_l, against the Fraction matrices
     delta, theta = table_determinants(table)
     assert delta == det_bareiss([[p.coeff(0) for p in row] for row in polynomial_matrix(table)])

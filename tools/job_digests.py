@@ -1,10 +1,12 @@
 """Digests of the first jobs of a benchmark workload, run in process.
 
     python3 tools/job_digests.py --workload wide-det --seed 7 --count 40
+    python3 tools/job_digests.py --workload edge
 
-Each job of ``benchmarks/workloads.py`` (loaded by path, read only) runs
-through ``rodpade.cli.main`` in this process, and one line is printed per
-job: the exit code, sha256 of its stdout, sha256 of its stderr, and its argv.
+Each job of ``benchmarks/workloads.py`` (loaded by path, read only), or of
+the fixed ``edge`` list below, runs through ``rodpade.cli.main`` in this
+process, and one line is printed per job: the exit code, sha256 of its
+stdout, sha256 of its stderr, and its argv.
 A job that raises prints ``raised`` as its exit code and the digest of its
 traceback as its stderr.  Running the script in two checkouts (``--root``
 names the checkout whose ``src/`` is imported) and diffing the outputs shows
@@ -24,6 +26,36 @@ import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: jobs the benchmark workloads do not reach: other formats, places and
+#: subcommands, inputs that exit 1 or 2, and a long decay
+EDGE = [
+    ("pade", "--m", "1", "--r", "1", "--alphas=-7/3", "--n", "3", "--format", "csv"),
+    ("pade", "--appendix-logpow", "--m", "3", "--n", "4"),
+    ("det", "--appendix-logpow", "--m", "2", "--n", "6"),
+    ("det", "--m", "2", "--r", "1", "--alphas=-2,1/3", "--n", "3", "--format", "csv"),
+    ("criterion", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--beta", "4000000"),
+    ("criterion", "--m", "1", "--r", "2", "--alphas=1/3", "--beta", "1/59049", "--place", "p3",
+     "--products"),
+    ("audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..4", "--beta", "40",
+     "--format", "csv"),
+    ("audit", "--lcm", "10000"),
+    ("logpow-identities", "--n", "4"),
+    # the p-adic decay that exits 1 on a valid input
+    ("audit", "--m", "2", "--r", "1", "--alphas=4,-3", "--n", "1..6", "--beta", "11/4", "--place", "p2"),
+    # exit 2
+    ("audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40", "--place", "p2"),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e4300"),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "123e4299"),
+    ("criterion", "--m", "1", "--alphas", "1,1", "--beta", "3"),
+    ("pade", "--m", "1", "--alphas", "1"),
+    # decimal literals that parse
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e400"),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "1.5e2"),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e-3"),
+    # the (2,2) decay frontier
+    ("audit", "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "400"),
+]
 
 
 def _load_workloads(root: Path):
@@ -53,19 +85,25 @@ def run_job(main, argv) -> tuple[str, str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--count", type=int, required=True)
+    parser.add_argument("--workload", required=True, help="a benchmark workload, or edge")
+    parser.add_argument("--seed", type=int, help="workload seed (not for edge)")
+    parser.add_argument("--count", type=int, help="jobs to run (default for edge: all)")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to run (default: this one)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    workloads = _load_workloads(root)
+    if args.workload == "edge":
+        jobs = EDGE[: args.count]
+    elif args.seed is None or args.count is None:
+        parser.error("a benchmark workload needs --seed and --count")
+    else:
+        generated = _load_workloads(root).generate(args.workload, args.seed)
+        jobs = [job.argv for job in itertools.islice(generated, args.count)]
     sys.path.insert(0, str(root / "src"))
     from rodpade.cli import main as cli_main
 
-    for job in itertools.islice(workloads.generate(args.workload, args.seed), args.count):
-        code, out, err = run_job(cli_main, job.argv)
-        print(code, _sha(out), _sha(err), " ".join(job.argv), flush=True)
+    for argv in jobs:
+        code, out, err = run_job(cli_main, argv)
+        print(code, _sha(out), _sha(err), " ".join(argv), flush=True)
     return 0
 
 
