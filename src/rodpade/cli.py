@@ -9,16 +9,17 @@ A subcommand loads only the modules it uses: ``criterion``, ``mpl``,
 ``logpow`` and ``csv`` are imported inside the commands that need them, so
 ``pade`` on log-power rows never loads ``mpl`` or ``criterion``.  No
 subcommand loads ``dataclasses``: the package's values derive from
-``exact.Record``.
+``exact.Record``.  Nor does one load ``argparse`` (with ``gettext`` and
+``locale``): ``read_argv`` reads the flags from one table, ``FLAGS``.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exact import format_rational, parse_rational
 from .transform import (
@@ -285,70 +286,166 @@ def _cmd_audit(args) -> int:
 def _cmd_logpow_identities(args) -> int:
     from . import weyl
 
-    ok = weyl.verify_En_identities(args.n)
-    payload = {"command": "logpow-identities", "n_max": args.n, "ok": ok}
+    n = 4 if args.n is None else args.n
+    ok = weyl.verify_En_identities(n)
+    payload = {"command": "logpow-identities", "n_max": n, "ok": ok}
     _emit(payload, args.format, args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _add_common(parser, *, alphas=True, n=True):
-    parser.add_argument("--m", type=int, default=None, help="number of alphas / top log power")
-    if alphas:
-        parser.add_argument("--r", type=int, default=None, help="depth budget")
-        parser.add_argument("--alphas", type=str, default=None, help="comma-separated rationals")
-    if n:
-        parser.add_argument("--n", type=str, default=None, help="weight, or range lo..hi where supported")
-    parser.add_argument("--config", type=str, default=None, help="JSON/TOML run-config document")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+#: The flags of each subcommand, in help order: flag -> (kind, help), where kind
+#: is int, str, bool (a switch, given without a value) or a tuple of the
+#: allowed values, the first of which is the default.
+_ROW = {
+    "--m": (int, "number of alphas / top log power"),
+    "--r": (int, "depth budget"),
+    "--alphas": (str, "comma-separated rationals"),
+    "--config": (str, "JSON/TOML run-config document"),
+}
+_N = {"--n": (str, "weight, or range lo..hi where supported")}
+_OUTPUT = {
+    "--format": (("json", "csv"), "output format (default json)"),
+    "--out": (str, "output path (default stdout)"),
+}
+_BETA = {"--beta": (str, "the rational beta"), "--place": (str, "inf or p<prime>")}
+FLAGS = {
+    "pade": {
+        **_ROW, **_N, **_OUTPUT,
+        "--appendix-logpow": (bool, "log-power rows instead"),
+        "--depth": (int, "no longer changes output or work"),
+    },
+    "det": {**_ROW, **_N, **_OUTPUT, "--appendix-logpow": (bool, "log-power rows instead")},
+    "criterion": {**_ROW, **_OUTPUT, **_BETA, "--products": (bool, "also list product labels")},
+    "audit": {"--lcm": (int, "lcm growth check mode"), **_ROW, **_N, **_OUTPUT, **_BETA},
+    "logpow-identities": {"--n": (int, "verify up to this n (default 4)"), **_OUTPUT},
+}
+#: subcommand -> (handler, one-line summary)
+COMMANDS = {
+    "pade": (_cmd_pade, "build and verify a weight-n table"),
+    "det": (_cmd_det, "determinant constants of a table"),
+    "criterion": (_cmd_criterion, "evaluate the independence criterion"),
+    "audit": (_cmd_audit, "check the proven norm/decay bounds"),
+    "logpow-identities": (_cmd_logpow_identities, "exact operator identities check"),
+}
+_HELP = {"--help": (bool, "show this help and exit (also -h)")}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rodpade",
-        description="Exact Pade-type tables for multiple polylogarithms and log powers, "
-        "with height-based independence checks.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _flag_of(token: str, names) -> tuple[str | None, str | None] | None:
+    """None for a token read as a value, else (flag, text after "=" or None).
 
-    p_pade = sub.add_parser("pade", help="build and verify a weight-n table")
-    _add_common(p_pade)
-    p_pade.add_argument("--appendix-logpow", action="store_true", help="log-power rows instead")
-    p_pade.add_argument("--depth", type=int, help="no longer changes output or work")
-    p_pade.set_defaults(func=_cmd_pade)
+    A flag may be cut to a prefix that only it starts with (an exact name
+    wins; a prefix of several is refused), and ``-h`` is ``--help``.  The
+    flag is None for a token that names none.  Besides the tokens that do
+    not start with "-", these are values: "-" itself, a token with a digit
+    or "." after its "-" (``-1/2``, ``-.5``), and one with a space that
+    names no flag.
+    """
+    if token[:1] != "-" or len(token) == 1 or token[1] in "0123456789.":
+        return None
+    if token[1] != "-":
+        if token.startswith("-h"):
+            return "--help", token[2:] or None
+        return None if " " in token else (None, None)
+    name, eq, text = token.partition("=")
+    explicit = text if eq else None
+    if name in names:
+        return name, explicit
+    matches = [flag for flag in names if flag.startswith(name)]
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], explicit
+    return None if " " in token else (None, None)
 
-    p_det = sub.add_parser("det", help="determinant constants of a table")
-    _add_common(p_det)
-    p_det.add_argument("--appendix-logpow", action="store_true")
-    p_det.set_defaults(func=_cmd_det)
 
-    p_crit = sub.add_parser("criterion", help="evaluate the independence criterion")
-    _add_common(p_crit, n=False)
-    p_crit.add_argument("--beta", type=str, default=None)
-    p_crit.add_argument("--place", type=str, default=None, help="inf or p<prime>")
-    p_crit.add_argument("--products", action="store_true", help="also list product labels")
-    p_crit.set_defaults(func=_cmd_criterion)
+def _dest(flag: str) -> str:
+    """The attribute a flag sets: ``--appendix-logpow`` sets ``appendix_logpow``."""
+    return flag[2:].replace("-", "_")
 
-    p_audit = sub.add_parser("audit", help="check the proven norm/decay bounds")
-    p_audit.add_argument("--lcm", type=int, default=None, help="lcm growth check mode")
-    _add_common(p_audit)
-    p_audit.add_argument("--beta", type=str, default=None)
-    p_audit.add_argument("--place", type=str, default=None, help="inf or p<prime>")
-    p_audit.set_defaults(func=_cmd_audit)
 
-    p_ids = sub.add_parser("logpow-identities", help="exact operator identities check")
-    p_ids.add_argument("--n", type=int, default=4, help="verify up to this n")
-    p_ids.add_argument("--format", choices=("json", "csv"), default="json")
-    p_ids.add_argument("--out", type=str, default=None)
-    p_ids.set_defaults(func=_cmd_logpow_identities)
+def _value(flag: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        raise ValueError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+    return text
 
-    return parser
+
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["usage: rodpade <subcommand> [flags]", "", "subcommands:"]
+        lines += [f"  {name:<20}{summary}" for name, (_, summary) in COMMANDS.items()]
+        lines += ["", "'rodpade <subcommand> --help' lists the flags of a subcommand."]
+        return "\n".join(lines) + "\n"
+    lines = [f"usage: rodpade {command} [flags]", "", COMMANDS[command][1], "", "flags:"]
+    for flag, (kind, text) in {**_HELP, **FLAGS[command]}.items():
+        if kind is not bool:
+            flag += " N" if kind is int else " TEXT" if kind is str else f" {{{','.join(kind)}}}"
+        lines.append(f"  {flag:<22}{text}")
+    return "\n".join(lines) + "\n"
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The subcommand and its flags' values, or None once a help text is printed.
+
+    A flag not given is None, False for a switch, or a choice flag's first
+    choice; the last of a repeated flag wins.  A value is the text after
+    "=" or the next token, and tokens from "--" on are not flags.  Every
+    usage error raises ValueError.  Tokens that name no flag, and stray
+    values, are reported after the last token, so ``--help`` anywhere still
+    prints the help; any other usage error before ``--help`` comes first.
+    """
+    if not argv or argv[0] not in FLAGS:
+        if argv and argv[0] != "--" and _flag_of(argv[0], _HELP) == ("--help", None):
+            sys.stdout.write(_help(None))
+            return None
+        found = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand"
+        raise ValueError(f"{found} (choose from {', '.join(FLAGS)})")
+    command, tokens = argv[0], argv[1:]
+    flags = {**_HELP, **FLAGS[command]}
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    # an ambiguous prefix is refused wherever it stands, even past --help
+    reads = [_flag_of(token, flags) for token in tokens[:cut]]
+    values = {
+        _dest(flag): False if kind is bool else kind[0] if type(kind) is tuple else None
+        for flag, (kind, _) in FLAGS[command].items()
+    }
+    extras = []
+    i = 0
+    while i < cut:
+        read, i = reads[i], i + 1
+        if read is None or read[0] is None:
+            extras.append(tokens[i - 1])
+            continue
+        flag, text = read
+        kind = flags[flag][0]
+        if kind is bool:
+            if text is not None:
+                raise ValueError(f"argument {flag}: takes no value, got {text!r}")
+            if flag == "--help":
+                sys.stdout.write(_help(command))
+                return None
+            values[_dest(flag)] = True
+            continue
+        if text is None:
+            if i == cut or reads[i] is not None:
+                raise ValueError(f"argument {flag}: expected a value")
+            text, i = tokens[i], i + 1
+        values[_dest(flag)] = _value(flag, kind, text)
+    extras += tokens[cut:]
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(subcommand=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK
         _apply_config_file(args)
         if getattr(args, "r", None) is None:
             args.r = 1
@@ -357,18 +454,16 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "place", None) is None:
             args.place = "inf"
         if args.subcommand in ("pade", "det", "criterion") and args.m is None:
-            parser.error(f"{args.subcommand} needs --m (flag or config document)")
+            raise ValueError(f"{args.subcommand} needs --m (flag or config document)")
         if args.subcommand in ("pade", "det"):
             ns = _parse_n_range(args.n) if args.n else []
             if len(ns) != 1 or ns[0] < 1:
-                parser.error("pade/det need a single weight --n >= 1")
+                raise ValueError("pade/det need a single weight --n >= 1")
             args.n = ns[0]
         if args.subcommand == "audit" and args.lcm is None:
             if args.m is None or args.n is None:
-                parser.error("audit needs --lcm, or --m/--alphas/--n")
-        return args.func(args)
-    except SystemExit as exc:  # argparse reports usage errors by exiting
-        return int(exc.code or 0)
+                raise ValueError("audit needs --lcm, or --m/--alphas/--n")
+        return COMMANDS[args.subcommand][0](args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -131,6 +131,13 @@ def _q_nums(nums: Sequence[int], ws: Sequence[int]) -> list[int]:
     return q
 
 
+def _reduced(pair: tuple) -> tuple:
+    """The pair (nums, d), d > 0, divided by the gcd of its integers: one pair per value."""
+    nums, d = pair
+    g = math.gcd(*nums, d)
+    return tuple(c // g for c in nums), d // g
+
+
 class PadeCell(Record):
     """One column of a weight-n table on integers: P and, per row, Q and a run.
 
@@ -140,6 +147,8 @@ class PadeCell(Record):
     numerators over L d, L the lcm of the row's window (``MomentSeq.ints``)
     when the table was built.  ``heads`` takes no
     part in equality or repr; the JSON writes P and Q as reduced rationals.
+    Equality compares P and each Q by value, so two tables of the same
+    moments are equal whatever their rows' windows had grown to.
     """
 
     __slots__ = ("n", "ell", "column", "q_pairs", "heads")
@@ -147,6 +156,11 @@ class PadeCell(Record):
 
     def __init__(self, n: int, ell: int, column: tuple, q_pairs: dict, heads: dict):
         super().__init__(n, ell, column, q_pairs, heads)
+
+    def _key(self) -> tuple:
+        # reduced here only: Delta(0) reads Q's numerators over the stored L d
+        q_values = {label: _reduced(pair) for label, pair in self.q_pairs.items()}
+        return self.n, self.ell, _reduced(self.column), q_values
 
     @property
     def degree(self) -> int:

@@ -5,12 +5,23 @@ The oracles here take every value the slow, obvious way, one ``Fraction``
 product and sum per term, on :class:`rodpade.weyl.Poly` polynomials, so
 they share no kernel with the program.  The helpers turn a table's pairs
 into polynomials and build the moment rows (shifted, stored, zero) and the
-Laurent tails that the operator tests feed in.
+Laurent tails that the operator tests feed in.  ``build_parser`` is the
+command line's former argparse front end, the reference that the flag
+table's reader is compared against.
 """
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction as F
+
+from rodpade.cli import (
+    _cmd_audit,
+    _cmd_criterion,
+    _cmd_det,
+    _cmd_logpow_identities,
+    _cmd_pade,
+)
 
 from rodpade.transform import MomentSeq
 from rodpade.weyl import LaurentTail, Poly
@@ -84,3 +95,57 @@ def zero_row():
 def series(f, depth):
     """The row's series sum_k f_k z^-(k+1), truncated to ``depth`` proved coefficients."""
     return LaurentTail(1, f.prefix(depth))
+
+
+def _add_common(parser, *, alphas=True, n=True):
+    parser.add_argument("--m", type=int, default=None, help="number of alphas / top log power")
+    if alphas:
+        parser.add_argument("--r", type=int, default=None, help="depth budget")
+        parser.add_argument("--alphas", type=str, default=None, help="comma-separated rationals")
+    if n:
+        parser.add_argument("--n", type=str, default=None, help="weight, or range lo..hi where supported")
+    parser.add_argument("--config", type=str, default=None, help="JSON/TOML run-config document")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rodpade",
+        description="Exact Pade-type tables for multiple polylogarithms and log powers, "
+        "with height-based independence checks.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p_pade = sub.add_parser("pade", help="build and verify a weight-n table")
+    _add_common(p_pade)
+    p_pade.add_argument("--appendix-logpow", action="store_true", help="log-power rows instead")
+    p_pade.add_argument("--depth", type=int, help="no longer changes output or work")
+    p_pade.set_defaults(func=_cmd_pade)
+
+    p_det = sub.add_parser("det", help="determinant constants of a table")
+    _add_common(p_det)
+    p_det.add_argument("--appendix-logpow", action="store_true")
+    p_det.set_defaults(func=_cmd_det)
+
+    p_crit = sub.add_parser("criterion", help="evaluate the independence criterion")
+    _add_common(p_crit, n=False)
+    p_crit.add_argument("--beta", type=str, default=None)
+    p_crit.add_argument("--place", type=str, default=None, help="inf or p<prime>")
+    p_crit.add_argument("--products", action="store_true", help="also list product labels")
+    p_crit.set_defaults(func=_cmd_criterion)
+
+    p_audit = sub.add_parser("audit", help="check the proven norm/decay bounds")
+    p_audit.add_argument("--lcm", type=int, default=None, help="lcm growth check mode")
+    _add_common(p_audit)
+    p_audit.add_argument("--beta", type=str, default=None)
+    p_audit.add_argument("--place", type=str, default=None, help="inf or p<prime>")
+    p_audit.set_defaults(func=_cmd_audit)
+
+    p_ids = sub.add_parser("logpow-identities", help="exact operator identities check")
+    p_ids.add_argument("--n", type=int, default=4, help="verify up to this n")
+    p_ids.add_argument("--format", choices=("json", "csv"), default="json")
+    p_ids.add_argument("--out", type=str, default=None)
+    p_ids.set_defaults(func=_cmd_logpow_identities)
+
+    return parser

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -499,11 +501,119 @@ def test_pade_table_extra_fields_leave_equality_and_json_alone():
     assert "rstar" not in json.dumps(table.to_json()) and "seqs" not in repr(table)
 
 
-def test_audit_help_lists_every_flag(capsys):
-    assert main(["audit", "--help"]) == 0
-    flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
-    assert flags == {"--help", "--lcm", "--m", "--r", "--alphas", "--n", "--beta", "--place",
-                     "--config", "--format", "--out"}
+_OUTPUT_FLAGS = {"--format", "--out"}
+_ROW_FLAGS = {"--m", "--r", "--alphas", "--config"} | _OUTPUT_FLAGS
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("pade", _ROW_FLAGS | {"--n", "--appendix-logpow", "--depth"}),
+        ("det", _ROW_FLAGS | {"--n", "--appendix-logpow"}),
+        ("criterion", _ROW_FLAGS | {"--beta", "--place", "--products"}),
+        ("audit", _ROW_FLAGS | {"--lcm", "--n", "--beta", "--place"}),
+        ("logpow-identities", _OUTPUT_FLAGS | {"--n"}),
+    ],
+    ids=["pade", "det", "criterion", "audit", "logpow-identities"],
+)
+def test_help_lists_every_flag(capsys, command, flags):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z-]+", out)) == flags | {"--help"}
+    assert all(text in out for _, text in cli.FLAGS[command].values())
+    assert main([command, "-h"]) == 0 and capsys.readouterr().out == out
+
+
+def test_help_without_a_subcommand_lists_the_subcommands(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"\n  {command} " in out for command in cli.FLAGS)
+    assert main(["-h"]) == 0 and capsys.readouterr().out == out
+
+
+# Values per kind that both parsers take: signed and spaced ints, "-" alone,
+# a space, and rationals with a "-" before a digit or "." (argparse read
+# "-1" and "-.5" as values, but "-1/2,3" as a flag); then values one refuses.
+_GOOD = {
+    int: ["1", "3", "0", "-1", "+2", " 4"],
+    str: ["1", "1/2,3", "1..3", "-1", "-.5", "-1/2,3", "-", "a b", ""],
+    ("json", "csv"): ["json", "csv"],
+}
+_BAD = {int: ["x", "1.5", ""], str: ["-x", "--m"], ("json", "csv"): ["xml", ""]}
+# tokens that name no flag of some subcommand, and stray values
+_UNKNOWN = ["--xyz", "--xyz=1", "--m2", "-x", "stray", "--", "--products", "--lcm", "--depth"]
+
+
+def _argparse_read(argv):
+    """The former parser's flag values, or its exit code."""
+    from oracles import build_parser
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            values = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+    del values["func"]
+    return values
+
+
+def _table_read(argv):
+    try:
+        values = vars(cli.read_argv(argv))
+    except ValueError:
+        return cli.EXIT_CONFIG
+    if values["subcommand"] == "logpow-identities" and values["n"] is None:
+        values["n"] = 4  # the default the command applies, which argparse held
+    return values
+
+
+def test_flag_table_reads_argv_as_the_argparse_parser_did():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(list(cli.FLAGS)))
+        argv = [command]
+        for _ in range(draw(st.integers(0, 5))):
+            if draw(st.integers(0, 11)) == 0:
+                argv.append(draw(st.sampled_from(_UNKNOWN)))
+                continue
+            flag, (kind, _) = draw(st.sampled_from(list(cli.FLAGS[command].items())))
+            # the name, or a short prefix of it: "--a" and "--p" are shared, "--al" is not
+            name = flag if draw(st.integers(0, 2)) else flag[: draw(st.integers(3, 4))]
+            form = draw(st.sampled_from(["space"] * 4 + ["equals"] * 4 + ["alone"]))
+            if kind is bool:
+                given = draw(st.integers(0, 3)) == 0
+                argv.append(f"{name}={draw(st.sampled_from(['', '1']))}" if given else name)
+                continue
+            value = draw(st.sampled_from(_BAD[kind] if draw(st.integers(0, 9)) == 0 else _GOOD[kind]))
+            argv += {"alone": [name], "space": [name, value], "equals": [f"{name}={value}"]}[form]
+        return argv
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(argvs())
+    @hypothesis.example(["criterion", "--alph", "-1/2,3", "--beta", "-.5", "--place=p2", "--products"])
+    @hypothesis.example(["audit", "--n", "-1..2", "--m", "-1", "--n=1..2", "--out", "a b"])
+    @hypothesis.example(["pade", "--m", "1", "--a", "1"])
+    @hypothesis.example(["criterion", "--m", "1", "--products=1"])
+    def check(argv):
+        got, want = _table_read(argv), _argparse_read(argv)
+        if want == cli.EXIT_CONFIG and got != cli.EXIT_CONFIG:
+            # the one widening: a separate value with a digit or "." after its "-",
+            # which argparse read as a flag unless it was a plain number; given
+            # after "=" instead, argparse read it too
+            joined = argv[:1]
+            for token in argv[1:]:
+                if re.match(r"-[\d.]", token):
+                    joined[-1] += "=" + token
+                else:
+                    joined.append(token)
+            assert joined != argv, argv
+            want = _argparse_read(joined)
+        assert got == want, argv
+
+    check()
 
 
 _LOADED_MODULES = (
@@ -554,6 +664,8 @@ def test_no_subcommand_loads_dataclasses(argv):
     code, *loaded = proc.stderr.split()
     assert code == "0"
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    # the flag table's reader stands in for argparse, which loads gettext and, through it, locale
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
 
 
 def test_no_source_file_imports_dataclasses():
@@ -660,6 +772,13 @@ def test_benchmark_checks_import():
             ("audit", "--m", "1", "--alphas", "1", "--n", "1..2", "--beta", "1/0"),
             "error: zero denominator in '1/0'",
         ),
+        # usage errors take the same path
+        (
+            ("criterion", "--m", "1", "--beta", "40", "--format", "xml"),
+            "error: argument --format: invalid choice: 'xml' (choose from json, csv)",
+        ),
+        (("pade", "--a", "1"), "error: ambiguous option: --a could match --alphas, --appendix-logpow"),
+        ((), "error: no subcommand (choose from pade, det, criterion, audit, logpow-identities)"),
     ],
 )
 def test_criterion_errors_exit_2_with_one_error_line(argv, message):

@@ -17,6 +17,7 @@ from rodpade.mpl import (
     moment_seqs,
     mpl_moment_oracle,
     pade_table,
+    pade_tables,
     rodrigues_stages,
 )
 from rodpade.transform import table_determinants, verify_pade
@@ -285,6 +286,17 @@ def test_tables_verify_on_small_grid():
         for cell in table.cells:
             # the series route on a fresh family's windows, not the table's
             assert verify_pade(cell, seqs, cell.degree)
+
+
+def test_tables_compare_by_value_whatever_their_windows_grew_to():
+    # the weight-3 table grows the rows' windows first, so the weight-2 one's
+    # Q pairs are over a larger L than a fresh weight-2 table's
+    fresh = pade_table(CFG11, 2)
+    grown = pade_tables(CFG11, [3, 2])[2]
+    assert fresh.cells[0].q_pairs != grown.cells[0].q_pairs
+    assert fresh == grown
+    assert fresh != pade_table(CFG11, 3)
+    assert fresh != pade_table(MplConfig(m=1, r=1, alphas=(2,)), 2)
 
 
 def test_delta_constants():

@@ -55,6 +55,17 @@ EDGE = [
     ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e-3"),
     # the (2,2) decay frontier
     ("audit", "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "400"),
+    # flag forms: a unique prefix, a value after "=" or as the next token, a repeated flag
+    ("pade", "--m", "1", "--r", "1", "--alph=1/2", "--n", "2"),
+    ("det", "--m", "2", "--alphas=1,-2", "--n", "2"),
+    ("det", "--m=2", "--alphas=1,-2", "--n", "2"),
+    ("pade", "--m", "1", "--alphas", "1", "--n", "5", "--n", "2"),
+    # usage errors (exit 2), help (exit 0), and a value "-1/2" as its own token
+    ("pade", "--m", "1", "--n", "1", "--xyz"),
+    ("criterion", "--m", "1", "--beta"),
+    ("audit", "--lcm", "100", "--format", "xml"),
+    ("audit", "--help"),
+    ("criterion", "--m", "1", "--alphas", "-1/2", "--beta", "30"),
 ]
 
 
