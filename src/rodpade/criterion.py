@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .exact import (
     Record,
@@ -18,9 +18,12 @@ from .exact import (
     format_rational,
     log_fraction,
     log_int as _log_int,
+    over_common_denominator,
 )
-from .transform import MomentSeq, PadeCell, PadeTable, rodrigues_chain
 from . import mpl as mpl_mod
+
+if TYPE_CHECKING:
+    from .transform import MomentSeq, PadeCell, PadeTable
 
 __all__ = [
     "Place",
@@ -175,27 +178,27 @@ def valuation(x: Fraction, p: int) -> int:
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
 
-def _int_norm_v(nums: Sequence[int], den: int, place: Place) -> Fraction:
-    """max_i |nums[i] / den|_v for integers nums and den > 0, 0 when every num is 0.
+def _int_norm_v(nums: Sequence[int], den: int, place: Place) -> tuple[int, int]:
+    """max_i |nums[i] / den|_v for integers nums and den > 0, as (numerator, denominator > 0).
 
-    At infinity it is max|num| / den.  At p the largest value belongs to the
-    smallest valuation, min_i v_p(num_i) = v_p(gcd nums), so it is
-    p^(v_p(den) - v_p(gcd nums)): one gcd and two valuations, whatever the
-    number of coefficients.
+    The value is 0 when every num is 0.  At infinity it is max|num| / den, not
+    reduced.  At p the largest value belongs to the smallest valuation,
+    min_i v_p(num_i) = v_p(gcd nums), so it is p^(v_p(den) - v_p(gcd nums)):
+    one gcd and two valuations, whatever the number of coefficients.
     """
     if not place.is_finite:
-        return Fraction(max(map(abs, nums), default=0), den)
+        return max(map(abs, nums), default=0), den
     g = math.gcd(*nums)
     if g == 0:
-        return Fraction(0)
+        return 0, 1
     v = _int_valuation(den, place.p) - _int_valuation(g, place.p)
-    return Fraction(place.p**v) if v >= 0 else Fraction(1, place.p**-v)
+    return (place.p**v, 1) if v >= 0 else (1, place.p**-v)
 
 
 def abs_v(x: Fraction, place: Place) -> Fraction:
     """Normalized absolute value, exact: |p|_p = 1/p, usual value at infinity."""
     x = as_fraction(x)
-    return _int_norm_v((x.numerator,), x.denominator, place)
+    return Fraction(*_int_norm_v((x.numerator,), x.denominator, place))
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -586,13 +589,6 @@ class AuditReport(Record):
         }
 
 
-def _d_factor(place: Place, r: int, N: int) -> Fraction:
-    """|lcm(1..N)^r|_v^(eps_v - 1): 1 at infinity, p^(r*v_p(d_N)) at p."""
-    if not place.is_finite or N < 1:
-        return Fraction(1)
-    return Fraction(place.p) ** (r * _ilog(place.p, N))
-
-
 def bounds_audit(
     config: "mpl_mod.MplConfig",
     table: PadeTable,
@@ -606,103 +602,110 @@ def bounds_audit(
     the evaluation bound log|P(beta)|_v <= eps log(deg+1) + log||P||_v +
     deg * h_v(beta).  The weight is ``table.n`` and the rows are ``table.seqs``;
     the stages of columns 0 and M are those of ``transform.rodrigues_chain``.
-    Every measured value is read from integer numerators over one
-    denominator: the chain's own pairs and the table's column and Q pairs,
-    their values at beta by ``_horner_at`` and their norms by
-    ``_int_norm_v``.  phi(t^n P_l) is the k = n entry of the cell's run.
+
+    Every value is an integer pair (numerator, denominator).  The measured
+    norms are ``_int_norm_v`` of the chain's own pairs and the table's column
+    and Q pairs, or of their values at beta (``_horner_at``); phi(t^n P_l) is
+    the k = n entry of the cell's run.  H_v(alpha_i), H_v(alpha) and H_v(beta)
+    are pairs too, so each bound is a product of integers over a product of
+    integers.  A Fraction is formed only for each row's two values.
     """
+    from .transform import rodrigues_chain
+
     n, seqs = table.n, table.seqs
     eps = place.epsilon
     m, r, M = config.m, config.r, config.M
-    h_alpha_factors = [H_v(a, place) for a in config.alphas]
-    H_alpha_vec = H_v_vec(config.alphas, place)
-    H_beta = H_v(beta, place) if beta is not None else None
     rows: list[AuditRow] = []
+
+    def add(name: str, measured: tuple[int, int], bound: tuple[int, int]) -> None:
+        rows.append(AuditRow(name, Fraction(*measured), Fraction(*bound)))
+
+    def height(nums: Sequence[int], den: int) -> tuple[int, int]:
+        """max(1, max_i |nums[i] / den|_v)."""
+        num, den = _int_norm_v(nums, den, place)
+        return (num, den) if num > den else (1, 1)
+
+    h_alphas = [height((a.numerator,), a.denominator) for a in config.alphas]
+    ha_num, ha_den = height(*over_common_denominator(config.alphas))
+    hb_num, hb_den = height((beta.numerator,), beta.denominator) if beta is not None else (1, 1)
+
+    def moment_bound(k: int, norm: tuple[int, int]) -> tuple[int, int]:
+        """k^((r+1) eps) |lcm(1..k)^r|_v^(eps-1) H_v(alpha)^k times ``norm``."""
+        lcm_part = place.p ** (r * _ilog(place.p, k)) if place.is_finite else 1
+        return k ** ((r + 1) * eps) * lcm_part * ha_num**k * norm[0], ha_den**k * norm[1]
 
     stages = mpl_mod.rodrigues_stages(config, n)
     # per stage: ||prod_i (z - alpha_i)^N||_v, its bound, and prod_i H_v(alpha_i)^N
     stage_norms = []
     for N, b in stages:
-        h_pow = math.prod(h**N for h in h_alpha_factors)
-        bound_prod = Fraction(N + 1) ** (m * eps) * Fraction(2) ** (m * N * eps) * h_pow
-        stage_norms.append((_int_norm_v(*b, place), bound_prod, h_pow))
+        hp_num, hp_den = math.prod(h**N for h, _ in h_alphas), math.prod(d**N for _, d in h_alphas)
+        bound_prod = (N + 1) ** (m * eps) * 2 ** (m * N * eps) * hp_num, hp_den
+        stage_norms.append((_int_norm_v(*b, place), bound_prod, (hp_num, hp_den)))
     # the table's column pairs: their norms, values at beta and moment bounds read them
     columns = [cell.column for cell in table.cells]
     column_norms = [_int_norm_v(*pair, place) for pair in columns]
     for ell in (0, M):
         # the chained column bound is the product of the step factors: the
         # input degree of each step is ell plus m N of every earlier stage
-        deg_in, norm_in, chain = ell, Fraction(1), Fraction(1)
-        for (N, shift, lifted), (measured_prod, bound_prod, h_pow) in zip(
+        deg_in, norm_in, chain = ell, (1, 1), (1, 1)
+        for (N, shift, lifted), (measured_prod, bound_prod, (hp_num, hp_den)) in zip(
             rodrigues_chain(stages, ell), stage_norms
         ):
-            rows.append(AuditRow(f"prod_norm[l={ell},N={N}]", measured_prod, bound_prod))
+            add(f"prod_norm[l={ell},N={N}]", measured_prod, bound_prod)
             # derivative-of-shift norm bound, applied to the previous stage times prod;
             # the chain's leading coefficients are nonzero, so deg = len - 1
             measured = _int_norm_v(*lifted, place)
-            bound_der = (
-                Fraction(math.comb(N + len(shift[0]) - 1, N)) ** eps * _int_norm_v(*shift, place)
-            )
-            rows.append(AuditRow(f"derivative_norm[l={ell},N={N}]", measured, bound_der))
+            shift_num, shift_den = _int_norm_v(*shift, place)
+            bound_der = math.comb(N + len(shift[0]) - 1, N) ** eps * shift_num, shift_den
+            add(f"derivative_norm[l={ell},N={N}]", measured, bound_der)
             # one operator application: (1/N!) D^N z^N prod_i (z - alpha_i)^N
-            # applied to the previous stage is the lifted polynomial above
+            # applied to the previous stage is the lifted polynomial above;
+            # the step factor is step / hp_den
             step = (
-                Fraction(m * N + deg_in + 1) ** ((m + 1) * eps)
-                * (Fraction(2) ** (m * N) * math.comb((m + 1) * N + deg_in, N)) ** eps
-                * h_pow
+                (m * N + deg_in + 1) ** ((m + 1) * eps)
+                * (2 ** (m * N) * math.comb((m + 1) * N + deg_in, N)) ** eps
+                * hp_num
             )
-            rows.append(AuditRow(f"operator_step_norm[l={ell},N={N}]", measured, step * norm_in))
-            chain *= step
+            add(
+                f"operator_step_norm[l={ell},N={N}]",
+                measured,
+                (step * norm_in[0], hp_den * norm_in[1]),
+            )
+            chain = chain[0] * step, chain[1] * hp_den
             deg_in += m * N
             norm_in = measured
-        rows.append(AuditRow(f"column_norm[l={ell}]", column_norms[ell], chain))
+        add(f"column_norm[l={ell}]", column_norms[ell], chain)
         if beta is not None:
             degp = len(columns[ell][0]) - 1
             value, den = _horner_at(*columns[ell], beta)
-            measured_eval = _int_norm_v((value,), den, place)
-            bound_eval = Fraction(degp + 1) ** eps * column_norms[ell] * H_beta**degp
-            rows.append(AuditRow(f"column_eval[l={ell}]", measured_eval, bound_eval))
+            norm_num, norm_den = column_norms[ell]
+            bound_eval = (degp + 1) ** eps * norm_num * hb_num**degp, norm_den * hb_den**degp
+            add(f"column_eval[l={ell}]", _int_norm_v((value,), den, place), bound_eval)
 
     # moment bounds per row, on monomials and on the first remainder coefficient
     for f in seqs:
         for j in (0, 1, n, n + 3):
-            measured = abs_v(f[j], place)
-            bound = (
-                Fraction(j + 1) ** ((r + 1) * eps)
-                * _d_factor(place, r, j + 1)
-                * H_alpha_vec ** (j + 1)
-            )
-            rows.append(AuditRow(f"moment[{f.label},j={j}]", measured, bound))
+            x = f[j]
+            measured = _int_norm_v((x.numerator,), x.denominator, place)
+            add(f"moment[{f.label},j={j}]", measured, moment_bound(j + 1, (1, 1)))
         for ell in (0, M):
             degp = len(columns[ell][0]) - 1
             run, scale = table.cells[ell].heads[f.label]
             measured = _int_norm_v((run[n],), scale, place)  # |phi(t^n P_l)|_v
-            bound = (
-                Fraction(degp + n + 1) ** ((r + 1) * eps)
-                * _d_factor(place, r, degp + n + 1)
-                * H_alpha_vec ** (degp + n + 1)
-                * column_norms[ell]
-            )
-            rows.append(AuditRow(f"moment_of_tP[{f.label},l={ell}]", measured, bound))
+            bound = moment_bound(degp + n + 1, column_norms[ell])
+            add(f"moment_of_tP[{f.label},l={ell}]", measured, bound)
 
     # Q-polynomial bounds per cell
     for cell, (nums, _), normp in zip(table.cells, columns, column_norms):
-        degp = len(nums) - 1
-        bound_q = (
-            Fraction(degp + 1) ** ((r + 1) * eps)
-            * _d_factor(place, r, degp + 1)
-            * H_alpha_vec ** (degp + 1)
-            * normp
-        )
+        bound_q = moment_bound(len(nums), normp)  # k = deg P + 1
         for label, q_pair in cell.q_pairs.items():
             normq = _int_norm_v(*q_pair, place)
-            rows.append(AuditRow(f"q_norm[{label},l={cell.ell}]", normq, bound_q))
+            add(f"q_norm[{label},l={cell.ell}]", normq, bound_q)
             if beta is not None:
                 degq = max(len(q_pair[0]) - 1, 0)
                 value, den = _horner_at(*q_pair, beta)
-                measured_eval = _int_norm_v((value,), den, place)
-                bound_eval = Fraction(degq + 1) ** eps * normq * H_beta**degq
-                rows.append(AuditRow(f"q_eval[{label},l={cell.ell}]", measured_eval, bound_eval))
+                bound_eval = (degq + 1) ** eps * normq[0] * hb_num**degq, normq[1] * hb_den**degq
+                add(f"q_eval[{label},l={cell.ell}]", _int_norm_v((value,), den, place), bound_eval)
 
     return AuditReport(config=config, n=n, place=place, rows=rows)
 
@@ -849,7 +852,7 @@ def remainder_decay(
     for n in ns:
         table = tables[n]
         best = -math.inf
-        norms = [_int_norm_v(*cell.column, v0) for cell in table.cells]
+        norms = [Fraction(*_int_norm_v(*cell.column, v0)) for cell in table.cells]
         for f in table.seqs:
             for cell, normp in zip(table.cells, norms):
                 partial, _ = _remainder_sum(f, cell, normp, beta, v0, r, H_alpha)

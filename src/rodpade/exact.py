@@ -164,19 +164,48 @@ def falling_derivative(cs: Sequence, k: int, fall: int) -> list:
     return out
 
 
+#: below this many coefficients on the shorter side, ``int_convolve`` multiplies
+#: term by term.  On CPython 3.11 (Xeon, x86-64), 30-bit coefficients: 4 x 4 takes
+#: 2.4 us by the loop and 9.6 us by substitution, 16 x 16 about 25 us either way
+#: (also at 200 bits), 40 x 40 178 us against 65 us
+_SCHOOLBOOK_BELOW = 16
+
+
 def int_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients of the product of two integer polynomials (ascending).
 
-    Kronecker substitution: every product coefficient has absolute value at
-    most max|a| max|b| min(len a, len b), so with a slot of w bytes above that
-    bound plus a sign bit, a(2^8w) b(2^8w) carries each coefficient in its own
-    slot.  Each side is packed as (nonnegative part) - (negative part) through
-    bytes, one big-int multiplication forms the product, and the slots are
-    read back as signed digits: a slot >= 2^(8w-1) is negative and borrows 1
-    from the next (von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4).
+    Short factors are multiplied term by term (``_schoolbook_convolve``), the
+    rest by Kronecker substitution (``_kronecker_convolve``); both give the
+    same list.
     """
     if not a or not b:
         return []
+    if min(len(a), len(b)) < _SCHOOLBOOK_BELOW:
+        return _schoolbook_convolve(a, b)
+    return _kronecker_convolve(a, b)
+
+
+def _schoolbook_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product by the double loop, skipping zero coefficients of a; a and b nonempty."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def _kronecker_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product by Kronecker substitution; a and b nonempty.
+
+    Every product coefficient has absolute value at most max|a| max|b|
+    min(len a, len b), so with a slot of w bytes above that bound plus a sign
+    bit, a(2^8w) b(2^8w) carries each coefficient in its own slot.  Each side
+    is packed as (nonnegative part) - (negative part) through bytes, one
+    big-int multiplication forms the product, and the slots are read back as
+    signed digits: a slot >= 2^(8w-1) is negative and borrows 1 from the next
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4).
+    """
     count = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:

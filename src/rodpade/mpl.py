@@ -19,23 +19,21 @@ verification, the bound audit and the determinants
 theta from the k = n values) all read it.  R_n itself, as an operator,
 is ``weyl.rodrigues_operator`` on the sizes of ``rodrigues_stages``; this
 module never builds it, so building a table never loads the operator
-algebra.
+algebra.  Nor does importing this module load ``transform``: ``criterion``
+reads ``MplConfig`` and ``index_set`` without building a table, and the
+functions that build one import what they use from ``transform``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exact import Record, as_fraction, format_rational
-from .transform import (
-    MomentSeq,
-    PadeTable,
-    build_table,
-    rodrigues_columns,
-    rodrigues_factor,
-)
+
+if TYPE_CHECKING:
+    from .transform import MomentSeq, PadeTable
 
 __all__ = [
     "MplConfig",
@@ -173,6 +171,19 @@ def mpl_moment_oracle(idx: MplIndex, j: int, config: MplConfig) -> Fraction:
     return total
 
 
+def __getattr__(name: str):
+    """``MomentSeq``, read from ``transform`` when first asked for.
+
+    ``_row`` takes the class through this module, so one set on it (as the
+    benchmark's tracer sets a timed subclass) is the one the rows use.
+    """
+    if name == "MomentSeq":
+        from .transform import MomentSeq
+
+        return MomentSeq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _row(config: MplConfig, idx: MplIndex, parent: MomentSeq | None) -> MomentSeq:
     """Row (s, a) on its parent, the row with (s_k, a_k) dropped (None at depth 1).
 
@@ -180,6 +191,8 @@ def _row(config: MplConfig, idx: MplIndex, parent: MomentSeq | None) -> MomentSe
     alpha_{a_k} at depth 1, else 0, and S(v+1) = alpha_{a_k} (S(v) + parent[v-1]).
     S lives in the generator, which ``MomentSeq`` calls once per index, in order.
     """
+    from .mpl import MomentSeq  # through the module: see ``__getattr__``
+
     alpha, s_k = config.alpha(idx.a[-1]), idx.s[-1]
     running = alpha if parent is None else Fraction(0)  # S(j+1) for the next j
 
@@ -206,6 +219,8 @@ def rodrigues_stages(config: MplConfig, n: int) -> list[tuple[int, tuple[list[in
 
     This is the order in which the adjoint factors of R_n act on t^l.
     """
+    from .transform import rodrigues_factor
+
     if n < 1:
         raise ValueError("n must be positive")
     sizes = [(config.m + 1) ** j * n for j in range(config.r - 1, -1, -1)]
@@ -217,6 +232,8 @@ def pade_tables(config: MplConfig, ns: Sequence[int]) -> dict[int, PadeTable]:
 
     Moment caches only grow and never change a value, so sharing changes none.
     """
+    from .transform import build_table, rodrigues_columns
+
     seqs = moment_seqs(config)
     return {
         n: build_table(rodrigues_columns(rodrigues_stages(config, n), config.M + 1), seqs, n)

@@ -300,7 +300,8 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     families = _record_calls(monkeypatch, [mpl_mod.moment_seqs, logpow_mod.moment_seqs])
     tables = _record_calls(monkeypatch, [mpl_mod.pade_table, logpow_mod.logpow_table])
     builds = _record_calls(monkeypatch, [transform.build_table])
-    verifies = _record_calls(monkeypatch, [cli.verify_pade], [cli])
+    # cli imports verify_pade where it verifies, so the binding it reads is transform's
+    verifies = _record_calls(monkeypatch, [transform.verify_pade], [transform])
     assert main(list(argv)) == 0
     capsys.readouterr()
     # the columns come from the Rodrigues chain: R_n* is never formed
@@ -438,7 +439,8 @@ def test_bounds_audit_reads_phi_of_tnp_off_the_table(capsys, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(criterion, "bounds_audit", within("audit", audit))
-    monkeypatch.setattr(mpl_mod, "build_table", within("build", build))
+    # mpl.pade_tables imports build_table when it runs, from transform
+    monkeypatch.setattr(transform, "build_table", within("build", build))
     argv = ["audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40"]
     assert main(argv) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
@@ -666,6 +668,54 @@ def test_no_subcommand_loads_dataclasses(argv):
     assert "dataclasses" not in loaded and "inspect" not in loaded
     # the flag table's reader stands in for argparse, which loads gettext and, through it, locale
     assert not {"argparse", "gettext", "locale"} & set(loaded)
+    # the payload is written by cli's own JSON writer: json is loaded only to read --config
+    assert "json" not in loaded
+    if argv[0] == "criterion":
+        assert "rodpade.transform" not in loaded
+
+
+def test_json_writer_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # quotes, backslashes, controls, DEL, Latin-1, BMP, lone surrogates and astral characters
+    texts = st.text(
+        st.one_of(
+            st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud7ff\ud800\udfff\ue000\uffff\U0001f600\U0010ffff'),
+            st.characters(),
+        ),
+        max_size=12,
+    )
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-(10**80), 10**80),
+        st.sampled_from([10**400, -(2**1000) - 1]),
+        st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1e16, 0.1, float("nan"), float("inf"), float("-inf")]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        texts,
+    )
+    payloads = st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=5).map(tuple),
+            st.dictionaries(texts, inner, max_size=5),
+        ),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(payloads)
+    @hypothesis.example({"": [], "a": {}, "b": [[], {}, ()], "c": {"d": [1, -2.5, True, None, "x"]}})
+    def check(payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    check()
+    for bad in ({1: "int key"}, {"value": Fraction(1, 2)}, [Fraction(3)], {"k": {None: 0}}):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
 
 
 def test_no_source_file_imports_dataclasses():
@@ -804,10 +854,10 @@ def test_audit_lcm_out_of_memory_exits_2(capsys, monkeypatch):
 _IMPORT_ONLY = (
     "import sys\n"
     "import rodpade.cli\n"
+    "loaded = sorted(name for name in sys.modules if name.startswith('rodpade'))\n"
     "import rodpade.exact\n"
-    "loaded = 'rodpade.weyl' in sys.modules\n"
     "from rodpade import DiffOp, LaurentTail, Poly, ord_inf\n"
-    "print(loaded, hasattr(rodpade.exact, 'Poly'), DiffOp.__module__, Poly.__module__,\n"
+    "print(*loaded, hasattr(rodpade.exact, 'Poly'), DiffOp.__module__, Poly.__module__,\n"
     "      LaurentTail.__module__, ord_inf.__module__)\n"
 )
 
@@ -815,7 +865,9 @@ _IMPORT_ONLY = (
 def test_cli_import_leaves_the_operator_algebra_unloaded():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"] + ["rodpade.weyl"] * 4
+    # neither weyl nor transform: a table's modules load with the command that builds it
+    loaded = ["rodpade", "rodpade.cli", "rodpade.exact"]
+    assert proc.stdout.split() == loaded + ["False"] + ["rodpade.weyl"] * 4
 
 
 @pytest.mark.parametrize(
@@ -833,5 +885,6 @@ def test_table_runs_never_load_the_operator_algebra(argv):
     )
     code, *loaded = proc.stderr.split()
     assert code == "0"
-    assert "rodpade.transform" in loaded
+    # criterion builds no table, so it loads no transform either
+    assert ("rodpade.transform" in loaded) == (argv[0] != "criterion")
     assert "rodpade.weyl" not in loaded

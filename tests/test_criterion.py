@@ -261,6 +261,16 @@ def test_bounds_audit_all_hold_on_small_grid():
             assert all(row.slack >= 0 for row in report.rows if row.measured > 0)
 
 
+def _d_factor(place, r, N):
+    """|lcm(1..N)^r|_v^(eps_v - 1): 1 at infinity, p^(r e) at p for the largest p^e <= N."""
+    if not place.is_finite or N < 1:
+        return F(1)
+    e = 0
+    while place.p ** (e + 1) <= N:
+        e += 1
+    return F(place.p) ** (r * e)
+
+
 def _audit_rows_stage_by_stage(config, table, place, beta):
     """(name, measured, bound) of every audit row, by the original route.
 
@@ -268,7 +278,7 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
     is used: one product norm per stage per column, the input norm of every
     operator step taken again, and the chained column bound in a loop of its own.
     """
-    from rodpade.criterion import H_v, _d_factor
+    from rodpade.criterion import H_v
     from rodpade.exact import int_convolve
     from rodpade.mpl import rodrigues_stages
     from rodpade.transform import rodrigues_lift
@@ -353,9 +363,18 @@ AUDIT_ORACLE_CASES = [
     ((2, 1, (F(3, 2), F(-5, 3))), (1, 2)),
     ((1, 2, (F(-3),)), (1,)),
     ((2, 2, (F(3, 2), F(-5, 3))), (1,)),
+    # 7/5 and -2/7 are not integers at p5 and p7, so H_v(alpha) > 1 there
+    ((3, 1, (F(7, 5), F(-2, 7), F(3))), (1, 2)),
 ]
-# beta beyond the alphas' local height at each place: |40| > 5/3, |1/8|_2 = 8 > 2, |1/27|_3 = 27 > 3
-AUDIT_ORACLE_PLACES = [(INF_PLACE, F(40)), (Place.finite(2), F(1, 8)), (Place.finite(3), F(1, 27))]
+# beta beyond the alphas' local height at each place: |-81/2| > 3, |1/8|_2 = 8 > 2,
+# |1/27|_3 = 27 > 3, |2/125|_5 = 125 > 5, |3/343|_7 = 343 > 7
+AUDIT_ORACLE_PLACES = [
+    (INF_PLACE, F(-81, 2)),
+    (Place.finite(2), F(1, 8)),
+    (Place.finite(3), F(1, 27)),
+    (Place.finite(5), F(2, 125)),
+    (Place.finite(7), F(3, 343)),
+]
 
 
 @pytest.mark.parametrize(
@@ -659,7 +678,8 @@ def test_integer_norm_matches_the_largest_coefficient_value():
     @hypothesis.given(st.lists(coeffs, max_size=12), st.integers(1, 10**30), places)
     def check(nums, den, place):
         want = max((_naive_abs_v(F(a, den), place) for a in nums), default=F(0))
-        assert _int_norm_v(nums, den, place) == want
+        num, norm_den = _int_norm_v(nums, den, place)
+        assert norm_den > 0 and F(num, norm_den) == want
         for a in nums:
             assert abs_v(F(a, den), place) == _naive_abs_v(F(a, den), place)
 

@@ -247,8 +247,8 @@ def test_tail_add_and_derivative():
 # The property tests import hypothesis inside, so without it only they skip.
 
 
-def _schoolbook_convolve(a, b):
-    """The integer product as one loop per coefficient of a (the old kernel)."""
+def _schoolbook_convolve_reference(a, b):
+    """The integer product as one loop per coefficient of a, zeros included: the reference of both kernels."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -298,9 +298,33 @@ def test_int_convolve_matches_schoolbook():
     @_derandomized(hypothesis)
     @hypothesis.given(int_polys, int_polys)
     def check(a, b):
-        assert int_convolve(a, b) == _schoolbook_convolve(a, b)
+        assert int_convolve(a, b) == _schoolbook_convolve_reference(a, b)
 
     check()
+
+
+def test_both_convolution_paths_match_the_double_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from rodpade.exact import _SCHOOLBOOK_BELOW, _kronecker_convolve, _schoolbook_convolve
+
+    # lengths 1-40 on both sides of the switch, mixed signs, runs of zeros, up to 1000 bits
+    coeffs = st.sampled_from([1, 30, 200, 1000]).flatmap(
+        lambda bits: st.one_of(st.just(0), st.integers(-(2**bits), 2**bits))
+    )
+    # each length 1-40 about equally often: a plain list strategy rarely draws long ones
+    int_polys = st.integers(1, 40).flatmap(lambda n: st.lists(coeffs, min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(int_polys, int_polys)
+    def check(a, b):
+        want = _schoolbook_convolve_reference(a, b)
+        assert _schoolbook_convolve(a, b) == want
+        assert _kronecker_convolve(a, b) == want
+        assert int_convolve(a, b) == want
+
+    check()
+    assert 1 < _SCHOOLBOOK_BELOW < 40
 
 
 def test_int_convolve_edge_cases():

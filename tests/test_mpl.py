@@ -169,6 +169,25 @@ def test_rows_read_their_familys_parent_row():
     assert all(not f._cache for f in rows.values() if f is not child and f is not parent)
 
 
+def test_rows_are_made_by_the_modules_moment_seq(monkeypatch):
+    # mpl reads MomentSeq from transform only when asked, and a class set on
+    # mpl (as the benchmark's tracer sets a timed one) is the one rows use
+    import rodpade.mpl as mpl_mod
+    from rodpade.transform import MomentSeq
+
+    assert mpl_mod.MomentSeq is MomentSeq
+    made = []
+
+    class Counting(MomentSeq):
+        def __init__(self, fn, label):
+            made.append(label)
+            super().__init__(fn, label)
+
+    monkeypatch.setattr(mpl_mod, "MomentSeq", Counting)
+    seqs = moment_seqs(CFG22)
+    assert made == [f.label for f in seqs] and all(type(f) is Counting for f in seqs)
+
+
 def test_row_labels():
     assert moment_seqs(CFG11)[0].label == "Li_1(1/z)"
     assert rows_by_index(CFG22)[MplIndex(s=(1, 1), a=(1, 2))].label == "Li_1,1(1/2,2/z)"

@@ -8,7 +8,8 @@ the fixed ``edge`` list below, runs through ``rodpade.cli.main`` in this
 process, and one line is printed per job: the exit code, sha256 of its
 stdout, sha256 of its stderr, and its argv.
 A job that raises prints ``raised`` as its exit code and the digest of its
-traceback as its stderr.  Running the script in two checkouts (``--root``
+traceback as its stderr.  An argv token ``<doc>.json`` names ``CONFIG_DOC``,
+written to a temporary directory for the run; the printed argv keeps the token.  Running the script in two checkouts (``--root``
 names the checkout whose ``src/`` is imported) and diffing the outputs shows
 whether a change kept every job's bytes.
 """
@@ -22,6 +23,7 @@ import importlib.util
 import io
 import itertools
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 
@@ -66,7 +68,10 @@ EDGE = [
     ("audit", "--lcm", "100", "--format", "xml"),
     ("audit", "--help"),
     ("criterion", "--m", "1", "--alphas", "-1/2", "--beta", "30"),
+    # a run-config document, the one input read through json
+    ("pade", "--config", "<doc>.json"),
 ]
+CONFIG_DOC = '{"m": 2, "r": 1, "alphas": ["3/2", "-5/3"], "n": 2}\n'
 
 
 def _load_workloads(root: Path):
@@ -112,9 +117,12 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(root / "src"))
     from rodpade.cli import main as cli_main
 
-    for argv in jobs:
-        code, out, err = run_job(cli_main, argv)
-        print(code, _sha(out), _sha(err), " ".join(argv), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.json"
+        doc.write_text(CONFIG_DOC, encoding="utf-8")
+        for argv in jobs:
+            code, out, err = run_job(cli_main, [str(doc) if a == "<doc>.json" else a for a in argv])
+            print(code, _sha(out), _sha(err), " ".join(argv), flush=True)
     return 0
 
 
