@@ -1,29 +1,32 @@
-"""Command-line front end: tables, determinants, criterion, audits.
+"""Command-line front end: the flag table, argv reading, dispatch and the JSON/CSV writers.
 
 Output is deterministic for a fixed configuration: fixed key order, fixed row
 ordering, rationals as exact strings, floats rounded to 15 significant
 digits.  Exit codes: 0 success, 1 verification failure, 2 invalid
 configuration, 3 criterion hypotheses not satisfied.
 
-A subcommand loads only the modules it uses: ``criterion``, ``mpl``,
-``logpow``, ``transform`` and ``csv`` are imported inside the functions that
-need them, so ``pade`` on log-power rows never loads ``mpl`` or
-``criterion``, and ``criterion``, which builds no table, loads no
-``transform``.  ``json`` is imported only to read a ``--config`` document:
-``_json_text`` writes the payload.  No subcommand loads ``dataclasses``: the
-package's values derive from ``exact.Record``.  Nor does one load
-``argparse`` (with ``gettext`` and ``locale``): ``read_argv`` reads the flags
-from one table, ``FLAGS``.
+The work of each subcommand lives in the module it drives, as
+``run(args) -> (payload, exit code)`` (``COMMANDS``): ``pade`` and ``det``
+in ``determinant``, ``criterion`` in ``criterion``, ``audit`` in ``audit``
+and ``logpow-identities`` in ``weyl``.  ``main`` imports that module when
+the subcommand runs, so a job compiles only the modules its work uses:
+``criterion`` loads no table, audit or determinant code, ``audit`` no
+verdict or determinant, and ``pade`` and ``det`` no heights, verdict or
+audit.  Importing this module loads no other rodpade module.
+
+Nor does a job load what it does not ask for: ``runconfig`` (with ``json``)
+reads a ``--config`` document, ``csv`` writes ``--format csv``, and
+``_json_text`` writes the JSON payload.  No subcommand loads
+``dataclasses``: the package's values derive from ``exact.Record``.  Nor
+does one load ``argparse`` (with ``gettext`` and ``locale``): ``read_argv``
+reads the flags from one table, ``FLAGS``.
 """
 
 from __future__ import annotations
 
 import io
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
-
-from .exact import format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -31,50 +34,17 @@ EXIT_CONFIG = 2
 EXIT_CRITERION = 3
 
 
-def _parse_alphas(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(",") if part.strip())
-
-
-def load_run_config(path: str) -> dict:
-    """Read {m, r, alphas, n, ...} from a JSON (or, on 3.11+, TOML) document."""
-    if path.endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError as exc:  # Python 3.10
-            raise ValueError("TOML configs need Python 3.11+; use JSON") from exc
-        with open(path, "rb") as fh:
-            return tomllib.load(fh)
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _apply_config_file(args) -> None:
-    """Config-document values fill in any argument not given on the command line."""
-    if getattr(args, "config", None) is None:
-        return
-    doc = load_run_config(args.config)
-    # `type(...) is int` also turns away booleans: `"m": true` is no m = 1
-    if not isinstance(doc, dict) or any(type(doc.get(k, 0)) is not int for k in ("m", "r")):
-        raise ValueError(f"config document {args.config} must be a table with integer m and r")
-    for key in ("m", "r", "beta", "place", "n"):
-        if key in doc and getattr(args, key, None) is None:
-            setattr(args, key, str(doc[key]) if key in ("n", "beta", "place") else doc[key])
-    if "alphas" in doc and getattr(args, "alphas", None) is None:
-        alphas = doc["alphas"]
-        args.alphas = ",".join(str(a) for a in alphas) if isinstance(alphas, list) else str(alphas)
-
-
 def _parse_n_range(text: str) -> list[int]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError("empty range")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """The weights an ``--n`` text names: one integer, or every integer of lo..hi."""
+    lo, dots, hi = text.strip().partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError:
+        raise ValueError(f"argument --n: expected N or LO..HI, got {text!r}") from None
+    if hi < lo:
+        raise ValueError("empty range")
+    return list(range(lo, hi + 1))
 
 
 _JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -183,188 +153,6 @@ def _payload_to_csv(writer, payload: dict, prefix: str = "") -> None:
             writer.writerow([path, "" if value is None else str(value)])
 
 
-def _build_table(args):
-    """Returns (kind, config, table).
-
-    The table carries its rows, each with its integer moment window, and,
-    per cell, the run phi_j(t^k P_l), k <= n, over the window's scale; the
-    verification and determinant blocks read both.
-    Only the module of the chosen row family is imported.
-    """
-    if args.appendix_logpow:
-        from . import logpow as logpow_mod
-
-        config = logpow_mod.LogPowConfig(m=args.m, n=args.n)
-        return "logpow", config, logpow_mod.logpow_table(config)
-    from . import mpl as mpl_mod
-
-    config = mpl_mod.MplConfig(m=args.m, r=args.r, alphas=_parse_alphas(args.alphas))
-    return "mpl", config, mpl_mod.pade_table(config, args.n)
-
-
-def _verification_block(table) -> dict:
-    """Checks of every cell; the kernel route and remainder starts read ``cell.heads``."""
-    from .transform import verify_pade
-
-    n = table.n  # column l has degree M n + l; M is m for log-power rows
-    orth = all(verify_pade(cell, table.seqs, table.M * n + cell.ell) for cell in table.cells)
-    degrees = all(cell.degree == table.M * n + cell.ell for cell in table.cells)
-    starts = []
-    starts_ok = True
-    for label in table.row_labels:
-        row = []
-        for cell in table.cells:
-            # the tail of P_l f_j - Q starts at z^-(k+1) for its first nonzero phi_j(t^k P_l)
-            first = next((k for k, v in enumerate(cell.heads[label][0][:n]) if v), n)
-            row.append(first + 1)
-            starts_ok = starts_ok and first == n
-        starts.append({"label": label, "starts": row})
-    return {
-        "orthogonality_ok": orth,
-        "degrees_ok": degrees,
-        "remainder_starts_ok": starts_ok,
-        "remainder_starts": starts,
-    }
-
-
-def _determinant_block(table) -> dict:
-    from .transform import table_determinants
-
-    delta, theta = table_determinants(table)
-    nums, den = table.cells[-1].column
-    lc = Fraction(nums[-1], den)
-    ok = abs(delta) == abs(lc * theta)
-    return {
-        "delta": format_rational(delta),
-        "theta": format_rational(theta),
-        "lc_last_column": format_rational(lc),
-        "abs_identity_ok": ok,
-        "sign": 1 if lc * theta == delta else -1,
-    }
-
-
-def _cmd_pade(args) -> int:
-    from .transform import DegreeLemmaError, ZeroDeterminantError
-
-    kind, config, table = _build_table(args)
-    verification = _verification_block(table)
-    try:
-        determinant = _determinant_block(table)
-    except (DegreeLemmaError, ZeroDeterminantError) as exc:
-        _emit({"command": "pade", "error": str(exc)}, args.format, args.out)
-        return EXIT_VERIFY
-    payload = {
-        "command": "pade",
-        "kind": kind,
-        "config": config.to_json(),
-        "n": args.n,
-        "table": table.to_json(),
-        "verification": verification,
-        "determinant": determinant,
-    }
-    ok = (
-        verification["orthogonality_ok"]
-        and verification["degrees_ok"]
-        and verification["remainder_starts_ok"]
-        and determinant["abs_identity_ok"]
-    )
-    payload["ok"] = ok
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _cmd_det(args) -> int:
-    from .transform import DegreeLemmaError, ZeroDeterminantError
-
-    kind, config, table = _build_table(args)
-    try:
-        determinant = _determinant_block(table)
-    except (DegreeLemmaError, ZeroDeterminantError) as exc:
-        _emit({"command": "det", "error": str(exc)}, args.format, args.out)
-        return EXIT_VERIFY
-    payload = {
-        "command": "det",
-        "kind": kind,
-        "config": config.to_json(),
-        "n": args.n,
-        "determinant": determinant,
-    }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if determinant["abs_identity_ok"] else EXIT_VERIFY
-
-
-def _cmd_criterion(args) -> int:
-    from . import criterion as crit
-
-    if args.beta is None:
-        raise ValueError("criterion needs --beta (flag or config document)")
-    place = crit.Place.parse(args.place)
-    report = crit.evaluate_criterion(
-        _parse_alphas(args.alphas),
-        parse_rational(args.beta),
-        args.m,
-        args.r,
-        place,
-        include_products=args.products,
-    )
-    payload = {"command": "criterion", **report.to_json()}
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if report.passed else EXIT_CRITERION
-
-
-def _cmd_audit(args) -> int:
-    from . import criterion as crit
-    from . import mpl as mpl_mod
-
-    if args.lcm is not None:
-        n = args.lcm
-        ratio = crit.log_lcm_upto(n) / n
-        ok = 0.95 <= ratio <= 1.05
-        payload = {
-            "command": "audit",
-            "lcm_n": n,
-            "growth_ratio": crit._round15(ratio),
-            "window": [0.95, 1.05],
-            "ok": ok,
-        }
-        _emit(payload, args.format, args.out)
-        return EXIT_OK if ok else EXIT_VERIFY
-
-    config = mpl_mod.MplConfig(m=args.m, r=args.r, alphas=_parse_alphas(args.alphas))
-    place = crit.Place.parse(args.place)
-    beta = parse_rational(args.beta) if args.beta is not None else None
-    if beta is not None and crit.abs_v(beta, place) <= crit.H_v_vec(config.alphas, place):
-        raise crit.BadBetaError("|beta|_v must exceed the local height of the alphas")
-    ns = _parse_n_range(args.n)
-    tables = mpl_mod.pade_tables(config, ns)
-    reports = [crit.bounds_audit(config, tables[n], place, beta=beta) for n in ns]
-    decay = None
-    if beta is not None and len(ns) >= 2:
-        decay = crit.remainder_decay(config, beta, place, tables)
-    all_hold = all(rep.all_hold for rep in reports) and (decay is None or decay.ok)
-    payload = {
-        "command": "audit",
-        "config": config.to_json(),
-        "place": str(place),
-        "beta": format_rational(beta) if beta is not None else None,
-        "reports": [rep.to_json() for rep in reports],
-        "decay": decay.to_json() if decay is not None else None,
-        "all_hold": all_hold,
-    }
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if all_hold else EXIT_VERIFY
-
-
-def _cmd_logpow_identities(args) -> int:
-    from . import weyl
-
-    n = 4 if args.n is None else args.n
-    ok = weyl.verify_En_identities(n)
-    payload = {"command": "logpow-identities", "n_max": n, "ok": ok}
-    _emit(payload, args.format, args.out)
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
 #: The flags of each subcommand, in help order: flag -> (kind, help), where kind
 #: is int, str, bool (a switch, given without a value) or a tuple of the
 #: allowed values, the first of which is the default.
@@ -391,13 +179,13 @@ FLAGS = {
     "audit": {"--lcm": (int, "lcm growth check mode"), **_ROW, **_N, **_OUTPUT, **_BETA},
     "logpow-identities": {"--n": (int, "verify up to this n (default 4)"), **_OUTPUT},
 }
-#: subcommand -> (handler, one-line summary)
+#: subcommand -> (the module whose ``run(args)`` does its work, one-line summary)
 COMMANDS = {
-    "pade": (_cmd_pade, "build and verify a weight-n table"),
-    "det": (_cmd_det, "determinant constants of a table"),
-    "criterion": (_cmd_criterion, "evaluate the independence criterion"),
-    "audit": (_cmd_audit, "check the proven norm/decay bounds"),
-    "logpow-identities": (_cmd_logpow_identities, "exact operator identities check"),
+    "pade": ("determinant", "build and verify a weight-n table"),
+    "det": ("determinant", "determinant constants of a table"),
+    "criterion": ("criterion", "evaluate the independence criterion"),
+    "audit": ("audit", "check the proven norm/decay bounds"),
+    "logpow-identities": ("weyl", "exact operator identities check"),
 }
 _HELP = {"--help": (bool, "show this help and exit (also -h)")}
 
@@ -513,12 +301,24 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(subcommand=command, **values)
 
 
+def handler(command: str):
+    """``run(args) -> (payload, exit code)`` of the subcommand, from its module, imported here.
+
+    ``__import__`` is the import statement's own machinery, so ``-X
+    importtime`` reports the module; ``importlib.import_module`` bypasses it.
+    """
+    return __import__(f"{__package__}.{COMMANDS[command][0]}", fromlist=("run",)).run
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = read_argv(sys.argv[1:] if argv is None else argv)
         if args is None:
             return EXIT_OK
-        _apply_config_file(args)
+        if getattr(args, "config", None) is not None:
+            from .runconfig import apply_run_config
+
+            apply_run_config(args)
         if getattr(args, "r", None) is None:
             args.r = 1
         if getattr(args, "alphas", None) is None:
@@ -535,7 +335,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "audit" and args.lcm is None:
             if args.m is None or args.n is None:
                 raise ValueError("audit needs --lcm, or --m/--alphas/--n")
-        return COMMANDS[args.subcommand][0](args)
+        payload, code = handler(args.subcommand)(args)
+        _emit(payload, args.format, args.out)
+        return code
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,6 +26,7 @@ __all__ = [
     "log_int",
     "log_fraction",
     "parse_rational",
+    "parse_rationals",
     "falling_derivative",
     "int_convolve",
     "over_common_denominator",
@@ -149,6 +150,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def parse_rationals(text: str) -> tuple[Fraction, ...]:
+    """The comma-separated rationals of ``text`` (an ``--alphas`` value); empty parts are skipped."""
+    return tuple(parse_rational(part) for part in text.split(",") if part.strip())
+
+
 def falling_derivative(cs: Sequence, k: int, fall: int) -> list:
     """The coefficients c_(i+k) * fall_i of a k-th derivative, i = 0..len(cs)-k-1.
 
@@ -164,23 +170,38 @@ def falling_derivative(cs: Sequence, k: int, fall: int) -> list:
     return out
 
 
-#: below this many coefficients on the shorter side, ``int_convolve`` multiplies
-#: term by term.  On CPython 3.11 (Xeon, x86-64), 30-bit coefficients: 4 x 4 takes
-#: 2.4 us by the loop and 9.6 us by substitution, 16 x 16 about 25 us either way
-#: (also at 200 bits), 40 x 40 178 us against 65 us
-_SCHOOLBOOK_BELOW = 16
+#: ``int_convolve`` multiplies term by term when len(a) len(b) < C (len(a) + len(b)),
+#: that is 1/len(a) + 1/len(b) > 1/C, with C = _SCHOOLBOOK_FACTOR: every product
+#: with a factor shorter than C + 1, squares up to 17 x 17, and a short factor
+#: against a long one only while the long one stays short enough.  Best of 7
+#: ``timeit`` repeats on CPython 3.11 (Xeon, x86-64, 2 cores), 30-bit
+#: coefficients, us by the loop / by substitution:
+#:
+#:     short x long    16        30        60        100       200       300
+#:      4            10/29     18/45     34/78     53/130   109/247   172/355
+#:     10            25/38     42/56     88/94    145/146   297/267   464/389
+#:     12            30/41     53/59    107/97    182/149   353/275   563/399
+#:     15            38/45     68/64    134/103   216/154   451/281   704/416
+#:     16            43/47     71/65    152/111   268/158   502/299   757/418
+#:     20              -       91/72    188/114   319/141   630/296   975/428
+#:
+#: (20 x 20: 59/58, 24 x 24: 90/67, 40 x 40: 178/65).  Replaying the calls of
+#: the first 40 jobs of each benchmark workload, seeds 7 and 8, this rule is
+#: within 0.01 ms per job of taking the faster path every time; switching on
+#: the shorter length alone (below 16) took 0.03-0.04 ms more per wide-det job.
+_SCHOOLBOOK_FACTOR = 9
 
 
 def int_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients of the product of two integer polynomials (ascending).
 
-    Short factors are multiplied term by term (``_schoolbook_convolve``), the
-    rest by Kronecker substitution (``_kronecker_convolve``); both give the
-    same list.
+    Products of few terms go by the double loop (``_schoolbook_convolve``),
+    the rest by Kronecker substitution (``_kronecker_convolve``); both give
+    the same list.
     """
     if not a or not b:
         return []
-    if min(len(a), len(b)) < _SCHOOLBOOK_BELOW:
+    if len(a) * len(b) < _SCHOOLBOOK_FACTOR * (len(a) + len(b)):
         return _schoolbook_convolve(a, b)
     return _kronecker_convolve(a, b)
 

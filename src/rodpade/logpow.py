@@ -5,7 +5,7 @@ first-order recurrence that E_1 = z(z-1) D gives them.  The columns are
 P_l = R_n* . t^l for R_n = (1/(n!)^m) (z^n (z-1)^n D^n)^m, computed by the
 Rodrigues chain: (-1)^n (1/n!) D^n (z^n (z-1)^n . ) applied m times to t^l,
 in integer arithmetic (``transform.rodrigues_chain``).  Delta and theta are
-read off the built table (``transform.table_determinants``).  As an
+read off the built table (``determinant.table_determinants``).  As an
 operator, R_n is ``weyl.rodrigues_operator`` on the sizes of
 ``rodrigues_stages``, and E_n and its identities live in ``weyl`` too; this
 module never builds an operator.

@@ -15,7 +15,7 @@ another, largest N first, in integer arithmetic
 (``transform.rodrigues_chain``).  Each cell of a built table carries its
 run of functional values phi_j(t^k P_l), k <= n (``transform.build_table``);
 verification, the bound audit and the determinants
-(``transform.table_determinants``: Delta as Delta(0) by the degree lemma,
+(``determinant.table_determinants``: Delta as Delta(0) by the degree lemma,
 theta from the k = n values) all read it.  R_n itself, as an operator,
 is ``weyl.rodrigues_operator`` on the sizes of ``rodrigues_stages``; this
 module never builds it, so building a table never loads the operator

@@ -8,8 +8,9 @@ polynomial object is formed.  The columns come from one Rodrigues chain
 (``rodrigues_chain``) as integer numerators over one denominator.  Each row
 keeps one integer window, its moments over their lcm (``MomentSeq.ints``);
 every Q and every value phi_j(t^k P_l), k <= n (``PadeCell.heads``) is an
-integer over that lcm times a column's denominator, and verification,
-Delta and theta read the integers (``verify_pade``, ``table_determinants``).
+integer over that lcm times a column's denominator, and verification
+(``verify_pade``) and the determinants (:mod:`rodpade.determinant`) read
+the integers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .exact import (
     falling_derivative,
     format_pair,
     int_convolve,
-    over_common_denominator,
 )
 
 __all__ = [
@@ -40,24 +40,12 @@ __all__ = [
     "rodrigues_chain",
     "rodrigues_columns",
     "RouteDisagreementError",
-    "DegreeLemmaError",
-    "ZeroDeterminantError",
     "verify_pade",
-    "det_bareiss",
-    "table_determinants",
 ]
 
 
 class RouteDisagreementError(Exception):
     """The kernel route and the multiplied-out series route disagreed."""
-
-
-class DegreeLemmaError(Exception):
-    """A table failed the checks that make its Delta the constant Delta(0)."""
-
-
-class ZeroDeterminantError(Exception):
-    """A determinant that must be a unit came out zero."""
 
 
 class MomentSeq:
@@ -349,97 +337,3 @@ def verify_pade(cell: PadeCell, seqs: Sequence[MomentSeq], M: int) -> bool:
         if not kernel_ok or any(a * q_den != b * scale for a, b in zip_longest(part, q, fillvalue=0)):
             ok = False
     return ok
-
-
-def _int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
-
-    Fraction-free with row pivoting: after step k every entry is a (k+1)-minor
-    of the row-permuted matrix, so each division by the previous pivot is
-    exact and ``//`` never rounds (Bareiss 1968).
-    """
-    rows = [list(row) for row in matrix]
-    sign, prev = 1, 1
-    while len(rows) > 1:
-        pivot_row = next((i for i, row in enumerate(rows) if row[0]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row:
-            rows[0], rows[pivot_row] = rows[pivot_row], rows[0]
-            sign = -sign
-        pivot, top = rows[0][0], rows[0][1:]
-        rows = [
-            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
-            for row in rows[1:]
-        ]
-        prev = pivot
-    return sign * rows[0][0] if rows else 1
-
-
-def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: rows scaled to integers, then integer Bareiss.
-
-    Row i is multiplied by the lcm s_i of its denominators; the integer
-    determinant is divided once by prod s_i.
-    """
-    rows = [[as_fraction(x) for x in row] for row in matrix]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square")
-    scale = 1
-    int_rows = []
-    for row in rows:
-        ints, s = over_common_denominator(row)
-        int_rows.append(ints)
-        scale *= s
-    return Fraction(_int_det(int_rows), scale)
-
-
-def _degree_lemma_holds(table: PadeTable) -> bool:
-    """True when the table's Delta is provably the constant Delta(0).
-
-    The row operation row_j <- f_j row_P - row_j turns entry (j, l) into
-    R_(j,l) = P_l f_j - Q_(j,l), the tail of P_l f_j, whose coefficient of
-    z^-(k+1) is phi_j(t^k P_l).  When phi_j(t^k P_l) = 0 for k < n the tail
-    has order >= n + 1 at infinity, so expanding along the P row, every
-    Leibniz term of Delta has degree <= deg P_l - M (n + 1) <= l - M <= 0 as
-    soon as deg P_l <= M n + l.  Delta is a polynomial, hence a constant.
-    Checked here: M rows (a square matrix), the degree bound, and the n
-    orthogonality values of every (row, column), read from the cells' runs.
-    The Q of each cell are taken to be the polynomial parts
-    phi_j((P_l(z) - P_l(t)) / (z - t)), as ``build_table`` makes them.
-    """
-    if len(table.seqs) != table.M:
-        return False
-    if any(cell.degree > table.M * table.n + cell.ell for cell in table.cells):
-        return False
-    return not any(any(run[: table.n]) for cell in table.cells for run, _ in cell.heads.values())
-
-
-def table_determinants(table: PadeTable) -> tuple[Fraction, Fraction]:
-    """(Delta, theta) of a built table, one integer Bareiss determinant each.
-
-    Delta is Delta(0), the determinant of the constant coefficients; a table
-    that fails ``_degree_lemma_holds`` raises DegreeLemmaError, and
-    Delta(0) = 0 raises ZeroDeterminantError.  Either signals a broken
-    construction, never a math failure.  theta is the determinant of the
-    d x d moment matrix phi_j(t^n P_l), l < d: the k = n entries of the
-    first d cells' runs.  Row j is over L_j and column l over d_l (the P row
-    over 1), so each is an integer determinant over prod L_j prod d_l; L_j
-    is read off the first cell's run scale L_j d_0.
-    """
-    if not _degree_lemma_holds(table):
-        raise DegreeLemmaError(
-            f"weight-{table.n} table fails the degree lemma: Delta is not certified constant"
-        )
-    labels, cells = table.row_labels, table.cells
-    # the lemma's M = d rows: theta's columns are the first d, and Delta adds d_M
-    first = cells[0]
-    scale = math.prod(first.heads[label][1] // first.column[1] for label in labels)
-    scale *= math.prod(cell.column[1] for cell in cells[:-1])
-    constants = [[(cell.column[0] or (0,))[0] for cell in cells]]
-    constants += [[(cell.q_pairs[label][0] or (0,))[0] for cell in cells] for label in labels]
-    delta = _int_det(constants)
-    if delta == 0:
-        raise ZeroDeterminantError("determinant is zero")
-    theta = _int_det([[cell.heads[label][0][table.n] for cell in cells[:-1]] for label in labels])
-    return Fraction(delta, scale * cells[-1].column[1]), Fraction(theta, scale)

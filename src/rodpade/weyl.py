@@ -62,6 +62,7 @@ __all__ = [
     "rodrigues_operator",
     "build_En",
     "verify_En_identities",
+    "run",
 ]
 
 #: degree of the zero polynomial (keeps deg(P*Q) = deg P + deg Q testable)
@@ -602,6 +603,15 @@ def verify_En_identities(n_max: int) -> bool:
         en = en_next
     return True
 
+
+
+def run(args) -> tuple[dict, int]:
+    """The ``logpow-identities`` subcommand: (payload, exit code) for parsed flags ``args``."""
+    from .cli import EXIT_OK, EXIT_VERIFY
+
+    n = 4 if args.n is None else args.n
+    ok = verify_En_identities(n)
+    return {"command": "logpow-identities", "n_max": n, "ok": ok}, EXIT_OK if ok else EXIT_VERIFY
 
 def op_apply(l: DiffOp, p: Poly) -> Poly:
     """Exact image L . P."""

@@ -15,14 +15,6 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction as F
 
-from rodpade.cli import (
-    _cmd_audit,
-    _cmd_criterion,
-    _cmd_det,
-    _cmd_logpow_identities,
-    _cmd_pade,
-)
-
 from rodpade.transform import MomentSeq
 from rodpade.weyl import LaurentTail, Poly
 
@@ -121,31 +113,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_pade)
     p_pade.add_argument("--appendix-logpow", action="store_true", help="log-power rows instead")
     p_pade.add_argument("--depth", type=int, help="no longer changes output or work")
-    p_pade.set_defaults(func=_cmd_pade)
 
     p_det = sub.add_parser("det", help="determinant constants of a table")
     _add_common(p_det)
     p_det.add_argument("--appendix-logpow", action="store_true")
-    p_det.set_defaults(func=_cmd_det)
 
     p_crit = sub.add_parser("criterion", help="evaluate the independence criterion")
     _add_common(p_crit, n=False)
     p_crit.add_argument("--beta", type=str, default=None)
     p_crit.add_argument("--place", type=str, default=None, help="inf or p<prime>")
     p_crit.add_argument("--products", action="store_true", help="also list product labels")
-    p_crit.set_defaults(func=_cmd_criterion)
 
     p_audit = sub.add_parser("audit", help="check the proven norm/decay bounds")
     p_audit.add_argument("--lcm", type=int, default=None, help="lcm growth check mode")
     _add_common(p_audit)
     p_audit.add_argument("--beta", type=str, default=None)
     p_audit.add_argument("--place", type=str, default=None, help="inf or p<prime>")
-    p_audit.set_defaults(func=_cmd_audit)
 
     p_ids = sub.add_parser("logpow-identities", help="exact operator identities check")
     p_ids.add_argument("--n", type=int, default=4, help="verify up to this n")
     p_ids.add_argument("--format", choices=("json", "csv"), default="json")
     p_ids.add_argument("--out", type=str, default=None)
-    p_ids.set_defaults(func=_cmd_logpow_identities)
 
     return parser

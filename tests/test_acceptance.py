@@ -16,13 +16,10 @@ from functools import lru_cache
 
 from oracles import fraction_phi, fraction_remainder, poly, q_polys, series, shifted
 
-from rodpade.criterion import (
-    Place,
-    V_value,
-    bounds_audit,
-    log_lcm_upto,
-    remainder_decay,
-)
+from rodpade.audit import bounds_audit, log_lcm_upto, remainder_decay
+from rodpade.criterion import V_value
+from rodpade.determinant import table_determinants
+from rodpade.heights import Place
 from rodpade.holonomic import solve_V1
 from rodpade.logpow import LogPowConfig, logpow_table
 from rodpade.logpow import moment_seqs as log_moment_seqs
@@ -36,7 +33,6 @@ from rodpade.mpl import (
     pade_tables,
     rodrigues_stages,
 )
-from rodpade.transform import table_determinants
 from rodpade.weyl import (
     DiffOp,
     Poly,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from rodpade import cli
+from rodpade import cli, determinant
 from rodpade import logpow as logpow_mod
 from rodpade import mpl as mpl_mod
 from rodpade import transform
@@ -300,7 +300,7 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     families = _record_calls(monkeypatch, [mpl_mod.moment_seqs, logpow_mod.moment_seqs])
     tables = _record_calls(monkeypatch, [mpl_mod.pade_table, logpow_mod.logpow_table])
     builds = _record_calls(monkeypatch, [transform.build_table])
-    # cli imports verify_pade where it verifies, so the binding it reads is transform's
+    # the pade job reads verify_pade off transform where it verifies, so the binding is transform's
     verifies = _record_calls(monkeypatch, [transform.verify_pade], [transform])
     assert main(list(argv)) == 0
     capsys.readouterr()
@@ -318,8 +318,8 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     assert all(f is g for f, g in zip(table.seqs, families[0][1]))
     # the series route reads the integer windows of the run's own rows
     assert all(args[1] is table.seqs for args, _ in verifies)
-    if argv[0] == "pade":
-        assert verifies
+    # only pade verifies: det reads the determinants alone
+    assert bool(verifies) == (argv[0] == "pade")
 
 
 def test_audit_builds_one_moment_family_for_every_weight(capsys, monkeypatch):
@@ -410,7 +410,8 @@ def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
     # cells and the same windows, and take no value of their own
     _, grown = _counting_window_growth(monkeypatch)
     common = []
-    monkeypatch.setattr(transform, "over_common_denominator", common.append)
+    # det_bareiss's row scaling, the one use on a pade or det job's modules, stays unused
+    monkeypatch.setattr(determinant, "over_common_denominator", common.append)
     for command in ("pade", "det"):
         grown.clear()
         assert main([command, "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
@@ -422,11 +423,11 @@ def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
 
 
 def test_bounds_audit_reads_phi_of_tnp_off_the_table(capsys, monkeypatch):
-    from rodpade import criterion
+    from rodpade import audit as audit_mod
 
     inside = [None]
     reads, grown = _counting_window_growth(monkeypatch, inside)
-    audit, build = criterion.bounds_audit, transform.build_table
+    audit, build = audit_mod.bounds_audit, transform.build_table
 
     def within(name, fn):
         def wrapped(*args, **kwargs):
@@ -438,7 +439,7 @@ def test_bounds_audit_reads_phi_of_tnp_off_the_table(capsys, monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(criterion, "bounds_audit", within("audit", audit))
+    monkeypatch.setattr(audit_mod, "bounds_audit", within("audit", audit))
     # mpl.pade_tables imports build_table when it runs, from transform
     monkeypatch.setattr(transform, "build_table", within("build", build))
     argv = ["audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40"]
@@ -473,7 +474,7 @@ def _perturbed_last_column(monkeypatch):
     [
         (
             ["--m", "1", "--alphas", "1", "--n", "1"],
-            lambda mp: mp.setattr(transform, "_int_det", lambda matrix: 0),
+            lambda mp: mp.setattr(determinant, "_int_det", lambda matrix: 0),
             "determinant is zero",
         ),
         (
@@ -555,7 +556,6 @@ def _argparse_read(argv):
             values = vars(build_parser().parse_args(argv))
         except SystemExit as exc:
             return exc.code
-    del values["func"]
     return values
 
 
@@ -674,6 +674,47 @@ def test_no_subcommand_loads_dataclasses(argv):
         assert "rodpade.transform" not in loaded
 
 
+_RODPADE_MODULES = (
+    "import sys\n"
+    "from rodpade.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(name for name in sys.modules if name.split('.')[0] == 'rodpade'), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (("pade", "--m", "1", "--r", "2", "--alphas", "1/2", "--n", "1"), {"determinant", "mpl", "transform"}),
+        (("pade", "--appendix-logpow", "--m", "2", "--n", "1"), {"determinant", "logpow", "transform"}),
+        (("det", "--m", "2", "--r", "1", "--alphas", "1,-2", "--n", "1"), {"determinant", "mpl", "transform"}),
+        (("det", "--appendix-logpow", "--m", "2", "--n", "1"), {"determinant", "logpow", "transform"}),
+        # V needs heights only, and mpl for the conclusion's labels: no table, audit or determinant
+        (("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "inf"), {"criterion", "heights", "mpl"}),
+        # tables but no determinant, and no verdict
+        (("audit", "--m", "1", "--alphas", "1", "--n", "1..3", "--beta", "30"), {"audit", "heights", "mpl", "transform"}),
+        (("audit", "--lcm", "10000"), {"audit", "heights", "mpl"}),
+        (("logpow-identities", "--n", "2"), {"weyl"}),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+)
+def test_each_subcommand_loads_only_its_own_modules(argv, modules):
+    proc = subprocess.run(
+        [sys.executable, "-c", _RODPADE_MODULES, *argv], capture_output=True, text=True
+    )
+    code, *loaded = proc.stderr.split()
+    assert code == "0", proc.stderr
+    assert set(loaded) == {"rodpade", "rodpade.cli", "rodpade.exact"} | {f"rodpade.{m}" for m in modules}
+
+
+def test_every_subcommand_handler_resolves():
+    # a wrong module name in COMMANDS fails here, not on a user's first job
+    assert list(cli.COMMANDS) == list(cli.FLAGS)
+    for command, (module, _) in cli.COMMANDS.items():
+        run = cli.handler(command)
+        assert callable(run) and (run.__module__, run.__name__) == (f"rodpade.{module}", "run")
+
+
 def test_json_writer_matches_json_dumps():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -771,8 +812,11 @@ def test_only_the_operator_entry_points_import_weyl():
     assert importers == {
         ("holonomic.py", None),
         ("__init__.py", "__getattr__"),
-        ("cli.py", "_cmd_logpow_identities"),
     }
+    # the command line imports a handler's module by name: only this subcommand's is weyl
+    assert [command for command, (module, _) in cli.COMMANDS.items() if module == "weyl"] == [
+        "logpow-identities"
+    ]
 
 
 def test_benchmark_checks_import():
@@ -829,6 +873,16 @@ def test_benchmark_checks_import():
         ),
         (("pade", "--a", "1"), "error: ambiguous option: --a could match --alphas, --appendix-logpow"),
         ((), "error: no subcommand (choose from pade, det, criterion, audit, logpow-identities)"),
+        # a value that is no place or weight names its flag
+        (
+            ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "pabc"),
+            "error: argument --place: expected inf or p<prime>, got 'pabc'",
+        ),
+        (
+            ("audit", "--m", "1", "--alphas", "1", "--n", "a..b", "--beta", "30"),
+            "error: argument --n: expected N or LO..HI, got 'a..b'",
+        ),
+        (("pade", "--m", "1", "--alphas", "1", "--n", "a..b"), "error: argument --n: expected N or LO..HI, got 'a..b'"),
     ],
 )
 def test_criterion_errors_exit_2_with_one_error_line(argv, message):
@@ -839,12 +893,12 @@ def test_criterion_errors_exit_2_with_one_error_line(argv, message):
 
 
 def test_audit_lcm_out_of_memory_exits_2(capsys, monkeypatch):
-    import rodpade.criterion
+    import rodpade.audit
 
     def no_memory(_n):
         raise MemoryError
 
-    monkeypatch.setattr(rodpade.criterion, "_primes_upto", no_memory)
+    monkeypatch.setattr(rodpade.audit, "_primes_upto", no_memory)
     assert main(["audit", "--lcm", "99999999999"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -865,8 +919,8 @@ _IMPORT_ONLY = (
 def test_cli_import_leaves_the_operator_algebra_unloaded():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # neither weyl nor transform: a table's modules load with the command that builds it
-    loaded = ["rodpade", "rodpade.cli", "rodpade.exact"]
+    # the front end alone: each subcommand's modules, exact among them, load with its handler
+    loaded = ["rodpade", "rodpade.cli"]
     assert proc.stdout.split() == loaded + ["False"] + ["rodpade.weyl"] * 4
 
 

@@ -12,25 +12,25 @@ from fractions import Fraction as F
 import pytest
 from oracles import fraction_phi, poly, q_polys
 
-from rodpade.criterion import (
+from rodpade.audit import (
     BadBetaError,
-    DegenerateAlphasError,
+    _primes_upto,
+    bounds_audit,
+    lcm_upto,
+    log_lcm_upto,
+    remainder_decay,
+)
+from rodpade.criterion import DegenerateAlphasError, V_value, evaluate_criterion
+from rodpade.heights import (
     H_v_vec,
     Place,
-    V_value,
     _factorize,
     _global_H_vec,
     _is_prime,
-    _primes_upto,
     abs_v,
-    bounds_audit,
-    evaluate_criterion,
     global_height,
     height_profile,
-    lcm_upto,
     local_height,
-    log_lcm_upto,
-    remainder_decay,
     valuation,
 )
 from rodpade.mpl import MplConfig, pade_table, pade_tables
@@ -278,7 +278,7 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
     is used: one product norm per stage per column, the input norm of every
     operator step taken again, and the chained column bound in a loop of its own.
     """
-    from rodpade.criterion import H_v
+    from rodpade.heights import H_v
     from rodpade.exact import int_convolve
     from rodpade.mpl import rodrigues_stages
     from rodpade.transform import rodrigues_lift
@@ -480,7 +480,7 @@ def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
     ],
 )
 def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, place, longest):
-    from rodpade.criterion import _remainder_sum
+    from rodpade.audit import _remainder_sum
     from rodpade.exact import log_fraction
 
     config = MplConfig(m=m, r=r, alphas=alphas)
@@ -516,8 +516,9 @@ def test_remainder_decay_reads_the_tables_moment_rows(monkeypatch):
 
 @pytest.mark.parametrize("place", [INF_PLACE, Place.finite(2)], ids=["inf", "p2"])
 def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
-    import rodpade.criterion
-    from rodpade.criterion import _int_norm_v, _remainder_sum
+    import rodpade.audit
+    from rodpade.audit import _remainder_sum
+    from rodpade.heights import _int_norm_v
     from rodpade.exact import log_fraction
 
     config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
@@ -540,7 +541,7 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
         seen.append((nums, den))
         return _int_norm_v(nums, den, v)
 
-    monkeypatch.setattr(rodpade.criterion, "_int_norm_v", counting)
+    monkeypatch.setattr(rodpade.audit, "_int_norm_v", counting)
     report = remainder_decay(config, beta, place, tables)
     assert report.log_remainder == want
     # the norms of the table's own column pairs, one per column
@@ -601,7 +602,7 @@ REMAINDER_GRID_PLACES = [
     "m, r, alphas", REMAINDER_GRID_CONFIGS, ids=[f"m{m}r{r}" for m, r, _ in REMAINDER_GRID_CONFIGS]
 )
 def test_integer_remainder_sum_certifies_the_fraction_loops_sum(m, r, alphas, place, beta):
-    from rodpade.criterion import _remainder_sum
+    from rodpade.audit import _remainder_sum
 
     config = MplConfig(m=m, r=r, alphas=alphas)
     H_alpha = H_v_vec(config.alphas, place)
@@ -644,7 +645,7 @@ def _naive_abs_v(x, place):
 def test_integer_valuation_matches_repeated_division():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from rodpade.criterion import _int_valuation
+    from rodpade.heights import _int_valuation
 
     @_derandomized(hypothesis)
     @hypothesis.given(
@@ -663,7 +664,7 @@ def test_integer_valuation_matches_repeated_division():
 def test_integer_norm_matches_the_largest_coefficient_value():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from rodpade.criterion import _int_norm_v
+    from rodpade.heights import _int_norm_v
 
     places = st.sampled_from([INF_PLACE] + [Place.finite(p) for p in _PROPERTY_PRIMES])
     # coefficients carrying high powers of the primes, and zeros
@@ -689,7 +690,7 @@ def test_integer_norm_matches_the_largest_coefficient_value():
 def test_integer_horner_matches_the_fraction_horner():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from rodpade.criterion import _horner_at
+    from rodpade.audit import _horner_at
 
     rationals = st.fractions(max_denominator=10**12).filter(lambda x: abs(x.numerator) < 10**40)
 
@@ -727,7 +728,7 @@ def test_integer_horner_matches_the_fraction_horner():
          "p2-beta-numerator", "p2-integer-moments"],
 )
 def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_alpha):
-    from rodpade.criterion import _remainder_sum
+    from rodpade.audit import _remainder_sum
     from rodpade.exact import over_common_denominator
     from rodpade.transform import MomentSeq, build_table
     from rodpade.weyl import Poly
@@ -748,7 +749,8 @@ def test_tables_and_decay_on_an_extended_family_match_a_fresh_one():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from rodpade.mpl import moment_seqs, rodrigues_stages
-    from rodpade.transform import build_table, rodrigues_columns, table_determinants
+    from rodpade.determinant import table_determinants
+    from rodpade.transform import build_table, rodrigues_columns
 
     small = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
     shapes = st.sampled_from([(1, 1), (2, 1), (1, 2)])

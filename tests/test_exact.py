@@ -306,25 +306,43 @@ def test_int_convolve_matches_schoolbook():
 def test_both_convolution_paths_match_the_double_loop():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from rodpade.exact import _SCHOOLBOOK_BELOW, _kronecker_convolve, _schoolbook_convolve
+    from rodpade.exact import _SCHOOLBOOK_FACTOR, _kronecker_convolve, _schoolbook_convolve
 
-    # lengths 1-40 on both sides of the switch, mixed signs, runs of zeros, up to 1000 bits
+    # mixed signs, runs of zeros, up to 1000 bits
     coeffs = st.sampled_from([1, 30, 200, 1000]).flatmap(
         lambda bits: st.one_of(st.just(0), st.integers(-(2**bits), 2**bits))
     )
-    # each length 1-40 about equally often: a plain list strategy rarely draws long ones
-    int_polys = st.integers(1, 40).flatmap(lambda n: st.lists(coeffs, min_size=n, max_size=n))
+
+    def int_polys(lo, hi):
+        # each length about equally often: a plain list strategy rarely draws long ones
+        return st.integers(lo, hi).flatmap(lambda n: st.lists(coeffs, min_size=n, max_size=n))
+
+    # lengths 1-40 on both sides, or a short factor (1-15) against a long one (16-300), in either order
+    pairs = st.one_of(
+        st.tuples(int_polys(1, 40), int_polys(1, 40)),
+        st.tuples(int_polys(1, 15), int_polys(16, 300)),
+        st.tuples(int_polys(16, 300), int_polys(1, 15)),
+    )
+    short_by_long = set()
+
+    top = 2**30 - 1  # every product at its bound: the slots of the substitution are full
 
     @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @hypothesis.given(int_polys, int_polys)
-    def check(a, b):
+    @hypothesis.given(pairs)
+    @hypothesis.example(([top] * 15, [top] * 300))
+    @hypothesis.example(([-top] * 40, [top] * 40))
+    def check(pair):
+        a, b = pair
         want = _schoolbook_convolve_reference(a, b)
         assert _schoolbook_convolve(a, b) == want
         assert _kronecker_convolve(a, b) == want
         assert int_convolve(a, b) == want
+        if min(len(a), len(b)) < 16 <= max(len(a), len(b)):
+            short_by_long.add(len(a) * len(b) < _SCHOOLBOOK_FACTOR * (len(a) + len(b)))
 
     check()
-    assert 1 < _SCHOOLBOOK_BELOW < 40
+    # the short-by-long draws reach both sides of the switch
+    assert short_by_long == {True, False}
 
 
 def test_int_convolve_edge_cases():

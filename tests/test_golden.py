@@ -18,7 +18,8 @@ import pytest
 from oracles import poly
 
 from rodpade.cli import main
-from rodpade.criterion import H_v_vec, Place, _remainder_sum, abs_v, bounds_audit
+from rodpade.audit import _remainder_sum, bounds_audit
+from rodpade.heights import H_v_vec, Place, abs_v
 from rodpade.exact import format_rational
 from rodpade.mpl import MplConfig, pade_tables
 

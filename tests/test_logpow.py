@@ -15,7 +15,8 @@ from rodpade.logpow import (
 )
 from rodpade.holonomic import check_membership
 from rodpade.mpl import MplConfig, pade_table
-from rodpade.transform import table_determinants, verify_pade
+from rodpade.determinant import table_determinants
+from rodpade.transform import verify_pade
 from rodpade.weyl import (
     DiffOp,
     Poly,

@@ -20,7 +20,8 @@ from rodpade.mpl import (
     pade_tables,
     rodrigues_stages,
 )
-from rodpade.transform import table_determinants, verify_pade
+from rodpade.determinant import table_determinants
+from rodpade.transform import verify_pade
 from rodpade.weyl import (
     DiffOp,
     Poly,

@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from rodpade import criterion, exact, holonomic, logpow, mpl, transform, weyl
+from rodpade import audit, criterion, determinant, exact, heights, holonomic, logpow, mpl, transform, weyl
 from rodpade.exact import Record
 from rodpade.weyl import OrdAtLeast, Poly
 
@@ -28,41 +28,41 @@ def _samples():
     config = mpl.MplConfig(1, 2, (1,))
     tables = [mpl.pade_table(config, 1), mpl.pade_table(config, 1), mpl.pade_table(config, 2)]
     idx = mpl.index_set(2, 2)
-    row = criterion.AuditRow("norm[0]", F(1, 2), F(3))
+    row = audit.AuditRow("norm[0]", F(1, 2), F(3))
     return {
         OrdAtLeast: [OrdAtLeast(3), OrdAtLeast(3), OrdAtLeast(4)],
         transform.PadeCell: [tables[0].cells[1], tables[1].cells[1], tables[0].cells[0]],
         transform.PadeTable: tables,
         mpl.MplConfig: [config, mpl.MplConfig(m=1, r=2, alphas=[F(1)]), mpl.MplConfig(2, 1, (1, -2))],
         mpl.MplIndex: [idx[3], mpl.MplIndex(idx[3].s, idx[3].a), *idx],
-        criterion.Place: [criterion.Place(), criterion.Place(None), criterion.Place(2), criterion.Place(p=3)],
-        criterion.HeightProfile: [
-            criterion.height_profile(F(3, 4)),
-            criterion.height_profile(F(6, 8)),
-            criterion.height_profile(F(5, 2)),
+        heights.Place: [heights.Place(), heights.Place(None), heights.Place(2), heights.Place(p=3)],
+        heights.HeightProfile: [
+            heights.height_profile(F(3, 4)),
+            heights.height_profile(F(6, 8)),
+            heights.height_profile(F(5, 2)),
         ],
         criterion.VResult: [
-            criterion.V_value((F(1),), F(30), 1, 1, criterion.Place()),
-            criterion.V_value((F(1),), F(30), 1, 1, criterion.Place()),
+            criterion.V_value((F(1),), F(30), 1, 1, heights.Place()),
+            criterion.V_value((F(1),), F(30), 1, 1, heights.Place()),
             criterion.VResult(0.5, 1e-15, False),
         ],
         criterion.CriterionReport: [
-            criterion.evaluate_criterion((F(1),), F(30), 1, 1, criterion.Place()),
-            criterion.evaluate_criterion((F(1),), F(30), 1, 1, criterion.Place()),
-            criterion.evaluate_criterion((F(1),), F(40), 1, 1, criterion.Place(2)),
+            criterion.evaluate_criterion((F(1),), F(30), 1, 1, heights.Place()),
+            criterion.evaluate_criterion((F(1),), F(30), 1, 1, heights.Place()),
+            criterion.evaluate_criterion((F(1),), F(40), 1, 1, heights.Place(2)),
         ],
-        criterion.AuditRow: [
-            row, criterion.AuditRow("norm[0]", F(2, 4), F(3)), criterion.AuditRow("q", F(1), F(1))
+        audit.AuditRow: [
+            row, audit.AuditRow("norm[0]", F(2, 4), F(3)), audit.AuditRow("q", F(1), F(1))
         ],
-        criterion.AuditReport: [
-            criterion.AuditReport(config, 1, criterion.Place(), [row]),
-            criterion.AuditReport(mpl.MplConfig(1, 2, (1,)), 1, criterion.Place(), [row]),
-            criterion.AuditReport(config, 2, criterion.Place(), []),
+        audit.AuditReport: [
+            audit.AuditReport(config, 1, heights.Place(), [row]),
+            audit.AuditReport(mpl.MplConfig(1, 2, (1,)), 1, heights.Place(), [row]),
+            audit.AuditReport(config, 2, heights.Place(), []),
         ],
-        criterion.DecayReport: [
-            criterion.DecayReport([1, 2], [-1.0, -2.5], -1.5, -1.3, 0.1, False),
-            criterion.DecayReport([1, 2], [-1.0, -2.5], -1.5, -1.3, 0.1, False),
-            criterion.DecayReport([1, 2, 3], [-1.0, -2.5, -4.0], -1.5, -1.3, 0.1, True),
+        audit.DecayReport: [
+            audit.DecayReport([1, 2], [-1.0, -2.5], -1.5, -1.3, 0.1, False),
+            audit.DecayReport([1, 2], [-1.0, -2.5], -1.5, -1.3, 0.1, False),
+            audit.DecayReport([1, 2, 3], [-1.0, -2.5, -4.0], -1.5, -1.3, 0.1, True),
         ],
         logpow.LogPowConfig: [
             logpow.LogPowConfig(2, 3), logpow.LogPowConfig(m=2, n=3), logpow.LogPowConfig(3, 2)
@@ -86,7 +86,7 @@ SAMPLES = _samples()
 HIDDEN = {transform.PadeCell: {"heads"}, transform.PadeTable: {"seqs"}}
 
 #: constructor defaults: a value, or a factory that makes a fresh one per instance
-DEFAULTS = {criterion.Place: {"p": None}, criterion.VResult: {"terms": dict}}
+DEFAULTS = {heights.Place: {"p": None}, criterion.VResult: {"terms": dict}}
 
 
 def _twin(cls):
@@ -121,7 +121,7 @@ def _hash(value):
 def test_every_value_class_is_a_record():
     value_classes = {
         obj
-        for module in (criterion, exact, holonomic, logpow, mpl, transform, weyl)
+        for module in (audit, criterion, determinant, exact, heights, holonomic, logpow, mpl, transform, weyl)
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
@@ -217,8 +217,8 @@ def test_mpl_index_orders_like_its_twin():
         (lambda: mpl.MplIndex((1, 1), (1,)), "s and a must be nonempty of equal length"),
         (lambda: mpl.MplIndex((0,), (1,)), "entries must be positive"),
         (lambda: mpl.MplIndex((1,), (0,)), "entries must be positive"),
-        (lambda: criterion.Place(4), "4 is not prime"),
-        (lambda: criterion.Place.parse("p1"), "1 is not prime"),
+        (lambda: heights.Place(4), "4 is not prime"),
+        (lambda: heights.Place.parse("p1"), "1 is not prime"),
         (lambda: logpow.LogPowConfig(0, 1), "m and n must be positive"),
         (lambda: logpow.LogPowConfig(1, 0), "m and n must be positive"),
     ],

@@ -27,17 +27,9 @@ from oracles import (
     zero_row,
 )
 
+from rodpade.determinant import ZeroDeterminantError, _int_det, det_bareiss
 from rodpade.exact import over_common_denominator
-from rodpade.transform import (
-    MomentSeq,
-    PadeCell,
-    ZeroDeterminantError,
-    _dots,
-    _int_det,
-    build_table,
-    det_bareiss,
-    verify_pade,
-)
+from rodpade.transform import MomentSeq, PadeCell, _dots, build_table, verify_pade
 from rodpade.weyl import DiffOp, Poly, adjoint, op_apply
 
 LI1 = MomentSeq(lambda k, _p: F(1, k + 1), "Li_1(1/z)")
@@ -577,7 +569,7 @@ def _grid_table(m, r, kind, n):
 
 @pytest.mark.parametrize("m, r, kind, n", _LEMMA_GRID)
 def test_degree_lemma_delta_equals_the_evaluation_route(m, r, kind, n):
-    from rodpade.transform import _degree_lemma_holds, table_determinants
+    from rodpade.determinant import _degree_lemma_holds, table_determinants
 
     table = _grid_table(m, r, kind, n)
     # every cell carries phi_j(t^k P_l), k <= n, as the Fraction sum gives it
@@ -602,7 +594,8 @@ _HIGH_WEIGHT = [
 def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
     from oracles import series
 
-    from rodpade.transform import RouteDisagreementError, _series_coefficients, table_determinants
+    from rodpade.determinant import table_determinants
+    from rodpade.transform import RouteDisagreementError, _series_coefficients
     from rodpade.weyl import laurent_mul_poly
 
     table = _grid_table(m, r, kind, n)
@@ -649,7 +642,8 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
 )
 def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, message):
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.transform import DegreeLemmaError, build_table, table_determinants
+    from rodpade.determinant import DegreeLemmaError, table_determinants
+    from rodpade.transform import build_table
 
     table = pade_table(MplConfig(m=m, r=1, alphas=alphas), n)
     columns = column_polys(table)
@@ -665,12 +659,8 @@ def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, m
 
 def test_columns_past_the_degree_bound_fail_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.transform import (
-        DegreeLemmaError,
-        _degree_lemma_holds,
-        build_table,
-        table_determinants,
-    )
+    from rodpade.determinant import DegreeLemmaError, _degree_lemma_holds, table_determinants
+    from rodpade.transform import build_table
 
     # weight-2 columns are orthogonal up to k < 1 too, but deg P_l = 2M + l > M + l
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 2)
@@ -684,7 +674,8 @@ def test_columns_past_the_degree_bound_fail_the_degree_lemma():
 
 def test_table_with_a_missing_row_fails_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.transform import DegreeLemmaError, build_table, table_determinants
+    from rodpade.determinant import DegreeLemmaError, table_determinants
+    from rodpade.transform import build_table
 
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 1)
     short = build_table([cell.column for cell in table.cells], table.seqs[:-1], 1)
@@ -695,17 +686,17 @@ def test_table_with_a_missing_row_fails_the_degree_lemma():
 
 
 def test_det_job_takes_one_integer_determinant_for_delta(monkeypatch, capsys):
-    import rodpade.transform
+    import rodpade.determinant
     from rodpade.cli import main
 
     sizes = []
-    real = rodpade.transform._int_det
+    real = rodpade.determinant._int_det
 
     def counting(matrix):
         sizes.append(len(matrix))
         return real(matrix)
 
-    monkeypatch.setattr(rodpade.transform, "_int_det", counting)
+    monkeypatch.setattr(rodpade.determinant, "_int_det", counting)
     assert main(["det", "--m", "2", "--r", "2", "--alphas=3/2,-5/3", "--n", "2"]) == 0
     capsys.readouterr()
     # M = 8: one (M+1)-square determinant for Delta(0), one M-square for theta

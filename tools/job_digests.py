@@ -67,7 +67,15 @@ EDGE = [
     ("criterion", "--m", "1", "--beta"),
     ("audit", "--lcm", "100", "--format", "xml"),
     ("audit", "--help"),
+    ("pade", "--help"),
+    ("det", "--help"),
+    ("criterion", "--help"),
+    ("logpow-identities", "--help"),
+    ("--help",),
     ("criterion", "--m", "1", "--alphas", "-1/2", "--beta", "30"),
+    # usage errors that name their flag: a place that is not inf or p<prime>, a weight that is no integer
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "pabc"),
+    ("pade", "--m", "1", "--alphas", "1", "--n", "a..b"),
     # a run-config document, the one input read through json
     ("pade", "--config", "<doc>.json"),
 ]
