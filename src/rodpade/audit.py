@@ -3,7 +3,8 @@
 Every inequality is compared exactly, on integer pairs or rationals;
 floats appear only in the reported logarithms and in the fitted decay
 slope.  ``run`` is the ``audit`` subcommand: it builds its tables through
-``mpl.pade_tables`` and computes no determinant.
+``mpl.pade_tables`` and computes no determinant.  With ``--lcm`` it builds
+no table, so it loads neither ``mpl`` nor ``transform``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import mpl as mpl_mod
 from .exact import (
     Record,
     as_fraction,
@@ -36,6 +36,7 @@ from .heights import (
 )
 
 if TYPE_CHECKING:
+    from .mpl import MplConfig
     from .transform import MomentSeq, PadeCell, PadeTable
 
 __all__ = [
@@ -157,7 +158,7 @@ class AuditRow(Record):
 class AuditReport(Record):
     __slots__ = ("config", "n", "place", "rows")
 
-    def __init__(self, config: "mpl_mod.MplConfig", n: int, place: Place, rows: list[AuditRow]):
+    def __init__(self, config: MplConfig, n: int, place: Place, rows: list[AuditRow]):
         super().__init__(config, n, place, rows)
 
     @property
@@ -175,7 +176,7 @@ class AuditReport(Record):
 
 
 def bounds_audit(
-    config: "mpl_mod.MplConfig",
+    config: MplConfig,
     table: PadeTable,
     place: Place,
     beta: Fraction | None = None,
@@ -195,6 +196,7 @@ def bounds_audit(
     are pairs too, so each bound is a product of integers over a product of
     integers.  A Fraction is formed only for each row's two values.
     """
+    from .mpl import rodrigues_stages
     from .transform import rodrigues_chain
 
     n, seqs = table.n, table.seqs
@@ -219,7 +221,7 @@ def bounds_audit(
         lcm_part = place.p ** (r * _ilog(place.p, k)) if place.is_finite else 1
         return k ** ((r + 1) * eps) * lcm_part * ha_num**k * norm[0], ha_den**k * norm[1]
 
-    stages = mpl_mod.rodrigues_stages(config, n)
+    stages = rodrigues_stages(config, n)
     # per stage: ||prod_i (z - alpha_i)^N||_v, its bound, and prod_i H_v(alpha_i)^N
     stage_norms = []
     for N, b in stages:
@@ -410,7 +412,7 @@ def _remainder_sum(
 
 
 def remainder_decay(
-    config: "mpl_mod.MplConfig",
+    config: MplConfig,
     beta: Fraction,
     v0: Place,
     tables: Mapping[int, PadeTable],
@@ -486,13 +488,15 @@ def run(args) -> tuple[dict, int]:
         }
         return payload, EXIT_OK if ok else EXIT_VERIFY
 
-    config = mpl_mod.MplConfig(m=args.m, r=args.r, alphas=parse_rationals(args.alphas))
+    from .mpl import MplConfig, pade_tables
+
+    config = MplConfig(m=args.m, r=args.r, alphas=parse_rationals(args.alphas))
     place = Place.parse(args.place)
     beta = parse_rational(args.beta) if args.beta is not None else None
     if beta is not None and abs_v(beta, place) <= H_v_vec(config.alphas, place):
         raise BadBetaError("|beta|_v must exceed the local height of the alphas")
     ns = _parse_n_range(args.n)
-    tables = mpl_mod.pade_tables(config, ns)
+    tables = pade_tables(config, ns)
     reports = [bounds_audit(config, tables[n], place, beta=beta) for n in ns]
     decay = None
     if beta is not None and len(ns) >= 2:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from . import mpl as mpl_mod
 from .exact import Record, as_fraction, format_rational, parse_rational, parse_rationals
 from .heights import (
     H_v_vec,
@@ -26,6 +25,7 @@ from .heights import (
     local_height,
     local_height_vec,
 )
+from .mpl import DegenerateAlphasError, MplConfig, index_set
 
 __all__ = [
     "DegenerateAlphasError",
@@ -35,23 +35,6 @@ __all__ = [
     "evaluate_criterion",
     "run",
 ]
-
-
-class DegenerateAlphasError(ValueError):
-    """The alphas are not pairwise distinct and nonzero."""
-
-
-def _check_alphas(alphas: Sequence[Fraction], m: int, r: int) -> tuple[Fraction, ...]:
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
-    alphas = tuple(as_fraction(a) for a in alphas)
-    if len(alphas) != m:
-        raise DegenerateAlphasError(f"expected {m} alphas, got {len(alphas)}")
-    if any(a == 0 for a in alphas) or len(set(alphas)) != len(alphas):
-        raise DegenerateAlphasError("alphas must be pairwise distinct and nonzero")
-    return alphas
 
 
 class VResult(Record):
@@ -81,11 +64,12 @@ def V_value(
         - (M log2 + r(r+1)/2 log(m+1) + r + rM)
 
     with M = (m+1)^r - 1.  |V| below 1e-9 is reported as indeterminate, since
-    a strict inequality is being decided.
+    a strict inequality is being decided.  (m, r, alphas) are checked by
+    ``MplConfig``.
     """
-    alphas = _check_alphas(alphas, m, r)
+    config = MplConfig(m, r, alphas)
+    alphas, M = config.alphas, config.M
     beta = as_fraction(beta)
-    M = (m + 1) ** r - 1
     h_v0_beta = local_height(beta, v0)
     h_v0_alpha = local_height_vec(alphas, v0)
     h_beta = global_height(beta)
@@ -178,7 +162,8 @@ def evaluate_criterion(
     lists the M evaluated series declared, together with 1, linearly
     independent over Q; product labels are added on request.
     """
-    alphas = _check_alphas(alphas, m, r)
+    config = MplConfig(m, r, alphas)
+    alphas = config.alphas
     beta = as_fraction(beta)
     v = V_value(alphas, beta, m, r, v0)
     exceeds = abs_v(beta, v0) > H_v_vec(alphas, v0)
@@ -189,8 +174,7 @@ def evaluate_criterion(
     conclusion: list[str] = []
     products: list[str] = []
     if exceeds and v_state == "pass":
-        config = mpl_mod.MplConfig(m=m, r=r, alphas=alphas)
-        indices = mpl_mod.index_set(m, r)
+        indices = index_set(m, r)
         conclusion = [idx.value_label(config, beta) for idx in indices]
         if include_products:
             seen = set()

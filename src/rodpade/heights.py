@@ -13,11 +13,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Record, as_fraction, format_rational, log_fraction, log_int as _log_int
+from .exact import Record, as_fraction, log_fraction, log_int as _log_int
 
 __all__ = [
     "Place",
-    "valuation",
     "abs_v",
     "local_height",
     "local_height_vec",
@@ -25,8 +24,6 @@ __all__ = [
     "H_v_vec",
     "global_height",
     "global_height_vec",
-    "HeightProfile",
-    "height_profile",
 ]
 
 
@@ -48,14 +45,6 @@ class Place(Record):
     def epsilon(self) -> int:
         """1 at the archimedean place, 0 at finite places."""
         return 0 if self.is_finite else 1
-
-    @classmethod
-    def archimedean(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
 
     @classmethod
     def parse(cls, text: str) -> "Place":
@@ -130,14 +119,6 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def valuation(x: Fraction, p: int) -> int:
-    """p-adic valuation; raises on x = 0."""
-    x = as_fraction(x)
-    if x == 0:
-        raise ValueError("valuation of zero")
-    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
-
-
 def _int_norm_v(nums: Sequence[int], den: int, place: Place) -> tuple[int, int]:
     """max_i |nums[i] / den|_v for integers nums and den > 0, as (numerator, denominator > 0).
 
@@ -159,25 +140,6 @@ def abs_v(x: Fraction, place: Place) -> Fraction:
     """Normalized absolute value, exact: |p|_p = 1/p, usual value at infinity."""
     x = as_fraction(x)
     return Fraction(*_int_norm_v((x.numerator,), x.denominator, place))
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; for small inputs only.
-
-    Its one caller is ``height_profile``, which must name every prime of the
-    denominator; a denominator with two large prime factors makes it slow.
-    """
-    n = abs(int(n))
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def local_height(x: Fraction, place: Place) -> float:
@@ -226,35 +188,6 @@ def _round15(x: float | None) -> float | None:
     if math.isinf(x) or math.isnan(x):
         return None
     return float(f"{x:.15g}")
-
-
-class HeightProfile(Record):
-    """Local heights of one rational across every place that contributes."""
-
-    __slots__ = ("value", "locals", "total")
-
-    def __init__(self, value: Fraction, locals: dict[str, float], total: float):
-        super().__init__(value, locals, total)
-
-    def to_json(self) -> dict:
-        return {
-            "value": format_rational(self.value),
-            "locals": {k: _round15(v) for k, v in self.locals.items()},
-            "total": _round15(self.total),
-        }
-
-
-def height_profile(x: Fraction) -> HeightProfile:
-    """All nonzero local heights; their sum equals log max(|num|, |den|)."""
-    x = as_fraction(x)
-    locs: dict[str, float] = {}
-    h_inf = local_height(x, Place.archimedean())
-    if h_inf != 0.0:
-        locs["inf"] = h_inf
-    if x != 0:
-        for p in sorted(_factorize(x.denominator)):
-            locs[f"p{p}"] = local_height(x, Place.finite(p))
-    return HeightProfile(value=x, locals=locs, total=global_height(x))
 
 
 def _bound_constant(m: int, r: int, M: int) -> float:

@@ -123,7 +123,8 @@ def solve_V1(l: DiffOp, init: Sequence[Fraction], depth: int, label: str | None 
     if label is None:
         label = "V1[" + ",".join(str(v) for v in init) + "]"
     seq = MomentSeq(fn, label)
-    seq.prefix(depth)
+    if depth > 0:
+        seq[depth - 1]
     return seq
 
 

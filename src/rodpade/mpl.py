@@ -36,6 +36,7 @@ if TYPE_CHECKING:
     from .transform import MomentSeq, PadeTable
 
 __all__ = [
+    "DegenerateAlphasError",
     "MplConfig",
     "MplIndex",
     "index_set",
@@ -47,21 +48,27 @@ __all__ = [
 ]
 
 
+class DegenerateAlphasError(ValueError):
+    """The alphas are not m in number, pairwise distinct and nonzero."""
+
+
 class MplConfig(Record):
-    """Parameters (m, r, alphas) with alphas pairwise distinct and nonzero."""
+    """Parameters (m, r, alphas) with alphas pairwise distinct and nonzero: their one check."""
 
     __slots__ = ("m", "r", "alphas")
 
     def __init__(self, m: int, r: int, alphas: Sequence[Fraction]):
         super().__init__(m, r, tuple(as_fraction(a) for a in alphas))
-        if self.m < 1 or self.r < 1:
-            raise ValueError("m and r must be positive")
+        if self.m < 1:
+            raise ValueError(f"m must be positive, got {self.m}")
+        if self.r < 1:
+            raise ValueError(f"r must be positive, got {self.r}")
         if len(self.alphas) != self.m:
-            raise ValueError(f"expected {self.m} alphas, got {len(self.alphas)}")
+            raise DegenerateAlphasError(f"expected {self.m} alphas, got {len(self.alphas)}")
         if any(a == 0 for a in self.alphas):
-            raise ValueError("alphas must be nonzero")
+            raise DegenerateAlphasError("alphas must be nonzero")
         if len(set(self.alphas)) != self.m:
-            raise ValueError("alphas must be pairwise distinct")
+            raise DegenerateAlphasError("alphas must be pairwise distinct")
 
     @property
     def M(self) -> int:
@@ -133,15 +140,13 @@ class MplIndex(Record):
 
 
 def index_set(m: int, r: int) -> list[MplIndex]:
-    """All indices, ordered by depth, then s, then a; cardinality (m+1)^r - 1.
+    """All indices, ordered by depth, then s, then a; (m+1)^r - 1 of them for m, r >= 1.
 
     A depth-k composition s with |s| <= r is its partial sums
     0 < c_1 < ... < c_k <= r, and two compositions first differ where their
     partial sums first differ, in the same direction, so the k-subsets of
     1..r in lexicographic order give the compositions in lexicographic order.
     """
-    if m < 1 or r < 1:
-        raise ValueError("m and r must be positive")
     out = []
     for k in range(1, r + 1):
         for cuts in itertools.combinations(range(1, r + 1), k):

@@ -76,12 +76,6 @@ class MomentSeq:
                     self._cache.append(as_fraction(self._fn(len(self._cache), self._cache)))
         return self._cache[k]
 
-    def prefix(self, n: int) -> list[Fraction]:
-        """Moments 0..n-1 as one list, extending the cache once."""
-        if n > 0:
-            self[n - 1]
-        return self._cache[:n]
-
     def ints(self, stop: int) -> tuple[tuple[int, ...], int]:
         """(nums, L): f_k = nums[k] / L for k < len(nums), L the lcm of their denominators.
 

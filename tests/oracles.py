@@ -86,7 +86,7 @@ def zero_row():
 
 def series(f, depth):
     """The row's series sum_k f_k z^-(k+1), truncated to ``depth`` proved coefficients."""
-    return LaurentTail(1, f.prefix(depth))
+    return LaurentTail(1, [f[k] for k in range(depth)])
 
 
 def _add_common(parser, *, alphas=True, n=True):

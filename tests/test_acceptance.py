@@ -131,8 +131,8 @@ def test_criterion_04_two_route_moments_and_solver():
         op = rodrigues_operator([N for N, _ in rodrigues_stages(config, 1)], config.alphas)
         d = ord_weight(op)
         for f in grid_seqs(m, r):
-            rebuilt = solve_V1(op, f.prefix(d), 50)
-            ok = ok and rebuilt.prefix(50) == f.prefix(50)
+            rebuilt = solve_V1(op, [f[k] for k in range(d)], 50)
+            ok = ok and all(rebuilt[k] == f[k] for k in range(50))
     _report(4, ok)
 
 
@@ -201,7 +201,7 @@ def test_criterion_06_appendix_suite():
 
 
 def test_criterion_07_criterion_threshold():
-    place = Place.archimedean()
+    place = Place()
     values = {b: V_value((F(1),), F(b), 1, 1, place).value for b in range(2, 41)}
     minimal = min(b for b, v in values.items() if v > 0)
     expected_30 = math.log(30) - 2 * math.log(2) - 2
@@ -215,7 +215,7 @@ def test_criterion_07_criterion_threshold():
 def test_criterion_08_bound_audits_and_decay():
     t0 = time.perf_counter()
     ok = True
-    places = [Place.archimedean(), Place.finite(2), Place.finite(3)]
+    places = [Place(), Place(2), Place(3)]
     for (m, r), n_max in GRID.items():
         config = grid_config(m, r)
         for n in range(1, n_max + 1):
@@ -224,7 +224,7 @@ def test_criterion_08_bound_audits_and_decay():
                 report = bounds_audit(config, table, place, beta=F(30))
                 ok = ok and report.all_hold
     config = grid_config(1, 1)
-    decay = remainder_decay(config, F(30), Place.archimedean(), pade_tables(config, range(2, 13)))
+    decay = remainder_decay(config, F(30), Place(), pade_tables(config, range(2, 13)))
     ok = ok and decay.slope <= -1.01
     elapsed = time.perf_counter() - t0
     _report(8, ok and elapsed < 180.0, f"slope {decay.slope:.2f} <= -1.01, {elapsed:.1f}s < 180s")

@@ -689,11 +689,13 @@ _RODPADE_MODULES = (
         (("pade", "--appendix-logpow", "--m", "2", "--n", "1"), {"determinant", "logpow", "transform"}),
         (("det", "--m", "2", "--r", "1", "--alphas", "1,-2", "--n", "1"), {"determinant", "mpl", "transform"}),
         (("det", "--appendix-logpow", "--m", "2", "--n", "1"), {"determinant", "logpow", "transform"}),
-        # V needs heights only, and mpl for the conclusion's labels: no table, audit or determinant
+        # V needs heights, and mpl for the check of (m, r, alphas) and the conclusion's labels:
+        # no table, audit or determinant
         (("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "inf"), {"criterion", "heights", "mpl"}),
         # tables but no determinant, and no verdict
         (("audit", "--m", "1", "--alphas", "1", "--n", "1..3", "--beta", "30"), {"audit", "heights", "mpl", "transform"}),
-        (("audit", "--lcm", "10000"), {"audit", "heights", "mpl"}),
+        # no table: neither mpl nor transform
+        (("audit", "--lcm", "10000"), {"audit", "heights"}),
         (("logpow-identities", "--n", "2"), {"weyl"}),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
@@ -831,12 +833,47 @@ def test_benchmark_checks_import():
     assert callable(module.check) and callable(module.max_coeff_bits)
 
 
+def test_benchmark_program_names_resolve():
+    # the benchmark's self-test and tracer read these outside checks.py
+    from rodpade import criterion, heights, logpow, mpl, transform
+
+    assert (criterion.Place, criterion.abs_v, criterion.H_v_vec) == (heights.Place, heights.abs_v, heights.H_v_vec)
+    assert mpl.MomentSeq is transform.MomentSeq and logpow.MomentSeq is transform.MomentSeq
+
+
+#: what each subcommand needs besides (m, r, alphas) to reach the check of them
+_TABLE_AND_VERDICT_ARGS = {
+    "pade": ("--n", "1"),
+    "det": ("--n", "1"),
+    "criterion": ("--beta", "40"),
+    "audit": ("--n", "1..2", "--beta", "40"),
+}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (("--m", "0", "--alphas", "1"), "error: m must be positive, got 0"),
+        (("--m", "1", "--r", "0", "--alphas", "1"), "error: r must be positive, got 0"),
+        (("--m", "2", "--alphas", "1"), "error: expected 2 alphas, got 1"),
+        (("--m", "2", "--alphas=1,0"), "error: alphas must be nonzero"),
+        (("--m", "2", "--alphas=2,4/2"), "error: alphas must be pairwise distinct"),
+    ],
+    ids=["m=0", "r=0", "count", "zero", "repeated"],
+)
+def test_invalid_config_gives_one_error_line_from_every_subcommand(config, message):
+    # MplConfig is the one check of (m, r, alphas): every subcommand words it alike
+    for command, rest in _TABLE_AND_VERDICT_ARGS.items():
+        proc = run_cli(command, *config, *rest)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode().splitlines()) == (2, b"", [message]), command
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (
             ("criterion", "--m", "2", "--alphas", "1,1", "--beta", "100"),
-            "error: alphas must be pairwise distinct and nonzero",
+            "error: alphas must be pairwise distinct",
         ),
         (
             ("audit", "--m", "1", "--alphas", "5", "--n", "1..2", "--beta", "2"),

@@ -24,18 +24,16 @@ from rodpade.criterion import DegenerateAlphasError, V_value, evaluate_criterion
 from rodpade.heights import (
     H_v_vec,
     Place,
-    _factorize,
     _global_H_vec,
+    _int_valuation,
     _is_prime,
     abs_v,
     global_height,
-    height_profile,
     local_height,
-    valuation,
 )
 from rodpade.mpl import MplConfig, pade_table, pade_tables
 
-INF_PLACE = Place.archimedean()
+INF_PLACE = Place()
 
 
 def norm_v(p, place):
@@ -45,23 +43,23 @@ def norm_v(p, place):
 
 def test_place_parsing_and_validation():
     assert Place.parse("inf") == INF_PLACE
-    assert Place.parse("p2") == Place.finite(2)
-    assert Place.parse("3") == Place.finite(3)
+    assert Place.parse("p2") == Place(2)
+    assert Place.parse("3") == Place(3)
     with pytest.raises(ValueError):
-        Place.finite(4)
+        Place(4)
 
 
 def test_normalized_absolute_values():
-    assert abs_v(F(1, 2), Place.finite(2)) == 2
-    assert abs_v(F(12), Place.finite(2)) == F(1, 4)
+    assert abs_v(F(1, 2), Place(2)) == 2
+    assert abs_v(F(12), Place(2)) == F(1, 4)
     assert abs_v(F(-7, 3), INF_PLACE) == F(7, 3)
-    assert valuation(F(9, 8), 2) == -3
+    assert (_int_valuation(9, 2), _int_valuation(8, 2), _int_valuation(-24, 3)) == (0, 3, 1)
 
 
 def test_local_height_examples():
     assert abs(local_height(F(30), INF_PLACE) - math.log(30)) < 1e-14
-    assert abs(local_height(F(1, 2), Place.finite(2)) - math.log(2)) < 1e-14
-    for place in (INF_PLACE, Place.finite(2), Place.finite(5)):
+    assert abs(local_height(F(1, 2), Place(2)) - math.log(2)) < 1e-14
+    for place in (INF_PLACE, Place(2), Place(5)):
         assert local_height(F(1), place) == 0.0
 
 
@@ -74,11 +72,12 @@ def test_product_formula_exact():
         for p in {2, 3, 5, 7, 11, 13}.union(
             set(_prime_factors(x.denominator)), set(_prime_factors(abs(x.numerator)))
         ):
-            prod *= max(F(1), abs_v(x, Place.finite(p)))
+            prod *= max(F(1), abs_v(x, Place(p)))
         assert prod == max(abs(x.numerator), x.denominator)
 
 
 def _prime_factors(n: int):
+    """The primes of n, with multiplicity, by trial division: the oracle's own factorizer."""
     n = abs(n)
     f = 2
     while f * f <= n:
@@ -91,20 +90,17 @@ def _prime_factors(n: int):
 
 
 def test_height_profile_sums_to_global():
-    for x in (F(3, 4), F(30), F(-22, 7), F(1)):
-        prof = height_profile(x)
-        assert abs(sum(prof.locals.values()) - prof.total) < 1e-12
-        assert abs(prof.total - global_height(x)) < 1e-12
+    # h(x) is the sum of the local heights at infinity and at the primes of the denominator
+    for x in (F(3, 4), F(30), F(-22, 7), F(1), F(5, 72)):
+        places = [INF_PLACE] + [Place(p) for p in set(_prime_factors(x.denominator))]
+        assert abs(sum(local_height(x, place) for place in places) - global_height(x)) < 1e-12
 
 
 def _factored_global_H_vec(xs):
     """prod_v max(1, |x_1|_v, ..) place by place, over the factored denominators."""
     acc = max([F(1)] + [abs(x) for x in xs])
-    primes = set()
-    for x in xs:
-        primes.update(_factorize(x.denominator))
-    for p in primes:
-        acc *= F(p) ** max(max(0, -valuation(x, p)) for x in xs if x != 0)
+    for p in {q for x in xs for q in _prime_factors(x.denominator)}:
+        acc *= F(p) ** max(_naive_valuation(x.denominator, p) for x in xs)
     return acc
 
 
@@ -255,7 +251,7 @@ def test_bounds_audit_all_hold_on_small_grid():
     for m, r in ((1, 1), (1, 2), (2, 1)):
         config = MplConfig(m=m, r=r, alphas=(F(1),) if m == 1 else (F(1), F(2)))
         table = pade_table(config, 1)
-        for place in (INF_PLACE, Place.finite(2), Place.finite(3)):
+        for place in (INF_PLACE, Place(2), Place(3)):
             report = bounds_audit(config, table, place, beta=F(30))
             assert report.all_hold, [row.name for row in report.rows if not row.holds]
             assert all(row.slack >= 0 for row in report.rows if row.measured > 0)
@@ -370,10 +366,10 @@ AUDIT_ORACLE_CASES = [
 # |1/27|_3 = 27 > 3, |2/125|_5 = 125 > 5, |3/343|_7 = 343 > 7
 AUDIT_ORACLE_PLACES = [
     (INF_PLACE, F(-81, 2)),
-    (Place.finite(2), F(1, 8)),
-    (Place.finite(3), F(1, 27)),
-    (Place.finite(5), F(2, 125)),
-    (Place.finite(7), F(3, 343)),
+    (Place(2), F(1, 8)),
+    (Place(3), F(1, 27)),
+    (Place(5), F(2, 125)),
+    (Place(7), F(3, 343)),
 ]
 
 
@@ -393,7 +389,7 @@ def test_bounds_audit_rows_match_the_stage_by_stage_route(config_args, ns):
 
 def test_audit_json_shape():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
-    report = bounds_audit(config, pade_table(config, 1), Place.finite(2))
+    report = bounds_audit(config, pade_table(config, 1), Place(2))
     data = report.to_json()
     assert data["place"] == "p2"
     assert data["all_hold"] is True
@@ -432,8 +428,8 @@ def test_remainder_decay_p_adic_runs():
     # |32|_2 = 1/32 < 1 = H_2(alpha): rejected; |1/32|_2 = 32 > 1: accepted
     tables = pade_tables(config, range(2, 6))
     with pytest.raises(BadBetaError):
-        remainder_decay(config, F(32), Place.finite(2), tables)
-    report = remainder_decay(config, F(1, 32), Place.finite(2), tables)
+        remainder_decay(config, F(32), Place(2), tables)
+    report = remainder_decay(config, F(1, 32), Place(2), tables)
     assert len(report.log_remainder) == 4
 
 
@@ -474,9 +470,9 @@ def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
         (1, 1, (F(1),), F(-7, 3), INF_PLACE, 30),
         (2, 1, (F(3, 2), F(-5, 3)), F(40), INF_PLACE, 9),
         (1, 2, (F(4),), F(9), INF_PLACE, 70),
-        (2, 1, (F(4), F(-3)), F(11, 4), Place.finite(2), 10),
-        (1, 1, (F(1),), F(1, 32), Place.finite(2), 1),
-        (1, 2, (F(2),), F(1, 9), Place.finite(3), 4),
+        (2, 1, (F(4), F(-3)), F(11, 4), Place(2), 10),
+        (1, 1, (F(1),), F(1, 32), Place(2), 1),
+        (1, 2, (F(2),), F(1, 9), Place(3), 4),
     ],
 )
 def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, place, longest):
@@ -514,7 +510,7 @@ def test_remainder_decay_reads_the_tables_moment_rows(monkeypatch):
     assert given == remainder_decay(config, F(40), INF_PLACE, apart)
 
 
-@pytest.mark.parametrize("place", [INF_PLACE, Place.finite(2)], ids=["inf", "p2"])
+@pytest.mark.parametrize("place", [INF_PLACE, Place(2)], ids=["inf", "p2"])
 def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     import rodpade.audit
     from rodpade.audit import _remainder_sum
@@ -588,10 +584,10 @@ REMAINDER_GRID_PLACES = [
     (INF_PLACE, F(30)),
     (INF_PLACE, F(-30)),
     (INF_PLACE, F(9, 2)),
-    (Place.finite(2), F(3, 2**24)),
-    (Place.finite(3), F(-2, 3**17)),
-    (Place.finite(5), F(7, 5**12)),
-    (Place.finite(7), F(4, 7**10)),
+    (Place(2), F(3, 2**24)),
+    (Place(3), F(-2, 3**17)),
+    (Place(5), F(7, 5**12)),
+    (Place(7), F(4, 7**10)),
 ]
 
 
@@ -645,7 +641,6 @@ def _naive_abs_v(x, place):
 def test_integer_valuation_matches_repeated_division():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from rodpade.heights import _int_valuation
 
     @_derandomized(hypothesis)
     @hypothesis.given(
@@ -656,7 +651,8 @@ def test_integer_valuation_matches_repeated_division():
     def check(p, unit, k):
         n = unit * p**k
         assert _int_valuation(n, p) == _naive_valuation(n, p)
-        assert valuation(F(n, p ** (k // 2 + 1)), p) == _naive_valuation(n, p) - (k // 2 + 1)
+        x = F(n, p ** (k // 2 + 1))
+        assert _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p) == _naive_valuation(n, p) - (k // 2 + 1)
 
     check()
 
@@ -666,7 +662,7 @@ def test_integer_norm_matches_the_largest_coefficient_value():
     st = hypothesis.strategies
     from rodpade.heights import _int_norm_v
 
-    places = st.sampled_from([INF_PLACE] + [Place.finite(p) for p in _PROPERTY_PRIMES])
+    places = st.sampled_from([INF_PLACE] + [Place(p) for p in _PROPERTY_PRIMES])
     # coefficients carrying high powers of the primes, and zeros
     coeffs = st.builds(
         lambda u, p, k: u * p**k,
@@ -716,13 +712,13 @@ def test_integer_horner_matches_the_fraction_horner():
         (lambda k: F(1, 3) if k < 20 else F(1, 2), (1,), 1, F(3, 2), INF_PLACE, F(1)),
         # the first majorant equals |partial|_2 exactly, 1/2 and then 4: the
         # strict test must not stop there
-        (lambda k: F(1, 2), (1,), 1, F(1, 2), Place.finite(2), F(1)),
-        (lambda k: F(1, 1024), (1,), 1, F(1, 16), Place.finite(2), F(8)),
+        (lambda k: F(1, 2), (1,), 1, F(1, 2), Place(2), F(1)),
+        (lambda k: F(1, 1024), (1,), 1, F(1, 16), Place(2), F(8)),
         # H below 1 lets beta = 2 carry the prime in its numerator, which
         # then enters |partial|_2 through the denominator b^(k+1)
-        (lambda k: F(4), (1,), 1, F(2), Place.finite(2), F(1, 3)),
+        (lambda k: F(4), (1,), 1, F(2), Place(2), F(1, 3)),
         # integer moments: the first run's L is 1, and d = 4 alone carries the prime
-        (lambda k: F(k % 3), (F(1, 4), 1), 1, F(1, 2), Place.finite(2), F(1)),
+        (lambda k: F(k % 3), (F(1, 4), 1), 1, F(1, 2), Place(2), F(1)),
     ],
     ids=["inf-lcm-between-runs", "inf-lcm-grows-within-the-sum", "p2-majorant-equal-below-1", "p2-majorant-equal-above-1",
          "p2-beta-numerator", "p2-integer-moments"],
@@ -764,7 +760,7 @@ def test_tables_and_decay_on_an_extended_family_match_a_fresh_one():
         ),
         st.integers(2, 3),
         st.integers(1, 150),
-        st.sampled_from([INF_PLACE, Place.finite(2), Place.finite(3)]),
+        st.sampled_from([INF_PLACE, Place(2), Place(3)]),
         st.integers(0, 3),
     )
     def check(shape_alphas, top, extra, place, lift):

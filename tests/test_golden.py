@@ -92,26 +92,26 @@ def test_stdout_bytes_unchanged(capsys, argv, code, digest):
 # of the decay's certified partial sums).  Recorded from the program while the
 # norms, values at beta and remainder sums were still Fraction arithmetic.
 AUDIT_GOLDEN = [
-    (2, 1, (F(3, 2), F(-5, 3)), range(1, 9), Place.archimedean(), F(40),
+    (2, 1, (F(3, 2), F(-5, 3)), range(1, 9), Place(), F(40),
      "20b4443f544806a497739d603050ea9109d25c3aa2addd6f2d8e9f357cc2ca86",
      "a264630c615716d48003a6c3e7777fa3a6cb496bb81c13eb2e1313514071939c"),
-    (2, 1, (F(3, 2), F(-5, 3)), range(1, 9), Place.finite(2), F(1, 64),
+    (2, 1, (F(3, 2), F(-5, 3)), range(1, 9), Place(2), F(1, 64),
      "2871f6739547e5a6fe44f18f19553d4806e993580822d82bb545223b3c0146d4",
      "fd88f9e4fced89e98687ca67fdeaf7196592d9e6f59bebed0c0e56f2969f5ea1"),
-    (1, 2, (F(2),), range(1, 5), Place.finite(3), F(1, 9),
+    (1, 2, (F(2),), range(1, 5), Place(3), F(1, 9),
      "f658b733ee1c42e8fc9365dee8fa11149daf6ce258ef175cd2a8a84f99e770c4",
      "018e5d8162ff032b1ac2985e978b0adeb644368989bb79ffc35f0d41fb9babac"),
-    (1, 1, (F(-7, 3),), range(1, 6), Place.archimedean(), None,
+    (1, 1, (F(-7, 3),), range(1, 6), Place(), None,
      "897d8ca753465aa911d298f865c7584c0fd1579b924b8c70afa5c07b3997b2df", None),
-    (2, 1, (F(4), F(-3)), range(1, 4), Place.finite(3), None,
+    (2, 1, (F(4), F(-3)), range(1, 4), Place(3), None,
      "549038d836b7f0d95ff41b9e6f40cef08e8aadada6a10ad5fececb4a638a1a60", None),
     # long sums, recorded while each run of the decay brought its own moment
     # window over a denominator: at beta = 2 the sums run up to 85 terms past
     # n, across three runs; the second is the p-adic decay that exits 1
-    (1, 1, (F(5, 7),), range(1, 13), Place.archimedean(), F(2),
+    (1, 1, (F(5, 7),), range(1, 13), Place(), F(2),
      "9463ba15e975cc7b9fd955995729a8d94c160c3a64a48b6dafdeeeedcc7f050c",
      "695bd8003a9b487bf001889f8ebd3441109186e9fa4b0e40e3189657ee45fdbd"),
-    (2, 1, (F(4), F(-3)), range(1, 7), Place.finite(2), F(11, 4),
+    (2, 1, (F(4), F(-3)), range(1, 7), Place(2), F(11, 4),
      "4ffed21ee87965241905f58c1f2c3690b30103daaf7642f52b4be154454af469",
      "595e4675b1c1fd865b7dc847f94a1f8e0251da11e5e4aeddf95fb7adea7d4379"),
 ]

@@ -9,8 +9,10 @@ from fractions import Fraction as F
 import pytest
 from oracles import fraction_remainder, poly, q_polys, series, shifted
 
+from rodpade import criterion
 from rodpade.holonomic import check_membership
 from rodpade.mpl import (
+    DegenerateAlphasError,
     MplConfig,
     MplIndex,
     index_set,
@@ -76,12 +78,13 @@ def solve_exact(rows, rhs):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MplConfig(m=2, r=1, alphas=(F(1), F(1)))
-    with pytest.raises(ValueError):
-        MplConfig(m=1, r=1, alphas=(F(0),))
+    # the alphas' three checks raise the one error class, which criterion re-exports
+    for alphas in ((F(1), F(1)), (F(0), F(1)), (F(1),)):
+        with pytest.raises(DegenerateAlphasError):
+            MplConfig(m=2, r=1, alphas=alphas)
     with pytest.raises(ValueError):
         MplConfig(m=0, r=1, alphas=())
+    assert criterion.DegenerateAlphasError is DegenerateAlphasError
     assert CFG22.M == 8
 
 

@@ -36,11 +36,6 @@ def _samples():
         mpl.MplConfig: [config, mpl.MplConfig(m=1, r=2, alphas=[F(1)]), mpl.MplConfig(2, 1, (1, -2))],
         mpl.MplIndex: [idx[3], mpl.MplIndex(idx[3].s, idx[3].a), *idx],
         heights.Place: [heights.Place(), heights.Place(None), heights.Place(2), heights.Place(p=3)],
-        heights.HeightProfile: [
-            heights.height_profile(F(3, 4)),
-            heights.height_profile(F(6, 8)),
-            heights.height_profile(F(5, 2)),
-        ],
         criterion.VResult: [
             criterion.V_value((F(1),), F(30), 1, 1, heights.Place()),
             criterion.V_value((F(1),), F(30), 1, 1, heights.Place()),
@@ -126,7 +121,7 @@ def test_every_value_class_is_a_record():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert value_classes == set(SAMPLES)
-    assert len(SAMPLES) == 15
+    assert len(SAMPLES) == 14
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
@@ -208,8 +203,8 @@ def test_mpl_index_orders_like_its_twin():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: mpl.MplConfig(0, 1, ()), "m and r must be positive"),
-        (lambda: mpl.MplConfig(1, 0, (1,)), "m and r must be positive"),
+        (lambda: mpl.MplConfig(0, 1, ()), "m must be positive, got 0"),
+        (lambda: mpl.MplConfig(1, 0, (1,)), "r must be positive, got 0"),
         (lambda: mpl.MplConfig(2, 1, (1,)), "expected 2 alphas, got 1"),
         (lambda: mpl.MplConfig(2, 1, (1, 0)), "alphas must be nonzero"),
         (lambda: mpl.MplConfig(2, 1, (F(1, 2), F(2, 4))), "alphas must be pairwise distinct"),

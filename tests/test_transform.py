@@ -494,8 +494,8 @@ def test_moment_seq_memoization_is_stable():
         return F(k)
 
     seq = MomentSeq(fn, "probe")
-    first = seq.prefix(10)
-    second = seq.prefix(10)
+    first = [seq[k] for k in range(10)]
+    second = [seq[k] for k in range(10)]
     assert first == second
     assert calls == list(range(10))  # generator ran once per index
 
@@ -505,7 +505,7 @@ def test_moment_seq_concurrent_extension_yields_identical_values():
     results, windows = {}, {}
 
     def worker(tag, upto):
-        results[tag] = seq.prefix(upto)
+        results[tag] = [seq[k] for k in range(upto)]
         # integer windows of mixed lengths, each kept as it was handed out
         windows[tag] = [seq.ints(stop) for stop in (upto // (tag + 2), 3 + 7 * tag, upto)]
 
@@ -519,7 +519,7 @@ def test_moment_seq_concurrent_extension_yields_identical_values():
     for tag, pairs_seen in windows.items():
         for stop, (nums, lcm) in zip((200 // (tag + 2), 3 + 7 * tag, 200), pairs_seen):
             assert len(nums) >= stop
-            assert over_common_denominator(seq.prefix(len(nums))) == (list(nums), lcm)
+            assert over_common_denominator([seq[k] for k in range(len(nums))]) == (list(nums), lcm)
 
 
 def test_moment_seq_ints_grows_without_rescaling_earlier_windows():
@@ -610,7 +610,7 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
             assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 1)]
             assert poly((int_part, lcm * d)) == part == poly(cell.q_pairs[f.label])
             # three coefficients past the n that vanish, on a longer window of its own
-            ws, lcm = over_common_denominator(f.prefix(cell.degree + n + 3))
+            ws, lcm = over_common_denominator([f[k] for k in range(cell.degree + n + 3)])
             int_tail, _ = _series_coefficients(nums, ws, n + 3)
             assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 4)]
         assert verify_pade(cell, table.seqs, cell.degree)

@@ -36,6 +36,7 @@ JOBS = {
     "det": ["-m", "rodpade", "det", "--m", "2", "--r", "1", ALPHAS, "--n", "2"],
     "criterion": ["-m", "rodpade", "criterion", "--m", "2", "--r", "1", ALPHAS, "--beta", "4000000"],
     "audit": ["-m", "rodpade", "audit", "--m", "2", "--r", "1", ALPHAS, "--n", "1..4", "--beta", "40"],
+    "audit --lcm": ["-m", "rodpade", "audit", "--lcm", "10000"],
     "logpow-identities": ["-m", "rodpade", "logpow-identities", "--n", "2"],
 }
 _LINE = re.compile(r"import time:\s+(\d+) \|\s+\d+ \|\s*(rodpade(?:\.\w+)?)\s*$")

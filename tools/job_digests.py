@@ -78,6 +78,18 @@ EDGE = [
     ("pade", "--m", "1", "--alphas", "1", "--n", "a..b"),
     # a run-config document, the one input read through json
     ("pade", "--config", "<doc>.json"),
+    # invalid (m, r, alphas), exit 2: m = 0, r = 0, a wrong count, a zero and a repeated alpha
+    *(
+        (command, *config, *rest)
+        for command, rest in (("pade", ("--n", "1")), ("det", ("--n", "1")), ("audit", ("--n", "1..2")))
+        for config in (
+            ("--m", "0", "--alphas", "1"),
+            ("--m", "1", "--r", "0", "--alphas", "1"),
+            ("--m", "2", "--alphas", "1"),
+            ("--m", "2", "--alphas=1,0"),
+            ("--m", "2", "--alphas=2,4/2"),
+        )
+    ),
 ]
 CONFIG_DOC = '{"m": 2, "r": 1, "alphas": ["3/2", "-5/3"], "n": 2}\n'
 
