@@ -27,6 +27,7 @@ from .heights import (
     H_v_vec,
     Place,
     _bound_constant,
+    _int_height_v,
     _int_norm_v,
     _int_valuation,
     _round15,
@@ -207,14 +208,11 @@ def bounds_audit(
     def add(name: str, measured: tuple[int, int], bound: tuple[int, int]) -> None:
         rows.append(AuditRow(name, Fraction(*measured), Fraction(*bound)))
 
-    def height(nums: Sequence[int], den: int) -> tuple[int, int]:
-        """max(1, max_i |nums[i] / den|_v)."""
-        num, den = _int_norm_v(nums, den, place)
-        return (num, den) if num > den else (1, 1)
-
-    h_alphas = [height((a.numerator,), a.denominator) for a in config.alphas]
-    ha_num, ha_den = height(*over_common_denominator(config.alphas))
-    hb_num, hb_den = height((beta.numerator,), beta.denominator) if beta is not None else (1, 1)
+    h_alphas = [_int_height_v((a.numerator,), a.denominator, place) for a in config.alphas]
+    ha_num, ha_den = _int_height_v(*over_common_denominator(config.alphas), place)
+    hb_num, hb_den = (
+        _int_height_v((beta.numerator,), beta.denominator, place) if beta is not None else (1, 1)
+    )
 
     def moment_bound(k: int, norm: tuple[int, int]) -> tuple[int, int]:
         """k^((r+1) eps) |lcm(1..k)^r|_v^(eps-1) H_v(alpha)^k times ``norm``."""
@@ -329,11 +327,12 @@ class DecayReport(Record):
 def _remainder_sum(
     f: MomentSeq,
     cell: PadeCell,
-    normp: Fraction,
+    normp: tuple[int, int],
     beta: Fraction,
     place: Place,
     r: int,
-    H_alpha: Fraction,
+    H_alpha: tuple[int, int],
+    abs_beta: tuple[int, int],
 ) -> tuple[Fraction, int]:
     """Certified partial sum of sum_{k>=n} phi(t^k P) beta^-(k+1), and its last index.
 
@@ -346,8 +345,8 @@ def _remainder_sum(
     After the term of index K the majorant is (s+1)^e H^(s+1) ||P||_v /
     |beta|_v^(K+2) with s = K + deg P + 2 (e = r at a prime, r + 1 at
     infinity), and the ratio of consecutive majorants is
-    (H / |beta|_v) ((s+2)/(s+1))^e.  ``normp`` is ||P||_v, which the caller
-    takes once per column.
+    (H / |beta|_v) ((s+2)/(s+1))^e, H = H_v(alpha).  ``normp``, ``H_alpha`` and
+    ``abs_beta`` are ||P||_v, H and |beta|_v > H as integer pairs the caller takes once.
 
     The sum runs on integers.  With P = nums / d, beta = b / c and
     phi(t^k P) = t_k / (L d), the partial sum through K is A / (L d b^(K+1))
@@ -363,17 +362,14 @@ def _remainder_sum(
     """
     nums, den = cell.column
     n, width = cell.n, len(nums)
-    abs_beta = abs_v(beta, place)
-    if abs_beta <= H_alpha:
-        raise BadBetaError(f"|beta|_{place} = {abs_beta} <= H_v(alpha) = {H_alpha}")
+    (h_num, h_den), (ab_num, ab_den) = H_alpha, abs_beta
     e = r if place.is_finite else r + 1
     b, c = beta.numerator, beta.denominator
     # the ratio is q ((s+2)/(s+1))^e with q = H / |beta|_v = q_num / q_den
-    q_num = H_alpha.numerator * abs_beta.denominator
-    q_den = H_alpha.denominator * abs_beta.numerator
+    q_num, q_den = h_num * ab_den, h_den * ab_num
     s = n + width + 1
-    x = H_alpha.numerator ** (s + 1) * normp.numerator * abs_beta.denominator ** (n + 2)
-    y = H_alpha.denominator ** (s + 1) * normp.denominator * abs_beta.numerator ** (n + 2)
+    x = h_num ** (s + 1) * normp[0] * ab_den ** (n + 2)
+    y = h_den ** (s + 1) * normp[1] * ab_num ** (n + 2)
     run, scale = cell.heads[f.label]
     k, c_pow, b_pow = n, c ** (n + 1), b ** (n + 1)  # c^(k+1), b^(k+1)
     acc, lcm, ws, step = run[n] * c_pow, scale // den, (), 8
@@ -428,8 +424,9 @@ def remainder_decay(
     + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus slack 0.1.
     """
     beta = as_fraction(beta)
-    H_alpha = H_v_vec(config.alphas, v0)
-    if abs_v(beta, v0) <= H_alpha:
+    H_alpha = _int_height_v(*over_common_denominator(config.alphas), v0)
+    abs_beta = _int_norm_v((beta.numerator,), beta.denominator, v0)
+    if abs_beta[0] * H_alpha[1] <= H_alpha[0] * abs_beta[1]:
         raise BadBetaError("|beta|_v must exceed the local height of the alphas")
     ns = sorted(tables)
     if len(ns) < 2:
@@ -439,10 +436,10 @@ def remainder_decay(
     for n in ns:
         table = tables[n]
         best = -math.inf
-        norms = [Fraction(*_int_norm_v(*cell.column, v0)) for cell in table.cells]
+        norms = [_int_norm_v(*cell.column, v0) for cell in table.cells]
         for f in table.seqs:
             for cell, normp in zip(table.cells, norms):
-                partial, _ = _remainder_sum(f, cell, normp, beta, v0, r, H_alpha)
+                partial, _ = _remainder_sum(f, cell, normp, beta, v0, r, H_alpha, abs_beta)
                 best = max(best, log_fraction(abs_v(partial, v0)))
         logs.append(best)
     mean_n = sum(ns) / len(ns)

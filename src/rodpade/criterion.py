@@ -67,8 +67,12 @@ def V_value(
     a strict inequality is being decided.  (m, r, alphas) are checked by
     ``MplConfig``.
     """
-    config = MplConfig(m, r, alphas)
-    alphas, M = config.alphas, config.M
+    return _V(MplConfig(m, r, alphas), beta, v0)
+
+
+def _V(config: MplConfig, beta: Fraction, v0: Place) -> VResult:
+    """``V_value`` on a checked config."""
+    m, r, alphas, M = config.m, config.r, config.alphas, config.M
     beta = as_fraction(beta)
     h_v0_beta = local_height(beta, v0)
     h_v0_alpha = local_height_vec(alphas, v0)
@@ -165,7 +169,7 @@ def evaluate_criterion(
     config = MplConfig(m, r, alphas)
     alphas = config.alphas
     beta = as_fraction(beta)
-    v = V_value(alphas, beta, m, r, v0)
+    v = _V(config, beta, v0)
     exceeds = abs_v(beta, v0) > H_v_vec(alphas, v0)
     if v.indeterminate:
         v_state = "indeterminate"

@@ -1,10 +1,10 @@
 """Places of Q, exact absolute values and heights.
 
-The layer that the independence criterion (:mod:`rodpade.criterion`) and
-the bound audits (:mod:`rodpade.audit`) share.  Absolute values are exact
-rationals, or integer pairs (numerator, denominator > 0) where a caller
-multiplies many of them; logarithms are taken once, at the end, through a
-big-integer safe routine with relative error well below 1e-15.
+The layer that the criterion (:mod:`rodpade.criterion`) and the bound
+audits (:mod:`rodpade.audit`) share.  |x|_v and H_v = max(1, |x|_v) are
+exact: integer pairs (numerator, denominator > 0), from ``_int_norm_v`` and
+``_int_height_v``, or rationals read from them; logarithms are taken once,
+at the end, big-integer safe, with relative error well below 1e-15.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Record, as_fraction, log_fraction, log_int as _log_int
+from .exact import Record, as_fraction, log_fraction, log_int as _log_int, over_common_denominator
 
 __all__ = [
     "Place",
     "abs_v",
     "local_height",
     "local_height_vec",
-    "H_v",
     "H_v_vec",
     "global_height",
     "global_height_vec",
@@ -136,6 +135,13 @@ def _int_norm_v(nums: Sequence[int], den: int, place: Place) -> tuple[int, int]:
     return (place.p**v, 1) if v >= 0 else (1, place.p**-v)
 
 
+def _int_height_v(nums: Sequence[int], den: int, place: Place) -> tuple[int, int]:
+    """max(1, max_i |nums[i] / den|_v) in lowest terms, for integers nums and den > 0."""
+    num, den = _int_norm_v(nums, den, place)
+    g = math.gcd(num, den)
+    return (num // g, den // g) if num > den else (1, 1)
+
+
 def abs_v(x: Fraction, place: Place) -> Fraction:
     """Normalized absolute value, exact: |p|_p = 1/p, usual value at infinity."""
     x = as_fraction(x)
@@ -144,19 +150,15 @@ def abs_v(x: Fraction, place: Place) -> Fraction:
 
 def local_height(x: Fraction, place: Place) -> float:
     """h_v(x) = log max(1, |x|_v); the intermediate max is exact."""
-    return log_fraction(H_v(x, place))
+    return log_fraction(H_v_vec((x,), place))
 
 
 def local_height_vec(xs: Sequence[Fraction], place: Place) -> float:
     return log_fraction(H_v_vec(xs, place))
 
 
-def H_v(x: Fraction, place: Place) -> Fraction:
-    return max(Fraction(1), abs_v(x, place))
-
-
 def H_v_vec(xs: Sequence[Fraction], place: Place) -> Fraction:
-    return max([Fraction(1)] + [abs_v(x, place) for x in xs])
+    return Fraction(*_int_height_v(*over_common_denominator([as_fraction(x) for x in xs]), place))
 
 
 def global_height(x: Fraction) -> float:

@@ -87,10 +87,7 @@ class MplConfig(Record):
 
 
 class MplIndex(Record):
-    """A composition s with |s| <= r and a tuple of 1-based alpha indices.
-
-    Indices are ordered by (s, a).
-    """
+    """A composition s with |s| <= r and a tuple of 1-based alpha indices."""
 
     __slots__ = ("s", "a")
 
@@ -101,25 +98,9 @@ class MplIndex(Record):
         if any(si < 1 for si in self.s) or any(ai < 1 for ai in self.a):
             raise ValueError("entries must be positive")
 
-    def __lt__(self, other):
-        return self._key() < other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self._key() <= other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self._key() > other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self._key() >= other._key() if other.__class__ is self.__class__ else NotImplemented
-
     @property
     def depth(self) -> int:
         return len(self.s)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.s)
 
     def args(self, config: MplConfig) -> list[str]:
         """Ratio-chained argument strings, last one symbolic in z."""

@@ -6,10 +6,12 @@ import contextlib
 import io
 import json
 import re
+import runpy
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -979,3 +981,14 @@ def test_table_runs_never_load_the_operator_algebra(argv):
     # criterion builds no table, so it loads no transform either
     assert ("rodpade.transform" in loaded) == (argv[0] != "criterion")
     assert "rodpade.weyl" not in loaded
+
+
+def test_job_digests_runs_every_edge_job():
+    # the byte-identity tool that compares two checkouts: one line per edge job, none raised
+    tool = Path(__file__).resolve().parent.parent / "tools" / "job_digests.py"
+    edge = runpy.run_path(str(tool))["EDGE"]
+    proc = subprocess.run([sys.executable, str(tool), "--workload", "edge"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" ", 3)[3] for line in lines] == [" ".join(argv) for argv in edge]
+    assert [line for line in lines if line.startswith("raised ")] == []

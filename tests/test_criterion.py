@@ -41,6 +41,16 @@ def norm_v(p, place):
     return max((abs_v(c, place) for c in p.coeffs), default=F(0))
 
 
+def H_v(x, place):
+    """max(1, |x|_v), through ``abs_v``."""
+    return max(F(1), abs_v(x, place))
+
+
+def pair(x):
+    """A rational as the integer pair (numerator, denominator) that ``_remainder_sum`` reads."""
+    return x.numerator, x.denominator
+
+
 def test_place_parsing_and_validation():
     assert Place.parse("inf") == INF_PLACE
     assert Place.parse("p2") == Place(2)
@@ -274,7 +284,6 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
     is used: one product norm per stage per column, the input norm of every
     operator step taken again, and the chained column bound in a loop of its own.
     """
-    from rodpade.heights import H_v
     from rodpade.exact import int_convolve
     from rodpade.mpl import rodrigues_stages
     from rodpade.transform import rodrigues_lift
@@ -409,6 +418,22 @@ def test_moment_denominators_cleared_by_lcm_power():
                 assert cleared.denominator == 1, (m, r, seq.label, j)
 
 
+def test_evaluate_criterion_checks_the_config_once(monkeypatch):
+    import rodpade.criterion
+
+    built = []
+
+    class CountingConfig(MplConfig):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rodpade.criterion, "MplConfig", CountingConfig)
+    report = evaluate_criterion((F(3, 2), F(-5, 3)), F(4000000), 2, 1, INF_PLACE)
+    assert report.passed
+    assert len(built) == 1
+
+
 def test_remainder_decay_legendre():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     report = remainder_decay(config, F(30), INF_PLACE, pade_tables(config, range(2, 13)))
@@ -437,6 +462,32 @@ def test_remainder_decay_bad_beta():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     with pytest.raises(BadBetaError):
         remainder_decay(config, F(1), INF_PLACE, pade_tables(config, range(2, 5)))
+
+
+def test_remainder_decay_takes_abs_beta_once(monkeypatch):
+    # the hypothesis |beta|_v > H_v(alpha) is decided once per decay, not again per remainder sum
+    import rodpade.audit
+
+    config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
+    tables = pade_tables(config, range(1, 9))
+    beta = F(40)
+    taken = []
+    abs_v_, int_norm_v = rodpade.audit.abs_v, rodpade.audit._int_norm_v
+
+    def counting_abs_v(x, place):
+        if x == beta:
+            taken.append(place)
+        return abs_v_(x, place)
+
+    def counting_norm(nums, den, place):
+        if (nums, den) == ((beta.numerator,), beta.denominator):
+            taken.append(place)
+        return int_norm_v(nums, den, place)
+
+    monkeypatch.setattr(rodpade.audit, "abs_v", counting_abs_v)
+    monkeypatch.setattr(rodpade.audit, "_int_norm_v", counting_norm)
+    assert remainder_decay(config, beta, INF_PLACE, tables).ok
+    assert taken == [INF_PLACE]
 
 
 def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
@@ -488,7 +539,9 @@ def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, 
             for cell in table.cells:
                 P = poly(cell.column)
                 want, stop = _remainder_log_abs_from_scratch(f, P, n, beta, place, r, H_alpha)
-                partial, _ = _remainder_sum(f, cell, norm_v(P, place), beta, place, r, H_alpha)
+                partial, _ = _remainder_sum(
+                    f, cell, pair(norm_v(P, place)), beta, place, r, pair(H_alpha), pair(abs_v(beta, place))
+                )
                 assert log_fraction(abs_v(partial, place)) == want
                 stops.add(stop - n)
     # the longest summation (in terms) is fixed too; some cross several runs
@@ -524,7 +577,9 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     H_alpha = H_v_vec(config.alphas, place)
     def log_remainder(n, f, cell):
         normp = norm_v(poly(cell.column), place)
-        partial, _ = _remainder_sum(f, cell, normp, beta, place, 1, H_alpha)
+        partial, _ = _remainder_sum(
+            f, cell, pair(normp), beta, place, 1, pair(H_alpha), pair(abs_v(beta, place))
+        )
         return log_fraction(abs_v(partial, place))
 
     want = [
@@ -607,7 +662,9 @@ def test_integer_remainder_sum_certifies_the_fraction_loops_sum(m, r, alphas, pl
             P = poly(cell.column)
             normp = norm_v(P, place)
             for f in table.seqs:
-                partial, last = _remainder_sum(f, cell, normp, beta, place, r, H_alpha)
+                partial, last = _remainder_sum(
+                    f, cell, pair(normp), beta, place, r, pair(H_alpha), pair(abs_v(beta, place))
+                )
                 want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, r, H_alpha)
                 assert (partial, last) == want, (n, f.label, cell.ell)
 
@@ -683,6 +740,40 @@ def test_integer_norm_matches_the_largest_coefficient_value():
     check()
 
 
+def test_pair_height_and_the_heights_read_from_it():
+    # max(1, |x_i|_v) on integer pairs, and H_v_vec and the local heights equal to
+    # their Fraction definitions: max(1, |x_1|_v, ..) and the log of it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from rodpade.exact import log_fraction
+    from rodpade.heights import _int_height_v, local_height_vec
+
+    primes = (2, 3, 5, 2**61 - 1)
+
+    @_derandomized(hypothesis)
+    @hypothesis.given(st.sampled_from([INF_PLACE] + [Place(p) for p in primes]), st.data())
+    def check(place, data):
+        p = place.p or data.draw(st.sampled_from(primes))
+        # zero and negative numerators, and powers of p in the numerators and the denominator
+        nums = data.draw(
+            st.lists(
+                st.builds(lambda u, k: u * p**k, st.integers(-(10**6), 10**6), st.integers(0, 5)),
+                max_size=6,
+            )
+        )
+        den = data.draw(st.builds(lambda w, k: w * p**k, st.integers(1, 10**6), st.integers(0, 5)))
+        xs = [F(a, den) for a in nums]
+        want = max([F(1)] + [_naive_abs_v(x, place) for x in xs])
+        num, hden = _int_height_v(nums, den, place)
+        assert hden > 0 and math.gcd(num, hden) == 1 and F(num, hden) == want
+        assert H_v_vec(xs, place) == want
+        assert local_height_vec(xs, place) == log_fraction(want)
+        for x in xs:
+            assert local_height(x, place) == log_fraction(max(F(1), _naive_abs_v(x, place)))
+
+    check()
+
+
 def test_integer_horner_matches_the_fraction_horner():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -735,7 +826,8 @@ def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_al
     cell = build_table([over_common_denominator(P.coeffs)], [f], n).cells[0]
     normp = norm_v(P, place)
     want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, 1, H_alpha)
-    assert _remainder_sum(f, cell, normp, beta, place, 1, H_alpha) == want
+    got = _remainder_sum(f, cell, pair(normp), beta, place, 1, pair(H_alpha), pair(_naive_abs_v(beta, place)))
+    assert got == want
 
 
 def test_tables_and_decay_on_an_extended_family_match_a_fresh_one():

@@ -138,11 +138,15 @@ def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, s
     if beta is None:
         return
     H_alpha = H_v_vec(config.alphas, place)
+    H_alpha = H_alpha.numerator, H_alpha.denominator
+    abs_beta = abs_v(beta, place)
+    abs_beta = abs_beta.numerator, abs_beta.denominator
     sums = []
     for n in ns:
         for cell in tables[n].cells:
             normp = max(abs_v(c, place) for c in poly(cell.column).coeffs)
+            normp = normp.numerator, normp.denominator
             for f in tables[n].seqs:
-                partial, last = _remainder_sum(f, cell, normp, beta, place, r, H_alpha)
+                partial, last = _remainder_sum(f, cell, normp, beta, place, r, H_alpha, abs_beta)
                 sums.append(f"{n} {f.label} {cell.ell} {format_rational(partial)} {last}")
     assert _sha(sums) == sums_digest

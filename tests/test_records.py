@@ -97,7 +97,7 @@ def _twin(cls):
         elif default is not dataclasses.MISSING:
             kwargs["default"] = default
         specs.append((name, object, dataclasses.field(**kwargs)))
-    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=True, order=cls is mpl.MplIndex)
+    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
     twin.__qualname__ = cls.__qualname__
     return twin
 
@@ -138,9 +138,8 @@ def test_record_matches_its_dataclass_twin(cls):
         assert repr(value) == repr(tw)
         assert _hash(value) == _hash(tw)
         assert value != tw and value != object()
-        if cls is not mpl.MplIndex:
-            with pytest.raises(TypeError):
-                value < value  # noqa: B015
+        with pytest.raises(TypeError):
+            value < value  # noqa: B015
     # the constructor keeps the dataclass's positional order, keywords and defaults
     ours = inspect.signature(cls).parameters
     theirs = inspect.signature(twin).parameters
@@ -186,18 +185,6 @@ def test_hidden_fields_change_neither_equality_nor_repr(cls):
         assert bare == value and repr(bare) == repr(value)
         assert f"{hidden}=" not in repr(value)
         assert repr(_as_twin(_twin(cls), bare)) == repr(value)
-
-
-def test_mpl_index_orders_like_its_twin():
-    twin = _twin(mpl.MplIndex)
-    indices = mpl.index_set(2, 3)
-    shuffled = indices[::-1][1::2] + indices[::-1][::2]
-    assert [_as_twin(twin, i) for i in sorted(shuffled)] == sorted(_as_twin(twin, i) for i in shuffled)
-    for a, b in itertools.product(indices[:12], repeat=2):
-        ta, tb = _as_twin(twin, a), _as_twin(twin, b)
-        assert (a < b, a <= b, a > b, a >= b) == (ta < tb, ta <= tb, ta > tb, ta >= tb)
-    with pytest.raises(TypeError):
-        indices[0] < _as_twin(twin, indices[1])  # noqa: B015
 
 
 @pytest.mark.parametrize(

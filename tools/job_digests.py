@@ -47,6 +47,11 @@ EDGE = [
     ("audit", "--m", "2", "--r", "1", "--alphas=4,-3", "--n", "1..6", "--beta", "11/4", "--place", "p2"),
     # exit 2
     ("audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40", "--place", "p2"),
+    # |beta|_v = H_v(alpha) exactly: exit 2 from audit, and 3 from criterion, since the hypothesis is strict
+    ("audit", "--m", "1", "--r", "1", "--alphas=5", "--n", "1..3", "--beta", "5"),
+    ("audit", "--m", "1", "--r", "1", "--alphas=1/3", "--n", "1..3", "--beta", "1/3", "--place", "p3"),
+    ("audit", "--m", "1", "--r", "1", "--alphas=1", "--n", "4", "--beta", "1"),
+    ("criterion", "--m", "1", "--r", "1", "--alphas=1/3", "--beta", "1/3", "--place", "p3"),
     ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e4300"),
     ("criterion", "--m", "1", "--alphas", "1", "--beta", "123e4299"),
     ("criterion", "--m", "1", "--alphas", "1,1", "--beta", "3"),
