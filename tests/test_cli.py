@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 import time
@@ -717,6 +719,66 @@ def test_every_subcommand_handler_resolves():
     for command, (module, _) in cli.COMMANDS.items():
         run = cli.handler(command)
         assert callable(run) and (run.__module__, run.__name__) == (f"rodpade.{module}", "run")
+
+
+def _imports_cli(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "rodpade.cli" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    # the package's modules import each other relatively, one level up
+    module = ".".join(filter(None, ["rodpade" if node.level else "", node.module]))
+    return module == "rodpade.cli" or (module == "rodpade" and any(a.name == "cli" for a in node.names))
+
+
+def test_no_module_but_main_imports_cli():
+    # the exit codes and the flag reading are cli's own: no subcommand's run reaches back into it
+    package = Path(cli.__file__).parent
+    importers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _imports_cli(node)
+    }
+    assert importers == {"__main__.py"}
+
+
+@pytest.mark.parametrize(
+    "argv, ok",
+    [
+        (("pade", "--m", "1", "--r", "1", "--alphas", "1", "--n", "2"), True),
+        (("det", "--appendix-logpow", "--m", "2", "--n", "1"), True),
+        (("criterion", "--m", "1", "--r", "1", "--alphas", "1", "--beta", "30", "--place", "inf"), True),
+        (("criterion", "--m", "1", "--r", "1", "--alphas", "1", "--beta", "1", "--place", "inf"), False),
+        (("audit", "--m", "1", "--r", "1", "--alphas", "1", "--n", "1..2", "--beta", "30", "--place", "inf"), True),
+        (("audit", "--lcm", "10"), False),
+        (("logpow-identities", "--n", "2"), True),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+)
+def test_each_run_returns_its_payload_and_whether_it_holds(argv, ok):
+    # every flag a run reads is given, so no default of main's is needed; main alone picks the exit code
+    payload, holds = cli.handler(argv[0])(cli.read_argv(list(argv)))
+    assert payload["command"] == argv[0]
+    assert holds is ok
+
+
+def test_import_cost_tool_reports_every_job(tmp_path):
+    # a copy of the sources, so that no compiled file of this run makes the tool refuse them
+    tool = Path(__file__).resolve().parent.parent / "tools" / "import_cost.py"
+    package = Path(cli.__file__).parent
+    shutil.copytree(package, tmp_path / "src" / "rodpade", ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--runs", "1", "--root", str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    jobs = runpy.run_path(str(tool))["JOBS"]
+    totals = proc.stdout.split("\ntotals, median of 1 runs\n")[1].splitlines()[1:]
+    rows = {job: line.split()[-3:] for job, line in zip(jobs, totals)}
+    assert [line.split()[:-3] for line in totals] == [job.split() for job in jobs]
+    # importing the front end compiles the package's __init__ and cli, nothing else
+    lines = sum(len((package / name).read_text(encoding="utf-8").splitlines()) for name in ("__init__.py", "cli.py"))
+    assert rows["import rodpade.cli"][:2] == ["2", str(lines)]
 
 
 def test_json_writer_matches_json_dumps():

@@ -21,14 +21,15 @@ from rodpade.audit import (
     remainder_decay,
 )
 from rodpade.criterion import DegenerateAlphasError, V_value, evaluate_criterion
+from rodpade.exact import log_int
 from rodpade.heights import (
     H_v_vec,
     Place,
-    _global_H_vec,
     _int_valuation,
     _is_prime,
     abs_v,
     global_height,
+    global_height_vec,
     local_height,
 )
 from rodpade.mpl import MplConfig, pade_table, pade_tables
@@ -118,7 +119,10 @@ def test_global_height_lcm_matches_factoring():
     rng = random.Random(43)
     for _ in range(200):
         xs = [F(rng.randint(-60, 60), rng.randint(1, 360)) for _ in range(rng.randint(1, 4))]
-        assert _global_H_vec(xs) == _factored_global_H_vec(xs)
+        want = _factored_global_H_vec(xs)
+        assert want.denominator == 1
+        assert global_height_vec(xs) == log_int(want.numerator)
+        assert global_height(xs[0]) == log_int(_factored_global_H_vec(xs[:1]).numerator)
 
 
 def test_global_height_huge_denominator_is_fast(capsys):
@@ -464,6 +468,27 @@ def test_remainder_decay_bad_beta():
         remainder_decay(config, F(1), INF_PLACE, pade_tables(config, range(2, 5)))
 
 
+def _count_norms_of(monkeypatch, beta, modules=()):
+    """The places of every ``_int_norm_v`` call on beta's pair, in ``heights`` and ``modules``.
+
+    ``abs_v`` and every height in ``heights`` take their norms through
+    ``heights._int_norm_v``, so patching it there counts them too.
+    """
+    import rodpade.heights
+
+    taken = []
+    int_norm_v = rodpade.heights._int_norm_v
+
+    def counting_norm(nums, den, place):
+        if (tuple(nums), den) == ((beta.numerator,), beta.denominator):
+            taken.append(place)
+        return int_norm_v(nums, den, place)
+
+    for module in (rodpade.heights, *modules):
+        monkeypatch.setattr(module, "_int_norm_v", counting_norm)
+    return taken
+
+
 def test_remainder_decay_takes_abs_beta_once(monkeypatch):
     # the hypothesis |beta|_v > H_v(alpha) is decided once per decay, not again per remainder sum
     import rodpade.audit
@@ -471,23 +496,21 @@ def test_remainder_decay_takes_abs_beta_once(monkeypatch):
     config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
     tables = pade_tables(config, range(1, 9))
     beta = F(40)
-    taken = []
-    abs_v_, int_norm_v = rodpade.audit.abs_v, rodpade.audit._int_norm_v
-
-    def counting_abs_v(x, place):
-        if x == beta:
-            taken.append(place)
-        return abs_v_(x, place)
-
-    def counting_norm(nums, den, place):
-        if (nums, den) == ((beta.numerator,), beta.denominator):
-            taken.append(place)
-        return int_norm_v(nums, den, place)
-
-    monkeypatch.setattr(rodpade.audit, "abs_v", counting_abs_v)
-    monkeypatch.setattr(rodpade.audit, "_int_norm_v", counting_norm)
+    taken = _count_norms_of(monkeypatch, beta, (rodpade.audit,))
     assert remainder_decay(config, beta, INF_PLACE, tables).ok
     assert taken == [INF_PLACE]
+
+
+@pytest.mark.parametrize(
+    "beta, place, exceeds",
+    [(F(4000000), INF_PLACE, True), (F(-1, 59049), Place(3), True), (F(5, 3), INF_PLACE, False)],
+)
+def test_evaluate_criterion_takes_abs_beta_once(monkeypatch, beta, place, exceeds):
+    # V's local height of beta and the hypothesis read one norm of beta
+    taken = _count_norms_of(monkeypatch, beta)
+    report = evaluate_criterion((F(3, 2), F(-5, 3)), beta, 2, 1, place)
+    assert report.beta_exceeds_height is exceeds
+    assert taken == [place]
 
 
 def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
@@ -746,7 +769,7 @@ def test_pair_height_and_the_heights_read_from_it():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from rodpade.exact import log_fraction
-    from rodpade.heights import _int_height_v, local_height_vec
+    from rodpade.heights import _int_height_v
 
     primes = (2, 3, 5, 2**61 - 1)
 
@@ -767,7 +790,6 @@ def test_pair_height_and_the_heights_read_from_it():
         num, hden = _int_height_v(nums, den, place)
         assert hden > 0 and math.gcd(num, hden) == 1 and F(num, hden) == want
         assert H_v_vec(xs, place) == want
-        assert local_height_vec(xs, place) == log_fraction(want)
         for x in xs:
             assert local_height(x, place) == log_fraction(max(F(1), _naive_abs_v(x, place)))
 

@@ -83,6 +83,18 @@ EDGE = [
     ("pade", "--m", "1", "--alphas", "1", "--n", "a..b"),
     # a run-config document, the one input read through json
     ("pade", "--config", "<doc>.json"),
+    # beta = 0, whose heights are 1: exit 3 from criterion, 2 from audit
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "0"),
+    ("audit", "--m", "1", "--alphas", "1", "--n", "1..2", "--beta", "0"),
+    # a negative beta, at a prime (exit 3) and at infinity (exit 0)
+    ("criterion", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--beta=-1/59049", "--place", "p3"),
+    ("criterion", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--beta=-4000000"),
+    # each run's own flag checks, in their order: exit 2, and 1 for --lcm, which ignores --n
+    ("criterion", "--alphas", "1", "--beta", "3"),
+    ("pade", "--m", "1"),
+    ("pade", "--m", "0", "--n", "x"),
+    ("audit", "--m", "1"),
+    ("audit", "--lcm", "100", "--n", "abc"),
     # invalid (m, r, alphas), exit 2: m = 0, r = 0, a wrong count, a zero and a repeated alpha
     *(
         (command, *config, *rest)
