@@ -141,10 +141,6 @@ class AuditRow(Record):
     def bound_log(self) -> float:
         return log_fraction(self.bound) if self.bound.numerator else -math.inf
 
-    @property
-    def slack(self) -> float:
-        return self.bound_log - self.measured_log
-
     def to_json(self) -> dict:
         measured, bound = self.measured_log, self.bound_log
         return {

@@ -18,10 +18,9 @@ from .heights import H_v_vec, abs_v  # unused here: the benchmark's self-tests r
 from .heights import (
     Place, _bound_constant, _log_pair, _round15, beta_hypothesis, global_height, global_height_vec
 )
-from .mpl import DegenerateAlphasError, MplConfig, index_set
+from .mpl import MplConfig, index_set
 
 __all__ = [
-    "DegenerateAlphasError",
     "VResult",
     "V_value",
     "CriterionReport",

@@ -152,7 +152,7 @@ def _build_table(args, n: int):
 def _verification_block(table) -> dict:
     """Checks of every cell; the kernel route and remainder starts read ``cell.heads``."""
     n = table.n  # column l has degree M n + l; M is m for log-power rows
-    orth = all(transform.verify_pade(cell, table.seqs, table.M * n + cell.ell) for cell in table.cells)
+    orth = all(transform.verify_pade(cell, table.seqs) for cell in table.cells)
     degrees = all(cell.degree == table.M * n + cell.ell for cell in table.cells)
     starts = []
     starts_ok = True

@@ -59,16 +59,6 @@ class RecurrenceSystem(Record):
             acc += c(k) * x[k + delta]
         return acc
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "shifts": [
-                {"delta": delta, "coeff": self.shifts[delta].to_strings()}
-                for delta in sorted(self.shifts)
-            ],
-            "boundary_rules": "terms with k+delta < 0 are dropped",
-        }
-
 
 def recurrence_coeffs(l: DiffOp) -> RecurrenceSystem:
     """Extract the recurrence system of a nonzero operator."""

@@ -41,8 +41,10 @@ class LogPowConfig(Record):
 
     def __init__(self, m: int, n: int):
         super().__init__(m, n)
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive")
+        if self.m < 1:
+            raise ValueError(f"m must be positive, got {self.m}")
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n}

@@ -128,7 +128,8 @@ class PadeCell(Record):
     phi_j(t^k P), k = 0..n, the coefficients of z^-(k+1) in P f_j - Q_j, as
     numerators over L d, L the lcm of the row's window (``MomentSeq.ints``)
     when the table was built.  ``heads`` takes no
-    part in equality or repr; the JSON writes P and Q as reduced rationals.
+    part in equality or repr; ``PadeTable.to_json`` writes P and Q as
+    reduced rationals.
     Equality compares P and each Q by value, so two tables of the same
     moments are equal whatever their rows' windows had grown to.
     """
@@ -148,13 +149,6 @@ class PadeCell(Record):
     def degree(self) -> int:
         """deg P, -1 for the zero column."""
         return len(self.column[0]) - 1
-
-    def to_json(self) -> dict:
-        return {
-            "l": self.ell,
-            "P": format_pair(*self.column),
-            "Q": {label: format_pair(*pair) for label, pair in self.q_pairs.items()},
-        }
 
 
 class PadeTable(Record):
@@ -300,7 +294,7 @@ def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tupl
     return product[depth - n : depth][::-1], product[depth : depth + len(nums) - 1]
 
 
-def verify_pade(cell: PadeCell, seqs: Sequence[MomentSeq], M: int) -> bool:
+def verify_pade(cell: PadeCell, seqs: Sequence[MomentSeq]) -> bool:
     """Check the cell against each row of ``seqs``, by two independent routes.
 
     Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1, read off ``cell.heads``.
@@ -313,7 +307,7 @@ def verify_pade(cell: PadeCell, seqs: Sequence[MomentSeq], M: int) -> bool:
     RouteDisagreementError.
     """
     nums, den = cell.column
-    if not nums or len(nums) - 1 > M:
+    if not nums:
         return False
     ok = True
     for f in seqs:

@@ -50,7 +50,6 @@ __all__ = [
     "DiffOp",
     "ZeroOperatorError",
     "WeightOrderTooSmallError",
-    "InsufficientDepthError",
     "op_compose",
     "op_apply",
     "op_apply_laurent",
@@ -142,9 +141,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) - self
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly(c * other for c in self.coeffs)
@@ -232,10 +228,6 @@ class Poly:
                     parts.append(f"{format_rational(c)}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_strings(self) -> list[str]:
-        """Ascending coefficients as rational strings (JSON form)."""
-        return [format_rational(c) for c in self.coeffs]
-
 
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
@@ -313,13 +305,6 @@ class LaurentTail:
     def is_zero_to_depth(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __neg__(self) -> "LaurentTail":
-        return LaurentTail(self.start, (-c for c in self.coeffs), self.exact)
-
-    def scale(self, c: Scalar) -> "LaurentTail":
-        c = as_fraction(c)
-        return LaurentTail(self.start, (c * a for a in self.coeffs), self.exact)
-
     def derivative(self, j: int = 1) -> "LaurentTail":
         """j-th derivative; start shifts down by j, depth is preserved."""
         if j < 0:
@@ -356,9 +341,6 @@ class LaurentTail:
     def __repr__(self):
         tag = ", exact" if self.exact else ""
         return f"LaurentTail(start={self.start}, coeffs={[str(c) for c in self.coeffs]}{tag})"
-
-    def to_json(self) -> dict:
-        return {"start": self.start, "coeffs": [format_rational(c) for c in self.coeffs]}
 
 
 def ord_inf(f: LaurentTail, assume_exact: bool = False):
@@ -460,10 +442,6 @@ class DiffOp:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def order(self):
-        return len(self.terms) - 1 if self.terms else NEG_INF
-
     def coeff(self, j: int) -> Poly:
         if 0 <= j < len(self.terms):
             return self.terms[j]
@@ -486,19 +464,11 @@ class DiffOp:
     def __sub__(self, other) -> "DiffOp":
         return self + (-_as_op(other))
 
-    def __rsub__(self, other) -> "DiffOp":
-        return _as_op(other) - self
-
     def __mul__(self, other) -> "DiffOp":
         """Scalar multiple for scalars, composition for operators/polynomials."""
         if isinstance(other, (int, Fraction)):
             return DiffOp(t * other for t in self.terms)
         return op_compose(self, _as_op(other))
-
-    def __rmul__(self, other) -> "DiffOp":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return op_compose(_as_op(other), self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffOp) and self.terms == other.terms
@@ -516,13 +486,6 @@ class DiffOp:
             head = f"({b})"
             parts.append(head if j == 0 else f"{head}*D^{j}" if j > 1 else f"{head}*D")
         return "DiffOp[" + " + ".join(parts) + "]"
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"order": j, "coeff": b.to_strings()}
-            for j, b in enumerate(self.terms)
-            if not b.is_zero
-        ]
 
 
 def _as_op(x) -> DiffOp:

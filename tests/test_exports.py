@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +21,32 @@ MODULES = ["rodpade"] + [
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []
+
+
+def _top_level_names(tree) -> set[str]:
+    """Names a module binds itself at top level: defs, classes and assignments, not imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_module_exports_only_what_it_defines():
+    # a re-exported or computed name in __all__ is a second import path for one object
+    flagged = []
+    for path in sorted(Path(rodpade.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not (isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                continue
+            if not isinstance(node.value, (ast.List, ast.Tuple)):
+                flagged.append((path.name, "__all__ is computed"))
+                continue
+            defined = _top_level_names(tree)
+            flagged += [(path.name, elt.value) for elt in node.value.elts if elt.value not in defined]
+    assert flagged == []
+    assert not hasattr(rodpade, "__getattr__")

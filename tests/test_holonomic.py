@@ -178,10 +178,6 @@ def test_lead_matches_symbol_up_to_positive_factors():
 
 
 def test_recurrence_json_shape():
-    data = recurrence_coeffs(E1).to_json()
-    assert data["d"] == 1
-    assert data["shifts"] == [
-        {"delta": 0, "coeff": ["1", "1"]},
-        {"delta": 1, "coeff": ["-2", "-1"]},
-    ]
-    assert "boundary" in data["boundary_rules"] or "drop" in data["boundary_rules"]
+    system = recurrence_coeffs(E1)
+    assert system.d == 1
+    assert system.shifts == {0: Poly((1, 1)), 1: Poly((-2, -1))}

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import pytest
 from oracles import fraction_remainder, poly, q_polys, series, shifted
 
-from rodpade import criterion
 from rodpade.holonomic import check_membership
 from rodpade.mpl import (
     DegenerateAlphasError,
@@ -78,13 +77,12 @@ def solve_exact(rows, rhs):
 
 
 def test_config_validation():
-    # the alphas' three checks raise the one error class, which criterion re-exports
+    # the alphas' three checks raise the one error class
     for alphas in ((F(1), F(1)), (F(0), F(1)), (F(1),)):
         with pytest.raises(DegenerateAlphasError):
             MplConfig(m=2, r=1, alphas=alphas)
     with pytest.raises(ValueError):
         MplConfig(m=0, r=1, alphas=())
-    assert criterion.DegenerateAlphasError is DegenerateAlphasError
     assert CFG22.M == 8
 
 
@@ -308,7 +306,7 @@ def test_tables_verify_on_small_grid():
         seqs = moment_seqs(config)
         for cell in table.cells:
             # the series route on a fresh family's windows, not the table's
-            assert verify_pade(cell, seqs, cell.degree)
+            assert verify_pade(cell, seqs)
 
 
 def test_tables_compare_by_value_whatever_their_windows_grew_to():

@@ -201,8 +201,8 @@ def test_hidden_fields_change_neither_equality_nor_repr(cls):
         (lambda: mpl.MplIndex((1,), (0,)), "entries must be positive"),
         (lambda: heights.Place(4), "4 is not prime"),
         (lambda: heights.Place.parse("p1"), "1 is not prime"),
-        (lambda: logpow.LogPowConfig(0, 1), "m and n must be positive"),
-        (lambda: logpow.LogPowConfig(1, 0), "m and n must be positive"),
+        pytest.param(lambda: logpow.LogPowConfig(0, 1), "m must be positive, got 0", id="logpow-m"),
+        pytest.param(lambda: logpow.LogPowConfig(1, 0), "n must be positive, got 0", id="logpow-n"),
     ],
 )
 def test_record_validation_raises_value_error(make, message):

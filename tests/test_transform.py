@@ -179,7 +179,7 @@ def test_remainder_tail_of_zero_series():
     row = zero_row()
     cell = build_table(pairs([Poly((3, 1, 4))]), [row], 2).cells[0]
     assert cell.heads == {"0": ((0, 0, 0), 1)} and cell.q_pairs == {"0": ((), 1)}
-    assert verify_pade(cell, [zero_row()], M=2)
+    assert verify_pade(cell, [zero_row()])
 
 
 def legendre_cell() -> PadeCell:
@@ -189,26 +189,26 @@ def legendre_cell() -> PadeCell:
 def test_verify_pade_legendre_true():
     cell = legendre_cell()
     assert q_polys(cell) == {"Li_1(1/z)": Poly.constant(-2)}
-    assert verify_pade(cell, fresh_rows(cell), M=1)
+    assert verify_pade(cell, fresh_rows(cell))
 
 
 def test_verify_pade_nonorthogonal_false():
     cell = build_table(pairs([Poly.one()]), [LI1], 1).cells[0]
     assert q_polys(cell) == {"Li_1(1/z)": Poly.zero()}
-    assert not verify_pade(cell, fresh_rows(cell), M=1)
+    assert not verify_pade(cell, fresh_rows(cell))
 
 
 def test_verify_pade_weight_zero_kernel_is_empty():
     p = Poly((2, 5, 1))
     cell = build_table(pairs([p]), [LI1], 0).cells[0]
     assert q_polys(cell) == {"Li_1(1/z)": fraction_q(LI1, p)}
-    assert verify_pade(cell, fresh_rows(cell), M=2)
+    assert verify_pade(cell, fresh_rows(cell))
 
 
 def test_verify_pade_wrong_q_false():
     good = legendre_cell()
     cell = PadeCell(good.n, good.ell, good.column, {"Li_1(1/z)": ((7,), 1)}, good.heads)
-    assert not verify_pade(cell, fresh_rows(cell), M=1)
+    assert not verify_pade(cell, fresh_rows(cell))
 
 
 # --------------------------------------------------------------------------
@@ -480,12 +480,6 @@ def test_constant_determinant_matches_fraction_route(m, r, alphas, n):
     assert constant_determinant(table) == _seed_delta_route(table)
 
 
-def test_verify_pade_degree_guard():
-    cell = legendre_cell()  # deg P = 1
-    assert verify_pade(cell, fresh_rows(cell), M=1)
-    assert not verify_pade(cell, fresh_rows(cell), M=0)
-
-
 def test_moment_seq_memoization_is_stable():
     calls = []
 
@@ -542,8 +536,14 @@ def test_moment_seq_shift_matches_definition():
 
 
 def test_pade_table_json_shape():
-    cell = legendre_cell()
-    assert cell.to_json() == {"l": 0, "P": ["1", "-2"], "Q": {"Li_1(1/z)": ["-2"]}}
+    table = build_table(pairs([Poly((1, -2))]), [LI1], 1)
+    assert table.to_json() == {
+        "n": 1,
+        "M": 0,
+        "columns": [0],
+        "P": [["1", "-2"]],
+        "rows": [{"label": "Li_1(1/z)", "Q": [["-2"]]}],
+    }
 
 
 # --------------------------------------------------------------------------
@@ -613,18 +613,18 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
             ws, lcm = over_common_denominator([f[k] for k in range(cell.degree + n + 3)])
             int_tail, _ = _series_coefficients(nums, ws, n + 3)
             assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 4)]
-        assert verify_pade(cell, table.seqs, cell.degree)
+        assert verify_pade(cell, table.seqs)
         # a corrupted run: the kernel route now disagrees with the series route
         run, scale = cell.heads[first]
         corrupted = cell.heads | {first: ((run[0] + 1,) + run[1:], scale)}
         bad = PadeCell(n, cell.ell, cell.column, cell.q_pairs, corrupted)
         with pytest.raises(RouteDisagreementError, match="kernel test says False, series test says True"):
-            verify_pade(bad, table.seqs, cell.degree)
+            verify_pade(bad, table.seqs)
         # a wrong Q: one more coefficient than the polynomial part has
         q, q_den = cell.q_pairs[first]
         wrong = cell.q_pairs | {first: (q + (1,), q_den)}
         bad = PadeCell(n, cell.ell, cell.column, wrong, cell.heads)
-        assert not verify_pade(bad, table.seqs, cell.degree)
+        assert not verify_pade(bad, table.seqs)
     # Delta(0) and theta, each divided once by prod L_j prod d_l, against the Fraction matrices
     delta, theta = table_determinants(table)
     assert delta == det_bareiss([[p.coeff(0) for p in row] for row in polynomial_matrix(table)])
@@ -670,6 +670,26 @@ def test_columns_past_the_degree_bound_fail_the_degree_lemma():
         table_determinants(relabelled)
     # the matrix is the weight-2 one, whose Delta the oracle still reads as a constant
     assert constant_determinant(polynomial_matrix(relabelled)) == table_determinants(table)[0]
+
+
+def test_verification_flags_an_over_degree_cell_with_zero_runs():
+    from rodpade.mpl import MplConfig, pade_table
+    from rodpade.determinant import DegreeLemmaError, _verification_block, table_determinants
+    from rodpade.transform import build_table
+
+    # column 1 of the weight-2 table, deg 2M + 1 = 5, stands as column l = M of a weight-1
+    # table, whose bound is M + l = 4: its run phi(t^0 P) is still zero
+    config = MplConfig(m=2, r=1, alphas=(F(1), F(-2)))
+    weight1, weight2 = pade_table(config, 1), pade_table(config, 2)
+    columns = [cell.column for cell in weight1.cells[:-1]] + [weight2.cells[1].column]
+    table = build_table(columns, weight1.seqs, 1)
+    over = table.cells[-1]
+    assert over.degree == 5 and all(over.heads[label][0][0] == 0 for label in table.row_labels)
+    verification = _verification_block(table)
+    assert verification["orthogonality_ok"] and verification["remainder_starts_ok"]
+    assert not verification["degrees_ok"]
+    with pytest.raises(DegreeLemmaError):
+        table_determinants(table)
 
 
 def test_table_with_a_missing_row_fails_the_degree_lemma():

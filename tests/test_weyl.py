@@ -260,7 +260,3 @@ def test_apply_laurent_min_depth_guard():
     with pytest.raises(InsufficientDepthError):
         op_apply_laurent(E1, LaurentTail(1, (1, 1, 1, 1)), min_depth=10)
 
-
-def test_diffop_json_shape():
-    data = E1.to_json()
-    assert data == [{"order": 1, "coeff": ["0", "-1", "1"]}]

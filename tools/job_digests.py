@@ -95,6 +95,9 @@ EDGE = [
     ("pade", "--m", "0", "--n", "x"),
     ("audit", "--m", "1"),
     ("audit", "--lcm", "100", "--n", "abc"),
+    # log-power m = 0, exit 2
+    ("pade", "--appendix-logpow", "--m", "0", "--n", "1"),
+    ("det", "--appendix-logpow", "--m", "0", "--n", "1"),
     # invalid (m, r, alphas), exit 2: m = 0, r = 0, a wrong count, a zero and a repeated alpha
     *(
         (command, *config, *rest)
