@@ -456,8 +456,6 @@ class DiffOp:
         n = max(len(self.terms), len(other.terms))
         return DiffOp(self.coeff(j) + other.coeff(j) for j in range(n))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "DiffOp":
         return DiffOp(-t for t in self.terms)
 

@@ -1025,7 +1025,8 @@ _IMPORT_ONLY = (
     "import sys\n"
     "import rodpade.cli\n"
     "loaded = sorted(name for name in sys.modules if name.startswith('rodpade'))\n"
-    "print(*loaded, hasattr(rodpade, 'Poly'))\n"
+    "import rodpade.exact\n"
+    "print(*loaded, hasattr(rodpade.exact, 'Poly'), hasattr(rodpade, 'Poly'))\n"
 )
 
 
@@ -1033,8 +1034,8 @@ def test_cli_import_leaves_the_operator_algebra_unloaded():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     # the front end alone: each subcommand's modules, exact among them, load with its handler;
-    # the package serves no algebra names, which live in rodpade.weyl alone
-    assert proc.stdout.split() == ["rodpade", "rodpade.cli", "False"]
+    # neither exact nor the package serves algebra names, which live in rodpade.weyl alone
+    assert proc.stdout.split() == ["rodpade", "rodpade.cli", "False", "False"]
 
 
 @pytest.mark.parametrize(

@@ -35,18 +35,33 @@ def _top_level_names(tree) -> set[str]:
     return names
 
 
+def _all_assignments(tree):
+    """Every top-level statement that binds ``__all__``: plain, annotated or augmented."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if [getattr(t, "id", None) for t in targets] == ["__all__"]:
+            yield node
+
+
 def test_every_module_exports_only_what_it_defines():
     # a re-exported or computed name in __all__ is a second import path for one object
     flagged = []
     for path in sorted(Path(rodpade.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if not (isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
-                continue
+        defined = _top_level_names(tree)
+        for node in _all_assignments(tree):
             if not isinstance(node.value, (ast.List, ast.Tuple)):
                 flagged.append((path.name, "__all__ is computed"))
                 continue
-            defined = _top_level_names(tree)
-            flagged += [(path.name, elt.value) for elt in node.value.elts if elt.value not in defined]
+            for elt in node.value.elts:
+                if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
+                    flagged.append((path.name, ast.dump(elt)))
+                elif elt.value not in defined:
+                    flagged.append((path.name, elt.value))
     assert flagged == []
     assert not hasattr(rodpade, "__getattr__")
