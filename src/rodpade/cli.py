@@ -8,7 +8,7 @@ configuration, 3 criterion hypotheses not satisfied.
 The work of each subcommand lives in the module it drives, as
 ``run(args) -> (payload, ok)`` (``COMMANDS``): ``pade`` and ``det`` in
 ``determinant``, ``criterion`` in ``criterion``, ``audit`` in ``audit`` and
-``logpow-identities`` in ``weyl``.  Each ``run`` checks its own flags, and
+``logpow-identities`` in ``logpow``.  Each ``run`` checks its own flags, and
 ``main`` alone turns ``ok`` into an exit code; no module but ``__main__``
 imports this one.  ``main`` imports the subcommand's module when it runs,
 so a job compiles only the modules its work uses: ``criterion`` loads no
@@ -174,7 +174,7 @@ COMMANDS = {
     "det": ("determinant", "determinant constants of a table"),
     "criterion": ("criterion", "evaluate the independence criterion"),
     "audit": ("audit", "check the proven norm/decay bounds"),
-    "logpow-identities": ("weyl", "exact operator identities check"),
+    "logpow-identities": ("logpow", "exact operator identities check"),
 }
 _HELP = {"--help": (bool, "show this help and exit (also -h)")}
 

@@ -22,7 +22,6 @@ from .mpl import MplConfig, index_set
 
 __all__ = [
     "VResult",
-    "V_value",
     "CriterionReport",
     "evaluate_criterion",
     "run",
@@ -46,24 +45,16 @@ class VResult(Record):
         }
 
 
-def V_value(
-    alphas: Sequence[Fraction], beta: Fraction, m: int, r: int, v0: Place
-) -> VResult:
-    """The criterion quantity
+def _V(config: MplConfig, beta: Fraction, v0: Place) -> tuple[VResult, bool]:
+    """The criterion quantity on a checked config, and whether |beta|_v0 > H_v0(alpha).
 
     V = (M+1) h_v0(beta) - h_v0(alpha)
         - M (h(beta) + (1/m) sum_i h(alpha_i) + h(alpha))
         - (M log2 + r(r+1)/2 log(m+1) + r + rM)
 
     with M = (m+1)^r - 1.  |V| below 1e-9 is reported as indeterminate, since
-    a strict inequality is being decided.  (m, r, alphas) are checked by
-    ``MplConfig``.
+    a strict inequality is being decided.
     """
-    return _V(MplConfig(m, r, alphas), as_fraction(beta), v0)[0]
-
-
-def _V(config: MplConfig, beta: Fraction, v0: Place) -> tuple[VResult, bool]:
-    """``V_value`` on a checked config, and whether |beta|_v0 > H_v0(alpha)."""
     m, r, alphas, M = config.m, config.r, config.alphas, config.M
     exceeds, H_beta, H_alpha = beta_hypothesis(alphas, beta, v0)
     h_v0_beta = _log_pair(H_beta)

@@ -17,12 +17,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import transform
-from .exact import as_fraction, format_rational, over_common_denominator, parse_n_range, parse_rationals
+from .exact import format_rational, parse_n_range, parse_rationals
 
 __all__ = [
     "DegreeLemmaError",
     "ZeroDeterminantError",
-    "det_bareiss",
     "table_determinants",
     "run",
 ]
@@ -59,24 +58,6 @@ def _int_det(matrix: Sequence[Sequence[int]]) -> int:
         ]
         prev = pivot
     return sign * rows[0][0] if rows else 1
-
-
-def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: rows scaled to integers, then integer Bareiss.
-
-    Row i is multiplied by the lcm s_i of its denominators; the integer
-    determinant is divided once by prod s_i.
-    """
-    rows = [[as_fraction(x) for x in row] for row in matrix]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square")
-    scale = 1
-    int_rows = []
-    for row in rows:
-        ints, s = over_common_denominator(row)
-        int_rows.append(ints)
-        scale *= s
-    return Fraction(_int_det(int_rows), scale)
 
 
 def _degree_lemma_holds(table: transform.PadeTable) -> bool:

@@ -4,8 +4,8 @@ Rationals are ``fractions.Fraction`` (canonical lowest terms, positive
 denominator) or integer numerators over one common denominator, the form the
 tables compute in.  Here are the value-record base, parsing and printing of
 rationals, big-integer-safe logarithms, and the integer convolution and
-derivative kernels.  The polynomial and Laurent-tail algebra over Q lives in
-:mod:`rodpade.weyl`, beside the operators that are its one program user.
+derivative kernels.  Polynomials are integer coefficient lists, ascending:
+the package has no polynomial or operator class.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 __all__ = [
-    "Scalar",
     "InsufficientDepthError",
     "Record",
     "as_fraction",
@@ -32,8 +31,6 @@ __all__ = [
     "int_convolve",
     "over_common_denominator",
 ]
-
-Scalar = Union[int, Fraction]
 
 
 class InsufficientDepthError(Exception):
@@ -83,7 +80,7 @@ class Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-def as_fraction(x: Scalar) -> Fraction:
+def as_fraction(x: int | Fraction) -> Fraction:
     """x itself when it is a Fraction (a copy would only rerun the constructor), else Fraction(x)."""
     return x if type(x) is Fraction else Fraction(x)
 

@@ -5,18 +5,20 @@ first-order recurrence that E_1 = z(z-1) D gives them.  The columns are
 P_l = R_n* . t^l for R_n = (1/(n!)^m) (z^n (z-1)^n D^n)^m, computed by the
 Rodrigues chain: (-1)^n (1/n!) D^n (z^n (z-1)^n . ) applied m times to t^l,
 in integer arithmetic (``transform.rodrigues_chain``).  Delta and theta are
-read off the built table (``determinant.table_determinants``).  As an
-operator, R_n is ``weyl.rodrigues_operator`` on the sizes of
-``rodrigues_stages``, and E_n and its identities live in ``weyl`` too; this
-module never builds an operator.
+read off the built table (``determinant.table_determinants``).  ``run`` is
+the ``logpow-identities`` subcommand: it proves the identities of the
+iterated factors E_n = z^n (z-1)^n D^n on integer coefficient lists
+(``verify_En_identities``).  No operator is ever built as an object.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
+from typing import Sequence
 
-from .exact import Record
+from .exact import Record, falling_derivative, int_convolve
 from .transform import (
     MomentSeq,
     PadeTable,
@@ -31,6 +33,8 @@ __all__ = [
     "moment_seqs",
     "rodrigues_stages",
     "logpow_table",
+    "verify_En_identities",
+    "run",
 ]
 
 
@@ -106,3 +110,55 @@ def logpow_table(config: LogPowConfig) -> PadeTable:
     """Columns l = 0..m by the Rodrigues chain, rows log^1..log^m."""
     columns = rodrigues_columns(rodrigues_stages(config), config.m + 1)
     return build_table(columns, moment_seqs(config.m), config.n)
+
+
+def _En_image(n: int, k: int) -> list[int]:
+    """E_n z^k = k(k-1)...(k-n+1) z^k (z-1)^n, as integer coefficients (ascending)."""
+    fall = math.perm(k, n)
+    if not fall:
+        return []
+    return [0] * k + [fall * c for c in rodrigues_factor(n, (1,))[0]]
+
+
+def _minus_factor(p: list[int], q: Sequence[int]) -> list[int]:
+    """(E_1 - q) p = z(z-1) p' - q p for integer coefficient lists, trailing zeros dropped."""
+    derived = int_convolve((0, -1, 1), falling_derivative(p, 1, 1))
+    out = [a - b for a, b in zip_longest(derived, int_convolve(q, p), fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def verify_En_identities(n_max: int) -> bool:
+    """Exact operator identities for the iterated factors, n = 1..n_max.
+
+    (i)  E_n = (E_1 - (n-1)(2z-1)) ... (E_1 - (2z-1)) E_1
+    (ii) E_{n+1} z = z (E_1 - (n-1)z - 1) E_n
+
+    An operator sum_{j<=J} b_j(z) D^j is determined by its images of
+    z^0..z^J: the system is triangular with diagonal entries j!.  So each
+    side is applied to monomials, on integer coefficient lists, and (i) is
+    compared on z^0..z^n and (ii) on z^0..z^(n+1); equal images prove the
+    operators equal.  The images of the product in (i) are carried from
+    n - 1 to n.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    product = [_En_image(1, k) for k in range(n_max + 1)]  # its images of z^0..z^n_max
+    for n in range(1, n_max + 1):
+        if n > 1:
+            product = [_minus_factor(p, (1 - n, 2 * (n - 1))) for p in product]
+        if any(product[k] != _En_image(n, k) for k in range(n + 1)):
+            return False
+        for k in range(n + 2):
+            image = _minus_factor(_En_image(n, k), (1, n - 1))
+            if _En_image(n + 1, k + 1) != ([0] + image if image else []):
+                return False
+    return True
+
+
+def run(args) -> tuple[dict, bool]:
+    """The ``logpow-identities`` subcommand: (payload, whether every identity holds) for parsed flags ``args``."""
+    n = 4 if args.n is None else args.n
+    ok = verify_En_identities(n)
+    return {"command": "logpow-identities", "n_max": n, "ok": ok}, ok

@@ -16,10 +16,8 @@ another, largest N first, in integer arithmetic
 run of functional values phi_j(t^k P_l), k <= n (``transform.build_table``);
 verification, the bound audit and the determinants
 (``determinant.table_determinants``: Delta as Delta(0) by the degree lemma,
-theta from the k = n values) all read it.  R_n itself, as an operator,
-is ``weyl.rodrigues_operator`` on the sizes of ``rodrigues_stages``; this
-module never builds it, so building a table never loads the operator
-algebra.  Nor does importing this module load ``transform``: ``criterion``
+theta from the k = n values) all read it.  R_n itself is never built as
+an operator.  Importing this module does not load ``transform``: ``criterion``
 reads ``MplConfig`` and ``index_set`` without building a table, and the
 functions that build one import what they use from ``transform``.
 """

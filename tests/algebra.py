@@ -1,6 +1,7 @@
-"""Polynomials, Laurent tails and differential operators over Q.
+"""The Fraction algebra: polynomials, Laurent tails and differential operators over Q.
 
-:class:`Poly` is a dense polynomial with ``fractions.Fraction``
+The tests' independent route to what the program computes on integer
+pairs.  :class:`Poly` is a dense polynomial with ``fractions.Fraction``
 coefficients.  A :class:`LaurentTail` stores a truncation of an element of
 (1/z)*Q[[1/z]] together with the number of coefficients that are guaranteed
 correct, so no operation can ever report a coefficient beyond what was
@@ -14,10 +15,11 @@ through :meth:`DiffOp.alternating_coeff`, never as a second representation.
 The paper's Rodrigues operators L_N = (1/N!) z^N prod_i (z - alpha_i)^N D^N
 and their compositions are built here, by :func:`rodrigues_operator` alone:
 the polylogarithm R_n composes one L_N per depth level, the log-power R_n
-is L_n with the single alpha = 1, taken m times.  The tables never build
-them; they run the integer Rodrigues chain of ``transform`` on integer
-pairs (numerators, denominator), and the operators and this algebra are
-its independent oracle.
+is L_n with the single alpha = 1, taken m times.  The program never builds
+them: its tables run the integer Rodrigues chain of ``rodpade.transform``,
+and ``logpow-identities`` proves the identities of E_n on integer
+coefficient lists (``rodpade.logpow.verify_En_identities``).  The operators
+and this algebra are the oracle of both.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .exact import (
+from rodpade.exact import (
     InsufficientDepthError,
     Record,
-    Scalar,
     as_fraction,
     falling_derivative,
     format_rational,
@@ -38,31 +39,7 @@ from .exact import (
     over_common_denominator,
 )
 
-__all__ = [
-    "NEG_INF",
-    "INF",
-    "Poly",
-    "Z",
-    "OrdAtLeast",
-    "LaurentTail",
-    "ord_inf",
-    "laurent_mul_poly",
-    "DiffOp",
-    "ZeroOperatorError",
-    "WeightOrderTooSmallError",
-    "op_compose",
-    "op_apply",
-    "op_apply_laurent",
-    "adjoint",
-    "ord_weight",
-    "property_P",
-    "PropertyP",
-    "rising_factorial_poly",
-    "rodrigues_operator",
-    "build_En",
-    "verify_En_identities",
-    "run",
-]
+Scalar = Union[int, Fraction]
 
 #: degree of the zero polynomial (keeps deg(P*Q) = deg P + deg Q testable)
 NEG_INF = float("-inf")
@@ -564,13 +541,6 @@ def verify_En_identities(n_max: int) -> bool:
         en = en_next
     return True
 
-
-
-def run(args) -> tuple[dict, bool]:
-    """The ``logpow-identities`` subcommand: (payload, whether every identity holds) for parsed flags ``args``."""
-    n = 4 if args.n is None else args.n
-    ok = verify_En_identities(n)
-    return {"command": "logpow-identities", "n_max": n, "ok": ok}, ok
 
 def op_apply(l: DiffOp, p: Poly) -> Poly:
     """Exact image L . P."""

@@ -8,6 +8,8 @@ f = sum f_k z^-(k+1) satisfies L . f in Q[z] exactly when
 for every k >= 0.  Grouping by the shift delta = i-j gives one coefficient
 polynomial per shift; the clamp on the inner summation index is exactly the
 rule "drop every term whose target index k+delta would be negative".
+The tests' oracle of the moment rows' recurrences: the program never
+solves one.
 """
 
 from __future__ import annotations
@@ -15,17 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Record
-from .transform import MomentSeq
-from .weyl import DiffOp, Poly, ZeroOperatorError, ord_weight, property_P, rising_factorial_poly
+from algebra import DiffOp, Poly, ZeroOperatorError, ord_weight, property_P, rising_factorial_poly
 
-__all__ = [
-    "RecurrenceSystem",
-    "PropertyPFailureError",
-    "recurrence_coeffs",
-    "solve_V1",
-    "check_membership",
-]
+from rodpade.exact import Record
+from rodpade.transform import MomentSeq
 
 
 class PropertyPFailureError(Exception):

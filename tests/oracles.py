@@ -2,12 +2,13 @@
 
 The program computes its tables on integer pairs (numerators, denominator).
 The oracles here take every value the slow, obvious way, one ``Fraction``
-product and sum per term, on :class:`rodpade.weyl.Poly` polynomials, so
-they share no kernel with the program.  The helpers turn a table's pairs
-into polynomials and build the moment rows (shifted, stored, zero) and the
-Laurent tails that the operator tests feed in.  ``build_parser`` is the
-command line's former argparse front end, the reference that the flag
-table's reader is compared against.
+product and sum per term, on :class:`algebra.Poly` polynomials, so they
+share no kernel with the program.  ``det_bareiss`` is the determinant of a
+``Fraction`` matrix, through the program's integer Bareiss.  The helpers turn a table's pairs into polynomials and
+build the moment rows (shifted, stored, zero) and the Laurent tails that
+the operator tests feed in.  ``build_parser`` is the command line's former
+argparse front end, the reference that the flag table's reader is compared
+against.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction as F
 
+from algebra import LaurentTail, Poly
+
+from rodpade.determinant import _int_det
+from rodpade.exact import as_fraction, over_common_denominator
 from rodpade.transform import MomentSeq
-from rodpade.weyl import LaurentTail, Poly
 
 
 def fraction_phi(f, p, k=0):
@@ -43,6 +47,24 @@ def fraction_remainder(f, p, n, depth):
     """
     start_k = next((k for k in range(n) if fraction_phi(f, p, k) != 0), n)
     return start_k + 1, tuple(fraction_phi(f, p, start_k + j) for j in range(depth)), start_k == n
+
+
+def det_bareiss(matrix):
+    """Exact determinant of a Fraction matrix: rows scaled to integers, then integer Bareiss.
+
+    Row i is multiplied by the lcm s_i of its denominators; the integer
+    determinant is divided once by prod s_i.
+    """
+    rows = [[as_fraction(x) for x in row] for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    scale = 1
+    int_rows = []
+    for row in rows:
+        ints, s = over_common_denominator(row)
+        int_rows.append(ints)
+        scale *= s
+    return F(_int_det(int_rows), scale)
 
 
 def poly(pair):

@@ -14,14 +14,24 @@ import time
 from fractions import Fraction as F
 from functools import lru_cache
 
+from algebra import (
+    DiffOp,
+    Poly,
+    adjoint,
+    op_apply,
+    op_apply_laurent,
+    op_compose,
+    ord_weight,
+    rodrigues_operator,
+)
+from holonomic import solve_V1
 from oracles import fraction_phi, fraction_remainder, poly, q_polys, series, shifted
 
 from rodpade.audit import bounds_audit, log_lcm_upto, remainder_decay
-from rodpade.criterion import V_value
+from rodpade.criterion import evaluate_criterion
 from rodpade.determinant import table_determinants
 from rodpade.heights import Place
-from rodpade.holonomic import solve_V1
-from rodpade.logpow import LogPowConfig, logpow_table
+from rodpade.logpow import LogPowConfig, logpow_table, verify_En_identities
 from rodpade.logpow import moment_seqs as log_moment_seqs
 from rodpade.logpow import rodrigues_stages as log_rodrigues_stages
 from rodpade.mpl import (
@@ -32,17 +42,6 @@ from rodpade.mpl import (
     pade_table,
     pade_tables,
     rodrigues_stages,
-)
-from rodpade.weyl import (
-    DiffOp,
-    Poly,
-    adjoint,
-    op_apply,
-    op_apply_laurent,
-    op_compose,
-    ord_weight,
-    rodrigues_operator,
-    verify_En_identities,
 )
 
 # (m, r) -> highest weight exercised; alphas are (1) for m=1 and (1,2) for m=2
@@ -202,7 +201,7 @@ def test_criterion_06_appendix_suite():
 
 def test_criterion_07_criterion_threshold():
     place = Place()
-    values = {b: V_value((F(1),), F(b), 1, 1, place).value for b in range(2, 41)}
+    values = {b: evaluate_criterion((F(1),), F(b), 1, 1, place).V.value for b in range(2, 41)}
     minimal = min(b for b, v in values.items() if v > 0)
     expected_30 = math.log(30) - 2 * math.log(2) - 2
     expected_29 = math.log(29) - 2 * math.log(2) - 2

@@ -20,7 +20,7 @@ from rodpade.audit import (
     log_lcm_upto,
     remainder_decay,
 )
-from rodpade.criterion import V_value, evaluate_criterion
+from rodpade.criterion import evaluate_criterion
 from rodpade.exact import log_int
 from rodpade.heights import (
     H_v_vec,
@@ -176,27 +176,27 @@ def test_lcm_growth_small():
 
 
 def test_V_examples():
-    v30 = V_value((F(1),), F(30), 1, 1, INF_PLACE)
-    v29 = V_value((F(1),), F(29), 1, 1, INF_PLACE)
+    v30 = evaluate_criterion((F(1),), F(30), 1, 1, INF_PLACE).V
+    v29 = evaluate_criterion((F(1),), F(29), 1, 1, INF_PLACE).V
     assert abs(v30.value - (math.log(30) - 2 * math.log(2) - 2)) < 1e-12
     assert abs(v29.value - (math.log(29) - 2 * math.log(2) - 2)) < 1e-12
     assert v30.value > 0 > v29.value
-    v1 = V_value((F(1),), F(1), 1, 1, INF_PLACE)
+    v1 = evaluate_criterion((F(1),), F(1), 1, 1, INF_PLACE).V
     assert abs(v1.value - (-2 * math.log(2) - 2)) < 1e-12
     assert not v30.indeterminate
 
 
 def test_V_monotone_in_beta_with_threshold_30():
-    values = {b: V_value((F(1),), F(b), 1, 1, INF_PLACE).value for b in range(2, 41)}
+    values = {b: evaluate_criterion((F(1),), F(b), 1, 1, INF_PLACE).V.value for b in range(2, 41)}
     assert all(values[b] < values[b + 1] for b in range(2, 40))
     assert min(b for b, v in values.items() if v > 0) == 30
 
 
 def test_V_rejects_degenerate_alphas():
     with pytest.raises(DegenerateAlphasError):
-        V_value((F(1), F(1)), F(30), 2, 1, INF_PLACE)
+        evaluate_criterion((F(1), F(1)), F(30), 2, 1, INF_PLACE)
     with pytest.raises(DegenerateAlphasError):
-        V_value((F(0),), F(30), 1, 1, INF_PLACE)
+        evaluate_criterion((F(0),), F(30), 1, 1, INF_PLACE)
 
 
 def test_evaluate_criterion_passes_at_30():
@@ -231,7 +231,7 @@ def test_column_polynomial_matches_derivative_chain():
     # adjoint route and the iterated (1/N!) D^N z^N prod(z-a)^N route agree up
     # to the sign (-1)^(n*M/m) accumulated over the chain
     from rodpade.mpl import pade_table
-    from rodpade.weyl import DiffOp, Poly, op_apply, op_compose
+    from algebra import DiffOp, Poly, op_apply, op_compose
 
     def cal_LN(N, config):
         """(1/N!) D^N z^N prod_i (z - alpha_i)^N as one composed operator."""
@@ -253,7 +253,7 @@ def test_column_polynomial_matches_derivative_chain():
 
 def test_audit_derivative_norm_fixture():
     # (1/2) D^2 z^2 (1+z) has coefficients {1, 3}: the binomial bound C(3,2) = 3 is tight
-    from rodpade.weyl import Poly
+    from algebra import Poly
 
     p = Poly((1, 1))
     lifted = (Poly.monomial(2) * p).derivative(2) / 2
@@ -291,7 +291,7 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
     from rodpade.exact import int_convolve
     from rodpade.mpl import rodrigues_stages
     from rodpade.transform import rodrigues_lift
-    from rodpade.weyl import Poly
+    from algebra import Poly
 
     n, eps = table.n, place.epsilon
     m, r, M = config.m, config.r, config.M
@@ -840,7 +840,7 @@ def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_al
     from rodpade.audit import _remainder_sum
     from rodpade.exact import over_common_denominator
     from rodpade.transform import MomentSeq, build_table
-    from rodpade.weyl import Poly
+    from algebra import Poly
 
     f = MomentSeq(lambda k, _prefix: moment(k), "synthetic")
     P = Poly(p)

@@ -1,4 +1,4 @@
-"""Exact rationals and integer kernels, and the polynomial / Laurent-tail algebra of ``weyl``."""
+"""Exact rationals and integer kernels, and the tests' polynomial / Laurent-tail algebra (``algebra``)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from algebra import INF, NEG_INF, LaurentTail, OrdAtLeast, Poly, laurent_mul_poly, ord_inf
+
 from rodpade.exact import (
     InsufficientDepthError,
     format_pair,
@@ -15,7 +17,6 @@ from rodpade.exact import (
     int_convolve,
     parse_rational,
 )
-from rodpade.weyl import INF, NEG_INF, LaurentTail, OrdAtLeast, Poly, laurent_mul_poly, ord_inf
 
 
 def test_rationals_are_canonical():

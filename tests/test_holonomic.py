@@ -6,17 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import stored, zero_row
-
-from rodpade.holonomic import (
-    PropertyPFailureError,
-    check_membership,
-    recurrence_coeffs,
-    solve_V1,
-)
-from rodpade.mpl import MplConfig, moment_seqs, rodrigues_stages
-from rodpade.transform import MomentSeq
-from rodpade.weyl import (
+from algebra import (
     DiffOp,
     LaurentTail,
     Poly,
@@ -27,6 +17,16 @@ from rodpade.weyl import (
     rising_factorial_poly,
     rodrigues_operator,
 )
+from holonomic import (
+    PropertyPFailureError,
+    check_membership,
+    recurrence_coeffs,
+    solve_V1,
+)
+from oracles import stored, zero_row
+
+from rodpade.mpl import MplConfig, moment_seqs, rodrigues_stages
+from rodpade.transform import MomentSeq
 
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
 

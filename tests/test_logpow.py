@@ -2,22 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
-from oracles import poly, q_polys, series, shifted
-
-from rodpade.logpow import (
-    LogPowConfig,
-    logpow_moment_stirling,
-    logpow_table,
-    moment_seqs,
-    rodrigues_stages,
-)
-from rodpade.holonomic import check_membership
-from rodpade.mpl import MplConfig, pade_table
-from rodpade.determinant import table_determinants
-from rodpade.transform import verify_pade
-from rodpade.weyl import (
+from algebra import (
     DiffOp,
     Poly,
     build_En,
@@ -28,6 +16,20 @@ from rodpade.weyl import (
     rodrigues_operator,
     verify_En_identities,
 )
+from holonomic import check_membership
+from oracles import poly, q_polys, series, shifted
+
+from rodpade import logpow
+from rodpade.logpow import (
+    LogPowConfig,
+    logpow_moment_stirling,
+    logpow_table,
+    moment_seqs,
+    rodrigues_stages,
+)
+from rodpade.mpl import MplConfig, MplIndex, mpl_moment_oracle, pade_table
+from rodpade.determinant import table_determinants
+from rodpade.transform import verify_pade
 
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
 
@@ -50,6 +52,16 @@ def test_moment_two_routes_agree():
     for s, seq in enumerate(moment_seqs(4), start=1):
         for j in range(41):
             assert seq[j] == logpow_moment_stirling(s, j)
+
+
+def test_log_rows_are_signed_polylogarithm_rows():
+    # log^k(1 - 1/z) = (-1)^k Li_1(1/z)^k = (-1)^k k! Li_(1,...,1)(1,...,1,1/z): a second
+    # oracle of the rows, by the brute-force multiple sum, that shares nothing with Stirling
+    for k, row in enumerate(moment_seqs(4), start=1):
+        config, idx = MplConfig(m=1, r=k, alphas=(1,)), MplIndex(s=(1,) * k, a=(1,) * k)
+        scale = (-1) ** k * math.factorial(k)
+        for j in range(30):
+            assert row[j] == scale * mpl_moment_oracle(idx, j, config), (k, j)
 
 
 def test_stirling_oracle_is_iterative():
@@ -128,13 +140,29 @@ def test_En_identities():
     assert lhs == expected
 
 
-def test_En_identities_fail_on_a_wrong_factor(monkeypatch):
-    from rodpade import weyl
+def test_integer_identities_match_the_fraction_oracle():
+    # logpow-identities compares images of monomials on integer lists; the oracle composes operators
+    for n in range(1, 13):
+        assert logpow.verify_En_identities(n) == verify_En_identities(n) is True
 
-    real = weyl.build_En
-    monkeypatch.setattr(weyl, "build_En", lambda n: real(n) * 2 if n == 3 else real(n))
-    assert verify_En_identities(1)
-    assert not verify_En_identities(2)  # (ii) at n = 2 reads E_3
+
+def test_En_identities_fail_on_a_wrong_factor(monkeypatch):
+    import algebra
+
+    real, real_image = algebra.build_En, logpow._En_image
+    monkeypatch.setattr(algebra, "build_En", lambda n: real(n) * 2 if n == 3 else real(n))
+    monkeypatch.setattr(logpow, "_En_image", lambda n, k: [c * (1 + (n == 3)) for c in real_image(n, k)])
+    for verify in (verify_En_identities, logpow.verify_En_identities):
+        assert verify(1)
+        assert not verify(2)  # (ii) at n = 2 reads E_3
+
+
+def test_integer_identities_fail_on_a_wrong_product_factor(monkeypatch):
+    # identity (i) at n = 3 with E_1 - (2(2z-1) + 1) in place of E_1 - 2(2z-1)
+    real = logpow._minus_factor
+    monkeypatch.setattr(logpow, "_minus_factor", lambda p, q: real(p, (q[0] + 1, q[1]) if q == (-2, 4) else q))
+    assert logpow.verify_En_identities(2)
+    assert not logpow.verify_En_identities(3)
 
 
 def test_log_rows_satisfy_composite_recurrence():

@@ -7,9 +7,18 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from algebra import (
+    DiffOp,
+    Poly,
+    op_apply_laurent,
+    op_compose,
+    ord_weight,
+    property_P,
+    rodrigues_operator,
+)
+from holonomic import check_membership
 from oracles import fraction_remainder, poly, q_polys, series, shifted
 
-from rodpade.holonomic import check_membership
 from rodpade.mpl import (
     DegenerateAlphasError,
     MplConfig,
@@ -23,15 +32,6 @@ from rodpade.mpl import (
 )
 from rodpade.determinant import table_determinants
 from rodpade.transform import verify_pade
-from rodpade.weyl import (
-    DiffOp,
-    Poly,
-    op_apply_laurent,
-    op_compose,
-    ord_weight,
-    property_P,
-    rodrigues_operator,
-)
 
 CFG11 = MplConfig(m=1, r=1, alphas=(F(1),))
 CFG12 = MplConfig(m=1, r=2, alphas=(F(1),))

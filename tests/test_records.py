@@ -16,11 +16,13 @@ import itertools
 import pickle
 from fractions import Fraction as F
 
+import algebra
+import holonomic
 import pytest
+from algebra import OrdAtLeast, Poly
 
-from rodpade import audit, criterion, determinant, exact, heights, holonomic, logpow, mpl, transform, weyl
+from rodpade import audit, criterion, determinant, exact, heights, logpow, mpl, transform
 from rodpade.exact import Record
-from rodpade.weyl import OrdAtLeast, Poly
 
 
 def _samples():
@@ -37,8 +39,8 @@ def _samples():
         mpl.MplIndex: [idx[3], mpl.MplIndex(idx[3].s, idx[3].a), *idx],
         heights.Place: [heights.Place(), heights.Place(None), heights.Place(2), heights.Place(p=3)],
         criterion.VResult: [
-            criterion.V_value((F(1),), F(30), 1, 1, heights.Place()),
-            criterion.V_value((F(1),), F(30), 1, 1, heights.Place()),
+            criterion.evaluate_criterion((F(1),), F(30), 1, 1, heights.Place()).V,
+            criterion.evaluate_criterion((F(1),), F(30), 1, 1, heights.Place()).V,
             criterion.VResult(0.5, 1e-15, False),
         ],
         criterion.CriterionReport: [
@@ -62,10 +64,10 @@ def _samples():
         logpow.LogPowConfig: [
             logpow.LogPowConfig(2, 3), logpow.LogPowConfig(m=2, n=3), logpow.LogPowConfig(3, 2)
         ],
-        weyl.PropertyP: [
-            weyl.PropertyP(True, Poly((1, 1)), Poly((1,)), None),
-            weyl.PropertyP(True, Poly((1, 1)), Poly((1,)), None),
-            weyl.PropertyP(False, Poly((0, 1)), Poly((0, 1)), 0),
+        algebra.PropertyP: [
+            algebra.PropertyP(True, Poly((1, 1)), Poly((1,)), None),
+            algebra.PropertyP(True, Poly((1, 1)), Poly((1,)), None),
+            algebra.PropertyP(False, Poly((0, 1)), Poly((0, 1)), 0),
         ],
         holonomic.RecurrenceSystem: [
             holonomic.RecurrenceSystem(1, {0: Poly((1,)), 1: Poly((0, 1))}),
@@ -116,7 +118,7 @@ def _hash(value):
 def test_every_value_class_is_a_record():
     value_classes = {
         obj
-        for module in (audit, criterion, determinant, exact, heights, holonomic, logpow, mpl, transform, weyl)
+        for module in (audit, criterion, determinant, exact, heights, logpow, mpl, transform, algebra, holonomic)
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }

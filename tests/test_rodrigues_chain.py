@@ -4,7 +4,7 @@ The tables take P_l from ``transform.rodrigues_columns``: the adjoint factors
 (-1)^N (1/N!) D^N z^N prod_i (z - alpha_i)^N applied to t^l one after
 another in integer arithmetic.  The oracle is the operator route it
 replaced: compose R_n in ``Fraction`` polynomials
-(``weyl.rodrigues_operator`` on the stage sizes), take its adjoint and apply
+(``algebra.rodrigues_operator`` on the stage sizes), take its adjoint and apply
 that to t^l.  The two share no column code.
 """
 
@@ -15,13 +15,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from algebra import Poly, adjoint, op_apply, rodrigues_operator
 from oracles import poly
 
 from rodpade import logpow as logpow_mod
 from rodpade import mpl as mpl_mod
 from rodpade.exact import int_convolve
 from rodpade.transform import rodrigues_columns, rodrigues_factor, rodrigues_lift
-from rodpade.weyl import Poly, adjoint, op_apply, rodrigues_operator
 
 ALPHAS = {
     1: [(F(1),), (F(-3),), (F(-5, 2),)],

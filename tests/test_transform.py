@@ -15,8 +15,10 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from algebra import DiffOp, Poly, adjoint, op_apply
 from oracles import (
     column_polys,
+    det_bareiss,
     fraction_phi,
     fraction_q,
     fraction_remainder,
@@ -27,10 +29,9 @@ from oracles import (
     zero_row,
 )
 
-from rodpade.determinant import ZeroDeterminantError, _int_det, det_bareiss
+from rodpade.determinant import ZeroDeterminantError, _int_det
 from rodpade.exact import over_common_denominator
 from rodpade.transform import MomentSeq, PadeCell, _dots, build_table, verify_pade
-from rodpade.weyl import DiffOp, Poly, adjoint, op_apply
 
 LI1 = MomentSeq(lambda k, _p: F(1, k + 1), "Li_1(1/z)")
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
@@ -596,7 +597,7 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
 
     from rodpade.determinant import table_determinants
     from rodpade.transform import RouteDisagreementError, _series_coefficients
-    from rodpade.weyl import laurent_mul_poly
+    from algebra import laurent_mul_poly
 
     table = _grid_table(m, r, kind, n)
     first = table.row_labels[0]

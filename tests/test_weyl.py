@@ -7,10 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import fraction_phi, series, shifted
-
-from rodpade.transform import MomentSeq
-from rodpade.weyl import (
+from algebra import (
     DiffOp,
     LaurentTail,
     Poly,
@@ -25,6 +22,9 @@ from rodpade.weyl import (
     rising_factorial_poly,
     rodrigues_operator,
 )
+from oracles import fraction_phi, series, shifted
+
+from rodpade.transform import MomentSeq
 
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)  # z(z-1) D
 Z = Poly((0, 1))

@@ -43,6 +43,8 @@ EDGE = [
      "--format", "csv"),
     ("audit", "--lcm", "10000"),
     ("logpow-identities", "--n", "4"),
+    ("logpow-identities", "--n", "12"),
+    ("logpow-identities", "--n", "0"),
     # the p-adic decay that exits 1 on a valid input
     ("audit", "--m", "2", "--r", "1", "--alphas=4,-3", "--n", "1..6", "--beta", "11/4", "--place", "p2"),
     # exit 2
@@ -139,6 +141,15 @@ def run_job(main, argv) -> tuple[str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def run_jobs(main, jobs):
+    """(argv, exit, stdout, stderr) of each job in turn, with ``<doc>.json`` naming ``CONFIG_DOC``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.json"
+        doc.write_text(CONFIG_DOC, encoding="utf-8")
+        for argv in jobs:
+            yield argv, *run_job(main, [str(doc) if a == "<doc>.json" else a for a in argv])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, help="a benchmark workload, or edge")
@@ -157,12 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(root / "src"))
     from rodpade.cli import main as cli_main
 
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = Path(tmp) / "doc.json"
-        doc.write_text(CONFIG_DOC, encoding="utf-8")
-        for argv in jobs:
-            code, out, err = run_job(cli_main, [str(doc) if a == "<doc>.json" else a for a in argv])
-            print(code, _sha(out), _sha(err), " ".join(argv), flush=True)
+    for argv, code, out, err in run_jobs(cli_main, jobs):
+        print(code, _sha(out), _sha(err), " ".join(argv), flush=True)
     return 0
 
 

@@ -1,28 +1,27 @@
-"""Functions of ``src/rodpade`` that a pytest run never calls.
+"""Functions of ``src/rodpade`` that no edge job enters.
 
-    python3 tools/uncalled.py [--root CHECKOUT] [PYTEST_ARG ...]
+    python3 tools/uncalled.py [--root CHECKOUT]
 
-Runs pytest in this process (by default on the checkout's ``tests/``, or
-on the given pytest arguments) with a profile hook on every thread
-(``sys.setprofile`` and ``threading.setprofile``) that records each code
-object entered, then prints one line per function, method or nested
-function defined in ``src/rodpade/*.py`` whose code never ran:
-``file:line name (lines)``, with ``name`` the qualified name and ``lines``
-the length of the definition.  Code run in a subprocess (the command-line
-tests that start ``python -m rodpade``) is not seen.  ``--root`` names the
-checkout whose ``src/`` is imported and whose tests run (default: this
-one).  Standard library only, apart from the pytest it runs; the exit code
-is pytest's.
+Runs every ``EDGE`` job of ``tools/job_digests.py`` through
+``rodpade.cli.main`` in this process, under a profile hook
+(``sys.setprofile``) that records each code object entered, then prints one
+line per function, method or nested function defined in
+``src/rodpade/*.py`` whose code never ran: ``file:line name (lines)``, with
+``name`` the qualified name and ``lines`` the length of the definition.
+The edge jobs reach every function that the first 40 jobs of each benchmark
+workload reach, so a function listed here is one that no subcommand runs.
+``--root`` names the checkout whose ``src/`` is imported (default: this
+one).  Standard library only; the exit code is 1 when a job raised, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
-import threading
 from pathlib import Path
+
+import job_digests
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,14 +52,11 @@ def defined_functions(package: Path) -> dict[tuple[str, int], tuple[str, int]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to run (default: this one)")
-    args, pytest_args = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
     root = args.root.resolve()
     package = root / "src" / "rodpade"
-    src = str(root / "src")
-    sys.path.insert(0, src)
-    # the command-line tests start interpreters of their own: they import the same sources
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    import pytest
+    sys.path.insert(0, str(root / "src"))
+    from rodpade.cli import main as cli_main
 
     entered = set()
 
@@ -68,18 +64,16 @@ def main(argv: list[str] | None = None) -> int:
         if event == "call":
             entered.add(frame.f_code)
 
-    threading.setprofile(hook)
     sys.setprofile(hook)
     try:
-        code = pytest.main(pytest_args or ["-q", "-p", "no:cacheprovider", str(root / "tests")])
+        codes = [code for _, code, _, _ in job_digests.run_jobs(cli_main, job_digests.EDGE)]
     finally:
         sys.setprofile(None)
-        threading.setprofile(None)
     ran = {(c.co_filename, c.co_firstlineno) for c in entered}
     for (path, first), (name, lines) in defined_functions(package).items():
         if (path, first) not in ran:
             print(f"{Path(path).relative_to(root)}:{first} {name} ({lines})")
-    return int(code)
+    return int("raised" in codes)
 
 
 if __name__ == "__main__":
