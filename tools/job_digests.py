@@ -97,6 +97,15 @@ EDGE = [
     ("pade", "--m", "0", "--n", "x"),
     ("audit", "--m", "1"),
     ("audit", "--lcm", "100", "--n", "abc"),
+    # non-empty product lists, as JSON and as CSV
+    ("criterion", "--m", "1", "--r", "2", "--alphas", "1", "--beta", "1000000000", "--products"),
+    ("criterion", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--beta", "4000000", "--products",
+     "--format", "csv"),
+    # V inside the float band: indeterminate, exit 3
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "29556224395723/1000000"),
+    # no beta: no decay and a null beta; one weight with a beta: no decay
+    ("audit", "--m", "1", "--alphas=-1/2", "--n", "1..3"),
+    ("audit", "--m", "2", "--alphas=3/2,-5/3", "--n", "3", "--beta", "40"),
     # log-power m = 0, exit 2
     ("pade", "--appendix-logpow", "--m", "0", "--n", "1"),
     ("det", "--appendix-logpow", "--m", "0", "--n", "1"),
