@@ -2,9 +2,11 @@
 
 Every inequality is compared exactly, on integer pairs or rationals;
 floats appear only in the reported logarithms and in the fitted decay
-slope.  ``run`` is the ``audit`` subcommand: it builds its tables through
-``mpl.pade_tables`` and computes no determinant.  With ``--lcm`` it builds
-no table, so it loads neither ``mpl`` nor ``transform``.
+slope.  ``bounds_audit`` returns a table's ``AuditRow`` list and
+``remainder_decay`` the decay's JSON dict; ``run`` is the ``audit``
+subcommand, which writes each weight's report from its rows.  It builds its
+tables through ``mpl.pade_tables`` and computes no determinant.  With
+``--lcm`` it builds no table, so it loads neither ``mpl`` nor ``transform``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .exact import (
     format_rational,
     log_fraction,
     log_int,
+    over_common_denominator,
     parse_n_range,
     parse_rational,
     parse_rationals,
@@ -45,9 +48,7 @@ __all__ = [
     "lcm_upto",
     "log_lcm_upto",
     "AuditRow",
-    "AuditReport",
     "bounds_audit",
-    "DecayReport",
     "remainder_decay",
     "run",
 ]
@@ -152,33 +153,13 @@ class AuditRow(Record):
         }
 
 
-class AuditReport(Record):
-    __slots__ = ("config", "n", "place", "rows")
-
-    def __init__(self, config: MplConfig, n: int, place: Place, rows: list[AuditRow]):
-        super().__init__(config, n, place, rows)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(row.holds for row in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "config": self.config.to_json(),
-            "n": self.n,
-            "place": str(self.place),
-            "rows": [row.to_json() for row in self.rows],
-            "all_hold": self.all_hold,
-        }
-
-
 def bounds_audit(
     config: MplConfig,
     table: PadeTable,
     place: Place,
     beta: Fraction | None = None,
-) -> AuditReport:
-    """Measure every proven norm inequality on a built table: all must hold.
+) -> list[AuditRow]:
+    """The rows of every proven norm inequality on a built table: all must hold.
 
     Covers the derivative/product/moment norm bounds, the full chained bound
     on the column polynomials, the Q bound per cell, and (when beta is given)
@@ -205,8 +186,9 @@ def bounds_audit(
         rows.append(AuditRow(name, Fraction(*measured), Fraction(*bound)))
 
     h_alphas = [_int_height_v((a.numerator,), a.denominator, place) for a in config.alphas]
+    ha_num, ha_den = _int_height_v(*over_common_denominator(config.alphas), place)
     # H_v(beta) is read only when beta is given
-    _, (hb_num, hb_den), (ha_num, ha_den) = beta_hypothesis(config.alphas, beta or Fraction(0), place)
+    hb_num, hb_den = (1, 1) if beta is None else _int_height_v((beta.numerator,), beta.denominator, place)
 
     def moment_bound(k: int, norm: tuple[int, int]) -> tuple[int, int]:
         """k^((r+1) eps) |lcm(1..k)^r|_v^(eps-1) H_v(alpha)^k times ``norm``."""
@@ -286,36 +268,15 @@ def bounds_audit(
                 bound_eval = (degq + 1) ** eps * normq[0] * hb_num**degq, normq[1] * hb_den**degq
                 add(f"q_eval[{label},l={cell.ell}]", _int_norm_v((value,), den, place), bound_eval)
 
-    return AuditReport(config=config, n=n, place=place, rows=rows)
+    return rows
 
 
 # --------------------------------------------------------------------------
 # remainder decay
 
 
-class DecayReport(Record):
-    __slots__ = ("ns", "log_remainder", "slope", "bound_coefficient", "slack", "ok")
-
-    def __init__(
-        self,
-        ns: list[int],
-        log_remainder: list[float],
-        slope: float,
-        bound_coefficient: float,
-        slack: float,
-        ok: bool,
-    ):
-        super().__init__(ns, log_remainder, slope, bound_coefficient, slack, ok)
-
-    def to_json(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "log_remainder": [_round15(v) for v in self.log_remainder],
-            "slope": _round15(self.slope),
-            "bound_coefficient": _round15(self.bound_coefficient),
-            "slack": self.slack,
-            "ok": self.ok,
-        }
+#: what the fitted decay slope may exceed the proven coefficient by
+_DECAY_SLACK = 0.1
 
 
 def _remainder_sum(
@@ -406,8 +367,8 @@ def remainder_decay(
     beta: Fraction,
     v0: Place,
     tables: Mapping[int, PadeTable],
-) -> DecayReport:
-    """Per-n decay of the largest remainder at beta, against the proven slope.
+) -> dict:
+    """Per-n decay of the largest remainder at beta, against the proven slope, as JSON.
 
     ``tables`` maps each weight n to its built table (``mpl.pade_tables``),
     and each weight's rows are that table's own moment sequences, warm from
@@ -415,7 +376,8 @@ def remainder_decay(
     reads on from its row's integer window (``_remainder_sum``).  The fitted
     slope must not exceed
     -h_v(beta) + (M/m) sum_i h_v(alpha_i) + (M+1) h_v(alpha)
-    + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus slack 0.1.
+    + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus ``_DECAY_SLACK``; ``ok``
+    is decided on the unrounded slope.
     """
     beta = as_fraction(beta)
     exceeds, H_beta, H_alpha = beta_hypothesis(config.alphas, beta, v0)
@@ -447,14 +409,14 @@ def remainder_decay(
         + (M + 1) * _log_pair(H_alpha)
         + v0.epsilon * _bound_constant(m, r, M)
     )
-    return DecayReport(
-        ns=ns,
-        log_remainder=logs,
-        slope=slope,
-        bound_coefficient=coeff,
-        slack=0.1,
-        ok=slope <= coeff + 0.1,
-    )
+    return {
+        "ns": ns,
+        "log_remainder": [_round15(v) for v in logs],
+        "slope": _round15(slope),
+        "bound_coefficient": _round15(coeff),
+        "slack": _DECAY_SLACK,
+        "ok": slope <= coeff + _DECAY_SLACK,
+    }
 
 
 def run(args) -> tuple[dict, bool]:
@@ -488,18 +450,27 @@ def run(args) -> tuple[dict, bool]:
         raise BadBetaError("|beta|_v must exceed the local height of the alphas")
     ns = parse_n_range(args.n)
     tables = pade_tables(config, ns)
-    reports = [bounds_audit(config, tables[n], place, beta=beta) for n in ns]
+    reports = []
+    for n in ns:
+        rows = bounds_audit(config, tables[n], place, beta=beta)
+        reports.append({
+            "config": config.to_json(),
+            "n": n,
+            "place": str(place),
+            "rows": [row.to_json() for row in rows],
+            "all_hold": all(row.holds for row in rows),
+        })
     decay = None
     if beta is not None and len(ns) >= 2:
         decay = remainder_decay(config, beta, place, tables)
-    all_hold = all(rep.all_hold for rep in reports) and (decay is None or decay.ok)
+    all_hold = all(rep["all_hold"] for rep in reports) and (decay is None or decay["ok"])
     payload = {
         "command": "audit",
         "config": config.to_json(),
         "place": str(place),
         "beta": format_rational(beta) if beta is not None else None,
-        "reports": [rep.to_json() for rep in reports],
-        "decay": decay.to_json() if decay is not None else None,
+        "reports": reports,
+        "decay": decay,
         "all_hold": all_hold,
     }
     return payload, all_hold

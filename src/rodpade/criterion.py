@@ -4,8 +4,11 @@ V is built from local and global heights (:mod:`rodpade.heights`); its
 terms are floats, each the logarithm of an exact integer or integer pair.
 The hypothesis |beta|_v0 > H_v0(alpha) is decided exactly
 (``heights.beta_hypothesis``); positivity of V in floating point, with an
-indeterminate band.  ``run`` is the ``criterion`` subcommand: it builds no
-table, so it loads neither ``transform`` nor the audits.
+indeterminate band.  ``_V`` returns V as a ``VResult`` (its value, error
+band and terms) with the hypothesis verdict; ``evaluate_criterion`` returns
+the JSON payload and whether the criterion holds.  ``run`` is the
+``criterion`` subcommand: it builds no table, so it loads neither
+``transform`` nor the audits.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .mpl import MplConfig, index_set
 
 __all__ = [
     "VResult",
-    "CriterionReport",
     "evaluate_criterion",
     "run",
 ]
@@ -91,49 +93,6 @@ def _V(config: MplConfig, beta: Fraction, v0: Place) -> tuple[VResult, bool]:
     ), exceeds
 
 
-class CriterionReport(Record):
-    __slots__ = (
-        "m", "r", "alphas", "beta", "place", "V", "beta_exceeds_height", "V_positive", "conclusion", "products"
-    )
-
-    def __init__(
-        self,
-        m: int,
-        r: int,
-        alphas: tuple[Fraction, ...],
-        beta: Fraction,
-        place: Place,
-        V: VResult,
-        beta_exceeds_height: bool,
-        V_positive: str,  # "pass" | "fail" | "indeterminate"
-        conclusion: list[str],
-        products: list[str],
-    ):
-        super().__init__(m, r, alphas, beta, place, V, beta_exceeds_height, V_positive, conclusion, products)
-
-    @property
-    def passed(self) -> bool:
-        return self.beta_exceeds_height and self.V_positive == "pass"
-
-    def to_json(self) -> dict:
-        return {
-            "config": {
-                "m": self.m,
-                "r": self.r,
-                "alphas": [format_rational(a) for a in self.alphas],
-                "beta": format_rational(self.beta),
-                "place": str(self.place),
-            },
-            "V": self.V.to_json(),
-            "hypothesis_checks": {
-                "abs_beta_gt_local_height_alpha": self.beta_exceeds_height,
-                "V_positive": self.V_positive,
-            },
-            "conclusion": list(self.conclusion),
-            "products": list(self.products),
-        }
-
-
 def evaluate_criterion(
     alphas: Sequence[Fraction],
     beta: Fraction,
@@ -141,50 +100,44 @@ def evaluate_criterion(
     r: int,
     v0: Place,
     include_products: bool = False,
-) -> CriterionReport:
-    """Hypothesis checks and, when both pass decisively, the independence list.
+) -> tuple[dict, bool]:
+    """(payload, whether both hypotheses pass decisively): the checks and the independence list.
 
-    The precondition |beta|_v0 > H_v0(alpha) is decided exactly; positivity of
-    V is decided in floating point with an indeterminate band.  The conclusion
-    lists the M evaluated series declared, together with 1, linearly
-    independent over Q; product labels are added on request.
+    |beta|_v0 > H_v0(alpha) is decided exactly, and V > 0 in floating point
+    with an indeterminate band: ``V_positive`` is "pass", "fail" or
+    "indeterminate".  When both pass, the conclusion lists the M evaluated
+    series declared, together with 1, linearly independent over Q; product
+    labels are added on request.
     """
     config = MplConfig(m, r, alphas)
-    alphas = config.alphas
     beta = as_fraction(beta)
     v, exceeds = _V(config, beta, v0)
-    if v.indeterminate:
-        v_state = "indeterminate"
-    else:
-        v_state = "pass" if v.value > 0 else "fail"
+    v_state = "indeterminate" if v.indeterminate else "pass" if v.value > 0 else "fail"
+    passed = exceeds and v_state == "pass"
     conclusion: list[str] = []
     products: list[str] = []
-    if exceeds and v_state == "pass":
+    if passed:
         indices = index_set(m, r)
         conclusion = [idx.value_label(config, beta) for idx in indices]
         if include_products:
-            seen = set()
+            labels = []
             for idx in indices:
-                factors = sorted(
-                    f"Li_{s}({format_rational(config.alpha(a) / beta)})"
-                    for s, a in zip(idx.s, idx.a)
-                )
-                label = "*".join(factors)
-                if label not in seen:
-                    seen.add(label)
-                    products.append(label)
-    return CriterionReport(
-        m=m,
-        r=r,
-        alphas=alphas,
-        beta=beta,
-        place=v0,
-        V=v,
-        beta_exceeds_height=exceeds,
-        V_positive=v_state,
-        conclusion=conclusion,
-        products=products,
-    )
+                factors = (f"Li_{s}({format_rational(config.alpha(a) / beta)})" for s, a in zip(idx.s, idx.a))
+                labels.append("*".join(sorted(factors)))
+            products = list(dict.fromkeys(labels))  # each label once, in first-seen order
+    return {
+        "config": {
+            "m": m,
+            "r": r,
+            "alphas": [format_rational(a) for a in config.alphas],
+            "beta": format_rational(beta),
+            "place": str(v0),
+        },
+        "V": v.to_json(),
+        "hypothesis_checks": {"abs_beta_gt_local_height_alpha": exceeds, "V_positive": v_state},
+        "conclusion": conclusion,
+        "products": products,
+    }, passed
 
 
 def run(args) -> tuple[dict, bool]:
@@ -194,7 +147,7 @@ def run(args) -> tuple[dict, bool]:
     if args.beta is None:
         raise ValueError("criterion needs --beta (flag or config document)")
     place = Place.parse(args.place)
-    report = evaluate_criterion(
+    payload, passed = evaluate_criterion(
         parse_rationals(args.alphas),
         parse_rational(args.beta),
         args.m,
@@ -202,4 +155,4 @@ def run(args) -> tuple[dict, bool]:
         place,
         include_products=args.products,
     )
-    return {"command": "criterion", **report.to_json()}, report.passed
+    return {"command": "criterion", **payload}, passed

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "InsufficientDepthError",
     "Record",
     "as_fraction",
     "format_rational",
@@ -31,10 +30,6 @@ __all__ = [
     "int_convolve",
     "over_common_denominator",
 ]
-
-
-class InsufficientDepthError(Exception):
-    """An operation would need Laurent coefficients beyond the proved depth."""
 
 
 class Record:

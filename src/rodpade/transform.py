@@ -22,7 +22,6 @@ from itertools import zip_longest
 from typing import Callable, Iterator, Sequence
 
 from .exact import (
-    InsufficientDepthError,
     Record,
     as_fraction,
     falling_derivative,
@@ -284,12 +283,11 @@ def rodrigues_columns(
 def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """P f over L d: (coefficients of z^-1..z^-n, of z^0..z^(deg P - 1)), P = nums / d.
 
-    With the window ``ws`` (over L) cut to f_0..f_(deg P + n - 1) and
-    reversed, the coefficient of z^e is entry deg P + n + e of one product.
+    With the window ``ws`` (over L, at least deg P + n moments) cut to
+    f_0..f_(deg P + n - 1) and reversed, the coefficient of z^e is entry
+    deg P + n + e of one product.
     """
     depth = len(nums) - 1 + n
-    if len(ws) < depth:
-        raise InsufficientDepthError(f"the series route needs {depth} moments, the window has {len(ws)}")
     product = int_convolve(nums, ws[depth - 1 :: -1])
     return product[depth - n : depth][::-1], product[depth : depth + len(nums) - 1]
 

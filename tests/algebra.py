@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from rodpade.exact import (
-    InsufficientDepthError,
     Record,
     as_fraction,
     falling_derivative,
@@ -46,6 +45,10 @@ NEG_INF = float("-inf")
 
 #: order at infinity of the zero Laurent series
 INF = math.inf
+
+
+class InsufficientDepthError(Exception):
+    """An operation would need Laurent coefficients beyond the proved depth."""
 
 
 class Poly:

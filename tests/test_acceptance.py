@@ -28,7 +28,7 @@ from holonomic import solve_V1
 from oracles import fraction_phi, fraction_remainder, poly, q_polys, series, shifted
 
 from rodpade.audit import bounds_audit, log_lcm_upto, remainder_decay
-from rodpade.criterion import evaluate_criterion
+from rodpade.criterion import _V
 from rodpade.determinant import table_determinants
 from rodpade.heights import Place
 from rodpade.logpow import LogPowConfig, logpow_table, verify_En_identities
@@ -201,7 +201,8 @@ def test_criterion_06_appendix_suite():
 
 def test_criterion_07_criterion_threshold():
     place = Place()
-    values = {b: evaluate_criterion((F(1),), F(b), 1, 1, place).V.value for b in range(2, 41)}
+    config = MplConfig(1, 1, (F(1),))
+    values = {b: _V(config, F(b), place)[0].value for b in range(2, 41)}
     minimal = min(b for b, v in values.items() if v > 0)
     expected_30 = math.log(30) - 2 * math.log(2) - 2
     expected_29 = math.log(29) - 2 * math.log(2) - 2
@@ -220,13 +221,13 @@ def test_criterion_08_bound_audits_and_decay():
         for n in range(1, n_max + 1):
             table = grid_table(m, r, n)
             for place in places:
-                report = bounds_audit(config, table, place, beta=F(30))
-                ok = ok and report.all_hold
+                rows = bounds_audit(config, table, place, beta=F(30))
+                ok = ok and all(row.holds for row in rows)
     config = grid_config(1, 1)
     decay = remainder_decay(config, F(30), Place(), pade_tables(config, range(2, 13)))
-    ok = ok and decay.slope <= -1.01
+    ok = ok and decay["slope"] <= -1.01
     elapsed = time.perf_counter() - t0
-    _report(8, ok and elapsed < 180.0, f"slope {decay.slope:.2f} <= -1.01, {elapsed:.1f}s < 180s")
+    _report(8, ok and elapsed < 180.0, f"slope {decay['slope']:.2f} <= -1.01, {elapsed:.1f}s < 180s")
 
 
 def test_criterion_09_lcm_growth():

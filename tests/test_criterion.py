@@ -20,13 +20,14 @@ from rodpade.audit import (
     log_lcm_upto,
     remainder_decay,
 )
-from rodpade.criterion import evaluate_criterion
+from rodpade.criterion import _V, evaluate_criterion
 from rodpade.exact import log_int
 from rodpade.heights import (
     H_v_vec,
     Place,
     _int_valuation,
     _is_prime,
+    _round15,
     abs_v,
     global_height,
     global_height_vec,
@@ -175,19 +176,22 @@ def test_lcm_growth_small():
     assert 0.9 < log_lcm_upto(n) / n < 1.1
 
 
+LEGENDRE = MplConfig(m=1, r=1, alphas=(F(1),))
+
+
 def test_V_examples():
-    v30 = evaluate_criterion((F(1),), F(30), 1, 1, INF_PLACE).V
-    v29 = evaluate_criterion((F(1),), F(29), 1, 1, INF_PLACE).V
+    v30, _ = _V(LEGENDRE, F(30), INF_PLACE)
+    v29, _ = _V(LEGENDRE, F(29), INF_PLACE)
     assert abs(v30.value - (math.log(30) - 2 * math.log(2) - 2)) < 1e-12
     assert abs(v29.value - (math.log(29) - 2 * math.log(2) - 2)) < 1e-12
     assert v30.value > 0 > v29.value
-    v1 = evaluate_criterion((F(1),), F(1), 1, 1, INF_PLACE).V
+    v1, _ = _V(LEGENDRE, F(1), INF_PLACE)
     assert abs(v1.value - (-2 * math.log(2) - 2)) < 1e-12
     assert not v30.indeterminate
 
 
 def test_V_monotone_in_beta_with_threshold_30():
-    values = {b: evaluate_criterion((F(1),), F(b), 1, 1, INF_PLACE).V.value for b in range(2, 41)}
+    values = {b: _V(LEGENDRE, F(b), INF_PLACE)[0].value for b in range(2, 41)}
     assert all(values[b] < values[b + 1] for b in range(2, 40))
     assert min(b for b, v in values.items() if v > 0) == 30
 
@@ -200,31 +204,57 @@ def test_V_rejects_degenerate_alphas():
 
 
 def test_evaluate_criterion_passes_at_30():
-    rep = evaluate_criterion((F(1),), F(30), 1, 1, INF_PLACE)
-    assert rep.passed
-    assert rep.conclusion == ["Li_1(1/30)"]
-    assert rep.beta_exceeds_height
+    rep, passed = evaluate_criterion((F(1),), F(30), 1, 1, INF_PLACE)
+    assert passed
+    assert rep["conclusion"] == ["Li_1(1/30)"]
+    assert rep["hypothesis_checks"] == {"abs_beta_gt_local_height_alpha": True, "V_positive": "pass"}
 
 
 def test_evaluate_criterion_fails_at_2():
-    rep = evaluate_criterion((F(1),), F(2), 1, 1, INF_PLACE)
-    assert not rep.passed and rep.V_positive == "fail"
-    assert rep.conclusion == []
+    rep, passed = evaluate_criterion((F(1),), F(2), 1, 1, INF_PLACE)
+    assert not passed and rep["hypothesis_checks"]["V_positive"] == "fail"
+    assert rep["conclusion"] == []
 
 
 def test_evaluate_criterion_m2_hypothesis_check():
-    rep = evaluate_criterion((F(1), F(2)), F(3), 2, 1, INF_PLACE)
-    assert rep.beta_exceeds_height  # |3| > H(alpha) = 2
-    assert (rep.V_positive == "pass") == (rep.V.value > 0)
+    rep, _ = evaluate_criterion((F(1), F(2)), F(3), 2, 1, INF_PLACE)
+    checks = rep["hypothesis_checks"]
+    assert checks["abs_beta_gt_local_height_alpha"]  # |3| > H(alpha) = 2
+    assert (checks["V_positive"] == "pass") == (rep["V"]["value"] > 0)
+
+
+def test_evaluate_criterion_indeterminate_band():
+    """V inside the float band: no verdict, no conclusion, exit 3.
+
+    The exact V at beta = 29556224395723/1000000 is +1.35e-14: at 50 digits,
+    p/q^2 = 29.556224395723 > 4e^2 = 29.5562243957226009..., so the
+    criterion truly holds there, but the float band refuses to say so.
+    At (1, 1), alpha = 1 and beta = p/q, V = log(p/q^2) - log(4e^2).
+    """
+    from decimal import Decimal, localcontext
+
+    from rodpade.cli import main
+
+    with localcontext(prec=50):
+        exact = (Decimal(29556224395723) / 10**12 / (4 * Decimal(1).exp() ** 2)).ln()
+    assert Decimal("1.35e-14") < exact < Decimal("1.36e-14")
+    beta = F(29556224395723, 1000000)
+    rep, passed = evaluate_criterion((F(1),), beta, 1, 1, Place())
+    assert not passed
+    assert rep["hypothesis_checks"]["V_positive"] == "indeterminate"
+    v, _ = _V(LEGENDRE, beta, Place())
+    assert v.indeterminate and abs(v.value) < v.error_bound
+    assert rep["conclusion"] == [] and rep["products"] == []
+    assert main(["criterion", "--m", "1", "--alphas", "1", "--beta", "29556224395723/1000000"]) == 3
 
 
 def test_products_are_deduplicated():
-    small = evaluate_criterion((F(1),), F(30), 1, 2, INF_PLACE, include_products=True)
-    assert not small.passed and small.products == []  # no conclusion without V > 0
-    big = evaluate_criterion((F(1),), F(10**9), 1, 2, INF_PLACE, include_products=True)
-    assert big.passed
-    assert "Li_1(1/1000000000)*Li_1(1/1000000000)" in big.products
-    assert len(big.products) == len(set(big.products))
+    small, passed = evaluate_criterion((F(1),), F(30), 1, 2, INF_PLACE, include_products=True)
+    assert not passed and small["products"] == []  # no conclusion without V > 0
+    big, passed = evaluate_criterion((F(1),), F(10**9), 1, 2, INF_PLACE, include_products=True)
+    assert passed
+    assert "Li_1(1/1000000000)*Li_1(1/1000000000)" in big["products"]
+    assert len(big["products"]) == len(set(big["products"]))
 
 
 def test_column_polynomial_matches_derivative_chain():
@@ -266,9 +296,9 @@ def test_bounds_audit_all_hold_on_small_grid():
         config = MplConfig(m=m, r=r, alphas=(F(1),) if m == 1 else (F(1), F(2)))
         table = pade_table(config, 1)
         for place in (INF_PLACE, Place(2), Place(3)):
-            report = bounds_audit(config, table, place, beta=F(30))
-            assert report.all_hold, [row.name for row in report.rows if not row.holds]
-            assert all(row.bound_log >= row.measured_log for row in report.rows if row.measured > 0)
+            rows = bounds_audit(config, table, place, beta=F(30))
+            assert all(row.holds for row in rows), [row.name for row in rows if not row.holds]
+            assert all(row.bound_log >= row.measured_log for row in rows if row.measured > 0)
 
 
 def _d_factor(place, r, N):
@@ -395,18 +425,22 @@ def test_bounds_audit_rows_match_the_stage_by_stage_route(config_args, ns):
     for n, table in pade_tables(config, ns).items():
         for place, beta in AUDIT_ORACLE_PLACES:
             for b in (None, beta):
-                report = bounds_audit(config, table, place, beta=b)
-                got = [(row.name, row.measured, row.bound) for row in report.rows]
+                rows = bounds_audit(config, table, place, beta=b)
+                got = [(row.name, row.measured, row.bound) for row in rows]
                 assert got == _audit_rows_stage_by_stage(config, table, place, b), (n, place, b)
 
 
-def test_audit_json_shape():
-    config = MplConfig(m=1, r=1, alphas=(F(1),))
-    report = bounds_audit(config, pade_table(config, 1), Place(2))
-    data = report.to_json()
-    assert data["place"] == "p2"
-    assert data["all_hold"] is True
-    assert {"name", "measured", "bound", "slack", "holds"} <= set(data["rows"][0])
+def test_audit_json_shape(capsys):
+    from rodpade.cli import main
+
+    assert main(["audit", "--m", "1", "--alphas", "1", "--n", "1", "--place", "p2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["beta"] is None and data["decay"] is None
+    (report,) = data["reports"]
+    assert report["config"] == {"m": 1, "r": 1, "alphas": ["1"]} and report["n"] == 1
+    assert report["place"] == "p2"
+    assert report["all_hold"] is True
+    assert {"name", "measured", "bound", "slack", "holds"} <= set(report["rows"][0])
 
 
 def test_moment_denominators_cleared_by_lcm_power():
@@ -433,23 +467,23 @@ def test_evaluate_criterion_checks_the_config_once(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(rodpade.criterion, "MplConfig", CountingConfig)
-    report = evaluate_criterion((F(3, 2), F(-5, 3)), F(4000000), 2, 1, INF_PLACE)
-    assert report.passed
+    _, passed = evaluate_criterion((F(3, 2), F(-5, 3)), F(4000000), 2, 1, INF_PLACE)
+    assert passed
     assert len(built) == 1
 
 
 def test_remainder_decay_legendre():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     report = remainder_decay(config, F(30), INF_PLACE, pade_tables(config, range(2, 13)))
-    assert report.ok
-    assert report.slope <= -1.01
-    assert abs(report.bound_coefficient - (-math.log(30) + 1 + 2 * math.log(2))) < 1e-12
+    assert report["ok"]
+    assert report["slope"] <= -1.01
+    assert abs(report["bound_coefficient"] - (-math.log(30) + 1 + 2 * math.log(2))) < 1e-12
 
 
 def test_remainder_decay_sign_blind():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     report = remainder_decay(config, F(-30), INF_PLACE, pade_tables(config, range(2, 6)))
-    assert report.ok
+    assert report["ok"]
 
 
 def test_remainder_decay_p_adic_runs():
@@ -459,7 +493,7 @@ def test_remainder_decay_p_adic_runs():
     with pytest.raises(BadBetaError):
         remainder_decay(config, F(32), Place(2), tables)
     report = remainder_decay(config, F(1, 32), Place(2), tables)
-    assert len(report.log_remainder) == 4
+    assert report["ns"] == [2, 3, 4, 5] and len(report["log_remainder"]) == 4
 
 
 def test_remainder_decay_bad_beta():
@@ -497,7 +531,7 @@ def test_remainder_decay_takes_abs_beta_once(monkeypatch):
     tables = pade_tables(config, range(1, 9))
     beta = F(40)
     taken = _count_norms_of(monkeypatch, beta, (rodpade.audit,))
-    assert remainder_decay(config, beta, INF_PLACE, tables).ok
+    assert remainder_decay(config, beta, INF_PLACE, tables)["ok"]
     assert taken == [INF_PLACE]
 
 
@@ -508,8 +542,8 @@ def test_remainder_decay_takes_abs_beta_once(monkeypatch):
 def test_evaluate_criterion_takes_abs_beta_once(monkeypatch, beta, place, exceeds):
     # V's local height of beta and the hypothesis read one norm of beta
     taken = _count_norms_of(monkeypatch, beta)
-    report = evaluate_criterion((F(3, 2), F(-5, 3)), beta, 2, 1, place)
-    assert report.beta_exceeds_height is exceeds
+    report, _ = evaluate_criterion((F(3, 2), F(-5, 3)), beta, 2, 1, place)
+    assert report["hypothesis_checks"]["abs_beta_gt_local_height_alpha"] is exceeds
     assert taken == [place]
 
 
@@ -617,7 +651,7 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
 
     monkeypatch.setattr(rodpade.audit, "_int_norm_v", counting)
     report = remainder_decay(config, beta, place, tables)
-    assert report.log_remainder == want
+    assert report["log_remainder"] == [_round15(v) for v in want]
     # the norms of the table's own column pairs, one per column
     columns = [cell.column for n in range(1, 9) for cell in tables[n].cells]
     assert len(columns) == 24

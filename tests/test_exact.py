@@ -8,10 +8,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from algebra import INF, NEG_INF, LaurentTail, OrdAtLeast, Poly, laurent_mul_poly, ord_inf
+from algebra import (
+    INF,
+    NEG_INF,
+    InsufficientDepthError,
+    LaurentTail,
+    OrdAtLeast,
+    Poly,
+    laurent_mul_poly,
+    ord_inf,
+)
 
 from rodpade.exact import (
-    InsufficientDepthError,
     format_pair,
     format_rational,
     int_convolve,

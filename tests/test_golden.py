@@ -132,7 +132,7 @@ def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, s
     rows = [
         f"{n} {row.name} {format_rational(row.measured)} {format_rational(row.bound)}"
         for n in ns
-        for row in bounds_audit(config, tables[n], place, beta=beta).rows
+        for row in bounds_audit(config, tables[n], place, beta=beta)
     ]
     assert _sha(rows) == rows_digest
     if beta is None:

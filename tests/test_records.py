@@ -39,27 +39,12 @@ def _samples():
         mpl.MplIndex: [idx[3], mpl.MplIndex(idx[3].s, idx[3].a), *idx],
         heights.Place: [heights.Place(), heights.Place(None), heights.Place(2), heights.Place(p=3)],
         criterion.VResult: [
-            criterion.evaluate_criterion((F(1),), F(30), 1, 1, heights.Place()).V,
-            criterion.evaluate_criterion((F(1),), F(30), 1, 1, heights.Place()).V,
+            criterion._V(mpl.MplConfig(1, 1, (1,)), F(30), heights.Place())[0],
+            criterion._V(mpl.MplConfig(1, 1, (1,)), F(30), heights.Place())[0],
             criterion.VResult(0.5, 1e-15, False),
-        ],
-        criterion.CriterionReport: [
-            criterion.evaluate_criterion((F(1),), F(30), 1, 1, heights.Place()),
-            criterion.evaluate_criterion((F(1),), F(30), 1, 1, heights.Place()),
-            criterion.evaluate_criterion((F(1),), F(40), 1, 1, heights.Place(2)),
         ],
         audit.AuditRow: [
             row, audit.AuditRow("norm[0]", F(2, 4), F(3)), audit.AuditRow("q", F(1), F(1))
-        ],
-        audit.AuditReport: [
-            audit.AuditReport(config, 1, heights.Place(), [row]),
-            audit.AuditReport(mpl.MplConfig(1, 2, (1,)), 1, heights.Place(), [row]),
-            audit.AuditReport(config, 2, heights.Place(), []),
-        ],
-        audit.DecayReport: [
-            audit.DecayReport([1, 2], [-1.0, -2.5], -1.5, -1.3, 0.1, False),
-            audit.DecayReport([1, 2], [-1.0, -2.5], -1.5, -1.3, 0.1, False),
-            audit.DecayReport([1, 2, 3], [-1.0, -2.5, -4.0], -1.5, -1.3, 0.1, True),
         ],
         logpow.LogPowConfig: [
             logpow.LogPowConfig(2, 3), logpow.LogPowConfig(m=2, n=3), logpow.LogPowConfig(3, 2)
@@ -123,7 +108,7 @@ def test_every_value_class_is_a_record():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert value_classes == set(SAMPLES)
-    assert len(SAMPLES) == 14
+    assert len(SAMPLES) == 11
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from algebra import (
     DiffOp,
+    InsufficientDepthError,
     LaurentTail,
     Poly,
     WeightOrderTooSmallError,
@@ -239,8 +240,6 @@ def test_annihilation_implies_adjoint_kernel():
 def test_apply_laurent_depth_discipline():
     # every reported coefficient must survive a deeper recomputation, and
     # reading past the proved window must raise rather than fabricate
-    from rodpade.exact import InsufficientDepthError
-
     rng = random.Random(13)
     li1 = MomentSeq(lambda k, _p: F(1, k + 1), "Li_1(1/z)")
     for _ in range(30):
@@ -255,8 +254,6 @@ def test_apply_laurent_depth_discipline():
 
 
 def test_apply_laurent_min_depth_guard():
-    from rodpade.exact import InsufficientDepthError
-
     with pytest.raises(InsufficientDepthError):
         op_apply_laurent(E1, LaurentTail(1, (1, 1, 1, 1)), min_depth=10)
 
