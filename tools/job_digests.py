@@ -106,6 +106,19 @@ EDGE = [
     # no beta: no decay and a null beta; one weight with a beta: no decay
     ("audit", "--m", "1", "--alphas=-1/2", "--n", "1..3"),
     ("audit", "--m", "2", "--alphas=3/2,-5/3", "--n", "3", "--beta", "40"),
+    # a run's missing-flag errors, and usage errors: an unknown subcommand, an ambiguous
+    # prefix, an invalid int, a switch given a value; then -h (exit 0); all but -h exit 2
+    ("criterion", "--m", "1", "--alphas", "1"),
+    ("pade", "--n", "1"),
+    ("frobnicate",),
+    ("pade", "--a", "1", "--n", "1"),
+    ("pade", "--m", "x", "--n", "1"),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--products=yes"),
+    ("pade", "-h"),
+    # a weight range that starts at 0, exit 2
+    ("audit", "--m", "1", "--alphas", "1", "--n", "0..2", "--beta", "30"),
+    # depth-2 rows with f_0 = 0: empty measured and slack cells in CSV
+    ("audit", "--m", "1", "--r", "2", "--alphas", "1", "--n", "1..2", "--beta", "30", "--format", "csv"),
     # log-power m = 0, exit 2
     ("pade", "--appendix-logpow", "--m", "0", "--n", "1"),
     ("det", "--appendix-logpow", "--m", "0", "--n", "1"),
