@@ -277,6 +277,8 @@ def bounds_audit(
 
 #: what the fitted decay slope may exceed the proven coefficient by
 _DECAY_SLACK = 0.1
+#: the terms a remainder sum may add past its first before it gives up
+_REMAINDER_TERMS = 200000
 
 
 def _remainder_sum(
@@ -313,7 +315,8 @@ def _remainder_sum(
     majorant is (s+1)^e X / Y with X and Y each multiplied by one integer per
     term, and both stopping tests are compared by cross-multiplication.  A
     Fraction is formed only for the value returned, which equals the
-    term-by-term Fraction sum exactly.
+    term-by-term Fraction sum exactly.  A sum not certified within
+    ``_REMAINDER_TERMS`` terms past the first raises ValueError.
     """
     nums, den = cell.column
     n, width = cell.n, len(nums)
@@ -346,8 +349,8 @@ def _remainder_sum(
                 certified = lhs <= abs(acc) * y * (ratio_den - ratio_num)
             if certified:
                 return Fraction(acc, lcm * den * b_pow), k
-        if k - n >= 200000:
-            raise RuntimeError("remainder summation did not certify")
+        if k - n >= _REMAINDER_TERMS:
+            raise ValueError("remainder summation did not certify")
         x *= q_num
         y *= q_den
         s += 1

@@ -126,13 +126,7 @@ def evaluate_criterion(
                 labels.append("*".join(sorted(factors)))
             products = list(dict.fromkeys(labels))  # each label once, in first-seen order
     return {
-        "config": {
-            "m": m,
-            "r": r,
-            "alphas": [format_rational(a) for a in config.alphas],
-            "beta": format_rational(beta),
-            "place": str(v0),
-        },
+        "config": {**config.to_json(), "beta": format_rational(beta), "place": str(v0)},
         "V": v.to_json(),
         "hypothesis_checks": {"abs_beta_gt_local_height_alpha": exceeds, "V_positive": v_state},
         "conclusion": conclusion,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -155,12 +156,23 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["conclusion"] == ["Li_1(1/30)"]
 
 
-def test_config_document_json(tmp_path, capsys):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"m": 1, "r": 1, "alphas": ["1"], "n": 1}))
-    code, data = run_json(capsys, ["pade", "--config", str(path)])
-    assert code == 0
-    assert data["table"]["P"][0] == ["1", "-2"]
+_CONFIG_DOCS = {
+    "run.json": '{"m": 2, "r": 1, "alphas": ["3/2", "-5/3"], "n": 2}\n',
+    "run.toml": 'm = 2\nr = 1\nalphas = ["3/2", "-5/3"]\nn = 2\n',
+}
+
+
+@pytest.mark.parametrize("name", list(_CONFIG_DOCS))
+def test_config_document_json(tmp_path, capsys, name):
+    # either format gives the bytes of the same run from flags (GOLDEN in test_golden.py)
+    path = tmp_path / name
+    path.write_text(_CONFIG_DOCS[name])
+    assert main(["pade", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert main(["pade", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "2"]) == 0
+    assert out == capsys.readouterr().out
+    digest = "d85da3b2e0863ec7c16634d41a487046b4225a48ec8bf88aee9b346ac9273c51"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_config_document_flags_win(tmp_path, capsys):
@@ -801,7 +813,7 @@ def test_every_function_of_the_package_runs_in_some_edge_job():
     assert set(listed) == _UNCALLED_ALLOWED
 
 
-def test_json_writer_matches_json_dumps():
+def test_json_writer_matches_json_dumps(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -843,6 +855,17 @@ def test_json_writer_matches_json_dumps():
     for bad in ({1: "int key"}, {"value": Fraction(1, 2)}, [Fraction(3)], {"k": {None: 0}}):
         with pytest.raises(TypeError):
             cli._json_text(bad)
+
+    # no job's payload holds a value that the writer hands to json.dumps
+    digests = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "job_digests.py"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    results = list(digests["run_jobs"](main, digests["EDGE"]))
+    assert len(results) == len(digests["EDGE"])
+    assert [argv for argv, code, _, _ in results if code == "raised"] == []
 
 
 def test_no_source_file_imports_dataclasses():
@@ -986,6 +1009,20 @@ def test_audit_lcm_out_of_memory_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: input too large"]
+
+
+def test_remainder_sum_past_its_term_cap_exits_2(capsys, monkeypatch):
+    # a decay whose sum does not certify within the cap: one error line, no traceback
+    import rodpade.audit
+
+    argv = ["audit", "--m", "1", "--alphas", "1", "--n", "1..2", "--beta", "30"]
+    monkeypatch.setattr(rodpade.audit, "_REMAINDER_TERMS", 1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: remainder summation did not certify"]
+    monkeypatch.undo()
+    assert main(argv) == 0
 
 
 _IMPORT_ONLY = (
