@@ -119,6 +119,11 @@ EDGE = [
     ("audit", "--m", "1", "--alphas", "1", "--n", "0..2", "--beta", "30"),
     # depth-2 rows with f_0 = 0: empty measured and slack cells in CSV
     ("audit", "--m", "1", "--r", "2", "--alphas", "1", "--n", "1..2", "--beta", "30", "--format", "csv"),
+    # lcm(1..0) is refused, exit 2; a place p<n> with n not prime, exit 2; and a prime
+    # past trial division, decided by Miller-Rabin, exit 0
+    ("audit", "--lcm", "0"),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "p4"),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "1/1000003", "--place", "p1000003"),
     # log-power m = 0, exit 2
     ("pade", "--appendix-logpow", "--m", "0", "--n", "1"),
     ("det", "--appendix-logpow", "--m", "0", "--n", "1"),
