@@ -44,18 +44,12 @@ if TYPE_CHECKING:
     from .transform import MomentSeq, PadeCell, PadeTable
 
 __all__ = [
-    "BadBetaError",
     "lcm_upto",
-    "log_lcm_upto",
     "AuditRow",
     "bounds_audit",
     "remainder_decay",
     "run",
 ]
-
-
-class BadBetaError(ValueError):
-    """|beta|_v does not exceed the local height of the alphas."""
 
 
 # --------------------------------------------------------------------------
@@ -94,10 +88,6 @@ def lcm_upto(n: int) -> int:
             [parts[-1]] if len(parts) % 2 else []
         )
     return parts[0]
-
-
-def log_lcm_upto(n: int) -> float:
-    return log_int(lcm_upto(n))
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +375,7 @@ def remainder_decay(
     beta = as_fraction(beta)
     exceeds, H_beta, H_alpha = beta_hypothesis(config.alphas, beta, v0)
     if not exceeds:
-        raise BadBetaError("|beta|_v must exceed the local height of the alphas")
+        raise ValueError("|beta|_v must exceed the local height of the alphas")
     ns = sorted(tables)
     if len(ns) < 2:
         raise ValueError("need at least two weights to fit a slope")
@@ -433,7 +423,7 @@ def run(args) -> tuple[dict, bool]:
         raise ValueError("audit needs --lcm, or --m/--alphas/--n")
     if args.lcm is not None:
         n = args.lcm
-        ratio = log_lcm_upto(n) / n
+        ratio = log_int(lcm_upto(n)) / n
         ok = 0.95 <= ratio <= 1.05
         payload = {
             "command": "audit",
@@ -450,7 +440,7 @@ def run(args) -> tuple[dict, bool]:
     place = Place.parse(args.place)
     beta = parse_rational(args.beta) if args.beta is not None else None
     if beta is not None and not beta_hypothesis(config.alphas, beta, place)[0]:
-        raise BadBetaError("|beta|_v must exceed the local height of the alphas")
+        raise ValueError("|beta|_v must exceed the local height of the alphas")
     ns = parse_n_range(args.n)
     tables = pade_tables(config, ns)
     reports = []

@@ -18,9 +18,7 @@ from typing import Sequence
 
 from .exact import Record, as_fraction, format_rational, parse_rational, parse_rationals
 from .heights import H_v_vec, abs_v  # unused here: the benchmark's self-tests read them from this module
-from .heights import (
-    Place, _bound_constant, _log_pair, _round15, beta_hypothesis, global_height, global_height_vec
-)
+from .heights import Place, _bound_constant, _log_pair, _round15, beta_hypothesis, global_height_vec
 from .mpl import MplConfig, index_set
 
 __all__ = [
@@ -61,8 +59,8 @@ def _V(config: MplConfig, beta: Fraction, v0: Place) -> tuple[VResult, bool]:
     exceeds, H_beta, H_alpha = beta_hypothesis(alphas, beta, v0)
     h_v0_beta = _log_pair(H_beta)
     h_v0_alpha = _log_pair(H_alpha)
-    h_beta = global_height(beta)
-    h_alpha_each = [global_height(a) for a in alphas]
+    h_beta = global_height_vec((beta,))
+    h_alpha_each = [global_height_vec((a,)) for a in alphas]
     h_alpha_vec = global_height_vec(alphas)
     constant = _bound_constant(m, r, M) + r * M
     value = (

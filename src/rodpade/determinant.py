@@ -20,19 +20,9 @@ from . import transform
 from .exact import format_rational, parse_n_range, parse_rationals
 
 __all__ = [
-    "DegreeLemmaError",
-    "ZeroDeterminantError",
     "table_determinants",
     "run",
 ]
-
-
-class DegreeLemmaError(Exception):
-    """A table failed the checks that make its Delta the constant Delta(0)."""
-
-
-class ZeroDeterminantError(Exception):
-    """A determinant that must be a unit came out zero."""
 
 
 def _int_det(matrix: Sequence[Sequence[int]]) -> int:
@@ -85,16 +75,16 @@ def table_determinants(table: transform.PadeTable) -> tuple[Fraction, Fraction]:
     """(Delta, theta) of a built table, one integer Bareiss determinant each.
 
     Delta is Delta(0), the determinant of the constant coefficients; a table
-    that fails ``_degree_lemma_holds`` raises DegreeLemmaError, and
-    Delta(0) = 0 raises ZeroDeterminantError.  Either signals a broken
-    construction, never a math failure.  theta is the determinant of the
-    d x d moment matrix phi_j(t^n P_l), l < d: the k = n entries of the
-    first d cells' runs.  Row j is over L_j and column l over d_l (the P row
-    over 1), so each is an integer determinant over prod L_j prod d_l; L_j
-    is read off the first cell's run scale L_j d_0.
+    that fails ``_degree_lemma_holds``, or whose Delta(0) is 0, raises
+    ``transform.TableCheckError``: either signals a broken construction,
+    never a math failure.  theta is the determinant of the d x d moment
+    matrix phi_j(t^n P_l), l < d: the k = n entries of the first d cells'
+    runs.  Row j is over L_j and column l over d_l (the P row over 1), so
+    each is an integer determinant over prod L_j prod d_l; L_j is read off
+    the first cell's run scale L_j d_0.
     """
     if not _degree_lemma_holds(table):
-        raise DegreeLemmaError(
+        raise transform.TableCheckError(
             f"weight-{table.n} table fails the degree lemma: Delta is not certified constant"
         )
     labels, cells = table.row_labels, table.cells
@@ -106,7 +96,7 @@ def table_determinants(table: transform.PadeTable) -> tuple[Fraction, Fraction]:
     constants += [[(cell.q_pairs[label][0] or (0,))[0] for cell in cells] for label in labels]
     delta = _int_det(constants)
     if delta == 0:
-        raise ZeroDeterminantError("determinant is zero")
+        raise transform.TableCheckError("determinant is zero")
     theta = _int_det([[cell.heads[label][0][table.n] for cell in cells[:-1]] for label in labels])
     return Fraction(delta, scale * cells[-1].column[1]), Fraction(theta, scale)
 
@@ -171,8 +161,8 @@ def run(args) -> tuple[dict, bool]:
     """The ``pade`` or ``det`` subcommand (``args.subcommand``): (payload, whether every check holds).
 
     ``pade`` reports the table and its verification before the determinant
-    block; ``det`` only the determinant block.  A table whose Delta is not
-    certified, or zero, gives a payload with the error, and False.
+    block; ``det`` only the determinant block.  A table that fails a check
+    (``transform.TableCheckError``) gives a payload with the error, and False.
     """
     command = args.subcommand
     if args.m is None:
@@ -182,10 +172,10 @@ def run(args) -> tuple[dict, bool]:
         raise ValueError("pade/det need a single weight --n >= 1")
     n = ns[0]
     kind, config, table = _build_table(args, n)
-    verification = _verification_block(table) if command == "pade" else None
     try:
+        verification = _verification_block(table) if command == "pade" else None
         determinant = _determinant_block(table)
-    except (DegreeLemmaError, ZeroDeterminantError) as exc:
+    except transform.TableCheckError as exc:
         return {"command": command, "error": str(exc)}, False
     payload = {"command": command, "kind": kind, "config": config.to_json(), "n": n}
     if command == "det":

@@ -22,7 +22,6 @@ __all__ = [
     "local_height",
     "H_v_vec",
     "beta_hypothesis",
-    "global_height",
     "global_height_vec",
 ]
 
@@ -173,11 +172,6 @@ def local_height(x: Fraction, place: Place) -> float:
 
 def H_v_vec(xs: Sequence[Fraction], place: Place) -> Fraction:
     return Fraction(*_int_height_v(*over_common_denominator([as_fraction(x) for x in xs]), place))
-
-
-def global_height(x: Fraction) -> float:
-    """h(x) = log max(|num|, |den|) for x in lowest terms."""
-    return global_height_vec((x,))
 
 
 def global_height_vec(xs: Sequence[Fraction]) -> float:

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
     from .transform import MomentSeq, PadeTable
 
 __all__ = [
-    "DegenerateAlphasError",
     "MplConfig",
     "MplIndex",
     "index_set",
@@ -44,10 +43,6 @@ __all__ = [
     "pade_table",
     "pade_tables",
 ]
-
-
-class DegenerateAlphasError(ValueError):
-    """The alphas are not m in number, pairwise distinct and nonzero."""
 
 
 class MplConfig(Record):
@@ -62,11 +57,11 @@ class MplConfig(Record):
         if self.r < 1:
             raise ValueError(f"r must be positive, got {self.r}")
         if len(self.alphas) != self.m:
-            raise DegenerateAlphasError(f"expected {self.m} alphas, got {len(self.alphas)}")
+            raise ValueError(f"expected {self.m} alphas, got {len(self.alphas)}")
         if any(a == 0 for a in self.alphas):
-            raise DegenerateAlphasError("alphas must be nonzero")
+            raise ValueError("alphas must be nonzero")
         if len(set(self.alphas)) != self.m:
-            raise DegenerateAlphasError("alphas must be pairwise distinct")
+            raise ValueError("alphas must be pairwise distinct")
 
     @property
     def M(self) -> int:

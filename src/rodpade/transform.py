@@ -38,13 +38,13 @@ __all__ = [
     "rodrigues_lift",
     "rodrigues_chain",
     "rodrigues_columns",
-    "RouteDisagreementError",
+    "TableCheckError",
     "verify_pade",
 ]
 
 
-class RouteDisagreementError(Exception):
-    """The kernel route and the multiplied-out series route disagreed."""
+class TableCheckError(Exception):
+    """A built table failed a check that a correct construction always passes."""
 
 
 class MomentSeq:
@@ -302,7 +302,7 @@ def verify_pade(cell: PadeCell, seqs: Sequence[MomentSeq]) -> bool:
     must vanish, and the polynomial part must be Q, compared by integer
     cross-multiplication.  The two routes computing the same coefficients
     through different code paths must agree exactly; a mismatch raises
-    RouteDisagreementError.
+    TableCheckError.
     """
     nums, den = cell.column
     if not nums:
@@ -315,7 +315,7 @@ def verify_pade(cell: PadeCell, seqs: Sequence[MomentSeq]) -> bool:
         tail, part = _series_coefficients(nums, ws, cell.n)
         series_ok = not any(tail)
         if kernel_ok != series_ok:
-            raise RouteDisagreementError(
+            raise TableCheckError(
                 f"row {label}: kernel test says {kernel_ok}, series test says {series_ok}"
             )
         q, q_den = cell.q_pairs[label]

@@ -474,22 +474,50 @@ def _perturbed_last_column(monkeypatch):
     monkeypatch.setattr(mpl_mod, "pade_table", perturbed)
 
 
-@pytest.mark.parametrize("command", ["pade", "det"])
+def _flipped_first_tail_coefficient(monkeypatch):
+    """Make the series route of ``verify_pade`` see a nonzero first tail coefficient."""
+    real = transform._series_coefficients
+
+    def flipped(nums, ws, n):
+        tail, part = real(nums, ws, n)
+        return [tail[0] + 1, *tail[1:]], part
+
+    monkeypatch.setattr(transform, "_series_coefficients", flipped)
+
+
+_TABLE_CHECK_FAILURES = [
+    (
+        "zero-delta",
+        ("pade", "det"),
+        ["--m", "1", "--alphas", "1", "--n", "1"],
+        lambda mp: mp.setattr(determinant, "_int_det", lambda matrix: 0),
+        "determinant is zero",
+    ),
+    (
+        "lemma-failure",
+        ("pade", "det"),
+        ["--m", "1", "--alphas=3/2", "--n", "2"],
+        _perturbed_last_column,
+        "weight-2 table fails the degree lemma: Delta is not certified constant",
+    ),
+    # det never verifies, so only pade reaches the two routes
+    (
+        "route-disagreement",
+        ("pade",),
+        ["--m", "1", "--alphas", "1", "--n", "2"],
+        _flipped_first_tail_coefficient,
+        "row Li_1(1/z): kernel test says True, series test says False",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, breakage, message",
+    "command, argv, breakage, message",
     [
-        (
-            ["--m", "1", "--alphas", "1", "--n", "1"],
-            lambda mp: mp.setattr(determinant, "_int_det", lambda matrix: 0),
-            "determinant is zero",
-        ),
-        (
-            ["--m", "1", "--alphas=3/2", "--n", "2"],
-            _perturbed_last_column,
-            "weight-2 table fails the degree lemma: Delta is not certified constant",
-        ),
+        pytest.param(command, argv, breakage, message, id=f"{name}-{command}")
+        for name, commands, argv, breakage, message in _TABLE_CHECK_FAILURES
+        for command in commands
     ],
-    ids=["zero-delta", "lemma-failure"],
 )
 def test_determinant_errors_exit_1_with_one_error_payload(
     capsys, monkeypatch, command, argv, breakage, message

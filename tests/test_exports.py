@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import pkgutil
 from pathlib import Path
@@ -65,3 +66,31 @@ def test_every_module_exports_only_what_it_defines():
                     flagged.append((path.name, elt.value))
     assert flagged == []
     assert not hasattr(rodpade, "__getattr__")
+
+
+def _names_in(node) -> set[str]:
+    """The class names an ``except`` type or a base list names: ``E``, ``mod.E`` or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names_in, node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_every_exception_class_of_the_package_is_caught_by_name():
+    # a class is worth defining only if some handler tells it apart from its base
+    paths = Path(rodpade.__file__).parent.glob("*.py")
+    nodes = [node for path in paths for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    bases = {
+        node.name: set().union(*map(_names_in, node.bases)) for node in nodes if isinstance(node, ast.ClassDef)
+    }
+    # an exception class derives from a builtin exception, or from another exception class
+    exceptions = {
+        name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    while new := {name for name, named in bases.items() if named & exceptions} - exceptions:
+        exceptions |= new
+    defined = exceptions & bases.keys()
+    caught = set().union(*(_names_in(node.type) for node in nodes if isinstance(node, ast.ExceptHandler)))
+    assert sorted(defined - caught) == []
+    assert "TableCheckError" in defined

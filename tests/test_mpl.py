@@ -20,7 +20,6 @@ from holonomic import check_membership
 from oracles import fraction_remainder, poly, q_polys, series, shifted
 
 from rodpade.mpl import (
-    DegenerateAlphasError,
     MplConfig,
     MplIndex,
     index_set,
@@ -77,9 +76,13 @@ def solve_exact(rows, rhs):
 
 
 def test_config_validation():
-    # the alphas' three checks raise the one error class
-    for alphas in ((F(1), F(1)), (F(0), F(1)), (F(1),)):
-        with pytest.raises(DegenerateAlphasError):
+    # the alphas' three checks, each with its own message
+    for alphas, message in (
+        ((F(1), F(1)), "^alphas must be pairwise distinct$"),
+        ((F(0), F(1)), "^alphas must be nonzero$"),
+        ((F(1),), "^expected 2 alphas, got 1$"),
+    ):
+        with pytest.raises(ValueError, match=message):
             MplConfig(m=2, r=1, alphas=alphas)
     with pytest.raises(ValueError):
         MplConfig(m=0, r=1, alphas=())

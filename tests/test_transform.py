@@ -29,7 +29,7 @@ from oracles import (
     zero_row,
 )
 
-from rodpade.determinant import ZeroDeterminantError, _int_det
+from rodpade.determinant import _int_det
 from rodpade.exact import over_common_denominator
 from rodpade.transform import MomentSeq, PadeCell, _dots, build_table, verify_pade
 
@@ -218,6 +218,10 @@ def test_verify_pade_wrong_q_false():
 
 class NonConstantDeterminantError(Exception):
     """A determinant that must be constant came out with positive degree."""
+
+
+class ZeroDeterminantError(Exception):
+    """A determinant that must be a unit came out zero."""
 
 
 def interpolate(xs, ys):
@@ -596,7 +600,7 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
     from oracles import series
 
     from rodpade.determinant import table_determinants
-    from rodpade.transform import RouteDisagreementError, _series_coefficients
+    from rodpade.transform import TableCheckError, _series_coefficients
     from algebra import laurent_mul_poly
 
     table = _grid_table(m, r, kind, n)
@@ -619,7 +623,7 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
         run, scale = cell.heads[first]
         corrupted = cell.heads | {first: ((run[0] + 1,) + run[1:], scale)}
         bad = PadeCell(n, cell.ell, cell.column, cell.q_pairs, corrupted)
-        with pytest.raises(RouteDisagreementError, match="kernel test says False, series test says True"):
+        with pytest.raises(TableCheckError, match="kernel test says False, series test says True"):
             verify_pade(bad, table.seqs)
         # a wrong Q: one more coefficient than the polynomial part has
         q, q_den = cell.q_pairs[first]
@@ -643,14 +647,14 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
 )
 def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, message):
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.determinant import DegreeLemmaError, table_determinants
-    from rodpade.transform import build_table
+    from rodpade.determinant import table_determinants
+    from rodpade.transform import TableCheckError, build_table
 
     table = pade_table(MplConfig(m=m, r=1, alphas=alphas), n)
     columns = column_polys(table)
     columns[index] = perturb(columns[index])
     broken = build_table(pairs(columns), table.seqs, n)
-    with pytest.raises(DegreeLemmaError, match="fails the degree lemma"):
+    with pytest.raises(TableCheckError, match="fails the degree lemma"):
         table_determinants(broken)
     # the oracle still finds the determinant of the broken matrix non-constant
     with pytest.raises(NonConstantDeterminantError) as exc:
@@ -660,14 +664,14 @@ def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, m
 
 def test_columns_past_the_degree_bound_fail_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.determinant import DegreeLemmaError, _degree_lemma_holds, table_determinants
-    from rodpade.transform import build_table
+    from rodpade.determinant import _degree_lemma_holds, table_determinants
+    from rodpade.transform import TableCheckError, build_table
 
     # weight-2 columns are orthogonal up to k < 1 too, but deg P_l = 2M + l > M + l
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 2)
     relabelled = build_table([cell.column for cell in table.cells], table.seqs, 1)
     assert not _degree_lemma_holds(relabelled)
-    with pytest.raises(DegreeLemmaError):
+    with pytest.raises(TableCheckError, match="fails the degree lemma"):
         table_determinants(relabelled)
     # the matrix is the weight-2 one, whose Delta the oracle still reads as a constant
     assert constant_determinant(polynomial_matrix(relabelled)) == table_determinants(table)[0]
@@ -675,8 +679,8 @@ def test_columns_past_the_degree_bound_fail_the_degree_lemma():
 
 def test_verification_flags_an_over_degree_cell_with_zero_runs():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.determinant import DegreeLemmaError, _verification_block, table_determinants
-    from rodpade.transform import build_table
+    from rodpade.determinant import _verification_block, table_determinants
+    from rodpade.transform import TableCheckError, build_table
 
     # column 1 of the weight-2 table, deg 2M + 1 = 5, stands as column l = M of a weight-1
     # table, whose bound is M + l = 4: its run phi(t^0 P) is still zero
@@ -689,18 +693,18 @@ def test_verification_flags_an_over_degree_cell_with_zero_runs():
     verification = _verification_block(table)
     assert verification["orthogonality_ok"] and verification["remainder_starts_ok"]
     assert not verification["degrees_ok"]
-    with pytest.raises(DegreeLemmaError):
+    with pytest.raises(TableCheckError, match="fails the degree lemma"):
         table_determinants(table)
 
 
 def test_table_with_a_missing_row_fails_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.determinant import DegreeLemmaError, table_determinants
-    from rodpade.transform import build_table
+    from rodpade.determinant import table_determinants
+    from rodpade.transform import TableCheckError, build_table
 
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 1)
     short = build_table([cell.column for cell in table.cells], table.seqs[:-1], 1)
-    with pytest.raises(DegreeLemmaError, match="fails the degree lemma"):
+    with pytest.raises(TableCheckError, match="fails the degree lemma"):
         table_determinants(short)
     with pytest.raises(ValueError, match="table must be square"):
         constant_determinant(polynomial_matrix(short))
