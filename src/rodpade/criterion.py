@@ -4,9 +4,10 @@ V is built from local and global heights (:mod:`rodpade.heights`); its
 terms are floats, each the logarithm of an exact integer or integer pair.
 The hypothesis |beta|_v0 > H_v0(alpha) is decided exactly
 (``heights.beta_hypothesis``); positivity of V in floating point, with an
-indeterminate band.  ``_V`` returns V as a ``VResult`` (its value, error
-band and terms) with the hypothesis verdict; ``evaluate_criterion`` returns
-the JSON payload and whether the criterion holds.  ``run`` is the
+indeterminate band.  ``_V`` returns V's JSON (its value, error band and
+terms), the state of V > 0 and the hypothesis verdict;
+``evaluate_criterion`` returns the JSON payload and whether the criterion
+holds.  ``run`` is the
 ``criterion`` subcommand: it builds no table, so it loads neither
 ``transform`` nor the audits.
 """
@@ -16,44 +17,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Record, as_fraction, format_rational, parse_rational, parse_rationals
+from .exact import as_fraction, format_rational, parse_rational, parse_rationals
 from .heights import H_v_vec, abs_v  # unused here: the benchmark's self-tests read them from this module
 from .heights import Place, _bound_constant, _log_pair, _round15, beta_hypothesis, global_height_vec
 from .mpl import MplConfig, index_set
 
 __all__ = [
-    "VResult",
     "evaluate_criterion",
     "run",
 ]
 
 
-class VResult(Record):
-    __slots__ = ("value", "error_bound", "indeterminate", "terms")
-
-    def __init__(
-        self, value: float, error_bound: float, indeterminate: bool, terms: dict[str, float] | None = None
-    ):
-        super().__init__(value, error_bound, indeterminate, {} if terms is None else terms)
-
-    def to_json(self) -> dict:
-        return {
-            "value": _round15(self.value),
-            "error_bound": _round15(self.error_bound),
-            "indeterminate": self.indeterminate,
-            "terms": {k: _round15(v) for k, v in self.terms.items()},
-        }
-
-
-def _V(config: MplConfig, beta: Fraction, v0: Place) -> tuple[VResult, bool]:
-    """The criterion quantity on a checked config, and whether |beta|_v0 > H_v0(alpha).
+def _V(config: MplConfig, beta: Fraction, v0: Place) -> tuple[dict, str, bool]:
+    """The criterion quantity on a checked config: (V's JSON, V's state, whether |beta|_v0 > H_v0(alpha)).
 
     V = (M+1) h_v0(beta) - h_v0(alpha)
         - M (h(beta) + (1/m) sum_i h(alpha_i) + h(alpha))
         - (M log2 + r(r+1)/2 log(m+1) + r + rM)
 
-    with M = (m+1)^r - 1.  |V| below 1e-9 is reported as indeterminate, since
-    a strict inequality is being decided.
+    with M = (m+1)^r - 1.  The JSON holds V, its error band and its terms,
+    each rounded to 15 significant digits.  The state is "pass" for V > 0 and
+    "fail" for V < 0, decided on the unrounded value, and "indeterminate"
+    when |V| is below 1e-9 or the band, since a strict inequality is being
+    decided.
     """
     m, r, alphas, M = config.m, config.r, config.alphas, config.M
     exceeds, H_beta, H_alpha = beta_hypothesis(alphas, beta, v0)
@@ -76,19 +62,22 @@ def _V(config: MplConfig, beta: Fraction, v0: Place) -> tuple[VResult, bool]:
         + constant
     )
     err = magnitude * 1e-14 + 1e-15
-    return VResult(
-        value=value,
-        error_bound=err,
-        indeterminate=abs(value) < max(1e-9, err),
-        terms={
-            "h_v0_beta": h_v0_beta,
-            "h_v0_alpha": h_v0_alpha,
-            "h_beta": h_beta,
-            "h_alpha_vec": h_alpha_vec,
-            "sum_h_alpha_i": sum(h_alpha_each),
-            "constant": constant,
-        },
-    ), exceeds
+    indeterminate = abs(value) < max(1e-9, err)
+    terms = {
+        "h_v0_beta": h_v0_beta,
+        "h_v0_alpha": h_v0_alpha,
+        "h_beta": h_beta,
+        "h_alpha_vec": h_alpha_vec,
+        "sum_h_alpha_i": sum(h_alpha_each),
+        "constant": constant,
+    }
+    payload = {
+        "value": _round15(value),
+        "error_bound": _round15(err),
+        "indeterminate": indeterminate,
+        "terms": {k: _round15(v) for k, v in terms.items()},
+    }
+    return payload, "indeterminate" if indeterminate else "pass" if value > 0 else "fail", exceeds
 
 
 def evaluate_criterion(
@@ -109,8 +98,7 @@ def evaluate_criterion(
     """
     config = MplConfig(m, r, alphas)
     beta = as_fraction(beta)
-    v, exceeds = _V(config, beta, v0)
-    v_state = "indeterminate" if v.indeterminate else "pass" if v.value > 0 else "fail"
+    v, v_state, exceeds = _V(config, beta, v0)
     passed = exceeds and v_state == "pass"
     conclusion: list[str] = []
     products: list[str] = []
@@ -125,7 +113,7 @@ def evaluate_criterion(
             products = list(dict.fromkeys(labels))  # each label once, in first-seen order
     return {
         "config": {**config.to_json(), "beta": format_rational(beta), "place": str(v0)},
-        "V": v.to_json(),
+        "V": v,
         "hypothesis_checks": {"abs_beta_gt_local_height_alpha": exceeds, "V_positive": v_state},
         "conclusion": conclusion,
         "products": products,

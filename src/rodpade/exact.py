@@ -38,19 +38,18 @@ class Record:
     A subclass lists its fields in ``__slots__``, and its ``__init__`` hands
     one value per field, in that order, to ``Record.__init__``.  Equality
     (between instances of one class only), hash and the repr
-    ``Name(f=..., g=...)`` follow the fields, leaving out those named in
-    ``_hidden``.  Assigning or deleting an attribute raises AttributeError.
+    ``Name(f=..., g=...)`` follow all the fields and nothing else.  Assigning
+    or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name not in self._hidden)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,7 +60,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden)
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name, value):
@@ -81,20 +80,27 @@ def as_fraction(x: int | Fraction) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
+    """Render a rational as "p/q", or "p" when the denominator is 1, with every digit."""
     x = as_fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_pair((x.numerator,), x.denominator)[0]
 
 
 def format_pair(nums: Sequence[int], den: int) -> list[str]:
-    """Each nums[i] / den (den > 0) as ``format_rational`` writes it, by one gcd and division each."""
-    out = []
-    for c in nums:
-        g = math.gcd(c, den)
-        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
-    return out
+    """Each nums[i] / den (den > 0) as "p/q" or "p" in lowest terms, by one gcd and division each.
+
+    Every digit is written: the interpreter's int-string limit is lifted for
+    the conversion and restored after it, so it keeps guarding input only.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        out = []
+        for c in nums:
+            g = math.gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def log_int(n: int) -> float:
@@ -125,7 +131,8 @@ def parse_rational(text: str) -> Fraction:
     A decimal exponent e is refused when 10^|e|, or the value's integer part
     (its mantissa's integer digits followed by e zeros), has more digits than
     the interpreter's int-string limit, before ``Fraction`` forms that power:
-    it alone can take minutes, and its digits could not be printed.
+    it alone can take minutes.  Output lifts the limit (``format_pair``);
+    input keeps it.
     """
     text = text.strip()
     exponent = _EXPONENT.search(text)

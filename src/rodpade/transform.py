@@ -112,13 +112,6 @@ def _q_nums(nums: Sequence[int], ws: Sequence[int]) -> list[int]:
     return q
 
 
-def _reduced(pair: tuple) -> tuple:
-    """The pair (nums, d), d > 0, divided by the gcd of its integers: one pair per value."""
-    nums, d = pair
-    g = math.gcd(*nums, d)
-    return tuple(c // g for c in nums), d // g
-
-
 class PadeCell(Record):
     """One column of a weight-n table on integers: P and, per row, Q and a run.
 
@@ -126,23 +119,15 @@ class PadeCell(Record):
     ``q_pairs`` holds Q (trailing zeros dropped) and ``heads`` the run
     phi_j(t^k P), k = 0..n, the coefficients of z^-(k+1) in P f_j - Q_j, as
     numerators over L d, L the lcm of the row's window (``MomentSeq.ints``)
-    when the table was built.  ``heads`` takes no
-    part in equality or repr; ``PadeTable.to_json`` writes P and Q as
-    reduced rationals.
-    Equality compares P and each Q by value, so two tables of the same
-    moments are equal whatever their rows' windows had grown to.
+    when the table was built.  Like every record, a cell compares all its
+    fields as stored, so the same P and Q over another L d compare unequal;
+    ``PadeTable.to_json`` writes P and Q as reduced rationals.
     """
 
     __slots__ = ("n", "ell", "column", "q_pairs", "heads")
-    _hidden = ("heads",)
 
     def __init__(self, n: int, ell: int, column: tuple, q_pairs: dict, heads: dict):
         super().__init__(n, ell, column, q_pairs, heads)
-
-    def _key(self) -> tuple:
-        # reduced here only: Delta(0) reads Q's numerators over the stored L d
-        q_values = {label: _reduced(pair) for label, pair in self.q_pairs.items()}
-        return self.n, self.ell, _reduced(self.column), q_values
 
     @property
     def degree(self) -> int:
@@ -155,12 +140,12 @@ class PadeTable(Record):
 
     ``seqs`` are the row moment sequences the table was built from, kept so
     that later blocks of a run reuse them (and their warm moment caches and
-    integer windows) instead of rebuilding them.  It takes no part in
-    equality, repr or JSON.
+    integer windows) instead of rebuilding them.  A ``MomentSeq`` compares
+    by identity, so tables are equal only when built on the same rows;
+    compare ``to_json()`` for equal values.  ``seqs`` stays out of the JSON.
     """
 
     __slots__ = ("n", "M", "row_labels", "cells", "seqs")
-    _hidden = ("seqs",)
 
     def __init__(self, n: int, M: int, row_labels: tuple[str, ...], cells: tuple, seqs: tuple):
         super().__init__(n, M, row_labels, cells, seqs)

@@ -203,8 +203,9 @@ def test_criterion_06_appendix_suite():
 def test_criterion_07_criterion_threshold():
     place = Place()
     config = MplConfig(1, 1, (F(1),))
-    values = {b: _V(config, F(b), place)[0].value for b in range(2, 41)}
-    minimal = min(b for b, v in values.items() if v > 0)
+    results = {b: _V(config, F(b), place) for b in range(2, 41)}
+    values = {b: v["value"] for b, (v, _, _) in results.items()}
+    minimal = min(b for b, (_, state, _) in results.items() if state == "pass")
     expected_30 = math.log(30) - 2 * math.log(2) - 2
     expected_29 = math.log(29) - 2 * math.log(2) - 2
     ok = minimal == 30

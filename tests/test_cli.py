@@ -532,10 +532,29 @@ def test_determinant_errors_exit_1_with_one_error_payload(
 def test_pade_table_extra_fields_leave_equality_and_json_alone():
     table = mpl_mod.pade_table(mpl_mod.MplConfig(m=1, r=2, alphas=(1,)), 1)
     bare = transform.PadeTable(table.n, table.M, table.row_labels, table.cells, seqs=())
-    assert bare == table
-    assert bare.to_json() == table.to_json()
-    assert repr(bare) == repr(table)
-    assert "rstar" not in json.dumps(table.to_json()) and "seqs" not in repr(table)
+    text = json.dumps(table.to_json())
+    assert json.dumps(bare.to_json()) == text
+    assert "rstar" not in text and "seqs" not in text
+
+
+def test_exact_values_print_in_full_past_the_int_string_limit(capsys):
+    # Delta has 4721 digits; the limit is lifted for printing only, so input keeps it
+    limit = sys.get_int_max_str_digits()
+    assert main(["det", "--m", "1", "--r", "2", "--alphas", "12345678901234567890", "--n", "20"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = json.loads(capsys.readouterr().out)["determinant"]
+    assert len(out["delta"]) > sys.int_info.default_max_str_digits and out["abs_identity_ok"]
+    config = mpl_mod.MplConfig(m=1, r=2, alphas=(12345678901234567890,))
+    sys.set_int_max_str_digits(0)
+    try:
+        printed = Fraction(out["delta"]), Fraction(out["theta"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == determinant.table_determinants(mpl_mod.pade_table(config, 20))
+    parsed = limit or sys.int_info.default_max_str_digits
+    assert main(["criterion", "--m", "1", "--alphas", "1", "--beta", f"1e{parsed}"]) == 2
+    assert sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr().err.endswith(f"past the limit of {parsed} digits\n")
 
 
 _OUTPUT_FLAGS = {"--format", "--out"}
@@ -813,14 +832,12 @@ def test_import_cost_tool_reports_every_job(tmp_path):
 
 #: functions of src/rodpade that no subcommand runs, and why each stays
 _UNCALLED_ALLOWED = {
-    # what a value offers its reader: repr, copy, the write guards and a cell's equality key
+    # what a value offers its reader: repr, copy and the write guards
     ("exact.py", "Record.__repr__"),
     ("exact.py", "Record.__setattr__"),
     ("exact.py", "Record.__delattr__"),
     ("exact.py", "Record.__reduce__"),
     ("transform.py", "MomentSeq.__repr__"),
-    ("transform.py", "PadeCell._key"),
-    ("transform.py", "_reduced"),
     # read by benchmarks/checks.py and the benchmark's self-tests
     ("heights.py", "H_v_vec"),
     ("logpow.py", "_stirling_cycle"),

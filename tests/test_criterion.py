@@ -179,20 +179,23 @@ LEGENDRE = MplConfig(m=1, r=1, alphas=(F(1),))
 
 
 def test_V_examples():
-    v30, _ = _V(LEGENDRE, F(30), INF_PLACE)
-    v29, _ = _V(LEGENDRE, F(29), INF_PLACE)
-    assert abs(v30.value - (math.log(30) - 2 * math.log(2) - 2)) < 1e-12
-    assert abs(v29.value - (math.log(29) - 2 * math.log(2) - 2)) < 1e-12
-    assert v30.value > 0 > v29.value
-    v1, _ = _V(LEGENDRE, F(1), INF_PLACE)
-    assert abs(v1.value - (-2 * math.log(2) - 2)) < 1e-12
-    assert not v30.indeterminate
+    v30, state30, _ = _V(LEGENDRE, F(30), INF_PLACE)
+    v29, state29, _ = _V(LEGENDRE, F(29), INF_PLACE)
+    assert abs(v30["value"] - (math.log(30) - 2 * math.log(2) - 2)) < 1e-12
+    assert abs(v29["value"] - (math.log(29) - 2 * math.log(2) - 2)) < 1e-12
+    assert v30["value"] > 0 > v29["value"]
+    assert (state30, state29) == ("pass", "fail")
+    v1, _, _ = _V(LEGENDRE, F(1), INF_PLACE)
+    assert abs(v1["value"] - (-2 * math.log(2) - 2)) < 1e-12
+    assert not v30["indeterminate"]
 
 
 def test_V_monotone_in_beta_with_threshold_30():
-    values = {b: _V(LEGENDRE, F(b), INF_PLACE)[0].value for b in range(2, 41)}
+    results = {b: _V(LEGENDRE, F(b), INF_PLACE) for b in range(2, 41)}
+    values = {b: v["value"] for b, (v, _, _) in results.items()}
     assert all(values[b] < values[b + 1] for b in range(2, 40))
     assert min(b for b, v in values.items() if v > 0) == 30
+    assert min(b for b, (_, state, _) in results.items() if state == "pass") == 30
 
 
 def test_V_rejects_degenerate_alphas():
@@ -241,8 +244,8 @@ def test_evaluate_criterion_indeterminate_band():
     rep, passed = evaluate_criterion((F(1),), beta, 1, 1, Place())
     assert not passed
     assert rep["hypothesis_checks"]["V_positive"] == "indeterminate"
-    v, _ = _V(LEGENDRE, beta, Place())
-    assert v.indeterminate and abs(v.value) < v.error_bound
+    v, state, _ = _V(LEGENDRE, beta, Place())
+    assert state == "indeterminate" and v["indeterminate"] and abs(v["value"]) < v["error_bound"]
     assert rep["conclusion"] == [] and rep["products"] == []
     assert main(["criterion", "--m", "1", "--alphas", "1", "--beta", "29556224395723/1000000"]) == 3
 

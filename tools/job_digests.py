@@ -139,6 +139,14 @@ EDGE = [
             ("--m", "2", "--alphas=2,4/2"),
         )
     ),
+    # an exact value past the int-string limit: Delta prints all its 4721 digits, exit 0
+    ("det", "--m", "1", "--r", "2", "--alphas", "12345678901234567890", "--n", "20"),
+    # a weight range with no weight, exit 2
+    ("pade", "--m", "1", "--alphas", "1", "--n", "3..1"),
+    # a place at the Miller-Rabin bound, exit 2
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "p3317044064679887385961981"),
+    # lcm(1..1) = 1, growth ratio 0, exit 1
+    ("audit", "--lcm", "1"),
 ]
 CONFIG_DOC = '{"m": 2, "r": 1, "alphas": ["3/2", "-5/3"], "n": 2}\n'
 
