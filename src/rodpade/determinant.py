@@ -1,28 +1,35 @@
-"""The determinants Delta and theta of a built table, and the ``pade`` and ``det`` subcommands.
+"""Every check of a built table, its determinants, and the ``pade`` and ``det`` subcommands.
 
-Delta is Delta(0), certified constant by the degree lemma
-(``_degree_lemma_holds``), and theta is the determinant of the values
-phi_j(t^n P_l); both are one integer Bareiss determinant over the table's
-cells (``table_determinants``).  The ``audit`` subcommand builds tables but
-computes no determinant, so this module is off its path.  ``run`` builds
-the table of the chosen row family, verifies it (``pade`` only, through
-``transform.verify_pade``) and reports Delta, theta and the identity
-|Delta| = |lc(P_M) theta|.
+The checks are orthogonality by two independent routes (``verify_pade``),
+the degree lemma (``_degree_lemma_holds``), which makes Delta the constant
+Delta(0), and Delta(0) != 0; a route disagreement, a failed lemma and a zero
+Delta(0) raise ``TableCheckError``.  Delta(0) and theta (the determinant of
+phi_j(t^n P_l)) are one Bareiss determinant each (``table_determinants``).
+``audit`` builds tables but checks none, so this module is off its path.
+``run`` builds the table of the chosen row family, verifies it (``pade``
+only) and reports Delta, theta and the identity |Delta| = |lc(P_M) theta|.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from . import transform
-from .exact import format_rational, parse_n_range, parse_rationals
+from .exact import format_rational, int_convolve, parse_n_range, parse_rationals
 
 __all__ = [
+    "TableCheckError",
     "table_determinants",
+    "verify_pade",
     "run",
 ]
+
+
+class TableCheckError(Exception):
+    """A built table failed a check that a correct construction always passes."""
 
 
 def _int_det(matrix: Sequence[Sequence[int]]) -> int:
@@ -76,15 +83,15 @@ def table_determinants(table: transform.PadeTable) -> tuple[Fraction, Fraction]:
 
     Delta is Delta(0), the determinant of the constant coefficients; a table
     that fails ``_degree_lemma_holds``, or whose Delta(0) is 0, raises
-    ``transform.TableCheckError``: either signals a broken construction,
-    never a math failure.  theta is the determinant of the d x d moment
-    matrix phi_j(t^n P_l), l < d: the k = n entries of the first d cells'
-    runs.  Row j is over L_j and column l over d_l (the P row over 1), so
-    each is an integer determinant over prod L_j prod d_l; L_j is read off
-    the first cell's run scale L_j d_0.
+    ``TableCheckError``: either signals a broken construction, never a math
+    failure.  theta is the determinant of the d x d moment matrix
+    phi_j(t^n P_l), l < d: the k = n entries of the first d cells' runs.
+    Row j is over L_j and column l over d_l (the P row over 1), so each is
+    an integer determinant over prod L_j prod d_l; L_j is read off the first
+    cell's run scale L_j d_0.
     """
     if not _degree_lemma_holds(table):
-        raise transform.TableCheckError(
+        raise TableCheckError(
             f"weight-{table.n} table fails the degree lemma: Delta is not certified constant"
         )
     labels, cells = table.row_labels, table.cells
@@ -96,9 +103,54 @@ def table_determinants(table: transform.PadeTable) -> tuple[Fraction, Fraction]:
     constants += [[(cell.q_pairs[label][0] or (0,))[0] for cell in cells] for label in labels]
     delta = _int_det(constants)
     if delta == 0:
-        raise transform.TableCheckError("determinant is zero")
+        raise TableCheckError("determinant is zero")
     theta = _int_det([[cell.heads[label][0][table.n] for cell in cells[:-1]] for label in labels])
     return Fraction(delta, scale * cells[-1].column[1]), Fraction(theta, scale)
+
+
+def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """P f over L d: (coefficients of z^-1..z^-n, of z^0..z^(deg P - 1)), P = nums / d.
+
+    With the window ``ws`` (over L, at least deg P + n moments) cut to
+    f_0..f_(deg P + n - 1) and reversed, the coefficient of z^e is entry
+    deg P + n + e of one product.
+    """
+    depth = len(nums) - 1 + n
+    product = int_convolve(nums, ws[depth - 1 :: -1])
+    return product[depth - n : depth][::-1], product[depth : depth + len(nums) - 1]
+
+
+def verify_pade(cell: transform.PadeCell, seqs: Sequence[transform.MomentSeq]) -> bool:
+    """Check the cell against each row of ``seqs``, by two independent routes.
+
+    Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1, read off ``cell.heads``.
+    Series route: one ``int_convolve`` of P with the row's integer window
+    (``MomentSeq.ints``, over its L) gives P f over L d
+    (``_series_coefficients``): the first n tail coefficients of P f - Q
+    must vanish, and the polynomial part must be Q, compared by integer
+    cross-multiplication.  The two routes computing the same coefficients
+    through different code paths must agree exactly; a mismatch raises
+    TableCheckError.
+    """
+    nums, den = cell.column
+    if not nums:
+        return False
+    ok = True
+    for f in seqs:
+        label = f.label
+        kernel_ok = not any(cell.heads[label][0][: cell.n])
+        ws, lcm = f.ints(len(nums) - 1 + cell.n)
+        tail, part = _series_coefficients(nums, ws, cell.n)
+        series_ok = not any(tail)
+        if kernel_ok != series_ok:
+            raise TableCheckError(
+                f"row {label}: kernel test says {kernel_ok}, series test says {series_ok}"
+            )
+        q, q_den = cell.q_pairs[label]
+        scale = lcm * den
+        if not kernel_ok or any(a * q_den != b * scale for a, b in zip_longest(part, q, fillvalue=0)):
+            ok = False
+    return ok
 
 
 def _build_table(args, n: int):
@@ -123,7 +175,7 @@ def _build_table(args, n: int):
 def _verification_block(table) -> dict:
     """Checks of every cell; the kernel route and remainder starts read ``cell.heads``."""
     n = table.n  # column l has degree M n + l; M is m for log-power rows
-    orth = all(transform.verify_pade(cell, table.seqs) for cell in table.cells)
+    orth = all(verify_pade(cell, table.seqs) for cell in table.cells)
     degrees = all(cell.degree == table.M * n + cell.ell for cell in table.cells)
     starts = []
     starts_ok = True
@@ -162,7 +214,7 @@ def run(args) -> tuple[dict, bool]:
 
     ``pade`` reports the table and its verification before the determinant
     block; ``det`` only the determinant block.  A table that fails a check
-    (``transform.TableCheckError``) gives a payload with the error, and False.
+    (``TableCheckError``) gives a payload with the error, and False.
     """
     command = args.subcommand
     if args.m is None:
@@ -175,7 +227,7 @@ def run(args) -> tuple[dict, bool]:
     try:
         verification = _verification_block(table) if command == "pade" else None
         determinant = _determinant_block(table)
-    except transform.TableCheckError as exc:
+    except TableCheckError as exc:
         return {"command": command, "error": str(exc)}, False
     payload = {"command": command, "kind": kind, "config": config.to_json(), "n": n}
     if command == "det":

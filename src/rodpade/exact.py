@@ -123,21 +123,27 @@ def log_fraction(q: Fraction) -> float:
 
 #: the integer digits and the decimal exponent at the end of a literal, as ``Fraction`` reads them
 _EXPONENT = re.compile(r"([0-9_]*)(?:\.[0-9_]*)?[eE]([-+]?[0-9_]+)$")
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 def parse_rational(text: str) -> Fraction:
     """The rational written as an integer, decimal or "p/q"; ValueError otherwise.
 
-    A decimal exponent e is refused when 10^|e|, or the value's integer part
-    (its mantissa's integer digits followed by e zeros), has more digits than
-    the interpreter's int-string limit, before ``Fraction`` forms that power:
-    it alone can take minutes.  Output lifts the limit (``format_pair``);
-    input keeps it.
+    A run of digits (underscores aside) past the interpreter's int-string
+    limit is refused first, in this module's words; a limit of 0 refuses
+    none.  A decimal exponent e is refused when 10^|e|, or the integer part
+    (the mantissa's integer digits and e zeros), has more digits than the
+    limit, before ``Fraction`` forms that power: it alone can take minutes.
+    Output lifts the limit (``format_pair``); input keeps it.
     """
     text = text.strip()
+    limit = sys.get_int_max_str_digits()
+    longest = max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(text)), default=0)
+    if limit and longest > limit:
+        raise ValueError(f"a run of {longest} digits is past the limit of {limit} digits")
     exponent = _EXPONENT.search(text)
     if exponent:
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        limit = limit or sys.int_info.default_max_str_digits
         e = int(exponent[2])
         if abs(e) >= limit:
             raise ValueError(f"exponent {exponent[2]} gives a power of ten past the limit of {limit} digits")

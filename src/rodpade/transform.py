@@ -8,9 +8,8 @@ polynomial object is formed.  The columns come from one Rodrigues chain
 (``rodrigues_chain``) as integer numerators over one denominator.  Each row
 keeps one integer window, its moments over their lcm (``MomentSeq.ints``);
 every Q and every value phi_j(t^k P_l), k <= n (``PadeCell.heads``) is an
-integer over that lcm times a column's denominator, and verification
-(``verify_pade``) and the determinants (:mod:`rodpade.determinant`) read
-the integers.
+integer over that lcm times a column's denominator.  This module builds
+tables and checks none; :mod:`rodpade.determinant` holds every check.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable, Iterator, Sequence
 
 from .exact import (
@@ -38,13 +36,7 @@ __all__ = [
     "rodrigues_lift",
     "rodrigues_chain",
     "rodrigues_columns",
-    "TableCheckError",
-    "verify_pade",
 ]
-
-
-class TableCheckError(Exception):
-    """A built table failed a check that a correct construction always passes."""
 
 
 class MomentSeq:
@@ -263,48 +255,3 @@ def rodrigues_columns(
         *_, (_, _, lifted) = rodrigues_chain(stages, ell)
         columns.append(lifted)
     return columns
-
-
-def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """P f over L d: (coefficients of z^-1..z^-n, of z^0..z^(deg P - 1)), P = nums / d.
-
-    With the window ``ws`` (over L, at least deg P + n moments) cut to
-    f_0..f_(deg P + n - 1) and reversed, the coefficient of z^e is entry
-    deg P + n + e of one product.
-    """
-    depth = len(nums) - 1 + n
-    product = int_convolve(nums, ws[depth - 1 :: -1])
-    return product[depth - n : depth][::-1], product[depth : depth + len(nums) - 1]
-
-
-def verify_pade(cell: PadeCell, seqs: Sequence[MomentSeq]) -> bool:
-    """Check the cell against each row of ``seqs``, by two independent routes.
-
-    Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1, read off ``cell.heads``.
-    Series route: one ``int_convolve`` of P with the row's integer window
-    (``MomentSeq.ints``, over its L) gives P f over L d
-    (``_series_coefficients``): the first n tail coefficients of P f - Q
-    must vanish, and the polynomial part must be Q, compared by integer
-    cross-multiplication.  The two routes computing the same coefficients
-    through different code paths must agree exactly; a mismatch raises
-    TableCheckError.
-    """
-    nums, den = cell.column
-    if not nums:
-        return False
-    ok = True
-    for f in seqs:
-        label = f.label
-        kernel_ok = not any(cell.heads[label][0][: cell.n])
-        ws, lcm = f.ints(len(nums) - 1 + cell.n)
-        tail, part = _series_coefficients(nums, ws, cell.n)
-        series_ok = not any(tail)
-        if kernel_ok != series_ok:
-            raise TableCheckError(
-                f"row {label}: kernel test says {kernel_ok}, series test says {series_ok}"
-            )
-        q, q_den = cell.q_pairs[label]
-        scale = lcm * den
-        if not kernel_ok or any(a * q_den != b * scale for a, b in zip_longest(part, q, fillvalue=0)):
-            ok = False
-    return ok

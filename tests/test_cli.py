@@ -312,8 +312,8 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     families = _record_calls(monkeypatch, [mpl_mod.moment_seqs, logpow_mod.moment_seqs])
     tables = _record_calls(monkeypatch, [mpl_mod.pade_table, logpow_mod.logpow_table])
     builds = _record_calls(monkeypatch, [transform.build_table])
-    # the pade job reads verify_pade off transform where it verifies, so the binding is transform's
-    verifies = _record_calls(monkeypatch, [transform.verify_pade], [transform])
+    # the pade job calls verify_pade in determinant, which defines it: patch that binding only
+    verifies = _record_calls(monkeypatch, [determinant.verify_pade], [determinant])
     assert main(list(argv)) == 0
     capsys.readouterr()
     assert len(families) == len(tables) == len(builds) == 1
@@ -476,13 +476,13 @@ def _perturbed_last_column(monkeypatch):
 
 def _flipped_first_tail_coefficient(monkeypatch):
     """Make the series route of ``verify_pade`` see a nonzero first tail coefficient."""
-    real = transform._series_coefficients
+    real = determinant._series_coefficients
 
     def flipped(nums, ws, n):
         tail, part = real(nums, ws, n)
         return [tail[0] + 1, *tail[1:]], part
 
-    monkeypatch.setattr(transform, "_series_coefficients", flipped)
+    monkeypatch.setattr(determinant, "_series_coefficients", flipped)
 
 
 _TABLE_CHECK_FAILURES = [
@@ -1034,6 +1034,11 @@ def test_invalid_config_gives_one_error_line_from_every_subcommand(config, messa
             "error: argument --n: expected N or LO..HI, got 'a..b'",
         ),
         (("pade", "--m", "1", "--alphas", "1", "--n", "a..b"), "error: argument --n: expected N or LO..HI, got 'a..b'"),
+        # a literal past the int-string limit is refused in the program's words
+        (
+            ("criterion", "--m", "1", "--alphas", "1", "--beta", "1" * 4401),
+            "error: a run of 4401 digits is past the limit of 4300 digits",
+        ),
     ],
 )
 def test_criterion_errors_exit_2_with_one_error_line(argv, message):

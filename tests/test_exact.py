@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import sys
 from fractions import Fraction as F
@@ -62,6 +63,48 @@ def test_parse_rational_counts_the_mantissa_digits_with_the_exponent():
     for text in (f"123e{limit - 1}", f"-1_2e{limit - 1}", f"999.9e{limit - 2}", f"0010e{limit - 1}"):
         with pytest.raises(ValueError, match=f"integer digits, past the limit of {limit}$"):
             parse_rational(text)
+
+
+@contextlib.contextmanager
+def digit_limit(value):
+    """Run a block under the int-string limit ``value``, then restore the caller's."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(value)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+LONG_LITERALS = [
+    lambda limit: "1" * (limit + 101),
+    lambda limit: "1/" + "3" * (limit + 101),
+    lambda limit: "0" * (limit + 101) + "7",
+    lambda limit: "1e" + "1" * (limit + 1),
+]
+
+
+def test_parse_rational_refuses_a_run_of_digits_past_the_limit_in_its_own_words():
+    limit = sys.int_info.default_max_str_digits
+    with digit_limit(limit):
+        # leading zeros count, and the message names the count, not the literal
+        for literal in LONG_LITERALS:
+            with pytest.raises(ValueError, match=f"past the limit of {limit} digits$") as exc:
+                parse_rational(literal(limit))
+            assert len(str(exc.value)) < 200
+        # exactly ``limit`` digits still parse, and underscores do not count
+        assert parse_rational("1" * limit) == (10**limit - 1) // 9
+        assert parse_rational("1_" + "1" * (limit - 1)) == (10**limit - 1) // 9
+
+
+def test_parse_rational_follows_a_lifted_digit_limit():
+    limit = sys.int_info.default_max_str_digits
+    long = "1" * (limit + 101)
+    with digit_limit(0):
+        assert parse_rational(long) == (10 ** (limit + 101) - 1) // 9
+    with digit_limit(limit):
+        with pytest.raises(ValueError, match=f"^a run of {limit + 101} digits is past the limit of {limit} digits$"):
+            parse_rational(long)
 
 
 def test_format_pair_matches_format_rational():

@@ -28,8 +28,7 @@ from rodpade.logpow import (
     rodrigues_stages,
 )
 from rodpade.mpl import MplConfig, MplIndex, mpl_moment_oracle, pade_table
-from rodpade.determinant import table_determinants
-from rodpade.transform import verify_pade
+from rodpade.determinant import table_determinants, verify_pade
 
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
 

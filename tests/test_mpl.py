@@ -29,8 +29,7 @@ from rodpade.mpl import (
     pade_tables,
     rodrigues_stages,
 )
-from rodpade.determinant import table_determinants
-from rodpade.transform import verify_pade
+from rodpade.determinant import table_determinants, verify_pade
 
 CFG11 = MplConfig(m=1, r=1, alphas=(F(1),))
 CFG12 = MplConfig(m=1, r=2, alphas=(F(1),))

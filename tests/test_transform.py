@@ -29,9 +29,9 @@ from oracles import (
     zero_row,
 )
 
-from rodpade.determinant import _int_det
+from rodpade.determinant import _int_det, verify_pade
 from rodpade.exact import over_common_denominator
-from rodpade.transform import MomentSeq, PadeCell, _dots, build_table, verify_pade
+from rodpade.transform import MomentSeq, PadeCell, _dots, build_table
 
 LI1 = MomentSeq(lambda k, _p: F(1, k + 1), "Li_1(1/z)")
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
@@ -599,8 +599,7 @@ _HIGH_WEIGHT = [
 def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
     from oracles import series
 
-    from rodpade.determinant import table_determinants
-    from rodpade.transform import TableCheckError, _series_coefficients
+    from rodpade.determinant import TableCheckError, _series_coefficients, table_determinants
     from algebra import laurent_mul_poly
 
     table = _grid_table(m, r, kind, n)
@@ -647,8 +646,8 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
 )
 def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, message):
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.determinant import table_determinants
-    from rodpade.transform import TableCheckError, build_table
+    from rodpade.determinant import TableCheckError, table_determinants
+    from rodpade.transform import build_table
 
     table = pade_table(MplConfig(m=m, r=1, alphas=alphas), n)
     columns = column_polys(table)
@@ -664,8 +663,8 @@ def test_perturbed_column_fails_the_degree_lemma(m, alphas, n, index, perturb, m
 
 def test_columns_past_the_degree_bound_fail_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.determinant import _degree_lemma_holds, table_determinants
-    from rodpade.transform import TableCheckError, build_table
+    from rodpade.determinant import TableCheckError, _degree_lemma_holds, table_determinants
+    from rodpade.transform import build_table
 
     # weight-2 columns are orthogonal up to k < 1 too, but deg P_l = 2M + l > M + l
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 2)
@@ -679,8 +678,8 @@ def test_columns_past_the_degree_bound_fail_the_degree_lemma():
 
 def test_verification_flags_an_over_degree_cell_with_zero_runs():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.determinant import _verification_block, table_determinants
-    from rodpade.transform import TableCheckError, build_table
+    from rodpade.determinant import TableCheckError, _verification_block, table_determinants
+    from rodpade.transform import build_table
 
     # column 1 of the weight-2 table, deg 2M + 1 = 5, stands as column l = M of a weight-1
     # table, whose bound is M + l = 4: its run phi(t^0 P) is still zero
@@ -699,8 +698,8 @@ def test_verification_flags_an_over_degree_cell_with_zero_runs():
 
 def test_table_with_a_missing_row_fails_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
-    from rodpade.determinant import table_determinants
-    from rodpade.transform import TableCheckError, build_table
+    from rodpade.determinant import TableCheckError, table_determinants
+    from rodpade.transform import build_table
 
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 1)
     short = build_table([cell.column for cell in table.cells], table.seqs[:-1], 1)
