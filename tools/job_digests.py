@@ -147,6 +147,12 @@ EDGE = [
     ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "p3317044064679887385961981"),
     # lcm(1..1) = 1, growth ratio 0, exit 1
     ("audit", "--lcm", "1"),
+    # a run of digits past the int-string limit, in beta, its exponent and an alpha's denominator, exit 2
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "1" * 4401),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e" + "1" * 4301),
+    ("pade", "--m", "1", "--alphas=1/" + "3" * 4401, "--n", "1"),
+    # exactly the limit's 4300 digits: beta parses and prints in full, exit 0
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "1" * 4300),
 ]
 CONFIG_DOC = '{"m": 2, "r": 1, "alphas": ["3/2", "-5/3"], "n": 2}\n'
 
