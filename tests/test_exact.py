@@ -76,21 +76,14 @@ def digit_limit(value):
         sys.set_int_max_str_digits(previous)
 
 
-LONG_LITERALS = [
-    lambda limit: "1" * (limit + 101),
-    lambda limit: "1/" + "3" * (limit + 101),
-    lambda limit: "0" * (limit + 101) + "7",
-    lambda limit: "1e" + "1" * (limit + 1),
-]
-
-
 def test_parse_rational_refuses_a_run_of_digits_past_the_limit_in_its_own_words():
     limit = sys.int_info.default_max_str_digits
+    long = "1" * (limit + 101)
     with digit_limit(limit):
         # leading zeros count, and the message names the count, not the literal
-        for literal in LONG_LITERALS:
+        for text in (long, "1/" + long, "0" * (limit + 101) + "7", "1e" + "1" * (limit + 1)):
             with pytest.raises(ValueError, match=f"past the limit of {limit} digits$") as exc:
-                parse_rational(literal(limit))
+                parse_rational(text)
             assert len(str(exc.value)) < 200
         # exactly ``limit`` digits still parse, and underscores do not count
         assert parse_rational("1" * limit) == (10**limit - 1) // 9
