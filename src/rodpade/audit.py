@@ -2,22 +2,22 @@
 
 Every inequality is compared exactly, on integer pairs or rationals;
 floats appear only in the reported logarithms and in the fitted decay
-slope.  ``bounds_audit`` returns a table's ``AuditRow`` list and
-``remainder_decay`` the decay's JSON dict; ``run`` is the ``audit``
-subcommand, which writes each weight's report from its rows.  It builds its
-tables through ``mpl.pade_tables`` and computes no determinant.  With
-``--lcm`` it builds no table, so it loads neither ``mpl`` nor ``transform``.
+slope.  ``run``, the ``audit`` subcommand, decides the beta hypothesis once,
+keeps the heights as integer pairs and walks the weights once: one norm per
+column serves the weight's ``bounds_audit`` rows and, given beta and two
+weights or more, its point log|R_n(beta)|_v of the decay (``_remainder_sum``).
+It builds tables through ``mpl.pade_tables``, computes no determinant, and
+with ``--lcm`` builds no table, so it loads neither ``mpl`` nor ``transform``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exact import (
     Record,
-    as_fraction,
     format_rational,
     log_fraction,
     log_int,
@@ -36,7 +36,6 @@ from .heights import (
     _round15,
     abs_v,
     beta_hypothesis,
-    local_height,
 )
 
 if TYPE_CHECKING:
@@ -47,7 +46,6 @@ __all__ = [
     "lcm_upto",
     "AuditRow",
     "bounds_audit",
-    "remainder_decay",
     "run",
 ]
 
@@ -147,7 +145,12 @@ def bounds_audit(
     config: MplConfig,
     table: PadeTable,
     place: Place,
+    *,
+    column_norms: list[tuple[int, int]],
+    H_alphas: list[tuple[int, int]],
+    H_alpha: tuple[int, int],
     beta: Fraction | None = None,
+    H_beta: tuple[int, int] | None = None,
 ) -> list[AuditRow]:
     """The rows of every proven norm inequality on a built table: all must hold.
 
@@ -158,11 +161,12 @@ def bounds_audit(
     the stages of columns 0 and M are those of ``transform.rodrigues_chain``.
 
     Every value is an integer pair (numerator, denominator).  The measured
-    norms are ``_int_norm_v`` of the chain's own pairs and the table's column
-    and Q pairs, or of their values at beta (``_horner_at``); phi(t^n P_l) is
-    the k = n entry of the cell's run.  H_v(alpha_i), H_v(alpha) and H_v(beta)
-    are pairs too, so each bound is a product of integers over a product of
-    integers.  A Fraction is formed only for each row's two values.
+    norms are ``_int_norm_v`` of the chain's own pairs and the table's Q
+    pairs, or of values at beta (``_horner_at``); phi(t^n P_l) is the k = n
+    entry of the cell's run.  The caller takes the column norms ||P_l||_v (in
+    cell order) and the heights H_v(alpha_i), H_v(alpha) and H_v(beta) once,
+    as pairs, so each bound is a product of integers over a product of
+    integers, and a Fraction is formed only for each row's two values.
     """
     from .mpl import rodrigues_stages
     from .transform import rodrigues_chain
@@ -175,10 +179,8 @@ def bounds_audit(
     def add(name: str, measured: tuple[int, int], bound: tuple[int, int]) -> None:
         rows.append(AuditRow(name, Fraction(*measured), Fraction(*bound)))
 
-    h_alphas = [_int_height_v((a.numerator,), a.denominator, place) for a in config.alphas]
-    ha_num, ha_den = _int_height_v(*over_common_denominator(config.alphas), place)
-    # H_v(beta) is read only when beta is given
-    hb_num, hb_den = (1, 1) if beta is None else _int_height_v((beta.numerator,), beta.denominator, place)
+    ha_num, ha_den = H_alpha
+    hb_num, hb_den = H_beta if beta is not None else (1, 1)  # read only with beta
 
     def moment_bound(k: int, norm: tuple[int, int]) -> tuple[int, int]:
         """k^((r+1) eps) |lcm(1..k)^r|_v^(eps-1) H_v(alpha)^k times ``norm``."""
@@ -189,12 +191,9 @@ def bounds_audit(
     # per stage: ||prod_i (z - alpha_i)^N||_v, its bound, and prod_i H_v(alpha_i)^N
     stage_norms = []
     for N, b in stages:
-        hp_num, hp_den = math.prod(h**N for h, _ in h_alphas), math.prod(d**N for _, d in h_alphas)
+        hp_num, hp_den = math.prod(h**N for h, _ in H_alphas), math.prod(d**N for _, d in H_alphas)
         bound_prod = (N + 1) ** (m * eps) * 2 ** (m * N * eps) * hp_num, hp_den
         stage_norms.append((_int_norm_v(*b, place), bound_prod, (hp_num, hp_den)))
-    # the table's column pairs: their norms, values at beta and moment bounds read them
-    columns = [cell.column for cell in table.cells]
-    column_norms = [_int_norm_v(*pair, place) for pair in columns]
     for ell in (0, M):
         # the chained column bound is the product of the step factors: the
         # input degree of each step is ell plus m N of every earlier stage
@@ -227,8 +226,9 @@ def bounds_audit(
             norm_in = measured
         add(f"column_norm[l={ell}]", column_norms[ell], chain)
         if beta is not None:
-            degp = len(columns[ell][0]) - 1
-            value, den = _horner_at(*columns[ell], beta)
+            column = table.cells[ell].column
+            degp = len(column[0]) - 1
+            value, den = _horner_at(*column, beta)
             norm_num, norm_den = column_norms[ell]
             bound_eval = (degp + 1) ** eps * norm_num * hb_num**degp, norm_den * hb_den**degp
             add(f"column_eval[l={ell}]", _int_norm_v((value,), den, place), bound_eval)
@@ -240,15 +240,15 @@ def bounds_audit(
             measured = _int_norm_v((x.numerator,), x.denominator, place)
             add(f"moment[{f.label},j={j}]", measured, moment_bound(j + 1, (1, 1)))
         for ell in (0, M):
-            degp = len(columns[ell][0]) - 1
+            degp = len(table.cells[ell].column[0]) - 1
             run, scale = table.cells[ell].heads[f.label]
             measured = _int_norm_v((run[n],), scale, place)  # |phi(t^n P_l)|_v
             bound = moment_bound(degp + n + 1, column_norms[ell])
             add(f"moment_of_tP[{f.label},l={ell}]", measured, bound)
 
     # Q-polynomial bounds per cell
-    for cell, (nums, _), normp in zip(table.cells, columns, column_norms):
-        bound_q = moment_bound(len(nums), normp)  # k = deg P + 1
+    for cell, normp in zip(table.cells, column_norms):
+        bound_q = moment_bound(len(cell.column[0]), normp)  # k = deg P + 1
         for label, q_pair in cell.q_pairs.items():
             normq = _int_norm_v(*q_pair, place)
             add(f"q_norm[{label},l={cell.ell}]", normq, bound_q)
@@ -267,8 +267,11 @@ def bounds_audit(
 
 #: what the fitted decay slope may exceed the proven coefficient by
 _DECAY_SLACK = 0.1
-#: the terms a remainder sum may add past its first before it gives up
+#: the terms a remainder sum may add past its first before it gives up, at infinity
 _REMAINDER_TERMS = 200000
+#: the same at a prime, where each term gains a valuation: a zero remainder never certifies
+#: there, and the longest sum of the edge jobs, 80 audit benchmark jobs and the tests is 28 terms
+_P_ADIC_TERMS = 1000
 
 
 def _remainder_sum(
@@ -306,7 +309,8 @@ def _remainder_sum(
     term, and both stopping tests are compared by cross-multiplication.  A
     Fraction is formed only for the value returned, which equals the
     term-by-term Fraction sum exactly.  A sum not certified within
-    ``_REMAINDER_TERMS`` terms past the first raises ValueError.
+    ``_REMAINDER_TERMS`` terms past the first (``_P_ADIC_TERMS`` at a prime)
+    raises ValueError.
     """
     nums, den = cell.column
     n, width = cell.n, len(nums)
@@ -321,8 +325,9 @@ def _remainder_sum(
     run, scale = cell.heads[f.label]
     k, c_pow, b_pow = n, c ** (n + 1), b ** (n + 1)  # c^(k+1), b^(k+1)
     acc, lcm, ws, step = run[n] * c_pow, scale // den, (), 8
+    cap = _REMAINDER_TERMS
     if place.is_finite:
-        p_v = place.p
+        p_v, cap = place.p, _P_ADIC_TERMS
         v_b, v_den = _int_valuation(b, p_v), _int_valuation(scale, p_v)
     while True:
         shrink = (s + 1) ** e
@@ -339,7 +344,7 @@ def _remainder_sum(
                 certified = lhs <= abs(acc) * y * (ratio_den - ratio_num)
             if certified:
                 return Fraction(acc, lcm * den * b_pow), k
-        if k - n >= _REMAINDER_TERMS:
+        if k - n >= cap:
             raise ValueError("remainder summation did not certify")
         x *= q_num
         y *= q_den
@@ -355,69 +360,12 @@ def _remainder_sum(
         acc = acc * b + sum(a * w for a, w in zip(nums, ws[k : k + width])) * c_pow
 
 
-def remainder_decay(
-    config: MplConfig,
-    beta: Fraction,
-    v0: Place,
-    tables: Mapping[int, PadeTable],
-) -> dict:
-    """Per-n decay of the largest remainder at beta, against the proven slope, as JSON.
-
-    ``tables`` maps each weight n to its built table (``mpl.pade_tables``),
-    and each weight's rows are that table's own moment sequences, warm from
-    its build.  Each sum starts from the cell's run value phi(t^n P_l) and
-    reads on from its row's integer window (``_remainder_sum``).  The fitted
-    slope must not exceed
-    -h_v(beta) + (M/m) sum_i h_v(alpha_i) + (M+1) h_v(alpha)
-    + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus ``_DECAY_SLACK``; ``ok``
-    is decided on the unrounded slope.
-    """
-    beta = as_fraction(beta)
-    exceeds, H_beta, H_alpha = beta_hypothesis(config.alphas, beta, v0)
-    if not exceeds:
-        raise ValueError("|beta|_v must exceed the local height of the alphas")
-    ns = sorted(tables)
-    if len(ns) < 2:
-        raise ValueError("need at least two weights to fit a slope")
-    m, r, M = config.m, config.r, config.M
-    logs = []
-    for n in ns:
-        table = tables[n]
-        best = -math.inf
-        norms = [_int_norm_v(*cell.column, v0) for cell in table.cells]
-        for f in table.seqs:
-            for cell, normp in zip(table.cells, norms):
-                # |beta|_v = H_v(beta), since it exceeds H_v(alpha) >= 1
-                partial, _ = _remainder_sum(f, cell, normp, beta, v0, r, H_alpha, H_beta)
-                best = max(best, log_fraction(abs_v(partial, v0)))
-        logs.append(best)
-    mean_n = sum(ns) / len(ns)
-    mean_y = sum(logs) / len(logs)
-    slope = sum((x - mean_n) * (y - mean_y) for x, y in zip(ns, logs)) / sum(
-        (x - mean_n) ** 2 for x in ns
-    )
-    coeff = (
-        -_log_pair(H_beta)
-        + (M / m) * sum(local_height(a, v0) for a in config.alphas)
-        + (M + 1) * _log_pair(H_alpha)
-        + v0.epsilon * _bound_constant(m, r, M)
-    )
-    return {
-        "ns": ns,
-        "log_remainder": [_round15(v) for v in logs],
-        "slope": _round15(slope),
-        "bound_coefficient": _round15(coeff),
-        "slack": _DECAY_SLACK,
-        "ok": slope <= coeff + _DECAY_SLACK,
-    }
-
-
 def run(args) -> tuple[dict, bool]:
     """The ``audit`` subcommand: (payload, whether every bound holds) for parsed flags ``args``.
 
     With ``--lcm`` it checks the growth of log lcm(1..n) / n; otherwise it
     audits the table of each weight of ``--n`` and, given ``--beta`` and two
-    weights or more, the remainder decay.
+    weights or more, the remainder decay, in one pass over the weights.
     """
     if args.lcm is None and (args.m is None or args.n is None):
         raise ValueError("audit needs --lcm, or --m/--alphas/--n")
@@ -439,13 +387,24 @@ def run(args) -> tuple[dict, bool]:
     config = MplConfig(m=args.m, r=args.r, alphas=parse_rationals(args.alphas))
     place = Place.parse(args.place)
     beta = parse_rational(args.beta) if args.beta is not None else None
-    if beta is not None and not beta_hypothesis(config.alphas, beta, place)[0]:
-        raise ValueError("|beta|_v must exceed the local height of the alphas")
+    if beta is None:
+        H_beta, H_alpha = None, _int_height_v(*over_common_denominator(config.alphas), place)
+    else:
+        exceeds, H_beta, H_alpha = beta_hypothesis(config.alphas, beta, place)
+        if not exceeds:
+            raise ValueError("|beta|_v must exceed the local height of the alphas")
+    H_alphas = [_int_height_v((a.numerator,), a.denominator, place) for a in config.alphas]
     ns = parse_n_range(args.n)
     tables = pade_tables(config, ns)
-    reports = []
+    with_decay = beta is not None and len(ns) >= 2
+    reports, logs = [], []
     for n in ns:
-        rows = bounds_audit(config, tables[n], place, beta=beta)
+        table = tables[n]
+        norms = [_int_norm_v(*cell.column, place) for cell in table.cells]
+        rows = bounds_audit(
+            config, table, place,
+            column_norms=norms, H_alphas=H_alphas, H_alpha=H_alpha, beta=beta, H_beta=H_beta,
+        )
         reports.append({
             "config": config.to_json(),
             "n": n,
@@ -453,9 +412,37 @@ def run(args) -> tuple[dict, bool]:
             "rows": [row.to_json() for row in rows],
             "all_hold": all(row.holds for row in rows),
         })
+        if with_decay:
+            # |beta|_v = H_v(beta), since it exceeds H_v(alpha) >= 1
+            logs.append(max(
+                log_fraction(abs_v(_remainder_sum(f, cell, normp, beta, place, config.r, H_alpha, H_beta)[0], place))
+                for f in table.seqs
+                for cell, normp in zip(table.cells, norms)
+            ))
     decay = None
-    if beta is not None and len(ns) >= 2:
-        decay = remainder_decay(config, beta, place, tables)
+    if with_decay:
+        # the least-squares slope of the logs must not exceed -h_v(beta) + (M/m) sum_i h_v(alpha_i)
+        # + (M+1) h_v(alpha) + eps_v (M log2 + r(r+1)/2 log(m+1) + r), plus _DECAY_SLACK, with
+        # each h_v the log of a height pair above; ok is decided on the unrounded slope
+        m, M = config.m, config.M
+        mean_n, mean_y = sum(ns) / len(ns), sum(logs) / len(logs)
+        slope = sum((x - mean_n) * (y - mean_y) for x, y in zip(ns, logs)) / sum(
+            (x - mean_n) ** 2 for x in ns
+        )
+        coeff = (
+            -_log_pair(H_beta)
+            + (M / m) * sum(_log_pair(h) for h in H_alphas)
+            + (M + 1) * _log_pair(H_alpha)
+            + place.epsilon * _bound_constant(m, config.r, M)
+        )
+        decay = {
+            "ns": ns,
+            "log_remainder": [_round15(v) for v in logs],
+            "slope": _round15(slope),
+            "bound_coefficient": _round15(coeff),
+            "slack": _DECAY_SLACK,
+            "ok": slope <= coeff + _DECAY_SLACK,
+        }
     all_hold = all(rep["all_hold"] for rep in reports) and (decay is None or decay["ok"])
     payload = {
         "command": "audit",

@@ -178,7 +178,7 @@ def _flag_of(token: str, names) -> tuple[str | None, str | None] | None:
         return name, explicit
     matches = [flag for flag in names if flag.startswith(name)]
     if len(matches) > 1:
-        raise ValueError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        raise ValueError(f"ambiguous option: {_shown(token)} could match {', '.join(matches)}")
     if matches:
         return matches[0], explicit
     return None if " " in token else (None, None)
@@ -189,14 +189,19 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
+def _shown(token: str) -> str:
+    from .exact import shown  # only a usage error that quotes a token loads exact
+    return shown(token)
+
+
 def _value(flag: str, kind, text: str):
     if kind is int:
         try:
             return int(text)
         except ValueError:
-            raise ValueError(f"argument {flag}: invalid int value: {text!r}") from None
+            raise ValueError(f"argument {flag}: invalid int value: {_shown(text)!r}") from None
     if kind is not str and text not in kind:
-        raise ValueError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+        raise ValueError(f"argument {flag}: invalid choice: {_shown(text)!r} (choose from {', '.join(kind)})")
     return text
 
 
@@ -228,7 +233,7 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
         if argv and argv[0] != "--" and _flag_of(argv[0], _HELP) == ("--help", None):
             sys.stdout.write(_help(None))
             return None
-        found = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand"
+        found = f"unknown subcommand {_shown(argv[0])!r}" if argv else "no subcommand"
         raise ValueError(f"{found} (choose from {', '.join(FLAGS)})")
     command, tokens = argv[0], argv[1:]
     flags = {**_HELP, **FLAGS[command]}
@@ -250,7 +255,7 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
         kind = flags[flag][0]
         if kind is bool:
             if text is not None:
-                raise ValueError(f"argument {flag}: takes no value, got {text!r}")
+                raise ValueError(f"argument {flag}: takes no value, got {_shown(text)!r}")
             if flag == "--help":
                 sys.stdout.write(_help(command))
                 return None
@@ -263,7 +268,7 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
         values[_dest(flag)] = _value(flag, kind, text)
     extras += tokens[cut:]
     if extras:
-        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+        raise ValueError(f"unrecognized arguments: {' '.join(map(_shown, extras))}")
     return SimpleNamespace(subcommand=command, **values)
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "format_pair",
     "log_int",
     "log_fraction",
+    "shown",
+    "check_digit_runs",
     "parse_rational",
     "parse_rationals",
     "parse_n_range",
@@ -121,39 +123,49 @@ def log_fraction(q: Fraction) -> float:
     return log_int(q.numerator) - log_int(q.denominator)
 
 
+def shown(token: str) -> str:
+    """A token as an error message shows it: whole, or its first 64 characters and its length."""
+    return token if len(token) <= 64 else f"{token[:64]}... ({len(token)} characters)"
+
+
 #: the integer digits and the decimal exponent at the end of a literal, as ``Fraction`` reads them
 _EXPONENT = re.compile(r"([0-9_]*)(?:\.[0-9_]*)?[eE]([-+]?[0-9_]+)$")
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
-def parse_rational(text: str) -> Fraction:
-    """The rational written as an integer, decimal or "p/q"; ValueError otherwise.
-
-    A run of digits (underscores aside) past the interpreter's int-string
-    limit is refused first, in this module's words; a limit of 0 refuses
-    none.  A decimal exponent e is refused when 10^|e|, or the integer part
-    (the mantissa's integer digits and e zeros), has more digits than the
-    limit, before ``Fraction`` forms that power: it alone can take minutes.
-    Output lifts the limit (``format_pair``); input keeps it.
-    """
-    text = text.strip()
+def check_digit_runs(text: str) -> None:
+    """Refuse a run of digits (underscores aside) past the int-string limit, unless that is 0."""
     limit = sys.get_int_max_str_digits()
     longest = max((len(run.replace("_", "")) for run in _DIGIT_RUN.findall(text)), default=0)
     if limit and longest > limit:
         raise ValueError(f"a run of {longest} digits is past the limit of {limit} digits")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written as an integer, decimal or "p/q"; ValueError otherwise.
+
+    A run of digits past the interpreter's int-string limit is refused first
+    (``check_digit_runs``).  A decimal exponent e is refused when 10^|e|, or
+    the integer part (the mantissa's integer digits and e zeros), has more
+    digits than the limit, before ``Fraction`` forms that power: it alone
+    can take minutes.  Output lifts the limit (``format_pair``); input keeps
+    it.  A refusal shows the text as ``shown`` gives it.
+    """
+    text = text.strip()
+    check_digit_runs(text)
     exponent = _EXPONENT.search(text)
     if exponent:
-        limit = limit or sys.int_info.default_max_str_digits
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         e = int(exponent[2])
         if abs(e) >= limit:
             raise ValueError(f"exponent {exponent[2]} gives a power of ten past the limit of {limit} digits")
         digits = len(exponent[1].replace("_", "").lstrip("0")) + e
         if digits > limit:
-            raise ValueError(f"{text!r} has {digits} integer digits, past the limit of {limit}")
+            raise ValueError(f"{shown(text)!r} has {digits} integer digits, past the limit of {limit}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {shown(text)!r}") from None
 
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
@@ -167,7 +179,7 @@ def parse_n_range(text: str) -> list[int]:
     try:
         ns = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
-        raise ValueError(f"argument --n: expected N or LO..HI, got {text!r}") from None
+        raise ValueError(f"argument --n: expected N or LO..HI, got {shown(text)!r}") from None
     if not ns:
         raise ValueError("empty range")
     return list(ns)

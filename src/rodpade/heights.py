@@ -4,8 +4,9 @@ The layer that the criterion (:mod:`rodpade.criterion`) and the bound
 audits (:mod:`rodpade.audit`) share.  |x|_v and H_v = max(1, |x|_v) are
 exact: integer pairs (numerator, denominator > 0), from ``_int_norm_v`` and
 ``_int_height_v`` (``beta_hypothesis`` decides |beta|_v > H_v(alpha) on
-them), and global heights are integers; logarithms are taken once, at the
-end, big-integer safe, with relative error well below 1e-15.
+them), and global heights are integers.  A caller keeps the height pairs it
+takes; a local height h_v is the log of one (``_log_pair``), taken once, at
+the end, big-integer safe, with relative error well below 1e-15.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Record, as_fraction, log_int as _log_int, over_common_denominator
+from .exact import Record, as_fraction, log_int as _log_int, over_common_denominator, shown
 
 __all__ = [
     "Place",
     "abs_v",
-    "local_height",
     "H_v_vec",
     "beta_hypothesis",
     "global_height_vec",
@@ -54,7 +54,7 @@ class Place(Record):
         try:
             p = int(key[1:] if key.startswith("p") else key)
         except ValueError:
-            raise ValueError(f"argument --place: expected inf or p<prime>, got {text!r}") from None
+            raise ValueError(f"argument --place: expected inf or p<prime>, got {shown(text)!r}") from None
         return cls(p)
 
     def __str__(self):
@@ -70,7 +70,7 @@ _MR_LIMIT = 3317044064679887385961981
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError for n >= 3.3e24."""
     if n >= _MR_LIMIT:
-        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
+        raise ValueError(f"primality of {shown(str(n))} is only decided below {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -162,12 +162,6 @@ def abs_v(x: Fraction, place: Place) -> Fraction:
     """Normalized absolute value, exact: |p|_p = 1/p, usual value at infinity."""
     x = as_fraction(x)
     return Fraction(*_int_norm_v((x.numerator,), x.denominator, place))
-
-
-def local_height(x: Fraction, place: Place) -> float:
-    """h_v(x) = log max(1, |x|_v); the intermediate max is exact."""
-    x = as_fraction(x)
-    return _log_pair(_int_height_v((x.numerator,), x.denominator, place))
 
 
 def H_v_vec(xs: Sequence[Fraction], place: Place) -> Fraction:

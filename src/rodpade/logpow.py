@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-from .exact import Record, falling_derivative, int_convolve
+from .exact import Record, falling_derivative, int_convolve, shown
 from .transform import (
     MomentSeq,
     PadeTable,
@@ -46,9 +46,9 @@ class LogPowConfig(Record):
     def __init__(self, m: int, n: int):
         super().__init__(m, n)
         if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
+            raise ValueError(f"m must be positive, got {shown(str(self.m))}")
         if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+            raise ValueError(f"n must be positive, got {shown(str(self.n))}")
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n}

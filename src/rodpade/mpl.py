@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .exact import Record, as_fraction, format_rational
+from .exact import Record, as_fraction, format_rational, shown
 
 if TYPE_CHECKING:
     from .transform import MomentSeq, PadeTable
@@ -53,11 +53,11 @@ class MplConfig(Record):
     def __init__(self, m: int, r: int, alphas: Sequence[Fraction]):
         super().__init__(m, r, tuple(as_fraction(a) for a in alphas))
         if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
+            raise ValueError(f"m must be positive, got {shown(str(self.m))}")
         if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
+            raise ValueError(f"r must be positive, got {shown(str(self.r))}")
         if len(self.alphas) != self.m:
-            raise ValueError(f"expected {self.m} alphas, got {len(self.alphas)}")
+            raise ValueError(f"expected {shown(str(self.m))} alphas, got {len(self.alphas)}")
         if any(a == 0 for a in self.alphas):
             raise ValueError("alphas must be nonzero")
         if len(set(self.alphas)) != self.m:

@@ -10,18 +10,27 @@ __all__ = ["load_run_config", "apply_run_config"]
 
 
 def load_run_config(path: str) -> dict:
-    """Read {m, r, alphas, n, ...} from a JSON (or, on 3.11+, TOML) document."""
+    """Read {m, r, alphas, n, ...} from a JSON (or, on 3.11+, TOML) document.
+
+    A run of digits past the int-string limit is refused before either
+    parser reads the text (``exact.check_digit_runs``), in the program's words.
+    """
+    from .exact import check_digit_runs
+
     if path.endswith(".toml"):
         try:
             import tomllib
         except ImportError as exc:  # Python 3.10
             raise ValueError("TOML configs need Python 3.11+; use JSON") from exc
-        with open(path, "rb") as fh:
-            return tomllib.load(fh)
-    import json
+        with open(path, "rb") as fh:  # as tomllib.load reads it
+            text, parse = fh.read().decode(), tomllib.loads
+    else:
+        import json
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:  # as json.load reads it
+            text, parse = fh.read(), json.loads
+    check_digit_runs(text)
+    return parse(text)
 
 
 def apply_run_config(args) -> None:

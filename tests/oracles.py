@@ -6,7 +6,8 @@ product and sum per term, on :class:`algebra.Poly` polynomials, so they
 share no kernel with the program.  ``det_bareiss`` is the determinant of a
 ``Fraction`` matrix, through the program's integer Bareiss.  The helpers turn a table's pairs into polynomials and
 build the moment rows (shifted, stored, zero) and the Laurent tails that
-the operator tests feed in.  ``build_parser`` is the command line's former
+the operator tests feed in.  ``audit_rows`` and ``audit_payload`` reach the
+bound rows of one table and the ``audit`` payload of a run from Python.  ``build_parser`` is the command line's former
 argparse front end, the reference that the flag table's reader is compared
 against.
 """
@@ -15,11 +16,15 @@ from __future__ import annotations
 
 import argparse
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import pytest
 from algebra import LaurentTail, Poly
 
+from rodpade import audit
 from rodpade.determinant import _int_det
-from rodpade.exact import as_fraction, over_common_denominator
+from rodpade.exact import as_fraction, format_rational, over_common_denominator
+from rodpade.heights import abs_v
 from rodpade.transform import MomentSeq
 
 
@@ -70,6 +75,47 @@ def det_bareiss(matrix):
 def poly(pair):
     """The polynomial nums / d of a pair (nums, d)."""
     return Poly.from_ints(*pair)
+
+
+def _height_pair(xs, place):
+    """max(1, |x|_v over xs) as a reduced pair, one ``abs_v`` each."""
+    h = max([F(1)] + [abs_v(x, place) for x in xs])
+    return h.numerator, h.denominator
+
+
+def audit_rows(config, table, place, beta=None):
+    """``audit.bounds_audit`` of one table, handed its column norms and heights by the Fraction route.
+
+    ``audit.run`` takes these pairs once and passes them in; here each is a
+    max of ``abs_v`` over the coefficients or values, reduced.
+    """
+    norms = []
+    for cell in table.cells:
+        norm = max((abs_v(c, place) for c in poly(cell.column).coeffs), default=F(0))
+        norms.append((norm.numerator, norm.denominator))
+    return audit.bounds_audit(
+        config, table, place,
+        column_norms=norms,
+        H_alphas=[_height_pair([a], place) for a in config.alphas],
+        H_alpha=_height_pair(config.alphas, place),
+        beta=beta,
+        H_beta=None if beta is None else _height_pair([beta], place),
+    )
+
+
+def audit_payload(config, place, ns, beta=None, tables=None):
+    """The payload of ``audit.run`` on config at place over the weights ns (a range), given beta.
+
+    ``tables``, when given, stand in for the ones the run would build.
+    """
+    args = SimpleNamespace(
+        lcm=None, m=config.m, r=config.r, alphas=",".join(map(format_rational, config.alphas)),
+        n=f"{ns[0]}..{ns[-1]}", place=str(place), beta=None if beta is None else format_rational(beta),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        if tables is not None:
+            mp.setattr("rodpade.mpl.pade_tables", lambda _config, _ns: tables)
+        return audit.run(args)[0]
 
 
 def column_polys(table):

@@ -25,9 +25,9 @@ from algebra import (
     rodrigues_operator,
 )
 from holonomic import solve_V1
-from oracles import fraction_phi, fraction_remainder, poly, q_polys, series, shifted
+from oracles import audit_payload, audit_rows, fraction_phi, fraction_remainder, poly, q_polys, series, shifted
 
-from rodpade.audit import bounds_audit, lcm_upto, remainder_decay
+from rodpade.audit import lcm_upto
 from rodpade.criterion import _V
 from rodpade.determinant import table_determinants
 from rodpade.exact import log_int
@@ -41,7 +41,6 @@ from rodpade.mpl import (
     moment_seqs,
     mpl_moment_oracle,
     pade_table,
-    pade_tables,
     rodrigues_stages,
 )
 
@@ -223,10 +222,10 @@ def test_criterion_08_bound_audits_and_decay():
         for n in range(1, n_max + 1):
             table = grid_table(m, r, n)
             for place in places:
-                rows = bounds_audit(config, table, place, beta=F(30))
+                rows = audit_rows(config, table, place, beta=F(30))
                 ok = ok and all(row.holds for row in rows)
     config = grid_config(1, 1)
-    decay = remainder_decay(config, F(30), Place(), pade_tables(config, range(2, 13)))
+    decay = audit_payload(config, Place(), range(2, 13), F(30))["decay"]
     ok = ok and decay["slope"] <= -1.01
     elapsed = time.perf_counter() - t0
     _report(8, ok and elapsed < 180.0, f"slope {decay['slope']:.2f} <= -1.01, {elapsed:.1f}s < 180s")

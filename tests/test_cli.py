@@ -215,6 +215,24 @@ def test_malformed_config_document_exits_2(tmp_path, capsys, command, name, text
 
 
 @pytest.mark.parametrize(
+    "name, text",
+    [
+        ("run.json", '{"m": 1, "alphas": ["1"], "beta": %s}\n' % ("1" * 4401)),
+        ("run.toml", 'm = 1\nalphas = ["1"]\nbeta = %s\n' % ("1" * 4401)),
+    ],
+    ids=["json", "toml"],
+)
+def test_config_document_integer_past_the_limit_exits_2_in_the_programs_words(tmp_path, capsys, name, text):
+    # the parsers would refuse it in the interpreter's words, naming sys.set_int_max_str_digits
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["criterion", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: a run of 4401 digits is past the limit of 4300 digits"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("criterion", "--m", "1", "--alphas", "1", "--beta", "1e-99999999"),
@@ -244,6 +262,19 @@ def test_beta_with_too_many_integer_digits_exits_2_at_once():
     lines = proc.stderr.decode().splitlines()
     assert lines == ["error: '123e4299' has 4302 integer digits, past the limit of 4300"]
     assert elapsed < 1.0
+
+
+def test_p_adic_remainder_of_exactly_zero_exits_2_at_once():
+    # |1/4|_2 = 4 > H_2(1/2) = 2, but Q_(2,0)(1/4) = 0 and Li_1(2) = -log_2(-1) = 0 in Q_2, so
+    # R_2(1/4) = 0 exactly and no partial sum certifies: the p-adic term cap ends the sum
+    argv = ["audit", "--m", "1", "--alphas", "1/2", "--n", "1..2", "--beta", "1/4", "--place", "p2"]
+    start = time.perf_counter()
+    proc = subprocess.run(CLI + argv, capture_output=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == ["error: remainder summation did not certify"]
+    assert elapsed < 2.0
 
 
 def test_weight_past_machine_index_exits_2():
@@ -1039,6 +1070,33 @@ def test_invalid_config_gives_one_error_line_from_every_subcommand(config, messa
             ("criterion", "--m", "1", "--alphas", "1", "--beta", "1" * 4401),
             "error: a run of 4401 digits is past the limit of 4300 digits",
         ),
+        # a long token is shown cut to its first 64 characters, with its length
+        (
+            ("pade", "--m", "1" * 4401, "--alphas", "1", "--n", "1"),
+            "error: argument --m: invalid int value: '%s... (4401 characters)'" % ("1" * 64),
+        ),
+        (("audit", "--lcm", "1" * 4401), "error: argument --lcm: invalid int value: '%s... (4401 characters)'" % ("1" * 64)),
+        (
+            ("pade", "--m", "1", "--alphas", "1", "--n", "1" * 4401),
+            "error: argument --n: expected N or LO..HI, got '%s... (4401 characters)'" % ("1" * 64),
+        ),
+        (
+            ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "p" + "1" * 4401),
+            "error: argument --place: expected inf or p<prime>, got 'p%s... (4402 characters)'" % ("1" * 63),
+        ),
+        (
+            ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--format", "1" * 4401),
+            "error: argument --format: invalid choice: '%s... (4401 characters)' (choose from json, csv)" % ("1" * 64),
+        ),
+        # a value that parses, 4300 digits long, is shown cut too
+        (
+            ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "p" + "1" * 4300),
+            "error: primality of %s... (4300 characters) is only decided below 3317044064679887385961981" % ("1" * 64),
+        ),
+        (
+            ("pade", "--m", "1" * 4300, "--alphas", "1", "--n", "1"),
+            "error: expected %s... (4300 characters) alphas, got 1" % ("1" * 64),
+        ),
     ],
 )
 def test_criterion_errors_exit_2_with_one_error_line(argv, message):
@@ -1046,6 +1104,7 @@ def test_criterion_errors_exit_2_with_one_error_line(argv, message):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode().splitlines() == [message]
+    assert len(proc.stderr) < 200
 
 
 def test_audit_lcm_out_of_memory_exits_2(capsys, monkeypatch):

@@ -11,14 +11,9 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from oracles import fraction_phi, poly, q_polys
+from oracles import audit_payload, audit_rows, fraction_phi, poly, q_polys
 
-from rodpade.audit import (
-    _primes_upto,
-    bounds_audit,
-    lcm_upto,
-    remainder_decay,
-)
+from rodpade.audit import _primes_upto, lcm_upto
 from rodpade.criterion import _V, evaluate_criterion
 from rodpade.exact import log_int
 from rodpade.heights import (
@@ -27,9 +22,10 @@ from rodpade.heights import (
     _int_valuation,
     _is_prime,
     _round15,
+    _int_height_v,
+    _log_pair,
     abs_v,
     global_height_vec,
-    local_height,
 )
 from rodpade.mpl import MplConfig, pade_table, pade_tables
 
@@ -50,6 +46,11 @@ def H_v(x, place):
 def pair(x):
     """A rational as the integer pair (numerator, denominator) that ``_remainder_sum`` reads."""
     return x.numerator, x.denominator
+
+
+def local_height(x, place):
+    """h_v(x) = log max(1, |x|_v), the log of x's height pair: how the program reads a local height."""
+    return _log_pair(_int_height_v((x.numerator,), x.denominator, place))
 
 
 def test_place_parsing_and_validation():
@@ -298,7 +299,7 @@ def test_bounds_audit_all_hold_on_small_grid():
         config = MplConfig(m=m, r=r, alphas=(F(1),) if m == 1 else (F(1), F(2)))
         table = pade_table(config, 1)
         for place in (INF_PLACE, Place(2), Place(3)):
-            rows = bounds_audit(config, table, place, beta=F(30))
+            rows = audit_rows(config, table, place, beta=F(30))
             assert all(row.holds for row in rows), [row.name for row in rows if not row.holds]
             assert all(row.bound_log >= row.measured_log for row in rows if row.measured > 0)
 
@@ -427,7 +428,7 @@ def test_bounds_audit_rows_match_the_stage_by_stage_route(config_args, ns):
     for n, table in pade_tables(config, ns).items():
         for place, beta in AUDIT_ORACLE_PLACES:
             for b in (None, beta):
-                rows = bounds_audit(config, table, place, beta=b)
+                rows = audit_rows(config, table, place, beta=b)
                 got = [(row.name, row.measured, row.bound) for row in rows]
                 assert got == _audit_rows_stage_by_stage(config, table, place, b), (n, place, b)
 
@@ -476,7 +477,7 @@ def test_evaluate_criterion_checks_the_config_once(monkeypatch):
 
 def test_remainder_decay_legendre():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
-    report = remainder_decay(config, F(30), INF_PLACE, pade_tables(config, range(2, 13)))
+    report = audit_payload(config, INF_PLACE, range(2, 13), F(30))["decay"]
     assert report["ok"]
     assert report["slope"] <= -1.01
     assert abs(report["bound_coefficient"] - (-math.log(30) + 1 + 2 * math.log(2))) < 1e-12
@@ -484,24 +485,23 @@ def test_remainder_decay_legendre():
 
 def test_remainder_decay_sign_blind():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
-    report = remainder_decay(config, F(-30), INF_PLACE, pade_tables(config, range(2, 6)))
+    report = audit_payload(config, INF_PLACE, range(2, 6), F(-30))["decay"]
     assert report["ok"]
 
 
 def test_remainder_decay_p_adic_runs():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
-    # |32|_2 = 1/32 < 1 = H_2(alpha): rejected; |1/32|_2 = 32 > 1: accepted
-    tables = pade_tables(config, range(2, 6))
+    # |32|_2 = 1/32 < 1 = H_2(alpha): rejected by the run; |1/32|_2 = 32 > 1: accepted
     with pytest.raises(ValueError, match=f"^{BAD_BETA}$"):
-        remainder_decay(config, F(32), Place(2), tables)
-    report = remainder_decay(config, F(1, 32), Place(2), tables)
+        audit_payload(config, Place(2), range(2, 6), F(32))
+    report = audit_payload(config, Place(2), range(2, 6), F(1, 32))["decay"]
     assert report["ns"] == [2, 3, 4, 5] and len(report["log_remainder"]) == 4
 
 
 def test_remainder_decay_bad_beta():
     config = MplConfig(m=1, r=1, alphas=(F(1),))
     with pytest.raises(ValueError, match=f"^{BAD_BETA}$"):
-        remainder_decay(config, F(1), INF_PLACE, pade_tables(config, range(2, 5)))
+        audit_payload(config, INF_PLACE, range(2, 5), F(1))
 
 
 def _count_norms_of(monkeypatch, beta, modules=()):
@@ -526,15 +526,33 @@ def _count_norms_of(monkeypatch, beta, modules=()):
 
 
 def test_remainder_decay_takes_abs_beta_once(monkeypatch):
-    # the hypothesis |beta|_v > H_v(alpha) is decided once per decay, not again per remainder sum
+    # the hypothesis |beta|_v > H_v(alpha) is decided once per audit run, not again
+    # per weight's bound rows, per decay or per remainder sum
     import rodpade.audit
 
     config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
     tables = pade_tables(config, range(1, 9))
     beta = F(40)
     taken = _count_norms_of(monkeypatch, beta, (rodpade.audit,))
-    assert remainder_decay(config, beta, INF_PLACE, tables)["ok"]
+    assert audit_payload(config, INF_PLACE, range(1, 9), beta, tables)["decay"]["ok"]
     assert taken == [INF_PLACE]
+
+
+def test_audit_decides_the_beta_hypothesis_once(monkeypatch, capsys):
+    import rodpade.audit
+    from rodpade.cli import main
+
+    calls = []
+    decide = rodpade.audit.beta_hypothesis
+
+    def counting(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(rodpade.audit, "beta_hypothesis", counting)
+    assert main(["audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["decay"]["ok"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -618,12 +636,13 @@ def test_remainder_decay_reads_the_tables_moment_rows(monkeypatch):
         raise AssertionError("moment family rebuilt although tables were given")
 
     monkeypatch.setattr(rodpade.mpl, "moment_seqs", no_family)
-    given = remainder_decay(config, F(40), INF_PLACE, shared)
-    assert given == remainder_decay(config, F(40), INF_PLACE, apart)
+    given = audit_payload(config, INF_PLACE, range(1, 4), F(40), shared)["decay"]
+    assert given == audit_payload(config, INF_PLACE, range(1, 4), F(40), apart)["decay"]
 
 
 @pytest.mark.parametrize("place", [INF_PLACE, Place(2)], ids=["inf", "p2"])
 def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
+    # one audit run takes each column's norm once per weight, for the bound rows and the decay alike
     import rodpade.audit
     from rodpade.audit import _remainder_sum
     from rodpade.heights import _int_norm_v
@@ -652,7 +671,9 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
         return _int_norm_v(nums, den, v)
 
     monkeypatch.setattr(rodpade.audit, "_int_norm_v", counting)
-    report = remainder_decay(config, beta, place, tables)
+    payload = audit_payload(config, place, range(1, 9), beta, tables)
+    assert payload["all_hold"] is True
+    report = payload["decay"]
     assert report["log_remainder"] == [_round15(v) for v in want]
     # the norms of the table's own column pairs, one per column
     columns = [cell.column for n in range(1, 9) for cell in tables[n].cells]
@@ -936,8 +957,8 @@ def test_tables_and_decay_on_an_extended_family_match_a_fresh_one():
         for n in ns:
             assert json.dumps(extended[n].to_json()) == json.dumps(fresh[n].to_json())
             assert table_determinants(extended[n]) == table_determinants(fresh[n])
-        assert remainder_decay(config, beta, place, extended) == remainder_decay(
-            config, beta, place, fresh
-        )
+        assert audit_payload(config, place, ns, beta, extended)["decay"] == audit_payload(
+            config, place, ns, beta, fresh
+        )["decay"]
 
     check()

@@ -15,10 +15,10 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from oracles import poly
+from oracles import audit_rows, poly
 
 from rodpade.cli import main
-from rodpade.audit import _remainder_sum, bounds_audit
+from rodpade.audit import _remainder_sum
 from rodpade.heights import H_v_vec, Place, abs_v
 from rodpade.exact import format_rational
 from rodpade.mpl import MplConfig, pade_tables
@@ -132,7 +132,7 @@ def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, s
     rows = [
         f"{n} {row.name} {format_rational(row.measured)} {format_rational(row.bound)}"
         for n in ns
-        for row in bounds_audit(config, tables[n], place, beta=beta)
+        for row in audit_rows(config, tables[n], place, beta=beta)
     ]
     assert _sha(rows) == rows_digest
     if beta is None:
