@@ -153,6 +153,11 @@ EDGE = [
     ("pade", "--m", "1", "--alphas=1/" + "3" * 4401, "--n", "1"),
     # exactly the limit's 4300 digits: beta parses and prints in full, exit 0
     ("criterion", "--m", "1", "--alphas", "1", "--beta", "1" * 4300),
+    # a p-adic remainder of exactly 0, R_2(1/4) at p2: the p-adic term cap ends its sum, exit 2
+    ("audit", "--m", "1", "--alphas", "1/2", "--n", "1..2", "--beta", "1/4", "--place", "p2"),
+    # flag tokens of 4401 digits, shown cut to 64 characters with their length, exit 2
+    ("pade", "--m", "1" * 4401, "--alphas", "1", "--n", "1"),
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "p" + "1" * 4401),
 ]
 CONFIG_DOC = '{"m": 2, "r": 1, "alphas": ["3/2", "-5/3"], "n": 2}\n'
 
