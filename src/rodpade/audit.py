@@ -414,11 +414,12 @@ def run(args) -> tuple[dict, bool]:
         })
         if with_decay:
             # |beta|_v = H_v(beta), since it exceeds H_v(alpha) >= 1
-            logs.append(max(
-                log_fraction(abs_v(_remainder_sum(f, cell, normp, beta, place, config.r, H_alpha, H_beta)[0], place))
+            sums = (
+                _remainder_sum(f, cell, normp, beta, place, config.r, H_alpha, H_beta)[0]
                 for f in table.seqs
                 for cell, normp in zip(table.cells, norms)
-            ))
+            )
+            logs.append(max(log_fraction(abs_v(partial, place)) for partial in sums))
     decay = None
     if with_decay:
         # the least-squares slope of the logs must not exceed -h_v(beta) + (M/m) sum_i h_v(alpha_i)
