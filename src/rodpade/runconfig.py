@@ -6,6 +6,8 @@ A ``--config`` flag names one; the command line imports this module, and
 
 from __future__ import annotations
 
+from .exact import check_digit_runs
+
 __all__ = ["load_run_config", "apply_run_config"]
 
 
@@ -15,8 +17,6 @@ def load_run_config(path: str) -> dict:
     A run of digits past the int-string limit is refused before either
     parser reads the text (``exact.check_digit_runs``), in the program's words.
     """
-    from .exact import check_digit_runs
-
     if path.endswith(".toml"):
         try:
             import tomllib

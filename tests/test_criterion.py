@@ -526,8 +526,8 @@ def _count_norms_of(monkeypatch, beta, modules=()):
 
 
 def test_remainder_decay_takes_abs_beta_once(monkeypatch):
-    # the hypothesis |beta|_v > H_v(alpha) is decided once per audit run, not again
-    # per weight's bound rows, per decay or per remainder sum
+    # the hypothesis |beta|_v > H_v(alpha) is decided once per audit run: not again for
+    # a weight's bound rows, for the decay or for a remainder sum
     import rodpade.audit
 
     config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
