@@ -4,8 +4,10 @@ Every inequality is compared exactly, on integer pairs or rationals;
 floats appear only in the reported logarithms and in the fitted decay
 slope.  ``run``, the ``audit`` subcommand, decides the beta hypothesis once,
 keeps the heights as integer pairs and walks the weights once: one norm per
-column serves the weight's ``bounds_audit`` rows and, given beta and two
-weights or more, its point log|R_n(beta)|_v of the decay (``_remainder_sum``).
+column serves the weight's ``bounds_audit`` rows, each a (name, measured,
+bound) triple of integer pairs that ``_row_json`` writes, and, given beta
+and two weights or more, its point log|R_n(beta)|_v of the decay
+(``_remainder_sum``).
 It builds tables through ``mpl.pade_tables``, computes no determinant, and
 with ``--lcm`` builds no table, so it loads neither ``mpl`` nor ``transform``.
 """
@@ -17,7 +19,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .exact import (
-    Record,
     format_rational,
     log_fraction,
     log_int,
@@ -44,7 +45,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "lcm_upto",
-    "AuditRow",
     "bounds_audit",
     "run",
 ]
@@ -108,37 +108,24 @@ def _horner_at(nums: Sequence[int], den: int, x: Fraction) -> tuple[int, int]:
     return acc, den * c_pow
 
 
-class AuditRow(Record):
-    """One proven inequality, compared exactly on the norm scale."""
+def _row_json(name: str, measured: tuple[int, int], bound: tuple[int, int]) -> dict:
+    """The JSON of one audit row: measured <= bound by cross-multiplication, and their logs.
 
-    __slots__ = ("name", "measured", "bound")
-
-    def __init__(self, name: str, measured: Fraction, bound: Fraction):
-        super().__init__(name, measured, bound)
-
-    @property
-    def holds(self) -> bool:
-        """measured <= bound, by integer cross-multiplication (denominators are positive)."""
-        a, b = self.measured, self.bound
-        return a.numerator * b.denominator <= b.numerator * a.denominator
-
-    @property
-    def measured_log(self) -> float:
-        return log_fraction(self.measured) if self.measured.numerator else -math.inf
-
-    @property
-    def bound_log(self) -> float:
-        return log_fraction(self.bound) if self.bound.numerator else -math.inf
-
-    def to_json(self) -> dict:
-        measured, bound = self.measured_log, self.bound_log
-        return {
-            "name": self.name,
-            "measured": _round15(measured),
-            "bound": _round15(bound),
-            "slack": _round15(bound - measured),
-            "holds": self.holds,
-        }
+    Both sides are nonnegative integer pairs (numerator, denominator > 0).
+    Each log is taken of the pair in lowest terms, the floats ``log_fraction``
+    gives of its ``Fraction``; a zero side logs as -inf, which the JSON writes as null.
+    """
+    logs = []
+    for num, den in (measured, bound):
+        g = math.gcd(num, den)
+        logs.append(_log_pair((num // g, den // g)) if num else -math.inf)
+    return {
+        "name": name,
+        "measured": _round15(logs[0]),
+        "bound": _round15(logs[1]),
+        "slack": _round15(logs[1] - logs[0]),
+        "holds": measured[0] * bound[1] <= bound[0] * measured[1],
+    }
 
 
 def bounds_audit(
@@ -151,8 +138,8 @@ def bounds_audit(
     H_alpha: tuple[int, int],
     beta: Fraction | None = None,
     H_beta: tuple[int, int] | None = None,
-) -> list[AuditRow]:
-    """The rows of every proven norm inequality on a built table: all must hold.
+) -> list[tuple[str, tuple[int, int], tuple[int, int]]]:
+    """The rows (name, measured, bound) of every proven norm inequality on a built table: all must hold.
 
     Covers the derivative/product/moment norm bounds, the full chained bound
     on the column polynomials, the Q bound per cell, and (when beta is given)
@@ -166,7 +153,8 @@ def bounds_audit(
     entry of the cell's run.  The caller takes the column norms ||P_l||_v (in
     cell order) and the heights H_v(alpha_i), H_v(alpha) and H_v(beta) once,
     as pairs, so each bound is a product of integers over a product of
-    integers, and a Fraction is formed only for each row's two values.
+    integers.  A row keeps both sides as these pairs and no Fraction is
+    formed; ``run`` writes each row with ``_row_json``.
     """
     from .mpl import rodrigues_stages
     from .transform import rodrigues_chain
@@ -174,10 +162,10 @@ def bounds_audit(
     n, seqs = table.n, table.seqs
     eps = place.epsilon
     m, r, M = config.m, config.r, config.M
-    rows: list[AuditRow] = []
+    rows: list[tuple[str, tuple[int, int], tuple[int, int]]] = []
 
     def add(name: str, measured: tuple[int, int], bound: tuple[int, int]) -> None:
-        rows.append(AuditRow(name, Fraction(*measured), Fraction(*bound)))
+        rows.append((name, measured, bound))
 
     ha_num, ha_den = H_alpha
     hb_num, hb_den = H_beta if beta is not None else (1, 1)  # read only with beta
@@ -401,16 +389,19 @@ def run(args) -> tuple[dict, bool]:
     for n in ns:
         table = tables[n]
         norms = [_int_norm_v(*cell.column, place) for cell in table.cells]
-        rows = bounds_audit(
-            config, table, place,
-            column_norms=norms, H_alphas=H_alphas, H_alpha=H_alpha, beta=beta, H_beta=H_beta,
-        )
+        rows = [
+            _row_json(*row)
+            for row in bounds_audit(
+                config, table, place,
+                column_norms=norms, H_alphas=H_alphas, H_alpha=H_alpha, beta=beta, H_beta=H_beta,
+            )
+        ]
         reports.append({
             "config": config.to_json(),
             "n": n,
             "place": str(place),
-            "rows": [row.to_json() for row in rows],
-            "all_hold": all(row.holds for row in rows),
+            "rows": rows,
+            "all_hold": all(row["holds"] for row in rows),
         })
         if with_decay:
             # |beta|_v = H_v(beta), since it exceeds H_v(alpha) >= 1

@@ -166,6 +166,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {shown(text)!r}") from None
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {shown(text)!r}") from None
 
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:

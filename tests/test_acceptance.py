@@ -27,7 +27,7 @@ from algebra import (
 from holonomic import solve_V1
 from oracles import audit_payload, audit_rows, fraction_phi, fraction_remainder, poly, q_polys, series, shifted
 
-from rodpade.audit import lcm_upto
+from rodpade.audit import _row_json, lcm_upto
 from rodpade.criterion import _V
 from rodpade.determinant import table_determinants
 from rodpade.exact import log_int
@@ -223,7 +223,7 @@ def test_criterion_08_bound_audits_and_decay():
             table = grid_table(m, r, n)
             for place in places:
                 rows = audit_rows(config, table, place, beta=F(30))
-                ok = ok and all(row.holds for row in rows)
+                ok = ok and all(_row_json(*row)["holds"] for row in rows)
     config = grid_config(1, 1)
     decay = audit_payload(config, Place(), range(2, 13), F(30))["decay"]
     ok = ok and decay["slope"] <= -1.01

@@ -1097,6 +1097,19 @@ def test_invalid_config_gives_one_error_line_from_every_subcommand(config, messa
             ("pade", "--m", "1" * 4300, "--alphas", "1", "--n", "1"),
             "error: expected %s... (4300 characters) alphas, got 1" % ("1" * 64),
         ),
+        # Fraction's own refusal: a short literal is quoted whole, a long one cut
+        (
+            ("criterion", "--m", "1", "--alphas", "1", "--beta", "1/x"),
+            "error: Invalid literal for Fraction: '1/x'",
+        ),
+        (
+            ("criterion", "--m", "1", "--alphas", "1", "--beta", "x" * 5000),
+            "error: Invalid literal for Fraction: '%s... (5000 characters)'" % ("x" * 64),
+        ),
+        (
+            ("criterion", "--m", "1", "--alphas", "1," + "y" * 3000, "--beta", "3"),
+            "error: Invalid literal for Fraction: '%s... (3000 characters)'" % ("y" * 64),
+        ),
     ],
 )
 def test_criterion_errors_exit_2_with_one_error_line(argv, message):

@@ -13,9 +13,9 @@ from fractions import Fraction as F
 import pytest
 from oracles import audit_payload, audit_rows, fraction_phi, poly, q_polys
 
-from rodpade.audit import _primes_upto, lcm_upto
+from rodpade.audit import _primes_upto, _row_json, lcm_upto
 from rodpade.criterion import _V, evaluate_criterion
-from rodpade.exact import log_int
+from rodpade.exact import log_fraction, log_int
 from rodpade.heights import (
     H_v_vec,
     Place,
@@ -299,9 +299,14 @@ def test_bounds_audit_all_hold_on_small_grid():
         config = MplConfig(m=m, r=r, alphas=(F(1),) if m == 1 else (F(1), F(2)))
         table = pade_table(config, 1)
         for place in (INF_PLACE, Place(2), Place(3)):
-            rows = audit_rows(config, table, place, beta=F(30))
-            assert all(row.holds for row in rows), [row.name for row in rows if not row.holds]
-            assert all(row.bound_log >= row.measured_log for row in rows if row.measured > 0)
+            triples = audit_rows(config, table, place, beta=F(30))
+            rows = [_row_json(*row) for row in triples]
+            assert all(row["holds"] for row in rows), [row["name"] for row in rows if not row["holds"]]
+            assert all(
+                log_fraction(F(*bound)) >= log_fraction(F(*measured))
+                for _, measured, bound in triples
+                if measured[0] > 0
+            )
 
 
 def _d_factor(place, r, N):
@@ -429,8 +434,64 @@ def test_bounds_audit_rows_match_the_stage_by_stage_route(config_args, ns):
         for place, beta in AUDIT_ORACLE_PLACES:
             for b in (None, beta):
                 rows = audit_rows(config, table, place, beta=b)
-                got = [(row.name, row.measured, row.bound) for row in rows]
+                got = [(name, F(*measured), F(*bound)) for name, measured, bound in rows]
                 assert got == _audit_rows_stage_by_stage(config, table, place, b), (n, place, b)
+
+
+def test_bounds_audit_forms_no_fraction(monkeypatch):
+    # every row is (name, measured, bound) on the nonnegative integer pairs the audit computes
+    import rodpade.audit
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} formed")
+
+    for m, r, alphas in ((2, 1, (F(3, 2), F(-5, 3))), (1, 2, (F(-3),))):
+        config = MplConfig(m=m, r=r, alphas=alphas)
+        table = pade_table(config, 2)
+        for place, beta in AUDIT_ORACLE_PLACES[:2]:
+            for b in (None, beta):
+                with monkeypatch.context() as patch:
+                    patch.setattr(rodpade.audit, "Fraction", no_fraction)
+                    rows = audit_rows(config, table, place, beta=b)
+                assert rows and all(
+                    type(name) is str and all(type(x) is int for x in (*measured, *bound))
+                    and min(measured[0], bound[0]) >= 0 and min(measured[1], bound[1]) > 0
+                    for name, measured, bound in rows
+                ), (m, r, place, b)
+
+
+def test_row_json_matches_the_fraction_comparison_and_logs():
+    # holds is measured <= bound, and each log is that of the reduced Fraction, on any pairs
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def pairs(draw):
+        # numerator >= 0 and denominator > 0, up to 2^200, times a common factor up to 2^70
+        num, den = draw(st.integers(0, 2**200)), draw(st.integers(1, 2**200))
+        common = draw(st.integers(1, 2**70))
+        return num * common, den * common
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(pairs(), pairs())
+    @hypothesis.example((0, 5), (6, 4))
+    @hypothesis.example((0, 3), (0, 7))
+    @hypothesis.example((3 * 2**63, 2**63), (2**64 + 1, 2**62 * 6))
+    @hypothesis.example((2**62 + 1, 1), (2**62 + 1, 1))
+    def check(measured, bound):
+        row = _row_json("q_norm[a,l=0]", measured, bound)
+        measured_log, bound_log = (
+            log_fraction(F(*pair)) if pair[0] else -math.inf for pair in (measured, bound)
+        )
+        assert row == {
+            "name": "q_norm[a,l=0]",
+            "measured": _round15(measured_log),
+            "bound": _round15(bound_log),
+            "slack": _round15(bound_log - measured_log),
+            "holds": F(*measured) <= F(*bound),
+        }, (measured, bound)
+
+    check()
 
 
 def test_audit_json_shape(capsys):

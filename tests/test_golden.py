@@ -20,7 +20,7 @@ from oracles import audit_rows, poly
 from rodpade.cli import main
 from rodpade.audit import _remainder_sum
 from rodpade.heights import H_v_vec, Place, abs_v
-from rodpade.exact import format_rational
+from rodpade.exact import format_pair, format_rational
 from rodpade.mpl import MplConfig, pade_tables
 
 GOLDEN = [
@@ -130,9 +130,9 @@ def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, s
     config = MplConfig(m=m, r=r, alphas=alphas)
     tables = pade_tables(config, ns)
     rows = [
-        f"{n} {row.name} {format_rational(row.measured)} {format_rational(row.bound)}"
+        f"{n} {name} {format_pair((measured[0],), measured[1])[0]} {format_pair((bound[0],), bound[1])[0]}"
         for n in ns
-        for row in audit_rows(config, tables[n], place, beta=beta)
+        for name, measured, bound in audit_rows(config, tables[n], place, beta=beta)
     ]
     assert _sha(rows) == rows_digest
     if beta is None:

@@ -34,7 +34,6 @@ def _samples():
     same = transform.PadeTable(*(getattr(table, name) for name in table.__slots__))
     tables = [table, same, mpl.pade_table(config, 2)]
     idx = mpl.index_set(2, 2)
-    row = audit.AuditRow("norm[0]", F(1, 2), F(3))
     return {
         OrdAtLeast: [OrdAtLeast(3), OrdAtLeast(3), OrdAtLeast(4)],
         transform.PadeCell: [table.cells[1], mpl.pade_table(config, 1).cells[1], table.cells[0]],
@@ -42,9 +41,6 @@ def _samples():
         mpl.MplConfig: [config, mpl.MplConfig(m=1, r=2, alphas=[F(1)]), mpl.MplConfig(2, 1, (1, -2))],
         mpl.MplIndex: [idx[3], mpl.MplIndex(idx[3].s, idx[3].a), *idx],
         heights.Place: [heights.Place(), heights.Place(None), heights.Place(2), heights.Place(p=3)],
-        audit.AuditRow: [
-            row, audit.AuditRow("norm[0]", F(2, 4), F(3)), audit.AuditRow("q", F(1), F(1))
-        ],
         logpow.LogPowConfig: [
             logpow.LogPowConfig(2, 3), logpow.LogPowConfig(m=2, n=3), logpow.LogPowConfig(3, 2)
         ],
@@ -100,7 +96,7 @@ def test_every_value_class_is_a_record():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert value_classes == set(SAMPLES)
-    assert len(SAMPLES) == 10
+    assert len(SAMPLES) == 9
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
