@@ -158,6 +158,9 @@ EDGE = [
     # flag tokens of 4401 digits, shown cut to 64 characters with their length, exit 2
     ("pade", "--m", "1" * 4401, "--alphas", "1", "--n", "1"),
     ("criterion", "--m", "1", "--alphas", "1", "--beta", "30", "--place", "p" + "1" * 4401),
+    # long invalid literals in beta and in an alpha: Fraction's refusal, shown cut, exit 2
+    ("criterion", "--m", "1", "--alphas", "1", "--beta", "x" * 5000),
+    ("criterion", "--m", "1", "--alphas", "1," + "y" * 3000, "--beta", "3"),
 ]
 CONFIG_DOC = '{"m": 2, "r": 1, "alphas": ["3/2", "-5/3"], "n": 2}\n'
 
