@@ -1,13 +1,15 @@
 """Audits of the proven bounds: norm inequalities on a built table, remainder decay, lcm growth.
 
-Every inequality is compared exactly, on integer pairs or rationals;
-floats appear only in the reported logarithms and in the fitted decay
+Every value is an integer pair (numerator, denominator > 0) and every
+inequality is compared exactly on pairs, by cross-multiplication; no
+``Fraction`` is formed.  Floats appear only in the reported logarithms, each
+``heights._log_pair`` of a pair in lowest terms, and in the fitted decay
 slope.  ``run``, the ``audit`` subcommand, decides the beta hypothesis once,
 keeps the heights as integer pairs and walks the weights once: one norm per
 column serves the weight's ``bounds_audit`` rows, each a (name, measured,
 bound) triple of integer pairs that ``_row_json`` writes, and, given beta
-and two weights or more, its point log|R_n(beta)|_v of the decay
-(``_remainder_sum``).
+and two weights or more, its point log|R_n(beta)|_v of the decay, the
+largest log of the norms of the ``_remainder_sum`` pairs.
 It builds tables through ``mpl.pade_tables``, computes no determinant, and
 with ``--lcm`` builds no table, so it loads neither ``mpl`` nor ``transform``.
 """
@@ -20,7 +22,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .exact import (
     format_rational,
-    log_fraction,
     log_int,
     over_common_denominator,
     parse_n_range,
@@ -35,7 +36,6 @@ from .heights import (
     _int_valuation,
     _log_pair,
     _round15,
-    abs_v,
     beta_hypothesis,
 )
 
@@ -112,13 +112,10 @@ def _row_json(name: str, measured: tuple[int, int], bound: tuple[int, int]) -> d
     """The JSON of one audit row: measured <= bound by cross-multiplication, and their logs.
 
     Both sides are nonnegative integer pairs (numerator, denominator > 0).
-    Each log is taken of the pair in lowest terms, the floats ``log_fraction``
-    gives of its ``Fraction``; a zero side logs as -inf, which the JSON writes as null.
+    Each log is ``_log_pair`` of its side, which reduces the pair first; a
+    zero side logs as -inf, which the JSON writes as null.
     """
-    logs = []
-    for num, den in (measured, bound):
-        g = math.gcd(num, den)
-        logs.append(_log_pair((num // g, den // g)) if num else -math.inf)
+    logs = [_log_pair(side) if side[0] else -math.inf for side in (measured, bound)]
     return {
         "name": name,
         "measured": _round15(logs[0]),
@@ -271,8 +268,8 @@ def _remainder_sum(
     r: int,
     H_alpha: tuple[int, int],
     abs_beta: tuple[int, int],
-) -> tuple[Fraction, int]:
-    """Certified partial sum of sum_{k>=n} phi(t^k P) beta^-(k+1), and its last index.
+) -> tuple[tuple[int, int], int]:
+    """Certified partial sum of sum_{k>=n} phi(t^k P) beta^-(k+1), as an integer pair, and its last index.
 
     P is the column of ``cell``, n its weight, and f the row the cell was
     built from.  Archimedean: stop once the geometric majorant of the
@@ -294,9 +291,10 @@ def _remainder_sum(
     read in steps of doubling length (8 to 1024 terms), and A is brought
     over the window's L, which the table's divides, whenever it grows.  The
     majorant is (s+1)^e X / Y with X and Y each multiplied by one integer per
-    term, and both stopping tests are compared by cross-multiplication.  A
-    Fraction is formed only for the value returned, which equals the
-    term-by-term Fraction sum exactly.  A sum not certified within
+    term, and both stopping tests are compared by cross-multiplication.  The
+    value returned is the pair (A, L d b^(K+1)), not reduced, with the sign of
+    b^(K+1) moved onto the numerator so that the denominator is positive; it
+    equals the term-by-term Fraction sum exactly.  A sum not certified within
     ``_REMAINDER_TERMS`` terms past the first (``_P_ADIC_TERMS`` at a prime)
     raises ValueError.
     """
@@ -331,7 +329,8 @@ def _remainder_sum(
                 lhs = 1000 * majorant * ratio_den * lcm * den * abs(b_pow)
                 certified = lhs <= abs(acc) * y * (ratio_den - ratio_num)
             if certified:
-                return Fraction(acc, lcm * den * b_pow), k
+                den_k = lcm * den * b_pow
+                return ((acc, den_k) if den_k > 0 else (-acc, -den_k)), k
         if k - n >= cap:
             raise ValueError("remainder summation did not certify")
         x *= q_num
@@ -410,7 +409,7 @@ def run(args) -> tuple[dict, bool]:
                 for f in table.seqs
                 for cell, normp in zip(table.cells, norms)
             )
-            logs.append(max(log_fraction(abs_v(partial, place)) for partial in sums))
+            logs.append(max(_log_pair(_int_norm_v((num,), den, place)) for num, den in sums))
     decay = None
     if with_decay:
         # the least-squares slope of the logs must not exceed -h_v(beta) + (M/m) sum_i h_v(alpha_i)

@@ -3,7 +3,8 @@
 Rationals are ``fractions.Fraction`` (canonical lowest terms, positive
 denominator) or integer numerators over one common denominator, the form the
 tables compute in.  Here are the value-record base, parsing and printing of
-rationals, big-integer-safe logarithms, and the integer convolution and
+rationals, the big-integer-safe log of an integer (``heights._log_pair``
+takes the log of a rational from it), and the integer convolution and
 derivative kernels.  Polynomials are integer coefficient lists, ascending:
 the package has no polynomial or operator class.
 """
@@ -22,7 +23,6 @@ __all__ = [
     "format_rational",
     "format_pair",
     "log_int",
-    "log_fraction",
     "shown",
     "check_digit_runs",
     "parse_rational",
@@ -113,14 +113,6 @@ def log_int(n: int) -> float:
         return math.log(n)
     shift = n.bit_length() - 62
     return math.log(n >> shift) + shift * math.log(2)
-
-
-def log_fraction(q: Fraction) -> float:
-    """log of a positive rational, via exact integer parts."""
-    q = as_fraction(q)
-    if q.numerator <= 0:
-        raise ValueError("log of nonpositive rational")
-    return log_int(q.numerator) - log_int(q.denominator)
 
 
 def shown(token: str) -> str:

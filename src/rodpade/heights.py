@@ -5,8 +5,10 @@ audits (:mod:`rodpade.audit`) share.  |x|_v and H_v = max(1, |x|_v) are
 exact: integer pairs (numerator, denominator > 0), from ``_int_norm_v`` and
 ``_int_height_v`` (``beta_hypothesis`` decides |beta|_v > H_v(alpha) on
 them), and global heights are integers.  A caller keeps the height pairs it
-takes; a local height h_v is the log of one (``_log_pair``), taken once, at
-the end, big-integer safe, with relative error well below 1e-15.
+takes.  ``_log_pair`` is the package's one log of a rational: of a height
+pair (a local height h_v, taken once, at the end), an audit row's side or a
+remainder |R_n(beta)|_v, in lowest terms; big-integer safe, with relative
+error well below 1e-15.
 """
 
 from __future__ import annotations
@@ -143,8 +145,9 @@ def _int_height_v(nums: Sequence[int], den: int, place: Place) -> tuple[int, int
 
 
 def _log_pair(pair: tuple[int, int]) -> float:
-    """log(num / den) of a positive integer pair."""
-    return _log_int(pair[0]) - _log_int(pair[1])
+    """log(num / den) of a positive integer pair, reduced first so that one rational gives one float."""
+    g = math.gcd(*pair)
+    return _log_int(pair[0] // g) - _log_int(pair[1] // g)
 
 
 def beta_hypothesis(alphas: Sequence[Fraction], beta: Fraction, place: Place) -> tuple[bool, tuple, tuple]:

@@ -34,7 +34,7 @@ from rodpade.exact import (
     falling_derivative,
     format_rational,
     int_convolve,
-    log_fraction,
+    log_int,
     over_common_denominator,
 )
 
@@ -45,6 +45,14 @@ NEG_INF = float("-inf")
 
 #: order at infinity of the zero Laurent series
 INF = math.inf
+
+
+def log_fraction(q: Fraction) -> float:
+    """log of a positive rational, via exact integer parts: the oracle of ``heights._log_pair``."""
+    q = as_fraction(q)
+    if q.numerator <= 0:
+        raise ValueError("log of nonpositive rational")
+    return log_int(q.numerator) - log_int(q.denominator)
 
 
 class InsufficientDepthError(Exception):

@@ -11,11 +11,12 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from algebra import log_fraction
 from oracles import audit_payload, audit_rows, fraction_phi, poly, q_polys
 
 from rodpade.audit import _primes_upto, _row_json, lcm_upto
 from rodpade.criterion import _V, evaluate_criterion
-from rodpade.exact import log_fraction, log_int
+from rodpade.exact import log_int
 from rodpade.heights import (
     H_v_vec,
     Place,
@@ -460,6 +461,23 @@ def test_bounds_audit_forms_no_fraction(monkeypatch):
                 ), (m, r, place, b)
 
 
+def test_audit_run_with_a_decay_forms_no_fraction(monkeypatch):
+    # the decay's remainder sums are integer pairs too: a whole run with beta and three
+    # weights, at infinity and at 2, with beta < 0 at each, gives the payload it gives unpatched
+    import rodpade.audit
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} formed")
+
+    config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
+    for place, beta in ((INF_PLACE, F(40)), (INF_PLACE, F(-81, 2)), (Place(2), F(1, 8)), (Place(2), F(-3, 64))):
+        want = audit_payload(config, place, range(1, 4), beta)
+        with monkeypatch.context() as patch:
+            patch.setattr(rodpade.audit, "Fraction", no_fraction)
+            got = audit_payload(config, place, range(1, 4), beta)
+        assert got == want and len(got["decay"]["log_remainder"]) == 3, (place, beta)
+
+
 def test_row_json_matches_the_fraction_comparison_and_logs():
     # holds is measured <= bound, and each log is that of the reduced Fraction, on any pairs
     hypothesis = pytest.importorskip("hypothesis")
@@ -490,6 +508,23 @@ def test_row_json_matches_the_fraction_comparison_and_logs():
             "slack": _round15(bound_log - measured_log),
             "holds": F(*measured) <= F(*bound),
         }, (measured, bound)
+
+    check()
+
+
+def test_log_pair_logs_every_pair_of_a_rational_as_its_lowest_terms():
+    # reduced pairs past log_int's 62 exact bits, times a common factor: one rational, one float
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = st.integers(2**62 + 1, 2**300)
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.tuples(big, big).filter(lambda p: math.gcd(*p) == 1), st.integers(1, 2**200))
+    @hypothesis.example((2**62 + 1, 2**62 + 3), 1)
+    @hypothesis.example((2**62 + 1, 2**62 + 3), 3)
+    def check(reduced, common):
+        num, den = reduced
+        assert _log_pair((num * common, den * common)) == log_fraction(F(num, den)), (reduced, common)
 
     check()
 
@@ -630,8 +665,6 @@ def test_evaluate_criterion_takes_abs_beta_once(monkeypatch, beta, place, exceed
 
 def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
     """The summation with every majorant recomputed and one phi per term."""
-    from rodpade.exact import log_fraction
-
     degp = int(p.degree)
     normp = norm_v(p, place)
     abs_beta = abs_v(beta, place)
@@ -666,7 +699,6 @@ def _remainder_log_abs_from_scratch(f, p, n, beta, place, r, H_alpha):
 )
 def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, place, longest):
     from rodpade.audit import _remainder_sum
-    from rodpade.exact import log_fraction
 
     config = MplConfig(m=m, r=r, alphas=alphas)
     H_alpha = H_v_vec(config.alphas, place)
@@ -680,7 +712,7 @@ def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, 
                 partial, _ = _remainder_sum(
                     f, cell, pair(norm_v(P, place)), beta, place, r, pair(H_alpha), pair(abs_v(beta, place))
                 )
-                assert log_fraction(abs_v(partial, place)) == want
+                assert log_fraction(abs_v(F(*partial), place)) == want
                 stops.add(stop - n)
     # the longest summation (in terms) is fixed too; some cross several runs
     assert max(stops) == longest
@@ -707,7 +739,6 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     import rodpade.audit
     from rodpade.audit import _remainder_sum
     from rodpade.heights import _int_norm_v
-    from rodpade.exact import log_fraction
 
     config = MplConfig(m=2, r=1, alphas=(F(3, 2), F(-5, 3)))
     tables = pade_tables(config, range(1, 9))
@@ -719,7 +750,7 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
         partial, _ = _remainder_sum(
             f, cell, pair(normp), beta, place, 1, pair(H_alpha), pair(abs_v(beta, place))
         )
-        return log_fraction(abs_v(partial, place))
+        return log_fraction(abs_v(F(*partial), place))
 
     want = [
         max(log_remainder(n, f, cell) for f in tables[n].seqs for cell in tables[n].cells)
@@ -807,7 +838,7 @@ def test_integer_remainder_sum_certifies_the_fraction_loops_sum(m, r, alphas, pl
                     f, cell, pair(normp), beta, place, r, pair(H_alpha), pair(abs_v(beta, place))
                 )
                 want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, r, H_alpha)
-                assert (partial, last) == want, (n, f.label, cell.ell)
+                assert partial[1] > 0 and (F(*partial), last) == want, (n, f.label, cell.ell)
 
 
 # The property tests import hypothesis inside, so without it only they skip.
@@ -886,7 +917,6 @@ def test_pair_height_and_the_heights_read_from_it():
     # their Fraction definitions: max(1, |x_1|_v, ..) and the log of it
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from rodpade.exact import log_fraction
     from rodpade.heights import _int_height_v
 
     primes = (2, 3, 5, 2**61 - 1)
@@ -966,8 +996,8 @@ def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_al
     cell = build_table([over_common_denominator(P.coeffs)], [f], n).cells[0]
     normp = norm_v(P, place)
     want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, 1, H_alpha)
-    got = _remainder_sum(f, cell, pair(normp), beta, place, 1, pair(H_alpha), pair(_naive_abs_v(beta, place)))
-    assert got == want
+    partial, last = _remainder_sum(f, cell, pair(normp), beta, place, 1, pair(H_alpha), pair(_naive_abs_v(beta, place)))
+    assert partial[1] > 0 and (F(*partial), last) == want
 
 
 def test_tables_and_decay_on_an_extended_family_match_a_fresh_one():
