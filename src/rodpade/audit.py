@@ -9,7 +9,8 @@ keeps the heights as integer pairs and walks the weights once: one norm per
 column serves the weight's ``bounds_audit`` rows, each a (name, measured,
 bound) triple of integer pairs that ``_row_json`` writes, and, given beta
 and two weights or more, its point log|R_n(beta)|_v of the decay, the
-largest log of the norms of the ``_remainder_sum`` pairs.
+largest log of the norms of the ``_remainder_sum`` pairs.  Q_(j,l) and
+phi_j(t^k P_l) are the table's numerators over L_j d_l.
 It builds tables through ``mpl.pade_tables``, computes no determinant, and
 with ``--lcm`` builds no table, so it loads neither ``mpl`` nor ``transform``.
 """
@@ -41,7 +42,7 @@ from .heights import (
 
 if TYPE_CHECKING:
     from .mpl import MplConfig
-    from .transform import MomentSeq, PadeCell, PadeTable
+    from .transform import PadeTable
 
 __all__ = [
     "lcm_upto",
@@ -139,19 +140,18 @@ def bounds_audit(
     """The rows (name, measured, bound) of every proven norm inequality on a built table: all must hold.
 
     Covers the derivative/product/moment norm bounds, the full chained bound
-    on the column polynomials, the Q bound per cell, and (when beta is given)
+    on the column polynomials, the Q bound per (row, column), and (when beta is given)
     the evaluation bound log|P(beta)|_v <= eps log(deg+1) + log||P||_v +
     deg * h_v(beta).  The weight is ``table.n`` and the rows are ``table.seqs``;
     the stages of columns 0 and M are those of ``transform.rodrigues_chain``.
 
     Every value is an integer pair (numerator, denominator).  The measured
     norms are ``_int_norm_v`` of the chain's own pairs and the table's Q
-    pairs, or of values at beta (``_horner_at``); phi(t^n P_l) is the k = n
-    entry of the cell's run.  The caller takes the column norms ||P_l||_v (in
-    cell order) and the heights H_v(alpha_i), H_v(alpha) and H_v(beta) once,
-    as pairs, so each bound is a product of integers over a product of
-    integers.  A row keeps both sides as these pairs and no Fraction is
-    formed; ``run`` writes each row with ``_row_json``.
+    pairs, or of values at beta (``_horner_at``); phi_j(t^n P_l) is
+    ``table.runs[j][l][n]``.  The caller takes the column norms ||P_l||_v
+    and the heights H_v(alpha_i), H_v(alpha) and H_v(beta) once, as pairs,
+    so each bound is a product of integers over a product of integers.  A
+    row keeps both sides as these pairs; ``run`` writes it with ``_row_json``.
     """
     from .mpl import rodrigues_stages
     from .transform import rodrigues_chain
@@ -211,7 +211,7 @@ def bounds_audit(
             norm_in = measured
         add(f"column_norm[l={ell}]", column_norms[ell], chain)
         if beta is not None:
-            column = table.cells[ell].column
+            column = table.columns[ell]
             degp = len(column[0]) - 1
             value, den = _horner_at(*column, beta)
             norm_num, norm_den = column_norms[ell]
@@ -219,29 +219,29 @@ def bounds_audit(
             add(f"column_eval[l={ell}]", _int_norm_v((value,), den, place), bound_eval)
 
     # moment bounds per row, on monomials and on the first remainder coefficient
-    for f in seqs:
+    for f, lcm, runs in zip(seqs, table.scales, table.runs):
         for j in (0, 1, n, n + 3):
             x = f[j]
             measured = _int_norm_v((x.numerator,), x.denominator, place)
             add(f"moment[{f.label},j={j}]", measured, moment_bound(j + 1, (1, 1)))
         for ell in (0, M):
-            degp = len(table.cells[ell].column[0]) - 1
-            run, scale = table.cells[ell].heads[f.label]
-            measured = _int_norm_v((run[n],), scale, place)  # |phi(t^n P_l)|_v
-            bound = moment_bound(degp + n + 1, column_norms[ell])
+            col_nums, col_den = table.columns[ell]
+            measured = _int_norm_v((runs[ell][n],), lcm * col_den, place)  # |phi(t^n P_l)|_v
+            bound = moment_bound(len(col_nums) + n, column_norms[ell])  # k = deg P + n + 1
             add(f"moment_of_tP[{f.label},l={ell}]", measured, bound)
 
-    # Q-polynomial bounds per cell
-    for cell, normp in zip(table.cells, column_norms):
-        bound_q = moment_bound(len(cell.column[0]), normp)  # k = deg P + 1
-        for label, q_pair in cell.q_pairs.items():
+    # Q-polynomial bounds per column and row
+    for ell, ((col_nums, col_den), normp) in enumerate(zip(table.columns, column_norms)):
+        bound_q = moment_bound(len(col_nums), normp)  # k = deg P + 1
+        for f, lcm, qs in zip(seqs, table.scales, table.qs):
+            q_pair = qs[ell], lcm * col_den
             normq = _int_norm_v(*q_pair, place)
-            add(f"q_norm[{label},l={cell.ell}]", normq, bound_q)
+            add(f"q_norm[{f.label},l={ell}]", normq, bound_q)
             if beta is not None:
                 degq = max(len(q_pair[0]) - 1, 0)
                 value, den = _horner_at(*q_pair, beta)
                 bound_eval = (degq + 1) ** eps * normq[0] * hb_num**degq, normq[1] * hb_den**degq
-                add(f"q_eval[{label},l={cell.ell}]", _int_norm_v((value,), den, place), bound_eval)
+                add(f"q_eval[{f.label},l={ell}]", _int_norm_v((value,), den, place), bound_eval)
 
     return rows
 
@@ -260,8 +260,9 @@ _P_ADIC_TERMS = 1000
 
 
 def _remainder_sum(
-    f: MomentSeq,
-    cell: PadeCell,
+    table: PadeTable,
+    j: int,
+    ell: int,
     normp: tuple[int, int],
     beta: Fraction,
     place: Place,
@@ -271,8 +272,8 @@ def _remainder_sum(
 ) -> tuple[tuple[int, int], int]:
     """Certified partial sum of sum_{k>=n} phi(t^k P) beta^-(k+1), as an integer pair, and its last index.
 
-    P is the column of ``cell``, n its weight, and f the row the cell was
-    built from.  Archimedean: stop once the geometric majorant of the
+    P = P_l is column ``ell`` of the weight-n ``table`` and phi that of its
+    row f = f_j.  Archimedean: stop once the geometric majorant of the
     unsummed mass is at most 1e-3 of the partial sum.  Finite: stop once
     every future term is p-adically smaller than the partial sum, which then
     IS the value (strong triangle).
@@ -286,10 +287,10 @@ def _remainder_sum(
     The sum runs on integers.  With P = nums / d, beta = b / c and
     phi(t^k P) = t_k / (L d), the partial sum through K is A / (L d b^(K+1))
     with A = sum_k t_k c^(k+1) b^(K-k): one multiply-add A <- A b + t_K c^(K+1)
-    per term.  t_n is the cell's run value, over the table's L; each later
+    per term.  t_n is ``table.runs[j][ell][n]``, over L_j d; each later
     t_k is one dot product on the row's integer window (``MomentSeq.ints``),
     read in steps of doubling length (8 to 1024 terms), and A is brought
-    over the window's L, which the table's divides, whenever it grows.  The
+    over the window's L, which L_j divides, whenever it grows.  The
     majorant is (s+1)^e X / Y with X and Y each multiplied by one integer per
     term, and both stopping tests are compared by cross-multiplication.  The
     value returned is the pair (A, L d b^(K+1)), not reduced, with the sign of
@@ -298,8 +299,8 @@ def _remainder_sum(
     ``_REMAINDER_TERMS`` terms past the first (``_P_ADIC_TERMS`` at a prime)
     raises ValueError.
     """
-    nums, den = cell.column
-    n, width = cell.n, len(nums)
+    f, (nums, den) = table.seqs[j], table.columns[ell]
+    n, width = table.n, len(nums)
     (h_num, h_den), (ab_num, ab_den) = H_alpha, abs_beta
     e = r if place.is_finite else r + 1
     b, c = beta.numerator, beta.denominator
@@ -308,13 +309,12 @@ def _remainder_sum(
     s = n + width + 1
     x = h_num ** (s + 1) * normp[0] * ab_den ** (n + 2)
     y = h_den ** (s + 1) * normp[1] * ab_num ** (n + 2)
-    run, scale = cell.heads[f.label]
     k, c_pow, b_pow = n, c ** (n + 1), b ** (n + 1)  # c^(k+1), b^(k+1)
-    acc, lcm, ws, step = run[n] * c_pow, scale // den, (), 8
+    acc, lcm, ws, step = table.runs[j][ell][n] * c_pow, table.scales[j], (), 8
     cap = _REMAINDER_TERMS
     if place.is_finite:
         p_v, cap = place.p, _P_ADIC_TERMS
-        v_b, v_den = _int_valuation(b, p_v), _int_valuation(scale, p_v)
+        v_b, v_den = _int_valuation(b, p_v), _int_valuation(lcm * den, p_v)
     while True:
         shrink = (s + 1) ** e
         ratio_num, ratio_den = q_num * (s + 2) ** e, q_den * shrink
@@ -387,7 +387,7 @@ def run(args) -> tuple[dict, bool]:
     reports, logs = [], []
     for n in ns:
         table = tables[n]
-        norms = [_int_norm_v(*cell.column, place) for cell in table.cells]
+        norms = [_int_norm_v(*column, place) for column in table.columns]
         rows = [
             _row_json(*row)
             for row in bounds_audit(
@@ -405,9 +405,9 @@ def run(args) -> tuple[dict, bool]:
         if with_decay:
             # |beta|_v = H_v(beta), since it exceeds H_v(alpha) >= 1
             sums = (
-                _remainder_sum(f, cell, normp, beta, place, config.r, H_alpha, H_beta)[0]
-                for f in table.seqs
-                for cell, normp in zip(table.cells, norms)
+                _remainder_sum(table, j, ell, normp, beta, place, config.r, H_alpha, H_beta)[0]
+                for j in range(len(table.seqs))
+                for ell, normp in enumerate(norms)
             )
             logs.append(max(_log_pair(_int_norm_v((num,), den, place)) for num, den in sums))
     decay = None

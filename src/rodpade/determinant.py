@@ -4,7 +4,9 @@ The checks are orthogonality by two independent routes (``verify_pade``),
 the degree lemma (``_degree_lemma_holds``), which makes Delta the constant
 Delta(0), and Delta(0) != 0; a route disagreement, a failed lemma and a zero
 Delta(0) raise ``TableCheckError``.  Delta(0) and theta (the determinant of
-phi_j(t^n P_l)) are one Bareiss determinant each (``table_determinants``).
+phi_j(t^n P_l)) are one Bareiss determinant each (``table_determinants``)
+on the table's stored Q and run numerators, divided once by the product of
+the row scales L_j and column denominators d_l.
 ``audit`` builds tables but checks none, so this module is off its path.
 ``run`` builds the table of the chosen row family, verifies it (``pade``
 only) and reports Delta, theta and the identity |Delta| = |lc(P_M) theta|.
@@ -67,15 +69,15 @@ def _degree_lemma_holds(table: transform.PadeTable) -> bool:
     Leibniz term of Delta has degree <= deg P_l - M (n + 1) <= l - M <= 0 as
     soon as deg P_l <= M n + l.  Delta is a polynomial, hence a constant.
     Checked here: M rows (a square matrix), the degree bound, and the n
-    orthogonality values of every (row, column), read from the cells' runs.
-    The Q of each cell are taken to be the polynomial parts
+    orthogonality values of every (row, column), read from the table's runs.
+    The Q_(j,l) are taken to be the polynomial parts
     phi_j((P_l(z) - P_l(t)) / (z - t)), as ``build_table`` makes them.
     """
     if len(table.seqs) != table.M:
         return False
-    if any(cell.degree > table.M * table.n + cell.ell for cell in table.cells):
+    if any(len(nums) - 1 > table.M * table.n + ell for ell, (nums, _) in enumerate(table.columns)):
         return False
-    return not any(any(run[: table.n]) for cell in table.cells for run, _ in cell.heads.values())
+    return not any(any(run[: table.n]) for runs in table.runs for run in runs)
 
 
 def table_determinants(table: transform.PadeTable) -> tuple[Fraction, Fraction]:
@@ -85,27 +87,24 @@ def table_determinants(table: transform.PadeTable) -> tuple[Fraction, Fraction]:
     that fails ``_degree_lemma_holds``, or whose Delta(0) is 0, raises
     ``TableCheckError``: either signals a broken construction, never a math
     failure.  theta is the determinant of the d x d moment matrix
-    phi_j(t^n P_l), l < d: the k = n entries of the first d cells' runs.
-    Row j is over L_j and column l over d_l (the P row over 1), so each is
-    an integer determinant over prod L_j prod d_l; L_j is read off the first
-    cell's run scale L_j d_0.
+    phi_j(t^n P_l), l < d: the k = n entries of the first d columns' runs.
+    Row j is over L_j (``table.scales``) and column l over d_l (the P row
+    over 1), so each is an integer determinant over prod L_j prod d_l.
     """
     if not _degree_lemma_holds(table):
         raise TableCheckError(
             f"weight-{table.n} table fails the degree lemma: Delta is not certified constant"
         )
-    labels, cells = table.row_labels, table.cells
+    columns = table.columns
     # the lemma's M = d rows: theta's columns are the first d, and Delta adds d_M
-    first = cells[0]
-    scale = math.prod(first.heads[label][1] // first.column[1] for label in labels)
-    scale *= math.prod(cell.column[1] for cell in cells[:-1])
-    constants = [[(cell.column[0] or (0,))[0] for cell in cells]]
-    constants += [[(cell.q_pairs[label][0] or (0,))[0] for cell in cells] for label in labels]
+    scale = math.prod(table.scales) * math.prod(den for _, den in columns[:-1])
+    constants = [[(nums or (0,))[0] for nums, _ in columns]]
+    constants += [[(q or (0,))[0] for q in qs] for qs in table.qs]
     delta = _int_det(constants)
     if delta == 0:
         raise TableCheckError("determinant is zero")
-    theta = _int_det([[cell.heads[label][0][table.n] for cell in cells[:-1]] for label in labels])
-    return Fraction(delta, scale * cells[-1].column[1]), Fraction(theta, scale)
+    theta = _int_det([[run[table.n] for run in runs[:-1]] for runs in table.runs])
+    return Fraction(delta, scale * columns[-1][1]), Fraction(theta, scale)
 
 
 def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tuple[list[int], list[int]]:
@@ -120,44 +119,46 @@ def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tupl
     return product[depth - n : depth][::-1], product[depth : depth + len(nums) - 1]
 
 
-def verify_pade(cell: transform.PadeCell, seqs: Sequence[transform.MomentSeq]) -> bool:
-    """Check the cell against each row of ``seqs``, by two independent routes.
+def verify_pade(table: transform.PadeTable) -> bool:
+    """Check every column against every row of ``table.seqs``, by two independent routes.
 
-    Kernel route: phi(t^k P) = 0 for 0 <= k <= n-1, read off ``cell.heads``.
-    Series route: one ``int_convolve`` of P with the row's integer window
-    (``MomentSeq.ints``, over its L) gives P f over L d
-    (``_series_coefficients``): the first n tail coefficients of P f - Q
-    must vanish, and the polynomial part must be Q, compared by integer
-    cross-multiplication.  The two routes computing the same coefficients
-    through different code paths must agree exactly; a mismatch raises
-    TableCheckError.
+    Kernel route: phi_j(t^k P_l) = 0 for 0 <= k <= n-1, read off
+    ``table.runs``.  Series route: one ``int_convolve`` of P_l with the row's
+    integer window (``MomentSeq.ints``, over its L) gives P_l f_j over L d_l
+    (``_series_coefficients``): the first n tail coefficients of
+    P_l f_j - Q_(j,l) must vanish, and the polynomial part must be Q_(j,l),
+    over L_j d_l, compared by integer cross-multiplication.  The two routes
+    computing the same coefficients through different code paths must agree
+    exactly; a mismatch raises TableCheckError.  Columns are checked in
+    order, each against every row, and the first that fails returns False.
     """
-    nums, den = cell.column
-    if not nums:
-        return False
-    ok = True
-    for f in seqs:
-        label = f.label
-        kernel_ok = not any(cell.heads[label][0][: cell.n])
-        ws, lcm = f.ints(len(nums) - 1 + cell.n)
-        tail, part = _series_coefficients(nums, ws, cell.n)
-        series_ok = not any(tail)
-        if kernel_ok != series_ok:
-            raise TableCheckError(
-                f"row {label}: kernel test says {kernel_ok}, series test says {series_ok}"
-            )
-        q, q_den = cell.q_pairs[label]
-        scale = lcm * den
-        if not kernel_ok or any(a * q_den != b * scale for a, b in zip_longest(part, q, fillvalue=0)):
-            ok = False
-    return ok
+    n = table.n
+    for ell, (nums, den) in enumerate(table.columns):
+        if not nums:
+            return False
+        ok = True
+        for f, scale_j, qs, runs in zip(table.seqs, table.scales, table.qs, table.runs):
+            kernel_ok = not any(runs[ell][:n])
+            ws, lcm = f.ints(len(nums) - 1 + n)
+            tail, part = _series_coefficients(nums, ws, n)
+            series_ok = not any(tail)
+            if kernel_ok != series_ok:
+                raise TableCheckError(
+                    f"row {f.label}: kernel test says {kernel_ok}, series test says {series_ok}"
+                )
+            q, q_den, scale = qs[ell], scale_j * den, lcm * den
+            if not kernel_ok or any(a * q_den != b * scale for a, b in zip_longest(part, q, fillvalue=0)):
+                ok = False
+        if not ok:
+            return False
+    return True
 
 
 def _build_table(args, n: int):
     """Returns (kind, config, table) of weight ``n``.
 
     The table carries its rows, each with its integer moment window, and,
-    per cell, the run phi_j(t^k P_l), k <= n, over the window's scale; the
+    per row and column, the run phi_j(t^k P_l), k <= n, over L_j d_l; the
     verification and determinant blocks read both.
     Only the module of the chosen row family is imported.
     """
@@ -173,20 +174,20 @@ def _build_table(args, n: int):
 
 
 def _verification_block(table) -> dict:
-    """Checks of every cell; the kernel route and remainder starts read ``cell.heads``."""
+    """Checks of every column; the kernel route and remainder starts read ``table.runs``."""
     n = table.n  # column l has degree M n + l; M is m for log-power rows
-    orth = all(verify_pade(cell, table.seqs) for cell in table.cells)
-    degrees = all(cell.degree == table.M * n + cell.ell for cell in table.cells)
+    orth = verify_pade(table)
+    degrees = all(len(nums) - 1 == table.M * n + ell for ell, (nums, _) in enumerate(table.columns))
     starts = []
     starts_ok = True
-    for label in table.row_labels:
+    for f, runs in zip(table.seqs, table.runs):
         row = []
-        for cell in table.cells:
+        for run in runs:
             # the tail of P_l f_j - Q starts at z^-(k+1) for its first nonzero phi_j(t^k P_l)
-            first = next((k for k, v in enumerate(cell.heads[label][0][:n]) if v), n)
+            first = next((k for k, v in enumerate(run[:n]) if v), n)
             row.append(first + 1)
             starts_ok = starts_ok and first == n
-        starts.append({"label": label, "starts": row})
+        starts.append({"label": f.label, "starts": row})
     return {
         "orthogonality_ok": orth,
         "degrees_ok": degrees,
@@ -197,7 +198,7 @@ def _verification_block(table) -> dict:
 
 def _determinant_block(table) -> dict:
     delta, theta = table_determinants(table)
-    nums, den = table.cells[-1].column
+    nums, den = table.columns[-1]
     lc = Fraction(nums[-1], den)
     ok = abs(delta) == abs(lc * theta)
     return {

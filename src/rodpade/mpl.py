@@ -12,9 +12,9 @@ L_N = (1/N!) z^N prod_i (z - alpha_i)^N D^N.  They are computed by the
 Rodrigues chain: the adjoint factors
 (-1)^N (1/N!) D^N z^N prod_i (z - alpha_i)^N are applied to t^l one after
 another, largest N first, in integer arithmetic
-(``transform.rodrigues_chain``).  Each cell of a built table carries its
-run of functional values phi_j(t^k P_l), k <= n (``transform.build_table``);
-verification, the bound audit and the determinants
+(``transform.rodrigues_chain``).  A built table keeps the values
+phi_j(t^k P_l), k <= n, once (``PadeTable.runs``); verification,
+the bound audit and the determinants
 (``determinant.table_determinants``: Delta as Delta(0) by the degree lemma,
 theta from the k = n values) all read it.  R_n itself is never built as
 an operator.  Importing this module does not load ``transform``: ``criterion``

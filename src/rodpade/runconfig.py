@@ -6,7 +6,7 @@ A ``--config`` flag names one; the command line imports this module, and
 
 from __future__ import annotations
 
-from .exact import check_digit_runs
+from .exact import check_digit_runs, shown
 
 __all__ = ["load_run_config", "apply_run_config"]
 
@@ -16,6 +16,7 @@ def load_run_config(path: str) -> dict:
 
     A run of digits past the int-string limit is refused before either
     parser reads the text (``exact.check_digit_runs``), in the program's words.
+    A document that does not parse is refused with its path and the parser's message.
     """
     if path.endswith(".toml"):
         try:
@@ -30,7 +31,10 @@ def load_run_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:  # as json.load reads it
             text, parse = fh.read(), json.loads
     check_digit_runs(text)
-    return parse(text)
+    try:
+        return parse(text)
+    except ValueError as exc:  # json's and tomllib's syntax errors name no file
+        raise ValueError(f"config document {shown(path)}: {exc}") from exc
 
 
 def apply_run_config(args) -> None:

@@ -6,10 +6,12 @@ Q-polynomials, remainder tails, the two determinants) is computed through
 this identification, exactly, on integers over common denominators: no
 polynomial object is formed.  The columns come from one Rodrigues chain
 (``rodrigues_chain``) as integer numerators over one denominator.  Each row
-keeps one integer window, its moments over their lcm (``MomentSeq.ints``);
-every Q and every value phi_j(t^k P_l), k <= n (``PadeCell.heads``) is an
-integer over that lcm times a column's denominator.  This module builds
-tables and checks none; :mod:`rodpade.determinant` holds every check.
+keeps one integer window, its moments over their lcm L_j
+(``MomentSeq.ints``).  A built table (``PadeTable``) is one record that
+stores each number once: the columns, each row's L_j, and every Q_(j,l)
+and every run of values phi_j(t^k P_l), k <= n, as integer numerators over
+L_j times the column's denominator.  This module builds tables and checks
+none; :mod:`rodpade.determinant` holds every check.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .exact import (
 
 __all__ = [
     "MomentSeq",
-    "PadeCell",
     "PadeTable",
     "build_table",
     "rodrigues_factor",
@@ -104,53 +105,42 @@ def _q_nums(nums: Sequence[int], ws: Sequence[int]) -> list[int]:
     return q
 
 
-class PadeCell(Record):
-    """One column of a weight-n table on integers: P and, per row, Q and a run.
-
-    ``column`` is P as the chain's (numerators, d).  Per row label,
-    ``q_pairs`` holds Q (trailing zeros dropped) and ``heads`` the run
-    phi_j(t^k P), k = 0..n, the coefficients of z^-(k+1) in P f_j - Q_j, as
-    numerators over L d, L the lcm of the row's window (``MomentSeq.ints``)
-    when the table was built.  Like every record, a cell compares all its
-    fields as stored, so the same P and Q over another L d compare unequal;
-    ``PadeTable.to_json`` writes P and Q as reduced rationals.
-    """
-
-    __slots__ = ("n", "ell", "column", "q_pairs", "heads")
-
-    def __init__(self, n: int, ell: int, column: tuple, q_pairs: dict, heads: dict):
-        super().__init__(n, ell, column, q_pairs, heads)
-
-    @property
-    def degree(self) -> int:
-        """deg P, -1 for the zero column."""
-        return len(self.column[0]) - 1
-
-
 class PadeTable(Record):
-    """All columns l = 0..M of a weight-n table, rows in a fixed order.
+    """The weight-n table on integers: columns P_l, l = 0..M, and per row j its Q and runs.
+
+    ``columns[l]`` is P_l as the chain's pair (nums, d_l).  ``scales[j]`` is
+    L_j, the lcm of row j's integer window (``MomentSeq.ints``) when the
+    table was built.  ``qs[j][l]`` holds the numerators of Q_(j,l), trailing
+    zeros dropped, and ``runs[j][l]`` those of phi_j(t^k P_l), k = 0..n, the
+    coefficients of z^-(k+1) in P_l f_j - Q_(j,l); both are over L_j d_l.
 
     ``seqs`` are the row moment sequences the table was built from, kept so
     that later blocks of a run reuse them (and their warm moment caches and
     integer windows) instead of rebuilding them.  A ``MomentSeq`` compares
-    by identity, so tables are equal only when built on the same rows;
-    compare ``to_json()`` for equal values.  ``seqs`` stays out of the JSON.
+    by identity, so tables are equal only when built on the same rows, and
+    the same P and Q over another L_j d_l compare unequal; compare
+    ``to_json()``, which writes P and Q as reduced rationals, for equal
+    values.  ``seqs``, ``scales`` and ``runs`` stay out of the JSON.
     """
 
-    __slots__ = ("n", "M", "row_labels", "cells", "seqs")
+    __slots__ = ("n", "columns", "seqs", "scales", "qs", "runs")
 
-    def __init__(self, n: int, M: int, row_labels: tuple[str, ...], cells: tuple, seqs: tuple):
-        super().__init__(n, M, row_labels, cells, seqs)
+    def __init__(self, n: int, columns: tuple, seqs: tuple, scales: tuple, qs: tuple, runs: tuple):
+        super().__init__(n, columns, seqs, scales, qs, runs)
+
+    @property
+    def M(self) -> int:
+        return len(self.columns) - 1
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "M": self.M,
-            "columns": [cell.ell for cell in self.cells],
-            "P": [format_pair(*cell.column) for cell in self.cells],
+            "columns": list(range(self.M + 1)),
+            "P": [format_pair(*column) for column in self.columns],
             "rows": [
-                {"label": label, "Q": [format_pair(*cell.q_pairs[label]) for cell in self.cells]}
-                for label in self.row_labels
+                {"label": f.label, "Q": [format_pair(q, lcm * d) for q, (_, d) in zip(qs, self.columns)]}
+                for f, lcm, qs in zip(self.seqs, self.scales, self.qs)
             ],
         }
 
@@ -167,17 +157,17 @@ def build_table(
     is then one integer dot product, over L d.
     """
     seqs = tuple(seqs)
-    columns = [(tuple(nums), den) for nums, den in columns]
+    columns = tuple((tuple(nums), den) for nums, den in columns)
     width = max((len(nums) for nums, _ in columns), default=0) + n
-    windows = [(f.label, *f.ints(width)) for f in seqs]
-    cells = []
-    for ell, (nums, den) in enumerate(columns):
-        q_pairs, heads = {}, {}
-        for label, ws, lcm in windows:
-            q_pairs[label] = (tuple(_q_nums(nums, ws)), lcm * den)
-            heads[label] = (tuple(_dots(nums, ws, n + 1)), lcm * den)
-        cells.append(PadeCell(n, ell, (nums, den), q_pairs, heads))
-    return PadeTable(n, len(cells) - 1, tuple(f.label for f in seqs), tuple(cells), seqs)
+    windows = [f.ints(width) for f in seqs]
+    return PadeTable(
+        n,
+        columns,
+        seqs,
+        tuple(lcm for _, lcm in windows),
+        tuple(tuple(tuple(_q_nums(nums, ws)) for nums, _ in columns) for ws, _ in windows),
+        tuple(tuple(tuple(_dots(nums, ws, n + 1)) for nums, _ in columns) for ws, _ in windows),
+    )
 
 
 def rodrigues_factor(N: int, alphas: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -90,8 +90,8 @@ def audit_rows(config, table, place, beta=None):
     max of ``abs_v`` over the coefficients or values, reduced.
     """
     norms = []
-    for cell in table.cells:
-        norm = max((abs_v(c, place) for c in poly(cell.column).coeffs), default=F(0))
+    for column in table.columns:
+        norm = max((abs_v(c, place) for c in poly(column).coeffs), default=F(0))
         norms.append((norm.numerator, norm.denominator))
     return audit.bounds_audit(
         config, table, place,
@@ -119,13 +119,14 @@ def audit_payload(config, place, ns, beta=None, tables=None):
 
 
 def column_polys(table):
-    """P_l of every cell, as polynomials."""
-    return [poly(cell.column) for cell in table.cells]
+    """P_l of every column, as polynomials."""
+    return [poly(column) for column in table.columns]
 
 
-def q_polys(cell):
-    """Q_j of a cell per row label, as polynomials."""
-    return {label: poly(pair) for label, pair in cell.q_pairs.items()}
+def q_polys(table, ell):
+    """Q_(j,l) of column ``ell`` per row label, as polynomials."""
+    d = table.columns[ell][1]
+    return {f.label: poly((qs[ell], lcm * d)) for f, lcm, qs in zip(table.seqs, table.scales, table.qs)}
 
 
 def shifted(f, k):

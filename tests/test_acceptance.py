@@ -74,13 +74,13 @@ def test_criterion_01_legendre_fixture():
     t0 = time.perf_counter()
     table = grid_table(1, 1, 1)
     li1 = grid_seqs(1, 1)[0]
-    ok = poly(table.cells[0].column) == Poly((1, -2))
-    ok = ok and q_polys(table.cells[0])["Li_1(1/z)"] == Poly.constant(-2)
-    ok = ok and poly(table.cells[1].column) == Poly((0, 2, -3))
-    ok = ok and q_polys(table.cells[1])["Li_1(1/z)"] == Poly((F(1, 2), -3))
-    start, coeffs, _ = fraction_remainder(li1, poly(table.cells[0].column), 1, 2)
+    ok = poly(table.columns[0]) == Poly((1, -2))
+    ok = ok and q_polys(table, 0)["Li_1(1/z)"] == Poly.constant(-2)
+    ok = ok and poly(table.columns[1]) == Poly((0, 2, -3))
+    ok = ok and q_polys(table, 1)["Li_1(1/z)"] == Poly((F(1, 2), -3))
+    start, coeffs, _ = fraction_remainder(li1, poly(table.columns[0]), 1, 2)
     ok = ok and start == 2 and coeffs[0] == F(-1, 6)
-    run, scale = table.cells[0].heads["Li_1(1/z)"]
+    run, scale = table.runs[0][0], table.scales[0] * table.columns[0][1]
     ok = ok and [F(t, scale) for t in run] == [0, F(-1, 6)]
     delta, theta = table_determinants(table)
     ok = ok and delta == F(1, 2)
@@ -97,9 +97,9 @@ def test_criterion_02_orthogonality_and_degree_grid():
         seqs = grid_seqs(m, r)
         for n in range(1, n_max + 1):
             table = grid_table(m, r, n)
-            for cell in table.cells:
-                p = poly(cell.column)
-                ok = ok and p.degree == config.M * n + cell.ell
+            for ell, column in enumerate(table.columns):
+                p = poly(column)
+                ok = ok and p.degree == config.M * n + ell
                 for f in seqs:
                     for k in range(n):
                         ok = ok and fraction_phi(f, p.shift(k)) == 0
@@ -114,7 +114,7 @@ def test_criterion_03_determinant_constancy_grid():
             table = grid_table(m, r, n)
             delta, theta = table_determinants(table)  # raises if zero/nonconstant
             ok = ok and delta != 0
-            ok = ok and abs(delta) == abs(poly(table.cells[-1].column).lc * theta)
+            ok = ok and abs(delta) == abs(poly(table.columns[-1]).lc * theta)
     _report(3, ok)
 
 

@@ -202,16 +202,21 @@ def test_missing_config_document_exits_2():
         ("run.json", '{"m": "x"}'),
         ("run.toml", 'm = "2"\n'),
         ("run.json", '{"m": true}'),
+        # documents that do not parse
+        ("run.json", "{"),
+        ("run.toml", "m = "),
     ],
 )
-def test_malformed_config_document_exits_2(tmp_path, capsys, command, name, text):
-    path = tmp_path / name
-    path.write_text(text)
-    assert main([command, "--config", str(path), "--n", "1"]) == 2
+def test_malformed_config_document_exits_2(tmp_path, monkeypatch, capsys, command, name, text):
+    # a short relative path, which every message quotes whole
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert main([command, "--config", name, "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert name in lines[0]
 
 
 @pytest.mark.parametrize(
@@ -350,15 +355,14 @@ def test_rstar_and_moment_seqs_built_once_per_run(capsys, monkeypatch, argv):
     assert len(families) == len(tables) == len(builds) == 1
     table = tables[0][1]
     assert table is builds[0][1]
-    # verification, Delta and theta read the one run of values each cell carries
-    for cell in table.cells:
-        assert list(cell.heads) == list(table.row_labels)
-        assert all(len(run) == table.n + 1 for run, _ in cell.heads.values())
-    assert all(any(args[0] is cell for cell in table.cells) for args, _ in verifies)
+    # verification, Delta and theta read the one run of values per row and column
+    assert len(table.runs) == len(table.scales) == len(table.seqs)
+    assert all(len(runs) == table.M + 1 for runs in table.runs)
+    assert all(len(run) == table.n + 1 for runs in table.runs for run in runs)
     assert len(table.seqs) == len(families[0][1])
     assert all(f is g for f, g in zip(table.seqs, families[0][1]))
-    # the series route reads the integer windows of the run's own rows
-    assert all(args[1] is table.seqs for args, _ in verifies)
+    # the series route reads the integer windows of the run's own rows, the table's
+    assert all(len(args) == 1 and args[0] is table for args, _ in verifies)
     # only pade verifies: det reads the determinants alone
     assert bool(verifies) == (argv[0] == "pade")
 
@@ -448,7 +452,7 @@ def test_pade_takes_each_orthogonality_value_once(capsys, monkeypatch):
     # grows once, when the table is built, and every run phi_j(t^k P_l),
     # k <= n, and every Q is read off it; verify_pade's two routes, the
     # remainder starts, the degree lemma (k < n) and theta (k = n) read the
-    # cells and the same windows, and take no value of their own
+    # table's runs and the same windows, and take no value of their own
     _, grown = _counting_window_growth(monkeypatch)
     for command in ("pade", "det"):
         grown.clear()
@@ -497,7 +501,7 @@ def _perturbed_last_column(monkeypatch):
 
     def perturbed(config, n):
         table = real(config, n)
-        columns = [cell.column for cell in table.cells]
+        columns = list(table.columns)
         nums, den = columns[-1]
         columns[-1] = ((nums[0] + den,) + nums[1:], den)
         return transform.build_table(columns, table.seqs, n)
@@ -562,10 +566,10 @@ def test_determinant_errors_exit_1_with_one_error_payload(
 
 def test_pade_table_extra_fields_leave_equality_and_json_alone():
     table = mpl_mod.pade_table(mpl_mod.MplConfig(m=1, r=2, alphas=(1,)), 1)
-    bare = transform.PadeTable(table.n, table.M, table.row_labels, table.cells, seqs=())
+    rebuilt = transform.PadeTable(table.n, table.columns, table.seqs, table.scales, table.qs, table.runs)
     text = json.dumps(table.to_json())
-    assert json.dumps(bare.to_json()) == text
-    assert "rstar" not in text and "seqs" not in text
+    assert rebuilt == table and json.dumps(rebuilt.to_json()) == text
+    assert all(key not in text for key in ("rstar", "seqs", "scales", "runs"))
 
 
 def test_exact_values_print_in_full_past_the_int_string_limit(capsys):

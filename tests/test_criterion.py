@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import json
 import math
@@ -200,6 +201,109 @@ def test_V_monotone_in_beta_with_threshold_30():
     assert min(b for b, (_, state, _) in results.items() if state == "pass") == 30
 
 
+def _valuation(n, p):
+    """The exponent of the prime p in the nonzero integer n, by repeated division."""
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def _primes_dividing(n):
+    """The primes of n > 0, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _decimal_log(x):
+    return decimal.Decimal(x.numerator).ln() - decimal.Decimal(x.denominator).ln()
+
+
+def _local_height(xs, p):
+    """log max(1, |x|_p over xs) at the prime p, or at infinity for p = None."""
+    if p is None:
+        norms = [abs(x) for x in xs]
+    else:
+        norms = [F(p) ** (_valuation(x.denominator, p) - _valuation(abs(x.numerator), p)) for x in xs]
+    return _decimal_log(max([F(1)] + norms))
+
+
+def _global_height(xs):
+    """The sum of the local heights over infinity and the primes of the denominators."""
+    places = [None] + sorted({p for x in xs for p in _primes_dividing(x.denominator)})
+    return sum((_local_height(xs, p) for p in places), decimal.Decimal(0))
+
+
+def _V_at_50_digits(m, r, alphas, beta, p):
+    """The terms and value of V as ``criterion._V`` documents them, in decimal at 50 digits."""
+    M = (m + 1) ** r - 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        terms = {
+            "h_v0_beta": _local_height([beta], p),
+            "h_v0_alpha": _local_height(alphas, p),
+            "h_beta": _global_height([beta]),
+            "h_alpha_vec": _global_height(alphas),
+            "sum_h_alpha_i": sum((_global_height([a]) for a in alphas), decimal.Decimal(0)),
+            "constant": M * decimal.Decimal(2).ln()
+            + decimal.Decimal(r * (r + 1)) / 2 * decimal.Decimal(m + 1).ln()
+            + r
+            + r * M,
+        }
+        value = (
+            (M + 1) * terms["h_v0_beta"]
+            - terms["h_v0_alpha"]
+            - M * (terms["h_beta"] + terms["sum_h_alpha_i"] / m + terms["h_alpha_vec"])
+            - terms["constant"]
+        )
+    return terms, value
+
+
+# (m, r, alphas, beta, prime of the place or None): fractional, negative and
+# large-height alphas, beta at infinity and at a prime of its denominator;
+# V > 0 in seven cases and V < 0 in seven
+V_ORACLE_CASES = [
+    (1, 1, (F(3, 2),), F(500), None),
+    (1, 1, (F(-7),), F(10**6, 7), None),
+    (1, 1, (F(123456789012345678901, 11),), F(10**50), None),
+    (2, 1, (F(3, 2), F(-5, 3)), F(40), None),
+    (2, 1, (F(3, 2), F(-5, 3)), F(4 * 10**6), None),
+    (2, 1, (F(1, 7), F(-2, 49)), F(1, 7**9), 7),
+    (1, 2, (F(-1, 3),), F(10**9), None),
+    (1, 2, (F(1, 3),), F(5**30, 3**40), 3),
+    (2, 2, (F(1), F(2)), F(10**16), None),
+    (2, 2, (F(3, 2), F(-5, 3)), F(10**16), None),
+    (3, 1, (F(2), F(-3, 4), F(5, 6)), F(10**12, 7), None),
+    (3, 1, (F(1, 2), F(3), F(-5, 4)), F(7, 2**60), 2),
+    (1, 3, (F(10**12 + 39, 7),), F(10**40), None),
+    (1, 3, (F(2, 5),), F(3, 5**80), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "m, r, alphas, beta, p",
+    V_ORACLE_CASES,
+    ids=[f"{i}-m{m}r{r}-{'inf' if p is None else f'p{p}'}" for i, (m, r, _, _, p) in enumerate(V_ORACLE_CASES)],
+)
+def test_V_matches_its_formula_in_decimal_beyond_legendre(m, r, alphas, beta, p):
+    payload, _ = evaluate_criterion(alphas, beta, m, r, Place(p))
+    terms, value = _V_at_50_digits(m, r, alphas, beta, p)
+    for name, want in terms.items():
+        assert math.isclose(payload["V"]["terms"][name], float(want), rel_tol=1e-12), name
+    assert math.isclose(payload["V"]["value"], float(value), rel_tol=1e-12)
+    if abs(value) > decimal.Decimal("1e-6"):
+        assert payload["hypothesis_checks"]["V_positive"] == ("pass" if value > 0 else "fail")
+
+
+
 def test_V_rejects_degenerate_alphas():
     with pytest.raises(ValueError, match="^alphas must be pairwise distinct$"):
         evaluate_criterion((F(1), F(1)), F(30), 2, 1, INF_PLACE)
@@ -282,7 +386,7 @@ def test_column_polynomial_matches_derivative_chain():
             cur = Poly.monomial(ell)
             for j in range(r - 1, -1, -1):
                 cur = op_apply(cal_LN((m + 1) ** j * n, config), cur)
-            assert poly(table.cells[ell].column) == cur * sign, (m, r, n, ell)
+            assert poly(table.columns[ell]) == cur * sign, (m, r, n, ell)
 
 
 def test_audit_derivative_norm_fixture():
@@ -362,7 +466,7 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
             )
             rows.append((f"operator_step_norm[l={ell},N={N}]", measured, bound_step))
             current = derived
-        P = poly(table.cells[ell].column)
+        P = poly(table.columns[ell])
         chain, deg_run = F(1), ell
         for N, _ in stages:
             chain *= (
@@ -382,7 +486,7 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
             bound = F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
             rows.append((f"moment[{f.label},j={j}]", abs_v(f[j], place), bound))
         for ell in (0, M):
-            P = poly(table.cells[ell].column)
+            P = poly(table.columns[ell])
             k = int(P.degree) + n + 1
             bound = (
                 F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
@@ -390,19 +494,19 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
             )
             measured = abs_v(fraction_phi(f, P, n), place)
             rows.append((f"moment_of_tP[{f.label},l={ell}]", measured, bound))
-    for cell in table.cells:
-        P = poly(cell.column)
+    for ell, column in enumerate(table.columns):
+        P = poly(column)
         k = int(P.degree) + 1
         bound_q = (
             F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
             * norm_v(P, place)
         )
-        for label, q in q_polys(cell).items():
-            rows.append((f"q_norm[{label},l={cell.ell}]", norm_v(q, place), bound_q))
+        for label, q in q_polys(table, ell).items():
+            rows.append((f"q_norm[{label},l={ell}]", norm_v(q, place), bound_q))
             if beta is not None:
                 degq = int(q.degree) if not q.is_zero else 0
                 bound_eval = F(degq + 1) ** eps * norm_v(q, place) * H_v(beta, place) ** degq
-                rows.append((f"q_eval[{label},l={cell.ell}]", abs_v(q(beta), place), bound_eval))
+                rows.append((f"q_eval[{label},l={ell}]", abs_v(q(beta), place), bound_eval))
     return rows
 
 
@@ -705,12 +809,12 @@ def test_remainder_summation_matches_the_from_scratch_route(m, r, alphas, beta, 
     stops = set()
     for n in (1, 2, 3):
         table = pade_table(config, n)
-        for f in table.seqs:
-            for cell in table.cells:
-                P = poly(cell.column)
+        for j, f in enumerate(table.seqs):
+            for ell, column in enumerate(table.columns):
+                P = poly(column)
                 want, stop = _remainder_log_abs_from_scratch(f, P, n, beta, place, r, H_alpha)
                 partial, _ = _remainder_sum(
-                    f, cell, pair(norm_v(P, place)), beta, place, r, pair(H_alpha), pair(abs_v(beta, place))
+                    table, j, ell, pair(norm_v(P, place)), beta, place, r, pair(H_alpha), pair(abs_v(beta, place))
                 )
                 assert log_fraction(abs_v(F(*partial), place)) == want
                 stops.add(stop - n)
@@ -745,15 +849,19 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     beta = F(40) if place == INF_PLACE else F(1, 64)
     # the per-(row, column) route, each norm taken where it is used
     H_alpha = H_v_vec(config.alphas, place)
-    def log_remainder(n, f, cell):
-        normp = norm_v(poly(cell.column), place)
+    def log_remainder(n, j, ell):
+        normp = norm_v(poly(tables[n].columns[ell]), place)
         partial, _ = _remainder_sum(
-            f, cell, pair(normp), beta, place, 1, pair(H_alpha), pair(abs_v(beta, place))
+            tables[n], j, ell, pair(normp), beta, place, 1, pair(H_alpha), pair(abs_v(beta, place))
         )
         return log_fraction(abs_v(F(*partial), place))
 
     want = [
-        max(log_remainder(n, f, cell) for f in tables[n].seqs for cell in tables[n].cells)
+        max(
+            log_remainder(n, j, ell)
+            for j in range(len(tables[n].seqs))
+            for ell in range(len(tables[n].columns))
+        )
         for n in range(1, 9)
     ]
     seen = []
@@ -768,7 +876,7 @@ def test_remainder_decay_takes_each_column_norm_once(monkeypatch, place):
     report = payload["decay"]
     assert report["log_remainder"] == [_round15(v) for v in want]
     # the norms of the table's own column pairs, one per column
-    columns = [cell.column for n in range(1, 9) for cell in tables[n].cells]
+    columns = [column for n in range(1, 9) for column in tables[n].columns]
     assert len(columns) == 24
     assert [pair for pair in seen if any(pair[0] is nums for nums, _ in columns)] == columns
 
@@ -830,15 +938,15 @@ def test_integer_remainder_sum_certifies_the_fraction_loops_sum(m, r, alphas, pl
     config = MplConfig(m=m, r=r, alphas=alphas)
     H_alpha = H_v_vec(config.alphas, place)
     for n, table in pade_tables(config, range(1, 7)).items():
-        for cell in table.cells:
-            P = poly(cell.column)
+        for ell, column in enumerate(table.columns):
+            P = poly(column)
             normp = norm_v(P, place)
-            for f in table.seqs:
+            for j, f in enumerate(table.seqs):
                 partial, last = _remainder_sum(
-                    f, cell, pair(normp), beta, place, r, pair(H_alpha), pair(abs_v(beta, place))
+                    table, j, ell, pair(normp), beta, place, r, pair(H_alpha), pair(abs_v(beta, place))
                 )
                 want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, r, H_alpha)
-                assert partial[1] > 0 and (F(*partial), last) == want, (n, f.label, cell.ell)
+                assert partial[1] > 0 and (F(*partial), last) == want, (n, f.label, ell)
 
 
 # The property tests import hypothesis inside, so without it only they skip.
@@ -992,11 +1100,11 @@ def test_integer_remainder_sum_on_synthetic_rows(moment, p, n, beta, place, H_al
 
     f = MomentSeq(lambda k, _prefix: moment(k), "synthetic")
     P = Poly(p)
-    # the term k = n as a one-cell table carries it
-    cell = build_table([over_common_denominator(P.coeffs)], [f], n).cells[0]
+    # the term k = n as a one-column table carries it
+    table = build_table([over_common_denominator(P.coeffs)], [f], n)
     normp = norm_v(P, place)
     want = _remainder_sum_fraction_loop(f, P, normp, n, beta, place, 1, H_alpha)
-    partial, last = _remainder_sum(f, cell, pair(normp), beta, place, 1, pair(H_alpha), pair(_naive_abs_v(beta, place)))
+    partial, last = _remainder_sum(table, 0, 0, pair(normp), beta, place, 1, pair(H_alpha), pair(_naive_abs_v(beta, place)))
     assert partial[1] > 0 and (F(*partial), last) == want
 
 

@@ -25,6 +25,7 @@ from rodpade.exact import (
     format_rational,
     int_convolve,
     parse_rational,
+    shown,
 )
 
 
@@ -98,6 +99,12 @@ def test_parse_rational_follows_a_lifted_digit_limit():
     with digit_limit(limit):
         with pytest.raises(ValueError, match=f"^a run of {limit + 101} digits is past the limit of {limit} digits$"):
             parse_rational(long)
+
+
+def test_shown_keeps_a_64_character_token_whole_and_cuts_a_65_character_one():
+    token = "".join(str(i % 10) for i in range(65))
+    assert shown(token[:64]) == token[:64]
+    assert shown(token) == token[:64] + "... (65 characters)"
 
 
 def test_format_pair_matches_format_rational():

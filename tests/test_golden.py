@@ -143,10 +143,10 @@ def test_audit_rationals_unchanged(m, r, alphas, ns, place, beta, rows_digest, s
     abs_beta = abs_beta.numerator, abs_beta.denominator
     sums = []
     for n in ns:
-        for cell in tables[n].cells:
-            normp = max(abs_v(c, place) for c in poly(cell.column).coeffs)
+        for ell, column in enumerate(tables[n].columns):
+            normp = max(abs_v(c, place) for c in poly(column).coeffs)
             normp = normp.numerator, normp.denominator
-            for f in tables[n].seqs:
-                (num, den), last = _remainder_sum(f, cell, normp, beta, place, r, H_alpha, abs_beta)
-                sums.append(f"{n} {f.label} {cell.ell} {format_pair((num,), den)[0]} {last}")
+            for j, f in enumerate(tables[n].seqs):
+                (num, den), last = _remainder_sum(tables[n], j, ell, normp, beta, place, r, H_alpha, abs_beta)
+                sums.append(f"{n} {f.label} {ell} {format_pair((num,), den)[0]} {last}")
     assert _sha(sums) == sums_digest

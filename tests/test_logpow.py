@@ -29,6 +29,7 @@ from rodpade.logpow import (
 )
 from rodpade.mpl import MplConfig, MplIndex, mpl_moment_oracle, pade_table
 from rodpade.determinant import table_determinants, verify_pade
+from rodpade.transform import PadeTable
 
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
 
@@ -214,20 +215,20 @@ def test_rodrigues_membership_log_rows():
 
 
 def test_legendre_cell_with_negated_moments():
-    cell = logpow_table(LogPowConfig(m=1, n=1)).cells[0]
-    assert poly(cell.column) == Poly((1, -2))
-    assert q_polys(cell)["log^1"] == Poly.constant(2)
+    table = logpow_table(LogPowConfig(m=1, n=1))
+    assert poly(table.columns[0]) == Poly((1, -2))
+    assert q_polys(table, 0)["log^1"] == Poly.constant(2)
 
 
 def test_table_cells_verify():
     for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
         config = LogPowConfig(m=m, n=n)
-        table = logpow_table(config)
-        seqs = moment_seqs(m)
-        for cell in table.cells:
-            assert cell.degree == m * n + cell.ell
-            # the series route on a fresh family's windows, not the table's
-            assert verify_pade(cell, seqs)
+        t = logpow_table(config)
+        fresh = tuple(moment_seqs(m))
+        for ell, (nums, _) in enumerate(t.columns):
+            assert len(nums) - 1 == m * n + ell
+        # the series route on a fresh family's windows, not the table's
+        assert verify_pade(PadeTable(t.n, t.columns, fresh, t.scales, t.qs, t.runs))
 
 
 def test_determinants():
@@ -247,4 +248,4 @@ def test_delta_theta_absolute_identity():
         config = LogPowConfig(m=m, n=n)
         table = logpow_table(config)
         delta, theta = table_determinants(table)
-        assert abs(delta) == abs(poly(table.cells[-1].column).lc * theta)
+        assert abs(delta) == abs(poly(table.columns[-1]).lc * theta)

@@ -30,6 +30,7 @@ from rodpade.mpl import (
     rodrigues_stages,
 )
 from rodpade.determinant import table_determinants, verify_pade
+from rodpade.transform import PadeTable
 
 CFG11 = MplConfig(m=1, r=1, alphas=(F(1),))
 CFG12 = MplConfig(m=1, r=2, alphas=(F(1),))
@@ -285,38 +286,37 @@ def test_cascade_lands_in_lower_depth_span():
 
 def test_degree_law_of_columns():
     table = pade_table(CFG12, 2)
-    for cell in table.cells:
-        assert cell.degree == CFG12.M * 2 + cell.ell
-    assert table.cells[3].degree == 9  # M*n + l = 3*2 + 3
+    for ell, (nums, _) in enumerate(table.columns):
+        assert len(nums) - 1 == CFG12.M * 2 + ell
+    assert len(table.columns[3][0]) - 1 == 9  # M*n + l = 3*2 + 3
 
 
 def test_legendre_table_cells():
     table = pade_table(CFG11, 1)
-    assert poly(table.cells[0].column) == Poly((1, -2))
-    assert q_polys(table.cells[0])["Li_1(1/z)"] == Poly.constant(-2)
-    assert poly(table.cells[1].column) == Poly((0, 2, -3))
-    assert q_polys(table.cells[1])["Li_1(1/z)"] == Poly((F(1, 2), -3))
-    rem = fraction_remainder(moment_seqs(CFG11)[0], poly(table.cells[0].column), 1, 2)
+    assert poly(table.columns[0]) == Poly((1, -2))
+    assert q_polys(table, 0)["Li_1(1/z)"] == Poly.constant(-2)
+    assert poly(table.columns[1]) == Poly((0, 2, -3))
+    assert q_polys(table, 1)["Li_1(1/z)"] == Poly((F(1, 2), -3))
+    rem = fraction_remainder(moment_seqs(CFG11)[0], poly(table.columns[0]), 1, 2)
     assert rem == (2, (F(-1, 6), F(-1, 6)), True)
-    run, scale = table.cells[0].heads["Li_1(1/z)"]
+    run, scale = table.runs[0][0], table.scales[0] * table.columns[0][1]
     assert [F(t, scale) for t in run] == [0, F(-1, 6)]
 
 
 def test_tables_verify_on_small_grid():
     for config, n in ((CFG11, 2), (CFG12, 1), (CFG21, 2), (CFG22, 1)):
-        table = pade_table(config, n)
-        seqs = moment_seqs(config)
-        for cell in table.cells:
-            # the series route on a fresh family's windows, not the table's
-            assert verify_pade(cell, seqs)
+        t = pade_table(config, n)
+        fresh = tuple(moment_seqs(config))
+        # the series route on a fresh family's windows, not the table's
+        assert verify_pade(PadeTable(t.n, t.columns, fresh, t.scales, t.qs, t.runs))
 
 
-def test_tables_compare_by_value_whatever_their_windows_grew_to():
+def test_tables_over_grown_windows_differ_in_scales_and_agree_in_value():
     # the weight-3 table grows the rows' windows first, so the weight-2 one's
-    # Q pairs are over a larger L than a fresh weight-2 table's
+    # Q and runs are over a larger L_j than a fresh weight-2 table's
     fresh = pade_table(CFG11, 2)
     grown = pade_tables(CFG11, [3, 2])[2]
-    assert fresh.cells[0].q_pairs != grown.cells[0].q_pairs
+    assert fresh.scales != grown.scales and fresh != grown
     assert fresh.to_json() == grown.to_json()
     assert table_determinants(fresh) == table_determinants(grown)
     assert fresh.to_json() != pade_table(CFG11, 3).to_json()
@@ -333,7 +333,7 @@ def test_delta_theta_absolute_identity():
     for config, n in ((CFG11, 1), (CFG11, 2), (CFG11, 3), (CFG12, 1), (CFG21, 1)):
         table = pade_table(config, n)
         delta, theta = table_determinants(table)
-        assert abs(delta) == abs(poly(table.cells[-1].column).lc * theta)
+        assert abs(delta) == abs(poly(table.columns[-1]).lc * theta)
 
 
 def test_value_labels_for_criterion():

@@ -36,7 +36,6 @@ def _samples():
     idx = mpl.index_set(2, 2)
     return {
         OrdAtLeast: [OrdAtLeast(3), OrdAtLeast(3), OrdAtLeast(4)],
-        transform.PadeCell: [table.cells[1], mpl.pade_table(config, 1).cells[1], table.cells[0]],
         transform.PadeTable: tables,
         mpl.MplConfig: [config, mpl.MplConfig(m=1, r=2, alphas=[F(1)]), mpl.MplConfig(2, 1, (1, -2))],
         mpl.MplIndex: [idx[3], mpl.MplIndex(idx[3].s, idx[3].a), *idx],
@@ -96,7 +95,7 @@ def test_every_value_class_is_a_record():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert value_classes == set(SAMPLES)
-    assert len(SAMPLES) == 9
+    assert len(SAMPLES) == 8
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)

@@ -54,7 +54,7 @@ def test_mpl_columns_match_the_adjoint_route(m, r, alphas, n):
     expected = [op_apply(rstar, Poly.monomial(ell)) for ell in range(config.M + 1)]
     assert [poly(c) for c in rodrigues_columns(stages, config.M + 1)] == expected
     assert [_chain_by_stage(stages, ell) for ell in range(config.M + 1)] == expected
-    assert [poly(cell.column) for cell in mpl_mod.pade_table(config, n).cells] == expected
+    assert [poly(c) for c in mpl_mod.pade_table(config, n).columns] == expected
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -67,7 +67,7 @@ def test_logpow_columns_match_the_adjoint_route(m):
         expected = [op_apply(rstar, Poly.monomial(ell)) for ell in range(m + 1)]
         assert [poly(c) for c in rodrigues_columns(stages, m + 1)] == expected, (m, n)
         assert [_chain_by_stage(stages, ell) for ell in range(m + 1)] == expected, (m, n)
-        assert [poly(cell.column) for cell in logpow_mod.logpow_table(config).cells] == expected, (m, n)
+        assert [poly(c) for c in logpow_mod.logpow_table(config).columns] == expected, (m, n)
 
 
 def test_factor_is_the_product_of_binomial_powers():

@@ -31,7 +31,7 @@ from oracles import (
 
 from rodpade.determinant import _int_det, verify_pade
 from rodpade.exact import over_common_denominator
-from rodpade.transform import MomentSeq, PadeCell, _dots, build_table
+from rodpade.transform import MomentSeq, PadeTable, _dots, build_table
 
 LI1 = MomentSeq(lambda k, _p: F(1, k + 1), "Li_1(1/z)")
 E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
@@ -46,20 +46,20 @@ def pairs(polys):
     return [over_common_denominator(p.coeffs) for p in polys]
 
 
-def fresh_rows(cell):
-    """The rows ``verify_pade`` reads: a fresh Li_1 row instead of the table's."""
-    return [fresh_li1()]
+def fresh_rows(t):
+    """The one-row table ``t`` as ``verify_pade`` reads it: a fresh Li_1 row instead of its own."""
+    return PadeTable(t.n, t.columns, (fresh_li1(),), t.scales, t.qs, t.runs)
 
 
-def run_values(cell, label):
-    """The cell's run phi(t^k P), k <= n, on one row, as Fractions."""
-    run, scale = cell.heads[label]
-    return [F(t, scale) for t in run]
+def run_values(table, j, ell):
+    """The run phi_j(t^k P_l), k <= n, as Fractions."""
+    scale = table.scales[j] * table.columns[ell][1]
+    return [F(t, scale) for t in table.runs[j][ell]]
 
 
 def test_phi_examples():
     table = build_table(pairs([Poly((1, -2)), Poly((0, 1, -2))]), [LI1], 0)
-    assert [run_values(cell, LI1.label) for cell in table.cells] == [[0], [F(-1, 6)]]
+    assert [run_values(table, 0, ell) for ell in range(2)] == [[0], [F(-1, 6)]]
 
 
 def test_phi_offset_matches_shifted_polynomial():
@@ -71,18 +71,18 @@ def test_phi_offset_matches_shifted_polynomial():
         for _ in range(40)
     ]
     polys = [p for p in polys if not p.is_zero]
-    runs = build_table(pairs(polys), [seq], 30).cells
+    runs = build_table(pairs(polys), [seq], 30)
     for k in (0, 1, 2, 7, 30):
-        offsets = build_table(pairs(p.shift(k) for p in polys), [seq], 0).cells
-        assert [run_values(cell, "probe")[k] for cell in runs] == [
-            run_values(cell, "probe")[0] for cell in offsets
+        offsets = build_table(pairs(p.shift(k) for p in polys), [seq], 0)
+        assert [run_values(runs, 0, ell)[k] for ell in range(len(polys))] == [
+            run_values(offsets, 0, ell)[0] for ell in range(len(polys))
         ]
 
 
 def polynomial_matrix(table):
     """The (d+1) x (d+1) table as Fraction polynomials: the P row, then one Q row per label."""
-    qs = [q_polys(cell) for cell in table.cells]
-    return [column_polys(table)] + [[q[label] for q in qs] for label in table.row_labels]
+    qs = [q_polys(table, ell) for ell in range(table.M + 1)]
+    return [column_polys(table)] + [[q[f.label] for q in qs] for f in table.seqs]
 
 
 def kernel_polys(rng):
@@ -116,11 +116,12 @@ def test_phi_and_q_match_the_fraction_route():
     polys = kernel_polys(random.Random(6))
     n = 30
     table = build_table(pairs(polys), rows, n)
-    for p, cell in zip(polys, table.cells):
-        for f in rows:
-            assert poly(cell.q_pairs[f.label]) == fraction_q(f, p), (f.label, p)
+    for ell, p in enumerate(polys):
+        qs = q_polys(table, ell)
+        for j, f in enumerate(rows):
+            assert qs[f.label] == fraction_q(f, p), (f.label, p)
             want = [fraction_phi(f, p, k) for k in range(n + 1)]
-            assert run_values(cell, f.label) == want, (f.label, p)
+            assert run_values(table, j, ell) == want, (f.label, p)
 
 
 def test_remainder_tail_matches_the_fraction_route():
@@ -130,11 +131,11 @@ def test_remainder_tail_matches_the_fraction_route():
     rows, n = kernel_rows(), 3
     polys = [p for p in kernel_polys(random.Random(10))[:20] if not p.is_zero]
     table = build_table(pairs(polys), rows, n - 1)
-    for p, cell in zip(polys, table.cells):
-        nums, den = cell.column
-        for f in rows:
+    for ell, p in enumerate(polys):
+        nums, den = table.columns[ell]
+        for j, f in enumerate(rows):
             start, coeffs, orthogonal = fraction_remainder(f, p, n, 5)
-            run = run_values(cell, f.label)  # phi(t^k P), k < n
+            run = run_values(table, j, ell)  # phi(t^k P), k < n
             assert orthogonal == (not any(run))
             assert start == next((k + 1 for k, v in enumerate(run) if v), n + 1)
             ws, lcm = f.ints(start + 4 + len(nums) - 1)
@@ -146,70 +147,71 @@ def test_deep_remainder_tail_matches_the_fraction_route():
     from rodpade.mpl import MplConfig, pade_table
 
     table = pade_table(MplConfig(m=1, r=2, alphas=(F(4),)), 1)
-    for f in table.seqs:
-        for cell in table.cells:
-            nums, den = cell.column
-            route = fraction_remainder(f, poly(cell.column), 1, 190)
+    for j, f in enumerate(table.seqs):
+        for ell, (nums, den) in enumerate(table.columns):
+            route = fraction_remainder(f, poly((nums, den)), 1, 190)
             ws, lcm = f.ints(191 + len(nums) - 1)
             totals = _dots(nums, ws[1:], 190)
             assert route == (2, tuple(F(t, lcm * den) for t in totals), True)
-            assert run_values(cell, f.label) == [0, route[1][0]]
+            assert run_values(table, j, ell) == [0, route[1][0]]
 
 
 def test_divided_difference_examples():
     table = build_table(pairs([Poly((1, -2)), Poly((0, 2, -3)), Poly.constant(9)]), [LI1], 1)
-    assert [q_polys(cell)[LI1.label] for cell in table.cells] == [
+    assert [q_polys(table, ell)[LI1.label] for ell in range(3)] == [
         Poly.constant(-2), Poly((F(1, 2), -3)), Poly.zero()
     ]
 
 
 def test_remainder_tail_legendre_cell():
-    cell = build_table(pairs([Poly((1, -2))]), [LI1], 2).cells[0]
-    assert run_values(cell, LI1.label) == [0, F(-1, 6), F(-1, 6)]
+    table = build_table(pairs([Poly((1, -2))]), [LI1], 2)
+    assert run_values(table, 0, 0) == [0, F(-1, 6), F(-1, 6)]
 
 
 def test_remainder_tail_precondition_downgrade():
     # phi(1) != 0: the tail of 1 * f - Q starts at z^-1, not at z^-(n+1)
-    cell = build_table(pairs([Poly.one()]), [LI1], 1).cells[0]
-    run = run_values(cell, LI1.label)
+    table = build_table(pairs([Poly.one()]), [LI1], 1)
+    run = run_values(table, 0, 0)
     assert run == [1, F(1, 2)]
     assert fraction_remainder(LI1, Poly.one(), 1, 2) == (1, tuple(run), False)
 
 
 def test_remainder_tail_of_zero_series():
     row = zero_row()
-    cell = build_table(pairs([Poly((3, 1, 4))]), [row], 2).cells[0]
-    assert cell.heads == {"0": ((0, 0, 0), 1)} and cell.q_pairs == {"0": ((), 1)}
-    assert verify_pade(cell, [zero_row()])
+    table = build_table(pairs([Poly((3, 1, 4))]), [row], 2)
+    assert table.runs == (((0, 0, 0),),) and table.qs == (((),),)
+    assert table.scales[0] * table.columns[0][1] == 1
+    assert verify_pade(PadeTable(table.n, table.columns, (zero_row(),), table.scales, table.qs, table.runs))
 
 
-def legendre_cell() -> PadeCell:
-    return build_table(pairs([Poly((1, -2))]), [LI1], 1).cells[0]
+def legendre_table() -> PadeTable:
+    return build_table(pairs([Poly((1, -2))]), [LI1], 1)
 
 
 def test_verify_pade_legendre_true():
-    cell = legendre_cell()
-    assert q_polys(cell) == {"Li_1(1/z)": Poly.constant(-2)}
-    assert verify_pade(cell, fresh_rows(cell))
+    table = legendre_table()
+    assert q_polys(table, 0) == {"Li_1(1/z)": Poly.constant(-2)}
+    assert verify_pade(fresh_rows(table))
 
 
 def test_verify_pade_nonorthogonal_false():
-    cell = build_table(pairs([Poly.one()]), [LI1], 1).cells[0]
-    assert q_polys(cell) == {"Li_1(1/z)": Poly.zero()}
-    assert not verify_pade(cell, fresh_rows(cell))
+    table = build_table(pairs([Poly.one()]), [LI1], 1)
+    assert q_polys(table, 0) == {"Li_1(1/z)": Poly.zero()}
+    assert not verify_pade(fresh_rows(table))
 
 
 def test_verify_pade_weight_zero_kernel_is_empty():
     p = Poly((2, 5, 1))
-    cell = build_table(pairs([p]), [LI1], 0).cells[0]
-    assert q_polys(cell) == {"Li_1(1/z)": fraction_q(LI1, p)}
-    assert verify_pade(cell, fresh_rows(cell))
+    table = build_table(pairs([p]), [LI1], 0)
+    assert q_polys(table, 0) == {"Li_1(1/z)": fraction_q(LI1, p)}
+    assert verify_pade(fresh_rows(table))
 
 
 def test_verify_pade_wrong_q_false():
-    good = legendre_cell()
-    cell = PadeCell(good.n, good.ell, good.column, {"Li_1(1/z)": ((7,), 1)}, good.heads)
-    assert not verify_pade(cell, fresh_rows(cell))
+    good = legendre_table()
+    seven = 7 * good.scales[0] * good.columns[0][1]  # Q = 7, over L d
+    table = PadeTable(good.n, good.columns, good.seqs, good.scales, (((seven,),),), good.runs)
+    assert not verify_pade(fresh_rows(table))
 
 
 # --------------------------------------------------------------------------
@@ -577,10 +579,10 @@ def test_degree_lemma_delta_equals_the_evaluation_route(m, r, kind, n):
     from rodpade.determinant import _degree_lemma_holds, table_determinants
 
     table = _grid_table(m, r, kind, n)
-    # every cell carries phi_j(t^k P_l), k <= n, as the Fraction sum gives it
-    for cell, p in zip(table.cells, column_polys(table)):
-        for f in table.seqs:
-            assert run_values(cell, f.label) == [fraction_phi(f, p, k) for k in range(n + 1)]
+    # the table carries phi_j(t^k P_l), k <= n, as the Fraction sum gives it
+    for ell, p in enumerate(column_polys(table)):
+        for j, f in enumerate(table.seqs):
+            assert run_values(table, j, ell) == [fraction_phi(f, p, k) for k in range(n + 1)]
     assert _degree_lemma_holds(table)
     delta, theta = table_determinants(table)
     assert delta == constant_determinant(polynomial_matrix(table))
@@ -603,32 +605,38 @@ def test_integer_routes_match_the_fraction_oracles(m, r, kind, n):
     from algebra import laurent_mul_poly
 
     table = _grid_table(m, r, kind, n)
-    first = table.row_labels[0]
-    for cell in table.cells:
-        nums, d = cell.column
+    for ell, (nums, d) in enumerate(table.columns):
+        degree = len(nums) - 1
+        qs = q_polys(table, ell)
         for f in table.seqs:
             # the integer series route against the Fraction product of the truncated series
-            part, tail = laurent_mul_poly(series(f, cell.degree + n + 5), poly(cell.column))
-            ws, lcm = f.ints(cell.degree + n)
+            part, tail = laurent_mul_poly(series(f, degree + n + 5), poly((nums, d)))
+            ws, lcm = f.ints(degree + n)
             int_tail, int_part = _series_coefficients(nums, ws, n)
             assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 1)]
-            assert poly((int_part, lcm * d)) == part == poly(cell.q_pairs[f.label])
+            assert poly((int_part, lcm * d)) == part == qs[f.label]
             # three coefficients past the n that vanish, on a longer window of its own
-            ws, lcm = over_common_denominator([f[k] for k in range(cell.degree + n + 3)])
+            ws, lcm = over_common_denominator([f[k] for k in range(degree + n + 3)])
             int_tail, _ = _series_coefficients(nums, ws, n + 3)
             assert [F(c, lcm * d) for c in int_tail] == [tail.coeff(k) for k in range(1, n + 4)]
-        assert verify_pade(cell, table.seqs)
-        # a corrupted run: the kernel route now disagrees with the series route
-        run, scale = cell.heads[first]
-        corrupted = cell.heads | {first: ((run[0] + 1,) + run[1:], scale)}
-        bad = PadeCell(n, cell.ell, cell.column, cell.q_pairs, corrupted)
+    assert verify_pade(table)
+
+    def first_row_with(field, ell, value):
+        """``field`` (qs or runs) of the table with entry ell of its first row replaced by value."""
+        rows = getattr(table, field)
+        return (rows[0][:ell] + (value,) + rows[0][ell + 1 :],) + rows[1:]
+
+    for ell in range(table.M + 1):
+        # a corrupted run of the first row: the kernel route now disagrees with the series route
+        run = table.runs[0][ell]
+        runs = first_row_with("runs", ell, (run[0] + 1,) + run[1:])
+        bad = PadeTable(n, table.columns, table.seqs, table.scales, table.qs, runs)
         with pytest.raises(TableCheckError, match="kernel test says False, series test says True"):
-            verify_pade(bad, table.seqs)
+            verify_pade(bad)
         # a wrong Q: one more coefficient than the polynomial part has
-        q, q_den = cell.q_pairs[first]
-        wrong = cell.q_pairs | {first: (q + (1,), q_den)}
-        bad = PadeCell(n, cell.ell, cell.column, wrong, cell.heads)
-        assert not verify_pade(bad, table.seqs)
+        qs = first_row_with("qs", ell, table.qs[0][ell] + (1,))
+        bad = PadeTable(n, table.columns, table.seqs, table.scales, qs, table.runs)
+        assert not verify_pade(bad)
     # Delta(0) and theta, each divided once by prod L_j prod d_l, against the Fraction matrices
     delta, theta = table_determinants(table)
     assert delta == det_bareiss([[p.coeff(0) for p in row] for row in polynomial_matrix(table)])
@@ -668,7 +676,7 @@ def test_columns_past_the_degree_bound_fail_the_degree_lemma():
 
     # weight-2 columns are orthogonal up to k < 1 too, but deg P_l = 2M + l > M + l
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 2)
-    relabelled = build_table([cell.column for cell in table.cells], table.seqs, 1)
+    relabelled = build_table(table.columns, table.seqs, 1)
     assert not _degree_lemma_holds(relabelled)
     with pytest.raises(TableCheckError, match="fails the degree lemma"):
         table_determinants(relabelled)
@@ -685,10 +693,9 @@ def test_verification_flags_an_over_degree_cell_with_zero_runs():
     # table, whose bound is M + l = 4: its run phi(t^0 P) is still zero
     config = MplConfig(m=2, r=1, alphas=(F(1), F(-2)))
     weight1, weight2 = pade_table(config, 1), pade_table(config, 2)
-    columns = [cell.column for cell in weight1.cells[:-1]] + [weight2.cells[1].column]
+    columns = [*weight1.columns[:-1], weight2.columns[1]]
     table = build_table(columns, weight1.seqs, 1)
-    over = table.cells[-1]
-    assert over.degree == 5 and all(over.heads[label][0][0] == 0 for label in table.row_labels)
+    assert len(table.columns[-1][0]) - 1 == 5 and all(runs[-1][0] == 0 for runs in table.runs)
     verification = _verification_block(table)
     assert verification["orthogonality_ok"] and verification["remainder_starts_ok"]
     assert not verification["degrees_ok"]
@@ -702,7 +709,7 @@ def test_table_with_a_missing_row_fails_the_degree_lemma():
     from rodpade.transform import build_table
 
     table = pade_table(MplConfig(m=2, r=1, alphas=(F(1), F(-2))), 1)
-    short = build_table([cell.column for cell in table.cells], table.seqs[:-1], 1)
+    short = build_table(table.columns, table.seqs[:-1], 1)
     with pytest.raises(TableCheckError, match="fails the degree lemma"):
         table_determinants(short)
     with pytest.raises(ValueError, match="table must be square"):
