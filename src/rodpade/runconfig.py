@@ -16,24 +16,29 @@ def load_run_config(path: str) -> dict:
 
     A run of digits past the int-string limit is refused before either
     parser reads the text (``exact.check_digit_runs``), in the program's words.
-    A document that does not parse is refused with its path and the parser's message.
+    A document that does not decode as UTF-8, does not parse, or nests past the
+    interpreter's recursion limit is refused with its path and the codec's or
+    parser's message.
     """
     if path.endswith(".toml"):
         try:
             import tomllib
         except ImportError as exc:  # Python 3.10
             raise ValueError("TOML configs need Python 3.11+; use JSON") from exc
-        with open(path, "rb") as fh:  # as tomllib.load reads it
-            text, parse = fh.read().decode(), tomllib.loads
+        newline, parse = "", tomllib.loads  # tomllib.load reads bytes: no newline translation
     else:
         import json
 
-        with open(path, "r", encoding="utf-8") as fh:  # as json.load reads it
-            text, parse = fh.read(), json.loads
+        newline, parse = None, json.loads  # json.load reads text with universal newlines
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            text = fh.read()
+    except ValueError as exc:  # UnicodeDecodeError names no file; OSError names it itself
+        raise ValueError(f"config document {shown(path)}: {exc}") from exc
     check_digit_runs(text)
     try:
         return parse(text)
-    except ValueError as exc:  # json's and tomllib's syntax errors name no file
+    except (ValueError, RecursionError) as exc:  # the parsers' syntax and depth errors name no file
         raise ValueError(f"config document {shown(path)}: {exc}") from exc
 
 
@@ -42,7 +47,7 @@ def apply_run_config(args) -> None:
     doc = load_run_config(args.config)
     # `type(...) is int` also turns away booleans: `"m": true` is no m = 1
     if not isinstance(doc, dict) or any(type(doc.get(k, 0)) is not int for k in ("m", "r")):
-        raise ValueError(f"config document {args.config} must be a table with integer m and r")
+        raise ValueError(f"config document {shown(args.config)} must be a table with integer m and r")
     for key in ("m", "r", "beta", "place", "n"):
         if key in doc and getattr(args, key, None) is None:
             setattr(args, key, str(doc[key]) if key in ("n", "beta", "place") else doc[key])

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import atexit
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -13,6 +15,8 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,18 +209,33 @@ def test_missing_config_document_exits_2():
         # documents that do not parse
         ("run.json", "{"),
         ("run.toml", "m = "),
+        # nesting past the recursion limit, and a document that is no UTF-8
+        ("run.json", "[" * 100000 + "]" * 100000),
+        ("run.toml", "a = " + "[" * 5000 + "]" * 5000 + "\n"),
+        ("run.json", b'\xff\xfe{"m": 1}'),
     ],
+    ids=lambda value: value if len(value) < 20 else f"{value[:8]!r}...",
 )
 def test_malformed_config_document_exits_2(tmp_path, monkeypatch, capsys, command, name, text):
     # a short relative path, which every message quotes whole
     monkeypatch.chdir(tmp_path)
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main([command, "--config", name, "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert name in lines[0]
+
+
+def test_config_document_messages_cut_a_long_path(tmp_path, monkeypatch, capsys):
+    # a path is an input token: shown whole up to 64 characters, else cut, as every other message shows one
+    monkeypatch.chdir(tmp_path)
+    name = "r" * 100 + ".json"
+    for text in ("5", "{"):
+        (tmp_path / name).write_text(text)
+        assert main(["pade", "--config", name, "--n", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config document {'r' * 64}... (105 characters)")
 
 
 @pytest.mark.parametrize(
@@ -879,6 +898,8 @@ _UNCALLED_ALLOWED = {
     ("logpow.py", "_stirling_cycle"),
     ("logpow.py", "logpow_moment_stirling"),
     ("mpl.py", "mpl_moment_oracle"),
+    # the process entry: in-process jobs cannot enter it
+    ("__main__.py", "run"),
 }
 
 
@@ -944,7 +965,7 @@ def test_json_writer_matches_json_dumps(monkeypatch):
         raise AssertionError("json.dumps called")
 
     monkeypatch.setattr(json, "dumps", refuse)
-    results = list(digests["run_jobs"](main, digests["EDGE"]))
+    results = list(digests["run_jobs"](lambda argv: digests["run_job"](main, argv), digests["EDGE"]))
     assert len(results) == len(digests["EDGE"])
     assert [argv for argv, code, _, _ in results if code == "raised"] == []
 
@@ -1197,3 +1218,99 @@ def test_job_digests_runs_every_edge_job():
     lines = proc.stdout.splitlines()
     assert [line.split(" ", 3)[3] for line in lines] == [" ".join(argv) for argv in edge]
     assert [line for line in lines if line.startswith("raised ")] == []
+
+
+def test_job_digests_fresh_lines_match_the_in_process_lines():
+    # --fresh runs each job through the process entry, which must print what main(argv) prints
+    tool = Path(__file__).resolve().parent.parent / "tools" / "job_digests.py"
+    args = [sys.executable, str(tool), "--workload", "deep-tail", "--seed", "7", "--count", "4"]
+    in_process = subprocess.run(args, capture_output=True, text=True)
+    fresh = subprocess.run(args + ["--fresh"], capture_output=True, text=True)
+    assert in_process.returncode == fresh.returncode == 0, in_process.stderr + fresh.stderr
+    assert len(in_process.stdout.splitlines()) == 4
+    assert fresh.stdout == in_process.stdout
+
+
+#: exit 0 as JSON and as CSV, exit 1, 2 and 3, --help, and a usage error
+_ENTRY_JOBS = [
+    ("pade", "--m", "1", "--r", "1", "--alphas", "1", "--n", "2"),
+    ("det", "--m", "2", "--r", "1", "--alphas=-2,1/3", "--n", "3", "--format", "csv"),
+    ("audit", "--lcm", "1"),
+    ("pade", "--m", "0", "--alphas", "1", "--n", "1"),
+    ("criterion", "--m", "1", "--r", "1", "--alphas", "1", "--beta", "1"),
+    ("criterion", "--help"),
+    ("pade", "--m", "1", "--n", "1", "--xyz"),
+]
+
+
+@pytest.mark.parametrize("argv", _ENTRY_JOBS, ids=" ".join)
+def test_process_entry_prints_what_main_prints(capsys, argv):
+    proc = run_cli(*argv)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out.encode(), captured.err.encode())
+
+
+def test_process_entry_writes_the_out_file_main_writes(tmp_path, capsys):
+    argv = ["criterion", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--beta", "4000000", "--products", "--out"]
+    proc = run_cli(*argv, str(tmp_path / "entry.json"))
+    assert main(argv + [str(tmp_path / "main.json")]) == proc.returncode == 0
+    assert proc.stdout == proc.stderr == b"" and capsys.readouterr() == ("", "")
+    assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_entry_freezes_the_collector_once_after_the_payload(monkeypatch):
+    from rodpade import __main__ as entry
+
+    out, written = io.StringIO(), []
+
+    def freeze():
+        written.append(out.getvalue())
+        real_freeze()
+
+    real_freeze = gc.freeze
+    monkeypatch.setattr(gc, "freeze", freeze)
+    monkeypatch.setattr(sys, "argv", ["rodpade", "criterion", "--m", "1", "--alphas", "1", "--beta", "1"])
+    try:
+        with contextlib.redirect_stdout(out):
+            code = entry.run()
+    finally:
+        gc.unfreeze()
+    assert code == 3
+    assert written == [out.getvalue()] and json.loads(written[0])["command"] == "criterion"
+
+
+def test_main_never_freezes_the_collector(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["pade", "--m", "1", "--r", "1", "--alphas", "1", "--n", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_a_job_leaves_no_file_open_and_no_atexit_handler(tmp_path, monkeypatch, capsys):
+    # what the entry's freeze relies on: no object whose collection at exit does work the job needs
+    for name, text in _CONFIG_DOCS.items():
+        (tmp_path / name).write_text(text)
+    jobs = [
+        ["criterion", "--m", "1", "--r", "1", "--alphas", "1", "--beta", "30", "--out", str(tmp_path / "out.json")],
+        *(["pade", "--config", str(tmp_path / name)] for name in _CONFIG_DOCS),
+    ]
+    opened, unraisable = [], []
+    real_open = open
+
+    def tracked_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        opened.append(weakref.ref(fh))
+        return fh
+
+    monkeypatch.setattr("builtins.open", tracked_open)
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    handlers = atexit._ncallbacks()  # a CPython detail: the count of registered atexit handlers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for argv in jobs:
+            assert main(argv) == 0
+        gc.collect()
+    assert atexit._ncallbacks() == handlers
+    assert unraisable == []
+    assert len(opened) == len(jobs)
+    assert all(ref() is None or ref().closed for ref in opened)

@@ -1,27 +1,33 @@
-"""Digests of the first jobs of a benchmark workload, run in process.
+"""Digests of the first jobs of a benchmark workload, run in process or each in a fresh interpreter.
 
     python3 tools/job_digests.py --workload wide-det --seed 7 --count 40
-    python3 tools/job_digests.py --workload edge
+    python3 tools/job_digests.py --workload edge [--fresh]
 
 Each job of ``benchmarks/workloads.py`` (loaded by path, read only), or of
 the fixed ``edge`` list below, runs through ``rodpade.cli.main`` in this
 process, and one line is printed per job: the exit code, sha256 of its
 stdout, sha256 of its stderr, and its argv.
 A job that raises prints ``raised`` as its exit code and the digest of its
-traceback as its stderr.  An argv token ``<doc>.json`` names ``CONFIG_DOC``,
-written to a temporary directory for the run; the printed argv keeps the token.  Running the script in two checkouts (``--root``
-names the checkout whose ``src/`` is imported) and diffing the outputs shows
-whether a change kept every job's bytes.
+traceback as its stderr.  With ``--fresh`` each job runs as ``python -m
+rodpade`` in a new interpreter, with ``PYTHONPATH`` the checkout's ``src``,
+so the lines show the process entry's own exit code and bytes.  An argv
+token ``<doc>.json`` names ``CONFIG_DOC``, written to a temporary directory
+for the run; the printed argv keeps the token.  Running the script in two
+checkouts (``--root`` names the checkout whose ``src/`` is run) and diffing
+the outputs shows whether a change kept every job's bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
 import itertools
+import os
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -174,12 +180,8 @@ def _load_workloads(root: Path):
     return module
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def run_job(main, argv) -> tuple[str, str, str]:
-    """(exit, stdout, stderr) of one in-process ``main(argv)``."""
+def run_job(main, argv) -> tuple[str, bytes, bytes]:
+    """(exit, stdout, stderr) of one in-process ``main(argv)``, the streams as UTF-8 bytes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -187,16 +189,23 @@ def run_job(main, argv) -> tuple[str, str, str]:
         except Exception:  # a traceback is a result to compare, not a reason to stop
             code = "raised"
             err.write(traceback.format_exc())
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def run_jobs(main, jobs):
-    """(argv, exit, stdout, stderr) of each job in turn, with ``<doc>.json`` naming ``CONFIG_DOC``."""
+def run_fresh(root: Path, argv) -> tuple[str, bytes, bytes]:
+    """(exit, stdout, stderr) of ``python -m rodpade argv`` in a new interpreter on ``root``'s ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "rodpade", *argv], capture_output=True, env=env)
+    return str(proc.returncode), proc.stdout, proc.stderr
+
+
+def run_jobs(run, jobs):
+    """(argv, exit, stdout, stderr) of ``run(argv)`` for each job in turn, ``<doc>.json`` naming ``CONFIG_DOC``."""
     with tempfile.TemporaryDirectory() as tmp:
         doc = Path(tmp) / "doc.json"
         doc.write_text(CONFIG_DOC, encoding="utf-8")
         for argv in jobs:
-            yield argv, *run_job(main, [str(doc) if a == "<doc>.json" else a for a in argv])
+            yield argv, *run([str(doc) if a == "<doc>.json" else a for a in argv])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,6 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="workload seed (not for edge)")
     parser.add_argument("--count", type=int, help="jobs to run (default for edge: all)")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to run (default: this one)")
+    parser.add_argument("--fresh", action="store_true", help="run each job as python -m rodpade in a new interpreter")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if args.workload == "edge":
@@ -214,11 +224,15 @@ def main(argv: list[str] | None = None) -> int:
     else:
         generated = _load_workloads(root).generate(args.workload, args.seed)
         jobs = [job.argv for job in itertools.islice(generated, args.count)]
-    sys.path.insert(0, str(root / "src"))
-    from rodpade.cli import main as cli_main
+    if args.fresh:
+        run = functools.partial(run_fresh, root)
+    else:
+        sys.path.insert(0, str(root / "src"))
+        from rodpade.cli import main as cli_main
 
-    for argv, code, out, err in run_jobs(cli_main, jobs):
-        print(code, _sha(out), _sha(err), " ".join(argv), flush=True)
+        run = functools.partial(run_job, cli_main)
+    for argv, code, out, err in run_jobs(run, jobs):
+        print(code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest(), " ".join(argv), flush=True)
     return 0
 
 

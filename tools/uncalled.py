@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import sys
 from pathlib import Path
 
@@ -64,9 +65,10 @@ def main(argv: list[str] | None = None) -> int:
         if event == "call":
             entered.add(frame.f_code)
 
+    run = functools.partial(job_digests.run_job, cli_main)
     sys.setprofile(hook)
     try:
-        codes = [code for _, code, _, _ in job_digests.run_jobs(cli_main, job_digests.EDGE)]
+        codes = [code for _, code, _, _ in job_digests.run_jobs(run, job_digests.EDGE)]
     finally:
         sys.setprofile(None)
     ran = {(c.co_filename, c.co_firstlineno) for c in entered}
