@@ -220,7 +220,7 @@ def bounds_audit(
 
     # moment bounds per row, on monomials and on the first remainder coefficient
     for f, lcm, runs in zip(seqs, table.scales, table.runs):
-        for j in (0, 1, n, n + 3):
+        for j in dict.fromkeys((0, 1, n, n + 3)):  # at n = 1, j = 1 and j = n are one row
             x = f[j]
             measured = _int_norm_v((x.numerator,), x.denominator, place)
             add(f"moment[{f.label},j={j}]", measured, moment_bound(j + 1, (1, 1)))

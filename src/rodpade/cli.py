@@ -310,7 +310,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # e.g. the sieve of `audit --lcm` for a huge bound
         print("error: input too large", file=sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

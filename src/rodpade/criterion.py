@@ -20,7 +20,7 @@ from typing import Sequence
 from .exact import as_fraction, format_rational, parse_rational, parse_rationals
 from .heights import H_v_vec, abs_v  # unused here: the benchmark's self-tests read them from this module
 from .heights import Place, _bound_constant, _log_pair, _round15, beta_hypothesis, global_height_vec
-from .mpl import MplConfig, index_set
+from .mpl import MplConfig, MplIndex, index_set
 
 __all__ = [
     "evaluate_criterion",
@@ -104,12 +104,12 @@ def evaluate_criterion(
     products: list[str] = []
     if passed:
         indices = index_set(m, r)
-        conclusion = [idx.value_label(config, beta) for idx in indices]
+        conclusion = [idx.label(config, beta) for idx in indices]
         if include_products:
-            labels = []
-            for idx in indices:
-                factors = (f"Li_{s}({format_rational(config.alpha(a) / beta)})" for s, a in zip(idx.s, idx.a))
-                labels.append("*".join(sorted(factors)))
+            labels = (
+                "*".join(sorted(MplIndex((s,), (a,)).label(config, beta) for s, a in zip(idx.s, idx.a)))
+                for idx in indices
+            )
             products = list(dict.fromkeys(labels))  # each label once, in first-seen order
     return {
         "config": {**config.to_json(), "beta": format_rational(beta), "place": str(v0)},

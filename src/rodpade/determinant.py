@@ -155,7 +155,7 @@ def verify_pade(table: transform.PadeTable) -> bool:
 
 
 def _build_table(args, n: int):
-    """Returns (kind, config, table) of weight ``n``.
+    """Returns (kind, config JSON, table) of weight ``n``.
 
     The table carries its rows, each with its integer moment window, and,
     per row and column, the run phi_j(t^k P_l), k <= n, over L_j d_l; the
@@ -165,12 +165,12 @@ def _build_table(args, n: int):
     if args.appendix_logpow:
         from . import logpow as logpow_mod
 
-        config = logpow_mod.LogPowConfig(m=args.m, n=n)
-        return "logpow", config, logpow_mod.logpow_table(config)
+        table = logpow_mod.logpow_table(args.m, n)
+        return "logpow", {"m": args.m, "n": n}, table
     from . import mpl as mpl_mod
 
     config = mpl_mod.MplConfig(m=args.m, r=args.r, alphas=parse_rationals(args.alphas))
-    return "mpl", config, mpl_mod.pade_table(config, n)
+    return "mpl", config.to_json(), mpl_mod.pade_table(config, n)
 
 
 def _verification_block(table) -> dict:
@@ -230,7 +230,7 @@ def run(args) -> tuple[dict, bool]:
         determinant = _determinant_block(table)
     except TableCheckError as exc:
         return {"command": command, "error": str(exc)}, False
-    payload = {"command": command, "kind": kind, "config": config.to_json(), "n": n}
+    payload = {"command": command, "kind": kind, "config": config, "n": n}
     if command == "det":
         payload["determinant"] = determinant
         return payload, determinant["abs_identity_ok"]

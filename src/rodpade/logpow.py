@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-from .exact import Record, falling_derivative, int_convolve, shown
+from .exact import falling_derivative, int_convolve, shown
 from .transform import (
     MomentSeq,
     PadeTable,
@@ -28,7 +28,6 @@ from .transform import (
 )
 
 __all__ = [
-    "LogPowConfig",
     "logpow_moment_stirling",
     "moment_seqs",
     "rodrigues_stages",
@@ -36,22 +35,6 @@ __all__ = [
     "verify_En_identities",
     "run",
 ]
-
-
-class LogPowConfig(Record):
-    """Highest log power m and weight n."""
-
-    __slots__ = ("m", "n")
-
-    def __init__(self, m: int, n: int):
-        super().__init__(m, n)
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {shown(str(self.m))}")
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {shown(str(self.n))}")
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n}
 
 
 def _stirling_cycle(n: int, k: int) -> int:
@@ -101,15 +84,18 @@ def moment_seqs(m: int) -> list[MomentSeq]:
     return seqs
 
 
-def rodrigues_stages(config: LogPowConfig) -> list[tuple[int, tuple[list[int], int]]]:
+def rodrigues_stages(m: int, n: int) -> list[tuple[int, tuple[list[int], int]]]:
     """m stages (n, (z-1)^n): the factors of R_n* in the order they act."""
-    return [(config.n, rodrigues_factor(config.n, (1,)))] * config.m
+    return [(n, rodrigues_factor(n, (1,)))] * m
 
 
-def logpow_table(config: LogPowConfig) -> PadeTable:
-    """Columns l = 0..m by the Rodrigues chain, rows log^1..log^m."""
-    columns = rodrigues_columns(rodrigues_stages(config), config.m + 1)
-    return build_table(columns, moment_seqs(config.m), config.n)
+def logpow_table(m: int, n: int) -> PadeTable:
+    """Columns l = 0..m by the Rodrigues chain, rows log^1..log^m; m and n must be positive."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {shown(str(m))}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {shown(str(n))}")
+    return build_table(rodrigues_columns(rodrigues_stages(m, n), m + 1), moment_seqs(m), n)
 
 
 def _En_image(n: int, k: int) -> list[int]:

@@ -18,8 +18,9 @@ the bound audit and the determinants
 (``determinant.table_determinants``: Delta as Delta(0) by the degree lemma,
 theta from the k = n values) all read it.  R_n itself is never built as
 an operator.  Importing this module does not load ``transform``: ``criterion``
-reads ``MplConfig`` and ``index_set`` without building a table, and the
-functions that build one import what they use from ``transform``.
+reads ``MplConfig``, ``MplIndex`` and ``index_set`` without building a
+table, and the functions that build one import what they use from
+``transform``.
 """
 
 from __future__ import annotations
@@ -95,21 +96,14 @@ class MplIndex(Record):
     def depth(self) -> int:
         return len(self.s)
 
-    def args(self, config: MplConfig) -> list[str]:
-        """Ratio-chained argument strings, last one symbolic in z."""
-        out = []
-        for t in range(self.depth - 1):
-            out.append(format_rational(config.alpha(self.a[t]) / config.alpha(self.a[t + 1])))
-        out.append(f"{format_rational(config.alpha(self.a[-1]))}/z")
-        return out
+    def label(self, config: MplConfig, beta: Fraction | None = None) -> str:
+        """Li_s(alpha_{a_1}/alpha_{a_2}, ..., alpha_{a_k}/z) with exact ratios.
 
-    def label(self, config: MplConfig) -> str:
-        return "Li_" + ",".join(map(str, self.s)) + "(" + ",".join(self.args(config)) + ")"
-
-    def value_label(self, config: MplConfig, beta: Fraction) -> str:
-        """Label with z evaluated at beta (exact ratios)."""
-        args = self.args(config)[:-1]
-        args.append(format_rational(config.alpha(self.a[-1]) / as_fraction(beta)))
+        With ``beta`` the last argument is the exact alpha_{a_k}/beta.
+        """
+        alphas = [config.alpha(i) for i in self.a]
+        args = [format_rational(x / y) for x, y in zip(alphas, alphas[1:])]
+        args.append(f"{format_rational(alphas[-1])}/z" if beta is None else format_rational(alphas[-1] / beta))
         return "Li_" + ",".join(map(str, self.s)) + "(" + ",".join(args) + ")"
 
 

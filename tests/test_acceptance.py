@@ -32,7 +32,7 @@ from rodpade.criterion import _V
 from rodpade.determinant import table_determinants
 from rodpade.exact import log_int
 from rodpade.heights import Place
-from rodpade.logpow import LogPowConfig, logpow_table, verify_En_identities
+from rodpade.logpow import logpow_table, verify_En_identities
 from rodpade.logpow import moment_seqs as log_moment_seqs
 from rodpade.logpow import rodrigues_stages as log_rodrigues_stages
 from rodpade.mpl import (
@@ -182,7 +182,7 @@ def test_criterion_06_appendix_suite():
     ok = verify_En_identities(4)
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            stages = log_rodrigues_stages(LogPowConfig(m=m, n=n))
+            stages = log_rodrigues_stages(m, n)
             rn = rodrigues_operator([N for N, _ in stages], (1,))
             depth = 40 + ord_weight(rn) + len(rn.terms)
             for f in log_moment_seqs(m):
@@ -190,7 +190,7 @@ def test_criterion_06_appendix_suite():
                     _, tail = op_apply_laurent(rn, series(shifted(f, k), depth))
                     ok = ok and tail.depth >= 40 and tail.is_zero_to_depth()
     deltas = {
-        mn: table_determinants(logpow_table(LogPowConfig(*mn)))[0]
+        mn: table_determinants(logpow_table(*mn))[0]
         for mn in ((1, 1), (1, 2), (2, 1))
     }
     ok = ok and deltas[1, 1] == F(-1, 2)

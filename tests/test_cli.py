@@ -915,6 +915,19 @@ def test_every_function_of_the_package_runs_in_some_edge_job():
     assert set(listed) == _UNCALLED_ALLOWED
 
 
+def test_uncalled_tool_lists_what_a_workloads_jobs_never_enter():
+    # deep-tail builds log-power and depth-2 tables and never proves the E_n identities
+    root = Path(__file__).resolve().parent.parent
+    argv = ["--workload", "deep-tail", "--seed", "7", "--count", "4"]
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "uncalled.py"), *argv], capture_output=True, text=True, cwd=root
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    listed = set(re.findall(r"^src/rodpade/(\w+\.py):\d+ ([\w.]+) \(\d+\)$", proc.stdout, re.M))
+    assert ("logpow.py", "verify_En_identities") in listed
+    assert ("transform.py", "build_table") not in listed
+
+
 def test_json_writer_matches_json_dumps(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

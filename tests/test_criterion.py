@@ -365,6 +365,30 @@ def test_products_are_deduplicated():
     assert len(big["products"]) == len(set(big["products"]))
 
 
+@pytest.mark.parametrize("beta, place", [(F(-10**33, 7), "inf"), (F(7, 3**53), "p3")])
+def test_conclusion_and_product_labels_follow_their_definition(capsys, beta, place):
+    # Li_{s_1..s_k}(alpha_{a_1}/alpha_{a_2}, ..., alpha_{a_k}/beta) over |s| <= r, built here from
+    # the definition: depth, then s, then a, each in lexicographic order
+    from rodpade.cli import main
+
+    m, r, alphas = 2, 2, (F(3, 2), F(-5, 3))
+    argv = ["criterion", "--m", str(m), "--r", str(r), "--alphas=3/2,-5/3", f"--beta={beta}", "--place", place]
+    assert main([*argv, "--products"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    conclusion, products = [], []
+    for k in range(1, r + 1):
+        for s in (s for s in itertools.product(range(1, r + 1), repeat=k) if sum(s) <= r):
+            for a in itertools.product(range(m), repeat=k):
+                points = [alphas[x] / alphas[y] for x, y in zip(a, a[1:])] + [alphas[a[-1]] / beta]
+                conclusion.append(f"Li_{','.join(map(str, s))}({','.join(map(str, points))})")
+                product = "*".join(sorted(f"Li_{s_t}({alphas[a_t] / beta})" for s_t, a_t in zip(s, a)))
+                if product not in products:
+                    products.append(product)
+    assert len(conclusion) == (m + 1) ** r - 1
+    assert data["conclusion"] == conclusion
+    assert data["products"] == products
+
+
 def test_column_polynomial_matches_derivative_chain():
     # adjoint route and the iterated (1/N!) D^N z^N prod(z-a)^N route agree up
     # to the sign (-1)^(n*M/m) accumulated over the chain
@@ -481,7 +505,7 @@ def _audit_rows_stage_by_stage(config, table, place, beta):
             bound_eval = F(degp + 1) ** eps * norm_v(P, place) * H_v(beta, place) ** degp
             rows.append((f"column_eval[l={ell}]", abs_v(P(beta), place), bound_eval))
     for f in table.seqs:
-        for j in (0, 1, n, n + 3):
+        for j in dict.fromkeys((0, 1, n, n + 3)):
             k = j + 1
             bound = F(k) ** ((r + 1) * eps) * _d_factor(place, r, k) * H_alpha_vec**k
             rows.append((f"moment[{f.label},j={j}]", abs_v(f[j], place), bound))
@@ -644,6 +668,24 @@ def test_audit_json_shape(capsys):
     assert report["place"] == "p2"
     assert report["all_hold"] is True
     assert {"name", "measured", "bound", "slack", "holds"} <= set(report["rows"][0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--m", "1", "--r", "2", "--alphas", "1/2", "--n", "1"),
+        ("--m", "2", "--alphas=3/2,-5/3", "--n", "1..4", "--beta", "40"),
+        ("--m", "1", "--alphas", "1/3", "--n", "1..2", "--beta", "1/81", "--place", "p3"),
+    ],
+    ids=" ".join,
+)
+def test_no_audit_report_repeats_a_row(capsys, argv):
+    from rodpade.cli import main
+
+    assert main(["audit", *argv]) == 0
+    for report in json.loads(capsys.readouterr().out)["reports"]:
+        names = [row["name"] for row in report["rows"]]
+        assert len(names) == len(set(names)), report["n"]
 
 
 def test_moment_denominators_cleared_by_lcm_power():

@@ -21,7 +21,6 @@ from oracles import poly, q_polys, series, shifted
 
 from rodpade import logpow
 from rodpade.logpow import (
-    LogPowConfig,
     logpow_moment_stirling,
     logpow_table,
     moment_seqs,
@@ -36,7 +35,7 @@ E1 = DiffOp.of_term(Poly((0, -1, 1)), 1)
 
 def log_Rn(n, m):
     """R_n = (1/(n!)^m) E_n^m as an operator: L_n with alpha = 1 over the m stages."""
-    stages = rodrigues_stages(LogPowConfig(m=m, n=n))
+    stages = rodrigues_stages(m, n)
     return rodrigues_operator([N for N, _ in stages], (1,))
 
 
@@ -215,15 +214,14 @@ def test_rodrigues_membership_log_rows():
 
 
 def test_legendre_cell_with_negated_moments():
-    table = logpow_table(LogPowConfig(m=1, n=1))
+    table = logpow_table(1, 1)
     assert poly(table.columns[0]) == Poly((1, -2))
     assert q_polys(table, 0)["log^1"] == Poly.constant(2)
 
 
 def test_table_cells_verify():
     for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        config = LogPowConfig(m=m, n=n)
-        t = logpow_table(config)
+        t = logpow_table(m, n)
         fresh = tuple(moment_seqs(m))
         for ell, (nums, _) in enumerate(t.columns):
             assert len(nums) - 1 == m * n + ell
@@ -235,17 +233,16 @@ def test_determinants():
     def delta(table):
         return table_determinants(table)[0]
 
-    assert delta(logpow_table(LogPowConfig(1, 1))) == F(-1, 2)
-    assert delta(logpow_table(LogPowConfig(2, 1))) == F(-1, 6)  # frozen regression value
+    assert delta(logpow_table(1, 1)) == F(-1, 2)
+    assert delta(logpow_table(2, 1)) == F(-1, 6)  # frozen regression value
     # m=1 rows are the negated classical rows, so the determinant flips sign
-    assert delta(logpow_table(LogPowConfig(1, 2))) == -delta(
+    assert delta(logpow_table(1, 2)) == -delta(
         pade_table(MplConfig(m=1, r=1, alphas=(F(1),)), 2)
     )
 
 
 def test_delta_theta_absolute_identity():
     for m, n in ((1, 1), (1, 2), (2, 1)):
-        config = LogPowConfig(m=m, n=n)
-        table = logpow_table(config)
+        table = logpow_table(m, n)
         delta, theta = table_determinants(table)
         assert abs(delta) == abs(poly(table.columns[-1]).lc * theta)

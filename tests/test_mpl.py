@@ -338,4 +338,4 @@ def test_delta_theta_absolute_identity():
 
 def test_value_labels_for_criterion():
     idx = MplIndex(s=(1, 1), a=(1, 2))
-    assert idx.value_label(CFG22, F(30)) == "Li_1,1(1/2,1/15)"
+    assert idx.label(CFG22, F(30)) == "Li_1,1(1/2,1/15)"

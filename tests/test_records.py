@@ -40,9 +40,6 @@ def _samples():
         mpl.MplConfig: [config, mpl.MplConfig(m=1, r=2, alphas=[F(1)]), mpl.MplConfig(2, 1, (1, -2))],
         mpl.MplIndex: [idx[3], mpl.MplIndex(idx[3].s, idx[3].a), *idx],
         heights.Place: [heights.Place(), heights.Place(None), heights.Place(2), heights.Place(p=3)],
-        logpow.LogPowConfig: [
-            logpow.LogPowConfig(2, 3), logpow.LogPowConfig(m=2, n=3), logpow.LogPowConfig(3, 2)
-        ],
         algebra.PropertyP: [
             algebra.PropertyP(True, Poly((1, 1)), Poly((1,)), None),
             algebra.PropertyP(True, Poly((1, 1)), Poly((1,)), None),
@@ -95,7 +92,7 @@ def test_every_value_class_is_a_record():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert value_classes == set(SAMPLES)
-    assert len(SAMPLES) == 8
+    assert len(SAMPLES) == 7
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
@@ -159,8 +156,8 @@ def test_record_copies_and_pickles(cls):
         (lambda: mpl.MplIndex((1,), (0,)), "entries must be positive"),
         (lambda: heights.Place(4), "4 is not prime"),
         (lambda: heights.Place.parse("p1"), "1 is not prime"),
-        pytest.param(lambda: logpow.LogPowConfig(0, 1), "m must be positive, got 0", id="logpow-m"),
-        pytest.param(lambda: logpow.LogPowConfig(1, 0), "n must be positive, got 0", id="logpow-n"),
+        pytest.param(lambda: logpow.logpow_table(0, 1), "m must be positive, got 0", id="logpow-m"),
+        pytest.param(lambda: logpow.logpow_table(1, 0), "n must be positive, got 0", id="logpow-n"),
     ],
 )
 def test_record_validation_raises_value_error(make, message):

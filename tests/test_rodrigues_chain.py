@@ -60,14 +60,13 @@ def test_mpl_columns_match_the_adjoint_route(m, r, alphas, n):
 @pytest.mark.parametrize("m", range(1, 5))
 def test_logpow_columns_match_the_adjoint_route(m):
     for n in range(1, 7):
-        config = logpow_mod.LogPowConfig(m=m, n=n)
-        stages = logpow_mod.rodrigues_stages(config)
+        stages = logpow_mod.rodrigues_stages(m, n)
         assert [N for N, _ in stages] == [n] * m
         rstar = adjoint(rodrigues_operator([N for N, _ in stages], (1,)))
         expected = [op_apply(rstar, Poly.monomial(ell)) for ell in range(m + 1)]
         assert [poly(c) for c in rodrigues_columns(stages, m + 1)] == expected, (m, n)
         assert [_chain_by_stage(stages, ell) for ell in range(m + 1)] == expected, (m, n)
-        assert [poly(c) for c in logpow_mod.logpow_table(config).columns] == expected, (m, n)
+        assert [poly(c) for c in logpow_mod.logpow_table(m, n).columns] == expected, (m, n)
 
 
 def test_factor_is_the_product_of_binomial_powers():

@@ -477,11 +477,11 @@ def _seed_delta_route(table):
     ],
 )
 def test_constant_determinant_matches_fraction_route(m, r, alphas, n):
-    from rodpade.logpow import LogPowConfig, logpow_table
+    from rodpade.logpow import logpow_table
     from rodpade.mpl import MplConfig, pade_table
 
     if r is None:
-        table = polynomial_matrix(logpow_table(LogPowConfig(m=m, n=n)))
+        table = polynomial_matrix(logpow_table(m, n))
     else:
         table = polynomial_matrix(pade_table(MplConfig(m=m, r=r, alphas=alphas), n))
     assert constant_determinant(table) == _seed_delta_route(table)
@@ -566,11 +566,11 @@ _LEMMA_GRID = [
 
 
 def _grid_table(m, r, kind, n):
-    from rodpade.logpow import LogPowConfig, logpow_table
+    from rodpade.logpow import logpow_table
     from rodpade.mpl import MplConfig, pade_table
 
     if r is None:
-        return logpow_table(LogPowConfig(m=m, n=n))
+        return logpow_table(m, n)
     return pade_table(MplConfig(m=m, r=r, alphas=_ALPHA_KINDS[kind][:m]), n)
 
 

@@ -180,6 +180,20 @@ def _load_workloads(root: Path):
     return module
 
 
+def selected_jobs(parser: argparse.ArgumentParser, args) -> list:
+    """The argv of each job that ``args.workload``, ``args.seed`` and ``args.count`` name, on ``args.root``.
+
+    ``edge`` is the first ``--count`` jobs of ``EDGE`` (all without it); a
+    benchmark workload needs ``--seed`` and ``--count``.
+    """
+    if args.workload == "edge":
+        return EDGE[: args.count]
+    if args.seed is None or args.count is None:
+        parser.error("a benchmark workload needs --seed and --count")
+    generated = _load_workloads(args.root.resolve()).generate(args.workload, args.seed)
+    return [job.argv for job in itertools.islice(generated, args.count)]
+
+
 def run_job(main, argv) -> tuple[str, bytes, bytes]:
     """(exit, stdout, stderr) of one in-process ``main(argv)``, the streams as UTF-8 bytes."""
     out, err = io.StringIO(), io.StringIO()
@@ -217,13 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fresh", action="store_true", help="run each job as python -m rodpade in a new interpreter")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    if args.workload == "edge":
-        jobs = EDGE[: args.count]
-    elif args.seed is None or args.count is None:
-        parser.error("a benchmark workload needs --seed and --count")
-    else:
-        generated = _load_workloads(root).generate(args.workload, args.seed)
-        jobs = [job.argv for job in itertools.islice(generated, args.count)]
+    jobs = selected_jobs(parser, args)
     if args.fresh:
         run = functools.partial(run_fresh, root)
     else:
