@@ -147,7 +147,7 @@ def bounds_audit(
 
     Every value is an integer pair (numerator, denominator).  The measured
     norms are ``_int_norm_v`` of the chain's own pairs and the table's Q
-    pairs, or of values at beta (``_horner_at``); phi_j(t^n P_l) is
+    pairs, or of values at beta (``_horner_at``, in ``add_eval``); phi_j(t^n P_l) is
     ``table.runs[j][l][n]``.  The caller takes the column norms ||P_l||_v
     and the heights H_v(alpha_i), H_v(alpha) and H_v(beta) once, as pairs,
     so each bound is a product of integers over a product of integers.  A
@@ -165,12 +165,18 @@ def bounds_audit(
         rows.append((name, measured, bound))
 
     ha_num, ha_den = H_alpha
-    hb_num, hb_den = H_beta if beta is not None else (1, 1)  # read only with beta
 
     def moment_bound(k: int, norm: tuple[int, int]) -> tuple[int, int]:
         """k^((r+1) eps) |lcm(1..k)^r|_v^(eps-1) H_v(alpha)^k times ``norm``."""
         lcm_part = place.p ** (r * _ilog(place.p, k)) if place.is_finite else 1
         return k ** ((r + 1) * eps) * lcm_part * ha_num**k * norm[0], ha_den**k * norm[1]
+
+    def add_eval(name: str, pair: tuple[Sequence[int], int], norm: tuple[int, int]) -> None:
+        """The row |P(beta)|_v <= (deg+1)^eps ||P||_v H_v(beta)^deg, P = ``pair``, ||P||_v = ``norm``."""
+        (hb_num, hb_den), deg = H_beta, max(len(pair[0]) - 1, 0)
+        value, den = _horner_at(*pair, beta)
+        bound = (deg + 1) ** eps * norm[0] * hb_num**deg, norm[1] * hb_den**deg
+        add(name, _int_norm_v((value,), den, place), bound)
 
     stages = rodrigues_stages(config, n)
     # per stage: ||prod_i (z - alpha_i)^N||_v, its bound, and prod_i H_v(alpha_i)^N
@@ -211,12 +217,7 @@ def bounds_audit(
             norm_in = measured
         add(f"column_norm[l={ell}]", column_norms[ell], chain)
         if beta is not None:
-            column = table.columns[ell]
-            degp = len(column[0]) - 1
-            value, den = _horner_at(*column, beta)
-            norm_num, norm_den = column_norms[ell]
-            bound_eval = (degp + 1) ** eps * norm_num * hb_num**degp, norm_den * hb_den**degp
-            add(f"column_eval[l={ell}]", _int_norm_v((value,), den, place), bound_eval)
+            add_eval(f"column_eval[l={ell}]", table.columns[ell], column_norms[ell])
 
     # moment bounds per row, on monomials and on the first remainder coefficient
     for f, lcm, runs in zip(seqs, table.scales, table.runs):
@@ -238,10 +239,7 @@ def bounds_audit(
             normq = _int_norm_v(*q_pair, place)
             add(f"q_norm[{f.label},l={ell}]", normq, bound_q)
             if beta is not None:
-                degq = max(len(q_pair[0]) - 1, 0)
-                value, den = _horner_at(*q_pair, beta)
-                bound_eval = (degq + 1) ** eps * normq[0] * hb_num**degq, normq[1] * hb_den**degq
-                add(f"q_eval[{f.label},l={ell}]", _int_norm_v((value,), den, place), bound_eval)
+                add_eval(f"q_eval[{f.label},l={ell}]", q_pair, normq)
 
     return rows
 

@@ -59,6 +59,12 @@ def _int_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * rows[0][0] if rows else 1
 
 
+def _first_nonzero(table: transform.PadeTable) -> list[list[int]]:
+    """Per row j and column l, the first k < n with phi_j(t^k P_l) != 0, or n if there is none."""
+    n = table.n
+    return [[next((k for k, v in enumerate(run[:n]) if v), n) for run in runs] for runs in table.runs]
+
+
 def _degree_lemma_holds(table: transform.PadeTable) -> bool:
     """True when the table's Delta is provably the constant Delta(0).
 
@@ -69,15 +75,15 @@ def _degree_lemma_holds(table: transform.PadeTable) -> bool:
     Leibniz term of Delta has degree <= deg P_l - M (n + 1) <= l - M <= 0 as
     soon as deg P_l <= M n + l.  Delta is a polynomial, hence a constant.
     Checked here: M rows (a square matrix), the degree bound, and the n
-    orthogonality values of every (row, column), read from the table's runs.
-    The Q_(j,l) are taken to be the polynomial parts
+    orthogonality values of every (row, column): every ``_first_nonzero``
+    entry is n.  The Q_(j,l) are taken to be the polynomial parts
     phi_j((P_l(z) - P_l(t)) / (z - t)), as ``build_table`` makes them.
     """
     if len(table.seqs) != table.M:
         return False
     if any(len(nums) - 1 > table.M * table.n + ell for ell, (nums, _) in enumerate(table.columns)):
         return False
-    return not any(any(run[: table.n]) for runs in table.runs for run in runs)
+    return all(k == table.n for row in _first_nonzero(table) for k in row)
 
 
 def table_determinants(table: transform.PadeTable) -> tuple[Fraction, Fraction]:
@@ -122,9 +128,10 @@ def _series_coefficients(nums: Sequence[int], ws: Sequence[int], n: int) -> tupl
 def verify_pade(table: transform.PadeTable) -> bool:
     """Check every column against every row of ``table.seqs``, by two independent routes.
 
-    Kernel route: phi_j(t^k P_l) = 0 for 0 <= k <= n-1, read off
-    ``table.runs``.  Series route: one ``int_convolve`` of P_l with the row's
-    integer window (``MomentSeq.ints``, over its L) gives P_l f_j over L d_l
+    Kernel route: phi_j(t^k P_l) = 0 for 0 <= k <= n-1, that is, the
+    cell's ``_first_nonzero`` entry is n.  Series route, which reads no run:
+    one ``int_convolve`` of P_l with the row's integer window
+    (``MomentSeq.ints``, over its L) gives P_l f_j over L d_l
     (``_series_coefficients``): the first n tail coefficients of
     P_l f_j - Q_(j,l) must vanish, and the polynomial part must be Q_(j,l),
     over L_j d_l, compared by integer cross-multiplication.  The two routes
@@ -132,13 +139,13 @@ def verify_pade(table: transform.PadeTable) -> bool:
     exactly; a mismatch raises TableCheckError.  Columns are checked in
     order, each against every row, and the first that fails returns False.
     """
-    n = table.n
+    n, firsts = table.n, _first_nonzero(table)
     for ell, (nums, den) in enumerate(table.columns):
         if not nums:
             return False
         ok = True
-        for f, scale_j, qs, runs in zip(table.seqs, table.scales, table.qs, table.runs):
-            kernel_ok = not any(runs[ell][:n])
+        for f, scale_j, qs, row in zip(table.seqs, table.scales, table.qs, firsts):
+            kernel_ok = row[ell] == n
             ws, lcm = f.ints(len(nums) - 1 + n)
             tail, part = _series_coefficients(nums, ws, n)
             series_ok = not any(tail)
@@ -174,25 +181,15 @@ def _build_table(args, n: int):
 
 
 def _verification_block(table) -> dict:
-    """Checks of every column; the kernel route and remainder starts read ``table.runs``."""
+    """Checks of every column; the kernel route and remainder starts read ``_first_nonzero``."""
     n = table.n  # column l has degree M n + l; M is m for log-power rows
-    orth = verify_pade(table)
-    degrees = all(len(nums) - 1 == table.M * n + ell for ell, (nums, _) in enumerate(table.columns))
-    starts = []
-    starts_ok = True
-    for f, runs in zip(table.seqs, table.runs):
-        row = []
-        for run in runs:
-            # the tail of P_l f_j - Q starts at z^-(k+1) for its first nonzero phi_j(t^k P_l)
-            first = next((k for k, v in enumerate(run[:n]) if v), n)
-            row.append(first + 1)
-            starts_ok = starts_ok and first == n
-        starts.append({"label": f.label, "starts": row})
+    rows = list(zip(table.seqs, _first_nonzero(table)))
     return {
-        "orthogonality_ok": orth,
-        "degrees_ok": degrees,
-        "remainder_starts_ok": starts_ok,
-        "remainder_starts": starts,
+        "orthogonality_ok": verify_pade(table),
+        "degrees_ok": all(len(nums) - 1 == table.M * n + ell for ell, (nums, _) in enumerate(table.columns)),
+        "remainder_starts_ok": all(k == n for _, row in rows for k in row),
+        # the tail of P_l f_j - Q starts at z^-(k+1) for its first nonzero phi_j(t^k P_l)
+        "remainder_starts": [{"label": f.label, "starts": [k + 1 for k in row]} for f, row in rows],
     }
 
 
@@ -200,13 +197,13 @@ def _determinant_block(table) -> dict:
     delta, theta = table_determinants(table)
     nums, den = table.columns[-1]
     lc = Fraction(nums[-1], den)
-    ok = abs(delta) == abs(lc * theta)
+    product = lc * theta
     return {
         "delta": format_rational(delta),
         "theta": format_rational(theta),
         "lc_last_column": format_rational(lc),
-        "abs_identity_ok": ok,
-        "sign": 1 if lc * theta == delta else -1,
+        "abs_identity_ok": abs(delta) == abs(product),
+        "sign": 1 if product == delta else -1,
     }
 
 

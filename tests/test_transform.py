@@ -703,6 +703,46 @@ def test_verification_flags_an_over_degree_cell_with_zero_runs():
         table_determinants(table)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_scan_of_the_runs_flags_a_cell_first_nonzero_below_n(n):
+    from rodpade.mpl import MplConfig, pade_table
+    from rodpade.determinant import _degree_lemma_holds, _first_nonzero, _verification_block
+
+    # one row (M = 1): column 0 of the weight-(n-1) table stands in the weight-n table,
+    # so its run is first nonzero at k = n - 1, theta's entry one weight below
+    config = MplConfig(m=1, r=1, alphas=(F(3, 2),))
+    below, table = pade_table(config, n - 1), pade_table(config, n)
+    early = build_table([below.columns[0], table.columns[1]], table.seqs, n)
+    assert early.runs[0][0][n - 1] and not any(early.runs[0][0][: n - 1])
+    assert _first_nonzero(early) == [[n - 1, n]]
+    assert not _degree_lemma_holds(early)
+    verification = _verification_block(early)
+    assert verification["remainder_starts"] == [{"label": "Li_1(3/2/z)", "starts": [n, n + 1]}]
+    assert not verification["remainder_starts_ok"] and not verification["orthogonality_ok"]
+    # first nonzero at k = n in every cell, then no nonzero through k = n (the zero row): both clean
+    zero = build_table(table.columns, (zero_row(),), n)
+    for clean, first_at_n in ((table, True), (zero, False)):
+        assert all(bool(run[n]) == first_at_n for runs in clean.runs for run in runs)
+        assert _first_nonzero(clean) == [[n, n]] and _degree_lemma_holds(clean)
+        verification = _verification_block(clean)
+        assert verification["remainder_starts_ok"] and verification["orthogonality_ok"]
+        assert verification["remainder_starts"][0]["starts"] == [n + 1, n + 1]
+
+
+def test_determinant_block_signs_a_negated_q_row():
+    from rodpade.mpl import MplConfig, pade_table
+    from rodpade.determinant import _determinant_block
+
+    # a built table always has Delta = lc(P_M) theta; with its Q row negated Delta(0) flips
+    # while theta, read off the runs, does not
+    table = pade_table(MplConfig(m=1, r=1, alphas=(F(3, 2),)), 2)
+    assert _determinant_block(table)["sign"] == 1
+    negated = tuple(tuple(tuple(-c for c in q) for q in qs) for qs in table.qs)
+    block = _determinant_block(PadeTable(2, table.columns, table.seqs, table.scales, negated, table.runs))
+    assert block["sign"] == -1 and block["abs_identity_ok"]
+    assert block["delta"] == "-" + _determinant_block(table)["delta"]
+
+
 def test_table_with_a_missing_row_fails_the_degree_lemma():
     from rodpade.mpl import MplConfig, pade_table
     from rodpade.determinant import TableCheckError, table_determinants

@@ -53,6 +53,10 @@ EDGE = [
     ("logpow-identities", "--n", "0"),
     # the p-adic decay that exits 1 on a valid input
     ("audit", "--m", "2", "--r", "1", "--alphas=4,-3", "--n", "1..6", "--beta", "11/4", "--place", "p2"),
+    # its smallest case, exit 1 with every bound row holding: log|R_n|_2 = 0, -log 2, -log 2
+    # falls in steps of two weights, so the slope -0.3466 exceeds -log 2 + 0.1; still exit 1
+    # with --n 1..6, exit 0 with --n 1..12 (slope -0.6156)
+    ("audit", "--m", "1", "--r", "1", "--alphas=-1", "--n", "1..3", "--beta", "1/2", "--place", "p2"),
     # exit 2
     ("audit", "--m", "2", "--r", "1", "--alphas=3/2,-5/3", "--n", "1..8", "--beta", "40", "--place", "p2"),
     # |beta|_v = H_v(alpha) exactly: exit 2 from audit, and 3 from criterion, since the hypothesis is strict
